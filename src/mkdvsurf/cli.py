@@ -12,7 +12,7 @@ import sys
 
 from . import mesh as mesh_mod
 from . import verify as verify_mod
-from .immersion import PRESETS
+from .immersion import FAMILIES, PRESETS
 from .soliton import SolitonParams
 
 __all__ = ["main", "build_parser", "presets_table"]
@@ -21,7 +21,7 @@ __all__ = ["main", "build_parser", "presets_table"]
 def _add_surface_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--preset", choices=sorted(p.value for p in PRESETS),
                      help="bundled parameter set with its default window")
-    sub.add_argument("--family", choices=sorted(mesh_mod.FAMILY_KINDS),
+    sub.add_argument("--family", choices=sorted(FAMILIES),
                      help="surface family for parametric runs")
     sub.add_argument("--k1", type=float, help="soliton amplitude parameter")
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -154,14 +154,13 @@ def presets_table() -> str:
     """Stable text table of the bundled presets."""
     header = ("id", "family", "k1", "lambda", "mu", "nu", "window")
     rows = [header]
-    kind_names = {v: k for k, v in mesh_mod.FAMILY_KINDS.items()}
     for pid in sorted(PRESETS, key=lambda q: q.value):
         pre = PRESETS[pid]
         (x0, x1), (t0, t1) = pre.window
         rows.append(
             (
                 pre.id.value,
-                kind_names[pre.kind],
+                pre.family.name,
                 str(pre.k1),
                 str(pre.lam),
                 str(pre.mu),

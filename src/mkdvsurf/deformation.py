@@ -282,24 +282,6 @@ def curvatures_spectral_gauge_closed(u, p: SolitonParams) -> CurvaturePair:
     return CurvaturePair(K=k, H=h)
 
 
-def closed_form_orientation(u, p: SolitonParams, kind: DeformationKind):
-    """Sign relating the rational closed-form H to the frame-computed H.
-
-    The closed forms normalize the normal by a signed rational factor; the
-    frame pipeline always divides by ||[A, B]|| > 0.  The two agree up to the
-    sign of the closed form's shared denominator, which this returns (+1, -1,
-    or 0 at a pole).  K is a ratio of determinants and needs no adjustment.
-    """
-    u = np.asarray(u, dtype=float)
-    validate_kind(kind, p)
-    if kind is DeformationKind.SPECTRAL_GAUGE:
-        return np.sign(spectral_gauge_curvature_denominator(u, p))
-    if kind is DeformationKind.SPECTRAL:
-        # denominator reduces to mu^2 u, a positive multiple of u
-        return np.sign(u)
-    raise ValueError(f"no rational closed form for kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class SphereCheckReport:
     K: np.ndarray

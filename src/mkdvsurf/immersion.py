@@ -1,10 +1,12 @@
 """Closed-form soliton-surface immersions in R^3.
 
 Position vectors for the three-parameter (spectral) and four-parameter
-(spectral-gauge) families, their closed-form fundamental forms and
-curvatures, the bundled example presets, curvature-relation residuals, and
-the end-to-end consistency check tying position derivatives back to the
-frame construction.
+(spectral-gauge) families and their closed-form fundamental forms and
+curvatures, bundled per family in a :class:`Family` record; the bundled
+example presets and :func:`resolve`, which turns a preset or a family with
+parameters into a configuration; curvature-relation residuals; and the
+end-to-end consistency check tying position derivatives back to the frame
+construction.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -22,14 +25,13 @@ from .deformation import (
     Forms,
     ab_at,
     curvatures_spectral_gauge_closed,
+    spectral_gauge_curvature_denominator,
+    validate_kind,
 )
+from .diffgeo import SurfaceProviders
 from .lax import PhiConstants, canonical_constants, phi
-from .soliton import SolitonParams
+from .soliton import SolitonParams, _sech_tanh
 from .soliton import xi as soliton_xi
-
-
-def _sech_tanh(z):
-    return 1.0 / np.cosh(z), np.tanh(z)
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,6 @@ class ThreeParamAux:
     R1: float
     G: np.ndarray
     E: np.ndarray
-    xi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class FourParamAux:
     R7: float
     G: np.ndarray
     E_tilde: np.ndarray
-    xi: np.ndarray
 
 
 def _phase(x, t, p: SolitonParams):
@@ -70,7 +70,6 @@ def three_param_aux(x, t, p: SolitonParams) -> ThreeParamAux:
         R1=-p.mu * p.k1 / (2.0 * d),
         G=_phase(x, t, p),
         E=(t * (8.0 * p.lam + p.k1 ** 2) + 4.0 * x) * d,
-        xi=soliton_xi(x, t, p),
     )
 
 
@@ -87,7 +86,6 @@ def four_param_aux(x, t, p: SolitonParams) -> FourParamAux:
         R7=4.0 * p.lam * p.k1 * p.nu / d,
         G=_phase(x, t, p),
         E_tilde=t * (8.0 * p.lam + p.k1 ** 2) + 4.0 * x,
-        xi=soliton_xi(x, t, p),
     )
 
 
@@ -97,7 +95,7 @@ def three_param_position(x, t, p: SolitonParams) -> np.ndarray:
     Overflow-free evaluation: 1/(e^{2 xi} + 1) is written as (1 - tanh xi)/2.
     """
     a = three_param_aux(x, t, p)
-    s, tau = _sech_tanh(a.xi)
+    s, tau = _sech_tanh(x, t, p)
     y1 = -a.R1 * a.E / (4.0 * p.k1) - 4.0 * a.R1 * (1.0 - tau)
     y2 = -4.0 * a.R1 * np.cos(a.G) * s
     y3 = -4.0 * a.R1 * np.sin(a.G) * s
@@ -111,7 +109,7 @@ def four_param_position(x, t, p: SolitonParams) -> np.ndarray:
     (e^{4 xi}+1)/(e^{2 xi}+1)^2 = 1 - sech^2(xi)/2.
     """
     a = four_param_aux(x, t, p)
-    s, tau = _sech_tanh(a.xi)
+    s, tau = _sech_tanh(x, t, p)
     cg, sg = np.cos(a.G), np.sin(a.G)
     y1 = a.R2 * tau * s + a.R3 * a.E_tilde + 0.5 * a.R4 * (1.0 - tau)
     radial = 0.5 * a.R4 * s + a.R5 * (1.0 - 0.5 * s ** 2) - a.R6 * s ** 2
@@ -122,7 +120,7 @@ def four_param_position(x, t, p: SolitonParams) -> np.ndarray:
 
 def three_param_forms_closed(x, t, p: SolitonParams) -> Forms:
     """First and second fundamental forms of the three-parameter family."""
-    s, _ = _sech_tanh(soliton_xi(x, t, p))
+    s, _ = _sech_tanh(x, t, p)
     al = p.alpha + p.lam
     a2l = p.alpha + 2.0 * p.lam
     quarter_mu2 = 0.25 * p.mu ** 2
@@ -140,7 +138,7 @@ def three_param_forms_closed(x, t, p: SolitonParams) -> Forms:
 
 def three_param_curvatures_closed(x, t, p: SolitonParams) -> CurvaturePair:
     """Gaussian and mean curvature of the three-parameter family."""
-    s, _ = _sech_tanh(soliton_xi(x, t, p))
+    s, _ = _sech_tanh(x, t, p)
     k = (p.k1 ** 2 / p.mu ** 2) * (2.0 * s ** 2 - 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         h = (6.0 * p.k1 ** 2 * s ** 2 + 4.0 * p.lam ** 2 - p.k1 ** 2) / (
@@ -154,9 +152,9 @@ def four_param_forms_closed(x, t, p: SolitonParams) -> Forms:
 
     Polynomials in u = k1 sech(xi); the orientation of h matches the
     rational closed forms, i.e. the frame convention times the sign of the
-    curvature denominator (see deformation.closed_form_orientation).
+    curvature denominator (see Family.orientation).
     """
-    s, _ = _sech_tanh(soliton_xi(x, t, p))
+    s, _ = _sech_tanh(x, t, p)
     u = p.k1 * s
     al, lam, mu, nu = p.alpha, p.lam, p.mu, p.nu
     c2 = al ** 2 + (2.0 * lam - 1.0) * al + lam ** 2
@@ -183,8 +181,101 @@ def four_param_forms_closed(x, t, p: SolitonParams) -> Forms:
 
 def four_param_curvatures_closed(x, t, p: SolitonParams) -> CurvaturePair:
     """Gaussian and mean curvature of the four-parameter family."""
-    s, _ = _sech_tanh(soliton_xi(x, t, p))
+    s, _ = _sech_tanh(x, t, p)
     return curvatures_spectral_gauge_closed(p.k1 * s, p)
+
+
+def _three_param_asymptote(x, t, p: SolitonParams, branch: int):
+    # y2 and y3 carry a factor sech(xi): the surface closes onto its axis
+    z = np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape)
+    return z, z.copy()
+
+
+def _four_param_asymptote(x, t, p: SolitonParams, branch: int):
+    a = four_param_aux(x, t, p)
+    cg, sg = np.cos(a.G), np.sin(a.G)
+    return (a.R5 * cg + branch * a.R7 * sg,
+            a.R5 * sg - branch * a.R7 * cg)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One surface family: its public name, frame kind and closed forms.
+
+    ``position``, ``forms`` and ``curvatures`` take (x, t, p).
+    ``denominator`` takes (u, p): the shared denominator of the closed-form
+    K and H, whose zeros are the family's singular points and whose sign
+    orients the closed forms against the frame.  ``asymptotic_profile``
+    takes (x, t, p, branch) and gives the (y2, y3) limit as xi -> +inf
+    (branch +1) or -inf (branch -1).  ``FAMILIES`` holds one per family.
+    """
+
+    name: str
+    kind: DeformationKind
+    position: Callable[..., np.ndarray]
+    forms: Callable[..., Forms]
+    curvatures: Callable[..., CurvaturePair]
+    denominator: Callable[..., np.ndarray]
+    asymptotic_profile: Callable[..., tuple[np.ndarray, np.ndarray]]
+
+    def validate(self, p: SolitonParams) -> None:
+        validate_kind(self.kind, p)
+
+    def orientation(self, u, p: SolitonParams):
+        """Sign relating the closed-form H to the frame-computed H.
+
+        The closed forms normalize the normal by a signed rational factor;
+        the frame pipeline always divides by ||[A, B]|| > 0.  The two agree
+        up to the sign of the shared denominator, returned here (+1, -1, or
+        0 at a pole).  K is a ratio of determinants and needs no adjustment.
+        """
+        self.validate(p)
+        return np.sign(self.denominator(u, p))
+
+    def providers(self, p: SolitonParams) -> SurfaceProviders:
+        """Closed-form provider bundle for the finite-difference oracle."""
+
+        def metric(x, t):
+            f = self.forms(x, t, p)
+            return f.g11, f.g12, f.g22
+
+        def second_form(x, t):
+            f = self.forms(x, t, p)
+            return f.h11, f.h12, f.h22
+
+        return SurfaceProviders(
+            position=lambda x, t: self.position(x, t, p),
+            metric=metric,
+            second_form=second_form,
+            curvatures=lambda x, t: self.curvatures(x, t, p),
+        )
+
+
+# The closed forms are called through their module-level names, not stored
+# as function objects, so that replacing one of them in this module (to
+# profile or instrument it) reaches every caller of the record as well.
+SPECTRAL3 = Family(
+    name="spectral3",
+    kind=DeformationKind.SPECTRAL,
+    position=lambda x, t, p: three_param_position(x, t, p),
+    forms=lambda x, t, p: three_param_forms_closed(x, t, p),
+    curvatures=lambda x, t, p: three_param_curvatures_closed(x, t, p),
+    # the spectral-gauge denominator at nu = 0
+    denominator=lambda u, p: p.mu ** 2 * np.asarray(u, dtype=float),
+    asymptotic_profile=_three_param_asymptote,
+)
+
+SPECTRAL_GAUGE4 = Family(
+    name="spectralgauge4",
+    kind=DeformationKind.SPECTRAL_GAUGE,
+    position=lambda x, t, p: four_param_position(x, t, p),
+    forms=lambda x, t, p: four_param_forms_closed(x, t, p),
+    curvatures=lambda x, t, p: four_param_curvatures_closed(x, t, p),
+    denominator=spectral_gauge_curvature_denominator,
+    asymptotic_profile=_four_param_asymptote,
+)
+
+FAMILIES: dict[str, Family] = {f.name: f for f in (SPECTRAL3, SPECTRAL_GAUGE4)}
 
 
 class PresetId(str, Enum):
@@ -213,10 +304,8 @@ class Preset:
     window: tuple[tuple[float, float], tuple[float, float]]
 
     @property
-    def kind(self) -> DeformationKind:
-        if self.nu is None:
-            return DeformationKind.SPECTRAL
-        return DeformationKind.SPECTRAL_GAUGE
+    def family(self) -> Family:
+        return SPECTRAL3 if self.nu is None else SPECTRAL_GAUGE4
 
     @property
     def params(self) -> SolitonParams:
@@ -228,14 +317,10 @@ class Preset:
         )
 
     def position(self, x, t) -> np.ndarray:
-        if self.kind is DeformationKind.SPECTRAL:
-            return three_param_position(x, t, self.params)
-        return four_param_position(x, t, self.params)
+        return self.family.position(x, t, self.params)
 
     def curvatures(self, x, t) -> CurvaturePair:
-        if self.kind is DeformationKind.SPECTRAL:
-            return three_param_curvatures_closed(x, t, self.params)
-        return four_param_curvatures_closed(x, t, self.params)
+        return self.family.curvatures(x, t, self.params)
 
 
 def _pr(pid, k1, lam, mu, nu, half_width) -> Preset:
@@ -266,6 +351,36 @@ def preset(pid: PresetId | str) -> Preset:
     return PRESETS[pid]
 
 
+Window = tuple[float, float]
+
+
+def resolve(
+    preset_id: PresetId | str | None = None,
+    family: str | None = None,
+    params: SolitonParams | None = None,
+    x_range: Window | None = None,
+    t_range: Window | None = None,
+) -> tuple[Family, SolitonParams, str | None, tuple[Window | None, Window | None]]:
+    """Turn a preset id, or a family name with parameters, into
+    (family, params, preset id, (x_range, t_range)).
+
+    A preset supplies family, parameters and window, and explicit ranges
+    override its window.  Without a preset the ranges are returned as given,
+    None included, for the caller to default or reject.
+    """
+    if preset_id is not None:
+        pre = preset(preset_id)
+        window = (pre.window[0] if x_range is None else x_range,
+                  pre.window[1] if t_range is None else t_range)
+        return pre.family, pre.params, pre.id.value, window
+    if family not in FAMILIES:
+        valid = ", ".join(sorted(FAMILIES))
+        raise ValueError(f"unknown family {family!r}; valid families: {valid}")
+    if params is None:
+        raise ValueError("params required when no preset is given")
+    return FAMILIES[family], params, None, (x_range, t_range)
+
+
 def _inv2(m: np.ndarray) -> np.ndarray:
     # adjugate inverse of stacked 2x2 matrices
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
@@ -275,15 +390,6 @@ def _inv2(m: np.ndarray) -> np.ndarray:
     out[..., 0, 1] = -m[..., 0, 1]
     out[..., 1, 0] = -m[..., 1, 0]
     return out / det[..., None, None]
-
-
-def position_for_kind(x, t, p: SolitonParams, kind: DeformationKind) -> np.ndarray:
-    """Dispatch to the closed-form position of the given family."""
-    if kind is DeformationKind.SPECTRAL:
-        return three_param_position(x, t, p)
-    if kind is DeformationKind.SPECTRAL_GAUGE:
-        return four_param_position(x, t, p)
-    raise ValueError(f"no closed-form position for kind {kind!r}")
 
 
 def frame_tangents(x, t, p: SolitonParams, kind: DeformationKind,
@@ -303,7 +409,7 @@ def position_consistency_residual(
     x,
     t,
     p: SolitonParams,
-    kind: DeformationKind,
+    family: Family,
     c: PhiConstants | None = None,
     h: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +423,7 @@ def position_consistency_residual(
     t = np.asarray(t, dtype=float)
 
     def pos(xx, tt):
-        return position_for_kind(xx, tt, p, kind)
+        return family.position(xx, tt, p)
 
     yx_fd = (
         8.0 * (pos(x + h, t) - pos(x - h, t)) - (pos(x + 2 * h, t) - pos(x - 2 * h, t))
@@ -325,7 +431,7 @@ def position_consistency_residual(
     yt_fd = (
         8.0 * (pos(x, t + h) - pos(x, t - h)) - (pos(x, t + 2 * h) - pos(x, t - 2 * h))
     ) / (12.0 * h)
-    yx_fr, yt_fr = frame_tangents(x, t, p, kind, c)
+    yx_fr, yt_fr = frame_tangents(x, t, p, family.kind, c)
     return yx_fd - yx_fr, yt_fd - yt_fr
 
 
@@ -375,68 +481,12 @@ def weingarten_residuals(K, H, p: SolitonParams,
     )
 
 
-def three_param_providers(p: SolitonParams):
-    """Closed-form provider bundle for the three-parameter family."""
-    from .diffgeo import SurfaceProviders
-
-    def metric(x, t):
-        f = three_param_forms_closed(x, t, p)
-        return f.g11, f.g12, f.g22
-
-    def second_form(x, t):
-        f = three_param_forms_closed(x, t, p)
-        return f.h11, f.h12, f.h22
-
-    return SurfaceProviders(
-        position=lambda x, t: three_param_position(x, t, p),
-        metric=metric,
-        second_form=second_form,
-        curvatures=lambda x, t: three_param_curvatures_closed(x, t, p),
-    )
-
-
-def four_param_providers(p: SolitonParams):
-    """Closed-form provider bundle for the four-parameter family."""
-    from .diffgeo import SurfaceProviders
-
-    def metric(x, t):
-        f = four_param_forms_closed(x, t, p)
-        return f.g11, f.g12, f.g22
-
-    def second_form(x, t):
-        f = four_param_forms_closed(x, t, p)
-        return f.h11, f.h12, f.h22
-
-    return SurfaceProviders(
-        position=lambda x, t: four_param_position(x, t, p),
-        metric=metric,
-        second_form=second_form,
-        curvatures=lambda x, t: four_param_curvatures_closed(x, t, p),
-    )
-
-
-def asymptotic_profile(x, t, p: SolitonParams, kind: DeformationKind,
-                       branch: int) -> tuple[np.ndarray, np.ndarray]:
-    """(y2, y3) limit as xi -> +inf (branch=+1) or -inf (branch=-1)."""
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    if kind is DeformationKind.SPECTRAL:
-        z = np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape)
-        return z, z.copy()
-    if kind is DeformationKind.SPECTRAL_GAUGE:
-        a = four_param_aux(x, t, p)
-        cg, sg = np.cos(a.G), np.sin(a.G)
-        return (a.R5 * cg + branch * a.R7 * sg,
-                a.R5 * sg - branch * a.R7 * cg)
-    raise ValueError(f"no closed-form position for kind {kind!r}")
-
-
-def asymptotic_deviation(x, t, p: SolitonParams, kind: DeformationKind) -> np.ndarray:
+def asymptotic_deviation(x, t, p: SolitonParams, family: Family) -> np.ndarray:
     """Distance of (y2, y3) from its asymptotic profile on the xi-sign branch."""
-    y = position_for_kind(x, t, p, kind)
+    y = family.position(x, t, p)
     branch_sign = np.where(soliton_xi(x, t, p) >= 0.0, 1, -1)
-    y2p, y3p = asymptotic_profile(x, t, p, kind, 1)
-    y2m, y3m = asymptotic_profile(x, t, p, kind, -1)
+    y2p, y3p = family.asymptotic_profile(x, t, p, 1)
+    y2m, y3m = family.asymptotic_profile(x, t, p, -1)
     y2_inf = np.where(branch_sign > 0, y2p, y2m)
     y3_inf = np.where(branch_sign > 0, y3p, y3m)
     return np.hypot(y[..., 1] - y2_inf, y[..., 2] - y3_inf)

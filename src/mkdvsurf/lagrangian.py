@@ -20,8 +20,8 @@ from typing import Mapping
 import numpy as np
 
 from . import diffgeo
-from . import immersion
-from .soliton import SolitonParams
+from .immersion import SPECTRAL3
+from .soliton import SolitonParams, xi_grid
 
 __all__ = [
     "PolyLagrangian",
@@ -282,15 +282,6 @@ class FamilyReport:
         return max(c.median_normalized for c in self.checks)
 
 
-def _family_grid(p: SolitonParams, xi_half: float, t_half: float, nx: int, nt: int):
-    """Grid covering |xi| < xi_half at each of nt times."""
-    tv = np.linspace(-t_half, t_half, nt)
-    xiv = np.linspace(-xi_half, xi_half, nx)
-    x = (8.0 * xiv[None, :] / p.k1 - p.k1 ** 2 * tv[:, None]) / 4.0
-    t = np.repeat(tv[:, None], nx, axis=1)
-    return x, t
-
-
 def verify_family(
     n_deg: int,
     free: Mapping | None,
@@ -316,8 +307,8 @@ def verify_family(
     checks = []
     for sign in (1.0, -1.0):
         sp = SolitonParams(k1=k1, lam=sign * k1 / 2.0, mu=mu)
-        providers = immersion.three_param_providers(sp)
-        x, t = _family_grid(sp, xi_half, t_half, nx, nt)
+        providers = SPECTRAL3.providers(sp)
+        x, t = xi_grid(sp, xi_half, nx, nt, t_half)
         res, scale = diffgeo.shape_equation_residual(providers, lagr, x, t, s)
         normalized = np.abs(res) / scale
         h11, h12, h22 = providers.second_form(x, t)

@@ -14,17 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .deformation import (
-    DeformationKind,
-    spectral_gauge_curvature_denominator,
-    validate_kind,
-)
-from .immersion import Preset, position_for_kind, preset as lookup_preset
+from .immersion import resolve
 from .soliton import SolitonParams, u as soliton_u, xi as soliton_xi
-from . import immersion
 
 __all__ = [
-    "FAMILY_KINDS",
     "SurfaceMesh",
     "generate",
     "export",
@@ -32,14 +25,6 @@ __all__ = [
     "SINGULAR_RTOL",
 ]
 
-
-# Public family names; values are the deformation kinds they sample.
-FAMILY_KINDS: dict[str, DeformationKind] = {
-    "spectral3": DeformationKind.SPECTRAL,
-    "spectralgauge4": DeformationKind.SPECTRAL_GAUGE,
-}
-
-_KIND_FAMILY = {v: k for k, v in FAMILY_KINDS.items()}
 
 # Vertices whose curvature denominator is below this fraction of its grid
 # maximum are flagged singular (poles of H for spectral3, of K and H for
@@ -86,12 +71,6 @@ class SurfaceMesh:
                 yield a, a + 1, a + nx + 1, a + nx
 
 
-def _curvature_denominator(u_val, p: SolitonParams, kind: DeformationKind):
-    if kind is DeformationKind.SPECTRAL:
-        return 2.0 * p.mu * u_val
-    return spectral_gauge_curvature_denominator(u_val, p)
-
-
 def generate(
     family: str | None = None,
     params: SolitonParams | None = None,
@@ -107,20 +86,9 @@ def generate(
     window) or both ``family`` and ``params`` must be given; explicit
     ``x_range``/``t_range`` override the preset window.
     """
-    if preset_id is not None:
-        pre: Preset = lookup_preset(preset_id)
-        family = _KIND_FAMILY[pre.kind]
-        params = pre.params
-        if x_range is None:
-            x_range = pre.window[0]
-        if t_range is None:
-            t_range = pre.window[1]
-        preset_id = pre.id.value
-    if family not in FAMILY_KINDS:
-        valid = ", ".join(sorted(FAMILY_KINDS))
-        raise ValueError(f"unknown family {family!r}; valid families: {valid}")
-    if params is None:
-        raise ValueError("params required when no preset is given")
+    fam, params, preset_id, (x_range, t_range) = resolve(
+        preset_id, family, params, x_range, t_range
+    )
     if x_range is None or t_range is None:
         raise ValueError("x_range and t_range required when no preset is given")
     if nx < 2 or nt < 2:
@@ -128,21 +96,15 @@ def generate(
     if not (x_range[0] < x_range[1]) or not (t_range[0] < t_range[1]):
         raise ValueError("degenerate window: need min < max in both axes")
 
-    kind = FAMILY_KINDS[family]
-    validate_kind(kind, params)
+    fam.validate(params)
 
     xv = np.linspace(x_range[0], x_range[1], nx)
     tv = np.linspace(t_range[0], t_range[1], nt)
     x, t = np.meshgrid(xv, tv)
 
-    y = position_for_kind(x, t, params, kind)
-    if kind is DeformationKind.SPECTRAL:
-        cur = immersion.three_param_curvatures_closed(x, t, params)
-    else:
-        cur = immersion.four_param_curvatures_closed(x, t, params)
-
-    u_val = soliton_u(x, t, params)
-    den = np.abs(_curvature_denominator(u_val, params, kind))
+    y = fam.position(x, t, params)
+    cur = fam.curvatures(x, t, params)
+    den = np.abs(fam.denominator(soliton_u(x, t, params), params))
     with np.errstate(invalid="ignore"):
         bad = den <= SINGULAR_RTOL * np.max(den)
         bad |= ~np.isfinite(cur.K) | ~np.isfinite(cur.H)
@@ -150,7 +112,7 @@ def generate(
 
     flat = lambda a: np.asarray(a, dtype=float).reshape(-1)
     return SurfaceMesh(
-        family=family,
+        family=fam.name,
         params=params,
         preset_id=preset_id,
         nx=nx,

@@ -7,6 +7,7 @@ in sech(xi) and tanh(xi); residual helpers check the defining equations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,9 @@ class SolitonParams:
     alpha: float = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("k1", "lam", "mu", "nu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k1 == 0:
             raise ValueError("k1 must be nonzero")
         object.__setattr__(self, "alpha", self.k1 ** 2 / 4.0)
@@ -39,7 +43,17 @@ def xi(x, t, p: SolitonParams):
     return p.k1 * (p.k1 ** 2 * t + 4.0 * x) / 8.0
 
 
+def xi_grid(p: SolitonParams, xi_half: float, nx: int, nt: int, t_half: float = 1.0):
+    """(x, t) grid with nx points across |xi| <= xi_half on each of nt rows
+    spanning |t| <= t_half, so the grid follows the soliton as it travels."""
+    tv = np.linspace(-t_half, t_half, nt)
+    xiv = np.linspace(-xi_half, xi_half, nx)
+    x = (8.0 * xiv[None, :] / p.k1 - p.k1 ** 2 * tv[:, None]) / 4.0
+    return x, np.repeat(tv[:, None], nx, axis=1)
+
+
 def _sech_tanh(x, t, p: SolitonParams):
+    # (sech xi, tanh xi) at (x, t); shared with the immersion closed forms
     z = xi(x, t, p)
     return 1.0 / np.cosh(z), np.tanh(z)
 

@@ -19,17 +19,15 @@ from . import diffgeo, immersion, lagrangian
 from .deformation import (
     DeformationKind,
     ab_compatibility_residual,
-    closed_form_orientation,
     curvatures_from_forms,
     curvatures_spectral_closed,
     curvatures_spectral_gauge_closed,
     forms_from_ab,
-    spectral_gauge_curvature_denominator,
     symmetry_sphere_check,
 )
+from .immersion import SPECTRAL3, Family
 from .lax import canonical_constants, det_phi_expected, lax_residuals, phi, zero_curvature_residual
-from .mesh import FAMILY_KINDS
-from .soliton import SolitonParams, u as soliton_u
+from .soliton import SolitonParams, u as soliton_u, xi_grid
 
 __all__ = [
     "CHECK_NAMES",
@@ -170,7 +168,7 @@ def _jsonable(v: float):
 
 @dataclass(frozen=True)
 class _Config:
-    family: str
+    family: Family
     params: SolitonParams
     preset_id: str | None
     x_range: tuple[float, float]
@@ -178,10 +176,6 @@ class _Config:
     nx: int
     nt: int
     fd_step: float | None
-
-    @property
-    def kind(self) -> DeformationKind:
-        return FAMILY_KINDS[self.family]
 
     def grid_arrays(self, half: float | None = None):
         """Meshgrid over the window, optionally clipped to [-half, half]^2."""
@@ -192,14 +186,6 @@ class _Config:
         xv = np.linspace(xr[0], xr[1], self.nx)
         tv = np.linspace(tr[0], tr[1], self.nt)
         return np.meshgrid(xv, tv)
-
-    def xi_grid(self, xi_half: float, t_half: float = 1.0):
-        """Grid with |xi| < xi_half along each of nt time rows."""
-        p = self.params
-        tv = np.linspace(-t_half, t_half, self.nt)
-        xiv = np.linspace(-xi_half, xi_half, self.nx)
-        x = (8.0 * xiv[None, :] / p.k1 - p.k1 ** 2 * tv[:, None]) / 4.0
-        return x, np.repeat(tv[:, None], self.nx, axis=1)
 
     def label(self, detail: str = "") -> str:
         base = f"{self.nx}x{self.nt}"
@@ -238,13 +224,13 @@ def _incompatible(name: str, cfg: _Config) -> str | None:
     if name in ("forms", "consistency"):
         return None
     if name in ("weingarten", "willmore", "shape"):
-        if cfg.kind is not DeformationKind.SPECTRAL:
+        if cfg.family is not SPECTRAL3:
             return "spectral3-family check"
         if name == "willmore" and not _is_half_k1(p):
             return "requires lambda = k1/2"
         return None
     if name == "weingarten-paper-literal":
-        if cfg.kind is not DeformationKind.SPECTRAL:
+        if cfg.family is not SPECTRAL3:
             return "spectral3-family check"
         return None
     if name == "sphere":
@@ -298,18 +284,19 @@ def _check_compat(cfg: _Config, tol: float) -> CheckResult:
 
 
 def _check_forms(cfg: _Config, tol: float) -> CheckResult:
-    p = cfg.params
-    x, t = cfg.xi_grid(xi_half=2.95)
+    p, fam = cfg.params, cfg.family
+    x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
     u_val = soliton_u(x, t, p)
-    f = forms_from_ab(x, t, p, cfg.kind)
+    f = forms_from_ab(x, t, p, fam.kind)
     cur = curvatures_from_forms(f)
-    sign = closed_form_orientation(u_val, p, cfg.kind)
-    if cfg.kind is DeformationKind.SPECTRAL:
+    sign = fam.orientation(u_val, p)
+    # spectral3's only pole is u = 0; spectral-gauge poles get a margin
+    if fam is SPECTRAL3:
         closed = curvatures_spectral_closed(u_val, p)
         keep = np.isfinite(closed.H)
     else:
         closed = curvatures_spectral_gauge_closed(u_val, p)
-        den = spectral_gauge_curvature_denominator(u_val, p)
+        den = fam.denominator(u_val, p)
         keep = np.abs(den) > 0.05 * np.max(np.abs(den))
     rel_k = np.abs(cur.K[keep] - closed.K[keep]) / np.max(np.abs(closed.K[keep]))
     rel_h = np.abs(cur.H[keep] - sign[keep] * closed.H[keep]) / np.max(
@@ -327,7 +314,7 @@ def _check_forms(cfg: _Config, tol: float) -> CheckResult:
 
 def _check_weingarten(cfg: _Config, tol: float, paper_literal: bool) -> CheckResult:
     p = cfg.params
-    x, t = cfg.xi_grid(xi_half=2.95)
+    x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
     cur = curvatures_spectral_closed(soliton_u(x, t, p), p)
     wr = immersion.weingarten_residuals(cur.K, cur.H, p, paper_literal=paper_literal)
     res = [np.abs(wr.cubic) / wr.cubic_scale]
@@ -344,8 +331,8 @@ def _check_weingarten(cfg: _Config, tol: float, paper_literal: bool) -> CheckRes
 
 def _check_willmore(cfg: _Config, tol: float) -> CheckResult:
     p = cfg.params
-    providers = immersion.three_param_providers(p)
-    x, t = cfg.xi_grid(xi_half=2.0)
+    providers = cfg.family.providers(p)
+    x, t = xi_grid(p, 2.0, cfg.nx, cfg.nt)
     s = None
     if cfg.fd_step is not None:
         s = diffgeo.Stencil(h_x=cfg.fd_step, h_t=cfg.fd_step, order=4, richardson=True)
@@ -402,7 +389,7 @@ def _check_consistency(cfg: _Config, tol: float) -> CheckResult:
     p = cfg.params
     x, t = cfg.grid_arrays(half=2.0)
     h = cfg.fd_step if cfg.fd_step is not None else 1e-3
-    rx, rt = immersion.position_consistency_residual(x, t, p, cfg.kind, h=h)
+    rx, rt = immersion.position_consistency_residual(x, t, p, cfg.family, h=h)
     res = np.concatenate([np.abs(rx).reshape(-1), np.abs(rt).reshape(-1)])
     return _result("consistency", cfg.label("on [-2,2]^2"), tol, res,
                    note="frame tangents vs position derivatives")
@@ -439,19 +426,12 @@ def run_checks(
     opt-in regression checks and raises ``CheckConfigError`` when a listed
     check cannot run for this configuration.
     """
-    if preset_id is not None:
-        pre = immersion.preset(preset_id)
-        family = {v: k for k, v in FAMILY_KINDS.items()}[pre.kind]
-        params = pre.params
-        if x_range is None:
-            x_range = pre.window[0]
-        if t_range is None:
-            t_range = pre.window[1]
-        preset_id = pre.id.value
-    if family not in FAMILY_KINDS:
-        raise CheckConfigError(f"unknown family {family!r}")
-    if params is None:
-        raise CheckConfigError("params required when no preset is given")
+    try:
+        fam, params, preset_id, (x_range, t_range) = immersion.resolve(
+            preset_id, family, params, x_range, t_range
+        )
+    except ValueError as exc:
+        raise CheckConfigError(str(exc)) from None
     if x_range is None:
         x_range = (-3.0, 3.0)
     if t_range is None:
@@ -482,7 +462,7 @@ def run_checks(
             tols[key] = float(val)
 
     cfg = _Config(
-        family=family,
+        family=fam,
         params=params,
         preset_id=preset_id,
         x_range=(float(x_range[0]), float(x_range[1])),
@@ -518,7 +498,7 @@ def run_checks(
             results.append(_RUNNERS[name](cfg, tols[name]))
 
     return VerificationReport(
-        family=cfg.family,
+        family=fam.name,
         params=cfg.params,
         preset_id=cfg.preset_id,
         grid=cfg.label(),

@@ -12,7 +12,6 @@ from mkdvsurf import diffgeo, lagrangian, mesh
 from mkdvsurf.deformation import (
     DeformationKind,
     ab_compatibility_residual,
-    closed_form_orientation,
     curvatures_from_forms,
     curvatures_spectral_closed,
     curvatures_spectral_gauge_closed,
@@ -21,17 +20,18 @@ from mkdvsurf.deformation import (
     symmetry_sphere_check,
 )
 from mkdvsurf.immersion import (
+    SPECTRAL3,
+    SPECTRAL_GAUGE4,
     PresetId,
     asymptotic_deviation,
     four_param_forms_closed,
     position_consistency_residual,
     preset,
     three_param_forms_closed,
-    three_param_providers,
     weingarten_residuals,
 )
 from mkdvsurf.lax import canonical_constants, det_phi_expected, lax_residuals, phi, zero_curvature_residual
-from mkdvsurf.soliton import SolitonParams, u as soliton_u
+from mkdvsurf.soliton import SolitonParams, u as soliton_u, xi_grid
 
 ALL_PRESETS = [p.value for p in PresetId]
 
@@ -41,11 +41,8 @@ def _line(n: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _xi_grid(p: SolitonParams, xi_half: float, n_xi: int = 41, n_t: int = 21):
-    tv = np.linspace(-1.0, 1.0, n_t)
-    xiv = np.linspace(-xi_half, xi_half, n_xi)
-    x = (8.0 * xiv[None, :] / p.k1 - p.k1 ** 2 * tv[:, None]) / 4.0
-    return x, np.repeat(tv[:, None], n_xi, axis=1)
+# points across |xi| <= xi_half and time rows of the xi-aligned grids
+N_XI, N_T = 41, 21
 
 
 def test_criterion_01_zero_curvature():
@@ -97,12 +94,12 @@ def test_criterion_04_forms_curvature_equivalence():
                             (2.0, 0.0, -4.0, 1.0), (2.0, 1.0, 0.1, 1.0),
                             (1.0, -0.1, -2.08, -1.0)]:
         p = SolitonParams(k1, lam, mu, nu)
-        kind = DeformationKind.SPECTRAL if nu == 0.0 else DeformationKind.SPECTRAL_GAUGE
-        x, t = _xi_grid(p, 2.95)
+        family = SPECTRAL3 if nu == 0.0 else SPECTRAL_GAUGE4
+        x, t = xi_grid(p, 2.95, N_XI, N_T)
         uu = soliton_u(x, t, p)
-        cur = curvatures_from_forms(forms_from_ab(x, t, p, kind))
-        sign = closed_form_orientation(uu, p, kind)
-        if kind is DeformationKind.SPECTRAL:
+        cur = curvatures_from_forms(forms_from_ab(x, t, p, family.kind))
+        sign = family.orientation(uu, p)
+        if family is SPECTRAL3:
             closed = curvatures_spectral_closed(uu, p)
             keep = np.ones(uu.shape, bool)
         else:
@@ -119,9 +116,9 @@ def test_criterion_04_forms_curvature_equivalence():
     for pid in ALL_PRESETS:
         pre = preset(pid)
         p = pre.params
-        x, t = _xi_grid(p, 2.95)
+        x, t = xi_grid(p, 2.95, N_XI, N_T)
         uu = soliton_u(x, t, p)
-        if pre.kind is DeformationKind.SPECTRAL:
+        if pre.family is SPECTRAL3:
             fcl = three_param_forms_closed(x, t, p)
             keep = np.ones(uu.shape, bool)
             sign = np.sign(uu)
@@ -129,7 +126,7 @@ def test_criterion_04_forms_curvature_equivalence():
             fcl = four_param_forms_closed(x, t, p)
             den = spectral_gauge_curvature_denominator(uu, p)
             keep = np.abs(den) > 0.05 * np.max(np.abs(den))
-            sign = closed_form_orientation(uu, p, pre.kind)
+            sign = pre.family.orientation(uu, p)
         ccl = pre.curvatures(x, t)
         ffd = diffgeo.fd_forms(pre.position, x, t, stencil)
         cfd = curvatures_from_forms(ffd)
@@ -154,7 +151,7 @@ def test_criterion_05_position_consistency():
     worst = 0.0
     for pid in ALL_PRESETS:
         pre = preset(pid)
-        rx, rt = position_consistency_residual(x, t, pre.params, pre.kind)
+        rx, rt = position_consistency_residual(x, t, pre.params, pre.family)
         worst = max(worst, float(np.max(np.abs(rx))), float(np.max(np.abs(rt))))
     ok = worst < 1e-6
     assert _line(5, ok, f"max tangent mismatch {worst:.2e} over all presets (tol 1e-6)")
@@ -166,7 +163,7 @@ def test_criterion_06_curvature_relation():
     for _ in range(25):
         p = SolitonParams(rng.uniform(0.5, 3.0), rng.uniform(-1.5, 1.5),
                           rng.uniform(0.3, 3.0))
-        x, t = _xi_grid(p, 3.0)
+        x, t = xi_grid(p, 3.0, N_XI, N_T)
         cur = curvatures_spectral_closed(soliton_u(x, t, p), p)
         wr = weingarten_residuals(cur.K, cur.H, p)
         worst_cubic = max(worst_cubic, float(np.max(np.abs(wr.cubic) / wr.cubic_scale)))
@@ -174,7 +171,7 @@ def test_criterion_06_curvature_relation():
     for _ in range(10):
         k1 = rng.uniform(0.5, 3.0)
         p = SolitonParams(k1, k1 / 2.0, rng.uniform(0.3, 3.0))
-        cur = curvatures_spectral_closed(soliton_u(*_xi_grid(p, 3.0), p), p)
+        cur = curvatures_spectral_closed(soliton_u(*xi_grid(p, 3.0, N_XI, N_T), p), p)
         wr = weingarten_residuals(cur.K, cur.H, p)
         worst_quad = max(worst_quad, float(np.max(np.abs(wr.quadratic) / wr.quadratic_scale)))
     p0 = SolitonParams(2.0, 1.0, 1.0)
@@ -189,14 +186,14 @@ def test_criterion_07_willmore_like():
     worst = 0.0
     for k1, mu in [(1.0, 2.0), (2.0, -8.0), (3.0, 1.0)]:
         p = SolitonParams(k1, k1 / 2.0, mu)
-        prov = three_param_providers(p)
-        x, t = _xi_grid(p, 2.0)
+        prov = SPECTRAL3.providers(p)
+        x, t = xi_grid(p, 2.0, N_XI, N_T)
         res, scale = diffgeo.willmore_like_residual(prov, 4.0 / 9.0, 1.0, x, t)
         worst = max(worst, float(np.max(np.abs(res) / scale)))
     # control: away from lam = k1/2 the relation must visibly break
     p_ctrl = SolitonParams(2.0, 0.6, -8.0)
-    x, t = _xi_grid(p_ctrl, 2.0, n_xi=11, n_t=5)
-    res, scale = diffgeo.willmore_like_residual(three_param_providers(p_ctrl), 4.0 / 9.0, 1.0, x, t)
+    x, t = xi_grid(p_ctrl, 2.0, 11, 5)
+    res, scale = diffgeo.willmore_like_residual(SPECTRAL3.providers(p_ctrl), 4.0 / 9.0, 1.0, x, t)
     control = float(np.max(np.abs(res) / scale))
     ok = worst < 1e-4 and control > 1e-2
     assert _line(7, ok, f"max normalized residual {worst:.2e} (tol 1e-4), "
@@ -216,8 +213,8 @@ def test_criterion_08_shape_equation_families():
     # detuning power: every constrained coefficient, perturbed by 10%, must
     # raise the residual at least tenfold
     sp = SolitonParams(k1=k1, lam=k1 / 2.0, mu=mu)
-    prov = three_param_providers(sp)
-    x, t = lagrangian._family_grid(sp, 2.0, 1.0, 21, 21)
+    prov = SPECTRAL3.providers(sp)
+    x, t = xi_grid(sp, 2.0, 21, 21, 1.0)
     min_ratio = np.inf
     for n_deg in (3, 4, 5, 6):
         free = {i: rng.uniform(-1, 1) for i in lagrangian.FREE_INDICES[n_deg]}
@@ -273,7 +270,7 @@ def test_criterion_10_figure_windows(tmp_path):
         # the asymptotic profile is best realized at the corner with the
         # largest |xi| the captioned window reaches
         idx = np.unravel_index(np.argmax(np.abs(m.xi)), m.xi.shape)
-        dev = float(asymptotic_deviation(m.x[idx], m.t[idx], pre.params, pre.kind))
+        dev = float(asymptotic_deviation(m.x[idx], m.t[idx], pre.params, pre.family))
         good = elapsed < 5.0 and dev <= 1e-3
         ok = ok and good
         details.append(f"{pid}: {elapsed:.2f}s dev {dev:.2e}{'' if good else ' <-- exceeds 1e-3'}")

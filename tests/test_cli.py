@@ -1,6 +1,7 @@
 """Command-line interface: flags, exit codes, output formats."""
 
 import json
+import warnings
 
 import pytest
 
@@ -64,13 +65,26 @@ def test_generate_usage_errors(tmp_path, capsys):
 
 
 def test_generate_config_error_exit_2(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "generate", "--family", "spectral3", "--k1", "2",
-        "--out", str(tmp_path / "x.obj"),
-    )
-    # mu defaults to zero, which the spectral family rejects
-    assert code == 2
-    assert "mu" in err
+    out_file = tmp_path / "x.obj"
+    grid = ("--nx", "5", "--nt", "5", "--out", str(out_file))
+    cases = [
+        # mu defaults to zero, which the spectral family rejects
+        (("generate", "--family", "spectral3", "--k1", "2", "--out", str(out_file)), "mu"),
+        # non-finite parameters are rejected before anything is sampled
+        (("generate", "--family", "spectral3", "--k1", "nan", "--mu", "1", *grid), "k1"),
+        (("generate", "--family", "spectral3", "--k1", "inf", "--mu", "1", *grid), "k1"),
+        (("verify", "--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "nan",
+          "--checks", "forms", "--out", str(out_file)), "mu"),
+    ]
+    for argv, field in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert field in err
+        assert not out_file.exists()
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):

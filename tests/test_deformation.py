@@ -9,7 +9,6 @@ from mkdvsurf.deformation import (
     DeformationKind,
     ab_at,
     ab_compatibility_residual,
-    closed_form_orientation,
     curvatures_from_forms,
     curvatures_spectral_closed,
     curvatures_spectral_gauge_closed,
@@ -18,6 +17,7 @@ from mkdvsurf.deformation import (
     symmetry_sphere_check,
     validate_kind,
 )
+from mkdvsurf.immersion import SPECTRAL3, SPECTRAL_GAUGE4
 from mkdvsurf.soliton import SolitonParams, u as soliton_u
 
 GRID = np.meshgrid(np.linspace(-2, 2, 15), np.linspace(-2, 2, 15))
@@ -78,7 +78,7 @@ def test_spectral_curvatures_match_closed_form(p):
     cur = curvatures_from_forms(f)
     uu = soliton_u(x, t, p)
     closed = curvatures_spectral_closed(uu, p)
-    sign = closed_form_orientation(uu, p, DeformationKind.SPECTRAL)
+    sign = SPECTRAL3.orientation(uu, p)
     assert np.max(np.abs(cur.K - closed.K)) < 1e-8 * np.max(np.abs(closed.K))
     assert np.max(np.abs(cur.H - sign * closed.H)) < 1e-8 * np.max(np.abs(closed.H))
 
@@ -93,7 +93,7 @@ def test_gauge_curvatures_match_closed_form(p):
     f = forms_from_ab(x, t, p, DeformationKind.SPECTRAL_GAUGE)
     cur = curvatures_from_forms(f)
     closed = curvatures_spectral_gauge_closed(uu, p)
-    sign = closed_form_orientation(uu, p, DeformationKind.SPECTRAL_GAUGE)
+    sign = SPECTRAL_GAUGE4.orientation(uu, p)
     dk = np.abs(cur.K[keep] - closed.K[keep])
     dh = np.abs(cur.H[keep] - sign[keep] * closed.H[keep])
     assert np.max(dk) < 1e-8 * np.max(np.abs(closed.K[keep]))
@@ -119,13 +119,11 @@ def test_metric_of_spectral_family_is_constant_g11():
 def test_orientation_sign_is_denominator_sign():
     p = SolitonParams(2.0, 0.5, mu=1.0, nu=2.0)
     uu = np.linspace(0.05, 2.0, 101)
-    sign = closed_form_orientation(uu, p, DeformationKind.SPECTRAL_GAUGE)
+    sign = SPECTRAL_GAUGE4.orientation(uu, p)
     den = spectral_gauge_curvature_denominator(uu, p)
     assert np.array_equal(sign, np.sign(den))
     p3 = SolitonParams(2.0, 0.5, mu=-3.0)
-    assert np.array_equal(
-        closed_form_orientation(uu, p3, DeformationKind.SPECTRAL), np.sign(uu)
-    )
+    assert np.array_equal(SPECTRAL3.orientation(uu, p3), np.sign(uu))
 
 
 def test_sphere_check_radius():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mkdvsurf import diffgeo as dg
-from mkdvsurf.immersion import preset, three_param_providers
+from mkdvsurf.immersion import SPECTRAL3, preset
 
 X1, T1 = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
 
@@ -137,7 +137,7 @@ def test_near_singular_mask():
 
 def test_willmore_residual_shapes_and_scale():
     pre = preset("ex2")
-    prov = three_param_providers(pre.params)
+    prov = SPECTRAL3.providers(pre.params)
     x, t = np.meshgrid(np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
     res, scale = dg.willmore_like_residual(prov, 4.0 / 9.0, 1.0, x, t)
     assert res.shape == x.shape
@@ -172,7 +172,7 @@ class _H2Lagrangian(_ConstLagrangian):
 
 
 def test_shape_residual_constant_energy_is_minus_4h():
-    prov = three_param_providers(preset("ex2").params)
+    prov = SPECTRAL3.providers(preset("ex2").params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
     res, _ = dg.shape_equation_residual(prov, _ConstLagrangian(), x, t)
     h = prov.mean_curvature(x, t)
@@ -180,7 +180,7 @@ def test_shape_residual_constant_energy_is_minus_4h():
 
 
 def test_shape_residual_h2_is_willmore_operator():
-    prov = three_param_providers(preset("ex2").params)
+    prov = SPECTRAL3.providers(preset("ex2").params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
     res, _ = dg.shape_equation_residual(prov, _H2Lagrangian(), x, t)
     h = prov.mean_curvature(x, t)

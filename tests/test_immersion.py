@@ -6,6 +6,7 @@ import pytest
 from mkdvsurf import su2
 from mkdvsurf.deformation import DeformationKind, curvatures_from_forms, forms_from_ab
 from mkdvsurf.immersion import (
+    FAMILIES,
     PRESETS,
     PresetId,
     asymptotic_deviation,
@@ -15,8 +16,8 @@ from mkdvsurf.immersion import (
     four_param_position,
     frame_tangents,
     position_consistency_residual,
-    position_for_kind,
     preset,
+    resolve,
     three_param_aux,
     three_param_curvatures_closed,
     three_param_forms_closed,
@@ -31,10 +32,10 @@ GRID = np.meshgrid(np.linspace(-2, 2, 13), np.linspace(-2, 2, 13))
 def test_preset_lookup():
     pre = preset("ex2")
     assert pre.id is PresetId.EX2
-    assert pre.kind is DeformationKind.SPECTRAL
+    assert pre.family.kind is DeformationKind.SPECTRAL
     assert float(pre.mu) == -8.0
     assert pre.window == ((-3.0, 3.0), (-3.0, 3.0))
-    assert preset(PresetId.EX7).kind is DeformationKind.SPECTRAL_GAUGE
+    assert preset(PresetId.EX7).family.kind is DeformationKind.SPECTRAL_GAUGE
     with pytest.raises(ValueError):
         preset("ex1")
 
@@ -79,7 +80,7 @@ def test_position_matches_frame_tangents(pid):
     pre = preset(pid)
     p = pre.params
     x, t = GRID
-    rx, rt = position_consistency_residual(x, t, p, pre.kind)
+    rx, rt = position_consistency_residual(x, t, p, pre.family)
     assert np.max(np.abs(rx)) < 1e-6
     assert np.max(np.abs(rt)) < 1e-6
 
@@ -88,7 +89,7 @@ def test_frame_tangent_lengths_match_metric():
     pre = preset("ex2")
     p = pre.params
     x, t = GRID
-    yx, yt = frame_tangents(x, t, p, pre.kind)
+    yx, yt = frame_tangents(x, t, p, pre.family.kind)
     f = three_param_forms_closed(x, t, p)
     assert np.allclose(np.sum(yx * yx, axis=-1), f.g11, rtol=1e-10)
     assert np.allclose(np.sum(yx * yt, axis=-1), f.g12, rtol=1e-10)
@@ -117,19 +118,19 @@ def test_four_param_curvatures_match_frame(pid):
     p = pre.params
     x, t = GRID
     closed = four_param_curvatures_closed(x, t, p)
-    frame = curvatures_from_forms(forms_from_ab(x, t, p, pre.kind))
+    frame = curvatures_from_forms(forms_from_ab(x, t, p, pre.family.kind))
     f4 = four_param_forms_closed(x, t, p)
-    from mkdvsurf.deformation import closed_form_orientation, spectral_gauge_curvature_denominator
+    from mkdvsurf.deformation import spectral_gauge_curvature_denominator
 
     uu = soliton_u(x, t, p)
     den = spectral_gauge_curvature_denominator(uu, p)
     keep = np.abs(den) > 0.1 * np.max(np.abs(den))
-    sign = closed_form_orientation(uu, p, pre.kind)
+    sign = pre.family.orientation(uu, p)
     assert np.max(np.abs(closed.K - frame.K)[keep]) < 1e-8 * np.max(np.abs(closed.K[keep]))
     assert np.max(np.abs(sign * closed.H - frame.H)[keep]) < 1e-8 * np.max(np.abs(closed.H[keep]))
     # closed-form four-param forms agree with the frame forms up to orientation
     for name in ("g11", "g12", "g22"):
-        a, b = getattr(f4, name), getattr(forms_from_ab(x, t, p, pre.kind), name)
+        a, b = getattr(f4, name), getattr(forms_from_ab(x, t, p, pre.family.kind), name)
         assert np.max(np.abs(a - b)[keep]) < 1e-8 * max(1.0, np.max(np.abs(a[keep])))
 
 
@@ -168,22 +169,24 @@ def test_asymptotic_deviation_decays(pid):
     t0 = 0.0
     x_near = (8.0 * 2.0 / p.k1 - p.k1 ** 2 * t0) / 4.0
     x_far = (8.0 * 9.0 / p.k1 - p.k1 ** 2 * t0) / 4.0
-    d_near = np.max(np.abs(asymptotic_deviation(x_near, t0, p, pre.kind)))
-    d_far = np.max(np.abs(asymptotic_deviation(x_far, t0, p, pre.kind)))
+    d_near = np.max(np.abs(asymptotic_deviation(x_near, t0, p, pre.family)))
+    d_far = np.max(np.abs(asymptotic_deviation(x_far, t0, p, pre.family)))
     assert d_far < d_near * 1e-2
     assert d_far < 1e-3
 
 
-def test_position_for_kind_dispatch():
+def test_family_position_dispatch():
     p = preset("ex2").params
-    assert np.allclose(
-        position_for_kind(GRID[0], GRID[1], p, DeformationKind.SPECTRAL),
+    assert np.array_equal(
+        FAMILIES["spectral3"].position(GRID[0], GRID[1], p),
         three_param_position(GRID[0], GRID[1], p),
     )
     p6 = preset("ex6").params
-    assert np.allclose(
-        position_for_kind(GRID[0], GRID[1], p6, DeformationKind.SPECTRAL_GAUGE),
+    assert np.array_equal(
+        FAMILIES["spectralgauge4"].position(GRID[0], GRID[1], p6),
         four_param_position(GRID[0], GRID[1], p6),
     )
-    with pytest.raises(ValueError):
-        position_for_kind(GRID[0], GRID[1], p, DeformationKind.SYMMETRY_UX)
+    # symmetry-ux has a frame but no closed-form position
+    for name in (DeformationKind.SYMMETRY_UX.value, "nosuch"):
+        with pytest.raises(ValueError):
+            resolve(family=name, params=p)

@@ -189,14 +189,15 @@ def test_verify_family_report():
 def test_shape_residual_scaling_invariance():
     # scaling (E, p) together leaves the normalized residual unchanged; use a
     # detuned energy so a genuine residual (not FD noise) dominates
-    from mkdvsurf import diffgeo, immersion
-    from mkdvsurf.soliton import SolitonParams
+    from mkdvsurf import diffgeo
+    from mkdvsurf.immersion import SPECTRAL3
+    from mkdvsurf.soliton import SolitonParams, xi_grid
 
     vals = list(lg.flat_coefficients(lg.constrained_family(4, {1: 0.25}, 1.0, 2.0, -8.0)))
     vals[6] *= 1.05
     sp_ = SolitonParams(k1=2.0, lam=1.0, mu=-8.0)
-    prov = immersion.three_param_providers(sp_)
-    x, t = lg._family_grid(sp_, 2.0, 1.0, 21, 21)
+    prov = SPECTRAL3.providers(sp_)
+    x, t = xi_grid(sp_, 2.0, 21, 21, 1.0)
     norms = []
     for scale in (1.0, 10.0):
         poly = lg.from_flat(4, [scale * v for v in vals], p=scale * 1.0)
