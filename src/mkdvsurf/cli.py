@@ -8,6 +8,7 @@ produced by a library operation.  Exit codes: 0 success / all checks pass,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import mesh as mesh_mod
@@ -176,9 +177,31 @@ def presets_table() -> str:
     return "\n".join(lines) + "\n"
 
 
+# A negative decimal number, exponent form included.
+_NEGATIVE_NUMBER = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite '--flag -1e6' as '--flag=-1e6'.
+
+    argparse reads '-1e6' as an option, since it knows negative numbers only
+    without an exponent.  Every long flag here that can precede a number takes
+    one value, so a negative number after a bare flag is that flag's value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_NUMBER.fullmatch(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         if args.command == "generate":
             return _cmd_generate(args, parser)

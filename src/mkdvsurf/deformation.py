@@ -1,6 +1,6 @@
 """Deformation families (A, B), fundamental forms, and closed-form curvatures.
 
-Three families of su(2) deformation matrices are supported, each satisfying
+Three families of su(2) deformations are supported, each satisfying
 the deformation consistency condition A_t - B_x + [A, V] + [U, B] = 0 on the
 one-soliton background:
 
@@ -15,8 +15,10 @@ fundamental forms follow, and from those the Gaussian and mean curvatures.
 Closed-form curvature expressions for the spectral and spectral-gauge
 families are provided for cross-checking.
 
-Every su(2) matrix here is built through su2.vec_to_su2, so its components
-in the Pauli basis are explicit and the algebra stays vectorized.
+Every su(2) element here, A, B, their derivatives and U, V, is a Pauli-
+component vector built by su2.vec: (x1, x2, x3) encodes the matrix
+i(x1 sigma1 + x2 sigma2 + x3 sigma3).  So A = (0, 0, mu/2) of the spectral
+family is (i mu/2) sigma3, and [., .] and <., .> are -2 x × y and x · y.
 """
 from __future__ import annotations
 
@@ -74,19 +76,13 @@ def validate_kind(kind: DeformationKind, p: SolitonParams) -> None:
         raise ValueError("spectral-gauge family requires (mu, nu) != (0, 0)")
 
 
-def _vecs(*components):
-    return np.stack([np.broadcast_arrays(*components)[i] for i in range(3)], axis=-1)
-
-
 def ab_spectral(u, p: SolitonParams):
     """A = mu dU/dlam (constant diagonal), B = mu dV/dlam."""
     if p.mu == 0:
         raise ValueError("spectral family requires mu != 0")
     u = np.asarray(u, dtype=float)
-    zero = np.zeros_like(u)
-    m3 = 0.5 * p.mu * (p.alpha + 2.0 * p.lam)
-    a = su2.vec_to_su2(_vecs(zero, zero, zero + 0.5 * p.mu))
-    b = su2.vec_to_su2(_vecs(-0.5 * p.mu * u, zero, zero + m3))
+    a = su2.vec(np.zeros_like(u), 0.0, 0.5 * p.mu)
+    b = su2.vec(-0.5 * p.mu * u, 0.0, 0.5 * p.mu * (p.alpha + 2.0 * p.lam))
     return a, b
 
 
@@ -95,26 +91,22 @@ def ab_spectral_gauge(u, p: SolitonParams):
     if p.mu == 0 and p.nu == 0:
         raise ValueError("spectral-gauge family requires (mu, nu) != (0, 0)")
     u = np.asarray(u, dtype=float)
-    zero = np.zeros_like(u)
     omega = p.alpha + p.alpha * p.lam + p.lam ** 2
-    a = su2.vec_to_su2(_vecs(zero - p.nu * p.lam, zero, 0.5 * p.mu - p.nu * u))
+    a = su2.vec(-p.nu * p.lam, 0.0, 0.5 * p.mu - p.nu * u)
     b1 = -0.5 * p.mu * u + p.nu * (0.5 * u ** 2 - omega)
     b3 = 0.5 * p.mu * (p.alpha + 2.0 * p.lam) - p.nu * (p.alpha + p.lam) * u
-    b = su2.vec_to_su2(_vecs(b1, zero, b3))
+    b = su2.vec(b1, 0.0, b3)
     return a, b
 
 
 def ab_symmetry(u, u_x, u_xx, p: SolitonParams):
     """A = mu dU[u_x], B = mu dV[u_x]: the linearization along phi = u_x."""
     u = np.asarray(u, dtype=float)
-    zero = np.zeros_like(u)
-    a = su2.vec_to_su2(_vecs(-0.5 * p.mu * u_x, zero, zero))
-    b = su2.vec_to_su2(
-        _vecs(
-            -0.5 * p.mu * (p.alpha + p.lam) * u_x,
-            -0.5 * p.mu * np.asarray(u_xx, dtype=float),
-            -0.5 * p.mu * u * u_x,
-        )
+    a = su2.vec(-0.5 * p.mu * u_x, 0.0, 0.0)
+    b = su2.vec(
+        -0.5 * p.mu * (p.alpha + p.lam) * u_x,
+        -0.5 * p.mu * np.asarray(u_xx, dtype=float),
+        -0.5 * p.mu * u * u_x,
     )
     return a, b
 
@@ -134,24 +126,19 @@ def ab_derivs_at(x, t, p: SolitonParams, kind: DeformationKind):
     uu = np.asarray(soliton.u(x, t, p), dtype=float)
     ux = soliton.u_x(x, t, p)
     ut = soliton.u_t(x, t, p)
-    zero = np.zeros_like(uu)
 
     if kind is DeformationKind.SPECTRAL:
-        a_x = su2.vec_to_su2(_vecs(zero, zero, zero))
+        a_x = su2.vec(np.zeros_like(uu), 0.0, 0.0)
         a_t = a_x
-        b_x = su2.vec_to_su2(_vecs(-0.5 * p.mu * ux, zero, zero))
-        b_t = su2.vec_to_su2(_vecs(-0.5 * p.mu * ut, zero, zero))
+        b_x = su2.vec(-0.5 * p.mu * ux, 0.0, 0.0)
+        b_t = su2.vec(-0.5 * p.mu * ut, 0.0, 0.0)
         return a_x, a_t, b_x, b_t
 
     if kind is DeformationKind.SPECTRAL_GAUGE:
-        a_x = su2.vec_to_su2(_vecs(zero, zero, -p.nu * ux))
-        a_t = su2.vec_to_su2(_vecs(zero, zero, -p.nu * ut))
-        b_x = su2.vec_to_su2(
-            _vecs(-0.5 * p.mu * ux + p.nu * uu * ux, zero, -p.nu * (p.alpha + p.lam) * ux)
-        )
-        b_t = su2.vec_to_su2(
-            _vecs(-0.5 * p.mu * ut + p.nu * uu * ut, zero, -p.nu * (p.alpha + p.lam) * ut)
-        )
+        a_x = su2.vec(0.0, 0.0, -p.nu * ux)
+        a_t = su2.vec(0.0, 0.0, -p.nu * ut)
+        b_x = su2.vec(-0.5 * p.mu * ux + p.nu * uu * ux, 0.0, -p.nu * (p.alpha + p.lam) * ux)
+        b_t = su2.vec(-0.5 * p.mu * ut + p.nu * uu * ut, 0.0, -p.nu * (p.alpha + p.lam) * ut)
         return a_x, a_t, b_x, b_t
 
     uxx = soliton.u_xx(x, t, p)
@@ -159,21 +146,17 @@ def ab_derivs_at(x, t, p: SolitonParams, kind: DeformationKind):
     uxxx = soliton.u_xxx(x, t, p)
     uxxt = soliton.u_xxt(x, t, p)
     c = p.alpha + p.lam
-    a_x = su2.vec_to_su2(_vecs(-0.5 * p.mu * uxx, zero, zero))
-    a_t = su2.vec_to_su2(_vecs(-0.5 * p.mu * uxt, zero, zero))
-    b_x = su2.vec_to_su2(
-        _vecs(
-            -0.5 * p.mu * c * uxx,
-            -0.5 * p.mu * uxxx,
-            -0.5 * p.mu * (ux ** 2 + uu * uxx),
-        )
+    a_x = su2.vec(-0.5 * p.mu * uxx, 0.0, 0.0)
+    a_t = su2.vec(-0.5 * p.mu * uxt, 0.0, 0.0)
+    b_x = su2.vec(
+        -0.5 * p.mu * c * uxx,
+        -0.5 * p.mu * uxxx,
+        -0.5 * p.mu * (ux ** 2 + uu * uxx),
     )
-    b_t = su2.vec_to_su2(
-        _vecs(
-            -0.5 * p.mu * c * uxt,
-            -0.5 * p.mu * uxxt,
-            -0.5 * p.mu * (ut * ux + uu * uxt),
-        )
+    b_t = su2.vec(
+        -0.5 * p.mu * c * uxt,
+        -0.5 * p.mu * uxxt,
+        -0.5 * p.mu * (ut * ux + uu * uxt),
     )
     return a_x, a_t, b_x, b_t
 
@@ -192,18 +175,13 @@ def ab_compatibility_residual(x, t, p: SolitonParams, kind: DeformationKind):
 NORMAL_DEGENERACY_RTOL = 1e-12
 
 
-def normal_degenerate_mask(a, b):
-    """True where ||[A, B]|| <= rtol * ||A|| ||B|| (no usable normal)."""
-    comm = su2.commutator(a, b)
-    return su2.su2_norm(comm) <= NORMAL_DEGENERACY_RTOL * su2.su2_norm(a) * su2.su2_norm(b)
-
-
 def forms_from_ab(x, t, p: SolitonParams, kind: DeformationKind) -> Forms:
     """Fundamental forms from the frame (A, B, U, V).
 
     g = (<A,A>, <A,B>, <B,B>) and
     h = (<A_x+[A,U], C>, <A_t+[A,V], C>, <B_t+[B,V], C>)
-    with C = [A,B]/||[A,B]||.  Points with a degenerate normal yield NaN in
+    with C = [A,B]/||[A,B]||.  The normal is degenerate where
+    ||[A,B]|| <= NORMAL_DEGENERACY_RTOL ||A|| ||B||; such points yield NaN in
     the h coefficients for array input and raise SingularPointError for
     scalar input.
     """
@@ -215,14 +193,14 @@ def forms_from_ab(x, t, p: SolitonParams, kind: DeformationKind) -> Forms:
 
     comm = su2.commutator(a, b)
     norm = su2.su2_norm(comm)
-    degenerate = normal_degenerate_mask(a, b)
+    degenerate = norm <= NORMAL_DEGENERACY_RTOL * su2.su2_norm(a) * su2.su2_norm(b)
     if degenerate.ndim == 0:
         if degenerate:
             raise SingularPointError("degenerate normal: [A, B] vanishes at this point")
         c = comm / norm
     else:
         with np.errstate(invalid="ignore", divide="ignore"):
-            c = comm / np.where(degenerate, np.nan, norm)[..., None, None]
+            c = comm / np.where(degenerate, np.nan, norm)[..., None]
 
     g11 = su2.su2_inner(a, a)
     g12 = su2.su2_inner(a, b)

@@ -396,14 +396,14 @@ def _inv2(m: np.ndarray) -> np.ndarray:
 
 def frame_tangents(x, t, p: SolitonParams, kind: DeformationKind,
                    c: PhiConstants | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent vectors (y_x, y_t) from the conjugated frame, as (..., 3)."""
+    """Tangent vectors (y_x, y_t) = (Phi^-1 A Phi, Phi^-1 B Phi), as (..., 3)."""
     if c is None:
         c = canonical_constants(p)
     f = phi(x, t, p, c)
     finv = _inv2(f)
     a, b = ab_at(x, t, p, kind)
-    yx = su2.su2_to_vec(finv @ a @ f)
-    yt = su2.su2_to_vec(finv @ b @ f)
+    yx = su2.su2_to_vec(finv @ su2.vec_to_su2(a) @ f)
+    yt = su2.su2_to_vec(finv @ su2.vec_to_su2(b) @ f)
     return yx, yt
 
 

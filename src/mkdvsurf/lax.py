@@ -7,7 +7,9 @@ The linear system is Phi_x = U Phi, Phi_t = V Phi with
                 [(alpha+lam) u + i u_x,  -u^2/2 + (alpha + alpha*lam + lam^2)]].
 
 Its integrability condition U_t - V_x + [U, V] = 0 is equivalent to the
-traveling-wave equation the soliton satisfies.
+traveling-wave equation the soliton satisfies.  U and V are su(2)-valued and
+are held as Pauli-component vectors (see ``su2``); Phi is a complex 2x2
+matrix, so they meet as matrices only in ``lax_residuals``.
 
 For u = k1 sech(xi), each entry of Phi combines the two independent
 solutions through the complex power
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import soliton
+from . import soliton, su2
 from .soliton import SolitonParams
 
 
@@ -61,28 +63,19 @@ def canonical_constants(p: SolitonParams, scale: complex = 1.0) -> PhiConstants:
 
 
 def lax_U(u, lam: float) -> np.ndarray:
-    """U = (i/2) [[lam, -u], [-u, -lam]] for scalar or array u."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 0.5j * lam
-    out[..., 1, 1] = -0.5j * lam
-    out[..., 0, 1] = -0.5j * u
-    out[..., 1, 0] = -0.5j * u
-    return out
+    """U as the vector (-u/2, 0, lam/2), i.e. U = (i/2) [[lam, -u], [-u, -lam]]."""
+    return su2.vec(-0.5 * np.asarray(u, dtype=float), 0.0, 0.5 * lam)
 
 
 def lax_V(u, u_x, lam: float, alpha: float) -> np.ndarray:
-    """V per the Lax pair, entries as printed; anti-Hermitian for real input."""
+    """V as the vector (-(alpha+lam) u/2, -u_x/2, -w/2).
+
+    With w = u^2/2 - (alpha + alpha lam + lam^2) that is the printed matrix
+    V = -(i/2) [[w, (alpha+lam) u - i u_x], [(alpha+lam) u + i u_x, -w]].
+    """
     u = np.asarray(u, dtype=float)
-    u_x = np.asarray(u_x, dtype=float)
     w = 0.5 * u ** 2 - (alpha + alpha * lam + lam ** 2)
-    c = (alpha + lam) * u
-    out = np.zeros(np.broadcast(u, u_x).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = -0.5j * w
-    out[..., 1, 1] = 0.5j * w
-    out[..., 0, 1] = -0.5j * (c - 1j * u_x)
-    out[..., 1, 0] = -0.5j * (c + 1j * u_x)
-    return out
+    return su2.vec(-0.5 * (alpha + lam) * u, -0.5 * np.asarray(u_x, dtype=float), -0.5 * w)
 
 
 def lax_U_at(x, t, p: SolitonParams) -> np.ndarray:
@@ -94,28 +87,17 @@ def lax_V_at(x, t, p: SolitonParams) -> np.ndarray:
 
 
 def zero_curvature_residual(x, t, p: SolitonParams) -> np.ndarray:
-    """U_t - V_x + [U, V] with all derivatives in closed form."""
-    u = soliton.u(x, t, p)
+    """U_t - V_x + [U, V] as a vector, with all derivatives in closed form."""
+    u = np.asarray(soliton.u(x, t, p), dtype=float)
     ux = soliton.u_x(x, t, p)
     ut = soliton.u_t(x, t, p)
     uxx = soliton.u_xx(x, t, p)
 
-    u = np.asarray(u, dtype=float)
     U = lax_U(u, p.lam)
     V = lax_V(u, ux, p.lam, p.alpha)
-
-    U_t = np.zeros_like(U)
-    U_t[..., 0, 1] = -0.5j * ut
-    U_t[..., 1, 0] = -0.5j * ut
-
-    c = (p.alpha + p.lam)
-    V_x = np.zeros_like(V)
-    V_x[..., 0, 0] = -0.5j * (u * ux)
-    V_x[..., 1, 1] = 0.5j * (u * ux)
-    V_x[..., 0, 1] = -0.5j * (c * ux - 1j * uxx)
-    V_x[..., 1, 0] = -0.5j * (c * ux + 1j * uxx)
-
-    return U_t - V_x + np.matmul(U, V) - np.matmul(V, U)
+    U_t = su2.vec(-0.5 * ut, 0.0, 0.0)
+    V_x = su2.vec(-0.5 * (p.alpha + p.lam) * ux, -0.5 * uxx, -0.5 * u * ux)
+    return U_t - V_x + su2.commutator(U, V)
 
 
 def _power_factors(z, p: SolitonParams):
@@ -180,8 +162,8 @@ def lax_residuals(
     phi_x = _central_diff(f, x, t, "x", h, richardson)
     phi_t = _central_diff(f, x, t, "t", h, richardson)
     ph = phi(x, t, p, c)
-    res_x = phi_x - np.matmul(lax_U_at(x, t, p), ph)
-    res_t = phi_t - np.matmul(lax_V_at(x, t, p), ph)
+    res_x = phi_x - su2.vec_to_su2(lax_U_at(x, t, p)) @ ph
+    res_t = phi_t - su2.vec_to_su2(lax_V_at(x, t, p)) @ ph
     return res_x, res_t
 
 

@@ -1,15 +1,18 @@
-"""Complex 2x2 matrix algebra on the Pauli basis and the su(2) <-> R^3 map.
+"""su(2) as Pauli-component vectors, and the map to complex 2x2 matrices.
 
-All matrix-valued functions accept and return numpy arrays of shape
-(..., 2, 2) with complex entries, so grids of matrices are handled by the
-same code path as single matrices.  Vectors are arrays of shape (..., 3).
+An element of su(2) is held as the real vector x of shape (..., 3) with
 
-The identification used throughout the package is
+    X = i * (x1*sigma1 + x2*sigma2 + x3*sigma3),
 
-    F = i * (F1*sigma1 + F2*sigma2 + F3*sigma3),
+so grids of elements are handled by the same code path as single ones.  In
+these components the algebra is real vector algebra:
 
-under which the su(2) inner product <X, Y> = -1/2 Re trace(XY) becomes the
-Euclidean dot product of the component vectors.
+    [X, Y]                     <->  -2 x × y,
+    <X, Y> = -1/2 Re trace(XY)  =   x · y,
+    ||X||  = sqrt(|<X, X>|)     =   |x|.
+
+Complex 2x2 matrices (``vec_to_su2``, ``su2_to_vec``, ``is_su2``) are needed
+only where an SL(2, C) matrix such as the fundamental solution Phi acts.
 """
 from __future__ import annotations
 
@@ -18,7 +21,6 @@ import numpy as np
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY2 = np.eye(2, dtype=complex)
 
 _SIGMAS = (SIGMA1, SIGMA2, SIGMA3)
 
@@ -35,30 +37,32 @@ def trace(x: np.ndarray) -> np.ndarray:
     return x[..., 0, 0] + x[..., 1, 1]
 
 
-def su2_inner(x: np.ndarray, y: np.ndarray, check: bool = False) -> np.ndarray:
-    """Inner product <X, Y> = -1/2 Re trace(XY).
+def vec(v1, v2, v3) -> np.ndarray:
+    """The vector (..., 3) of i(v1 sigma1 + v2 sigma2 + v3 sigma3).
 
-    With ``check=True``, raise if the imaginary part of trace(XY) exceeds
-    1e-12, which flags arguments outside the real su(2) span.
+    The components broadcast against each other, so constants may be given
+    as scalars next to grid-valued components.
     """
-    t = trace(np.matmul(x, y))
-    if check and np.max(np.abs(t.imag)) > 1e-12:
-        raise ValueError("trace(XY) has a nonreal part; inputs are not both su(2)")
-    return np.asarray(-0.5 * t.real)
+    return np.stack(np.broadcast_arrays(v1, v2, v3), axis=-1).astype(float, copy=False)
+
+
+def su2_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<X, Y> = -1/2 Re trace(XY), which is x · y."""
+    return np.sum(np.multiply(x, y), axis=-1)
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[X, Y] = XY - YX."""
-    return np.matmul(x, y) - np.matmul(y, x)
+    """[X, Y] = XY - YX, which is -2 x × y."""
+    return -2.0 * np.cross(x, y)
 
 
 def su2_norm(x: np.ndarray) -> np.ndarray:
-    """||X|| = sqrt(|<X, X>|)."""
-    return np.sqrt(np.abs(su2_inner(x, x)))
+    """||X|| = sqrt(|<X, X>|), which is the Euclidean norm |x|."""
+    return np.linalg.norm(x, axis=-1)
 
 
 def vec_to_su2(v: np.ndarray) -> np.ndarray:
-    """Map a vector (..., 3) to F = i * sum_k v_k sigma_k."""
+    """Map a vector (..., 3) to F = i * sum_k v_k sigma_k, shape (..., 2, 2)."""
     v = np.asarray(v, dtype=float)
     out = np.zeros(v.shape[:-1] + (2, 2), dtype=complex)
     v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
@@ -91,7 +95,7 @@ def su2_to_vec(f: np.ndarray, atol: float = 1e-10) -> np.ndarray:
 
 
 def is_su2(f: np.ndarray, atol: float = 1e-10) -> bool:
-    """True when f is traceless and anti-Hermitian within atol."""
+    """True when the matrix f is traceless and anti-Hermitian within atol."""
     f = np.asarray(f, dtype=complex)
     if np.max(np.abs(trace(f))) > atol:
         return False

@@ -51,6 +51,20 @@ def test_generate_parametric_csv(tmp_path, capsys):
     assert len(lines) == 26
 
 
+def test_negative_exponent_values_parse(tmp_path, capsys):
+    # "-8e0" after a flag is its value, as "--mu=-8" is
+    common = ("generate", "--family", "spectral3", "--k1", "2", "--lambda", "1",
+              "--x-max", "1", "--t-max", "1", "--nx", "5", "--nt", "5")
+    spaced, joined = tmp_path / "spaced.obj", tmp_path / "joined.obj"
+    code, _, _ = run(capsys, *common, "--mu", "-8e0", "--x-min", "-1e0",
+                     "--t-min", "-1e0", "--out", str(spaced))
+    assert code == 0
+    code, _, _ = run(capsys, *common, "--mu=-8", "--x-min=-1", "--t-min=-1",
+                     "--out", str(joined))
+    assert code == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
 def test_generate_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--preset", "ex2", "--k1", "3", "--out", str(tmp_path / "x")])

@@ -9,6 +9,7 @@ from mkdvsurf.deformation import (
     DeformationKind,
     ab_at,
     ab_compatibility_residual,
+    ab_derivs_at,
     curvatures_from_forms,
     curvatures_spectral_closed,
     curvatures_spectral_gauge_closed,
@@ -18,6 +19,7 @@ from mkdvsurf.deformation import (
     validate_kind,
 )
 from mkdvsurf.immersion import SPECTRAL3, SPECTRAL_GAUGE4
+from mkdvsurf.lax import lax_U_at, lax_V_at, zero_curvature_residual
 from mkdvsurf.soliton import SolitonParams, u as soliton_u
 
 GRID = np.meshgrid(np.linspace(-2, 2, 15), np.linspace(-2, 2, 15))
@@ -42,8 +44,27 @@ def test_ab_are_su2_valued(kind):
     p = SolitonParams(2.0, 0.5, mu=1.5, nu=-0.7)
     x, t = GRID
     a, b = ab_at(x, t, p, kind)
-    assert su2.is_su2(a, atol=1e-12)
-    assert su2.is_su2(b, atol=1e-12)
+    assert su2.is_su2(su2.vec_to_su2(a), atol=1e-12)
+    assert su2.is_su2(su2.vec_to_su2(b), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(DeformationKind))
+def test_algebra_returns_real_component_vectors(kind):
+    # the deformation and Lax algebra runs on Pauli components, not matrices
+    p = SolitonParams(2.0, 0.5, mu=1.5, nu=-0.7)
+    x, t = GRID
+    outputs = (
+        *ab_at(x, t, p, kind),
+        *ab_derivs_at(x, t, p, kind),
+        ab_compatibility_residual(x, t, p, kind),
+        zero_curvature_residual(x, t, p),
+        lax_U_at(x, t, p),
+        lax_V_at(x, t, p),
+    )
+    for out in outputs:
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64
+        assert out.shape == x.shape + (3,)
 
 
 @pytest.mark.parametrize("kind", list(DeformationKind))

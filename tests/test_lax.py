@@ -31,12 +31,12 @@ SAMPLE_PARAMS = [
 @pytest.mark.parametrize("p", SAMPLE_PARAMS)
 def test_u_v_are_su2_valued(p):
     x, t = GRID
-    assert su2.is_su2(lax_U_at(x, t, p), atol=1e-12)
-    assert su2.is_su2(lax_V_at(x, t, p), atol=1e-12)
+    assert su2.is_su2(su2.vec_to_su2(lax_U_at(x, t, p)), atol=1e-12)
+    assert su2.is_su2(su2.vec_to_su2(lax_V_at(x, t, p)), atol=1e-12)
 
 
 def test_u_matrix_entries():
-    m = lax_U(np.array(0.7), 0.3)
+    m = su2.vec_to_su2(lax_U(np.array(0.7), 0.3))
     assert m[0, 0] == pytest.approx(0.15j)
     assert m[0, 1] == pytest.approx(-0.35j)
     assert m[1, 0] == pytest.approx(-0.35j)
@@ -89,7 +89,7 @@ def test_phi_proportional_to_unitary(p):
 def test_scale_invariance_of_conjugation():
     p = SolitonParams(2.0, 0.5)
     x, t = GRID
-    a = lax_U_at(x, t, p)
+    a = su2.vec_to_su2(lax_U_at(x, t, p))
     base = phi(x, t, p, canonical_constants(p))
     scaled = phi(x, t, p, canonical_constants(p, scale=3.7 - 0.2j))
     conj_base = np.linalg.solve(base, a @ base)
@@ -107,11 +107,13 @@ def test_custom_constants_change_det():
 def test_lax_matrices_encode_soliton():
     p = SolitonParams(2.0, 0.7)
     x, t = 0.3, -0.4
-    m = lax_U_at(x, t, p)
+    m = su2.vec_to_su2(lax_U_at(x, t, p))
     # off-diagonal entry is -i u / 2
     assert m[0, 1] == pytest.approx(-0.5j * soliton_u(x, t, p))
-    v = lax_V_at(x, t, p)
+    v = su2.vec_to_su2(lax_V_at(x, t, p))
     uu, ux = soliton_u(x, t, p), soliton_ux(x, t, p)
     omega = p.alpha + p.alpha * p.lam + p.lam ** 2
     assert v[0, 0] == pytest.approx(-0.5j * (uu ** 2 / 2.0 - omega))
     assert v[0, 1] == pytest.approx(-0.5j * ((p.alpha + p.lam) * uu - 1j * ux))
+    assert v[1, 0] == pytest.approx(-0.5j * ((p.alpha + p.lam) * uu + 1j * ux))
+    assert v[1, 1] == pytest.approx(0.5j * (uu ** 2 / 2.0 - omega))
