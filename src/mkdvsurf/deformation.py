@@ -28,45 +28,15 @@ from enum import Enum
 import numpy as np
 
 from . import soliton, su2
+from .diffgeo import CurvaturePair, Forms, SingularPointError
 from .lax import lax_U, lax_V
 from .soliton import SolitonParams
-
-
-class SingularPointError(ValueError):
-    """Raised when a pointwise geometric quantity degenerates."""
 
 
 class DeformationKind(str, Enum):
     SPECTRAL = "spectral"
     SPECTRAL_GAUGE = "spectral-gauge"
     SYMMETRY_UX = "symmetry-ux"
-
-
-@dataclass(frozen=True)
-class Forms:
-    """First (g) and second (h) fundamental form coefficients at a point.
-
-    Fields may be scalars or numpy arrays of a common shape.
-    """
-
-    g11: np.ndarray
-    g12: np.ndarray
-    g22: np.ndarray
-    h11: np.ndarray
-    h12: np.ndarray
-    h22: np.ndarray
-
-    def det_g(self):
-        return self.g11 * self.g22 - self.g12 ** 2
-
-    def det_h(self):
-        return self.h11 * self.h22 - self.h12 ** 2
-
-
-@dataclass(frozen=True)
-class CurvaturePair:
-    K: np.ndarray
-    H: np.ndarray
 
 
 def validate_kind(kind: DeformationKind, p: SolitonParams) -> None:

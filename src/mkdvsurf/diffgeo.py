@@ -5,6 +5,10 @@ scalar/metric provider callables, with no knowledge of closed forms: first
 and second fundamental forms by central differences, the surface Laplacian
 and the curvature-weighted divergence operator in nested flux form, and the
 residuals of the Willmore-like and generalized shape equations.
+
+:func:`derivative` is the package's only difference quotient.  The module
+imports no other package module, so the oracle cannot reach the closed forms
+it checks; the geometry types it returns live here for that reason.
 """
 
 from __future__ import annotations
@@ -14,7 +18,37 @@ from typing import Callable
 
 import numpy as np
 
-from .deformation import CurvaturePair, Forms, SingularPointError
+
+class SingularPointError(ValueError):
+    """Raised when a pointwise geometric quantity degenerates."""
+
+
+@dataclass(frozen=True)
+class Forms:
+    """First (g) and second (h) fundamental form coefficients at a point.
+
+    Fields may be scalars or numpy arrays of a common shape.
+    """
+
+    g11: np.ndarray
+    g12: np.ndarray
+    g22: np.ndarray
+    h11: np.ndarray
+    h12: np.ndarray
+    h22: np.ndarray
+
+    def det_g(self):
+        return self.g11 * self.g22 - self.g12 ** 2
+
+    def det_h(self):
+        return self.h11 * self.h22 - self.h12 ** 2
+
+
+@dataclass(frozen=True)
+class CurvaturePair:
+    K: np.ndarray
+    H: np.ndarray
+
 
 STEP_MIN = 1e-8
 STEP_MAX = 1e-2
@@ -22,27 +56,25 @@ STEP_MAX = 1e-2
 
 @dataclass(frozen=True)
 class Stencil:
-    """Central-difference configuration: steps, order, Richardson flag."""
+    """Central-difference configuration: one step ``h`` in [STEP_MIN, STEP_MAX]
+    for both axes, order 2 (3-point) or 4 (5-point), and whether to add one
+    Richardson level from a second pass at h/2."""
 
-    h_x: float = 1e-4
-    h_t: float = 1e-4
+    h: float = 1e-4
     order: int = 4
     richardson: bool = False
 
     def __post_init__(self):
-        for name, h in (("h_x", self.h_x), ("h_t", self.h_t)):
-            if not (STEP_MIN <= h <= STEP_MAX):
-                raise ValueError(
-                    f"{name} = {h} outside [{STEP_MIN}, {STEP_MAX}]"
-                )
+        if not (STEP_MIN <= self.h <= STEP_MAX):
+            raise ValueError(f"h = {self.h} outside [{STEP_MIN}, {STEP_MAX}]")
         if self.order not in (2, 4):
             raise ValueError(f"order must be 2 or 4, got {self.order}")
 
 
 # derivatives of smooth fields: small step, order 4
-DERIVATIVE_STENCIL = Stencil(h_x=1e-4, h_t=1e-4, order=4, richardson=False)
+DERIVATIVE_STENCIL = Stencil(h=1e-4, order=4, richardson=False)
 # nested divergence-form operators: larger step plus one Richardson level
-OPERATOR_STENCIL = Stencil(h_x=1e-3, h_t=1e-3, order=4, richardson=True)
+OPERATOR_STENCIL = Stencil(h=1e-3, order=4, richardson=True)
 
 
 def _shift(f, x, t, d, axis):
@@ -78,14 +110,13 @@ def _richardson(coarse, fine, order):
 
 def derivative(f, x, t, s: Stencil, axis: int, nth: int = 1):
     """nth (1 or 2) central derivative of f along axis (0 = x, 1 = t)."""
-    h = s.h_x if axis == 0 else s.h_t
-    base = _d1_once if nth == 1 else _d2_once
     if nth not in (1, 2):
         raise ValueError("nth must be 1 or 2")
-    d = base(f, x, t, h, s.order, axis)
+    base = _d1_once if nth == 1 else _d2_once
+    d = base(f, x, t, s.h, s.order, axis)
     if not s.richardson:
         return d
-    return _richardson(d, base(f, x, t, h / 2.0, s.order, axis), s.order)
+    return _richardson(d, base(f, x, t, s.h / 2.0, s.order, axis), s.order)
 
 
 def mixed_derivative(f, x, t, s: Stencil):
@@ -153,11 +184,12 @@ def _det_sqrt(g11, g12, g22, scalar_ok: bool):
         return det, np.sqrt(np.where(det > 0.0, det, np.nan))
 
 
-def laplace_beltrami(f, metric: MetricProvider, x, t, s: Stencil | None = None):
-    """Surface Laplacian: (1/sqrt(det g)) d_i(sqrt(det g) g^{ij} d_j f).
+def _divergence_form(f, metric: MetricProvider, x, t, s, tensor=None, weight=None):
+    """(1/sqrt(det g)) d_i(sqrt(det g) w a^{ij} d_j f) in nested flux form.
 
-    Evaluated in nested flux form: the bracketed flux is itself a field
-    whose divergence is taken by the same central stencils.
+    a^{ij} is the inverse of ``tensor`` (the metric when None) and w the
+    scalar field ``weight`` (1 when None).  The bracketed flux is itself a
+    field whose divergence is taken by the same central stencils.
     """
     if s is None:
         s = OPERATOR_STENCIL
@@ -166,18 +198,28 @@ def laplace_beltrami(f, metric: MetricProvider, x, t, s: Stencil | None = None):
 
     def flux(xx, tt, row):
         g11, g12, g22 = metric(xx, tt)
-        det, sq = _det_sqrt(g11, g12, g22, scalar_ok=False)
+        _, w = _det_sqrt(g11, g12, g22, scalar_ok=False)
+        a11, a12, a22 = (g11, g12, g22) if tensor is None else tensor(xx, tt)
+        det_a = a11 * a22 - a12 ** 2
+        if weight is not None:
+            w = w * weight(xx, tt)
         fx = derivative(f, xx, tt, s, axis=0, nth=1)
         ft = derivative(f, xx, tt, s, axis=1, nth=1)
-        if row == 0:
-            return sq * (g22 * fx - g12 * ft) / det
-        return sq * (-g12 * fx + g11 * ft) / det
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if row == 0:
+                return w * (a22 * fx - a12 * ft) / det_a
+            return w * (-a12 * fx + a11 * ft) / det_a
 
     div = derivative(lambda a, b: flux(a, b, 0), x, t, s, axis=0, nth=1)
     div = div + derivative(lambda a, b: flux(a, b, 1), x, t, s, axis=1, nth=1)
     g11, g12, g22 = metric(x, t)
     det, sq = _det_sqrt(g11, g12, g22, scalar_ok=True)
     return div / sq
+
+
+def laplace_beltrami(f, metric: MetricProvider, x, t, s: Stencil | None = None):
+    """Surface Laplacian: (1/sqrt(det g)) d_i(sqrt(det g) g^{ij} d_j f)."""
+    return _divergence_form(f, metric, x, t, s)
 
 
 def nabla_dot_bar(
@@ -194,29 +236,7 @@ def nabla_dot_bar(
     h^{ij} is the inverse of the second fundamental form; points where it is
     singular propagate as non-finite values (see near_singular_mask).
     """
-    if s is None:
-        s = OPERATOR_STENCIL
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-
-    def flux(xx, tt, row):
-        g11, g12, g22 = metric(xx, tt)
-        det, sq = _det_sqrt(g11, g12, g22, scalar_ok=False)
-        h11, h12, h22 = second_form(xx, tt)
-        deth = h11 * h22 - h12 ** 2
-        kk = curvature_k(xx, tt)
-        fx = derivative(f, xx, tt, s, axis=0, nth=1)
-        ft = derivative(f, xx, tt, s, axis=1, nth=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if row == 0:
-                return sq * kk * (h22 * fx - h12 * ft) / deth
-            return sq * kk * (-h12 * fx + h11 * ft) / deth
-
-    div = derivative(lambda a, b: flux(a, b, 0), x, t, s, axis=0, nth=1)
-    div = div + derivative(lambda a, b: flux(a, b, 1), x, t, s, axis=1, nth=1)
-    g11, g12, g22 = metric(x, t)
-    det, sq = _det_sqrt(g11, g12, g22, scalar_ok=True)
-    return div / sq
+    return _divergence_form(f, metric, x, t, s, tensor=second_form, weight=curvature_k)
 
 
 NEAR_SINGULAR_RTOL = 1e-10
@@ -295,7 +315,7 @@ def shape_equation_residual(
         4.0 * h_ ** 2 - 2.0 * k_
     ) * lagrangian.dH(h_, k_)
     # energies with no K-dependence contribute nothing through h^{ij}
-    if getattr(lagrangian, "depends_on_k", lambda: True)():
+    if lagrangian.depends_on_k():
         nabla_term = nabla_dot_bar(
             field_ek,
             providers.metric,

@@ -20,15 +20,13 @@ import numpy as np
 
 from . import su2
 from .deformation import (
-    CurvaturePair,
     DeformationKind,
-    Forms,
     ab_at,
     curvatures_spectral_gauge_closed,
     spectral_gauge_curvature_denominator,
     validate_kind,
 )
-from .diffgeo import SurfaceProviders
+from .diffgeo import CurvaturePair, Forms, Stencil, SurfaceProviders, derivative
 from .lax import PhiConstants, canonical_constants, phi
 from .soliton import SolitonParams, _sech_tanh
 from .soliton import xi as soliton_xi
@@ -417,9 +415,9 @@ def position_consistency_residual(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual between FD position derivatives and the frame tangents.
 
-    Central fourth-order differences of the closed-form position are compared
-    componentwise against the conjugated deformation frame; both residual
-    arrays have shape (..., 3).
+    5-point central differences of the closed-form position at step h
+    (``diffgeo.derivative``, ``Stencil(h, order=4)``) are compared against the
+    conjugated deformation frame; both residual arrays have shape (..., 3).
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -427,12 +425,9 @@ def position_consistency_residual(
     def pos(xx, tt):
         return family.position(xx, tt, p)
 
-    yx_fd = (
-        8.0 * (pos(x + h, t) - pos(x - h, t)) - (pos(x + 2 * h, t) - pos(x - 2 * h, t))
-    ) / (12.0 * h)
-    yt_fd = (
-        8.0 * (pos(x, t + h) - pos(x, t - h)) - (pos(x, t + 2 * h) - pos(x, t - 2 * h))
-    ) / (12.0 * h)
+    s = Stencil(h, order=4)
+    yx_fd = derivative(pos, x, t, s, axis=0)
+    yt_fd = derivative(pos, x, t, s, axis=1)
     yx_fr, yt_fr = frame_tangents(x, t, p, family.kind, c)
     return yx_fd - yx_fr, yt_fd - yt_fr
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import soliton, su2
+from .diffgeo import Stencil, derivative
 from .soliton import SolitonParams
 
 
@@ -137,30 +138,15 @@ def det_phi_expected(p: SolitonParams, c: PhiConstants) -> complex:
     return (p.k1 ** 2 + 4.0 * p.lam ** 2) / p.k1 * (c.A1 * c.B2 - c.A2 * c.B1)
 
 
-def _central_diff(f, x, t, which: str, h: float, richardson: bool = True):
-    """Order-2 central difference in x or t, optionally Richardson-extrapolated."""
-    if h < 1e-12:
-        raise ValueError(f"step underflow: h = {h}")
-
-    def d(step):
-        if which == "x":
-            return (f(x + step, t) - f(x - step, t)) / (2.0 * step)
-        return (f(x, t + step) - f(x, t - step)) / (2.0 * step)
-
-    if not richardson:
-        return d(h)
-    return (4.0 * d(h / 2.0) - d(h)) / 3.0
-
-
-def lax_residuals(
-    x, t, p: SolitonParams, c: PhiConstants, h: float = 1e-6, richardson: bool = True
-):
-    """(Phi_x - U Phi, Phi_t - V Phi) with Phi differentiated numerically."""
+def lax_residuals(x, t, p: SolitonParams, c: PhiConstants, h: float = 1e-6):
+    """(Phi_x - U Phi, Phi_t - V Phi), Phi differenced by ``diffgeo.derivative``:
+    order 2 at step h with one Richardson level, (4 d(h/2) - d(h))/3."""
     def f(xx, tt):
         return phi(xx, tt, p, c)
 
-    phi_x = _central_diff(f, x, t, "x", h, richardson)
-    phi_t = _central_diff(f, x, t, "t", h, richardson)
+    s = Stencil(h, order=2, richardson=True)
+    phi_x = derivative(f, x, t, s, axis=0)
+    phi_t = derivative(f, x, t, s, axis=1)
     ph = phi(x, t, p, c)
     res_x = phi_x - su2.vec_to_su2(lax_U_at(x, t, p)) @ ph
     res_t = phi_t - su2.vec_to_su2(lax_V_at(x, t, p)) @ ph
@@ -173,7 +159,8 @@ def second_order_check(
     """Residual of the scalar second-order equation satisfied by Phi_21.
 
     (Phi21)_xx - (u_x/u)(Phi21)_x + [ (u (lam^2 + u^2) - 2 i lam u_x) / (4u) ] Phi21,
-    with derivatives of the closed-form Phi21 by central differences.
+    with derivatives of the closed-form Phi21 by order-2 central differences
+    (Richardson-extrapolated for the first derivative).
     Rejects points where u is numerically zero (|xi| too large).
     """
     uu = np.asarray(soliton.u(x, t, p), dtype=float)
@@ -184,8 +171,8 @@ def second_order_check(
         return phi(xx, tt, p, c)[..., 1, 0]
 
     p21 = f21(x, t)
-    p21_x = _central_diff(f21, x, t, "x", h)
-    p21_xx = (f21(x + h, t) - 2.0 * p21 + f21(x - h, t)) / h ** 2
+    p21_x = derivative(f21, x, t, Stencil(h, order=2, richardson=True), axis=0)
+    p21_xx = derivative(f21, x, t, Stencil(h, order=2), axis=0, nth=2)
     ux = soliton.u_x(x, t, p)
     coeff = (uu * (p.lam ** 2 + uu ** 2) - 2.0j * p.lam * ux) / (4.0 * uu)
     return p21_xx - (ux / uu) * p21_x + coeff * p21

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .immersion import resolve
-from .soliton import SolitonParams, u as soliton_u, xi as soliton_xi
+from .soliton import SolitonParams, check_grid, u as soliton_u, xi as soliton_xi
 
 __all__ = [
     "SurfaceMesh",
@@ -91,8 +91,7 @@ def generate(
     )
     if x_range is None or t_range is None:
         raise ValueError("x_range and t_range required when no preset is given")
-    if nx < 2 or nt < 2:
-        raise ValueError("grid must be at least 2x2")
+    check_grid(nx, nt)
     if not (x_range[0] < x_range[1]) or not (t_range[0] < t_range[1]):
         raise ValueError("degenerate window: need min < max in both axes")
 

@@ -8,6 +8,7 @@ in sech(xi) and tanh(xi); residual helpers check the defining equations.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,33 @@ def xi_grid(p: SolitonParams, xi_half: float, nx: int, nt: int, t_half: float = 
     xiv = np.linspace(-xi_half, xi_half, nx)
     x = (8.0 * xiv[None, :] / p.k1 - p.k1 ** 2 * tv[:, None]) / 4.0
     return x, np.repeat(tv[:, None], nx, axis=1)
+
+
+# Peak memory per grid point, rounded up from the measured peak-RSS slopes:
+# about 0.8 kB for `generate` with JSON export (301^2 to 601^2) and 0.4 kB
+# for `verify --checks all` (101^2 to 201^2).
+GRID_BYTES_PER_POINT = 1024
+
+
+def check_grid(nx: int, nt: int) -> None:
+    """Reject an nx by nt grid below 2x2 or larger than physical memory.
+
+    Runs before anything is allocated, so an oversized grid is a ValueError
+    naming nx*nt and the estimate rather than a MemoryError mid-run.
+    """
+    if nx < 2 or nt < 2:
+        raise ValueError("grid must be at least 2x2")
+    need = nx * nt * GRID_BYTES_PER_POINT
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, e.g. on Windows
+        return
+    if need > have:
+        raise ValueError(
+            f"grid nx*nt = {nx * nt} points needs about {need / 2**30:.3g} GiB "
+            f"({GRID_BYTES_PER_POINT} B per point), more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _sech_tanh(x, t, p: SolitonParams):

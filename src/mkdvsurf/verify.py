@@ -10,7 +10,7 @@ check explicitly is a configuration error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .deformation import (
 )
 from .immersion import SPECTRAL3, Family
 from .lax import canonical_constants, det_phi_expected, lax_residuals, phi, zero_curvature_residual
-from .soliton import SolitonParams, u as soliton_u, xi_grid
+from .soliton import SolitonParams, check_grid, u as soliton_u, xi_grid
 
 __all__ = [
     "CHECK_NAMES",
@@ -187,6 +187,12 @@ class _Config:
         tv = np.linspace(tr[0], tr[1], self.nt)
         return np.meshgrid(xv, tv)
 
+    def operator_stencil(self) -> diffgeo.Stencil | None:
+        """The divergence-operator stencil at fd_step; None keeps the default."""
+        if self.fd_step is None:
+            return None
+        return replace(diffgeo.OPERATOR_STENCIL, h=self.fd_step)
+
     def label(self, detail: str = "") -> str:
         base = f"{self.nx}x{self.nt}"
         return f"{base} {detail}" if detail else (
@@ -333,9 +339,7 @@ def _check_willmore(cfg: _Config, tol: float) -> CheckResult:
     p = cfg.params
     providers = cfg.family.providers(p)
     x, t = xi_grid(p, 2.0, cfg.nx, cfg.nt)
-    s = None
-    if cfg.fd_step is not None:
-        s = diffgeo.Stencil(h_x=cfg.fd_step, h_t=cfg.fd_step, order=4, richardson=True)
+    s = cfg.operator_stencil()
     res, scale = diffgeo.willmore_like_residual(providers, 4.0 / 9.0, 1.0, x, t, s)
     return _result("willmore", cfg.label("with |xi|<2"), tol, np.abs(res) / scale,
                    note="a=4/9, b=1")
@@ -343,9 +347,7 @@ def _check_willmore(cfg: _Config, tol: float) -> CheckResult:
 
 def _check_shape(cfg: _Config, tol: float) -> CheckResult:
     p = cfg.params
-    s = None
-    if cfg.fd_step is not None:
-        s = diffgeo.Stencil(h_x=cfg.fd_step, h_t=cfg.fd_step, order=4, richardson=True)
+    s = cfg.operator_stencil()
     worst = 0.0
     med = []
     excluded = 0
@@ -424,20 +426,26 @@ def run_checks(
     ``checks`` is "all" (every standard check; incompatible ones appear as
     skipped with the reason) or an explicit list, which may also include the
     opt-in regression checks and raises ``CheckConfigError`` when a listed
-    check cannot run for this configuration.
+    check cannot run for this configuration.  ``fd_step``, when given, is
+    the one finite-difference step of the lax, consistency, willmore and
+    shape checks and must lie in [diffgeo.STEP_MIN, diffgeo.STEP_MAX]; it
+    and the grid size are validated before any check runs.
     """
     try:
         fam, params, preset_id, (x_range, t_range) = immersion.resolve(
             preset_id, family, params, x_range, t_range
         )
+        check_grid(nx, nt)
     except ValueError as exc:
         raise CheckConfigError(str(exc)) from None
     if x_range is None:
         x_range = (-3.0, 3.0)
     if t_range is None:
         t_range = (-3.0, 3.0)
-    if nx < 2 or nt < 2:
-        raise CheckConfigError("grid must be at least 2x2")
+    if fd_step is not None and not (diffgeo.STEP_MIN <= fd_step <= diffgeo.STEP_MAX):
+        raise CheckConfigError(
+            f"fd_step = {fd_step} outside [{diffgeo.STEP_MIN}, {diffgeo.STEP_MAX}]"
+        )
 
     explicit = checks != "all"
     if explicit:

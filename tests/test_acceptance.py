@@ -110,7 +110,7 @@ def test_criterion_04_forms_curvature_equivalence():
         worst_closed = max(worst_closed, rel_k, rel_h)
 
     # part two: forms and curvatures recovered from the immersions by FD
-    stencil = diffgeo.Stencil(h_x=1e-3, h_t=1e-3, order=4, richardson=True)
+    stencil = diffgeo.Stencil(h=1e-3, order=4, richardson=True)
     worst_fd = 0.0
     for pid in ALL_PRESETS:
         pre = preset(pid)

@@ -89,6 +89,20 @@ def test_generate_config_error_exit_2(tmp_path, capsys):
         (("generate", "--family", "spectral3", "--k1", "inf", "--mu", "1", *grid), "k1"),
         (("verify", "--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "nan",
           "--checks", "forms", "--out", str(out_file)), "mu"),
+        # the one finite-difference step is validated before any check runs
+        (("verify", "--preset", "ex2", "--checks", "lax", "--fd-step", "nan", *grid),
+         "fd_step"),
+        (("verify", "--preset", "ex2", "--checks", "consistency", "--fd-step", "0", *grid),
+         "fd_step"),
+        (("verify", "--preset", "ex2", "--checks", "consistency", "--fd-step", "-1e-3",
+          *grid), "fd_step"),
+        (("verify", "--preset", "ex2", "--checks", "all", "--fd-step", "0.5", *grid),
+         "fd_step"),
+        # a grid too large for memory is rejected before anything is allocated
+        (("generate", "--preset", "ex2", "--nx", "1000000", "--nt", "1000000",
+          "--out", str(out_file)), "nx*nt"),
+        (("verify", "--preset", "ex2", "--nx", "1000000", "--nt", "1000000",
+          "--out", str(out_file)), "nx*nt"),
     ]
     for argv, field in cases:
         with warnings.catch_warnings(record=True) as caught:

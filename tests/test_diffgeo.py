@@ -1,11 +1,14 @@
 """Finite-difference oracle: forms from positions, surface operators."""
 
+import ast
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mkdvsurf import diffgeo as dg
 from mkdvsurf.immersion import SPECTRAL3, preset
+from mkdvsurf.lax import canonical_constants, phi
 
 X1, T1 = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
 
@@ -27,12 +30,12 @@ def sphere_metric(x, t):
 
 def test_stencil_validation():
     with pytest.raises(ValueError):
-        dg.Stencil(h_x=1e-9)
+        dg.Stencil(h=1e-9)
     with pytest.raises(ValueError):
-        dg.Stencil(h_t=0.1)
+        dg.Stencil(h=0.1)
     with pytest.raises(ValueError):
         dg.Stencil(order=3)
-    s = dg.Stencil(h_x=1e-3, h_t=1e-3, order=2, richardson=True)
+    s = dg.Stencil(h=1e-3, order=2, richardson=True)
     assert s.order == 2
 
 
@@ -43,6 +46,48 @@ def test_derivative_on_polynomial():
     assert np.allclose(got, 3 * X1 ** 2 + 2 * T1 ** 2, atol=1e-9)
     got2 = dg.derivative(f, X1, T1, s, axis=1, nth=2)
     assert np.allclose(got2, 4 * X1, atol=1e-5)
+
+
+def test_order2_richardson_is_the_old_lax_quotient_bitwise():
+    # the Lax check's former (4 d(h/2) - d(h))/3 with d the 3-point quotient
+    p = preset("ex2").params
+    c = canonical_constants(p)
+    f = lambda x, t: phi(x, t, p, c)
+    h = 1e-6
+    d_x = lambda step: (f(X1 + step, T1) - f(X1 - step, T1)) / (2.0 * step)
+    d_t = lambda step: (f(X1, T1 + step) - f(X1, T1 - step)) / (2.0 * step)
+    s = dg.Stencil(h, order=2, richardson=True)
+    for axis, d in ((0, d_x), (1, d_t)):
+        old = (4.0 * d(h / 2.0) - d(h)) / 3.0
+        assert np.array_equal(dg.derivative(f, X1, T1, s, axis=axis), old)
+
+
+def test_order4_is_the_old_five_point_quotient_bitwise():
+    # the consistency check's former inline 5-point quotient of the position
+    pre = preset("ex6")
+    f = lambda x, t: pre.family.position(x, t, pre.params)
+    h = 1e-3
+    old_x = (8.0 * (f(X1 + h, T1) - f(X1 - h, T1))
+             - (f(X1 + 2 * h, T1) - f(X1 - 2 * h, T1))) / (12.0 * h)
+    old_t = (8.0 * (f(X1, T1 + h) - f(X1, T1 - h))
+             - (f(X1, T1 + 2 * h) - f(X1, T1 - 2 * h))) / (12.0 * h)
+    s = dg.Stencil(h, order=4)
+    assert np.array_equal(dg.derivative(f, X1, T1, s, axis=0), old_x)
+    assert np.array_equal(dg.derivative(f, X1, T1, s, axis=1), old_t)
+
+
+def test_oracle_imports_no_package_module():
+    # the oracle must not reach the closed forms it checks
+    tree = ast.parse(open(dg.__file__).read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import from {node.module!r}"
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not [n for n in names if n.split(".")[0] == "mkdvsurf"], names
 
 
 def test_mixed_derivative():
@@ -97,7 +142,7 @@ def test_laplace_convergence_order():
     exact = -2.0 * np.sin(X1) * np.cos(T1)
     errs = []
     for h in (4e-3, 2e-3):
-        s = dg.Stencil(h_x=h, h_t=h, order=2, richardson=False)
+        s = dg.Stencil(h=h, order=2, richardson=False)
         errs.append(np.max(np.abs(dg.laplace_beltrami(f, metric, X1, T1, s) - exact)))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0  # second order: halving h -> ~4x
@@ -125,6 +170,33 @@ def test_nabla_dot_bar_reduces_to_laplacian_on_unit_sphere():
     got = dg.nabla_dot_bar(f, sphere_metric, k_of, second, X1, T1)
     lap = dg.laplace_beltrami(f, sphere_metric, X1, T1)
     assert np.allclose(got, lap, atol=1e-7)
+
+
+def test_nabla_dot_bar_keeps_the_weighted_flux_arithmetic_bitwise():
+    # the former body: sqrt(det g) * K * (adjugate of h) . grad f / det h
+    prov = SPECTRAL3.providers(preset("ex2").params)
+    x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
+    s = dg.OPERATOR_STENCIL
+    f = prov.mean_curvature
+    k_of = prov.gauss_curvature
+
+    def flux(xx, tt, row):
+        g11, g12, g22 = prov.metric(xx, tt)
+        sq = np.sqrt(g11 * g22 - g12 ** 2)
+        h11, h12, h22 = prov.second_form(xx, tt)
+        deth = h11 * h22 - h12 ** 2
+        fx = dg.derivative(f, xx, tt, s, axis=0)
+        ft = dg.derivative(f, xx, tt, s, axis=1)
+        if row == 0:
+            return sq * k_of(xx, tt) * (h22 * fx - h12 * ft) / deth
+        return sq * k_of(xx, tt) * (-h12 * fx + h11 * ft) / deth
+
+    div = dg.derivative(lambda a, b: flux(a, b, 0), x, t, s, axis=0)
+    div = div + dg.derivative(lambda a, b: flux(a, b, 1), x, t, s, axis=1)
+    g11, g12, g22 = prov.metric(x, t)
+    old = div / np.sqrt(g11 * g22 - g12 ** 2)
+    got = dg.nabla_dot_bar(f, prov.metric, k_of, prov.second_form, x, t)
+    assert np.array_equal(got, old)
 
 
 def test_near_singular_mask():
@@ -197,10 +269,8 @@ def test_shape_residual_cmc_balance():
 
     def sphere_providers():
         def curvatures(x, t):
-            from mkdvsurf.deformation import CurvaturePair
-
             one = np.ones_like(np.asarray(x, dtype=float))
-            return CurvaturePair(K=one, H=one)
+            return dg.CurvaturePair(K=one, H=one)
 
         return dg.SurfaceProviders(
             position=sphere,
