@@ -10,8 +10,12 @@ one-soliton background:
 * symmetry (u_x):  A, B obtained by differentiating U, V along the symmetry
                    direction u -> u + eps*phi with phi = u_x, scaled by mu
 
-From (A, B) and the frame normal C = [A, B]/||[A, B]|| the first and second
-fundamental forms follow, and from those the Gaussian and mean curvatures.
+Each kind is one function from the soliton jet (``soliton.Jet``) to its
+whole :class:`Frame`, (A, B) with their closed-form x and t derivatives, and
+``_FRAMES`` is the one map from a kind to that function; :func:`frame_at`
+evaluates the jet once and returns it with the frame.  From (A, B) and the
+frame normal C = [A, B]/||[A, B]|| the first and second fundamental forms
+follow, and from those the Gaussian and mean curvatures.
 Closed-form curvature expressions for the spectral and spectral-gauge
 families are provided for cross-checking.
 
@@ -24,13 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import soliton, su2
 from .diffgeo import CurvaturePair, Forms, SingularPointError
 from .lax import lax_U, lax_V
-from .soliton import SolitonParams
+from .soliton import Jet, SolitonParams
 
 
 class DeformationKind(str, Enum):
@@ -46,98 +51,85 @@ def validate_kind(kind: DeformationKind, p: SolitonParams) -> None:
         raise ValueError("spectral-gauge family requires (mu, nu) != (0, 0)")
 
 
-def ab_spectral(u, p: SolitonParams):
+class Frame(NamedTuple):
+    """A family's (A, B) and their closed-form x and t derivatives."""
+
+    a: np.ndarray
+    b: np.ndarray
+    a_x: np.ndarray
+    a_t: np.ndarray
+    b_x: np.ndarray
+    b_t: np.ndarray
+
+
+def _spectral_frame(j: Jet, p: SolitonParams) -> Frame:
     """A = mu dU/dlam (constant diagonal), B = mu dV/dlam."""
-    if p.mu == 0:
-        raise ValueError("spectral family requires mu != 0")
-    u = np.asarray(u, dtype=float)
-    a = su2.vec(np.zeros_like(u), 0.0, 0.5 * p.mu)
-    b = su2.vec(-0.5 * p.mu * u, 0.0, 0.5 * p.mu * (p.alpha + 2.0 * p.lam))
-    return a, b
+    u = np.asarray(j.u, dtype=float)
+    zero = su2.vec(np.zeros_like(u), 0.0, 0.0)
+    return Frame(
+        a=su2.vec(np.zeros_like(u), 0.0, 0.5 * p.mu),
+        b=su2.vec(-0.5 * p.mu * u, 0.0, 0.5 * p.mu * (p.alpha + 2.0 * p.lam)),
+        a_x=zero,
+        a_t=zero,
+        b_x=su2.vec(-0.5 * p.mu * j.u_x, 0.0, 0.0),
+        b_t=su2.vec(-0.5 * p.mu * j.u_t, 0.0, 0.0),
+    )
 
 
-def ab_spectral_gauge(u, p: SolitonParams):
+def _spectral_gauge_frame(j: Jet, p: SolitonParams) -> Frame:
     """The spectral pair plus the gauge pair with M = i nu sigma2."""
-    if p.mu == 0 and p.nu == 0:
-        raise ValueError("spectral-gauge family requires (mu, nu) != (0, 0)")
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(j.u, dtype=float)
+    ux, ut = j.u_x, j.u_t
     omega = p.alpha + p.alpha * p.lam + p.lam ** 2
-    a = su2.vec(-p.nu * p.lam, 0.0, 0.5 * p.mu - p.nu * u)
-    b1 = -0.5 * p.mu * u + p.nu * (0.5 * u ** 2 - omega)
-    b3 = 0.5 * p.mu * (p.alpha + 2.0 * p.lam) - p.nu * (p.alpha + p.lam) * u
-    b = su2.vec(b1, 0.0, b3)
-    return a, b
-
-
-def ab_symmetry(u, u_x, u_xx, p: SolitonParams):
-    """A = mu dU[u_x], B = mu dV[u_x]: the linearization along phi = u_x."""
-    u = np.asarray(u, dtype=float)
-    a = su2.vec(-0.5 * p.mu * u_x, 0.0, 0.0)
-    b = su2.vec(
-        -0.5 * p.mu * (p.alpha + p.lam) * u_x,
-        -0.5 * p.mu * np.asarray(u_xx, dtype=float),
-        -0.5 * p.mu * u * u_x,
-    )
-    return a, b
-
-
-def ab_at(x, t, p: SolitonParams, kind: DeformationKind):
-    """Evaluate the family's (A, B) on the soliton at (x, t)."""
-    uu = soliton.u(x, t, p)
-    if kind is DeformationKind.SPECTRAL:
-        return ab_spectral(uu, p)
-    if kind is DeformationKind.SPECTRAL_GAUGE:
-        return ab_spectral_gauge(uu, p)
-    return ab_symmetry(uu, soliton.u_x(x, t, p), soliton.u_xx(x, t, p), p)
-
-
-def ab_derivs_at(x, t, p: SolitonParams, kind: DeformationKind):
-    """Closed-form (A_x, A_t, B_x, B_t) for the family on the soliton."""
-    uu = np.asarray(soliton.u(x, t, p), dtype=float)
-    ux = soliton.u_x(x, t, p)
-    ut = soliton.u_t(x, t, p)
-
-    if kind is DeformationKind.SPECTRAL:
-        a_x = su2.vec(np.zeros_like(uu), 0.0, 0.0)
-        a_t = a_x
-        b_x = su2.vec(-0.5 * p.mu * ux, 0.0, 0.0)
-        b_t = su2.vec(-0.5 * p.mu * ut, 0.0, 0.0)
-        return a_x, a_t, b_x, b_t
-
-    if kind is DeformationKind.SPECTRAL_GAUGE:
-        a_x = su2.vec(0.0, 0.0, -p.nu * ux)
-        a_t = su2.vec(0.0, 0.0, -p.nu * ut)
-        b_x = su2.vec(-0.5 * p.mu * ux + p.nu * uu * ux, 0.0, -p.nu * (p.alpha + p.lam) * ux)
-        b_t = su2.vec(-0.5 * p.mu * ut + p.nu * uu * ut, 0.0, -p.nu * (p.alpha + p.lam) * ut)
-        return a_x, a_t, b_x, b_t
-
-    uxx = soliton.u_xx(x, t, p)
-    uxt = soliton.u_xt(x, t, p)
-    uxxx = soliton.u_xxx(x, t, p)
-    uxxt = soliton.u_xxt(x, t, p)
     c = p.alpha + p.lam
-    a_x = su2.vec(-0.5 * p.mu * uxx, 0.0, 0.0)
-    a_t = su2.vec(-0.5 * p.mu * uxt, 0.0, 0.0)
-    b_x = su2.vec(
-        -0.5 * p.mu * c * uxx,
-        -0.5 * p.mu * uxxx,
-        -0.5 * p.mu * (ux ** 2 + uu * uxx),
+    b1 = -0.5 * p.mu * u + p.nu * (0.5 * u ** 2 - omega)
+    b3 = 0.5 * p.mu * (p.alpha + 2.0 * p.lam) - p.nu * c * u
+    return Frame(
+        a=su2.vec(-p.nu * p.lam, 0.0, 0.5 * p.mu - p.nu * u),
+        b=su2.vec(b1, 0.0, b3),
+        a_x=su2.vec(0.0, 0.0, -p.nu * ux),
+        a_t=su2.vec(0.0, 0.0, -p.nu * ut),
+        b_x=su2.vec(-0.5 * p.mu * ux + p.nu * u * ux, 0.0, -p.nu * c * ux),
+        b_t=su2.vec(-0.5 * p.mu * ut + p.nu * u * ut, 0.0, -p.nu * c * ut),
     )
-    b_t = su2.vec(
-        -0.5 * p.mu * c * uxt,
-        -0.5 * p.mu * uxxt,
-        -0.5 * p.mu * (ut * ux + uu * uxt),
+
+
+def _symmetry_frame(j: Jet, p: SolitonParams) -> Frame:
+    """A = mu dU[u_x], B = mu dV[u_x]: the linearization along phi = u_x."""
+    u = np.asarray(j.u, dtype=float)
+    ux, ut, uxx, uxt = j.u_x, j.u_t, j.u_xx, j.u_xt
+    m = -0.5 * p.mu
+    c = p.alpha + p.lam
+    return Frame(
+        a=su2.vec(m * ux, 0.0, 0.0),
+        b=su2.vec(m * c * ux, m * uxx, m * u * ux),
+        a_x=su2.vec(m * uxx, 0.0, 0.0),
+        a_t=su2.vec(m * uxt, 0.0, 0.0),
+        b_x=su2.vec(m * c * uxx, m * j.u_xxx, m * (ux ** 2 + u * uxx)),
+        b_t=su2.vec(m * c * uxt, m * j.u_xxt, m * (ut * ux + u * uxt)),
     )
-    return a_x, a_t, b_x, b_t
+
+
+# The one map from a deformation kind to its frame.
+_FRAMES: dict[DeformationKind, Callable[[Jet, SolitonParams], Frame]] = {
+    DeformationKind.SPECTRAL: _spectral_frame,
+    DeformationKind.SPECTRAL_GAUGE: _spectral_gauge_frame,
+    DeformationKind.SYMMETRY_UX: _symmetry_frame,
+}
+
+
+def frame_at(x, t, p: SolitonParams, kind: DeformationKind) -> tuple[Jet, Frame]:
+    """The soliton jet at (x, t) and the family's frame on it."""
+    validate_kind(kind, p)
+    j = soliton.jet(x, t, p)
+    return j, _FRAMES[kind](j, p)
 
 
 def ab_compatibility_residual(x, t, p: SolitonParams, kind: DeformationKind):
     """A_t - B_x + [A, V] + [U, B] with closed-form derivatives."""
-    a, b = ab_at(x, t, p, kind)
-    _, a_t, b_x, _ = ab_derivs_at(x, t, p, kind)
-    uu = soliton.u(x, t, p)
-    U = lax_U(uu, p.lam)
-    V = lax_V(uu, soliton.u_x(x, t, p), p.lam, p.alpha)
+    j, (a, b, _, a_t, b_x, _) = frame_at(x, t, p, kind)
+    U = lax_U(j.u, p.lam)
+    V = lax_V(j.u, j.u_x, p.lam, p.alpha)
     return a_t - b_x + su2.commutator(a, V) + su2.commutator(U, b)
 
 
@@ -155,11 +147,9 @@ def forms_from_ab(x, t, p: SolitonParams, kind: DeformationKind) -> Forms:
     the h coefficients for array input and raise SingularPointError for
     scalar input.
     """
-    a, b = ab_at(x, t, p, kind)
-    a_x, a_t, _, b_t = ab_derivs_at(x, t, p, kind)
-    uu = soliton.u(x, t, p)
-    U = lax_U(uu, p.lam)
-    V = lax_V(uu, soliton.u_x(x, t, p), p.lam, p.alpha)
+    j, (a, b, a_x, a_t, _, b_t) = frame_at(x, t, p, kind)
+    U = lax_U(j.u, p.lam)
+    V = lax_V(j.u, j.u_x, p.lam, p.alpha)
 
     comm = su2.commutator(a, b)
     norm = su2.su2_norm(comm)

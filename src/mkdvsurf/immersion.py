@@ -21,14 +21,14 @@ import numpy as np
 from . import su2
 from .deformation import (
     DeformationKind,
-    ab_at,
     curvatures_spectral_gauge_closed,
+    frame_at,
     spectral_gauge_curvature_denominator,
     validate_kind,
 )
 from .diffgeo import CurvaturePair, Forms, Stencil, SurfaceProviders, derivative
 from .lax import PhiConstants, canonical_constants, phi
-from .soliton import SolitonParams, _sech_tanh
+from .soliton import SolitonParams, jet
 from .soliton import xi as soliton_xi
 
 
@@ -93,7 +93,8 @@ def three_param_position(x, t, p: SolitonParams) -> np.ndarray:
     Overflow-free evaluation: 1/(e^{2 xi} + 1) is written as (1 - tanh xi)/2.
     """
     a = three_param_aux(x, t, p)
-    s, tau = _sech_tanh(x, t, p)
+    j = jet(x, t, p)
+    s, tau = j.s, j.tau
     y1 = -a.R1 * a.E / (4.0 * p.k1) - 4.0 * a.R1 * (1.0 - tau)
     y2 = -4.0 * a.R1 * np.cos(a.G) * s
     y3 = -4.0 * a.R1 * np.sin(a.G) * s
@@ -107,7 +108,8 @@ def four_param_position(x, t, p: SolitonParams) -> np.ndarray:
     (e^{4 xi}+1)/(e^{2 xi}+1)^2 = 1 - sech^2(xi)/2.
     """
     a = four_param_aux(x, t, p)
-    s, tau = _sech_tanh(x, t, p)
+    j = jet(x, t, p)
+    s, tau = j.s, j.tau
     cg, sg = np.cos(a.G), np.sin(a.G)
     y1 = a.R2 * tau * s + a.R3 * a.E_tilde + 0.5 * a.R4 * (1.0 - tau)
     radial = 0.5 * a.R4 * s + a.R5 * (1.0 - 0.5 * s ** 2) - a.R6 * s ** 2
@@ -118,7 +120,7 @@ def four_param_position(x, t, p: SolitonParams) -> np.ndarray:
 
 def three_param_forms_closed(x, t, p: SolitonParams) -> Forms:
     """First and second fundamental forms of the three-parameter family."""
-    s, _ = _sech_tanh(x, t, p)
+    s = jet(x, t, p).s
     al = p.alpha + p.lam
     a2l = p.alpha + 2.0 * p.lam
     quarter_mu2 = 0.25 * p.mu ** 2
@@ -136,7 +138,7 @@ def three_param_forms_closed(x, t, p: SolitonParams) -> Forms:
 
 def three_param_curvatures_closed(x, t, p: SolitonParams) -> CurvaturePair:
     """Gaussian and mean curvature of the three-parameter family."""
-    s, _ = _sech_tanh(x, t, p)
+    s = jet(x, t, p).s
     k = (p.k1 ** 2 / p.mu ** 2) * (2.0 * s ** 2 - 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         h = (6.0 * p.k1 ** 2 * s ** 2 + 4.0 * p.lam ** 2 - p.k1 ** 2) / (
@@ -152,7 +154,7 @@ def four_param_forms_closed(x, t, p: SolitonParams) -> Forms:
     rational closed forms, i.e. the frame convention times the sign of the
     curvature denominator (see Family.orientation).
     """
-    s, _ = _sech_tanh(x, t, p)
+    s = jet(x, t, p).s
     u = p.k1 * s
     al, lam, mu, nu = p.alpha, p.lam, p.mu, p.nu
     c2 = al ** 2 + (2.0 * lam - 1.0) * al + lam ** 2
@@ -179,7 +181,7 @@ def four_param_forms_closed(x, t, p: SolitonParams) -> Forms:
 
 def four_param_curvatures_closed(x, t, p: SolitonParams) -> CurvaturePair:
     """Gaussian and mean curvature of the four-parameter family."""
-    s, _ = _sech_tanh(x, t, p)
+    s = jet(x, t, p).s
     return curvatures_spectral_gauge_closed(p.k1 * s, p)
 
 
@@ -316,12 +318,6 @@ class Preset:
             nu=0.0 if self.nu is None else float(self.nu),
         )
 
-    def position(self, x, t) -> np.ndarray:
-        return self.family.position(x, t, self.params)
-
-    def curvatures(self, x, t) -> CurvaturePair:
-        return self.family.curvatures(x, t, self.params)
-
 
 def _pr(pid, k1, lam, mu, nu, half_width) -> Preset:
     w = (-float(half_width), float(half_width))
@@ -397,9 +393,9 @@ def frame_tangents(x, t, p: SolitonParams, kind: DeformationKind,
     """Tangent vectors (y_x, y_t) = (Phi^-1 A Phi, Phi^-1 B Phi), as (..., 3)."""
     if c is None:
         c = canonical_constants(p)
+    a, b = frame_at(x, t, p, kind)[1][:2]
     f = phi(x, t, p, c)
     finv = _inv2(f)
-    a, b = ab_at(x, t, p, kind)
     yx = su2.su2_to_vec(finv @ su2.vec_to_su2(a) @ f)
     yt = su2.su2_to_vec(finv @ su2.vec_to_su2(b) @ f)
     return yx, yt

@@ -7,9 +7,12 @@ The linear system is Phi_x = U Phi, Phi_t = V Phi with
                 [(alpha+lam) u + i u_x,  -u^2/2 + (alpha + alpha*lam + lam^2)]].
 
 Its integrability condition U_t - V_x + [U, V] = 0 is equivalent to the
-traveling-wave equation the soliton satisfies.  U and V are su(2)-valued and
-are held as Pauli-component vectors (see ``su2``); Phi is a complex 2x2
-matrix, so they meet as matrices only in ``lax_residuals``.
+traveling-wave equation the soliton satisfies.  ``lax_U`` and ``lax_V`` take
+the values u and u_x, which the residuals here read from one
+``soliton.jet``; Phi reads xi, sech xi and tanh xi from its own jet.  U and
+V are su(2)-valued and are held
+as Pauli-component vectors (see ``su2``); Phi is a complex 2x2 matrix, so
+they meet as matrices only in ``lax_residuals``.
 
 For u = k1 sech(xi), each entry of Phi combines the two independent
 solutions through the complex power
@@ -79,25 +82,15 @@ def lax_V(u, u_x, lam: float, alpha: float) -> np.ndarray:
     return su2.vec(-0.5 * (alpha + lam) * u, -0.5 * np.asarray(u_x, dtype=float), -0.5 * w)
 
 
-def lax_U_at(x, t, p: SolitonParams) -> np.ndarray:
-    return lax_U(soliton.u(x, t, p), p.lam)
-
-
-def lax_V_at(x, t, p: SolitonParams) -> np.ndarray:
-    return lax_V(soliton.u(x, t, p), soliton.u_x(x, t, p), p.lam, p.alpha)
-
-
 def zero_curvature_residual(x, t, p: SolitonParams) -> np.ndarray:
     """U_t - V_x + [U, V] as a vector, with all derivatives in closed form."""
-    u = np.asarray(soliton.u(x, t, p), dtype=float)
-    ux = soliton.u_x(x, t, p)
-    ut = soliton.u_t(x, t, p)
-    uxx = soliton.u_xx(x, t, p)
-
+    j = soliton.jet(x, t, p)
+    u = np.asarray(j.u, dtype=float)
+    ux = j.u_x
     U = lax_U(u, p.lam)
     V = lax_V(u, ux, p.lam, p.alpha)
-    U_t = su2.vec(-0.5 * ut, 0.0, 0.0)
-    V_x = su2.vec(-0.5 * (p.alpha + p.lam) * ux, -0.5 * uxx, -0.5 * u * ux)
+    U_t = su2.vec(-0.5 * j.u_t, 0.0, 0.0)
+    V_x = su2.vec(-0.5 * (p.alpha + p.lam) * ux, -0.5 * j.u_xx, -0.5 * u * ux)
     return U_t - V_x + su2.commutator(U, V)
 
 
@@ -110,10 +103,8 @@ def _power_factors(z, p: SolitonParams):
 
 def phi(x, t, p: SolitonParams, c: PhiConstants) -> np.ndarray:
     """Closed-form fundamental solution Phi(x, t), shape (..., 2, 2)."""
-    z = soliton.xi(x, t, p)
-    z = np.asarray(z, dtype=float)
-    s = 1.0 / np.cosh(z)
-    tau = np.tanh(z)
+    j = soliton.jet(x, t, p)
+    z, s, tau = j.xi, j.s, j.tau
     p_plus, p_minus = _power_factors(z, p)
 
     omega = (p.k1 ** 2 + 4.0 * p.lam ** 2) / 8.0
@@ -141,6 +132,8 @@ def det_phi_expected(p: SolitonParams, c: PhiConstants) -> complex:
 def lax_residuals(x, t, p: SolitonParams, c: PhiConstants, h: float = 1e-6):
     """(Phi_x - U Phi, Phi_t - V Phi), Phi differenced by ``diffgeo.derivative``:
     order 2 at step h with one Richardson level, (4 d(h/2) - d(h))/3."""
+    j = soliton.jet(x, t, p)
+
     def f(xx, tt):
         return phi(xx, tt, p, c)
 
@@ -148,31 +141,6 @@ def lax_residuals(x, t, p: SolitonParams, c: PhiConstants, h: float = 1e-6):
     phi_x = derivative(f, x, t, s, axis=0)
     phi_t = derivative(f, x, t, s, axis=1)
     ph = phi(x, t, p, c)
-    res_x = phi_x - su2.vec_to_su2(lax_U_at(x, t, p)) @ ph
-    res_t = phi_t - su2.vec_to_su2(lax_V_at(x, t, p)) @ ph
+    res_x = phi_x - su2.vec_to_su2(lax_U(j.u, p.lam)) @ ph
+    res_t = phi_t - su2.vec_to_su2(lax_V(j.u, j.u_x, p.lam, p.alpha)) @ ph
     return res_x, res_t
-
-
-def second_order_check(
-    x, t, p: SolitonParams, c: PhiConstants, h: float = 1e-4
-) -> np.ndarray:
-    """Residual of the scalar second-order equation satisfied by Phi_21.
-
-    (Phi21)_xx - (u_x/u)(Phi21)_x + [ (u (lam^2 + u^2) - 2 i lam u_x) / (4u) ] Phi21,
-    with derivatives of the closed-form Phi21 by order-2 central differences
-    (Richardson-extrapolated for the first derivative).
-    Rejects points where u is numerically zero (|xi| too large).
-    """
-    uu = np.asarray(soliton.u(x, t, p), dtype=float)
-    if np.min(np.abs(uu)) < 1e-12:
-        raise ValueError("second_order_check requires u != 0 at every point")
-
-    def f21(xx, tt):
-        return phi(xx, tt, p, c)[..., 1, 0]
-
-    p21 = f21(x, t)
-    p21_x = derivative(f21, x, t, Stencil(h, order=2, richardson=True), axis=0)
-    p21_xx = derivative(f21, x, t, Stencil(h, order=2), axis=0, nth=2)
-    ux = soliton.u_x(x, t, p)
-    coeff = (uu * (p.lam ** 2 + uu ** 2) - 2.0j * p.lam * ux) / (4.0 * uu)
-    return p21_xx - (ux / uu) * p21_x + coeff * p21

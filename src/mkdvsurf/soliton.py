@@ -2,8 +2,11 @@
 
 The wave coordinate is xi = k1 (k1^2 t + 4 x) / 8, so that
 d(xi)/dx = k1/2 and d(xi)/dt = k1^3/8, and the wave speed constant is
-alpha = k1^2 / 4.  Every derivative below is an exact chain-rule expression
-in sech(xi) and tanh(xi); residual helpers check the defining equations.
+alpha = k1^2 / 4.  :func:`jet` evaluates xi, sech(xi) and tanh(xi) once at
+a set of points, and the returned :class:`Jet` gives u and its x and t
+derivatives as exact chain-rule expressions in sech(xi) and tanh(xi).  The
+frame code (``lax``, ``deformation``, ``immersion``) reads the soliton only
+through a jet, so this module is the one place the soliton is evaluated.
 """
 from __future__ import annotations
 
@@ -80,55 +83,57 @@ def check_grid(nx: int, nt: int) -> None:
         )
 
 
-def _sech_tanh(x, t, p: SolitonParams):
-    # (sech xi, tanh xi) at (x, t); shared with the immersion closed forms
-    z = xi(x, t, p)
-    return 1.0 / np.cosh(z), np.tanh(z)
+@dataclass(frozen=True)
+class Jet:
+    """The soliton and its derivatives at a set of points.
+
+    ``xi``, ``s`` = sech(xi) and ``tau`` = tanh(xi) are evaluated once by
+    :func:`jet`; each derivative is a property, an exact chain-rule
+    expression in s and tau built on access, so a caller holds only the
+    derivatives it uses.  The soliton is a traveling wave, so every t
+    derivative is alpha times the x derivative of the same order.
+    """
+
+    p: SolitonParams
+    xi: np.ndarray
+    s: np.ndarray
+    tau: np.ndarray
+
+    @property
+    def u(self):
+        return self.p.k1 * self.s
+
+    @property
+    def u_x(self):
+        return -(self.p.k1 ** 2 / 2.0) * self.s * self.tau
+
+    @property
+    def u_xx(self):
+        return -(self.p.k1 ** 3 / 4.0) * self.s * (2.0 * self.s ** 2 - 1.0)
+
+    @property
+    def u_xxx(self):
+        return (self.p.k1 ** 4 / 8.0) * self.s * self.tau * (6.0 * self.s ** 2 - 1.0)
+
+    @property
+    def u_t(self):
+        return self.p.alpha * self.u_x
+
+    @property
+    def u_xt(self):
+        return self.p.alpha * self.u_xx
+
+    @property
+    def u_xxt(self):
+        return self.p.alpha * self.u_xxx
+
+
+def jet(x, t, p: SolitonParams) -> Jet:
+    """The soliton's jet at (x, t): the package's one evaluation of sech, tanh."""
+    z = np.asarray(xi(x, t, p), dtype=float)
+    return Jet(p, z, 1.0 / np.cosh(z), np.tanh(z))
 
 
 def u(x, t, p: SolitonParams):
     """One-soliton u = k1 sech(xi)."""
-    s, _ = _sech_tanh(x, t, p)
-    return p.k1 * s
-
-
-def u_x(x, t, p: SolitonParams):
-    s, tau = _sech_tanh(x, t, p)
-    return -(p.k1 ** 2 / 2.0) * s * tau
-
-
-def u_t(x, t, p: SolitonParams):
-    return p.alpha * u_x(x, t, p)
-
-
-def u_xx(x, t, p: SolitonParams):
-    s, _ = _sech_tanh(x, t, p)
-    return -(p.k1 ** 3 / 4.0) * s * (2.0 * s ** 2 - 1.0)
-
-
-def u_xt(x, t, p: SolitonParams):
-    return p.alpha * u_xx(x, t, p)
-
-
-def u_xxx(x, t, p: SolitonParams):
-    s, tau = _sech_tanh(x, t, p)
-    return (p.k1 ** 4 / 8.0) * s * tau * (6.0 * s ** 2 - 1.0)
-
-
-def u_xxt(x, t, p: SolitonParams):
-    return p.alpha * u_xxx(x, t, p)
-
-
-def mkdv_residual(x, t, p: SolitonParams):
-    """u_t - u_xxx - (3/2) u^2 u_x, identically zero on the soliton."""
-    return u_t(x, t, p) - u_xxx(x, t, p) - 1.5 * u(x, t, p) ** 2 * u_x(x, t, p)
-
-
-def traveling_residual(x, t, p: SolitonParams):
-    """u_xx - alpha u + u^3/2, the traveling-wave reduction residual."""
-    return u_xx(x, t, p) - p.alpha * u(x, t, p) + 0.5 * u(x, t, p) ** 3
-
-
-def willmore_condition_residual(x, t, p: SolitonParams):
-    """u_x^2 - alpha u^2 + u^4/4, the first integral of the reduction."""
-    return u_x(x, t, p) ** 2 - p.alpha * u(x, t, p) ** 2 + 0.25 * u(x, t, p) ** 4
+    return jet(x, t, p).u

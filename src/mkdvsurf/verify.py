@@ -72,6 +72,19 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 # Fixed sub-tolerance: determinant drift of the closed-form frame solution.
 DET_DRIFT_RTOL = 1e-10
 
+# Admissible --fd-step per check that differences.  Outside these ranges a
+# check measures its step, not the surface: at 1e-5 and below rounding
+# swamps the nested divergence operators of willmore and shape (FAIL on
+# ex2..ex5), and from 7e-3 up truncation fails consistency on ex4.  Measured
+# on all seven presets at 5^2, 21^2, 41^2 and 101^2; the willmore/shape
+# floor keeps a factor 3 above the smallest passing step, 3e-5.
+FD_STEP_RANGES: dict[str, tuple[float, float]] = {
+    "lax": (1e-8, 1e-2),
+    "consistency": (1e-8, 5e-3),
+    "willmore": (1e-4, 1e-2),
+    "shape": (1e-4, 1e-2),
+}
+
 
 class CheckConfigError(ValueError):
     """A requested check cannot run for the given family or parameters."""
@@ -428,7 +441,8 @@ def run_checks(
     opt-in regression checks and raises ``CheckConfigError`` when a listed
     check cannot run for this configuration.  ``fd_step``, when given, is
     the one finite-difference step of the lax, consistency, willmore and
-    shape checks and must lie in [diffgeo.STEP_MIN, diffgeo.STEP_MAX]; it
+    shape checks; it must lie in [diffgeo.STEP_MIN, diffgeo.STEP_MAX] and in
+    the ``FD_STEP_RANGES`` entry of each of those checks that will run.  It
     and the grid size are validated before any check runs.
     """
     try:
@@ -479,6 +493,17 @@ def run_checks(
         nt=int(nt),
         fd_step=fd_step,
     )
+
+    if fd_step is not None:
+        for name in names:
+            if name not in FD_STEP_RANGES or _incompatible(name, cfg) is not None:
+                continue
+            lo, hi = FD_STEP_RANGES[name]
+            if not lo <= fd_step <= hi:
+                raise CheckConfigError(
+                    f"fd_step = {fd_step} outside [{lo:g}, {hi:g}], "
+                    f"the admissible steps of check {name!r}"
+                )
 
     results = []
     for name in names:

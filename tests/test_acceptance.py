@@ -126,8 +126,8 @@ def test_criterion_04_forms_curvature_equivalence():
             den = spectral_gauge_curvature_denominator(uu, p)
             keep = np.abs(den) > 0.05 * np.max(np.abs(den))
             sign = pre.family.orientation(uu, p)
-        ccl = pre.curvatures(x, t)
-        ffd = diffgeo.fd_forms(pre.position, x, t, stencil)
+        ccl = pre.family.curvatures(x, t, p)
+        ffd = diffgeo.fd_forms(pre.family.providers(p).position, x, t, stencil)
         cfd = curvatures_from_forms(ffd)
 
         def rel(a_fd, a_cl):

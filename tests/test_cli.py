@@ -98,21 +98,35 @@ def test_generate_config_error_exit_2(tmp_path, capsys):
           *grid), "fd_step"),
         (("verify", "--preset", "ex2", "--checks", "all", "--fd-step", "0.5", *grid),
          "fd_step"),
+        # a step outside the range a check admits would measure the step:
+        # willmore and shape FAIL at 1e-8 on a surface that passes at 1e-3
+        (("verify", "--preset", "ex2", "--checks", "willmore,shape", "--fd-step", "1e-8",
+          *grid), "fd_step", "willmore"),
+        (("verify", "--preset", "ex2", "--checks", "consistency", "--fd-step", "1e-2",
+          *grid), "fd_step", "consistency"),
         # a grid too large for memory is rejected before anything is allocated
         (("generate", "--preset", "ex2", "--nx", "1000000", "--nt", "1000000",
           "--out", str(out_file)), "nx*nt"),
         (("verify", "--preset", "ex2", "--nx", "1000000", "--nt", "1000000",
           "--out", str(out_file)), "nx*nt"),
     ]
-    for argv, field in cases:
+    for argv, *fields in cases:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, _, err = run(capsys, *argv)
         assert code == 2
-        assert field in err
+        assert all(field in err for field in fields), (argv, err)
         assert not out_file.exists()
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_fd_step_inside_a_checks_range_runs(capsys):
+    # lax passes over the whole stencil range, so its smallest step is admitted
+    code, out, _ = run(capsys, "verify", "--preset", "ex2", "--nx", "5", "--nt", "5",
+                       "--checks", "lax", "--fd-step", "1e-8")
+    assert code == 0
+    assert "overall: pass" in out
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):

@@ -7,19 +7,19 @@ from hypothesis import given, settings, strategies as st
 from mkdvsurf import su2
 from mkdvsurf.deformation import (
     DeformationKind,
-    ab_at,
     ab_compatibility_residual,
-    ab_derivs_at,
     curvatures_from_forms,
     curvatures_spectral_closed,
     curvatures_spectral_gauge_closed,
     forms_from_ab,
+    frame_at,
     spectral_gauge_curvature_denominator,
     symmetry_sphere_check,
     validate_kind,
 )
 from mkdvsurf.immersion import SPECTRAL3, SPECTRAL_GAUGE4
-from mkdvsurf.lax import lax_U_at, lax_V_at, zero_curvature_residual
+from mkdvsurf.diffgeo import Stencil, derivative
+from mkdvsurf.lax import lax_U, lax_V, zero_curvature_residual
 from mkdvsurf.soliton import SolitonParams, u as soliton_u
 
 GRID = np.meshgrid(np.linspace(-2, 2, 15), np.linspace(-2, 2, 15))
@@ -42,8 +42,8 @@ gauge_params = st.builds(
 @pytest.mark.parametrize("kind", list(DeformationKind))
 def test_ab_are_su2_valued(kind):
     p = SolitonParams(2.0, 0.5, mu=1.5, nu=-0.7)
-    x, t = GRID
-    a, b = ab_at(x, t, p, kind)
+    _, frame = frame_at(*GRID, p, kind)
+    a, b = frame.a, frame.b
     assert su2.is_su2(su2.vec_to_su2(a), atol=1e-12)
     assert su2.is_su2(su2.vec_to_su2(b), atol=1e-12)
 
@@ -53,18 +53,34 @@ def test_algebra_returns_real_component_vectors(kind):
     # the deformation and Lax algebra runs on Pauli components, not matrices
     p = SolitonParams(2.0, 0.5, mu=1.5, nu=-0.7)
     x, t = GRID
+    j, frame = frame_at(x, t, p, kind)
     outputs = (
-        *ab_at(x, t, p, kind),
-        *ab_derivs_at(x, t, p, kind),
+        *frame,
         ab_compatibility_residual(x, t, p, kind),
         zero_curvature_residual(x, t, p),
-        lax_U_at(x, t, p),
-        lax_V_at(x, t, p),
+        lax_U(j.u, p.lam),
+        lax_V(j.u, j.u_x, p.lam, p.alpha),
     )
     for out in outputs:
         assert isinstance(out, np.ndarray)
         assert out.dtype == np.float64
         assert out.shape == x.shape + (3,)
+
+
+@pytest.mark.parametrize("kind", list(DeformationKind))
+def test_frame_derivatives_match_fd(kind):
+    # each closed-form derivative against a difference quotient of (A, B);
+    # k1 != 2 keeps alpha != 1, so a swapped x and t derivative shows
+    p = SolitonParams(3.0, 0.5, mu=1.5, nu=-0.7)
+    x, t = GRID
+    frame = frame_at(x, t, p, kind)[1]
+    stencil = Stencil(1e-3, order=4, richardson=True)
+    for field, axis, exact in (("a", 0, frame.a_x), ("a", 1, frame.a_t),
+                               ("b", 0, frame.b_x), ("b", 1, frame.b_t)):
+        fd = derivative(lambda xx, tt: getattr(frame_at(xx, tt, p, kind)[1], field),
+                        x, t, stencil, axis=axis)
+        scale = max(1.0, np.max(np.abs(exact)))
+        assert np.max(np.abs(fd - exact)) <= 1e-9 * scale, (field, "xt"[axis])
 
 
 @pytest.mark.parametrize("kind", list(DeformationKind))

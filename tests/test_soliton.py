@@ -1,4 +1,8 @@
-"""Closed-form soliton derivatives against the defining equations and FD."""
+"""The soliton jet against the defining equations, FD and exact sympy derivatives."""
+
+import ast
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,33 +35,34 @@ def test_amplitude_at_crest():
     p = soliton.SolitonParams(k1=1.7)
     x0 = 0.0
     assert soliton.u(x0, 0.0, p) == pytest.approx(1.7, rel=1e-15)
-    assert abs(soliton.u_x(x0, 0.0, p)) < 1e-15
+    assert abs(soliton.jet(x0, 0.0, p).u_x) < 1e-15
 
 
 @settings(max_examples=40, deadline=None)
 @given(params, coords, coords)
 def test_defining_equations_vanish(p, x, t):
-    assert abs(soliton.mkdv_residual(x, t, p)) < 1e-11 * p.k1 ** 4
-    assert abs(soliton.traveling_residual(x, t, p)) < 1e-11 * p.k1 ** 3
-    assert abs(soliton.willmore_condition_residual(x, t, p)) < 1e-11 * p.k1 ** 4
+    j = soliton.jet(x, t, p)
+    u, u_x = j.u, j.u_x
+    # mKdV, its traveling-wave reduction, and the reduction's first integral
+    assert abs(j.u_t - j.u_xxx - 1.5 * u ** 2 * u_x) < 1e-11 * p.k1 ** 4
+    assert abs(j.u_xx - p.alpha * u + 0.5 * u ** 3) < 1e-11 * p.k1 ** 3
+    assert abs(u_x ** 2 - p.alpha * u ** 2 + 0.25 * u ** 4) < 1e-11 * p.k1 ** 4
 
 
 @settings(max_examples=25, deadline=None)
 @given(params, coords, coords)
 def test_derivatives_match_fd(p, x, t):
     scale = max(1.0, p.k1 ** 4)
-    assert soliton.u_x(x, t, p) == pytest.approx(
-        _fd(lambda a, b: soliton.u(a, b, p), x, t, 0), abs=1e-7 * scale)
-    assert soliton.u_t(x, t, p) == pytest.approx(
-        _fd(lambda a, b: soliton.u(a, b, p), x, t, 1), abs=1e-7 * scale)
-    assert soliton.u_xx(x, t, p) == pytest.approx(
-        _fd(lambda a, b: soliton.u_x(a, b, p), x, t, 0), abs=1e-7 * scale)
-    assert soliton.u_xt(x, t, p) == pytest.approx(
-        _fd(lambda a, b: soliton.u_x(a, b, p), x, t, 1), abs=1e-7 * scale)
-    assert soliton.u_xxx(x, t, p) == pytest.approx(
-        _fd(lambda a, b: soliton.u_xx(a, b, p), x, t, 0), abs=1e-7 * scale)
-    assert soliton.u_xxt(x, t, p) == pytest.approx(
-        _fd(lambda a, b: soliton.u_xx(a, b, p), x, t, 1), abs=1e-7 * scale)
+    j = soliton.jet(x, t, p)
+
+    def field(name):
+        return lambda a, b: getattr(soliton.jet(a, b, p), name)
+
+    for derived, base, axis in (("u_x", "u", 0), ("u_t", "u", 1), ("u_xx", "u_x", 0),
+                                ("u_xt", "u_x", 1), ("u_xxx", "u_xx", 0),
+                                ("u_xxt", "u_xx", 1)):
+        assert getattr(j, derived) == pytest.approx(
+            _fd(field(base), x, t, axis), abs=1e-7 * scale), derived
 
 
 def test_travelling_wave_relations():
@@ -65,9 +70,10 @@ def test_travelling_wave_relations():
     p = soliton.SolitonParams(k1=2.5, lam=0.3)
     x = np.linspace(-2, 2, 7)[:, None]
     t = np.linspace(-1, 1, 5)[None, :]
-    assert np.allclose(soliton.u_t(x, t, p), p.alpha * soliton.u_x(x, t, p), rtol=0, atol=1e-14)
-    assert np.allclose(soliton.u_xt(x, t, p), p.alpha * soliton.u_xx(x, t, p), rtol=0, atol=1e-14)
-    assert np.allclose(soliton.u_xxt(x, t, p), p.alpha * soliton.u_xxx(x, t, p), rtol=0, atol=1e-14)
+    j = soliton.jet(x, t, p)
+    assert np.allclose(j.u_t, p.alpha * j.u_x, rtol=0, atol=1e-14)
+    assert np.allclose(j.u_xt, p.alpha * j.u_xx, rtol=0, atol=1e-14)
+    assert np.allclose(j.u_xxt, p.alpha * j.u_xxx, rtol=0, atol=1e-14)
 
 
 def test_xi_linearity_and_broadcast():
@@ -77,3 +83,49 @@ def test_xi_linearity_and_broadcast():
     z = soliton.xi(x, t, p)
     assert z.shape == (4, 3)
     assert np.allclose(z[0], p.k1 * 4.0 * x / 8.0)
+
+
+def test_jet_is_the_exact_derivative_chain():
+    # each Jet property, fed symbols for xi, sech xi and tanh xi, is the exact
+    # x/t derivative of k1 sech(xi) once sech' = -sech tanh, tanh' = sech^2
+    import sympy as sp
+
+    x, t, k1 = sp.symbols("x t k1", positive=True)
+    S, Tau, Xi = sp.symbols("S Tau Xi")
+    z = k1 * (k1 ** 2 * t + 4 * x) / 8
+    u = k1 * sp.sech(z)
+    params = SimpleNamespace(k1=k1, alpha=k1 ** 2 / 4)
+    j = soliton.Jet(params, Xi, S, Tau)
+    expected = {
+        "u": u,
+        "u_x": sp.diff(u, x),
+        "u_xx": sp.diff(u, x, 2),
+        "u_xxx": sp.diff(u, x, 3),
+        "u_t": sp.diff(u, t),
+        "u_xt": sp.diff(u, x, t),
+        "u_xxt": sp.diff(u, x, 2, t),
+    }
+    for name, exact in expected.items():
+        exact = exact.subs({sp.sech(z): S, sp.tanh(z): Tau})
+        got = sp.nsimplify(getattr(j, name), rational=True)
+        diff = sp.expand(got - exact)
+        # tanh^2 = 1 - sech^2 closes the ring the derivatives live in
+        assert sp.rem(diff, Tau ** 2 + S ** 2 - 1, Tau) == 0, name
+
+
+def test_sech_and_tanh_are_evaluated_only_in_the_jet():
+    # every other module reads sech xi and tanh xi from soliton.jet
+    def hyperbolic_lines(tree):
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
+                and {getattr(node, a, None) for a in ("attr", "id", "name")} & {"cosh", "tanh"}]
+
+    for path in sorted(Path(soliton.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found = hyperbolic_lines(tree)
+        if path.name == "soliton.py":
+            (jet_def,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "jet"]
+            allowed = set(hyperbolic_lines(jet_def))
+            assert allowed, "soliton.jet no longer evaluates cosh and tanh"
+            found = [line for line in found if line not in allowed]
+        assert not found, f"{path.name} evaluates cosh/tanh at lines {found}"
