@@ -8,7 +8,8 @@ a polynomial in the mean and Gauss curvatures where K counts as degree two
 (it scales like H^2 under dilation).  For N = 3..6 the module also builds
 the constrained coefficient sets under which the spectral-deformation
 soliton surfaces with lam = k1/2 solve the generalized shape equation, and
-a finite-difference driver that checks this claim on a grid.
+:func:`verify_family`, a finite-difference check of this claim on a grid for
+several degrees in one pass.
 """
 
 from __future__ import annotations
@@ -283,8 +284,8 @@ class FamilyReport:
 
 
 def verify_family(
-    n_deg: int,
-    free: Mapping | None,
+    degrees: tuple[int, ...],
+    free: Mapping[int, Mapping] | None,
     p: float,
     k1: float,
     mu: float,
@@ -294,35 +295,49 @@ def verify_family(
     nx: int = 41,
     nt: int = 41,
     s: diffgeo.Stencil | None = None,
-) -> FamilyReport:
-    """Check the constrained family against the shape equation on a grid.
+) -> tuple[FamilyReport, ...]:
+    """Check constrained families against the shape equation on a grid.
 
-    Evaluates the normalized shape-equation residual of the degree-``n_deg``
-    constrained energy on the spectral-deformation surface with lam = +-k1/2
-    over a |xi| < xi_half by |t| <= t_half grid.  Points where the second
-    fundamental form is numerically singular are excluded from the
-    statistics and counted per check.
+    For each degree in ``degrees`` evaluates the normalized shape-equation
+    residual of the constrained energy on the spectral-deformation surface
+    with lam = +-k1/2 over a |xi| < xi_half by |t| <= t_half grid, and
+    returns one :class:`FamilyReport` per degree, in order.  ``free`` maps a
+    degree to that family's free coefficients (see
+    :func:`constrained_family`); a degree it omits, or ``None``, leaves them
+    zero.  All degrees share one shape-equation pass per sign of lam, so
+    the curvatures are evaluated once per stencil point for all of them.
+    Points where the second fundamental form is numerically singular are
+    excluded from the statistics and counted per check.
     """
-    lagr = constrained_family(n_deg, free, p, k1, mu)
-    checks = []
+    free = {} if free is None else dict(free)
+    if set(free) - set(degrees):
+        raise ValueError(f"free values for degrees {sorted(set(free) - set(degrees))} "
+                         f"outside {tuple(degrees)}")
+    lagrs = [constrained_family(n, free.get(n), p, k1, mu) for n in degrees]
+    checks = [[] for _ in lagrs]
     for sign in (1.0, -1.0):
         sp = SolitonParams(k1=k1, lam=sign * k1 / 2.0, mu=mu)
         providers = SPECTRAL3.providers(sp)
         x, t = xi_grid(sp, xi_half, nx, nt, t_half)
-        res, scale = diffgeo.shape_equation_residual(providers, lagr, x, t, s)
-        normalized = np.abs(res) / scale
         h11, h12, h22 = providers.second_form(x, t)
-        bad = diffgeo.near_singular_mask(h11, h12, h22) | ~np.isfinite(normalized)
-        kept = normalized[~bad]
-        if kept.size == 0:
-            raise diffgeo.SingularPointError("all grid points near-singular")
-        checks.append(
-            FamilyCheck(
-                lam=sp.lam,
-                max_normalized=float(np.max(kept)),
-                median_normalized=float(np.median(kept)),
-                excluded=int(np.count_nonzero(bad)),
-                total=int(normalized.size),
+        singular = diffgeo.near_singular_mask(h11, h12, h22)
+        results = diffgeo.shape_equation_residual(providers, lagrs, x, t, s)
+        for out, (res, scale) in zip(checks, results):
+            normalized = np.abs(res) / scale
+            bad = singular | ~np.isfinite(normalized)
+            kept = normalized[~bad]
+            if kept.size == 0:
+                raise diffgeo.SingularPointError("all grid points near-singular")
+            out.append(
+                FamilyCheck(
+                    lam=sp.lam,
+                    max_normalized=float(np.max(kept)),
+                    median_normalized=float(np.median(kept)),
+                    excluded=int(np.count_nonzero(bad)),
+                    total=int(normalized.size),
+                )
             )
-        )
-    return FamilyReport(n_deg=n_deg, p=p, k1=k1, mu=mu, checks=tuple(checks))
+    return tuple(
+        FamilyReport(n_deg=n, p=p, k1=k1, mu=mu, checks=tuple(c))
+        for n, c in zip(degrees, checks)
+    )

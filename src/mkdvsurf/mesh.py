@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .immersion import resolve
-from .soliton import SolitonParams, check_grid, u as soliton_u, xi as soliton_xi
+from .soliton import SolitonParams, check_grid, jet as soliton_jet
 
 __all__ = [
     "SurfaceMesh",
@@ -103,7 +103,8 @@ def generate(
 
     y = fam.position(x, t, params)
     cur = fam.curvatures(x, t, params)
-    den = np.abs(fam.denominator(soliton_u(x, t, params), params))
+    sol = soliton_jet(x, t, params)
+    den = np.abs(fam.denominator(sol.u, params))
     with np.errstate(invalid="ignore"):
         bad = den <= SINGULAR_RTOL * np.max(den)
         bad |= ~np.isfinite(cur.K) | ~np.isfinite(cur.H)
@@ -123,7 +124,7 @@ def generate(
         vertices=np.asarray(y, dtype=float).reshape(-1, 3),
         K=flat(cur.K),
         H=flat(cur.H),
-        xi=flat(soliton_xi(x, t, params)),
+        xi=flat(sol.xi),
         singular=bad.reshape(-1),
     )
 

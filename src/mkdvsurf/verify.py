@@ -364,10 +364,9 @@ def _check_shape(cfg: _Config, tol: float) -> CheckResult:
     worst = 0.0
     med = []
     excluded = 0
-    for n_deg in (3, 4, 5, 6):
-        rep = lagrangian.verify_family(
-            n_deg, None, 1.0, p.k1, p.mu, nx=cfg.nx, nt=cfg.nt, s=s
-        )
+    for rep in lagrangian.verify_family(
+        (3, 4, 5, 6), None, 1.0, p.k1, p.mu, nx=cfg.nx, nt=cfg.nt, s=s
+    ):
         worst = max(worst, rep.max_normalized)
         med.append(rep.median_normalized)
         excluded += sum(c.excluded for c in rep.checks)

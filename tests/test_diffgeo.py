@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mkdvsurf import diffgeo as dg
+from mkdvsurf import diffgeo as dg, lagrangian
 from mkdvsurf.immersion import SPECTRAL3, preset
 from mkdvsurf.lax import canonical_constants, phi
 
@@ -74,6 +74,42 @@ def test_order4_is_the_old_five_point_quotient_bitwise():
     s = dg.Stencil(h, order=4)
     assert np.array_equal(dg.derivative(f, X1, T1, s, axis=0), old_x)
     assert np.array_equal(dg.derivative(f, X1, T1, s, axis=1), old_t)
+
+
+def test_richardson_reuses_shared_offsets():
+    # each distinct stencil point is evaluated once, and the result is the
+    # textbook coarse/fine combination bitwise
+    calls = []
+
+    def f(x, t):
+        calls.append((x, t))
+        return np.sin(x) * np.exp(0.5 * t) + x ** 3 * t
+
+    h, h2 = 1e-3, 1e-3 / 2.0
+    for axis in (0, 1):
+        at = (lambda d: f(X1 + d, T1)) if axis == 0 else (lambda d: f(X1, T1 + d))
+
+        def d1_4(step):
+            return (8.0 * (at(step) - at(-step)) - (at(2 * step) - at(-2 * step))) / (12.0 * step)
+
+        def d2_4(step):
+            return (-30.0 * f(X1, T1) + 16.0 * (at(step) + at(-step))
+                    - (at(2 * step) + at(-2 * step))) / (12.0 * step * step)
+
+        def d1_2(step):
+            return (at(step) - at(-step)) / (2.0 * step)
+
+        cases = (
+            (dg.Stencil(h, 4, True), 1, 6, (16.0 * d1_4(h2) - d1_4(h)) / 15.0),
+            (dg.Stencil(h, 4, True), 2, 7, (16.0 * d2_4(h2) - d2_4(h)) / 15.0),
+            (dg.Stencil(h, 2, True), 1, 4, (4.0 * d1_2(h2) - d1_2(h)) / 3.0),
+            (dg.Stencil(h, 4, False), 1, 4, d1_4(h)),
+        )
+        for s, nth, n_calls, textbook in cases:
+            calls.clear()
+            got = dg.derivative(f, X1, T1, s, axis=axis, nth=nth)
+            assert len(calls) == n_calls, (s, nth)
+            assert np.array_equal(got, textbook), (s, nth)
 
 
 def test_oracle_imports_no_package_module():
@@ -246,7 +282,7 @@ class _H2Lagrangian(_ConstLagrangian):
 def test_shape_residual_constant_energy_is_minus_4h():
     prov = SPECTRAL3.providers(preset("ex2").params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
-    res, _ = dg.shape_equation_residual(prov, _ConstLagrangian(), x, t)
+    [(res, _)] = dg.shape_equation_residual(prov, (_ConstLagrangian(),), x, t)
     h = prov.mean_curvature(x, t)
     assert np.allclose(res, -4.0 * h, atol=1e-10)
 
@@ -254,7 +290,7 @@ def test_shape_residual_constant_energy_is_minus_4h():
 def test_shape_residual_h2_is_willmore_operator():
     prov = SPECTRAL3.providers(preset("ex2").params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
-    res, _ = dg.shape_equation_residual(prov, _H2Lagrangian(), x, t)
+    [(res, _)] = dg.shape_equation_residual(prov, (_H2Lagrangian(),), x, t)
     h = prov.mean_curvature(x, t)
     k = prov.gauss_curvature(x, t)
     lap = dg.laplace_beltrami(prov.mean_curvature, prov.metric, x, t)
@@ -280,5 +316,55 @@ def test_shape_residual_cmc_balance():
         )
 
     prov = sphere_providers()
-    res, _ = dg.shape_equation_residual(prov, Pressurized(2.0), X1, T1)
+    [(res, _)] = dg.shape_equation_residual(prov, (Pressurized(2.0),), X1, T1)
     assert np.max(np.abs(res)) < 1e-12
+
+
+def test_multi_energy_shape_residuals_equal_single_calls():
+    # one pass for several energies gives each energy's own residual bitwise
+    pre = preset("ex2")
+    prov = SPECTRAL3.providers(pre.params)
+    x, t = np.meshgrid(np.linspace(-0.4, 0.4, 7), np.linspace(-0.3, 0.3, 5))
+    rng = np.random.default_rng(7)
+    energies = [
+        lagrangian.constrained_family(
+            n, {i: rng.uniform(-1, 1) for i in lagrangian.FREE_INDICES[n]}, 0.5,
+            pre.params.k1, pre.params.mu,
+        )
+        for n in (3, 4, 5, 6)
+    ]
+    energies.insert(2, _H2Lagrangian())
+    together = dg.shape_equation_residual(prov, energies, x, t)
+    assert len(together) == len(energies)
+    for energy, (res, scale) in zip(energies, together):
+        [(res1, scale1)] = dg.shape_equation_residual(prov, (energy,), x, t)
+        assert np.array_equal(res, res1)
+        assert np.array_equal(scale, scale1)
+    with pytest.raises(ValueError):
+        dg.shape_equation_residual(prov, (), x, t)
+
+
+def test_shape_residual_of_k_free_energy_skips_the_k_operator():
+    # a vanishing second form makes the K-weighted operator 0/0 = NaN, so an
+    # energy free of K must not pass through it even beside one that does
+    def curvatures(x, t):
+        one = np.ones_like(np.asarray(x, dtype=float))
+        return dg.CurvaturePair(K=0.5 * one, H=np.cos(x) + 0.1 * t)
+
+    def flat_second_form(x, t):
+        zero = np.zeros_like(np.asarray(x, dtype=float))
+        return zero, zero, zero
+
+    prov = dg.SurfaceProviders(
+        position=sphere, metric=sphere_metric, second_form=flat_second_form,
+        curvatures=curvatures,
+    )
+    gauss = lagrangian.PolyLagrangian(2, {(0, 1): 1.0})
+    (res_k, _), (res_h2, scale_h2) = dg.shape_equation_residual(
+        prov, (gauss, _H2Lagrangian()), X1, T1
+    )
+    assert np.all(np.isnan(res_k))
+    assert np.all(np.isfinite(res_h2))
+    [(alone, scale_alone)] = dg.shape_equation_residual(prov, (_H2Lagrangian(),), X1, T1)
+    assert np.array_equal(res_h2, alone)
+    assert np.array_equal(scale_h2, scale_alone)

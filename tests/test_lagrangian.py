@@ -179,11 +179,15 @@ def test_family_lam_sign_symmetric():
 
 
 def test_verify_family_report():
-    rep = lg.verify_family(3, {"a5": 0.0}, 1.0, 2.0, -8.0)
-    assert rep.max_normalized < 1e-3
-    assert rep.median_normalized <= rep.max_normalized
-    assert {c.lam for c in rep.checks} == {1.0, -1.0}
-    assert all(c.total == 41 * 41 for c in rep.checks)
+    reps = lg.verify_family((3, 4), {3: {"a5": 0.0}}, 1.0, 2.0, -8.0)
+    assert [rep.n_deg for rep in reps] == [3, 4]
+    for rep in reps:
+        assert rep.max_normalized < 1e-3
+        assert rep.median_normalized <= rep.max_normalized
+        assert {c.lam for c in rep.checks} == {1.0, -1.0}
+        assert all(c.total == 41 * 41 for c in rep.checks)
+    with pytest.raises(ValueError, match="degrees"):
+        lg.verify_family((3,), {4: {"a1": 0.0}}, 1.0, 2.0, -8.0)
 
 
 def test_shape_residual_scaling_invariance():
@@ -201,6 +205,6 @@ def test_shape_residual_scaling_invariance():
     norms = []
     for scale in (1.0, 10.0):
         poly = lg.from_flat(4, [scale * v for v in vals], p=scale * 1.0)
-        res, ref = diffgeo.shape_equation_residual(prov, poly, x, t)
+        [(res, ref)] = diffgeo.shape_equation_residual(prov, (poly,), x, t)
         norms.append(np.max(np.abs(res) / ref))
     assert norms[0] == pytest.approx(norms[1], rel=1e-6)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mkdvsurf import verify as vf
+from mkdvsurf import immersion, verify as vf
 from mkdvsurf.soliton import SolitonParams
 
 
@@ -102,3 +102,20 @@ def test_fd_step_override_respected():
     b = vf.run_checks(["consistency"], preset_id="ex2", nx=7, nt=7, fd_step=3e-3)
     assert a.checks[0].max_residual != b.checks[0].max_residual
     assert a.passed and b.passed
+
+
+def test_shape_check_curvature_budget(monkeypatch):
+    # the FD oracle evaluates each stencil point once, for all four energies
+    # at a time; a re-expanded stencil shows here before it shows as time
+    closed = immersion.three_param_curvatures_closed
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return closed(*args)
+
+    monkeypatch.setattr(immersion, "three_param_curvatures_closed", counted)
+    rep = vf.run_checks(["shape"], preset_id="ex2", nx=41, nt=41)
+    assert rep.passed
+    assert 0 < calls <= 700
