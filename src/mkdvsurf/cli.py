@@ -13,14 +13,14 @@ import sys
 
 from . import mesh as mesh_mod
 from . import verify as verify_mod
-from .immersion import FAMILIES, PRESETS
+from .immersion import FAMILIES, PRESETS, Surface, resolve
 from .soliton import SolitonParams
 
 __all__ = ["main", "build_parser", "presets_table"]
 
 
 def _add_surface_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--preset", choices=sorted(p.value for p in PRESETS),
+    sub.add_argument("--preset", choices=sorted(PRESETS),
                      help="bundled parameter set with its default window")
     sub.add_argument("--family", choices=sorted(FAMILIES),
                      help="surface family for parametric runs")
@@ -78,25 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _window(args, parser) -> tuple:
-    pairs = ((args.x_min, args.x_max, "x"), (args.t_min, args.t_max, "t"))
-    out = []
-    for lo, hi, axis in pairs:
+def _selection(args, parser) -> Surface:
+    """Resolve --preset or the parametric flags, and the window, to a Surface."""
+    window = []
+    for lo, hi, axis in ((args.x_min, args.x_max, "x"), (args.t_min, args.t_max, "t")):
         if (lo is None) != (hi is None):
             parser.error(f"--{axis}-min and --{axis}-max must be given together")
-        out.append(None if lo is None else (lo, hi))
-    return tuple(out)
-
-
-def _selection(args, parser) -> dict:
-    """Resolve --preset or parametric flags into generate/run_checks kwargs."""
-    x_range, t_range = _window(args, parser)
+        window.append(None if lo is None else (lo, hi))
     if args.preset is not None:
         if args.family is not None or any(
             v is not None for v in (args.k1, args.lam, args.mu, args.nu)
         ):
             parser.error("--preset and parametric flags are mutually exclusive")
-        return {"preset_id": args.preset, "x_range": x_range, "t_range": t_range}
+        return resolve(args.preset, x_range=window[0], t_range=window[1])
     if args.family is None or args.k1 is None:
         parser.error("parametric runs require --family and --k1 (or use --preset)")
     params = SolitonParams(
@@ -105,17 +99,12 @@ def _selection(args, parser) -> dict:
         mu=0.0 if args.mu is None else args.mu,
         nu=0.0 if args.nu is None else args.nu,
     )
-    return {
-        "family": args.family,
-        "params": params,
-        "x_range": x_range or (-3.0, 3.0),
-        "t_range": t_range or (-3.0, 3.0),
-    }
+    return resolve(family=args.family, params=params, x_range=window[0],
+                   t_range=window[1])
 
 
 def _cmd_generate(args, parser) -> int:
-    sel = _selection(args, parser)
-    m = mesh_mod.generate(nx=args.nx, nt=args.nt, **sel)
+    m = mesh_mod.generate(_selection(args, parser), nx=args.nx, nt=args.nt)
     path = mesh_mod.export(m, args.format, args.out)
     n_sing = int(m.singular.sum())
     print(
@@ -126,19 +115,19 @@ def _cmd_generate(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    sel = _selection(args, parser)
+    surface = _selection(args, parser)
     tolerances = {}
     for name in verify_mod.CHECK_NAMES + verify_mod.OPT_IN_CHECKS:
         val = getattr(args, "tol_" + name.replace("-", "_"))
         if val is not None:
             tolerances[name] = val
     report = verify_mod.run_checks(
-        checks=args.checks,
+        args.checks,
+        surface,
         nx=args.nx,
         nt=args.nt,
         tolerances=tolerances,
         fd_step=args.fd_step,
-        **sel,
     )
     text = report.to_json() if args.format == "json" else "\n".join(
         report.summary_lines()
@@ -155,20 +144,11 @@ def presets_table() -> str:
     """Stable text table of the bundled presets."""
     header = ("id", "family", "k1", "lambda", "mu", "nu", "window")
     rows = [header]
-    for pid in sorted(PRESETS, key=lambda q: q.value):
-        pre = PRESETS[pid]
-        (x0, x1), (t0, t1) = pre.window
-        rows.append(
-            (
-                pre.id.value,
-                pre.family.name,
-                str(pre.k1),
-                str(pre.lam),
-                str(pre.mu),
-                "-" if pre.nu is None else str(pre.nu),
-                f"[{x0:g},{x1:g}]x[{t0:g},{t1:g}]",
-            )
-        )
+    for pid in sorted(PRESETS):
+        surf = resolve(pid)
+        (x0, x1), (t0, t1) = surf.x_range, surf.t_range
+        exact = ("-" if v is None else str(v) for v in PRESETS[pid][1])
+        rows.append((pid, surf.family.name, *exact, f"[{x0:g},{x1:g}]x[{t0:g},{t1:g}]"))
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = [
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()

@@ -4,15 +4,14 @@ Position vectors for the three-parameter (spectral) and four-parameter
 (spectral-gauge) families and their closed-form fundamental forms and
 curvatures, bundled per family in a :class:`Family` record; the bundled
 example presets and :func:`resolve`, which turns a preset or a family with
-parameters into a configuration; curvature-relation residuals; and the
-end-to-end consistency check tying position derivatives back to the frame
-construction.
+parameters into one validated :class:`Surface`; curvature-relation
+residuals; and the end-to-end consistency check tying position derivatives
+back to the frame construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
@@ -280,101 +279,97 @@ SPECTRAL_GAUGE4 = Family(
 FAMILIES: dict[str, Family] = {f.name: f for f in (SPECTRAL3, SPECTRAL_GAUGE4)}
 
 
-class PresetId(str, Enum):
-    EX2 = "ex2"
-    EX3 = "ex3"
-    EX4 = "ex4"
-    EX5 = "ex5"
-    EX6 = "ex6"
-    EX7 = "ex7"
-    EX8 = "ex8"
+Window = tuple[float, float]
 
+# The window of a parametric run that names none, on both axes.
+DEFAULT_WINDOW: Window = (-3.0, 3.0)
 
-@dataclass(frozen=True)
-class Preset:
-    """A bundled parameter set with its plotting window.
-
-    Parameter values are exact rationals; nu is None for the three-parameter
-    family.
-    """
-
-    id: PresetId
-    k1: Fraction
-    lam: Fraction
-    mu: Fraction
-    nu: Fraction | None
-    window: tuple[tuple[float, float], tuple[float, float]]
-
-    @property
-    def family(self) -> Family:
-        return SPECTRAL3 if self.nu is None else SPECTRAL_GAUGE4
-
-    @property
-    def params(self) -> SolitonParams:
-        return SolitonParams(
-            k1=float(self.k1),
-            lam=float(self.lam),
-            mu=float(self.mu),
-            nu=0.0 if self.nu is None else float(self.nu),
-        )
-
-
-def _pr(pid, k1, lam, mu, nu, half_width) -> Preset:
-    w = (-float(half_width), float(half_width))
-    return Preset(id=pid, k1=Fraction(k1), lam=Fraction(lam), mu=Fraction(mu),
-                  nu=None if nu is None else Fraction(nu), window=(w, w))
-
-
-PRESETS: dict[PresetId, Preset] = {
-    PresetId.EX2: _pr(PresetId.EX2, 2, 1, -8, None, 3),
-    PresetId.EX3: _pr(PresetId.EX3, 2, 0, -4, None, 6),
-    PresetId.EX4: _pr(PresetId.EX4, 3, "1/10", "-452/75", None, 6),
-    PresetId.EX5: _pr(PresetId.EX5, 1, "-1/10", "-52/25", None, 20),
-    PresetId.EX6: _pr(PresetId.EX6, 2, 0, -4, 1, 4),
-    PresetId.EX7: _pr(PresetId.EX7, 2, 1, "1/10", 1, 6),
-    PresetId.EX8: _pr(PresetId.EX8, 1, "-1/10", "-52/25", -1, 20),
+# The bundled presets: id -> (family, exact (k1, lambda, mu, nu), window
+# half-width).  nu is None for the three-parameter family.
+PRESETS: dict[str, tuple[Family, tuple[Fraction | None, ...], int]] = {
+    "ex2": (SPECTRAL3, (Fraction(2), Fraction(1), Fraction(-8), None), 3),
+    "ex3": (SPECTRAL3, (Fraction(2), Fraction(0), Fraction(-4), None), 6),
+    "ex4": (SPECTRAL3, (Fraction(3), Fraction(1, 10), Fraction(-452, 75), None), 6),
+    "ex5": (SPECTRAL3, (Fraction(1), Fraction(-1, 10), Fraction(-52, 25), None), 20),
+    "ex6": (SPECTRAL_GAUGE4, (Fraction(2), Fraction(0), Fraction(-4), Fraction(1)), 4),
+    "ex7": (SPECTRAL_GAUGE4,
+            (Fraction(2), Fraction(1), Fraction(1, 10), Fraction(1)), 6),
+    "ex8": (SPECTRAL_GAUGE4,
+            (Fraction(1), Fraction(-1, 10), Fraction(-52, 25), Fraction(-1)), 20),
 }
 
 
-def preset(pid: PresetId | str) -> Preset:
-    """Look up a bundled preset by id ("ex2" .. "ex8")."""
-    if isinstance(pid, str):
-        try:
-            pid = PresetId(pid.lower())
-        except ValueError:
-            valid = ", ".join(sorted(p.value for p in PresetId))
-            raise ValueError(f"unknown preset {pid!r}; valid ids: {valid}") from None
-    return PRESETS[pid]
+@dataclass(frozen=True)
+class Surface:
+    """One surface configuration: a family, its parameters and an (x, t)
+    window, with the preset id it came from (None for a parametric run).
+
+    Built by :func:`resolve`, which validates it.
+    """
+
+    family: Family
+    params: SolitonParams
+    x_range: Window
+    t_range: Window
+    preset_id: str | None
+
+    def grid(self, nx: int, nt: int, half: float | None = None):
+        """Meshgrid (x, t) over the window, clipped to [-half, half]^2 if given."""
+        xr, tr = self.x_range, self.t_range
+        if half is not None:
+            xr = (max(xr[0], -half), min(xr[1], half))
+            tr = (max(tr[0], -half), min(tr[1], half))
+        xv = np.linspace(xr[0], xr[1], nx)
+        tv = np.linspace(tr[0], tr[1], nt)
+        return np.meshgrid(xv, tv)
 
 
-Window = tuple[float, float]
+def _window(axis: str, given: Window | None, default: Window) -> Window:
+    lo, hi = default if given is None else (float(given[0]), float(given[1]))
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(
+            f"{axis}_range = ({lo:g}, {hi:g}): need finite {axis}-min < {axis}-max"
+        )
+    return lo, hi
 
 
 def resolve(
-    preset_id: PresetId | str | None = None,
+    preset_id: str | None = None,
     family: str | None = None,
     params: SolitonParams | None = None,
     x_range: Window | None = None,
     t_range: Window | None = None,
-) -> tuple[Family, SolitonParams, str | None, tuple[Window | None, Window | None]]:
-    """Turn a preset id, or a family name with parameters, into
-    (family, params, preset id, (x_range, t_range)).
+) -> Surface:
+    """Turn a preset id ("ex2" .. "ex8"), or a family name with parameters,
+    into a validated :class:`Surface`.
 
-    A preset supplies family, parameters and window, and explicit ranges
-    override its window.  Without a preset the ranges are returned as given,
-    None included, for the caller to default or reject.
+    A preset supplies family, parameters and window; a parametric run's
+    window is ``DEFAULT_WINDOW`` on each axis.  Explicit ranges override
+    either.  Raises ValueError for an unknown preset or family, missing
+    parameters, parameters the family rejects, or a window that is not
+    finite with min < max.
     """
     if preset_id is not None:
-        pre = preset(preset_id)
-        window = (pre.window[0] if x_range is None else x_range,
-                  pre.window[1] if t_range is None else t_range)
-        return pre.family, pre.params, pre.id.value, window
-    if family not in FAMILIES:
-        valid = ", ".join(sorted(FAMILIES))
-        raise ValueError(f"unknown family {family!r}; valid families: {valid}")
-    if params is None:
-        raise ValueError("params required when no preset is given")
-    return FAMILIES[family], params, None, (x_range, t_range)
+        if family is not None or params is not None:
+            raise ValueError("give a preset or a family with params, not both")
+        pid = preset_id.lower()
+        if pid not in PRESETS:
+            valid = ", ".join(PRESETS)
+            raise ValueError(f"unknown preset {preset_id!r}; valid ids: {valid}")
+        fam, (k1, lam, mu, nu), half = PRESETS[pid]
+        params = SolitonParams(k1=float(k1), lam=float(lam), mu=float(mu),
+                               nu=0.0 if nu is None else float(nu))
+        default = (-float(half), float(half))
+    else:
+        if family not in FAMILIES:
+            valid = ", ".join(sorted(FAMILIES))
+            raise ValueError(f"unknown family {family!r}; valid families: {valid}")
+        if params is None:
+            raise ValueError("params required when no preset is given")
+        fam, pid, default = FAMILIES[family], None, DEFAULT_WINDOW
+    fam.validate(params)
+    return Surface(fam, params, _window("x", x_range, default),
+                   _window("t", t_range, default), pid)
 
 
 def _inv2(m: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .immersion import resolve
-from .soliton import SolitonParams, check_grid, jet as soliton_jet
+from .immersion import Surface
+from .soliton import check_grid, jet as soliton_jet
 
 __all__ = [
     "SurfaceMesh",
@@ -39,13 +39,9 @@ class SurfaceMesh:
     Vertex index v = it * nx + ix; all arrays share that flat ordering.
     """
 
-    family: str
-    params: SolitonParams
-    preset_id: str | None
+    surface: Surface
     nx: int
     nt: int
-    x_range: tuple[float, float]
-    t_range: tuple[float, float]
     x: np.ndarray
     t: np.ndarray
     vertices: np.ndarray
@@ -71,35 +67,12 @@ class SurfaceMesh:
                 yield a, a + 1, a + nx + 1, a + nx
 
 
-def generate(
-    family: str | None = None,
-    params: SolitonParams | None = None,
-    preset_id: str | None = None,
-    x_range: tuple[float, float] | None = None,
-    t_range: tuple[float, float] | None = None,
-    nx: int = 101,
-    nt: int = 101,
-) -> SurfaceMesh:
-    """Sample a surface family on a rectangular grid.
-
-    Either ``preset_id`` (which supplies family, parameters, and default
-    window) or both ``family`` and ``params`` must be given; explicit
-    ``x_range``/``t_range`` override the preset window.
-    """
-    fam, params, preset_id, (x_range, t_range) = resolve(
-        preset_id, family, params, x_range, t_range
-    )
-    if x_range is None or t_range is None:
-        raise ValueError("x_range and t_range required when no preset is given")
+def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
+    """Sample a surface (see :func:`immersion.resolve`) on an nx by nt grid
+    over its window."""
     check_grid(nx, nt)
-    if not (x_range[0] < x_range[1]) or not (t_range[0] < t_range[1]):
-        raise ValueError("degenerate window: need min < max in both axes")
-
-    fam.validate(params)
-
-    xv = np.linspace(x_range[0], x_range[1], nx)
-    tv = np.linspace(t_range[0], t_range[1], nt)
-    x, t = np.meshgrid(xv, tv)
+    fam, params = surface.family, surface.params
+    x, t = surface.grid(nx, nt)
 
     y = fam.position(x, t, params)
     cur = fam.curvatures(x, t, params)
@@ -112,13 +85,9 @@ def generate(
 
     flat = lambda a: np.asarray(a, dtype=float).reshape(-1)
     return SurfaceMesh(
-        family=fam.name,
-        params=params,
-        preset_id=preset_id,
+        surface=surface,
         nx=nx,
         nt=nt,
-        x_range=(float(x_range[0]), float(x_range[1])),
-        t_range=(float(t_range[0]), float(t_range[1])),
         x=flat(x),
         t=flat(t),
         vertices=np.asarray(y, dtype=float).reshape(-1, 3),
@@ -171,16 +140,17 @@ def _jsonable(arr) -> list:
 
 
 def _json_text(mesh: SurfaceMesh) -> str:
-    p = mesh.params
+    surf = mesh.surface
+    p = surf.params
     doc = {
         "mesh_version": 1,
-        "family": mesh.family,
-        "preset": mesh.preset_id,
+        "family": surf.family.name,
+        "preset": surf.preset_id,
         "params": {"k1": p.k1, "lambda": p.lam, "mu": p.mu, "nu": p.nu},
         "nx": mesh.nx,
         "nt": mesh.nt,
-        "x_range": list(mesh.x_range),
-        "t_range": list(mesh.t_range),
+        "x_range": list(surf.x_range),
+        "t_range": list(surf.t_range),
         "order": "row-major in t then x; vertex = it*nx + ix",
         "x": _jsonable(mesh.x),
         "t": _jsonable(mesh.t),

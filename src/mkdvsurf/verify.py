@@ -10,7 +10,8 @@ check explicitly is a configuration error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ from .deformation import (
     forms_from_ab,
     symmetry_sphere_check,
 )
-from .immersion import SPECTRAL3, Family
+from .immersion import SPECTRAL3, Surface
 from .lax import canonical_constants, det_phi_expected, lax_residuals, phi, zero_curvature_residual
 from .soliton import SolitonParams, check_grid, u as soliton_u, xi_grid
 
@@ -118,9 +119,7 @@ class CheckResult:
 class VerificationReport:
     """Aggregated check results for one surface configuration."""
 
-    family: str
-    params: SolitonParams
-    preset_id: str | None
+    surface: Surface
     grid: str
     checks: tuple[CheckResult, ...]
     report_version: int = 1
@@ -130,11 +129,11 @@ class VerificationReport:
         return all(c.passed is not False for c in self.checks)
 
     def to_dict(self) -> dict:
-        p = self.params
+        p = self.surface.params
         return {
             "report_version": self.report_version,
-            "family": self.family,
-            "preset": self.preset_id,
+            "family": self.surface.family.name,
+            "preset": self.surface.preset_id,
             "params": {"k1": p.k1, "lambda": p.lam, "mu": p.mu, "nu": p.nu},
             "grid": self.grid,
             "passed": self.passed,
@@ -181,24 +180,10 @@ def _jsonable(v: float):
 
 @dataclass(frozen=True)
 class _Config:
-    family: Family
-    params: SolitonParams
-    preset_id: str | None
-    x_range: tuple[float, float]
-    t_range: tuple[float, float]
+    surface: Surface
     nx: int
     nt: int
     fd_step: float | None
-
-    def grid_arrays(self, half: float | None = None):
-        """Meshgrid over the window, optionally clipped to [-half, half]^2."""
-        xr, tr = self.x_range, self.t_range
-        if half is not None:
-            xr = (max(xr[0], -half), min(xr[1], half))
-            tr = (max(tr[0], -half), min(tr[1], half))
-        xv = np.linspace(xr[0], xr[1], self.nx)
-        tv = np.linspace(tr[0], tr[1], self.nt)
-        return np.meshgrid(xv, tv)
 
     def operator_stencil(self) -> diffgeo.Stencil | None:
         """The divergence-operator stencil at fd_step; None keeps the default."""
@@ -207,11 +192,10 @@ class _Config:
         return replace(diffgeo.OPERATOR_STENCIL, h=self.fd_step)
 
     def label(self, detail: str = "") -> str:
-        base = f"{self.nx}x{self.nt}"
-        return f"{base} {detail}" if detail else (
-            f"{base} on [{self.x_range[0]:g},{self.x_range[1]:g}]"
-            f"x[{self.t_range[0]:g},{self.t_range[1]:g}]"
-        )
+        if not detail:
+            (x0, x1), (t0, t1) = self.surface.x_range, self.surface.t_range
+            detail = f"on [{x0:g},{x1:g}]x[{t0:g},{t1:g}]"
+        return f"{self.nx}x{self.nt} {detail}"
 
 
 def _stats(res) -> tuple[float, float]:
@@ -239,17 +223,17 @@ def _is_half_k1(p: SolitonParams) -> bool:
 
 def _incompatible(name: str, cfg: _Config) -> str | None:
     """Reason the check cannot run, or None if it can."""
-    p = cfg.params
+    p = cfg.surface.params
     if name in ("forms", "consistency"):
         return None
     if name in ("weingarten", "willmore", "shape"):
-        if cfg.family is not SPECTRAL3:
+        if cfg.surface.family is not SPECTRAL3:
             return "spectral3-family check"
         if name == "willmore" and not _is_half_k1(p):
             return "requires lambda = k1/2"
         return None
     if name == "weingarten-paper-literal":
-        if cfg.family is not SPECTRAL3:
+        if cfg.surface.family is not SPECTRAL3:
             return "spectral3-family check"
         return None
     if name == "sphere":
@@ -260,15 +244,15 @@ def _incompatible(name: str, cfg: _Config) -> str | None:
 
 
 def _check_zerocurv(cfg: _Config, tol: float) -> CheckResult:
-    x, t = cfg.grid_arrays()
-    res = np.abs(zero_curvature_residual(x, t, cfg.params))
+    x, t = cfg.surface.grid(cfg.nx, cfg.nt)
+    res = np.abs(zero_curvature_residual(x, t, cfg.surface.params))
     return _result("zerocurv", cfg.label(), tol, res)
 
 
 def _check_lax(cfg: _Config, tol: float) -> CheckResult:
-    p = cfg.params
+    p = cfg.surface.params
     c = canonical_constants(p)
-    x, t = cfg.grid_arrays(half=2.0)
+    x, t = cfg.surface.grid(cfg.nx, cfg.nt, half=2.0)
     h = cfg.fd_step if cfg.fd_step is not None else 1e-6
     rx, rt = lax_residuals(x, t, p, c, h=h)
     res = np.maximum(np.abs(rx).max(axis=(-2, -1)), np.abs(rt).max(axis=(-2, -1)))
@@ -288,13 +272,11 @@ def _check_lax(cfg: _Config, tol: float) -> CheckResult:
 
 
 def _check_compat(cfg: _Config, tol: float) -> CheckResult:
-    p = cfg.params
-    x, t = cfg.grid_arrays(half=2.0)
+    p = cfg.surface.params
+    x, t = cfg.surface.grid(cfg.nx, cfg.nt, half=2.0)
     res = []
     for kind in DeformationKind:
         kp = p
-        if kind is DeformationKind.SPECTRAL_GAUGE and p.mu == 0.0 and p.nu == 0.0:
-            kp = SolitonParams(p.k1, p.lam, p.mu, nu=1.0)
         if kind is DeformationKind.SPECTRAL and p.mu == 0.0:
             kp = SolitonParams(p.k1, p.lam, mu=1.0, nu=p.nu)
         res.append(np.abs(ab_compatibility_residual(x, t, kp, kind)))
@@ -303,7 +285,7 @@ def _check_compat(cfg: _Config, tol: float) -> CheckResult:
 
 
 def _check_forms(cfg: _Config, tol: float) -> CheckResult:
-    p, fam = cfg.params, cfg.family
+    p, fam = cfg.surface.params, cfg.surface.family
     x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
     u_val = soliton_u(x, t, p)
     f = forms_from_ab(x, t, p, fam.kind)
@@ -332,7 +314,7 @@ def _check_forms(cfg: _Config, tol: float) -> CheckResult:
 
 
 def _check_weingarten(cfg: _Config, tol: float, paper_literal: bool) -> CheckResult:
-    p = cfg.params
+    p = cfg.surface.params
     x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
     cur = curvatures_spectral_closed(soliton_u(x, t, p), p)
     wr = immersion.weingarten_residuals(cur.K, cur.H, p, paper_literal=paper_literal)
@@ -349,8 +331,8 @@ def _check_weingarten(cfg: _Config, tol: float, paper_literal: bool) -> CheckRes
 
 
 def _check_willmore(cfg: _Config, tol: float) -> CheckResult:
-    p = cfg.params
-    providers = cfg.family.providers(p)
+    p = cfg.surface.params
+    providers = cfg.surface.family.providers(p)
     x, t = xi_grid(p, 2.0, cfg.nx, cfg.nt)
     s = cfg.operator_stencil()
     res, scale = diffgeo.willmore_like_residual(providers, 4.0 / 9.0, 1.0, x, t, s)
@@ -359,7 +341,7 @@ def _check_willmore(cfg: _Config, tol: float) -> CheckResult:
 
 
 def _check_shape(cfg: _Config, tol: float) -> CheckResult:
-    p = cfg.params
+    p = cfg.surface.params
     s = cfg.operator_stencil()
     worst = 0.0
     med = []
@@ -383,8 +365,8 @@ def _check_shape(cfg: _Config, tol: float) -> CheckResult:
 
 
 def _check_sphere(cfg: _Config, tol: float) -> CheckResult:
-    p = cfg.params
-    x, t = cfg.grid_arrays(half=2.0)
+    p = cfg.surface.params
+    x, t = cfg.surface.grid(cfg.nx, cfg.nt, half=2.0)
     rep = symmetry_sphere_check(p, x, t)
     radius_rel = abs(rep.radius_estimate - rep.expected_radius) / rep.expected_radius
     res = np.array([rep.k_rel_spread, rep.h2_minus_k_rel, radius_rel])
@@ -400,10 +382,10 @@ def _check_sphere(cfg: _Config, tol: float) -> CheckResult:
 
 
 def _check_consistency(cfg: _Config, tol: float) -> CheckResult:
-    p = cfg.params
-    x, t = cfg.grid_arrays(half=2.0)
+    p = cfg.surface.params
+    x, t = cfg.surface.grid(cfg.nx, cfg.nt, half=2.0)
     h = cfg.fd_step if cfg.fd_step is not None else 1e-3
-    rx, rt = immersion.position_consistency_residual(x, t, p, cfg.family, h=h)
+    rx, rt = immersion.position_consistency_residual(x, t, p, cfg.surface.family, h=h)
     res = np.concatenate([np.abs(rx).reshape(-1), np.abs(rt).reshape(-1)])
     return _result("consistency", cfg.label("on [-2,2]^2"), tol, res,
                    note="frame tangents vs position derivatives")
@@ -422,39 +404,30 @@ _RUNNERS = {
 
 
 def run_checks(
-    checks: Sequence[str] | str = "all",
-    family: str | None = None,
-    params: SolitonParams | None = None,
-    preset_id: str | None = None,
-    x_range: tuple[float, float] | None = None,
-    t_range: tuple[float, float] | None = None,
+    checks: Sequence[str] | str,
+    surface: Surface,
     nx: int = 41,
     nt: int = 41,
     tolerances: Mapping[str, float] | None = None,
     fd_step: float | None = None,
 ) -> VerificationReport:
-    """Run named checks and aggregate a report.
+    """Run named checks on a surface (see :func:`immersion.resolve`) and
+    aggregate a report.
 
     ``checks`` is "all" (every standard check; incompatible ones appear as
     skipped with the reason) or an explicit list, which may also include the
     opt-in regression checks and raises ``CheckConfigError`` when a listed
-    check cannot run for this configuration.  ``fd_step``, when given, is
-    the one finite-difference step of the lax, consistency, willmore and
-    shape checks; it must lie in [diffgeo.STEP_MIN, diffgeo.STEP_MAX] and in
-    the ``FD_STEP_RANGES`` entry of each of those checks that will run.  It
-    and the grid size are validated before any check runs.
+    check cannot run for this configuration.  A tolerance must be finite and
+    >= 0.  ``fd_step``, when given, is the one finite-difference step of the
+    lax, consistency, willmore and shape checks; it must lie in
+    [diffgeo.STEP_MIN, diffgeo.STEP_MAX] and in the ``FD_STEP_RANGES`` entry
+    of each of those checks that will run.  It, the tolerances and the grid
+    size are validated before any check runs.
     """
     try:
-        fam, params, preset_id, (x_range, t_range) = immersion.resolve(
-            preset_id, family, params, x_range, t_range
-        )
         check_grid(nx, nt)
     except ValueError as exc:
         raise CheckConfigError(str(exc)) from None
-    if x_range is None:
-        x_range = (-3.0, 3.0)
-    if t_range is None:
-        t_range = (-3.0, 3.0)
     if fd_step is not None and not (diffgeo.STEP_MIN <= fd_step <= diffgeo.STEP_MAX):
         raise CheckConfigError(
             f"fd_step = {fd_step} outside [{diffgeo.STEP_MIN}, {diffgeo.STEP_MAX}]"
@@ -481,17 +454,12 @@ def run_checks(
             if key not in tols:
                 raise CheckConfigError(f"no tolerance named {key!r}")
             tols[key] = float(val)
+            if not (math.isfinite(tols[key]) and tols[key] >= 0.0):
+                raise CheckConfigError(
+                    f"tolerance of check {key!r} = {val}: need finite and >= 0"
+                )
 
-    cfg = _Config(
-        family=fam,
-        params=params,
-        preset_id=preset_id,
-        x_range=(float(x_range[0]), float(x_range[1])),
-        t_range=(float(t_range[0]), float(t_range[1])),
-        nx=int(nx),
-        nt=int(nt),
-        fd_step=fd_step,
-    )
+    cfg = _Config(surface=surface, nx=int(nx), nt=int(nt), fd_step=fd_step)
 
     if fd_step is not None:
         for name in names:
@@ -530,9 +498,7 @@ def run_checks(
             results.append(_RUNNERS[name](cfg, tols[name]))
 
     return VerificationReport(
-        family=fam.name,
-        params=cfg.params,
-        preset_id=cfg.preset_id,
+        surface=surface,
         grid=cfg.label(),
         checks=tuple(results),
     )

@@ -22,17 +22,17 @@ from mkdvsurf.deformation import (
 from mkdvsurf.immersion import (
     SPECTRAL3,
     SPECTRAL_GAUGE4,
-    PresetId,
+    PRESETS,
     four_param_forms_closed,
     position_consistency_residual,
-    preset,
+    resolve,
     three_param_forms_closed,
     weingarten_residuals,
 )
 from mkdvsurf.lax import canonical_constants, det_phi_expected, lax_residuals, phi, zero_curvature_residual
 from mkdvsurf.soliton import SolitonParams, u as soliton_u, xi_grid
 
-ALL_PRESETS = [p.value for p in PresetId]
+ALL_PRESETS = list(PRESETS)
 
 
 def _line(n: int, ok: bool, detail: str) -> bool:
@@ -113,7 +113,7 @@ def test_criterion_04_forms_curvature_equivalence():
     stencil = diffgeo.Stencil(h=1e-3, order=4, richardson=True)
     worst_fd = 0.0
     for pid in ALL_PRESETS:
-        pre = preset(pid)
+        pre = resolve(pid)
         p = pre.params
         x, t = xi_grid(p, 2.95, N_XI, N_T)
         uu = soliton_u(x, t, p)
@@ -149,7 +149,7 @@ def test_criterion_05_position_consistency():
     x, t = np.meshgrid(np.linspace(-2, 2, 21), np.linspace(-2, 2, 21))
     worst = 0.0
     for pid in ALL_PRESETS:
-        pre = preset(pid)
+        pre = resolve(pid)
         rx, rt = position_consistency_residual(x, t, pre.params, pre.family)
         worst = max(worst, float(np.max(np.abs(rx))), float(np.max(np.abs(rt))))
     ok = worst < 1e-6
@@ -274,18 +274,19 @@ def test_criterion_10_figure_windows(tmp_path):
     details = []
     ok = True
     for pid in ALL_PRESETS:
-        pre = preset(pid)
+        pre = resolve(pid)
         start = time.perf_counter()
-        m = mesh.generate(preset_id=pid)
+        m = mesh.generate(pre)
         mesh.export(m, "obj", tmp_path / f"{pid}.obj")
         elapsed = time.perf_counter() - start
         # the exported vertex at the window corner with the largest |xi|
         i = int(np.argmax(np.abs(m.xi)))
         xi_c = float(m.xi[i])
         branch = 1 if xi_c >= 0.0 else -1
-        y2_inf, y3_inf = pre.family.asymptotic_profile(m.x[i], m.t[i], pre.params, branch)
+        p = pre.params
+        y2_inf, y3_inf = pre.family.asymptotic_profile(m.x[i], m.t[i], p, branch)
         dev = float(np.hypot(m.vertices[i, 1] - y2_inf, m.vertices[i, 2] - y3_inf))
-        c = float(2 * abs(pre.mu) * pre.k1 / (pre.k1 ** 2 + 4 * pre.lam ** 2))
+        c = 2 * abs(p.mu) * p.k1 / (p.k1 ** 2 + 4 * p.lam ** 2)
         tail = c / np.cosh(xi_c)
         rel = dev / tail - 1.0
         good = elapsed < 5.0 and abs(rel) <= 1e-3

@@ -14,14 +14,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+PRESETS_TABLE = """\
+id   family          k1  lambda  mu       nu  window
+ex2  spectral3       2   1       -8       -   [-3,3]x[-3,3]
+ex3  spectral3       2   0       -4       -   [-6,6]x[-6,6]
+ex4  spectral3       3   1/10    -452/75  -   [-6,6]x[-6,6]
+ex5  spectral3       1   -1/10   -52/25   -   [-20,20]x[-20,20]
+ex6  spectralgauge4  2   0       -4       1   [-4,4]x[-4,4]
+ex7  spectralgauge4  2   1       1/10     1   [-6,6]x[-6,6]
+ex8  spectralgauge4  1   -1/10   -52/25   -1  [-20,20]x[-20,20]
+"""
+
+
 def test_presets_listing(capsys):
-    code, out, _ = run(capsys, "presets")
+    # byte for byte: the exact rationals and windows are source data
+    code, out, err = run(capsys, "presets")
     assert code == 0
-    rows = out.strip().split("\n")
-    assert len(rows) == 8  # header + 7 presets
-    assert "1/10" in out
-    assert "spectralgauge4" in out
-    assert presets_table() == presets_table()  # byte-stable
+    assert err == ""
+    assert out == PRESETS_TABLE
+    assert presets_table() == PRESETS_TABLE
 
 
 def test_generate_obj(tmp_path, capsys):
@@ -78,17 +89,32 @@ def test_generate_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+# Parameter and window flags that both subcommands must reject with exit 2
+# and the same message, naming the field, before any work is done.
+BAD_SURFACES = [
+    # mu defaults to zero, which the spectral family rejects
+    (("--family", "spectral3", "--k1", "2"), "mu"),
+    (("--family", "spectral3", "--k1", "2", "--lambda", "1"), "mu"),
+    # non-finite parameters are rejected before anything is sampled
+    (("--family", "spectral3", "--k1", "nan", "--mu", "1"), "k1"),
+    (("--family", "spectral3", "--k1", "inf", "--mu", "1"), "k1"),
+    (("--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "nan"), "mu"),
+    # a window must be finite, in order and of nonzero width
+    (("--preset", "ex2", "--x-min", "2", "--x-max", "-2"), "x_range"),
+    (("--preset", "ex6", "--t-min", "1", "--t-max", "1"), "t_range"),
+    (("--preset", "ex7", "--t-min", "nan", "--t-max", "1"), "t_range"),
+    (("--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "-8",
+      "--x-min=-inf", "--x-max", "1"), "x_range"),
+]
+
+
 def test_generate_config_error_exit_2(tmp_path, capsys):
     out_file = tmp_path / "x.obj"
     grid = ("--nx", "5", "--nt", "5", "--out", str(out_file))
     cases = [
-        # mu defaults to zero, which the spectral family rejects
-        (("generate", "--family", "spectral3", "--k1", "2", "--out", str(out_file)), "mu"),
-        # non-finite parameters are rejected before anything is sampled
-        (("generate", "--family", "spectral3", "--k1", "nan", "--mu", "1", *grid), "k1"),
-        (("generate", "--family", "spectral3", "--k1", "inf", "--mu", "1", *grid), "k1"),
-        (("verify", "--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "nan",
-          "--checks", "forms", "--out", str(out_file)), "mu"),
+        *((("generate", *flags, *grid), field) for flags, field in BAD_SURFACES),
+        *((("verify", *flags, "--checks", checks, *grid), field)
+          for flags, field in BAD_SURFACES for checks in ("zerocurv,lax,compat", "all")),
         # the one finite-difference step is validated before any check runs
         (("verify", "--preset", "ex2", "--checks", "lax", "--fd-step", "nan", *grid),
          "fd_step"),
@@ -104,6 +130,16 @@ def test_generate_config_error_exit_2(tmp_path, capsys):
           *grid), "fd_step", "willmore"),
         (("verify", "--preset", "ex2", "--checks", "consistency", "--fd-step", "1e-2",
           *grid), "fd_step", "consistency"),
+        # a tolerance must be finite and >= 0: nan or -1 would FAIL a passing
+        # check, and inf or nan would make the JSON report invalid
+        (("verify", "--preset", "ex2", "--checks", "shape", "--tol-shape", "nan", *grid),
+         "tolerance", "shape"),
+        (("verify", "--preset", "ex2", "--checks", "shape", "--tol-shape", "-1", *grid),
+         "tolerance", "shape"),
+        (("verify", "--preset", "ex2", "--checks", "zerocurv", "--tol-zerocurv", "inf",
+          "--format", "json", *grid), "tolerance", "zerocurv"),
+        (("verify", "--preset", "ex2", "--checks", "zerocurv", "--tol-zerocurv", "nan",
+          "--format", "json", *grid), "tolerance", "zerocurv"),
         # a grid too large for memory is rejected before anything is allocated
         (("generate", "--preset", "ex2", "--nx", "1000000", "--nt", "1000000",
           "--out", str(out_file)), "nx*nt"),
@@ -114,11 +150,24 @@ def test_generate_config_error_exit_2(tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, _, err = run(capsys, *argv)
-        assert code == 2
+        assert code == 2, (argv, err)
         assert all(field in err for field in fields), (argv, err)
         assert not out_file.exists()
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_generate_and_verify_reject_a_surface_alike(tmp_path, capsys):
+    # both subcommands build their surface on one path, so one message
+    for flags, field in BAD_SURFACES:
+        errors = []
+        for argv in (("generate", *flags, "--out", str(tmp_path / "x.obj")),
+                     ("verify", *flags)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (argv, err)
+            errors.append([ln for ln in err.splitlines() if ln.startswith("error:")])
+        assert errors[0] == errors[1] and len(errors[0]) == 1, (flags, errors)
+        assert field in errors[0][0]
 
 
 def test_fd_step_inside_a_checks_range_runs(capsys):

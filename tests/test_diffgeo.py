@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mkdvsurf import diffgeo as dg, lagrangian
-from mkdvsurf.immersion import SPECTRAL3, preset
+from mkdvsurf.immersion import SPECTRAL3, resolve
 from mkdvsurf.lax import canonical_constants, phi
 
 X1, T1 = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
@@ -50,7 +50,7 @@ def test_derivative_on_polynomial():
 
 def test_order2_richardson_is_the_old_lax_quotient_bitwise():
     # the Lax check's former (4 d(h/2) - d(h))/3 with d the 3-point quotient
-    p = preset("ex2").params
+    p = resolve("ex2").params
     c = canonical_constants(p)
     f = lambda x, t: phi(x, t, p, c)
     h = 1e-6
@@ -64,7 +64,7 @@ def test_order2_richardson_is_the_old_lax_quotient_bitwise():
 
 def test_order4_is_the_old_five_point_quotient_bitwise():
     # the consistency check's former inline 5-point quotient of the position
-    pre = preset("ex6")
+    pre = resolve("ex6")
     f = lambda x, t: pre.family.position(x, t, pre.params)
     h = 1e-3
     old_x = (8.0 * (f(X1 + h, T1) - f(X1 - h, T1))
@@ -210,7 +210,7 @@ def test_nabla_dot_bar_reduces_to_laplacian_on_unit_sphere():
 
 def test_nabla_dot_bar_keeps_the_weighted_flux_arithmetic_bitwise():
     # the former body: sqrt(det g) * K * (adjugate of h) . grad f / det h
-    prov = SPECTRAL3.providers(preset("ex2").params)
+    prov = SPECTRAL3.providers(resolve("ex2").params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
     s = dg.OPERATOR_STENCIL
     f = prov.mean_curvature
@@ -244,7 +244,7 @@ def test_near_singular_mask():
 
 
 def test_willmore_residual_shapes_and_scale():
-    pre = preset("ex2")
+    pre = resolve("ex2")
     prov = SPECTRAL3.providers(pre.params)
     x, t = np.meshgrid(np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
     res, scale = dg.willmore_like_residual(prov, 4.0 / 9.0, 1.0, x, t)
@@ -280,7 +280,7 @@ class _H2Lagrangian(_ConstLagrangian):
 
 
 def test_shape_residual_constant_energy_is_minus_4h():
-    prov = SPECTRAL3.providers(preset("ex2").params)
+    prov = SPECTRAL3.providers(resolve("ex2").params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
     [(res, _)] = dg.shape_equation_residual(prov, (_ConstLagrangian(),), x, t)
     h = prov.mean_curvature(x, t)
@@ -288,7 +288,7 @@ def test_shape_residual_constant_energy_is_minus_4h():
 
 
 def test_shape_residual_h2_is_willmore_operator():
-    prov = SPECTRAL3.providers(preset("ex2").params)
+    prov = SPECTRAL3.providers(resolve("ex2").params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
     [(res, _)] = dg.shape_equation_residual(prov, (_H2Lagrangian(),), x, t)
     h = prov.mean_curvature(x, t)
@@ -322,7 +322,7 @@ def test_shape_residual_cmc_balance():
 
 def test_multi_energy_shape_residuals_equal_single_calls():
     # one pass for several energies gives each energy's own residual bitwise
-    pre = preset("ex2")
+    pre = resolve("ex2")
     prov = SPECTRAL3.providers(pre.params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 7), np.linspace(-0.3, 0.3, 5))
     rng = np.random.default_rng(7)

@@ -6,9 +6,9 @@ import pytest
 from mkdvsurf import su2
 from mkdvsurf.deformation import DeformationKind, curvatures_from_forms, forms_from_ab
 from mkdvsurf.immersion import (
+    DEFAULT_WINDOW,
     FAMILIES,
     PRESETS,
-    PresetId,
     asymptotic_deviation,
     four_param_aux,
     four_param_curvatures_closed,
@@ -16,7 +16,6 @@ from mkdvsurf.immersion import (
     four_param_position,
     frame_tangents,
     position_consistency_residual,
-    preset,
     resolve,
     three_param_aux,
     three_param_curvatures_closed,
@@ -30,26 +29,39 @@ GRID = np.meshgrid(np.linspace(-2, 2, 13), np.linspace(-2, 2, 13))
 
 
 def test_preset_lookup():
-    pre = preset("ex2")
-    assert pre.id is PresetId.EX2
+    pre = resolve("ex2")
+    assert pre.preset_id == "ex2"
     assert pre.family.kind is DeformationKind.SPECTRAL
-    assert float(pre.mu) == -8.0
-    assert pre.window == ((-3.0, 3.0), (-3.0, 3.0))
-    assert preset(PresetId.EX7).family.kind is DeformationKind.SPECTRAL_GAUGE
+    assert pre.params.mu == -8.0
+    assert (pre.x_range, pre.t_range) == ((-3.0, 3.0), (-3.0, 3.0))
+    assert resolve("EX7").family.kind is DeformationKind.SPECTRAL_GAUGE
     with pytest.raises(ValueError):
-        preset("ex1")
+        resolve("ex1")
 
 
 def test_preset_exact_rationals():
-    assert str(preset("ex7").mu) == "1/10"
-    assert str(preset("ex4").mu) == "-452/75"
-    assert str(preset("ex8").nu) == "-1"
+    # PRESETS[id] = (family, (k1, lambda, mu, nu), window half-width)
+    assert str(PRESETS["ex7"][1][2]) == "1/10"
+    assert str(PRESETS["ex4"][1][2]) == "-452/75"
+    assert str(PRESETS["ex8"][1][3]) == "-1"
     assert len(PRESETS) == 7
+
+
+def test_resolve_window():
+    p = SolitonParams(2.0, 1.0, mu=-8.0)
+    surf = resolve(family="spectral3", params=p, t_range=(-1, 2))
+    assert (surf.x_range, surf.t_range) == (DEFAULT_WINDOW, (-1.0, 2.0))
+    assert resolve("ex3", x_range=(0, 1)).t_range == (-6.0, 6.0)
+    for bad in ((1.0, 1.0), (1.0, -1.0), (0.0, float("inf")), (float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="x_range"):
+            resolve(family="spectral3", params=p, x_range=bad)
+    with pytest.raises(ValueError, match="not both"):
+        resolve("ex2", family="spectral3", params=p)
 
 
 def test_three_param_aux_values():
     # Ex2 parameters: R1 = -mu k1 / (2 (k1^2 + 4 lam^2)) = 1
-    p = preset("ex2").params
+    p = resolve("ex2").params
     aux = three_param_aux(0.0, 0.0, p)
     assert aux.R1 == pytest.approx(1.0)
     assert aux.G == pytest.approx(0.0)
@@ -57,7 +69,7 @@ def test_three_param_aux_values():
 
 def test_three_param_crest_circle():
     # at xi = 0 the cross-section radius |(y2, y3)| equals |4 R1|
-    p = preset("ex2").params
+    p = resolve("ex2").params
     t = np.linspace(-3, 3, 11)
     x = -p.k1 ** 2 * t / 4.0  # xi = 0 line
     y = three_param_position(x, t, p)
@@ -66,7 +78,7 @@ def test_three_param_crest_circle():
 
 
 def test_four_param_aux_ex6():
-    p = preset("ex6").params
+    p = resolve("ex6").params
     aux = four_param_aux(0.0, 0.0, p)
     assert aux.R2 == pytest.approx(2 * p.k1 ** 2 * p.nu / (p.k1 ** 2 + 4 * p.lam ** 2))
     assert aux.R4 == pytest.approx(-8.0)
@@ -75,9 +87,9 @@ def test_four_param_aux_ex6():
     assert aux.R7 == pytest.approx(0.0)
 
 
-@pytest.mark.parametrize("pid", [p.value for p in PresetId])
+@pytest.mark.parametrize("pid", list(PRESETS))
 def test_position_matches_frame_tangents(pid):
-    pre = preset(pid)
+    pre = resolve(pid)
     p = pre.params
     x, t = GRID
     rx, rt = position_consistency_residual(x, t, p, pre.family)
@@ -86,7 +98,7 @@ def test_position_matches_frame_tangents(pid):
 
 
 def test_frame_tangent_lengths_match_metric():
-    pre = preset("ex2")
+    pre = resolve("ex2")
     p = pre.params
     x, t = GRID
     yx, yt = frame_tangents(x, t, p, pre.family.kind)
@@ -98,7 +110,7 @@ def test_frame_tangent_lengths_match_metric():
 
 @pytest.mark.parametrize("pid", ["ex2", "ex3", "ex4", "ex5"])
 def test_three_param_forms_match_frame(pid):
-    pre = preset(pid)
+    pre = resolve(pid)
     p = pre.params
     x, t = GRID
     closed = three_param_forms_closed(x, t, p)
@@ -114,7 +126,7 @@ def test_three_param_forms_match_frame(pid):
 
 @pytest.mark.parametrize("pid", ["ex6", "ex7", "ex8"])
 def test_four_param_curvatures_match_frame(pid):
-    pre = preset(pid)
+    pre = resolve(pid)
     p = pre.params
     x, t = GRID
     closed = four_param_curvatures_closed(x, t, p)
@@ -161,9 +173,9 @@ def test_weingarten_uncorrected_defect():
     assert float(wr.cubic) == pytest.approx(108.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("pid", [p.value for p in PresetId])
+@pytest.mark.parametrize("pid", list(PRESETS))
 def test_asymptotic_deviation_decays(pid):
-    pre = preset(pid)
+    pre = resolve(pid)
     p = pre.params
     # deviation from the |xi| -> infinity profile shrinks as |xi| grows;
     # |xi| = 9 is where 4 sech(xi) (ex2, ex3, ex6) first drops below 1e-3
@@ -177,12 +189,12 @@ def test_asymptotic_deviation_decays(pid):
 
 
 def test_family_position_dispatch():
-    p = preset("ex2").params
+    p = resolve("ex2").params
     assert np.array_equal(
         FAMILIES["spectral3"].position(GRID[0], GRID[1], p),
         three_param_position(GRID[0], GRID[1], p),
     )
-    p6 = preset("ex6").params
+    p6 = resolve("ex6").params
     assert np.array_equal(
         FAMILIES["spectralgauge4"].position(GRID[0], GRID[1], p6),
         four_param_position(GRID[0], GRID[1], p6),

@@ -1,16 +1,18 @@
 """Mesh sampling and the OBJ / CSV / JSON exporters."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from mkdvsurf import mesh as ms
+from mkdvsurf.immersion import DEFAULT_WINDOW, resolve
 from mkdvsurf.soliton import SolitonParams
 
 
 def test_two_by_two_mesh():
-    m = ms.generate(preset_id="ex2", nx=2, nt=2)
+    m = ms.generate(resolve("ex2"), nx=2, nt=2)
     assert m.n_vertices == 4
     assert list(m.quads()) == [(1, 2, 4, 3)]
     obj = ms.export_text(m, "obj")
@@ -20,7 +22,7 @@ def test_two_by_two_mesh():
 
 
 def test_grid_ordering_row_major_in_t():
-    m = ms.generate(preset_id="ex2", nx=3, nt=2)
+    m = ms.generate(resolve("ex2"), nx=3, nt=2)
     # vertex = it * nx + ix: first row has constant t, varying x
     assert m.t[0] == m.t[1] == m.t[2]
     assert m.x[0] < m.x[1] < m.x[2]
@@ -29,20 +31,22 @@ def test_grid_ordering_row_major_in_t():
 
 def test_generate_validation():
     with pytest.raises(ValueError):
-        ms.generate(preset_id="ex99")
+        resolve("ex99")
     with pytest.raises(ValueError):
-        ms.generate(preset_id="ex2", nx=1)
+        ms.generate(resolve("ex2"), nx=1)
+    # a parametric run without a window samples DEFAULT_WINDOW
+    surf = resolve(family="spectral3", params=SolitonParams(2.0, mu=1.0))
+    m = ms.generate(surf, nx=3, nt=3)
+    assert (m.surface.x_range, m.surface.t_range) == (DEFAULT_WINDOW, DEFAULT_WINDOW)
     with pytest.raises(ValueError):
-        ms.generate(family="spectral3", params=SolitonParams(2.0, mu=1.0))
-    with pytest.raises(ValueError):
-        ms.generate(
+        resolve(
             family="spectral3",
             params=SolitonParams(2.0, mu=1.0),
             x_range=(1.0, -1.0),
             t_range=(-1.0, 1.0),
         )
     with pytest.raises(ValueError):
-        ms.generate(
+        resolve(
             family="nosuch",
             params=SolitonParams(2.0, mu=1.0),
             x_range=(-1, 1),
@@ -51,14 +55,14 @@ def test_generate_validation():
 
 
 def test_window_override():
-    m = ms.generate(preset_id="ex2", x_range=(-1.0, 1.0), nx=11, nt=5)
-    assert m.x_range == (-1.0, 1.0)
-    assert m.t_range == (-3.0, 3.0)
+    m = ms.generate(resolve("ex2", x_range=(-1.0, 1.0)), nx=11, nt=5)
+    assert m.surface.x_range == (-1.0, 1.0)
+    assert m.surface.t_range == (-3.0, 3.0)
     assert m.x.min() == -1.0 and m.x.max() == 1.0
 
 
 def test_csv_roundtrip():
-    m = ms.generate(preset_id="ex6", nx=7, nt=5)
+    m = ms.generate(resolve("ex6"), nx=7, nt=5)
     text = ms.export_text(m, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "x,t,y1,y2,y3,K,H,singular"
@@ -72,21 +76,21 @@ def test_csv_roundtrip():
 
 
 def test_csv_precision_fifteen_digits():
-    m = ms.generate(preset_id="ex4", nx=3, nt=3)
+    m = ms.generate(resolve("ex4"), nx=3, nt=3)
     row = ms.export_text(m, "csv").strip().split("\n")[1].split(",")
     # 17 significant digits reproduce the double exactly
     assert float(row[2]) == m.vertices[0, 0]
 
 
 def test_export_determinism():
-    a = ms.generate(preset_id="ex7", nx=21, nt=21)
-    b = ms.generate(preset_id="ex7", nx=21, nt=21)
+    a = ms.generate(resolve("ex7"), nx=21, nt=21)
+    b = ms.generate(resolve("ex7"), nx=21, nt=21)
     for fmt in ("obj", "csv", "json"):
         assert ms.export_text(a, fmt) == ms.export_text(b, fmt)
 
 
 def test_json_schema():
-    m = ms.generate(preset_id="ex3", nx=4, nt=3)
+    m = ms.generate(resolve("ex3"), nx=4, nt=3)
     doc = json.loads(ms.export_text(m, "json"))
     assert doc["mesh_version"] == 1
     assert doc["family"] == "spectral3"
@@ -98,15 +102,10 @@ def test_json_schema():
 
 
 def test_obj_skips_faces_touching_nonfinite_vertices():
-    m = ms.generate(preset_id="ex2", nx=3, nt=3)
+    m = ms.generate(resolve("ex2"), nx=3, nt=3)
     vertices = m.vertices.copy()
     vertices[4] = np.nan  # center vertex of the 3x3 grid
-    broken = ms.SurfaceMesh(
-        family=m.family, params=m.params, preset_id=m.preset_id,
-        nx=m.nx, nt=m.nt, x_range=m.x_range, t_range=m.t_range,
-        x=m.x, t=m.t, vertices=vertices, K=m.K, H=m.H, xi=m.xi,
-        singular=m.singular,
-    )
+    broken = dataclasses.replace(m, vertices=vertices)
     obj = ms.export_text(broken, "obj")
     assert "nan" not in obj.lower()
     assert obj.count("\nf ") == 0  # every quad touches the center vertex
@@ -114,38 +113,42 @@ def test_obj_skips_faces_touching_nonfinite_vertices():
 
 
 def test_export_unknown_format():
-    m = ms.generate(preset_id="ex2", nx=2, nt=2)
+    m = ms.generate(resolve("ex2"), nx=2, nt=2)
     with pytest.raises(ValueError):
         ms.export_text(m, "stl")
 
 
 def test_export_writes_file(tmp_path):
-    m = ms.generate(preset_id="ex2", nx=4, nt=4)
+    m = ms.generate(resolve("ex2"), nx=4, nt=4)
     out = ms.export(m, "obj", tmp_path / "mesh.obj")
     assert out.read_text() == ms.export_text(m, "obj")
 
 
 def test_parametric_generate():
     m = ms.generate(
-        family="spectralgauge4",
-        params=SolitonParams(2.0, 0.0, mu=-4.0, nu=1.0),
-        x_range=(-4.0, 4.0),
-        t_range=(-4.0, 4.0),
+        resolve(
+            family="spectralgauge4",
+            params=SolitonParams(2.0, 0.0, mu=-4.0, nu=1.0),
+            x_range=(-4.0, 4.0),
+            t_range=(-4.0, 4.0),
+        ),
         nx=9,
         nt=9,
     )
-    ref = ms.generate(preset_id="ex6", nx=9, nt=9)
+    ref = ms.generate(resolve("ex6"), nx=9, nt=9)
     assert np.allclose(m.vertices, ref.vertices)
-    assert m.preset_id is None
+    assert m.surface.preset_id is None
 
 
 def test_singular_flagging_far_tail():
     # very wide window: the H pole u -> 0 is approached and flagged
     m = ms.generate(
-        family="spectral3",
-        params=SolitonParams(3.0, 0.1, mu=1.0),
-        x_range=(-40.0, 40.0),
-        t_range=(-1.0, 1.0),
+        resolve(
+            family="spectral3",
+            params=SolitonParams(3.0, 0.1, mu=1.0),
+            x_range=(-40.0, 40.0),
+            t_range=(-1.0, 1.0),
+        ),
         nx=41,
         nt=3,
     )

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from mkdvsurf import immersion, verify as vf
+from mkdvsurf.immersion import resolve
 from mkdvsurf.soliton import SolitonParams
 
 
 def test_all_checks_pass_on_reference_preset():
-    rep = vf.run_checks("all", preset_id="ex2")
+    rep = vf.run_checks("all", resolve("ex2"))
     assert rep.passed
     assert [c.name for c in rep.checks] == list(vf.CHECK_NAMES)
     assert all(c.passed is True for c in rep.checks)
 
 
 def test_incompatible_checks_skipped_with_reason():
-    rep = vf.run_checks("all", preset_id="ex6")
+    rep = vf.run_checks("all", resolve("ex6"))
     by_name = {c.name: c for c in rep.checks}
     assert rep.passed  # skips do not fail the run
     for name in ("weingarten", "willmore", "shape", "sphere"):
@@ -28,20 +29,20 @@ def test_incompatible_checks_skipped_with_reason():
 
 def test_explicit_incompatible_check_raises():
     with pytest.raises(vf.CheckConfigError):
-        vf.run_checks(["willmore"], preset_id="ex3")
+        vf.run_checks(["willmore"], resolve("ex3"))
     with pytest.raises(vf.CheckConfigError):
-        vf.run_checks(["shape"], preset_id="ex8")
+        vf.run_checks(["shape"], resolve("ex8"))
     with pytest.raises(vf.CheckConfigError):
-        vf.run_checks(["nosuch"], preset_id="ex2")
+        vf.run_checks(["nosuch"], resolve("ex2"))
 
 
 def test_opt_in_check_not_in_all():
-    rep = vf.run_checks("all", preset_id="ex2")
+    rep = vf.run_checks("all", resolve("ex2"))
     assert "weingarten-paper-literal" not in [c.name for c in rep.checks]
 
 
 def test_paper_literal_regression_fails_as_documented():
-    rep = vf.run_checks(["weingarten-paper-literal"], preset_id="ex2")
+    rep = vf.run_checks(["weingarten-paper-literal"], resolve("ex2"))
     c = rep.checks[0]
     assert c.passed is False
     assert not rep.passed
@@ -49,28 +50,27 @@ def test_paper_literal_regression_fails_as_documented():
 
 
 def test_tolerance_override_flips_outcome():
-    rep = vf.run_checks(["zerocurv"], preset_id="ex2", tolerances={"zerocurv": 1e-30})
+    rep = vf.run_checks(["zerocurv"], resolve("ex2"), tolerances={"zerocurv": 1e-30})
     assert not rep.passed
     with pytest.raises(vf.CheckConfigError):
-        vf.run_checks(["zerocurv"], preset_id="ex2", tolerances={"bogus": 1.0})
+        vf.run_checks(["zerocurv"], resolve("ex2"), tolerances={"bogus": 1.0})
 
 
 def test_parametric_configuration():
     rep = vf.run_checks(
         ["zerocurv", "consistency"],
-        family="spectral3",
-        params=SolitonParams(1.5, 0.2, mu=2.0),
+        resolve(family="spectral3", params=SolitonParams(1.5, 0.2, mu=2.0)),
         nx=11,
         nt=11,
     )
     assert rep.passed
-    assert rep.preset_id is None
-    with pytest.raises(vf.CheckConfigError):
-        vf.run_checks("all", family="spectral3")  # params missing
+    assert rep.surface.preset_id is None
+    with pytest.raises(ValueError):
+        resolve(family="spectral3")  # params missing
 
 
 def test_report_json_schema():
-    rep = vf.run_checks(["lax", "sphere"], preset_id="ex2", nx=11, nt=11)
+    rep = vf.run_checks(["lax", "sphere"], resolve("ex2"), nx=11, nt=11)
     doc = json.loads(rep.to_json())
     assert doc["report_version"] == 1
     assert doc["passed"] is True
@@ -82,7 +82,7 @@ def test_report_json_schema():
 
 
 def test_summary_lines_shape():
-    rep = vf.run_checks(["zerocurv"], preset_id="ex2", nx=5, nt=5)
+    rep = vf.run_checks(["zerocurv"], resolve("ex2"), nx=5, nt=5)
     lines = rep.summary_lines()
     assert len(lines) == 2
     assert lines[0].startswith("zerocurv")
@@ -90,7 +90,7 @@ def test_summary_lines_shape():
 
 
 def test_pass_iff_max_below_tolerance():
-    rep = vf.run_checks(["forms"], preset_id="ex5", nx=15, nt=15)
+    rep = vf.run_checks(["forms"], resolve("ex5"), nx=15, nt=15)
     c = rep.checks[0]
     assert c.passed == (c.max_residual <= c.tolerance)
     assert np.isfinite(c.median_residual)
@@ -98,8 +98,8 @@ def test_pass_iff_max_below_tolerance():
 
 
 def test_fd_step_override_respected():
-    a = vf.run_checks(["consistency"], preset_id="ex2", nx=7, nt=7, fd_step=1e-3)
-    b = vf.run_checks(["consistency"], preset_id="ex2", nx=7, nt=7, fd_step=3e-3)
+    a = vf.run_checks(["consistency"], resolve("ex2"), nx=7, nt=7, fd_step=1e-3)
+    b = vf.run_checks(["consistency"], resolve("ex2"), nx=7, nt=7, fd_step=3e-3)
     assert a.checks[0].max_residual != b.checks[0].max_residual
     assert a.passed and b.passed
 
@@ -116,6 +116,6 @@ def test_shape_check_curvature_budget(monkeypatch):
         return closed(*args)
 
     monkeypatch.setattr(immersion, "three_param_curvatures_closed", counted)
-    rep = vf.run_checks(["shape"], preset_id="ex2", nx=41, nt=41)
+    rep = vf.run_checks(["shape"], resolve("ex2"), nx=41, nt=41)
     assert rep.passed
     assert 0 < calls <= 700
