@@ -27,7 +27,7 @@ from .deformation import (
 )
 from .diffgeo import CurvaturePair, Forms, Stencil, SurfaceProviders, derivative
 from .lax import PhiConstants, canonical_constants, phi
-from .soliton import SolitonParams, jet
+from .soliton import XI_MAX, SolitonParams, jet
 from .soliton import xi as soliton_xi
 
 
@@ -326,11 +326,29 @@ class Surface:
 
 def _window(axis: str, given: Window | None, default: Window) -> Window:
     lo, hi = default if given is None else (float(given[0]), float(given[1]))
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi and np.isfinite(hi - lo)):
         raise ValueError(
-            f"{axis}_range = ({lo:g}, {hi:g}): need finite {axis}-min < {axis}-max"
+            f"{axis}_range = ({lo:g}, {hi:g}): need finite {axis}-min < {axis}-max "
+            "a finite width apart"
         )
     return lo, hi
+
+
+def _check_xi_reach(params: SolitonParams, x_range: Window, t_range: Window) -> None:
+    """Reject a window with a corner at |xi| >= XI_MAX, where the soliton
+    overflows, naming the axis whose part of xi is the larger there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, t = np.meshgrid(x_range, t_range)
+        reach = np.max(np.abs(soliton_xi(x, t, params)))
+        if reach < XI_MAX:
+            return
+        by_x = np.max(np.abs(soliton_xi(x, 0.0, params)))
+        by_t = np.max(np.abs(soliton_xi(0.0, t, params)))
+    axis, (lo, hi) = ("x", x_range) if by_x >= by_t else ("t", t_range)
+    raise ValueError(
+        f"{axis}_range = ({lo:g}, {hi:g}): |xi| reaches {reach:.4g} at a window "
+        f"corner; cosh overflows from {XI_MAX:.1f}"
+    )
 
 
 def resolve(
@@ -346,8 +364,9 @@ def resolve(
     A preset supplies family, parameters and window; a parametric run's
     window is ``DEFAULT_WINDOW`` on each axis.  Explicit ranges override
     either.  Raises ValueError for an unknown preset or family, missing
-    parameters, parameters the family rejects, or a window that is not
-    finite with min < max.
+    parameters, parameters the family rejects, a window that is not finite
+    with min < max and a finite width, or a window whose corners reach
+    |xi| >= ``soliton.XI_MAX``, where the soliton overflows.
     """
     if preset_id is not None:
         if family is not None or params is not None:
@@ -368,8 +387,9 @@ def resolve(
             raise ValueError("params required when no preset is given")
         fam, pid, default = FAMILIES[family], None, DEFAULT_WINDOW
     fam.validate(params)
-    return Surface(fam, params, _window("x", x_range, default),
-                   _window("t", t_range, default), pid)
+    xr, tr = _window("x", x_range, default), _window("t", t_range, default)
+    _check_xi_reach(params, xr, tr)
+    return Surface(fam, params, xr, tr, pid)
 
 
 def _inv2(m: np.ndarray) -> np.ndarray:

@@ -54,17 +54,15 @@ class SurfaceMesh:
     def n_vertices(self) -> int:
         return self.nx * self.nt
 
-    def quads(self):
-        """1-based vertex quadruples (a, b, d, c) per grid cell.
+    def quads(self) -> np.ndarray:
+        """1-based vertex quadruples (a, b, d, c), one row per grid cell.
 
         a-b is the +x edge of the lower t row, c-d the row above; the
         winding (a, b, d, c) keeps consecutive vertices edge-adjacent.
         """
         nx = self.nx
-        for it in range(self.nt - 1):
-            for ix in range(nx - 1):
-                a = it * nx + ix + 1
-                yield a, a + 1, a + nx + 1, a + nx
+        a = (np.arange(self.nt - 1)[:, None] * nx + np.arange(nx - 1)).reshape(-1) + 1
+        return np.stack([a, a + 1, a + nx + 1, a + nx], axis=1)
 
 
 def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
@@ -98,48 +96,58 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
     )
 
 
-def _fmt(v: float) -> str:
-    # 17 significant digits: exact float round trip
-    return format(float(v), ".17g")
+# Rows per %-format or json.dumps call.  A block's Python objects are all
+# that exists at once beside the output text, and the per-call overhead is
+# amortised over the block.
+_BLOCK_ROWS = 4096
+
+
+def _blocks(arr: np.ndarray):
+    """Consecutive slices of ``_BLOCK_ROWS`` rows of ``arr``."""
+    return (arr[i:i + _BLOCK_ROWS] for i in range(0, len(arr), _BLOCK_ROWS))
+
+
+def _rows_text(row_fmt: str, rows: np.ndarray) -> str:
+    """``row_fmt`` applied to each row of a 2-D array.  %.17g gives the
+    digits of format(v, ".17g"): an exact float round trip."""
+    return "".join(
+        (row_fmt * len(block)) % tuple(block.reshape(-1).tolist())
+        for block in _blocks(rows)
+    )
 
 
 def _obj_text(mesh: SurfaceMesh) -> str:
-    lines = []
-    ok = np.ones(mesh.n_vertices, dtype=bool)
-    for i in range(mesh.n_vertices):
-        vx, vy, vz = mesh.vertices[i]
-        if not (np.isfinite(vx) and np.isfinite(vy) and np.isfinite(vz)):
-            # placeholder keeps indices stable; faces below skip this vertex
-            lines.append("v 0 0 0")
-            ok[i] = False
-        else:
-            lines.append(f"v {_fmt(vx)} {_fmt(vy)} {_fmt(vz)}")
-    for a, b, d, c in mesh.quads():
-        if ok[a - 1] and ok[b - 1] and ok[c - 1] and ok[d - 1]:
-            lines.append(f"f {a} {b} {d} {c}")
-    return "\n".join(lines) + "\n"
+    ok = np.isfinite(mesh.vertices).all(axis=1)
+    # a non-finite vertex is written as the placeholder "v 0 0 0", which
+    # keeps indices stable; faces touching it are left out
+    vertices = np.where(ok[:, None], mesh.vertices, 0.0)
+    quads = mesh.quads()
+    faces = quads[ok[quads - 1].all(axis=1)]
+    return (_rows_text("v %.17g %.17g %.17g\n", vertices)
+            + _rows_text("f %d %d %d %d\n", faces))
 
 
 def _csv_text(mesh: SurfaceMesh) -> str:
-    lines = ["x,t,y1,y2,y3,K,H,singular"]
-    for i in range(mesh.n_vertices):
-        vals = (
-            mesh.x[i], mesh.t[i],
-            mesh.vertices[i, 0], mesh.vertices[i, 1], mesh.vertices[i, 2],
-            mesh.K[i], mesh.H[i],
-        )
-        lines.append(",".join(_fmt(v) for v in vals) + f",{int(mesh.singular[i])}")
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack(
+        (mesh.x, mesh.t, mesh.vertices, mesh.K, mesh.H, mesh.singular)
+    )
+    return "x,t,y1,y2,y3,K,H,singular\n" + _rows_text("%.17g," * 7 + "%d\n", rows)
 
 
-def _jsonable(arr) -> list:
-    out = []
-    for v in np.asarray(arr, dtype=float).reshape(-1):
-        out.append(float(v) if np.isfinite(v) else None)
-    return out
+_JSON_SEP = (",", ":")
+
+
+def _json_array(arr: np.ndarray) -> str:
+    """JSON list of an array, block by block, with non-finite entries null."""
+    return "[" + ",".join(
+        json.dumps(np.where(np.isfinite(b), b, None).tolist(), separators=_JSON_SEP)[1:-1]
+        for b in _blocks(arr)
+    ) + "]"
 
 
 def _json_text(mesh: SurfaceMesh) -> str:
+    # Key by key in sorted order, the bytes of json.dumps(doc, sort_keys=True,
+    # separators=(",", ":")) without holding the arrays as Python floats.
     surf = mesh.surface
     p = surf.params
     doc = {
@@ -152,17 +160,22 @@ def _json_text(mesh: SurfaceMesh) -> str:
         "x_range": list(surf.x_range),
         "t_range": list(surf.t_range),
         "order": "row-major in t then x; vertex = it*nx + ix",
-        "x": _jsonable(mesh.x),
-        "t": _jsonable(mesh.t),
-        "vertices": [
-            _jsonable(mesh.vertices[i]) for i in range(mesh.n_vertices)
-        ],
-        "K": _jsonable(mesh.K),
-        "H": _jsonable(mesh.H),
-        "xi": _jsonable(mesh.xi),
-        "singular": [int(s) for s in mesh.singular],
+        "x": mesh.x,
+        "t": mesh.t,
+        "vertices": mesh.vertices,
+        "K": mesh.K,
+        "H": mesh.H,
+        "xi": mesh.xi,
+        "singular": mesh.singular.astype(int),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    items = (
+        json.dumps(key) + ":" + (
+            _json_array(v) if isinstance(v, np.ndarray)
+            else json.dumps(v, sort_keys=True, separators=_JSON_SEP)
+        )
+        for key, v in sorted(doc.items())
+    )
+    return "{" + ",".join(items) + "}\n"
 
 
 _WRITERS = {"obj": _obj_text, "csv": _csv_text, "json": _json_text}

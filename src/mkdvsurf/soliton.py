@@ -128,6 +128,11 @@ class Jet:
         return self.p.alpha * self.u_xxx
 
 
+# |xi| from which cosh, and with it the jet, overflows in float64: the
+# rounded arccosh of the largest double (np.cosh of it is inf).
+XI_MAX = float(np.arccosh(np.finfo(float).max))
+
+
 def jet(x, t, p: SolitonParams) -> Jet:
     """The soliton's jet at (x, t): the package's one evaluation of sech, tanh."""
     z = np.asarray(xi(x, t, p), dtype=float)

@@ -105,6 +105,12 @@ BAD_SURFACES = [
     (("--preset", "ex7", "--t-min", "nan", "--t-max", "1"), "t_range"),
     (("--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "-8",
       "--x-min=-inf", "--x-max", "1"), "x_range"),
+    # a window whose width overflows, or whose corners reach |xi| where
+    # cosh overflows (about 710.5): ex4 has xi = 3 (9 t + 4 x) / 8
+    (("--preset", "ex2", "--x-min", "-1e308", "--x-max", "1e308"), "x_range"),
+    (("--preset", "ex2", "--x-min", "-1e200", "--x-max", "1e200"), "x_range"),
+    (("--preset", "ex4", "--x-min", "-700", "--x-max", "700"), "x_range"),
+    (("--preset", "ex4", "--t-min", "-300", "--t-max", "300"), "t_range"),
 ]
 
 

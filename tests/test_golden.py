@@ -51,6 +51,22 @@ EXPORT_SHA256 = {
     },
 }
 
+# 101 x 97 = 9797 vertices: more than two of the writers' 4096-row blocks
+# and not a multiple of one, so block boundaries are pinned as well
+MULTI_BLOCK_GRID = (101, 97)
+MULTI_BLOCK_SHA256 = {
+    "ex4": {
+        "obj": "4d6c68674ffba675de31a6f389d4ebfe7c6932169294d9f57aa463b595c318d0",
+        "csv": "1b2a4d64acecbe5c448ec65c97f2030f6ba8bea8a89735e2ee4ee997eb84be87",
+        "json": "88fabf6b1f968ebf89ffaae240507ab58d3d08ebe93b6a1f10215973dd53727a",
+    },
+    "ex7": {
+        "obj": "829535eb2a93905dc55a651ae2b6341d1d015dd85f9b9da096a73fb9acdfe7cd",
+        "csv": "b945f1e2b4a476d89150a7ee3ebd63f7ef7e671fab43497e88154ac083792c67",
+        "json": "4c998edf40f0bd09636c1e057ac27523caf023915ca992b4e09571c177e74e3f",
+    },
+}
+
 # checks `verify --checks all` skips per preset; every other check passes
 SKIPPED = {
     "ex2": (),
@@ -75,6 +91,18 @@ def test_export_bytes(pid, fmt, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256[pid][fmt]
+
+
+@pytest.mark.parametrize("fmt", ["obj", "csv", "json"])
+@pytest.mark.parametrize("pid", sorted(MULTI_BLOCK_SHA256))
+def test_export_bytes_multi_block(pid, fmt, tmp_path, capsys):
+    out = tmp_path / f"{pid}.{fmt}"
+    nx, nt = map(str, MULTI_BLOCK_GRID)
+    code = main(["generate", "--preset", pid, "--nx", nx, "--nt", nt,
+                 "--format", fmt, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MULTI_BLOCK_SHA256[pid][fmt]
 
 
 @pytest.mark.parametrize("pid", sorted(SKIPPED))

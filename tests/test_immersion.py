@@ -23,7 +23,7 @@ from mkdvsurf.immersion import (
     three_param_position,
     weingarten_residuals,
 )
-from mkdvsurf.soliton import SolitonParams, u as soliton_u, xi as soliton_xi
+from mkdvsurf.soliton import XI_MAX, SolitonParams, u as soliton_u, xi as soliton_xi
 
 GRID = np.meshgrid(np.linspace(-2, 2, 13), np.linspace(-2, 2, 13))
 
@@ -52,9 +52,17 @@ def test_resolve_window():
     surf = resolve(family="spectral3", params=p, t_range=(-1, 2))
     assert (surf.x_range, surf.t_range) == (DEFAULT_WINDOW, (-1.0, 2.0))
     assert resolve("ex3", x_range=(0, 1)).t_range == (-6.0, 6.0)
-    for bad in ((1.0, 1.0), (1.0, -1.0), (0.0, float("inf")), (float("nan"), 1.0)):
+    for bad in ((1.0, 1.0), (1.0, -1.0), (0.0, float("inf")), (float("nan"), 1.0),
+                (-1e308, 1e308), (-1e200, 1e200), (1e308, 1.7e308)):
         with pytest.raises(ValueError, match="x_range"):
             resolve(family="spectral3", params=p, x_range=bad)
+    # here xi = x + t, and t spans DEFAULT_WINDOW = (-3, 3): the corner
+    # (x_max, 3) decides, against the |xi| at which cosh overflows
+    resolve(family="spectral3", params=p, x_range=(0.0, XI_MAX - 3.5))
+    with pytest.raises(ValueError, match="x_range.*cosh overflows"):
+        resolve(family="spectral3", params=p, x_range=(0.0, XI_MAX - 2.5))
+    with pytest.raises(ValueError, match="t_range.*cosh overflows"):
+        resolve(family="spectral3", params=p, t_range=(-1e3, 0.0))
     with pytest.raises(ValueError, match="not both"):
         resolve("ex2", family="spectral3", params=p)
 

@@ -5,16 +5,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mkdvsurf import mesh as ms
 from mkdvsurf.immersion import DEFAULT_WINDOW, resolve
-from mkdvsurf.soliton import SolitonParams
+from mkdvsurf.soliton import XI_MAX, SolitonParams
 
 
 def test_two_by_two_mesh():
     m = ms.generate(resolve("ex2"), nx=2, nt=2)
     assert m.n_vertices == 4
-    assert list(m.quads()) == [(1, 2, 4, 3)]
+    assert m.quads().tolist() == [[1, 2, 4, 3]]
     obj = ms.export_text(m, "obj")
     lines = obj.strip().split("\n")
     assert sum(1 for l in lines if l.startswith("v ")) == 4
@@ -154,3 +155,149 @@ def test_singular_flagging_far_tail():
     )
     assert m.singular.any()
     assert np.isfinite(m.vertices).all()
+
+
+def test_window_up_to_xi_max_samples_without_overflow():
+    # xi = x + t here: the corner (x_max, 3) sits just below XI_MAX, the
+    # largest |xi| resolve admits, and the jet must not overflow there
+    surf = resolve(family="spectral3", params=SolitonParams(2.0, 1.0, mu=-8.0),
+                   x_range=(XI_MAX - 4.0, XI_MAX - 3.0 - 1e-9))
+    m = ms.generate(surf, nx=5, nt=5)
+    assert np.max(np.abs(m.xi)) > XI_MAX - 1e-6
+    assert np.isfinite(m.vertices).all()
+
+
+# Scalar reference writers: the per-value exporters the block writers
+# replaced, kept as the oracle the block writers must match byte for byte.
+def _ref_fmt(v) -> str:
+    return format(float(v), ".17g")
+
+
+def _ref_obj(mesh) -> str:
+    lines = []
+    ok = np.ones(mesh.n_vertices, dtype=bool)
+    for i in range(mesh.n_vertices):
+        vx, vy, vz = mesh.vertices[i]
+        if not (np.isfinite(vx) and np.isfinite(vy) and np.isfinite(vz)):
+            lines.append("v 0 0 0")
+            ok[i] = False
+        else:
+            lines.append(f"v {_ref_fmt(vx)} {_ref_fmt(vy)} {_ref_fmt(vz)}")
+    nx = mesh.nx
+    for it in range(mesh.nt - 1):
+        for ix in range(nx - 1):
+            a = it * nx + ix + 1
+            b, d, c = a + 1, a + nx + 1, a + nx
+            if ok[a - 1] and ok[b - 1] and ok[c - 1] and ok[d - 1]:
+                lines.append(f"f {a} {b} {d} {c}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_csv(mesh) -> str:
+    lines = ["x,t,y1,y2,y3,K,H,singular"]
+    for i in range(mesh.n_vertices):
+        vals = (
+            mesh.x[i], mesh.t[i],
+            mesh.vertices[i, 0], mesh.vertices[i, 1], mesh.vertices[i, 2],
+            mesh.K[i], mesh.H[i],
+        )
+        lines.append(",".join(_ref_fmt(v) for v in vals) + f",{int(mesh.singular[i])}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_jsonable(arr) -> list:
+    return [float(v) if np.isfinite(v) else None
+            for v in np.asarray(arr, dtype=float).reshape(-1)]
+
+
+def _ref_json(mesh) -> str:
+    surf = mesh.surface
+    p = surf.params
+    doc = {
+        "mesh_version": 1,
+        "family": surf.family.name,
+        "preset": surf.preset_id,
+        "params": {"k1": p.k1, "lambda": p.lam, "mu": p.mu, "nu": p.nu},
+        "nx": mesh.nx,
+        "nt": mesh.nt,
+        "x_range": list(surf.x_range),
+        "t_range": list(surf.t_range),
+        "order": "row-major in t then x; vertex = it*nx + ix",
+        "x": _ref_jsonable(mesh.x),
+        "t": _ref_jsonable(mesh.t),
+        "vertices": [_ref_jsonable(v) for v in mesh.vertices],
+        "K": _ref_jsonable(mesh.K),
+        "H": _ref_jsonable(mesh.H),
+        "xi": _ref_jsonable(mesh.xi),
+        "singular": [int(s) for s in mesh.singular],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+REFERENCE = {"obj": _ref_obj, "csv": _ref_csv, "json": _ref_json}
+
+# values whose text the writers must get right: non-finite ones, signed
+# zero, the subnormal and overflow edges
+SPECIAL = st.sampled_from(
+    [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e16]
+)
+FIELDS = st.sampled_from(["x", "t", "vertices", "K", "H", "xi", "singular"])
+
+
+def _inject(mesh, edits):
+    """Copy of ``mesh`` with ``edits`` [(field, row, value)] written in; a
+    vertices edit sets the whole row when the value is not finite, one
+    coordinate otherwise, and a singular edit flips the flag."""
+    arrays = {f: getattr(mesh, f).copy()
+              for f in ("x", "t", "vertices", "K", "H", "xi", "singular")}
+    for field, row, value in edits:
+        row %= mesh.n_vertices
+        if field == "singular":
+            arrays[field][row] = not arrays[field][row]
+        elif field == "vertices":
+            arrays[field][row, row % 3 if np.isfinite(value) else slice(None)] = value
+        else:
+            arrays[field][row] = value
+    return dataclasses.replace(mesh, **arrays)
+
+
+def _assert_matches_reference(mesh):
+    for fmt, ref in REFERENCE.items():
+        got, want = ms.export_text(mesh, fmt), ref(mesh)
+        if got != want:
+            # pytest's own diff of two texts this long takes minutes
+            at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                      min(len(got), len(want)))
+            near = slice(max(at - 40, 0), at + 40)
+            pytest.fail(f"{fmt} differs at char {at}: {got[near]!r} != {want[near]!r}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["ex4", "ex7"]),
+    st.integers(2, 13),
+    st.integers(2, 13),
+    st.lists(st.tuples(FIELDS, st.integers(0, 10**6), SPECIAL), max_size=12),
+)
+def test_writers_match_scalar_reference(pid, nx, nt, edits):
+    _assert_matches_reference(_inject(ms.generate(resolve(pid), nx=nx, nt=nt), edits))
+
+
+MULTI_BLOCK = {pid: ms.generate(resolve(pid), nx=101, nt=97) for pid in ("ex4", "ex7")}
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    st.sampled_from(sorted(MULTI_BLOCK)),
+    st.sampled_from(["x", "vertices", "K", "H", "xi"]),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0]),
+    st.lists(st.tuples(FIELDS, st.integers(0, 10**6), SPECIAL), max_size=6),
+)
+def test_multi_block_writers_match_scalar_reference(pid, field, value, edits):
+    # 101 x 97 = 9797 rows: two full blocks and a partial one; special values
+    # sit on both sides of each block boundary
+    mesh = MULTI_BLOCK[pid]
+    block = ms._BLOCK_ROWS
+    assert mesh.n_vertices > 2 * block and mesh.n_vertices % block
+    edge = [(field, row, value) for row in (block - 1, block, 2 * block - 1, 2 * block)]
+    _assert_matches_reference(_inject(mesh, edge + edits))
