@@ -208,14 +208,24 @@ def _det_sqrt(g11, g12, g22, scalar_ok: bool):
         return det, np.sqrt(np.where(det > 0.0, det, np.nan))
 
 
-def _divergence_form(f, metric: MetricProvider, x, t, s, tensor=None, weight=None):
+# One block of a divergence-form pass: the rows of the field it acts on
+# (``...`` for the whole field), the tensor whose inverse it applies (None
+# for the metric) and its scalar weight (None for 1).
+_WHOLE_FIELD = ((..., None, None),)
+
+
+def _divergence_form(f, metric: MetricProvider, x, t, s, blocks=_WHOLE_FIELD):
     """(1/sqrt(det g)) d_i(sqrt(det g) w a^{ij} d_j f) in nested flux form.
 
-    a^{ij} is the inverse of ``tensor`` (the metric when None) and w the
-    scalar field ``weight`` (1 when None).  The bracketed flux is itself a
-    field whose divergence is taken by the same central stencils.  ``f``
-    may return leading axes (one field per energy): the metric, tensor and
-    weight are evaluated once per stencil point and broadcast against them.
+    Each block ``(rows, tensor, weight)`` applies the operator to the rows
+    ``rows`` of f's value: a^{ij} is the inverse of ``tensor`` (the metric
+    when None) and w the scalar field ``weight`` (1 when None).  The
+    bracketed flux is itself a field whose divergence is taken by the same
+    central stencils.  ``f`` may return leading axes (one field per energy):
+    the metric, tensor and weight are evaluated once per stencil point and
+    broadcast against them.  All blocks share one pass, so each flux point
+    calls the metric once and differentiates f once, and each block fills
+    its own rows of the flux with the arithmetic it would have alone.
     """
     if s is None:
         s = OPERATOR_STENCIL
@@ -224,22 +234,30 @@ def _divergence_form(f, metric: MetricProvider, x, t, s, tensor=None, weight=Non
 
     def flux(xx, tt, row):
         g11, g12, g22 = metric(xx, tt)
-        _, w = _det_sqrt(g11, g12, g22, scalar_ok=False)
-        a11, a12, a22 = (g11, g12, g22) if tensor is None else tensor(xx, tt)
-        det_a = a11 * a22 - a12 ** 2
-        if weight is not None:
-            w = w * weight(xx, tt)
-        fx = derivative(f, xx, tt, s, axis=0, nth=1)
-        ft = derivative(f, xx, tt, s, axis=1, nth=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if row == 0:
-                return w * (a22 * fx - a12 * ft) / det_a
-            return w * (-a12 * fx + a11 * ft) / det_a
+        _, sq = _det_sqrt(g11, g12, g22, scalar_ok=False)
+        fx = np.asarray(derivative(f, xx, tt, s, axis=0, nth=1))
+        ft = np.asarray(derivative(f, xx, tt, s, axis=1, nth=1))
+        out = None
+        if len(blocks) > 1:
+            out = np.empty(np.broadcast_shapes(fx.shape, np.shape(sq)))
+        for rows, tensor, weight in blocks:
+            a11, a12, a22 = (g11, g12, g22) if tensor is None else tensor(xx, tt)
+            det_a = a11 * a22 - a12 ** 2
+            w = sq if weight is None else sq * weight(xx, tt)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                if row == 0:
+                    value = w * (a22 * fx[rows] - a12 * ft[rows]) / det_a
+                else:
+                    value = w * (-a12 * fx[rows] + a11 * ft[rows]) / det_a
+            if out is None:
+                return value
+            out[rows] = value
+        return out
 
     div = derivative(lambda a, b: flux(a, b, 0), x, t, s, axis=0, nth=1)
     div = div + derivative(lambda a, b: flux(a, b, 1), x, t, s, axis=1, nth=1)
     g11, g12, g22 = metric(x, t)
-    det, sq = _det_sqrt(g11, g12, g22, scalar_ok=True)
+    _, sq = _det_sqrt(g11, g12, g22, scalar_ok=True)
     return div / sq
 
 
@@ -262,7 +280,7 @@ def nabla_dot_bar(
     h^{ij} is the inverse of the second fundamental form; points where it is
     singular propagate as non-finite values (see near_singular_mask).
     """
-    return _divergence_form(f, metric, x, t, s, tensor=second_form, weight=curvature_k)
+    return _divergence_form(f, metric, x, t, s, ((..., second_form, curvature_k),))
 
 
 NEAR_SINGULAR_RTOL = 1e-10
@@ -311,14 +329,6 @@ def willmore_like_residual(
     return lap_h + t_a + t_b, scale
 
 
-def _stacked(values, like):
-    """Per-energy fields on a leading energy axis, each broadcast to ``like``."""
-    out = np.empty((len(values),) + np.shape(like))
-    for row, value in zip(out, values):
-        row[...] = value
-    return out
-
-
 def shape_equation_residual(
     providers: SurfaceProviders,
     energies,
@@ -333,10 +343,11 @@ def shape_equation_residual(
     where div-bar is the curvature-weighted operator.  Returns a list with
     one (residual, scale) pair per energy, scale the largest of its four
     term magnitudes.  The dE/dH fields of all energies, and the dE/dK
-    fields of those that depend on K, pass through the operators on one
-    leading energy axis, so each stencil point evaluates the curvatures
-    once for all energies.  Every pair is bitwise what the energy alone
-    gives, and the div-bar term of an energy free of K is exactly zero.
+    fields of those that depend on K, are rows of one field from one
+    curvature call per stencil point, and both operators act on it in one
+    divergence-form pass: the Laplacian on the dE/dH rows, div-bar on the
+    dE/dK rows.  Every pair is bitwise what the energy alone gives, and the
+    div-bar term of an energy free of K is exactly zero.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -346,29 +357,29 @@ def shape_equation_residual(
     # energies with no K-dependence contribute nothing through h^{ij}
     on_k = [e.depends_on_k() for e in energies]
     with_k = [e for e, dep in zip(energies, on_k) if dep]
+    n_h = len(energies)
 
-    def field_eh(xx, tt):
+    def field(xx, tt):
         c = providers.curvatures(xx, tt)
-        return _stacked([e.dH(c.H, c.K) for e in energies], c.H)
+        out = np.empty((n_h + len(with_k),) + np.shape(c.H))
+        for row, e in zip(out, energies):
+            row[...] = e.dH(c.H, c.K)
+        for row, e in zip(out[n_h:], with_k):
+            row[...] = e.dK(c.H, c.K)
+        return out
 
-    def field_ek(xx, tt):
-        c = providers.curvatures(xx, tt)
-        return _stacked([e.dK(c.H, c.K) for e in with_k], c.H)
-
+    blocks = [(slice(0, n_h), None, None)]
+    if with_k:
+        blocks.append(
+            (slice(n_h, None), providers.second_form,
+             lambda a, b: providers.curvatures(a, b).K)
+        )
+    ops = _divergence_form(field, providers.metric, x, t, s, blocks)
+    nabla = iter(ops[n_h:])
     cur = providers.curvatures(x, t)
     h_, k_ = cur.H, cur.K
-    lap = laplace_beltrami(field_eh, providers.metric, x, t, s)
-    nabla = iter(nabla_dot_bar(
-        field_ek,
-        providers.metric,
-        lambda a, b: providers.curvatures(a, b).K,
-        providers.second_form,
-        x,
-        t,
-        s,
-    ) if with_k else ())
     out = []
-    for e, lap_e, dep in zip(energies, lap, on_k):
+    for e, lap_e, dep in zip(energies, ops[:n_h], on_k):
         term1 = lap_e + (4.0 * h_ ** 2 - 2.0 * k_) * e.dH(h_, k_)
         nabla_term = next(nabla) if dep else np.zeros_like(h_)
         term2 = 2.0 * (nabla_term + 2.0 * k_ * h_ * e.dK(h_, k_))

@@ -11,6 +11,7 @@ back to the frame construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -59,12 +60,29 @@ def _phase(x, t, p: SolitonParams):
     return t * (p.lam ** 2 + 0.25 * p.k1 ** 2 * (1.0 + p.lam)) + x * p.lam
 
 
+def _three_param_radii(p: SolitonParams) -> tuple[float]:
+    d = p.k1 ** 2 + 4.0 * p.lam ** 2
+    return (-p.mu * p.k1 / (2.0 * d),)
+
+
+def _four_param_radii(p: SolitonParams) -> tuple[float, ...]:
+    d = p.k1 ** 2 + 4.0 * p.lam ** 2
+    return (
+        2.0 * p.k1 ** 2 * p.nu / d,
+        p.mu / 8.0,
+        4.0 * p.mu * p.k1 / d,
+        p.nu * (p.k1 ** 2 - 4.0 * p.lam ** 2) / d,
+        p.nu * (4.0 * p.lam ** 2 + 3.0 * p.k1 ** 2) / (2.0 * d),
+        4.0 * p.lam * p.k1 * p.nu / d,
+    )
+
+
 def three_param_aux(x, t, p: SolitonParams) -> ThreeParamAux:
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     d = p.k1 ** 2 + 4.0 * p.lam ** 2
     return ThreeParamAux(
-        R1=-p.mu * p.k1 / (2.0 * d),
+        R1=_three_param_radii(p)[0],
         G=_phase(x, t, p),
         E=(t * (8.0 * p.lam + p.k1 ** 2) + 4.0 * x) * d,
     )
@@ -73,14 +91,8 @@ def three_param_aux(x, t, p: SolitonParams) -> ThreeParamAux:
 def four_param_aux(x, t, p: SolitonParams) -> FourParamAux:
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    d = p.k1 ** 2 + 4.0 * p.lam ** 2
     return FourParamAux(
-        R2=2.0 * p.k1 ** 2 * p.nu / d,
-        R3=p.mu / 8.0,
-        R4=4.0 * p.mu * p.k1 / d,
-        R5=p.nu * (p.k1 ** 2 - 4.0 * p.lam ** 2) / d,
-        R6=p.nu * (4.0 * p.lam ** 2 + 3.0 * p.k1 ** 2) / (2.0 * d),
-        R7=4.0 * p.lam * p.k1 * p.nu / d,
+        *_four_param_radii(p),
         G=_phase(x, t, p),
         E_tilde=t * (8.0 * p.lam + p.k1 ** 2) + 4.0 * x,
     )
@@ -208,7 +220,9 @@ class Family:
     takes (x, t, p, branch) and gives the (y2, y3) limit as xi -> +inf
     (branch +1) or -inf (branch -1); (y2, y3) approaches it at the distance
     C sech(xi), C = 2|mu| k1 / (k1^2 + 4 lam^2) (see
-    :func:`asymptotic_deviation`).  ``FAMILIES`` holds one per family.
+    :func:`asymptotic_deviation`).  ``radii`` takes p and gives the
+    constant radii of the position (R1, or R2 .. R7).  ``FAMILIES`` holds
+    one per family.
     """
 
     name: str
@@ -218,9 +232,35 @@ class Family:
     curvatures: Callable[..., CurvaturePair]
     denominator: Callable[..., np.ndarray]
     asymptotic_profile: Callable[..., tuple[np.ndarray, np.ndarray]]
+    radii: Callable[[SolitonParams], tuple[float, ...]]
 
     def validate(self, p: SolitonParams) -> None:
+        """Reject parameters the family's closed forms cannot evaluate.
+
+        Besides the deformation kind's own rule, the closed forms scale by
+        k1^2 and k1^3 and divide by k1^2 + 4 lambda^2, so each must be
+        finite and nonzero (not overflowed, not underflowed to 0), and the
+        position's radii must be finite.
+        """
         validate_kind(self.kind, p)
+        scales = (("k1^2", lambda: p.k1 ** 2), ("k1^3", lambda: p.k1 ** 3),
+                  ("k1^2 + 4 lambda^2", lambda: p.k1 ** 2 + 4.0 * p.lam ** 2))
+        for name, scale in scales:
+            try:
+                value = scale()
+            except OverflowError:
+                value = math.inf
+            if not (math.isfinite(value) and value != 0.0):
+                raise ValueError(
+                    f"k1 = {p.k1:g}, lambda = {p.lam:g}: {name} = {value:g}, "
+                    "need it finite and nonzero"
+                )
+        radii = self.radii(p)
+        if not all(math.isfinite(r) for r in radii):
+            raise ValueError(
+                f"k1 = {p.k1:g}, lambda = {p.lam:g}, mu = {p.mu:g}, nu = {p.nu:g}: "
+                f"the {self.name} radii {radii} are not all finite"
+            )
 
     def orientation(self, u, p: SolitonParams):
         """Sign relating the closed-form H to the frame-computed H.
@@ -264,6 +304,7 @@ SPECTRAL3 = Family(
     # the spectral-gauge denominator at nu = 0
     denominator=lambda u, p: p.mu ** 2 * np.asarray(u, dtype=float),
     asymptotic_profile=_three_param_asymptote,
+    radii=_three_param_radii,
 )
 
 SPECTRAL_GAUGE4 = Family(
@@ -274,6 +315,7 @@ SPECTRAL_GAUGE4 = Family(
     curvatures=lambda x, t, p: four_param_curvatures_closed(x, t, p),
     denominator=spectral_gauge_curvature_denominator,
     asymptotic_profile=_four_param_asymptote,
+    radii=_four_param_radii,
 )
 
 FAMILIES: dict[str, Family] = {f.name: f for f in (SPECTRAL3, SPECTRAL_GAUGE4)}

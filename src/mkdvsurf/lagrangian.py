@@ -93,36 +93,46 @@ class PolyLagrangian:
         object.__setattr__(self, "coeffs", clean)
 
     @cached_property
-    def _rows(self) -> dict[int, tuple[float, ...]]:
-        """K-coefficient row for each power of H, dense up to the row's top l."""
+    def _rows(self) -> tuple[tuple[float, ...], ...]:
+        """K-coefficient rows from the top power of H down to H^0, each dense
+        from its top l down to l = 0; a power with no coefficient is empty."""
         rows: dict[int, list[float]] = {}
         for (n, l), a in self.coeffs.items():
             row = rows.setdefault(n, [])
             if len(row) <= l:
                 row.extend([0.0] * (l + 1 - len(row)))
             row[l] = a
-        return {n: tuple(r) for n, r in rows.items()}
-
-    @cached_property
-    def _nmax(self) -> int:
-        return max(self._rows, default=0)
-
-    def _row_eval(self, n: int, k):
-        row = self._rows.get(n)
-        if row is None:
-            return np.zeros(np.shape(k))
-        acc = np.zeros(np.shape(k))
-        for a in reversed(row):
-            acc = acc * k + a
-        return acc
+        top = max(rows, default=0)
+        return tuple(tuple(reversed(rows.get(n, ()))) for n in range(top, -1, -1))
 
     def eval(self, h, k):
-        """E(H, K), elementwise over broadcastable arrays."""
+        """E(H, K), elementwise over broadcastable arrays.
+
+        Horner in H over Horner rows in K, updated in place: each step is
+        the textbook acc * k + a (out * h + row), so the result is bitwise
+        that of the plain scheme started from zero accumulators, NaN
+        payloads included, and a power of H with no coefficient adds +0.0.
+        """
         h = np.asarray(h, dtype=float)
         k = np.asarray(k, dtype=float)
-        out = np.zeros(np.broadcast(h, k).shape)
-        for n in range(self._nmax, -1, -1):
-            out = out * h + self._row_eval(n, k)
+        # a NumPy scalar for 0-d input, so that its arithmetic, NaN payloads
+        # included, is the scalar arithmetic of the plain scheme
+        out = np.zeros(np.broadcast(h, k).shape)[()]
+        # out + row goes into the row's buffer when that has the result's
+        # shape; not out += row, which NumPy runs as a reduction on a
+        # one-element array and which then keeps the row's NaN, not out's
+        into_row = k.ndim > 0 and k.shape == out.shape
+        for row in self._rows:
+            out *= h
+            if not row:
+                out += 0.0
+                continue
+            acc = k * 0.0
+            acc += row[0]
+            for a in row[1:]:
+                acc *= k
+                acc += a
+            out = np.add(out, acc, acc) if into_row else out + acc
         return float(out) if out.ndim == 0 else out
 
     @cached_property

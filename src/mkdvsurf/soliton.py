@@ -37,7 +37,11 @@ class SolitonParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k1 == 0:
             raise ValueError("k1 must be nonzero")
-        object.__setattr__(self, "alpha", self.k1 ** 2 / 4.0)
+        try:
+            alpha = self.k1 ** 2 / 4.0
+        except OverflowError:
+            raise ValueError(f"k1 = {self.k1:g}: alpha = k1^2/4 overflows") from None
+        object.__setattr__(self, "alpha", alpha)
 
 
 def xi(x, t, p: SolitonParams):

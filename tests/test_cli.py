@@ -99,6 +99,14 @@ BAD_SURFACES = [
     (("--family", "spectral3", "--k1", "nan", "--mu", "1"), "k1"),
     (("--family", "spectral3", "--k1", "inf", "--mu", "1"), "k1"),
     (("--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "nan"), "mu"),
+    # a k1 whose powers overflow or underflow to zero: k1^2 (alpha),
+    # k1^3, or k1^2 + 4 lambda^2, which the radii divide by
+    (("--family", "spectral3", "--k1", "1e200", "--mu", "1"), "k1"),
+    (("--family", "spectral3", "--k1", "1e-200", "--mu", "1"), "k1"),
+    (("--family", "spectralgauge4", "--k1", "1e120", "--nu", "1"), "k1"),
+    (("--family", "spectral3", "--k1", "1e-120", "--lambda", "1", "--mu", "1"), "k1"),
+    # radii that overflow
+    (("--family", "spectralgauge4", "--k1", "2", "--nu", "1e308"), "nu"),
     # a window must be finite, in order and of nonzero width
     (("--preset", "ex2", "--x-min", "2", "--x-max", "-2"), "x_range"),
     (("--preset", "ex6", "--t-min", "1", "--t-max", "1"), "t_range"),

@@ -368,3 +368,55 @@ def test_shape_residual_of_k_free_energy_skips_the_k_operator():
     [(alone, scale_alone)] = dg.shape_equation_residual(prov, (_H2Lagrangian(),), X1, T1)
     assert np.array_equal(res_h2, alone)
     assert np.array_equal(scale_h2, scale_alone)
+
+
+def _hk(prov, x, t):
+    c = prov.curvatures(x, t)
+    return c.H, c.K
+
+
+def _two_operator_residuals(prov, energies, x, t):
+    # the shape equation from separate public operator calls, one energy and
+    # one operator at a time: Lap on dE/dH, div-bar on dE/dK
+    cur = prov.curvatures(x, t)
+    h, k = cur.H, cur.K
+    out = []
+    for e in energies:
+        lap = dg.laplace_beltrami(
+            lambda a, b: e.dH(*_hk(prov, a, b)), prov.metric, x, t)
+        term1 = lap + (4.0 * h ** 2 - 2.0 * k) * e.dH(h, k)
+        if e.depends_on_k():
+            nabla = dg.nabla_dot_bar(lambda a, b: e.dK(*_hk(prov, a, b)), prov.metric,
+                                     prov.gauss_curvature, prov.second_form, x, t)
+        else:
+            nabla = np.zeros_like(h)
+        term2 = 2.0 * (nabla + 2.0 * k * h * e.dK(h, k))
+        term3 = -4.0 * h * e.eval(h, k)
+        term4 = 2.0 * e.p + np.zeros_like(term3)
+        scale = np.maximum.reduce([np.abs(term1), np.abs(term2), np.abs(term3),
+                                   np.abs(term4), np.full_like(term3, 1e-30)])
+        out.append((term1 + term2 + term3 + term4, scale))
+    return out
+
+
+@pytest.mark.parametrize("preset", ["ex2", "ex7"])
+def test_fused_shape_pass_is_the_two_operator_composition_bitwise(preset):
+    pre = resolve(preset)
+    prov = pre.family.providers(pre.params)
+    x, t = np.meshgrid(np.linspace(-0.4, 0.4, 7), np.linspace(-0.3, 0.3, 5))
+    rng = np.random.default_rng(11)
+    energies = [
+        lagrangian.constrained_family(
+            n, {i: rng.uniform(-1, 1) for i in lagrangian.FREE_INDICES[n]}, 0.5,
+            pre.params.k1, pre.params.mu,
+        )
+        for n in (3, 4, 5, 6)
+    ]
+    energies.insert(1, _H2Lagrangian())
+    fused = dg.shape_equation_residual(prov, energies, x, t)
+    apart = _two_operator_residuals(prov, energies, x, t)
+    assert len(fused) == len(apart)
+    for (res, scale), (res1, scale1) in zip(fused, apart):
+        assert res.dtype == res1.dtype and res.shape == res1.shape == x.shape
+        assert np.array_equal(res, res1)
+        assert np.array_equal(scale, scale1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mkdvsurf import lagrangian as lg
 
@@ -208,3 +208,86 @@ def test_shape_residual_scaling_invariance():
         [(res, ref)] = diffgeo.shape_equation_residual(prov, (poly,), x, t)
         norms.append(np.max(np.abs(res) / ref))
     assert norms[0] == pytest.approx(norms[1], rel=1e-6)
+
+
+# The textbook Horner evaluation that PolyLagrangian.eval replaced, kept as
+# its oracle: a fresh zero accumulator per K row and out = out * h + row, with
+# a zero row for each power of H that has no coefficient.
+def _textbook_eval(coeffs, h, k):
+    rows = {}
+    for (n, l), a in coeffs.items():
+        row = rows.setdefault(n, [])
+        if len(row) <= l:
+            row.extend([0.0] * (l + 1 - len(row)))
+        row[l] = a
+
+    def row_eval(n):
+        row = rows.get(n)
+        if row is None:
+            return np.zeros(np.shape(k))
+        acc = np.zeros(np.shape(k))
+        for a in reversed(row):
+            acc = acc * k + a
+        return acc
+
+    h = np.asarray(h, dtype=float)
+    k = np.asarray(k, dtype=float)
+    out = np.zeros(np.broadcast(h, k).shape)
+    for n in range(max(rows, default=0), -1, -1):
+        out = out * h + row_eval(n)
+    return float(out) if out.ndim == 0 else out
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e-300, 1e300]
+# bounded so that the partials' coefficients (up to 7 a) stay finite
+finite_coeff = st.one_of(st.floats(-1e300, 1e300),
+                         st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0]))
+point = st.one_of(st.floats(), st.sampled_from(SPECIAL))
+
+
+def _same_bytes(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@settings(max_examples=400, deadline=None)
+# two NaNs meeting in one-element and 0-d arithmetic, where NumPy's in-place
+# and scalar paths keep different operands' NaN
+@example({(0, 0): 0.0}, [np.nan], [np.inf], "scalar-h")
+@example({(0, 0): 0.0}, [np.nan], [np.inf], "flat")
+@example({(0, 0): 0.0}, [np.inf], [np.nan], "scalar")
+@example({(1, 0): 1.0, (0, 1): -0.0}, [-np.inf, 5e-324], [np.nan, -0.0], "outer")
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(0, 3)).filter(
+            lambda nl: nl[0] + 2 * nl[1] <= 8
+        ),
+        finite_coeff,
+        max_size=10,
+    ),
+    st.lists(point, min_size=1, max_size=4),
+    st.lists(point, min_size=1, max_size=3),
+    st.sampled_from(["scalar", "scalar-h", "scalar-k", "flat", "outer"]),
+)
+def test_eval_and_partials_are_the_textbook_horner_bitwise(coeffs, hs, ks, layout):
+    # explicit zero coefficients and missing H powers both occur; NaN, inf,
+    # -0.0 and subnormals pass through; so do broadcast and scalar shapes
+    n = min(len(hs), len(ks))
+    h, k = {
+        "scalar": (hs[0], ks[0]),
+        "scalar-h": (hs[0], np.array(ks)),
+        "scalar-k": (np.array(hs), ks[0]),
+        "flat": (np.array(hs[:n]), np.array(ks[:n])),
+        "outer": (np.array(hs)[:, None], np.array(ks)[None, :]),
+    }[layout]
+    poly = lg.PolyLagrangian(8, coeffs)
+    partial_h = {(n - 1, l): n * a for (n, l), a in poly.coeffs.items() if n > 0}
+    partial_k = {(n, l - 1): l * a for (n, l), a in poly.coeffs.items() if l > 0}
+    with np.errstate(all="ignore"):
+        pairs = [
+            (poly.eval(h, k), _textbook_eval(poly.coeffs, h, k)),
+            (poly.dH(h, k), _textbook_eval(partial_h, h, k)),
+            (poly.dK(h, k), _textbook_eval(partial_k, h, k)),
+        ]
+    for got, want in pairs:
+        assert _same_bytes(got, want), (got, want)

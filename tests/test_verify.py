@@ -106,16 +106,18 @@ def test_fd_step_override_respected():
 
 def test_shape_check_curvature_budget(monkeypatch):
     # the FD oracle evaluates each stencil point once, for all four energies
-    # at a time; a re-expanded stencil shows here before it shows as time
-    closed = immersion.three_param_curvatures_closed
-    calls = 0
+    # at a time, and the Laplacian and the K-weighted operator share one pass;
+    # a re-expanded stencil or a second pass shows here before it shows as time
+    calls = {"three_param_curvatures_closed": 0, "three_param_forms_closed": 0}
+    for name in calls:
+        closed = getattr(immersion, name)
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return closed(*args)
+        def counted(*args, _name=name, _closed=closed):
+            calls[_name] += 1
+            return _closed(*args)
 
-    monkeypatch.setattr(immersion, "three_param_curvatures_closed", counted)
+        monkeypatch.setattr(immersion, name, counted)
     rep = vf.run_checks(["shape"], resolve("ex2"), nx=41, nt=41)
     assert rep.passed
-    assert 0 < calls <= 700
+    assert 0 < calls["three_param_curvatures_closed"] <= 314
+    assert 0 < calls["three_param_forms_closed"] <= 52
