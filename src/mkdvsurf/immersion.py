@@ -237,24 +237,28 @@ class Family:
     def validate(self, p: SolitonParams) -> None:
         """Reject parameters the family's closed forms cannot evaluate.
 
-        Besides the deformation kind's own rule, the closed forms scale by
-        k1^2 and k1^3 and divide by k1^2 + 4 lambda^2, so each must be
-        finite and nonzero (not overflowed, not underflowed to 0), and the
-        position's radii must be finite.
+        Besides the deformation kind's own rule, the closed forms and the
+        frame scale by powers of k1 up to k1^4 (``soliton.Jet.u_xxx``) and by
+        mu^2 and nu^2, and divide by k1^2 + 4 lambda^2 and by mu^2, so each
+        must be finite and nonzero (not overflowed, not underflowed to 0).
+        A mu or nu of exactly 0 drops out and is left to the kind's rule;
+        beside a nonzero mu, nu^2 only adds to mu's terms and may underflow.
+        The position's radii must be finite too.
         """
         validate_kind(self.kind, p)
-        scales = (("k1^2", lambda: p.k1 ** 2), ("k1^3", lambda: p.k1 ** 3),
-                  ("k1^2 + 4 lambda^2", lambda: p.k1 ** 2 + 4.0 * p.lam ** 2))
-        for name, scale in scales:
+        scales = (("k1", "k1^4", lambda: p.k1 ** 4, False),
+                  ("k1", "k1^2 + 4 lambda^2", lambda: p.k1 ** 2 + 4.0 * p.lam ** 2, False),
+                  ("mu", "mu^2", lambda: p.mu ** 2, p.mu == 0.0),
+                  ("nu", "nu^2", lambda: p.nu ** 2, p.nu == 0.0 or p.mu != 0.0))
+        for param, name, scale, may_vanish in scales:
             try:
                 value = scale()
             except OverflowError:
                 value = math.inf
-            if not (math.isfinite(value) and value != 0.0):
-                raise ValueError(
-                    f"k1 = {p.k1:g}, lambda = {p.lam:g}: {name} = {value:g}, "
-                    "need it finite and nonzero"
-                )
+            if not math.isfinite(value) or (value == 0.0 and not may_vanish):
+                shown = (f"k1 = {p.k1:g}, lambda = {p.lam:g}" if param == "k1"
+                         else f"{param} = {getattr(p, param):g}")
+                raise ValueError(f"{shown}: {name} = {value:g}, need it finite and nonzero")
         radii = self.radii(p)
         if not all(math.isfinite(r) for r in radii):
             raise ValueError(
@@ -434,17 +438,6 @@ def resolve(
     return Surface(fam, params, xr, tr, pid)
 
 
-def _inv2(m: np.ndarray) -> np.ndarray:
-    # adjugate inverse of stacked 2x2 matrices
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 1, 1] = m[..., 0, 0]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    return out / det[..., None, None]
-
-
 def frame_tangents(x, t, p: SolitonParams, kind: DeformationKind,
                    c: PhiConstants | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Tangent vectors (y_x, y_t) = (Phi^-1 A Phi, Phi^-1 B Phi), as (..., 3)."""
@@ -452,9 +445,9 @@ def frame_tangents(x, t, p: SolitonParams, kind: DeformationKind,
         c = canonical_constants(p)
     a, b = frame_at(x, t, p, kind)[1][:2]
     f = phi(x, t, p, c)
-    finv = _inv2(f)
-    yx = su2.su2_to_vec(finv @ su2.vec_to_su2(a) @ f)
-    yt = su2.su2_to_vec(finv @ su2.vec_to_su2(b) @ f)
+    finv = su2.inv(f)
+    yx = su2.su2_to_vec(su2.mul(su2.mul(finv, su2.vec_to_su2(a)), f))
+    yt = su2.su2_to_vec(su2.mul(su2.mul(finv, su2.vec_to_su2(b)), f))
     return yx, yt
 
 

@@ -14,6 +14,7 @@ several degrees in one pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -89,6 +90,11 @@ class PolyLagrangian:
             v = float(val)
             if not np.isfinite(v):
                 raise ValueError(f"coefficient for H^{n} K^{l} is not finite")
+            # the partials of every order carry at most n! l! |a|, and this
+            # bound holds for them in turn, so dH and dK never overflow
+            if not np.isfinite(math.factorial(n) * math.factorial(l) * v):
+                raise ValueError(f"coefficient {v:g} for H^{n} K^{l} overflows in its "
+                                 f"partials ({n}! {l}! a is not finite)")
             clean[(int(n), int(l))] = v
         object.__setattr__(self, "coeffs", clean)
 

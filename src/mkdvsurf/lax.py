@@ -12,7 +12,7 @@ the values u and u_x, which the residuals here read from one
 ``soliton.jet``; Phi reads xi, sech xi and tanh xi from its own jet.  U and
 V are su(2)-valued and are held
 as Pauli-component vectors (see ``su2``); Phi is a complex 2x2 matrix, so
-they meet as matrices only in ``lax_residuals``.
+they meet as matrices only in ``lax_residuals``, through ``su2.mul``.
 
 For u = k1 sech(xi), each entry of Phi combines the two independent
 solutions through the complex power
@@ -130,8 +130,11 @@ def det_phi_expected(p: SolitonParams, c: PhiConstants) -> complex:
 
 
 def lax_residuals(x, t, p: SolitonParams, c: PhiConstants, h: float = 1e-6):
-    """(Phi_x - U Phi, Phi_t - V Phi), Phi differenced by ``diffgeo.derivative``:
-    order 2 at step h with one Richardson level, (4 d(h/2) - d(h))/3."""
+    """(Phi_x - U Phi, Phi_t - V Phi, Phi), Phi differenced by ``diffgeo.derivative``:
+    order 2 at step h with one Richardson level, (4 d(h/2) - d(h))/3.
+
+    The third entry is Phi on the grid itself, returned so that a caller can
+    test det Phi without evaluating it again."""
     j = soliton.jet(x, t, p)
 
     def f(xx, tt):
@@ -141,6 +144,6 @@ def lax_residuals(x, t, p: SolitonParams, c: PhiConstants, h: float = 1e-6):
     phi_x = derivative(f, x, t, s, axis=0)
     phi_t = derivative(f, x, t, s, axis=1)
     ph = phi(x, t, p, c)
-    res_x = phi_x - su2.vec_to_su2(lax_U(j.u, p.lam)) @ ph
-    res_t = phi_t - su2.vec_to_su2(lax_V(j.u, j.u_x, p.lam, p.alpha)) @ ph
-    return res_x, res_t
+    res_x = phi_x - su2.mul(su2.vec_to_su2(lax_U(j.u, p.lam)), ph)
+    res_t = phi_t - su2.mul(su2.vec_to_su2(lax_V(j.u, j.u_x, p.lam, p.alpha)), ph)
+    return res_x, res_t, ph

@@ -13,6 +13,9 @@ these components the algebra is real vector algebra:
 
 Complex 2x2 matrices (``vec_to_su2``, ``su2_to_vec``, ``is_su2``) are needed
 only where an SL(2, C) matrix such as the fundamental solution Phi acts.
+Stacked 2x2 arithmetic (``mul``, ``det``, ``inv``) is written out entry by
+entry: numpy's ``@`` and ``np.linalg`` call BLAS or LAPACK once per 2x2
+matrix of a grid, which costs several times the arithmetic itself.
 """
 from __future__ import annotations
 
@@ -43,7 +46,10 @@ def vec(v1, v2, v3) -> np.ndarray:
     The components broadcast against each other, so constants may be given
     as scalars next to grid-valued components.
     """
-    return np.stack(np.broadcast_arrays(v1, v2, v3), axis=-1).astype(float, copy=False)
+    v1, v2, v3 = np.broadcast_arrays(v1, v2, v3)
+    out = np.empty(v1.shape + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = v1, v2, v3
+    return out
 
 
 def su2_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -53,7 +59,9 @@ def su2_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[X, Y] = XY - YX, which is -2 x × y."""
-    return -2.0 * np.cross(x, y)
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    y1, y2, y3 = y[..., 0], y[..., 1], y[..., 2]
+    return -2.0 * vec(x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1)
 
 
 def su2_norm(x: np.ndarray) -> np.ndarray:
@@ -71,6 +79,33 @@ def vec_to_su2(v: np.ndarray) -> np.ndarray:
     out[..., 0, 1] = 1j * v1 + v2
     out[..., 1, 0] = 1j * v1 - v2
     return out
+
+
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product ab of stacked 2x2 matrices (..., 2, 2); the stacks broadcast."""
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
+
+
+def det(m: np.ndarray) -> np.ndarray:
+    """The determinant of stacked 2x2 matrices, shape (...)."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def inv(m: np.ndarray) -> np.ndarray:
+    """The inverse of stacked 2x2 matrices, as adjugate / determinant."""
+    out = np.empty_like(m)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 1, 1] = m[..., 0, 0]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    return out / det(m)[..., None, None]
 
 
 def su2_to_vec(f: np.ndarray, atol: float = 1e-10) -> np.ndarray:

@@ -63,7 +63,7 @@ def test_criterion_02_frame_solution():
     for k1, lam in [(1.0, 0.0), (2.0, 1.0), (2.0, -0.5), (3.0, 0.25)]:
         p = SolitonParams(k1, lam)
         c = canonical_constants(p)
-        rx, rt = lax_residuals(x, t, p, c)
+        rx, rt, _ = lax_residuals(x, t, p, c)
         worst_fd = max(worst_fd, float(np.max(np.abs(rx))), float(np.max(np.abs(rt))))
         dets = np.linalg.det(phi(x, t, p, c))
         expected = det_phi_expected(p, c)

@@ -1,11 +1,12 @@
 """The benchmark's correctness gate, run once as a test.
 
-The ``verify`` workload of ``perfbench`` compares each operation's checks
-with ``perfbench/reference.json``: the same verdicts, and residuals that
-agree to rounding (1e-3 relative for the finite-difference checks).  Running
-its seven operations here makes a drift in those residuals fail the test
-suite, not only a benchmark run.  ``perfbench/workloads.py`` is loaded from
-its file and used as it is.
+The ``verify`` and ``frame`` workloads of ``perfbench`` compare each
+operation's checks with ``perfbench/reference.json``: the same verdicts, and
+residuals that agree to rounding (1e-3 relative for the finite-difference
+checks).  Running the seven ``verify`` operations, and the ``frame``
+operations of the checks that multiply 2x2 matrices, here makes a drift in
+those residuals fail the test suite, not only a benchmark run.
+``perfbench/workloads.py`` is loaded from its file and used as it is.
 """
 
 import importlib.util
@@ -27,11 +28,8 @@ def _workloads(monkeypatch):
     return module
 
 
-def test_verify_workload_matches_the_benchmark_reference(tmp_path, monkeypatch):
-    wl = _workloads(monkeypatch)
-    reference = json.loads(wl.REFERENCE.read_text())["verify"]
-    ops = wl.operations("verify", tmp_path)
-    assert len(ops) == 7
+def _mismatches(wl, workload, ops):
+    reference = json.loads(wl.REFERENCE.read_text())[workload]
     bad = {}
     for op in ops:
         outcome = wl.execute(cli, op)
@@ -39,4 +37,20 @@ def test_verify_workload_matches_the_benchmark_reference(tmp_path, monkeypatch):
         found = wl.mismatches(wl.observe(op, outcome), reference[op.key])
         if found:
             bad[op.key] = found
-    assert not bad
+    return bad
+
+
+def test_verify_workload_matches_the_benchmark_reference(tmp_path, monkeypatch):
+    wl = _workloads(monkeypatch)
+    ops = wl.operations("verify", tmp_path)
+    assert len(ops) == 7
+    assert not _mismatches(wl, "verify", ops)
+
+
+def test_frame_matrix_checks_match_the_benchmark_reference(tmp_path, monkeypatch):
+    # lax and consistency are the frame checks that multiply Phi by 2x2 matrices
+    wl = _workloads(monkeypatch)
+    ops = [op for op in wl.operations("frame", tmp_path)
+           if op.key.split("/")[1] in ("lax", "consistency")]
+    assert len(ops) == 14
+    assert not _mismatches(wl, "frame", ops)

@@ -99,12 +99,17 @@ BAD_SURFACES = [
     (("--family", "spectral3", "--k1", "nan", "--mu", "1"), "k1"),
     (("--family", "spectral3", "--k1", "inf", "--mu", "1"), "k1"),
     (("--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "nan"), "mu"),
-    # a k1 whose powers overflow or underflow to zero: k1^2 (alpha),
-    # k1^3, or k1^2 + 4 lambda^2, which the radii divide by
+    # a k1 whose powers overflow or underflow to zero: k1^4 (the jet's
+    # u_xxx), or k1^2 + 4 lambda^2, which the radii divide by
     (("--family", "spectral3", "--k1", "1e200", "--mu", "1"), "k1"),
     (("--family", "spectral3", "--k1", "1e-200", "--mu", "1"), "k1"),
     (("--family", "spectralgauge4", "--k1", "1e120", "--nu", "1"), "k1"),
     (("--family", "spectral3", "--k1", "1e-120", "--lambda", "1", "--mu", "1"), "k1"),
+    (("--family", "spectral3", "--k1", "1e-100", "--mu", "1"), "k1"),
+    # mu^2 and nu^2, which the curvatures and the frame scale by
+    (("--family", "spectral3", "--k1", "2", "--mu", "1e300"), "mu"),
+    (("--family", "spectral3", "--k1", "2", "--mu", "1e-300"), "mu"),
+    (("--family", "spectralgauge4", "--k1", "2", "--mu", "1", "--nu", "1e200"), "nu"),
     # radii that overflow
     (("--family", "spectralgauge4", "--k1", "2", "--nu", "1e308"), "nu"),
     # a window must be finite, in order and of nonzero width

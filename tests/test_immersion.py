@@ -211,3 +211,17 @@ def test_family_position_dispatch():
     for name in (DeformationKind.SYMMETRY_UX.value, "nosuch"):
         with pytest.raises(ValueError):
             resolve(family=name, params=p)
+
+
+def test_a_zero_mu_or_nu_is_left_to_the_kind():
+    # spectralgauge4 at mu = 0 is the unit sphere, and spectral3 has nu = 0
+    sphere = resolve(family="spectralgauge4", params=SolitonParams(2.0, 0.5, mu=0.0, nu=1.0))
+    assert np.allclose(sphere.family.curvatures(GRID[0], GRID[1], sphere.params).K, 1.0)
+    resolve(family="spectral3", params=SolitonParams(2.0, 1.0, mu=-8.0))
+    # beside mu, an underflowing nu^2 only drops out of mu's terms
+    resolve(family="spectralgauge4", params=SolitonParams(1.0, 0.0, mu=1.0, nu=1.7e-192))
+    # mu^2 and nu^2 that overflow, or underflow where they set the scale
+    for mu, nu, name in ((1e-300, 1.0, "mu"), (0.0, 1e-170, "nu"), (1e155, 1.0, "mu"),
+                         (1.0, 1e155, "nu")):
+        with pytest.raises(ValueError, match=name):
+            resolve(family="spectralgauge4", params=SolitonParams(2.0, 0.5, mu=mu, nu=nu))

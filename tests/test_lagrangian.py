@@ -18,6 +18,17 @@ def test_monomial_budget_enforced():
     lg.PolyLagrangian(4, {(2, 1): 1.0})  # 2 + 2 <= 4 is fine
 
 
+def test_coefficient_whose_partials_overflow_is_rejected():
+    # dK of 9e307 K^2 would be 1.8e308 K: the constructor names the monomial
+    with pytest.raises(ValueError, match=r"H\^0 K\^2"):
+        lg.PolyLagrangian(6, {(0, 2): 9e307})
+    with pytest.raises(ValueError, match=r"H\^6 K\^0"):
+        lg.PolyLagrangian(6, {(6, 0): 1e306})  # 6! a overflows
+    e = lg.PolyLagrangian(6, {(0, 2): 8e307, (6, 0): 2e305})
+    assert e.dK(0.0, 0.0) == 0.0 and e.dK(0.0, 1.0) == 1.6e308
+    assert e.dH(1.0, 0.0) == 6 * 2e305
+
+
 def test_eval_and_partials_simple():
     l2 = lg.PolyLagrangian(2, {(2, 0): 1.0})
     assert l2.eval(3.0, 7.0) == 9.0

@@ -51,7 +51,7 @@ def test_zero_curvature(p):
 def test_phi_solves_both_equations(p):
     x, t = GRID
     c = canonical_constants(p)
-    rx, rt = lax_residuals(x, t, p, c)
+    rx, rt, _ = lax_residuals(x, t, p, c)
     assert np.max(np.abs(rx)) < 1e-8
     assert np.max(np.abs(rt)) < 1e-8
 

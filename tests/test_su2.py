@@ -1,4 +1,7 @@
-"""Pauli-basis algebra and the su(2) <-> R^3 identification."""
+"""Pauli-basis algebra, the su(2) <-> R^3 identification, and 2x2 arithmetic."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,3 +144,67 @@ def test_vectorized_shapes():
     assert su2.su2_inner(v, v).shape == (3, 4)
     assert su2.su2_norm(v).shape == (3, 4)
     assert su2.commutator(v, v).shape == (3, 4, 3)
+
+
+# Stacked shapes for the 2x2 helpers: (left, right) pairs that broadcast,
+# including one 2x2 matrix against a grid and a row against a column.
+stack_shapes = st.sampled_from([
+    ((), ()), ((5,), ()), ((), (4, 3)), ((6,), (6,)), ((3, 4), (4,)),
+    ((3, 1), (1, 5)), ((2, 3, 4), (3, 4)), ((7, 7), (7, 7)),
+])
+
+
+def _matrices(rng, shape):
+    # complex 2x2 matrices whose entries span 1e-150..1e150: each matrix has
+    # its own scale, and its entries a further spread of up to 1e3 about it
+    scale = 10.0 ** rng.uniform(-150, 150, size=shape + (1, 1))
+    spread = 10.0 ** rng.uniform(-3, 0, size=shape + (2, 2))
+    z = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    return scale * spread * z
+
+
+def _norm(m):
+    # the largest entry: a norm whose square cannot overflow for these entries
+    return np.max(np.abs(m), axis=(-2, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack_shapes, st.integers(0, 2 ** 32 - 1))
+def test_stacked_2x2_helpers_match_numpy(shapes, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _matrices(rng, shapes[0]), _matrices(rng, shapes[1])
+    got = su2.mul(a, b)
+    want = a @ b
+    assert got.shape == want.shape and got.dtype == want.dtype
+    bound = 1e-13 * _norm(a) * _norm(b)
+    assert np.all(_norm(got - want) <= bound)
+    for m in (a, b):
+        d = su2.det(m)
+        assert d.shape == m.shape[:-2]
+        # np.linalg.det goes through log |det|, so its own error grows with
+        # |log det|; scaling m by a power of two near its norm (exact) keeps
+        # the reference at rounding
+        two = 2.0 ** np.frexp(_norm(m))[1]
+        ref = np.linalg.det(m / two[..., None, None]) * two ** 2
+        assert np.all(np.abs(d - ref) <= 1e-13 * _norm(m) ** 2)
+        inv, ref = su2.inv(m), np.linalg.inv(m)
+        # the inverse is as accurate as the determinant's cancellation allows:
+        # |d(m^-1)| <= |m^-1|^2 |dm|, with |dm| a rounding of |m|
+        assert np.all(_norm(inv - ref) <= 1e-13 * (_norm(m) * _norm(ref)) * _norm(ref))
+
+
+def test_no_matrix_products_or_linalg_solves_in_the_package():
+    # stacked 2x2 arithmetic goes through su2.mul, det and inv: numpy's @ and
+    # np.linalg call BLAS or LAPACK once per matrix of a grid
+    banned = {"det", "inv", "solve"}
+    for path in sorted(Path(su2.__file__).parent.glob("*.py")):
+        found = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((node.lineno, "@"))
+            elif (isinstance(node, ast.Attribute) and node.attr in banned
+                  and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                found.append((node.lineno, f"linalg.{node.attr}"))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                found += [(node.lineno, f"linalg.{a.name}") for a in node.names if a.name in banned]
+        assert not found, f"{path.name}: {found}"

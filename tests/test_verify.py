@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mkdvsurf import immersion, verify as vf
+from mkdvsurf import immersion, lax, verify as vf
 from mkdvsurf.immersion import resolve
 from mkdvsurf.soliton import SolitonParams
 
@@ -121,3 +121,21 @@ def test_shape_check_curvature_budget(monkeypatch):
     assert rep.passed
     assert 0 < calls["three_param_curvatures_closed"] <= 314
     assert 0 < calls["three_param_forms_closed"] <= 52
+
+
+def test_lax_check_evaluates_phi_once_per_stencil_point(monkeypatch):
+    # eight for the Richardson stencils of Phi_x and Phi_t and one on the
+    # grid, which serves both U Phi, V Phi and the det drift
+    calls = []
+    closed = lax.phi
+
+    def counted(*args):
+        calls.append(1)
+        return closed(*args)
+
+    monkeypatch.setattr(lax, "phi", counted)
+    # and where verify would reach it directly, by its own import
+    monkeypatch.setattr(vf, "phi", counted, raising=False)
+    rep = vf.run_checks(["lax"], resolve("ex2"), nx=21, nt=21)
+    assert rep.passed
+    assert len(calls) == 9
