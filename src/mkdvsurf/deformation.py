@@ -15,9 +15,8 @@ whole :class:`Frame`, (A, B) with their closed-form x and t derivatives, and
 ``_FRAMES`` is the one map from a kind to that function; :func:`frame_at`
 evaluates the jet once and returns it with the frame.  From (A, B) and the
 frame normal C = [A, B]/||[A, B]|| the first and second fundamental forms
-follow, and from those the Gaussian and mean curvatures.
-Closed-form curvature expressions for the spectral and spectral-gauge
-families are provided for cross-checking.
+follow, and from those the Gaussian and mean curvatures.  The closed forms
+these are checked against live in ``immersion``.
 
 Every su(2) element here, A, B, their derivatives and U, V, is a Pauli-
 component vector built by su2.vec: (x1, x2, x3) encodes the matrix
@@ -180,43 +179,6 @@ def curvatures_from_forms(f: Forms) -> CurvaturePair:
     with np.errstate(invalid="ignore", divide="ignore"):
         k = f.det_h() / det_g
         h = (f.g22 * f.h11 - 2.0 * f.g12 * f.h12 + f.g11 * f.h22) / (2.0 * det_g)
-    return CurvaturePair(K=k, H=h)
-
-
-def curvatures_spectral_closed(u, p: SolitonParams) -> CurvaturePair:
-    """K = (2/mu^2)(u^2 - 2 alpha), H = (3u^2 + 2(lam^2 - alpha)) / (2 mu u)."""
-    u = np.asarray(u, dtype=float)
-    k = (2.0 / p.mu ** 2) * (u ** 2 - 2.0 * p.alpha)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        h = (3.0 * u ** 2 + 2.0 * (p.lam ** 2 - p.alpha)) / (2.0 * p.mu * u)
-    return CurvaturePair(K=k, H=h)
-
-
-def spectral_gauge_curvature_denominator(u, p: SolitonParams):
-    """The shared denominator of the spectral-gauge K and (halved) H."""
-    u = np.asarray(u, dtype=float)
-    return (
-        p.nu
-        * (
-            2.0 * p.nu * u * (u ** 2 - 2.0 * p.alpha)
-            - 3.0 * p.mu * u ** 2
-            - 2.0 * p.mu * (p.lam ** 2 - p.alpha)
-        )
-        + p.mu ** 2 * u
-    )
-
-
-def curvatures_spectral_gauge_closed(u, p: SolitonParams) -> CurvaturePair:
-    """Closed-form K, H of the spectral-gauge family; poles where the shared
-    denominator vanishes are genuine singular points of the family."""
-    u = np.asarray(u, dtype=float)
-    den = spectral_gauge_curvature_denominator(u, p)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        k = 2.0 * u * (u ** 2 - 2.0 * p.alpha) / den
-        h = (
-            p.mu * (3.0 * u ** 2 + 2.0 * (p.lam ** 2 - p.alpha))
-            - 4.0 * u * p.nu * (u ** 2 - 2.0 * p.alpha)
-        ) / (2.0 * den)
     return CurvaturePair(K=k, H=h)
 
 

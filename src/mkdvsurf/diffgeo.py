@@ -1,10 +1,11 @@
 """Finite-difference differential-geometry oracle.
 
 Everything here works directly on an immersion callable (x, t) -> R^3 or on
-scalar/metric provider callables, with no knowledge of closed forms: first
-and second fundamental forms by central differences, the surface Laplacian
-and the curvature-weighted divergence operator in nested flux form, and the
-residuals of the Willmore-like and generalized shape equations.
+scalar and :class:`Forms` provider callables, with no knowledge of closed
+forms: first and second fundamental forms by central differences, the
+surface Laplacian and the curvature-weighted divergence operator in nested
+flux form, and the residuals of the Willmore-like and generalized shape
+equations.
 
 :func:`derivative` is the package's only difference quotient.  The module
 imports no other package module, so the oracle cannot reach the closed forms
@@ -195,9 +196,6 @@ def fd_forms(immersion, x, t, s: Stencil | None = None) -> Forms:
     )
 
 
-MetricProvider = Callable[[np.ndarray, np.ndarray], tuple]
-
-
 def _det_sqrt(g11, g12, g22, scalar_ok: bool):
     det = g11 * g22 - g12 ** 2
     bad = ~(det > 0.0)
@@ -209,23 +207,25 @@ def _det_sqrt(g11, g12, g22, scalar_ok: bool):
 
 
 # One block of a divergence-form pass: the rows of the field it acts on
-# (``...`` for the whole field), the tensor whose inverse it applies (None
-# for the metric) and its scalar weight (None for 1).
-_WHOLE_FIELD = ((..., None, None),)
+# (``...`` for the whole field), the form whose inverse it applies ("g" or
+# "h") and its scalar weight (None for 1).
+_WHOLE_FIELD = ((..., "g", None),)
 
 
-def _divergence_form(f, metric: MetricProvider, x, t, s, blocks=_WHOLE_FIELD):
+def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
     """(1/sqrt(det g)) d_i(sqrt(det g) w a^{ij} d_j f) in nested flux form.
 
-    Each block ``(rows, tensor, weight)`` applies the operator to the rows
-    ``rows`` of f's value: a^{ij} is the inverse of ``tensor`` (the metric
-    when None) and w the scalar field ``weight`` (1 when None).  The
-    bracketed flux is itself a field whose divergence is taken by the same
-    central stencils.  ``f`` may return leading axes (one field per energy):
-    the metric, tensor and weight are evaluated once per stencil point and
-    broadcast against them.  All blocks share one pass, so each flux point
-    calls the metric once and differentiates f once, and each block fills
-    its own rows of the flux with the arithmetic it would have alone.
+    ``forms`` takes (x, t) and returns the :class:`Forms` there.  Each block
+    ``(rows, tensor, weight)`` applies the operator to the rows ``rows`` of
+    f's value: a^{ij} is the inverse of the metric g (``tensor`` "g") or of
+    the second form h ("h"), and w the scalar field ``weight`` (1 when
+    None).  The bracketed flux is itself a field whose divergence is taken
+    by the same central stencils.  ``f`` may return leading axes (one field
+    per energy): the forms and the weight are evaluated once per stencil
+    point and broadcast against them.  All blocks share one pass, so each
+    flux point calls ``forms`` once and differentiates f once, and each
+    block fills its own rows of the flux with the arithmetic it would have
+    alone.
     """
     if s is None:
         s = OPERATOR_STENCIL
@@ -233,15 +233,18 @@ def _divergence_form(f, metric: MetricProvider, x, t, s, blocks=_WHOLE_FIELD):
     t = np.asarray(t, dtype=float)
 
     def flux(xx, tt, row):
-        g11, g12, g22 = metric(xx, tt)
-        _, sq = _det_sqrt(g11, g12, g22, scalar_ok=False)
+        fm = forms(xx, tt)
+        _, sq = _det_sqrt(fm.g11, fm.g12, fm.g22, scalar_ok=False)
         fx = np.asarray(derivative(f, xx, tt, s, axis=0, nth=1))
         ft = np.asarray(derivative(f, xx, tt, s, axis=1, nth=1))
         out = None
         if len(blocks) > 1:
             out = np.empty(np.broadcast_shapes(fx.shape, np.shape(sq)))
         for rows, tensor, weight in blocks:
-            a11, a12, a22 = (g11, g12, g22) if tensor is None else tensor(xx, tt)
+            if tensor == "g":
+                a11, a12, a22 = fm.g11, fm.g12, fm.g22
+            else:
+                a11, a12, a22 = fm.h11, fm.h12, fm.h22
             det_a = a11 * a22 - a12 ** 2
             w = sq if weight is None else sq * weight(xx, tt)
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -256,31 +259,28 @@ def _divergence_form(f, metric: MetricProvider, x, t, s, blocks=_WHOLE_FIELD):
 
     div = derivative(lambda a, b: flux(a, b, 0), x, t, s, axis=0, nth=1)
     div = div + derivative(lambda a, b: flux(a, b, 1), x, t, s, axis=1, nth=1)
-    g11, g12, g22 = metric(x, t)
-    _, sq = _det_sqrt(g11, g12, g22, scalar_ok=True)
+    fm = forms(x, t)
+    _, sq = _det_sqrt(fm.g11, fm.g12, fm.g22, scalar_ok=True)
     return div / sq
 
 
-def laplace_beltrami(f, metric: MetricProvider, x, t, s: Stencil | None = None):
-    """Surface Laplacian: (1/sqrt(det g)) d_i(sqrt(det g) g^{ij} d_j f)."""
-    return _divergence_form(f, metric, x, t, s)
+def laplace_beltrami(f, forms, x, t, s: Stencil | None = None):
+    """Surface Laplacian: (1/sqrt(det g)) d_i(sqrt(det g) g^{ij} d_j f).
+
+    ``forms`` takes (x, t) and returns the :class:`Forms` there.
+    """
+    return _divergence_form(f, forms, x, t, s)
 
 
-def nabla_dot_bar(
-    f,
-    metric: MetricProvider,
-    curvature_k,
-    second_form,
-    x,
-    t,
-    s: Stencil | None = None,
-):
+def nabla_dot_bar(f, forms, curvature_k, x, t, s: Stencil | None = None):
     """Curvature-weighted operator: (1/sqrt(det g)) d_i(sqrt(det g) K h^{ij} d_j f).
 
-    h^{ij} is the inverse of the second fundamental form; points where it is
-    singular propagate as non-finite values (see near_singular_mask).
+    ``forms`` takes (x, t) and returns the :class:`Forms` there, g and h
+    alike.  h^{ij} is the inverse of the second fundamental form; points
+    where it is singular propagate as non-finite values (see
+    near_singular_mask).
     """
-    return _divergence_form(f, metric, x, t, s, ((..., second_form, curvature_k),))
+    return _divergence_form(f, forms, x, t, s, ((..., "h", curvature_k),))
 
 
 NEAR_SINGULAR_RTOL = 1e-10
@@ -297,20 +297,16 @@ def near_singular_mask(h11, h12, h22, rtol: float = NEAR_SINGULAR_RTOL):
 class SurfaceProviders:
     """Callable bundle describing one surface: position, forms, curvatures.
 
-    Each callable takes broadcastable (x, t) arrays; metric and second_form
-    return coefficient triples, curvatures returns a CurvaturePair.
+    Each callable takes broadcastable (x, t) arrays; forms returns the
+    :class:`Forms` (g and h together), curvatures a CurvaturePair.
     """
 
     position: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    metric: MetricProvider
-    second_form: Callable[[np.ndarray, np.ndarray], tuple]
+    forms: Callable[[np.ndarray, np.ndarray], Forms]
     curvatures: Callable[[np.ndarray, np.ndarray], CurvaturePair]
 
     def mean_curvature(self, x, t):
         return self.curvatures(x, t).H
-
-    def gauss_curvature(self, x, t):
-        return self.curvatures(x, t).K
 
 
 def willmore_like_residual(
@@ -321,7 +317,7 @@ def willmore_like_residual(
     Returns (residual, scale) where scale is the pointwise magnitude of the
     largest algebraic term, suitable for relative comparisons.
     """
-    lap_h = laplace_beltrami(providers.mean_curvature, providers.metric, x, t, s)
+    lap_h = laplace_beltrami(providers.mean_curvature, providers.forms, x, t, s)
     cur = providers.curvatures(np.asarray(x, float), np.asarray(t, float))
     t_a = a * cur.H ** 3
     t_b = b * cur.H * cur.K
@@ -368,13 +364,12 @@ def shape_equation_residual(
             row[...] = e.dK(c.H, c.K)
         return out
 
-    blocks = [(slice(0, n_h), None, None)]
+    blocks = [(slice(0, n_h), "g", None)]
     if with_k:
         blocks.append(
-            (slice(n_h, None), providers.second_form,
-             lambda a, b: providers.curvatures(a, b).K)
+            (slice(n_h, None), "h", lambda a, b: providers.curvatures(a, b).K)
         )
-    ops = _divergence_form(field, providers.metric, x, t, s, blocks)
+    ops = _divergence_form(field, providers.forms, x, t, s, blocks)
     nabla = iter(ops[n_h:])
     cur = providers.curvatures(x, t)
     h_, k_ = cur.H, cur.K

@@ -19,40 +19,11 @@ from typing import Callable
 import numpy as np
 
 from . import su2
-from .deformation import (
-    DeformationKind,
-    curvatures_spectral_gauge_closed,
-    frame_at,
-    spectral_gauge_curvature_denominator,
-    validate_kind,
-)
+from .deformation import DeformationKind, frame_at, validate_kind
 from .diffgeo import CurvaturePair, Forms, Stencil, SurfaceProviders, derivative
 from .lax import PhiConstants, canonical_constants, phi
 from .soliton import XI_MAX, SolitonParams, jet
 from .soliton import xi as soliton_xi
-
-
-@dataclass(frozen=True)
-class ThreeParamAux:
-    """Scalar radius and the phase/drift fields of the three-parameter family."""
-
-    R1: float
-    G: np.ndarray
-    E: np.ndarray
-
-
-@dataclass(frozen=True)
-class FourParamAux:
-    """Radii and phase/drift fields of the four-parameter family."""
-
-    R2: float
-    R3: float
-    R4: float
-    R5: float
-    R6: float
-    R7: float
-    G: np.ndarray
-    E_tilde: np.ndarray
 
 
 def _phase(x, t, p: SolitonParams):
@@ -77,38 +48,21 @@ def _four_param_radii(p: SolitonParams) -> tuple[float, ...]:
     )
 
 
-def three_param_aux(x, t, p: SolitonParams) -> ThreeParamAux:
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    d = p.k1 ** 2 + 4.0 * p.lam ** 2
-    return ThreeParamAux(
-        R1=_three_param_radii(p)[0],
-        G=_phase(x, t, p),
-        E=(t * (8.0 * p.lam + p.k1 ** 2) + 4.0 * x) * d,
-    )
-
-
-def four_param_aux(x, t, p: SolitonParams) -> FourParamAux:
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return FourParamAux(
-        *_four_param_radii(p),
-        G=_phase(x, t, p),
-        E_tilde=t * (8.0 * p.lam + p.k1 ** 2) + 4.0 * x,
-    )
-
-
 def three_param_position(x, t, p: SolitonParams) -> np.ndarray:
     """Position vector (..., 3) of the three-parameter surface family.
 
     Overflow-free evaluation: 1/(e^{2 xi} + 1) is written as (1 - tanh xi)/2.
     """
-    a = three_param_aux(x, t, p)
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    (r1,) = _three_param_radii(p)
+    g = _phase(x, t, p)
+    e = (t * (8.0 * p.lam + p.k1 ** 2) + 4.0 * x) * (p.k1 ** 2 + 4.0 * p.lam ** 2)
     j = jet(x, t, p)
     s, tau = j.s, j.tau
-    y1 = -a.R1 * a.E / (4.0 * p.k1) - 4.0 * a.R1 * (1.0 - tau)
-    y2 = -4.0 * a.R1 * np.cos(a.G) * s
-    y3 = -4.0 * a.R1 * np.sin(a.G) * s
+    y1 = -r1 * e / (4.0 * p.k1) - 4.0 * r1 * (1.0 - tau)
+    y2 = -4.0 * r1 * np.cos(g) * s
+    y3 = -4.0 * r1 * np.sin(g) * s
     return np.stack(np.broadcast_arrays(y1, y2, y3), axis=-1)
 
 
@@ -118,14 +72,18 @@ def four_param_position(x, t, p: SolitonParams) -> np.ndarray:
     Stable rewrites: 1/(e^{2 xi}+1) = (1 - tanh xi)/2 and
     (e^{4 xi}+1)/(e^{2 xi}+1)^2 = 1 - sech^2(xi)/2.
     """
-    a = four_param_aux(x, t, p)
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    r2, r3, r4, r5, r6, r7 = _four_param_radii(p)
+    e_tilde = t * (8.0 * p.lam + p.k1 ** 2) + 4.0 * x
     j = jet(x, t, p)
     s, tau = j.s, j.tau
-    cg, sg = np.cos(a.G), np.sin(a.G)
-    y1 = a.R2 * tau * s + a.R3 * a.E_tilde + 0.5 * a.R4 * (1.0 - tau)
-    radial = 0.5 * a.R4 * s + a.R5 * (1.0 - 0.5 * s ** 2) - a.R6 * s ** 2
-    y2 = radial * cg + a.R7 * tau * sg
-    y3 = radial * sg - a.R7 * tau * cg
+    g = _phase(x, t, p)
+    cg, sg = np.cos(g), np.sin(g)
+    y1 = r2 * tau * s + r3 * e_tilde + 0.5 * r4 * (1.0 - tau)
+    radial = 0.5 * r4 * s + r5 * (1.0 - 0.5 * s ** 2) - r6 * s ** 2
+    y2 = radial * cg + r7 * tau * sg
+    y3 = radial * sg - r7 * tau * cg
     return np.stack(np.broadcast_arrays(y1, y2, y3), axis=-1)
 
 
@@ -190,6 +148,35 @@ def four_param_forms_closed(x, t, p: SolitonParams) -> Forms:
     return Forms(g11=g11, g12=g12, g22=g22, h11=h11, h12=h12, h22=h22)
 
 
+def spectral_gauge_curvature_denominator(u, p: SolitonParams):
+    """The shared denominator of the spectral-gauge K and (halved) H."""
+    u = np.asarray(u, dtype=float)
+    return (
+        p.nu
+        * (
+            2.0 * p.nu * u * (u ** 2 - 2.0 * p.alpha)
+            - 3.0 * p.mu * u ** 2
+            - 2.0 * p.mu * (p.lam ** 2 - p.alpha)
+        )
+        + p.mu ** 2 * u
+    )
+
+
+def curvatures_spectral_gauge_closed(u, p: SolitonParams) -> CurvaturePair:
+    """Closed-form K, H of the spectral-gauge family at u = k1 sech(xi); poles
+    where the shared denominator vanishes are genuine singular points of the
+    family."""
+    u = np.asarray(u, dtype=float)
+    den = spectral_gauge_curvature_denominator(u, p)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        k = 2.0 * u * (u ** 2 - 2.0 * p.alpha) / den
+        h = (
+            p.mu * (3.0 * u ** 2 + 2.0 * (p.lam ** 2 - p.alpha))
+            - 4.0 * u * p.nu * (u ** 2 - 2.0 * p.alpha)
+        ) / (2.0 * den)
+    return CurvaturePair(K=k, H=h)
+
+
 def four_param_curvatures_closed(x, t, p: SolitonParams) -> CurvaturePair:
     """Gaussian and mean curvature of the four-parameter family."""
     s = jet(x, t, p).s
@@ -203,10 +190,11 @@ def _three_param_asymptote(x, t, p: SolitonParams, branch: int):
 
 
 def _four_param_asymptote(x, t, p: SolitonParams, branch: int):
-    a = four_param_aux(x, t, p)
-    cg, sg = np.cos(a.G), np.sin(a.G)
-    return (a.R5 * cg + branch * a.R7 * sg,
-            a.R5 * sg - branch * a.R7 * cg)
+    _, _, _, r5, _, r7 = _four_param_radii(p)
+    g = _phase(np.asarray(x, dtype=float), np.asarray(t, dtype=float), p)
+    cg, sg = np.cos(g), np.sin(g)
+    return (r5 * cg + branch * r7 * sg,
+            r5 * sg - branch * r7 * cg)
 
 
 @dataclass(frozen=True)
@@ -279,19 +267,9 @@ class Family:
 
     def providers(self, p: SolitonParams) -> SurfaceProviders:
         """Closed-form provider bundle for the finite-difference oracle."""
-
-        def metric(x, t):
-            f = self.forms(x, t, p)
-            return f.g11, f.g12, f.g22
-
-        def second_form(x, t):
-            f = self.forms(x, t, p)
-            return f.h11, f.h12, f.h22
-
         return SurfaceProviders(
             position=lambda x, t: self.position(x, t, p),
-            metric=metric,
-            second_form=second_form,
+            forms=lambda x, t: self.forms(x, t, p),
             curvatures=lambda x, t: self.curvatures(x, t, p),
         )
 

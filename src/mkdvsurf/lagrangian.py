@@ -335,8 +335,8 @@ def verify_family(
         sp = SolitonParams(k1=k1, lam=sign * k1 / 2.0, mu=mu)
         providers = SPECTRAL3.providers(sp)
         x, t = xi_grid(sp, xi_half, nx, nt, t_half)
-        h11, h12, h22 = providers.second_form(x, t)
-        singular = diffgeo.near_singular_mask(h11, h12, h22)
+        f = providers.forms(x, t)
+        singular = diffgeo.near_singular_mask(f.h11, f.h12, f.h22)
         results = diffgeo.shape_equation_residual(providers, lagrs, x, t, s)
         for out, (res, scale) in zip(checks, results):
             normalized = np.abs(res) / scale

@@ -21,8 +21,6 @@ from .deformation import (
     DeformationKind,
     ab_compatibility_residual,
     curvatures_from_forms,
-    curvatures_spectral_closed,
-    curvatures_spectral_gauge_closed,
     forms_from_ab,
     symmetry_sphere_check,
 )
@@ -239,6 +237,8 @@ def _incompatible(name: str, cfg: _Config) -> str | None:
     if name == "sphere":
         if p.lam == 0.0:
             return "requires lambda != 0"
+        if p.mu == 0.0:
+            return "requires mu != 0"
         return None
     return None
 
@@ -284,21 +284,25 @@ def _check_compat(cfg: _Config, tol: float) -> CheckResult:
                    note="all three deformation families")
 
 
+# Points of the forms check whose closed-form denominator is at most this
+# share of its largest magnitude on the grid sit at or beside a pole.
+POLE_MARGIN = 0.05
+
+
 def _check_forms(cfg: _Config, tol: float) -> CheckResult:
     p, fam = cfg.surface.params, cfg.surface.family
     x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
     u_val = soliton_u(x, t, p)
-    f = forms_from_ab(x, t, p, fam.kind)
-    cur = curvatures_from_forms(f)
+    cur = curvatures_from_forms(forms_from_ab(x, t, p, fam.kind))
+    closed = fam.curvatures(x, t, p)
     sign = fam.orientation(u_val, p)
-    # spectral3's only pole is u = 0; spectral-gauge poles get a margin
-    if fam is SPECTRAL3:
-        closed = curvatures_spectral_closed(u_val, p)
-        keep = np.isfinite(closed.H)
-    else:
-        closed = curvatures_spectral_gauge_closed(u_val, p)
-        den = fam.denominator(u_val, p)
-        keep = np.abs(den) > 0.05 * np.max(np.abs(den))
+    den = np.abs(fam.denominator(u_val, p))
+    keep = den > POLE_MARGIN * np.max(den)
+    if not keep.any():
+        raise diffgeo.SingularPointError(
+            "forms: no grid point clears the closed forms' poles "
+            f"(|denominator| <= {POLE_MARGIN:g} max |denominator| everywhere)"
+        )
     rel_k = np.abs(cur.K[keep] - closed.K[keep]) / np.max(np.abs(closed.K[keep]))
     rel_h = np.abs(cur.H[keep] - sign[keep] * closed.H[keep]) / np.max(
         np.abs(closed.H[keep])
@@ -316,7 +320,7 @@ def _check_forms(cfg: _Config, tol: float) -> CheckResult:
 def _check_weingarten(cfg: _Config, tol: float, paper_literal: bool) -> CheckResult:
     p = cfg.surface.params
     x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
-    cur = curvatures_spectral_closed(soliton_u(x, t, p), p)
+    cur = cfg.surface.family.curvatures(x, t, p)
     wr = immersion.weingarten_residuals(cur.K, cur.H, p, paper_literal=paper_literal)
     res = [np.abs(wr.cubic) / wr.cubic_scale]
     note = "cubic K-H relation"

@@ -13,10 +13,7 @@ from mkdvsurf.deformation import (
     DeformationKind,
     ab_compatibility_residual,
     curvatures_from_forms,
-    curvatures_spectral_closed,
-    curvatures_spectral_gauge_closed,
     forms_from_ab,
-    spectral_gauge_curvature_denominator,
     symmetry_sphere_check,
 )
 from mkdvsurf.immersion import (
@@ -97,13 +94,12 @@ def test_criterion_04_forms_curvature_equivalence():
         x, t = xi_grid(p, 2.95, N_XI, N_T)
         uu = soliton_u(x, t, p)
         cur = curvatures_from_forms(forms_from_ab(x, t, p, family.kind))
+        closed = family.curvatures(x, t, p)
         sign = family.orientation(uu, p)
         if family is SPECTRAL3:
-            closed = curvatures_spectral_closed(uu, p)
             keep = np.ones(uu.shape, bool)
         else:
-            closed = curvatures_spectral_gauge_closed(uu, p)
-            den = spectral_gauge_curvature_denominator(uu, p)
+            den = family.denominator(uu, p)
             keep = np.abs(den) > 0.05 * np.max(np.abs(den))
         rel_k = np.max(np.abs(cur.K - closed.K)[keep]) / np.max(np.abs(closed.K[keep]))
         rel_h = np.max(np.abs(cur.H - sign * closed.H)[keep]) / np.max(np.abs(closed.H[keep]))
@@ -123,7 +119,7 @@ def test_criterion_04_forms_curvature_equivalence():
             sign = np.sign(uu)
         else:
             fcl = four_param_forms_closed(x, t, p)
-            den = spectral_gauge_curvature_denominator(uu, p)
+            den = pre.family.denominator(uu, p)
             keep = np.abs(den) > 0.05 * np.max(np.abs(den))
             sign = pre.family.orientation(uu, p)
         ccl = pre.family.curvatures(x, t, p)
@@ -163,18 +159,18 @@ def test_criterion_06_curvature_relation():
         p = SolitonParams(rng.uniform(0.5, 3.0), rng.uniform(-1.5, 1.5),
                           rng.uniform(0.3, 3.0))
         x, t = xi_grid(p, 3.0, N_XI, N_T)
-        cur = curvatures_spectral_closed(soliton_u(x, t, p), p)
+        cur = SPECTRAL3.curvatures(x, t, p)
         wr = weingarten_residuals(cur.K, cur.H, p)
         worst_cubic = max(worst_cubic, float(np.max(np.abs(wr.cubic) / wr.cubic_scale)))
     worst_quad = 0.0
     for _ in range(10):
         k1 = rng.uniform(0.5, 3.0)
         p = SolitonParams(k1, k1 / 2.0, rng.uniform(0.3, 3.0))
-        cur = curvatures_spectral_closed(soliton_u(*xi_grid(p, 3.0, N_XI, N_T), p), p)
+        cur = SPECTRAL3.curvatures(*xi_grid(p, 3.0, N_XI, N_T), p)
         wr = weingarten_residuals(cur.K, cur.H, p)
         worst_quad = max(worst_quad, float(np.max(np.abs(wr.quadratic) / wr.quadratic_scale)))
     p0 = SolitonParams(2.0, 1.0, 1.0)
-    cur0 = curvatures_spectral_closed(np.array(2.0), p0)
+    cur0 = SPECTRAL3.curvatures(np.array(0.0), np.array(0.0), p0)  # crest: xi = 0
     defect = float(weingarten_residuals(cur0.K, cur0.H, p0, paper_literal=True).cubic)
     ok = worst_cubic < 1e-9 and worst_quad < 1e-9 and abs(defect - 108.0) < 1e-9
     assert _line(6, ok, f"cubic {worst_cubic:.2e}, quadratic {worst_quad:.2e} "

@@ -4,8 +4,9 @@ The ``verify`` and ``frame`` workloads of ``perfbench`` compare each
 operation's checks with ``perfbench/reference.json``: the same verdicts, and
 residuals that agree to rounding (1e-3 relative for the finite-difference
 checks).  Running the seven ``verify`` operations, and the ``frame``
-operations of the checks that multiply 2x2 matrices, here makes a drift in
-those residuals fail the test suite, not only a benchmark run.
+operations of the checks that multiply 2x2 matrices and of those that read
+the closed-form curvatures, here makes a drift in those residuals fail the
+test suite, not only a benchmark run.
 ``perfbench/workloads.py`` is loaded from its file and used as it is.
 """
 
@@ -53,4 +54,13 @@ def test_frame_matrix_checks_match_the_benchmark_reference(tmp_path, monkeypatch
     ops = [op for op in wl.operations("frame", tmp_path)
            if op.key.split("/")[1] in ("lax", "consistency")]
     assert len(ops) == 14
+    assert not _mismatches(wl, "frame", ops)
+
+
+def test_frame_curvature_checks_match_the_benchmark_reference(tmp_path, monkeypatch):
+    # forms and weingarten compare against the closed-form curvatures of Family
+    wl = _workloads(monkeypatch)
+    ops = [op for op in wl.operations("frame", tmp_path)
+           if op.key.split("/")[1] in ("forms", "weingarten")]
+    assert len(ops) == 11
     assert not _mismatches(wl, "frame", ops)

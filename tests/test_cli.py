@@ -218,6 +218,31 @@ def test_verify_incompatible_exit_2(capsys):
     assert "incompatible" in err
 
 
+def test_sphere_skips_the_unit_sphere_of_mu_0(capsys):
+    # at mu = 0 the symmetry frame, mu times a fixed field, is degenerate
+    # everywhere: --checks all skips sphere, naming it aborts with the reason
+    surface = ("--family", "spectralgauge4", "--k1", "2", "--lambda", "0.5", "--mu", "0",
+               "--nu", "1", "--nx", "9", "--nt", "9")
+    code, out, err = run(capsys, "verify", *surface, "--checks", "all")
+    assert code == 0, err
+    [sphere] = [line for line in out.splitlines() if line.startswith("sphere")]
+    assert "skip" in sphere and "requires mu != 0" in sphere
+    assert out.endswith("overall: pass\n")
+    code, out, err = run(capsys, "verify", *surface, "--checks", "sphere")
+    assert code == 2
+    assert out == ""
+    assert err == "error: check 'sphere' incompatible: requires mu != 0\n"
+
+
+def test_forms_without_a_point_off_the_poles_exit_2(capsys):
+    # mu^2 u underflows to 0 on the whole grid, so every point is at a pole
+    code, out, err = run(capsys, "verify", "--family", "spectral3", "--k1", "1e-70",
+                         "--mu", "1e-160", "--nx", "5", "--nt", "5", "--checks", "forms")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: forms: no grid point") and err.count("\n") == 1
+
+
 def test_verify_json_output(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out, _ = run(

@@ -9,11 +9,8 @@ from mkdvsurf.deformation import (
     DeformationKind,
     ab_compatibility_residual,
     curvatures_from_forms,
-    curvatures_spectral_closed,
-    curvatures_spectral_gauge_closed,
     forms_from_ab,
     frame_at,
-    spectral_gauge_curvature_denominator,
     symmetry_sphere_check,
     validate_kind,
 )
@@ -114,7 +111,7 @@ def test_spectral_curvatures_match_closed_form(p):
     f = forms_from_ab(x, t, p, DeformationKind.SPECTRAL)
     cur = curvatures_from_forms(f)
     uu = soliton_u(x, t, p)
-    closed = curvatures_spectral_closed(uu, p)
+    closed = SPECTRAL3.curvatures(x, t, p)
     sign = SPECTRAL3.orientation(uu, p)
     assert np.max(np.abs(cur.K - closed.K)) < 1e-8 * np.max(np.abs(closed.K))
     assert np.max(np.abs(cur.H - sign * closed.H)) < 1e-8 * np.max(np.abs(closed.H))
@@ -125,11 +122,11 @@ def test_spectral_curvatures_match_closed_form(p):
 def test_gauge_curvatures_match_closed_form(p):
     x, t = np.meshgrid(np.linspace(-1.5, 1.5, 9), np.linspace(-1.5, 1.5, 9))
     uu = soliton_u(x, t, p)
-    den = spectral_gauge_curvature_denominator(uu, p)
+    den = SPECTRAL_GAUGE4.denominator(uu, p)
     keep = np.abs(den) > 0.1 * np.max(np.abs(den))
     f = forms_from_ab(x, t, p, DeformationKind.SPECTRAL_GAUGE)
     cur = curvatures_from_forms(f)
-    closed = curvatures_spectral_gauge_closed(uu, p)
+    closed = SPECTRAL_GAUGE4.curvatures(x, t, p)
     sign = SPECTRAL_GAUGE4.orientation(uu, p)
     dk = np.abs(cur.K[keep] - closed.K[keep])
     dh = np.abs(cur.H[keep] - sign[keep] * closed.H[keep])
@@ -138,11 +135,18 @@ def test_gauge_curvatures_match_closed_form(p):
 
 
 def test_spectral_closed_forms_values():
-    # K = (2/mu^2)(u^2 - 2 alpha), H = (3u^2 + 2(lam^2 - alpha))/(2 mu u)
     p = SolitonParams(2.0, 1.0, mu=1.0)
-    cur = curvatures_spectral_closed(np.array(2.0), p)  # crest: u = k1
+    cur = SPECTRAL3.curvatures(np.array(0.0), np.array(0.0), p)  # crest: xi = 0
     assert cur.K == pytest.approx(4.0)
     assert cur.H == pytest.approx(3.0)
+    # the same closed forms written in u = k1 sech(xi):
+    # K = (2/mu^2)(u^2 - 2 alpha), H = (3u^2 + 2(lam^2 - alpha))/(2 mu u)
+    p = SolitonParams(1.5, -0.4, mu=-2.5)
+    uu = soliton_u(*GRID, p)
+    cur = SPECTRAL3.curvatures(*GRID, p)
+    assert np.allclose(cur.K, (2.0 / p.mu ** 2) * (uu ** 2 - 2.0 * p.alpha), rtol=1e-12)
+    assert np.allclose(cur.H, (3.0 * uu ** 2 + 2.0 * (p.lam ** 2 - p.alpha)) / (2.0 * p.mu * uu),
+                       rtol=1e-12)
 
 
 def test_metric_of_spectral_family_is_constant_g11():
@@ -157,7 +161,7 @@ def test_orientation_sign_is_denominator_sign():
     p = SolitonParams(2.0, 0.5, mu=1.0, nu=2.0)
     uu = np.linspace(0.05, 2.0, 101)
     sign = SPECTRAL_GAUGE4.orientation(uu, p)
-    den = spectral_gauge_curvature_denominator(uu, p)
+    den = SPECTRAL_GAUGE4.denominator(uu, p)
     assert np.array_equal(sign, np.sign(den))
     p3 = SolitonParams(2.0, 0.5, mu=-3.0)
     assert np.array_equal(SPECTRAL3.orientation(uu, p3), np.sign(uu))

@@ -24,8 +24,19 @@ def sphere(x, t):
     )
 
 
-def sphere_metric(x, t):
-    return np.ones_like(x), np.zeros_like(x), np.cos(x) ** 2
+def sphere_forms(x, t):
+    # unit sphere: h = g, so K = 1
+    g = (np.ones_like(x), np.zeros_like(x), np.cos(x) ** 2)
+    return dg.Forms(*g, *g)
+
+
+def flat_forms(g11=1.0):
+    # a constant metric diag(g11, 1); the Laplacian reads no h
+    def forms(x, t):
+        zero = np.zeros_like(x)
+        return dg.Forms(g11 + zero, zero, 1.0 + zero, zero, zero, zero)
+
+    return forms
 
 
 def test_stencil_validation():
@@ -159,27 +170,25 @@ def test_fd_forms_degenerate_point_raises():
 
 
 def test_laplace_beltrami_flat():
-    metric = lambda x, t: (np.ones_like(x), np.zeros_like(x), np.ones_like(x))
     f = lambda x, t: x ** 2 + t ** 2
-    got = dg.laplace_beltrami(f, metric, X1, T1)
+    got = dg.laplace_beltrami(f, flat_forms(), X1, T1)
     assert np.allclose(got, 4.0, atol=1e-8)
 
 
 def test_laplace_beltrami_sphere_eigenfunction():
     # f = sin(polar) has eigenvalue -2 on the unit sphere
     f = lambda x, t: np.sin(x)
-    got = dg.laplace_beltrami(f, sphere_metric, X1, T1)
+    got = dg.laplace_beltrami(f, sphere_forms, X1, T1)
     assert np.allclose(got, -2.0 * np.sin(X1), atol=1e-8)
 
 
 def test_laplace_convergence_order():
     f = lambda x, t: np.sin(x) * np.cos(t)
-    metric = lambda x, t: (np.ones_like(x), np.zeros_like(x), np.ones_like(x))
     exact = -2.0 * np.sin(X1) * np.cos(T1)
     errs = []
     for h in (4e-3, 2e-3):
         s = dg.Stencil(h=h, order=2, richardson=False)
-        errs.append(np.max(np.abs(dg.laplace_beltrami(f, metric, X1, T1, s) - exact)))
+        errs.append(np.max(np.abs(dg.laplace_beltrami(f, flat_forms(), X1, T1, s) - exact)))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0  # second order: halving h -> ~4x
 
@@ -187,13 +196,13 @@ def test_laplace_convergence_order():
 @settings(max_examples=10, deadline=None)
 @given(st.floats(-2, 2), st.floats(-2, 2))
 def test_operator_linearity(a, b):
-    metric = lambda x, t: (np.ones_like(x) * 2.0, np.zeros_like(x), np.ones_like(x))
+    forms = flat_forms(2.0)
     f = lambda x, t: np.sin(x) + t ** 2
     g = lambda x, t: np.cos(t) * x
     combo = lambda x, t: a * f(x, t) + b * g(x, t)
-    lhs = dg.laplace_beltrami(combo, metric, X1, T1)
-    rhs = a * dg.laplace_beltrami(f, metric, X1, T1) + b * dg.laplace_beltrami(
-        g, metric, X1, T1
+    lhs = dg.laplace_beltrami(combo, forms, X1, T1)
+    rhs = a * dg.laplace_beltrami(f, forms, X1, T1) + b * dg.laplace_beltrami(
+        g, forms, X1, T1
     )
     assert np.max(np.abs(lhs - rhs)) < 1e-8 * (1 + abs(a) + abs(b))
 
@@ -201,10 +210,9 @@ def test_operator_linearity(a, b):
 def test_nabla_dot_bar_reduces_to_laplacian_on_unit_sphere():
     # K = 1 and h = g on the unit sphere, so the operator equals the Laplacian
     f = lambda x, t: np.sin(x)
-    second = sphere_metric
     k_of = lambda x, t: np.ones_like(x)
-    got = dg.nabla_dot_bar(f, sphere_metric, k_of, second, X1, T1)
-    lap = dg.laplace_beltrami(f, sphere_metric, X1, T1)
+    got = dg.nabla_dot_bar(f, sphere_forms, k_of, X1, T1)
+    lap = dg.laplace_beltrami(f, sphere_forms, X1, T1)
     assert np.allclose(got, lap, atol=1e-7)
 
 
@@ -214,12 +222,12 @@ def test_nabla_dot_bar_keeps_the_weighted_flux_arithmetic_bitwise():
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
     s = dg.OPERATOR_STENCIL
     f = prov.mean_curvature
-    k_of = prov.gauss_curvature
+    k_of = lambda xx, tt: prov.curvatures(xx, tt).K
 
     def flux(xx, tt, row):
-        g11, g12, g22 = prov.metric(xx, tt)
-        sq = np.sqrt(g11 * g22 - g12 ** 2)
-        h11, h12, h22 = prov.second_form(xx, tt)
+        fm = prov.forms(xx, tt)
+        sq = np.sqrt(fm.g11 * fm.g22 - fm.g12 ** 2)
+        h11, h12, h22 = fm.h11, fm.h12, fm.h22
         deth = h11 * h22 - h12 ** 2
         fx = dg.derivative(f, xx, tt, s, axis=0)
         ft = dg.derivative(f, xx, tt, s, axis=1)
@@ -229,9 +237,9 @@ def test_nabla_dot_bar_keeps_the_weighted_flux_arithmetic_bitwise():
 
     div = dg.derivative(lambda a, b: flux(a, b, 0), x, t, s, axis=0)
     div = div + dg.derivative(lambda a, b: flux(a, b, 1), x, t, s, axis=1)
-    g11, g12, g22 = prov.metric(x, t)
-    old = div / np.sqrt(g11 * g22 - g12 ** 2)
-    got = dg.nabla_dot_bar(f, prov.metric, k_of, prov.second_form, x, t)
+    fm = prov.forms(x, t)
+    old = div / np.sqrt(fm.g11 * fm.g22 - fm.g12 ** 2)
+    got = dg.nabla_dot_bar(f, prov.forms, k_of, x, t)
     assert np.array_equal(got, old)
 
 
@@ -292,8 +300,8 @@ def test_shape_residual_h2_is_willmore_operator():
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
     [(res, _)] = dg.shape_equation_residual(prov, (_H2Lagrangian(),), x, t)
     h = prov.mean_curvature(x, t)
-    k = prov.gauss_curvature(x, t)
-    lap = dg.laplace_beltrami(prov.mean_curvature, prov.metric, x, t)
+    k = prov.curvatures(x, t).K
+    lap = dg.laplace_beltrami(prov.mean_curvature, prov.forms, x, t)
     assert np.allclose(res, 2 * lap + 4 * h ** 3 - 4 * k * h, atol=1e-7)
 
 
@@ -310,8 +318,7 @@ def test_shape_residual_cmc_balance():
 
         return dg.SurfaceProviders(
             position=sphere,
-            metric=sphere_metric,
-            second_form=sphere_metric,
+            forms=sphere_forms,
             curvatures=curvatures,
         )
 
@@ -352,13 +359,11 @@ def test_shape_residual_of_k_free_energy_skips_the_k_operator():
         return dg.CurvaturePair(K=0.5 * one, H=np.cos(x) + 0.1 * t)
 
     def flat_second_form(x, t):
+        g = sphere_forms(x, t)
         zero = np.zeros_like(np.asarray(x, dtype=float))
-        return zero, zero, zero
+        return dg.Forms(g.g11, g.g12, g.g22, zero, zero, zero)
 
-    prov = dg.SurfaceProviders(
-        position=sphere, metric=sphere_metric, second_form=flat_second_form,
-        curvatures=curvatures,
-    )
+    prov = dg.SurfaceProviders(position=sphere, forms=flat_second_form, curvatures=curvatures)
     gauss = lagrangian.PolyLagrangian(2, {(0, 1): 1.0})
     (res_k, _), (res_h2, scale_h2) = dg.shape_equation_residual(
         prov, (gauss, _H2Lagrangian()), X1, T1
@@ -383,11 +388,11 @@ def _two_operator_residuals(prov, energies, x, t):
     out = []
     for e in energies:
         lap = dg.laplace_beltrami(
-            lambda a, b: e.dH(*_hk(prov, a, b)), prov.metric, x, t)
+            lambda a, b: e.dH(*_hk(prov, a, b)), prov.forms, x, t)
         term1 = lap + (4.0 * h ** 2 - 2.0 * k) * e.dH(h, k)
         if e.depends_on_k():
-            nabla = dg.nabla_dot_bar(lambda a, b: e.dK(*_hk(prov, a, b)), prov.metric,
-                                     prov.gauss_curvature, prov.second_form, x, t)
+            nabla = dg.nabla_dot_bar(lambda a, b: e.dK(*_hk(prov, a, b)), prov.forms,
+                                     lambda a, b: prov.curvatures(a, b).K, x, t)
         else:
             nabla = np.zeros_like(h)
         term2 = 2.0 * (nabla + 2.0 * k * h * e.dK(h, k))

@@ -9,15 +9,15 @@ from mkdvsurf.immersion import (
     DEFAULT_WINDOW,
     FAMILIES,
     PRESETS,
+    SPECTRAL3,
+    SPECTRAL_GAUGE4,
     asymptotic_deviation,
-    four_param_aux,
     four_param_curvatures_closed,
     four_param_forms_closed,
     four_param_position,
     frame_tangents,
     position_consistency_residual,
     resolve,
-    three_param_aux,
     three_param_curvatures_closed,
     three_param_forms_closed,
     three_param_position,
@@ -67,12 +67,15 @@ def test_resolve_window():
         resolve("ex2", family="spectral3", params=p)
 
 
-def test_three_param_aux_values():
+def test_three_param_radius_and_phase():
     # Ex2 parameters: R1 = -mu k1 / (2 (k1^2 + 4 lam^2)) = 1
     p = resolve("ex2").params
-    aux = three_param_aux(0.0, 0.0, p)
-    assert aux.R1 == pytest.approx(1.0)
-    assert aux.G == pytest.approx(0.0)
+    (r1,) = SPECTRAL3.radii(p)
+    assert r1 == pytest.approx(1.0)
+    # at x = t = 0 (xi = 0) the drift E and the phase G vanish:
+    # y = (-4 R1 (1 - tanh xi), -4 R1 cos(G) sech xi, -4 R1 sin(G) sech xi)
+    y = three_param_position(0.0, 0.0, p)
+    assert y == pytest.approx([-4.0, -4.0, 0.0])
 
 
 def test_three_param_crest_circle():
@@ -85,14 +88,18 @@ def test_three_param_crest_circle():
     assert np.allclose(r, 4.0, rtol=1e-12)
 
 
-def test_four_param_aux_ex6():
+def test_four_param_radii_ex6():
     p = resolve("ex6").params
-    aux = four_param_aux(0.0, 0.0, p)
-    assert aux.R2 == pytest.approx(2 * p.k1 ** 2 * p.nu / (p.k1 ** 2 + 4 * p.lam ** 2))
-    assert aux.R4 == pytest.approx(-8.0)
-    assert aux.R5 == pytest.approx(1.0)
-    assert aux.R6 == pytest.approx(1.5)
-    assert aux.R7 == pytest.approx(0.0)
+    r2, r3, r4, r5, r6, r7 = SPECTRAL_GAUGE4.radii(p)
+    assert r2 == pytest.approx(2 * p.k1 ** 2 * p.nu / (p.k1 ** 2 + 4 * p.lam ** 2))
+    assert r4 == pytest.approx(-8.0)
+    assert r5 == pytest.approx(1.0)
+    assert r6 == pytest.approx(1.5)
+    assert r7 == pytest.approx(0.0)
+    # at x = t = 0 (xi = 0) the drift and the phase vanish:
+    # y = (R3 E~ + R4/2, R4/2 + R5/2 - R6, 0) with E~ = 0, since tanh xi = 0
+    y = four_param_position(0.0, 0.0, p)
+    assert y == pytest.approx([0.5 * r4, 0.5 * r4 + 0.5 * r5 - r6, 0.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("pid", list(PRESETS))
@@ -140,10 +147,8 @@ def test_four_param_curvatures_match_frame(pid):
     closed = four_param_curvatures_closed(x, t, p)
     frame = curvatures_from_forms(forms_from_ab(x, t, p, pre.family.kind))
     f4 = four_param_forms_closed(x, t, p)
-    from mkdvsurf.deformation import spectral_gauge_curvature_denominator
-
     uu = soliton_u(x, t, p)
-    den = spectral_gauge_curvature_denominator(uu, p)
+    den = pre.family.denominator(uu, p)
     keep = np.abs(den) > 0.1 * np.max(np.abs(den))
     sign = pre.family.orientation(uu, p)
     assert np.max(np.abs(closed.K - frame.K)[keep]) < 1e-8 * np.max(np.abs(closed.K[keep]))

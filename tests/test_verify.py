@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mkdvsurf import immersion, lax, verify as vf
+from mkdvsurf.diffgeo import CurvaturePair
 from mkdvsurf.immersion import resolve
 from mkdvsurf.soliton import SolitonParams
 
@@ -106,8 +107,9 @@ def test_fd_step_override_respected():
 
 def test_shape_check_curvature_budget(monkeypatch):
     # the FD oracle evaluates each stencil point once, for all four energies
-    # at a time, and the Laplacian and the K-weighted operator share one pass;
-    # a re-expanded stencil or a second pass shows here before it shows as time
+    # at a time, and the Laplacian and the K-weighted operator share one pass
+    # with one forms call per flux point; a re-expanded stencil, a second pass
+    # or a second forms call shows here before it shows as time
     calls = {"three_param_curvatures_closed": 0, "three_param_forms_closed": 0}
     for name in calls:
         closed = getattr(immersion, name)
@@ -120,7 +122,29 @@ def test_shape_check_curvature_budget(monkeypatch):
     rep = vf.run_checks(["shape"], resolve("ex2"), nx=41, nt=41)
     assert rep.passed
     assert 0 < calls["three_param_curvatures_closed"] <= 314
-    assert 0 < calls["three_param_forms_closed"] <= 52
+    assert 0 < calls["three_param_forms_closed"] <= 28
+
+
+def _scale_h(closed):
+    def scaled(*args):
+        cur = closed(*args)
+        return CurvaturePair(K=cur.K, H=cur.H * (1.0 + 1e-6))
+
+    return scaled
+
+
+@pytest.mark.parametrize("preset, closed, checks", [
+    ("ex2", "three_param_curvatures_closed", ("forms", "weingarten")),
+    ("ex7", "four_param_curvatures_closed", ("forms",)),
+])
+def test_checks_read_the_exported_curvatures(monkeypatch, preset, closed, checks):
+    # verify checks the closed forms that generate exports: a relative error
+    # of 1e-6 in H fails every check that reads it
+    surface = resolve(preset)
+    assert vf.run_checks(list(checks), surface).passed
+    monkeypatch.setattr(immersion, closed, _scale_h(getattr(immersion, closed)))
+    rep = vf.run_checks(list(checks), surface)
+    assert [c.status for c in rep.checks] == ["FAIL"] * len(checks)
 
 
 def test_lax_check_evaluates_phi_once_per_stencil_point(monkeypatch):
