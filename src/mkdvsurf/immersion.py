@@ -227,17 +227,22 @@ class Family:
 
         Besides the deformation kind's own rule, the closed forms and the
         frame scale by powers of k1 up to k1^4 (``soliton.Jet.u_xxx``) and by
-        mu^2 and nu^2, and divide by k1^2 + 4 lambda^2 and by mu^2, so each
-        must be finite and nonzero (not overflowed, not underflowed to 0).
-        A mu or nu of exactly 0 drops out and is left to the kind's rule;
-        beside a nonzero mu, nu^2 only adds to mu's terms and may underflow.
-        The position's radii must be finite too.
+        mu^2, nu^2, mu^4 and nu^4 (the norm of [A, B] and the Weingarten
+        relation's K^2), and divide by k1^2 + 4 lambda^2 and by mu^2, so
+        each must be finite and nonzero (not overflowed, not underflowed
+        to 0).  A mu or nu of exactly 0 drops out and is left to the kind's
+        rule; beside a nonzero mu, nu's powers only add to mu's terms and
+        may underflow.  The position's radii must be finite too.
         """
         validate_kind(self.kind, p)
+        mu_may_vanish = p.mu == 0.0
+        nu_may_vanish = p.nu == 0.0 or p.mu != 0.0
         scales = (("k1", "k1^4", lambda: p.k1 ** 4, False),
                   ("k1", "k1^2 + 4 lambda^2", lambda: p.k1 ** 2 + 4.0 * p.lam ** 2, False),
-                  ("mu", "mu^2", lambda: p.mu ** 2, p.mu == 0.0),
-                  ("nu", "nu^2", lambda: p.nu ** 2, p.nu == 0.0 or p.mu != 0.0))
+                  ("mu", "mu^2", lambda: p.mu ** 2, mu_may_vanish),
+                  ("nu", "nu^2", lambda: p.nu ** 2, nu_may_vanish),
+                  ("mu", "mu^4", lambda: p.mu ** 4, mu_may_vanish),
+                  ("nu", "nu^4", lambda: p.nu ** 4, nu_may_vanish))
         for param, name, scale, may_vanish in scales:
             try:
                 value = scale()

@@ -1,10 +1,13 @@
 """Command-line interface: flags, exit codes, output formats."""
 
+import dataclasses
 import json
 import warnings
 
+import numpy as np
 import pytest
 
+from mkdvsurf import immersion
 from mkdvsurf.cli import main, presets_table
 
 
@@ -110,6 +113,12 @@ BAD_SURFACES = [
     (("--family", "spectral3", "--k1", "2", "--mu", "1e300"), "mu"),
     (("--family", "spectral3", "--k1", "2", "--mu", "1e-300"), "mu"),
     (("--family", "spectralgauge4", "--k1", "2", "--mu", "1", "--nu", "1e200"), "nu"),
+    # mu^4 and nu^4, which the norm of [A, B] and the Weingarten relation's
+    # K^2 scale by: each passes the mu^2 or nu^2 rule
+    (("--family", "spectral3", "--k1", "2", "--mu", "1e150"), "mu"),
+    (("--family", "spectralgauge4", "--k1", "2", "--lambda", "0.5", "--mu", "1",
+      "--nu", "1e100"), "nu"),
+    (("--family", "spectral3", "--k1", "1e-70", "--mu", "1e-160"), "mu"),
     # radii that overflow
     (("--family", "spectralgauge4", "--k1", "2", "--nu", "1e308"), "nu"),
     # a window must be finite, in order and of nonzero width
@@ -159,6 +168,12 @@ def test_generate_config_error_exit_2(tmp_path, capsys):
           "--format", "json", *grid), "tolerance", "zerocurv"),
         (("verify", "--preset", "ex2", "--checks", "zerocurv", "--tol-zerocurv", "nan",
           "--format", "json", *grid), "tolerance", "zerocurv"),
+        # a mu whose sixth power, used by the shape check's constrained
+        # energies, overflows or underflows to 0
+        (("verify", "--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "1e60",
+          "--checks", "all", *grid), "mu^6"),
+        (("verify", "--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "1e-60",
+          "--checks", "all", *grid), "mu^6"),
         # a grid too large for memory is rejected before anything is allocated
         (("generate", "--preset", "ex2", "--nx", "1000000", "--nt", "1000000",
           "--out", str(out_file)), "nx*nt"),
@@ -234,10 +249,14 @@ def test_sphere_skips_the_unit_sphere_of_mu_0(capsys):
     assert err == "error: check 'sphere' incompatible: requires mu != 0\n"
 
 
-def test_forms_without_a_point_off_the_poles_exit_2(capsys):
-    # mu^2 u underflows to 0 on the whole grid, so every point is at a pole
-    code, out, err = run(capsys, "verify", "--family", "spectral3", "--k1", "1e-70",
-                         "--mu", "1e-160", "--nx", "5", "--nt", "5", "--checks", "forms")
+def test_forms_without_a_point_off_the_poles_exit_2(capsys, monkeypatch):
+    # a family whose denominator is 0 on the whole grid puts every point at a
+    # pole; no parameters that pass validation do that to spectral3
+    at_poles = dataclasses.replace(
+        immersion.SPECTRAL3, denominator=lambda u, p: np.zeros_like(u))
+    monkeypatch.setitem(immersion.FAMILIES, "spectral3", at_poles)
+    code, out, err = run(capsys, "verify", "--family", "spectral3", "--k1", "2",
+                         "--mu", "1", "--nx", "5", "--nt", "5", "--checks", "forms")
     assert code == 2
     assert out == ""
     assert err.startswith("error: forms: no grid point") and err.count("\n") == 1

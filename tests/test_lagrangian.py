@@ -128,8 +128,10 @@ def test_degree3_instance():
 def test_constrained_family_validation():
     with pytest.raises(ValueError):
         lg.constrained_family(7, None, 0.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        lg.constrained_family(3, None, 0.0, 2.0, 0.0)  # mu = 0
+    with pytest.raises(ValueError, match=r"mu = 0: mu\^2 = 0"):
+        lg.constrained_family(3, None, 0.0, 2.0, 0.0)
+    with pytest.raises(ValueError, match=r"lambda = 0: lambda\^2 = 0"):
+        lg.constrained_family(3, None, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         lg.constrained_family(3, {"a1": 1.0}, 0.0, 2.0, 1.0)  # a1 not free
 
@@ -199,6 +201,44 @@ def test_verify_family_report():
         assert all(c.total == 41 * 41 for c in rep.checks)
     with pytest.raises(ValueError, match="degrees"):
         lg.verify_family((3,), {4: {"a1": 0.0}}, 1.0, 2.0, -8.0)
+
+
+@pytest.mark.parametrize("k1, mu, power", [
+    (2.0, 1e60, r"mu = 1e\+60: mu\^6"),  # overflows
+    (2.0, 1e-60, r"mu = 1e-60: mu\^6"),  # underflows to 0
+    (2.0, 1e-100, r"mu\^4"),
+    (2.0, 1e160, r"mu\^2"),
+    (1e-60, 1.0, r"lambda = 5e-61: lambda\^6"),
+    (1e60, 1.0, r"lambda\^6"),
+    (1e-160, 1.0, r"lambda\^4"),
+])
+def test_constrained_family_rejects_powers_out_of_range(k1, mu, power):
+    # the coefficients divide by and scale with lam and mu up to the sixth
+    # power: a ValueError naming the power, not an OverflowError or a
+    # ZeroDivisionError from the arithmetic
+    for n_deg in (3, 4, 5, 6):
+        with pytest.raises(ValueError, match=power):
+            lg.constrained_family(n_deg, None, 1.0, k1, mu)
+
+
+@pytest.mark.parametrize("preset, passes", [("ex2", 1), ("ex3", 1), ("ex4", 2), ("ex5", 1)])
+def test_verify_family_groups_equal_energies_exactly(preset, passes):
+    # with free zero the families N = 3..6 are one energy padded with
+    # zeros, except on ex4, whose N = 5, 6 coefficients round apart from
+    # N = 3, 4; each degree still reports what it reports alone
+    from mkdvsurf.immersion import resolve
+
+    sp_ = resolve(preset).params
+    families = [lg.constrained_family(n, None, 1.0, sp_.k1, sp_.mu) for n in (3, 4, 5, 6)]
+    assert len({e.terms for e in families}) == passes
+    for free in (None, {5: {1: 0.1}}):
+        together = lg.verify_family((3, 4, 5, 6), free, 1.0, sp_.k1, sp_.mu, nx=21, nt=21)
+        for rep in together:
+            alone = lg.verify_family((rep.n_deg,), {rep.n_deg: (free or {}).get(rep.n_deg)},
+                                     1.0, sp_.k1, sp_.mu, nx=21, nt=21)
+            assert alone == (rep,)
+    # a nonzero free coefficient makes N = 5 an energy of its own
+    assert together[2].checks != together[0].checks
 
 
 def test_shape_residual_scaling_invariance():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mkdvsurf import immersion, lax, verify as vf
+from mkdvsurf import immersion, lagrangian, lax, verify as vf
 from mkdvsurf.diffgeo import CurvaturePair
 from mkdvsurf.immersion import resolve
 from mkdvsurf.soliton import SolitonParams
@@ -123,6 +123,24 @@ def test_shape_check_curvature_budget(monkeypatch):
     assert rep.passed
     assert 0 < calls["three_param_curvatures_closed"] <= 314
     assert 0 < calls["three_param_forms_closed"] <= 28
+
+
+def test_shape_check_energy_budget(monkeypatch):
+    # at free = 0 the constrained families N = 3..6 are one energy on ex2,
+    # so the check evaluates it, its dH and its dK once per point, not four
+    # times over
+    calls = 0
+    evaluate = lagrangian.PolyLagrangian.eval
+
+    def counted(self, h, k):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, h, k)
+
+    monkeypatch.setattr(lagrangian.PolyLagrangian, "eval", counted)
+    rep = vf.run_checks(["shape"], resolve("ex2"), nx=41, nt=41)
+    assert rep.passed
+    assert 0 < calls <= 582
 
 
 def _scale_h(closed):
