@@ -61,14 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated check names, or 'all' (default); available: "
         + ", ".join(verify_mod.CHECK_NAMES + verify_mod.OPT_IN_CHECKS),
     )
-    for name in verify_mod.CHECK_NAMES + verify_mod.OPT_IN_CHECKS:
-        ver.add_argument(
-            f"--tol-{name}",
-            type=float,
-            default=None,
-            help=f"override tolerance for the {name} check "
-            f"(default {verify_mod.DEFAULT_TOLERANCES[name]:g})",
-        )
+    for name, tol in verify_mod.DEFAULT_TOLERANCES.items():
+        ver.add_argument(f"--tol-{name}", type=float, default=None,
+                         help=f"override tolerance for the {name} check (default {tol:g})")
     ver.add_argument("--fd-step", type=float, default=None,
                      help="override the finite-difference step of FD-based checks")
     ver.add_argument("--format", choices=("text", "json"), default="text")
@@ -117,7 +112,7 @@ def _cmd_generate(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     surface = _selection(args, parser)
     tolerances = {}
-    for name in verify_mod.CHECK_NAMES + verify_mod.OPT_IN_CHECKS:
+    for name in verify_mod.DEFAULT_TOLERANCES:
         val = getattr(args, "tol_" + name.replace("-", "_"))
         if val is not None:
             tolerances[name] = val

@@ -232,17 +232,27 @@ class Family:
         each must be finite and nonzero (not overflowed, not underflowed
         to 0).  A mu or nu of exactly 0 drops out and is left to the kind's
         rule; beside a nonzero mu, nu's powers only add to mu's terms and
-        may underflow.  The position's radii must be finite too.
+        may underflow.  So must the constants of Phi: B1 of
+        ``lax.canonical_constants`` and det Phi = 2 e^(-pi lambda/k1)
+        (k1^2 + 4 lambda^2)/k1^2 of ``lax.det_phi_expected``.  spectral3's
+        K is (k1/mu)^2 times a number in [-1, 1], so (k1/mu)^4 must be
+        finite.  The position's radii must be finite too.
         """
         validate_kind(self.kind, p)
         mu_may_vanish = p.mu == 0.0
         nu_may_vanish = p.nu == 0.0 or p.mu != 0.0
+        phi = lambda: math.exp(-math.pi * p.lam / p.k1)
         scales = (("k1", "k1^4", lambda: p.k1 ** 4, False),
                   ("k1", "k1^2 + 4 lambda^2", lambda: p.k1 ** 2 + 4.0 * p.lam ** 2, False),
                   ("mu", "mu^2", lambda: p.mu ** 2, mu_may_vanish),
                   ("nu", "nu^2", lambda: p.nu ** 2, nu_may_vanish),
                   ("mu", "mu^4", lambda: p.mu ** 4, mu_may_vanish),
-                  ("nu", "nu^4", lambda: p.nu ** 4, nu_may_vanish))
+                  ("nu", "nu^4", lambda: p.nu ** 4, nu_may_vanish),
+                  ("k1", "|B1| = e^(-pi lambda/k1)/|k1|", lambda: phi() / abs(p.k1), False),
+                  ("k1", "det Phi", lambda: 2.0 * phi() * (p.k1 ** 2 + 4.0 * p.lam ** 2)
+                   / p.k1 ** 2, False))
+        if self.kind is DeformationKind.SPECTRAL:
+            scales += (("mu", "(k1/mu)^4", lambda: (p.k1 / p.mu) ** 4, True),)
         for param, name, scale, may_vanish in scales:
             try:
                 value = scale()
@@ -471,9 +481,15 @@ class WeingartenResiduals:
     quadratic_scale: np.ndarray | None
 
 
+def _half_k1(p: SolitonParams) -> bool:
+    """Whether |lambda| = |k1|/2, where the Weingarten relation gains its
+    quadratic and spectral3 solves the Willmore-like equation."""
+    return abs(abs(p.k1) - 2.0 * abs(p.lam)) <= 1e-12 * max(1.0, abs(p.k1))
+
+
 def weingarten_residuals(K, H, p: SolitonParams,
                          paper_literal: bool = False) -> WeingartenResiduals:
-    """Evaluate the cubic (and, when k1 = 2 lam, quadratic) K-H relations.
+    """Evaluate the cubic (and, when |k1| = 2 |lam|, quadratic) K-H relations.
 
     The cubic's constant term is 4 (k1^2 + 2 lam^2)^2; with paper_literal the
     coefficient 4 is dropped, reproducing a documented nonzero defect.
@@ -491,7 +507,7 @@ def weingarten_residuals(K, H, p: SolitonParams,
         [np.abs(t1), np.abs(t2), np.abs(t3), np.full_like(t1, abs(t4))]
     )
     quadratic = quadratic_scale = None
-    if abs(p.k1 - 2.0 * p.lam) <= 1e-12 * max(1.0, abs(p.k1)):
+    if _half_k1(p):
         q1 = 8.0 * m2 * H ** 2
         q2 = 9.0 * m2 * K
         q3 = 36.0 * p.lam ** 2

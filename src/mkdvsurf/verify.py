@@ -2,9 +2,10 @@
 
 Each check wraps library operations that are tested independently; this
 module only chooses grids, aggregates residuals, and compares against
-tolerances.  A check is compatible with a (family, parameter) combination
-or it is reported as skipped with the reason; requesting an incompatible
-check explicitly is a configuration error.
+tolerances.  Each check is one entry of the table ``_CHECKS``.  A check is
+compatible with a (family, parameter) combination or it is reported as
+skipped with the reason; requesting an incompatible check explicitly is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .deformation import (
     forms_from_ab,
     symmetry_sphere_check,
 )
-from .immersion import SPECTRAL3, Surface
+from .immersion import SPECTRAL3, Surface, _half_k1
 from .lax import canonical_constants, det_phi_expected, lax_residuals, zero_curvature_residual
 from .soliton import SolitonParams, check_grid, u as soliton_u, xi_grid
 
@@ -39,50 +41,8 @@ __all__ = [
 ]
 
 
-CHECK_NAMES = (
-    "zerocurv",
-    "lax",
-    "compat",
-    "forms",
-    "weingarten",
-    "willmore",
-    "shape",
-    "sphere",
-    "consistency",
-)
-
-# Regression checks that must be requested explicitly; they are expected to
-# fail and exist to pin down known defects of the uncorrected relations.
-OPT_IN_CHECKS = ("weingarten-paper-literal",)
-
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "zerocurv": 1e-10,
-    "lax": 1e-6,
-    "compat": 1e-9,
-    "forms": 1e-8,
-    "weingarten": 1e-9,
-    "willmore": 1e-4,
-    "shape": 1e-3,
-    "sphere": 1e-6,
-    "consistency": 1e-6,
-    "weingarten-paper-literal": 1e-9,
-}
-
 # Fixed sub-tolerance: determinant drift of the closed-form frame solution.
 DET_DRIFT_RTOL = 1e-10
-
-# Admissible --fd-step per check that differences.  Outside these ranges a
-# check measures its step, not the surface: at 1e-5 and below rounding
-# swamps the nested divergence operators of willmore and shape (FAIL on
-# ex2..ex5), and from 7e-3 up truncation fails consistency on ex4.  Measured
-# on all seven presets at 5^2, 21^2, 41^2 and 101^2; the willmore/shape
-# floor keeps a factor 3 above the smallest passing step, 3e-5.
-FD_STEP_RANGES: dict[str, tuple[float, float]] = {
-    "lax": (1e-8, 1e-2),
-    "consistency": (1e-8, 5e-3),
-    "willmore": (1e-4, 1e-2),
-    "shape": (1e-4, 1e-2),
-}
 
 
 class CheckConfigError(ValueError):
@@ -181,19 +141,23 @@ class _Config:
     surface: Surface
     nx: int
     nt: int
-    fd_step: float | None
-
-    def operator_stencil(self) -> diffgeo.Stencil | None:
-        """The divergence-operator stencil at fd_step; None keeps the default."""
-        if self.fd_step is None:
-            return None
-        return replace(diffgeo.OPERATOR_STENCIL, h=self.fd_step)
 
     def label(self, detail: str = "") -> str:
         if not detail:
-            (x0, x1), (t0, t1) = self.surface.x_range, self.surface.t_range
-            detail = f"on [{x0:g},{x1:g}]x[{t0:g},{t1:g}]"
+            detail = _window_label(self.surface.x_range, self.surface.t_range)
         return f"{self.nx}x{self.nt} {detail}"
+
+    def clipped_grid(self):
+        """(x, t, label) of the grid over the window clipped to [-2,2]^2; the
+        label gives the bounds sampled."""
+        x, t = self.surface.grid(self.nx, self.nt, half=2.0)
+        xr, tr = (float(x[0, 0]), float(x[0, -1])), (float(t[0, 0]), float(t[-1, 0]))
+        detail = "on [-2,2]^2" if xr == tr == (-2.0, 2.0) else _window_label(xr, tr)
+        return x, t, self.label(detail)
+
+
+def _window_label(xr, tr) -> str:
+    return f"on [{xr[0]:g},{xr[1]:g}]x[{tr[0]:g},{tr[1]:g}]"
 
 
 def _stats(res) -> tuple[float, float]:
@@ -215,45 +179,43 @@ def _result(name, cfg_label, tol, res, excluded=0, note="") -> CheckResult:
     )
 
 
-def _is_half_k1(p: SolitonParams) -> bool:
-    return abs(abs(p.lam) - p.k1 / 2.0) <= 1e-12 * max(1.0, abs(p.k1))
+# Requirements: a Surface's reason to skip a check, or None if it applies.
 
-
-def _incompatible(name: str, cfg: _Config) -> str | None:
-    """Reason the check cannot run, or None if it can."""
-    p = cfg.surface.params
-    if name in ("forms", "consistency"):
-        return None
-    if name in ("weingarten", "willmore", "shape"):
-        if cfg.surface.family is not SPECTRAL3:
-            return "spectral3-family check"
-        if name == "willmore" and not _is_half_k1(p):
-            return "requires lambda = k1/2"
-        return None
-    if name == "weingarten-paper-literal":
-        if cfg.surface.family is not SPECTRAL3:
-            return "spectral3-family check"
-        return None
-    if name == "sphere":
-        if p.lam == 0.0:
-            return "requires lambda != 0"
-        if p.mu == 0.0:
-            return "requires mu != 0"
-        return None
+def _anywhere(surface: Surface) -> str | None:
     return None
 
 
-def _check_zerocurv(cfg: _Config, tol: float) -> CheckResult:
+def _spectral3(surface: Surface) -> str | None:
+    return None if surface.family is SPECTRAL3 else "spectral3-family check"
+
+
+def _spectral3_half_k1(surface: Surface) -> str | None:
+    return _spectral3(surface) or (
+        None if _half_k1(surface.params) else "requires lambda = k1/2")
+
+
+def _round_sphere(surface: Surface) -> str | None:
+    p = surface.params
+    if p.lam == 0.0:
+        return "requires lambda != 0"
+    if p.mu == 0.0:
+        return "requires mu != 0"
+    return None
+
+
+# Runners: (cfg, name, tol, h) -> CheckResult, with h the check's resolved
+# finite-difference step, None for a check that does not difference.
+
+def _check_zerocurv(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     x, t = cfg.surface.grid(cfg.nx, cfg.nt)
     res = np.abs(zero_curvature_residual(x, t, cfg.surface.params))
-    return _result("zerocurv", cfg.label(), tol, res)
+    return _result(name, cfg.label(), tol, res)
 
 
-def _check_lax(cfg: _Config, tol: float) -> CheckResult:
+def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p = cfg.surface.params
     c = canonical_constants(p)
-    x, t = cfg.surface.grid(cfg.nx, cfg.nt, half=2.0)
-    h = cfg.fd_step if cfg.fd_step is not None else 1e-6
+    x, t, label = cfg.clipped_grid()
     rx, rt, ph = lax_residuals(x, t, p, c, h=h)
     res = np.maximum(np.abs(rx).max(axis=(-2, -1)), np.abs(rt).max(axis=(-2, -1)))
     dets = su2.det(ph)
@@ -261,27 +223,26 @@ def _check_lax(cfg: _Config, tol: float) -> CheckResult:
     det_rel = float(np.max(np.abs(dets - expected)) / abs(expected))
     mx, med = _stats(res)
     return CheckResult(
-        name="lax",
+        name=name,
         passed=bool(mx <= tol and det_rel <= DET_DRIFT_RTOL),
         max_residual=mx,
         median_residual=med,
         tolerance=tol,
-        grid=cfg.label("on [-2,2]^2"),
+        grid=label,
         note=f"det drift rel {det_rel:.2e} (<= {DET_DRIFT_RTOL:.0e})",
     )
 
 
-def _check_compat(cfg: _Config, tol: float) -> CheckResult:
+def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
-    x, t = cfg.surface.grid(cfg.nx, cfg.nt, half=2.0)
+    x, t, label = cfg.clipped_grid()
     res = []
     for kind in DeformationKind:
         kp = p
         if kind is DeformationKind.SPECTRAL and p.mu == 0.0:
             kp = SolitonParams(p.k1, p.lam, mu=1.0, nu=p.nu)
         res.append(np.abs(ab_compatibility_residual(x, t, kp, kind)))
-    return _result("compat", cfg.label("on [-2,2]^2"), tol, np.stack(res),
-                   note="all three deformation families")
+    return _result(name, label, tol, np.stack(res), note="all three deformation families")
 
 
 # Points of the forms check whose closed-form denominator is at most this
@@ -289,7 +250,7 @@ def _check_compat(cfg: _Config, tol: float) -> CheckResult:
 POLE_MARGIN = 0.05
 
 
-def _check_forms(cfg: _Config, tol: float) -> CheckResult:
+def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p, fam = cfg.surface.params, cfg.surface.family
     x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
     u_val = soliton_u(x, t, p)
@@ -300,7 +261,7 @@ def _check_forms(cfg: _Config, tol: float) -> CheckResult:
     keep = den > POLE_MARGIN * np.max(den)
     if not keep.any():
         raise diffgeo.SingularPointError(
-            "forms: no grid point clears the closed forms' poles "
+            f"{name}: no grid point clears the closed forms' poles "
             f"(|denominator| <= {POLE_MARGIN:g} max |denominator| everywhere)"
         )
     rel_k = np.abs(cur.K[keep] - closed.K[keep]) / np.max(np.abs(closed.K[keep]))
@@ -308,7 +269,7 @@ def _check_forms(cfg: _Config, tol: float) -> CheckResult:
         np.abs(closed.H[keep])
     )
     return _result(
-        "forms",
+        name,
         cfg.label("with |xi|<2.95"),
         tol,
         np.concatenate([rel_k, rel_h]),
@@ -317,7 +278,8 @@ def _check_forms(cfg: _Config, tol: float) -> CheckResult:
     )
 
 
-def _check_weingarten(cfg: _Config, tol: float, paper_literal: bool) -> CheckResult:
+def _check_weingarten(cfg: _Config, name: str, tol: float, h: None,
+                      paper_literal: bool = False) -> CheckResult:
     p = cfg.surface.params
     x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
     cur = cfg.surface.family.curvatures(x, t, p)
@@ -329,24 +291,23 @@ def _check_weingarten(cfg: _Config, tol: float, paper_literal: bool) -> CheckRes
         note += " and quadratic at k1 = 2 lambda"
     if paper_literal:
         note = "uncorrected constant term; failure expected and documented"
-    name = "weingarten-paper-literal" if paper_literal else "weingarten"
     return _result(name, cfg.label("with |xi|<2.95"), tol, np.concatenate(
         [r.reshape(-1) for r in res]), note=note)
 
 
-def _check_willmore(cfg: _Config, tol: float) -> CheckResult:
+def _check_willmore(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p = cfg.surface.params
     providers = cfg.surface.family.providers(p)
     x, t = xi_grid(p, 2.0, cfg.nx, cfg.nt)
-    s = cfg.operator_stencil()
+    s = replace(diffgeo.OPERATOR_STENCIL, h=h)
     res, scale = diffgeo.willmore_like_residual(providers, 4.0 / 9.0, 1.0, x, t, s)
-    return _result("willmore", cfg.label("with |xi|<2"), tol, np.abs(res) / scale,
+    return _result(name, cfg.label("with |xi|<2"), tol, np.abs(res) / scale,
                    note="a=4/9, b=1")
 
 
-def _check_shape(cfg: _Config, tol: float) -> CheckResult:
+def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p = cfg.surface.params
-    s = cfg.operator_stencil()
+    s = replace(diffgeo.OPERATOR_STENCIL, h=h)
     worst = 0.0
     med = []
     excluded = 0
@@ -357,7 +318,7 @@ def _check_shape(cfg: _Config, tol: float) -> CheckResult:
         med.append(rep.median_normalized)
         excluded += sum(c.excluded for c in rep.checks)
     return CheckResult(
-        name="shape",
+        name=name,
         passed=bool(worst <= tol),
         max_residual=worst,
         median_residual=float(np.median(med)),
@@ -368,15 +329,15 @@ def _check_shape(cfg: _Config, tol: float) -> CheckResult:
     )
 
 
-def _check_sphere(cfg: _Config, tol: float) -> CheckResult:
+def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
-    x, t = cfg.surface.grid(cfg.nx, cfg.nt, half=2.0)
+    x, t, label = cfg.clipped_grid()
     rep = symmetry_sphere_check(p, x, t)
     radius_rel = abs(rep.radius_estimate - rep.expected_radius) / rep.expected_radius
     res = np.array([rep.k_rel_spread, rep.h2_minus_k_rel, radius_rel])
     return _result(
-        "sphere",
-        cfg.label("on [-2,2]^2"),
+        name,
+        label,
         tol,
         res,
         excluded=rep.excluded,
@@ -385,26 +346,61 @@ def _check_sphere(cfg: _Config, tol: float) -> CheckResult:
     )
 
 
-def _check_consistency(cfg: _Config, tol: float) -> CheckResult:
+def _check_consistency(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p = cfg.surface.params
-    x, t = cfg.surface.grid(cfg.nx, cfg.nt, half=2.0)
-    h = cfg.fd_step if cfg.fd_step is not None else 1e-3
+    x, t, label = cfg.clipped_grid()
     rx, rt = immersion.position_consistency_residual(x, t, p, cfg.surface.family, h=h)
     res = np.concatenate([np.abs(rx).reshape(-1), np.abs(rt).reshape(-1)])
-    return _result("consistency", cfg.label("on [-2,2]^2"), tol, res,
-                   note="frame tangents vs position derivatives")
+    return _result(name, label, tol, res, note="frame tangents vs position derivatives")
 
 
-_RUNNERS = {
-    "zerocurv": _check_zerocurv,
-    "lax": _check_lax,
-    "compat": _check_compat,
-    "forms": _check_forms,
-    "willmore": _check_willmore,
-    "shape": _check_shape,
-    "sphere": _check_sphere,
-    "consistency": _check_consistency,
+@dataclass(frozen=True)
+class _Check:
+    """One named check.
+
+    ``run`` is its runner; ``tol`` its default tolerance; ``steps`` the
+    (min, default, max) of its finite-difference step, None if it does not
+    difference; ``requires`` maps a Surface to the reason the check cannot
+    run on it, or None; ``opt_in`` keeps it out of ``--checks all``.
+    """
+
+    run: Callable[..., CheckResult]
+    tol: float
+    steps: tuple[float, float, float] | None = None
+    requires: Callable[[Surface], str | None] = _anywhere
+    opt_in: bool = False
+
+
+# The checks, in report order.  Step ranges: outside them a check measures
+# its step, not the surface.  At 1e-5 and below rounding swamps the nested
+# divergence operators of willmore and shape (FAIL on ex2..ex5), and from
+# 7e-3 up truncation fails consistency on ex4.  Measured on all seven presets
+# at 5^2, 21^2, 41^2 and 101^2; the willmore/shape floor keeps a factor 3
+# above the smallest passing step, 3e-5.  The opt-in check is a regression
+# check that is expected to fail: it pins down the known defect of the
+# uncorrected Weingarten relation.
+_OPERATOR_STEPS = (1e-4, diffgeo.OPERATOR_STENCIL.h, 1e-2)
+_CHECKS: dict[str, _Check] = {
+    "zerocurv": _Check(_check_zerocurv, 1e-10),
+    "lax": _Check(_check_lax, 1e-6, steps=(1e-8, 1e-6, 1e-2)),
+    "compat": _Check(_check_compat, 1e-9),
+    "forms": _Check(_check_forms, 1e-8),
+    "weingarten": _Check(_check_weingarten, 1e-9, requires=_spectral3),
+    "willmore": _Check(_check_willmore, 1e-4, steps=_OPERATOR_STEPS,
+                       requires=_spectral3_half_k1),
+    "shape": _Check(_check_shape, 1e-3, steps=_OPERATOR_STEPS, requires=_spectral3),
+    "sphere": _Check(_check_sphere, 1e-6, requires=_round_sphere),
+    "consistency": _Check(_check_consistency, 1e-6, steps=(1e-8, 1e-3, 5e-3)),
+    "weingarten-paper-literal": _Check(partial(_check_weingarten, paper_literal=True),
+                                       1e-9, requires=_spectral3, opt_in=True),
 }
+
+CHECK_NAMES = tuple(n for n, c in _CHECKS.items() if not c.opt_in)
+OPT_IN_CHECKS = tuple(n for n, c in _CHECKS.items() if c.opt_in)
+DEFAULT_TOLERANCES: dict[str, float] = {n: c.tol for n, c in _CHECKS.items()}
+# Looked up by name at call time, so that an entry replaced here (to time or
+# instrument a check) is the one that runs.
+_RUNNERS = {n: c.run for n, c in _CHECKS.items()}
 
 
 def run_checks(
@@ -424,9 +420,9 @@ def run_checks(
     check cannot run for this configuration.  A tolerance must be finite and
     >= 0.  ``fd_step``, when given, is the one finite-difference step of the
     lax, consistency, willmore and shape checks; it must lie in
-    [diffgeo.STEP_MIN, diffgeo.STEP_MAX] and in the ``FD_STEP_RANGES`` entry
-    of each of those checks that will run.  It, the tolerances and the grid
-    size are validated before any check runs.
+    [diffgeo.STEP_MIN, diffgeo.STEP_MAX] and in the step range of each of
+    those checks that will run.  It, the tolerances, the grid size and the
+    explicit checks' requirements are validated before any check runs.
     """
     try:
         check_grid(nx, nt)
@@ -443,11 +439,10 @@ def run_checks(
             names = [c.strip() for c in checks.split(",") if c.strip()]
         else:
             names = list(checks)
-        unknown = [n for n in names if n not in CHECK_NAMES + OPT_IN_CHECKS]
+        unknown = [n for n in names if n not in _CHECKS]
         if unknown:
             raise CheckConfigError(
-                f"unknown checks: {', '.join(unknown)}; valid: "
-                + ", ".join(CHECK_NAMES + OPT_IN_CHECKS)
+                f"unknown checks: {', '.join(unknown)}; valid: " + ", ".join(_CHECKS)
             )
     else:
         names = list(CHECK_NAMES)
@@ -463,46 +458,37 @@ def run_checks(
                     f"tolerance of check {key!r} = {val}: need finite and >= 0"
                 )
 
-    cfg = _Config(surface=surface, nx=int(nx), nt=int(nt), fd_step=fd_step)
-
-    if fd_step is not None:
-        for name in names:
-            if name not in FD_STEP_RANGES or _incompatible(name, cfg) is not None:
-                continue
-            lo, hi = FD_STEP_RANGES[name]
-            if not lo <= fd_step <= hi:
-                raise CheckConfigError(
-                    f"fd_step = {fd_step} outside [{lo:g}, {hi:g}], "
-                    f"the admissible steps of check {name!r}"
-                )
-
-    results = []
+    # one pass decides each check: skipped with a reason, or run at a step
+    plan = []
     for name in names:
-        reason = _incompatible(name, cfg)
-        if reason is not None:
-            if explicit:
-                raise CheckConfigError(f"check {name!r} incompatible: {reason}")
-            results.append(
-                CheckResult(
-                    name=name,
-                    passed=None,
-                    max_residual=float("nan"),
-                    median_residual=float("nan"),
-                    tolerance=tols[name],
-                    grid=cfg.label(),
-                    note=f"skipped: {reason}",
-                )
-            )
-            continue
-        if name == "weingarten":
-            results.append(_check_weingarten(cfg, tols[name], paper_literal=False))
-        elif name == "weingarten-paper-literal":
-            results.append(_check_weingarten(cfg, tols[name], paper_literal=True))
-        else:
-            results.append(_RUNNERS[name](cfg, tols[name]))
+        check = _CHECKS[name]
+        reason, h = check.requires(surface), None
+        if reason is not None and explicit:
+            raise CheckConfigError(f"check {name!r} incompatible: {reason}")
+        if reason is None and check.steps is not None:
+            lo, h, hi = check.steps
+            if fd_step is not None:
+                if not lo <= fd_step <= hi:
+                    raise CheckConfigError(
+                        f"fd_step = {fd_step} outside [{lo:g}, {hi:g}], "
+                        f"the admissible steps of check {name!r}"
+                    )
+                h = fd_step
+        plan.append((name, reason, h))
 
-    return VerificationReport(
-        surface=surface,
-        grid=cfg.label(),
-        checks=tuple(results),
-    )
+    cfg = _Config(surface=surface, nx=int(nx), nt=int(nt))
+    results = []
+    for name, reason, h in plan:
+        if reason is None:
+            results.append(_RUNNERS[name](cfg, name, tols[name], h))
+        else:
+            results.append(CheckResult(
+                name=name,
+                passed=None,
+                max_residual=float("nan"),
+                median_residual=float("nan"),
+                tolerance=tols[name],
+                grid=cfg.label(),
+                note=f"skipped: {reason}",
+            ))
+    return VerificationReport(surface=surface, grid=cfg.label(), checks=tuple(results))

@@ -119,6 +119,15 @@ BAD_SURFACES = [
     (("--family", "spectralgauge4", "--k1", "2", "--lambda", "0.5", "--mu", "1",
       "--nu", "1e100"), "nu"),
     (("--family", "spectral3", "--k1", "1e-70", "--mu", "1e-160"), "mu"),
+    # spectral3's (k1/mu)^4, the scale of the Weingarten relation's K^2,
+    # overflows though mu^4 does not
+    (("--family", "spectral3", "--k1", "2", "--mu", "1e-80"), "mu"),
+    # the constants of Phi overflow: e^(-pi lambda/k1) = e^942, and the det
+    # overflows where B1 does not
+    (("--family", "spectral3", "--k1", "0.01", "--lambda", "-3", "--mu", "1"),
+     "k1 = 0.01, lambda = -3"),
+    (("--family", "spectralgauge4", "--k1", "1", "--lambda", "-225", "--nu", "1"),
+     "det Phi"),
     # radii that overflow
     (("--family", "spectralgauge4", "--k1", "2", "--nu", "1e308"), "nu"),
     # a window must be finite, in order and of nonzero width

@@ -160,13 +160,15 @@ def test_four_param_curvatures_match_frame(pid):
 
 
 def test_weingarten_cubic_and_quadratic():
-    p = SolitonParams(2.0, 1.0, mu=1.0)  # k1 = 2 lam: quadratic case present
+    # |k1| = 2 |lam|: the quadratic case is present with either sign of each
     x, t = GRID
-    cur = three_param_curvatures_closed(x, t, p)
-    wr = weingarten_residuals(cur.K, cur.H, p)
-    assert np.max(np.abs(wr.cubic) / wr.cubic_scale) < 1e-12
-    assert wr.quadratic is not None
-    assert np.max(np.abs(wr.quadratic) / wr.quadratic_scale) < 1e-12
+    for k1, lam in ((2.0, 1.0), (2.0, -1.0), (-2.0, 1.0), (-2.0, -1.0)):
+        p = SolitonParams(k1, lam, mu=1.0)
+        cur = three_param_curvatures_closed(x, t, p)
+        wr = weingarten_residuals(cur.K, cur.H, p)
+        assert np.max(np.abs(wr.cubic) / wr.cubic_scale) < 1e-12, (k1, lam)
+        assert wr.quadratic is not None, (k1, lam)
+        assert np.max(np.abs(wr.quadratic) / wr.quadratic_scale) < 1e-12, (k1, lam)
 
 
 def test_weingarten_no_quadratic_off_ridge():

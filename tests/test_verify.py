@@ -1,5 +1,6 @@
 """Verification report plumbing: check selection, tolerances, serialization."""
 
+import ast
 import json
 
 import numpy as np
@@ -181,3 +182,61 @@ def test_lax_check_evaluates_phi_once_per_stencil_point(monkeypatch):
     rep = vf.run_checks(["lax"], resolve("ex2"), nx=21, nt=21)
     assert rep.passed
     assert len(calls) == 9
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_willmore_runs_at_negative_k1(lam):
+    # |lambda| = |k1|/2 holds with either sign of k1, and the Weingarten
+    # check adds the quadratic there
+    surface = resolve(family="spectral3", params=SolitonParams(-2.0, lam, mu=-8.0))
+    assert vf.run_checks(["willmore"], surface).passed
+    rep = vf.run_checks("all", surface, nx=21, nt=21)
+    by_name = {c.name: c for c in rep.checks}
+    assert rep.passed and by_name["willmore"].passed is True
+    assert "quadratic" in by_name["weingarten"].note
+
+
+def test_clipped_checks_label_the_window_sampled():
+    clipped = ("lax", "compat", "sphere", "consistency")
+    rep = vf.run_checks(clipped, resolve("ex2"), nx=5, nt=5)
+    assert [c.grid for c in rep.checks] == ["5x5 on [-2,2]^2"] * 4
+    narrow = resolve("ex2", x_range=(-1.0, 1.0), t_range=(-0.5, 0.5))
+    rep = vf.run_checks(clipped, narrow, nx=5, nt=5)
+    assert [c.grid for c in rep.checks] == ["5x5 on [-1,1]x[-0.5,0.5]"] * 4
+    one_axis = resolve("ex2", x_range=(-1.0, 3.0))
+    rep = vf.run_checks(["lax"], one_axis, nx=5, nt=5)
+    assert rep.checks[0].grid == "5x5 on [-1,2]x[-2,2]"
+
+
+def test_every_check_has_a_runner_looked_up_at_call_time(monkeypatch):
+    # per-check timing wraps the entries of _RUNNERS, so each check has one
+    # and run_checks calls whatever the entry holds when it runs
+    assert set(vf._RUNNERS) == set(vf.CHECK_NAMES + vf.OPT_IN_CHECKS)
+    assert vf._RUNNERS["weingarten"] is vf._check_weingarten
+    calls = []
+    for name in ("zerocurv", "weingarten-paper-literal"):
+        runner = vf._RUNNERS[name]
+
+        def counted(*args, _runner=runner):
+            calls.append(args[1])
+            return _runner(*args)
+
+        monkeypatch.setitem(vf._RUNNERS, name, counted)
+    rep = vf.run_checks(["zerocurv", "weingarten-paper-literal"], resolve("ex2"), nx=5, nt=5)
+    assert calls == ["zerocurv", "weingarten-paper-literal"]
+    assert [c.name for c in rep.checks] == calls
+
+
+def test_check_names_are_written_only_in_the_table():
+    # a check is declared by its one _CHECKS entry: no other line of the
+    # module spells a check's name
+    names = set(vf.CHECK_NAMES + vf.OPT_IN_CHECKS)
+    tree = ast.parse(open(vf.__file__).read())
+    (table,) = [n for n in tree.body if isinstance(n, ast.AnnAssign)
+                and getattr(n.target, "id", None) == "_CHECKS"]
+    in_table = [n.value for n in ast.walk(table) if isinstance(n, ast.Constant)]
+    assert sorted(v for v in in_table if v in names) == sorted(names)
+    elsewhere = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, ast.Constant) and n.value in names
+                 and not table.lineno <= n.lineno <= table.end_lineno]
+    assert not elsewhere, f"check names spelled at lines {elsewhere}"
