@@ -2,7 +2,8 @@
 
 Position vectors for the three-parameter (spectral) and four-parameter
 (spectral-gauge) families and their closed-form fundamental forms and
-curvatures, bundled per family in a :class:`Family` record; the bundled
+curvatures, each a function of the soliton's jet (``soliton.Jet``),
+bundled per family in a :class:`Family` record; the bundled
 example presets and :func:`resolve`, which turns a preset or a family with
 parameters into one validated :class:`Surface`; curvature-relation
 residuals; and the end-to-end consistency check tying position derivatives
@@ -21,8 +22,8 @@ import numpy as np
 from . import su2
 from .deformation import DeformationKind, frame_at, validate_kind
 from .diffgeo import CurvaturePair, Forms, Stencil, SurfaceProviders, derivative
-from .lax import PhiConstants, canonical_constants, phi
-from .soliton import XI_MAX, SolitonParams, jet
+from .lax import canonical_constants, phi
+from .soliton import XI_MAX, Jet, SolitonParams, jet
 from .soliton import xi as soliton_xi
 
 
@@ -48,36 +49,30 @@ def _four_param_radii(p: SolitonParams) -> tuple[float, ...]:
     )
 
 
-def three_param_position(x, t, p: SolitonParams) -> np.ndarray:
+def three_param_position(j: Jet) -> np.ndarray:
     """Position vector (..., 3) of the three-parameter surface family.
 
     Overflow-free evaluation: 1/(e^{2 xi} + 1) is written as (1 - tanh xi)/2.
     """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
+    p, x, t, s, tau = j.p, j.x, j.t, j.s, j.tau
     (r1,) = _three_param_radii(p)
     g = _phase(x, t, p)
     e = (t * (8.0 * p.lam + p.k1 ** 2) + 4.0 * x) * (p.k1 ** 2 + 4.0 * p.lam ** 2)
-    j = jet(x, t, p)
-    s, tau = j.s, j.tau
     y1 = -r1 * e / (4.0 * p.k1) - 4.0 * r1 * (1.0 - tau)
     y2 = -4.0 * r1 * np.cos(g) * s
     y3 = -4.0 * r1 * np.sin(g) * s
     return np.stack(np.broadcast_arrays(y1, y2, y3), axis=-1)
 
 
-def four_param_position(x, t, p: SolitonParams) -> np.ndarray:
+def four_param_position(j: Jet) -> np.ndarray:
     """Position vector (..., 3) of the four-parameter surface family.
 
     Stable rewrites: 1/(e^{2 xi}+1) = (1 - tanh xi)/2 and
     (e^{4 xi}+1)/(e^{2 xi}+1)^2 = 1 - sech^2(xi)/2.
     """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
+    p, x, t, s, tau = j.p, j.x, j.t, j.s, j.tau
     r2, r3, r4, r5, r6, r7 = _four_param_radii(p)
     e_tilde = t * (8.0 * p.lam + p.k1 ** 2) + 4.0 * x
-    j = jet(x, t, p)
-    s, tau = j.s, j.tau
     g = _phase(x, t, p)
     cg, sg = np.cos(g), np.sin(g)
     y1 = r2 * tau * s + r3 * e_tilde + 0.5 * r4 * (1.0 - tau)
@@ -87,9 +82,9 @@ def four_param_position(x, t, p: SolitonParams) -> np.ndarray:
     return np.stack(np.broadcast_arrays(y1, y2, y3), axis=-1)
 
 
-def three_param_forms_closed(x, t, p: SolitonParams) -> Forms:
+def three_param_forms_closed(j: Jet) -> Forms:
     """First and second fundamental forms of the three-parameter family."""
-    s = jet(x, t, p).s
+    p, s = j.p, j.s
     al = p.alpha + p.lam
     a2l = p.alpha + 2.0 * p.lam
     quarter_mu2 = 0.25 * p.mu ** 2
@@ -105,9 +100,9 @@ def three_param_forms_closed(x, t, p: SolitonParams) -> Forms:
     )
 
 
-def three_param_curvatures_closed(x, t, p: SolitonParams) -> CurvaturePair:
+def three_param_curvatures_closed(j: Jet) -> CurvaturePair:
     """Gaussian and mean curvature of the three-parameter family."""
-    s = jet(x, t, p).s
+    p, s = j.p, j.s
     k = (p.k1 ** 2 / p.mu ** 2) * (2.0 * s ** 2 - 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         h = (6.0 * p.k1 ** 2 * s ** 2 + 4.0 * p.lam ** 2 - p.k1 ** 2) / (
@@ -116,15 +111,14 @@ def three_param_curvatures_closed(x, t, p: SolitonParams) -> CurvaturePair:
     return CurvaturePair(K=k, H=h)
 
 
-def four_param_forms_closed(x, t, p: SolitonParams) -> Forms:
+def four_param_forms_closed(j: Jet) -> Forms:
     """First and second fundamental forms of the four-parameter family.
 
     Polynomials in u = k1 sech(xi); the orientation of h matches the
     rational closed forms, i.e. the frame convention times the sign of the
     curvature denominator (see Family.orientation).
     """
-    s = jet(x, t, p).s
-    u = p.k1 * s
+    p, u = j.p, j.u
     al, lam, mu, nu = p.alpha, p.lam, p.mu, p.nu
     c2 = al ** 2 + (2.0 * lam - 1.0) * al + lam ** 2
     c4 = ((1.0 + lam) * al + lam ** 2) ** 2
@@ -148,9 +142,9 @@ def four_param_forms_closed(x, t, p: SolitonParams) -> Forms:
     return Forms(g11=g11, g12=g12, g22=g22, h11=h11, h12=h12, h22=h22)
 
 
-def spectral_gauge_curvature_denominator(u, p: SolitonParams):
+def spectral_gauge_curvature_denominator(j: Jet):
     """The shared denominator of the spectral-gauge K and (halved) H."""
-    u = np.asarray(u, dtype=float)
+    p, u = j.p, j.u
     return (
         p.nu
         * (
@@ -162,12 +156,12 @@ def spectral_gauge_curvature_denominator(u, p: SolitonParams):
     )
 
 
-def curvatures_spectral_gauge_closed(u, p: SolitonParams) -> CurvaturePair:
-    """Closed-form K, H of the spectral-gauge family at u = k1 sech(xi); poles
-    where the shared denominator vanishes are genuine singular points of the
+def four_param_curvatures_closed(j: Jet) -> CurvaturePair:
+    """Gaussian and mean curvature of the four-parameter family; poles where
+    the shared denominator vanishes are genuine singular points of the
     family."""
-    u = np.asarray(u, dtype=float)
-    den = spectral_gauge_curvature_denominator(u, p)
+    p, u = j.p, j.u
+    den = spectral_gauge_curvature_denominator(j)
     with np.errstate(invalid="ignore", divide="ignore"):
         k = 2.0 * u * (u ** 2 - 2.0 * p.alpha) / den
         h = (
@@ -177,35 +171,44 @@ def curvatures_spectral_gauge_closed(u, p: SolitonParams) -> CurvaturePair:
     return CurvaturePair(K=k, H=h)
 
 
-def four_param_curvatures_closed(x, t, p: SolitonParams) -> CurvaturePair:
-    """Gaussian and mean curvature of the four-parameter family."""
-    s = jet(x, t, p).s
-    return curvatures_spectral_gauge_closed(p.k1 * s, p)
-
-
-def _three_param_asymptote(x, t, p: SolitonParams, branch: int):
+def _three_param_asymptote(j: Jet, branch: int):
     # y2 and y3 carry a factor sech(xi): the surface closes onto its axis
-    z = np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape)
+    z = np.zeros(j.xi.shape)
     return z, z.copy()
 
 
-def _four_param_asymptote(x, t, p: SolitonParams, branch: int):
-    _, _, _, r5, _, r7 = _four_param_radii(p)
-    g = _phase(np.asarray(x, dtype=float), np.asarray(t, dtype=float), p)
+def _four_param_asymptote(j: Jet, branch: int):
+    _, _, _, r5, _, r7 = _four_param_radii(j.p)
+    g = _phase(j.x, j.t, j.p)
     cg, sg = np.cos(g), np.sin(g)
     return (r5 * cg + branch * r7 * sg,
             r5 * sg - branch * r7 * cg)
+
+
+def _finite_nonzero(shown: str, name: str, scale: Callable[[], float],
+                    may_vanish: bool = False) -> float:
+    """Return ``scale()``, an overflow counting as inf.  Unless it is finite
+    and nonzero (or exactly 0 where ``may_vanish``), raise a ValueError
+    "<shown>: <name> = <value>, need it finite and nonzero"."""
+    try:
+        value = scale()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value) or (value == 0.0 and not may_vanish):
+        raise ValueError(f"{shown}: {name} = {value:g}, need it finite and nonzero")
+    return value
 
 
 @dataclass(frozen=True)
 class Family:
     """One surface family: its public name, frame kind and closed forms.
 
-    ``position``, ``forms`` and ``curvatures`` take (x, t, p).
-    ``denominator`` takes (u, p): the shared denominator of the closed-form
-    K and H, whose zeros are the family's singular points and whose sign
-    orients the closed forms against the frame.  ``asymptotic_profile``
-    takes (x, t, p, branch) and gives the (y2, y3) limit as xi -> +inf
+    ``position``, ``forms``, ``curvatures`` and ``denominator`` take the
+    soliton's jet at the points (``soliton.jet``), which carries p, x and
+    t.  ``denominator`` is the shared denominator of the closed-form K and
+    H, whose zeros are the family's singular points and whose sign orients
+    the closed forms against the frame.  ``asymptotic_profile`` takes
+    (jet, branch) and gives the (y2, y3) limit as xi -> +inf
     (branch +1) or -inf (branch -1); (y2, y3) approaches it at the distance
     C sech(xi), C = 2|mu| k1 / (k1^2 + 4 lam^2) (see
     :func:`asymptotic_deviation`).  ``radii`` takes p and gives the
@@ -215,11 +218,11 @@ class Family:
 
     name: str
     kind: DeformationKind
-    position: Callable[..., np.ndarray]
-    forms: Callable[..., Forms]
-    curvatures: Callable[..., CurvaturePair]
-    denominator: Callable[..., np.ndarray]
-    asymptotic_profile: Callable[..., tuple[np.ndarray, np.ndarray]]
+    position: Callable[[Jet], np.ndarray]
+    forms: Callable[[Jet], Forms]
+    curvatures: Callable[[Jet], CurvaturePair]
+    denominator: Callable[[Jet], np.ndarray]
+    asymptotic_profile: Callable[[Jet, int], tuple[np.ndarray, np.ndarray]]
     radii: Callable[[SolitonParams], tuple[float, ...]]
 
     def validate(self, p: SolitonParams) -> None:
@@ -254,14 +257,9 @@ class Family:
         if self.kind is DeformationKind.SPECTRAL:
             scales += (("mu", "(k1/mu)^4", lambda: (p.k1 / p.mu) ** 4, True),)
         for param, name, scale, may_vanish in scales:
-            try:
-                value = scale()
-            except OverflowError:
-                value = math.inf
-            if not math.isfinite(value) or (value == 0.0 and not may_vanish):
-                shown = (f"k1 = {p.k1:g}, lambda = {p.lam:g}" if param == "k1"
-                         else f"{param} = {getattr(p, param):g}")
-                raise ValueError(f"{shown}: {name} = {value:g}, need it finite and nonzero")
+            shown = (f"k1 = {p.k1:g}, lambda = {p.lam:g}" if param == "k1"
+                     else f"{param} = {getattr(p, param):g}")
+            _finite_nonzero(shown, name, scale, may_vanish)
         radii = self.radii(p)
         if not all(math.isfinite(r) for r in radii):
             raise ValueError(
@@ -269,7 +267,7 @@ class Family:
                 f"the {self.name} radii {radii} are not all finite"
             )
 
-    def orientation(self, u, p: SolitonParams):
+    def orientation(self, j: Jet):
         """Sign relating the closed-form H to the frame-computed H.
 
         The closed forms normalize the normal by a signed rational factor;
@@ -277,15 +275,16 @@ class Family:
         up to the sign of the shared denominator, returned here (+1, -1, or
         0 at a pole).  K is a ratio of determinants and needs no adjustment.
         """
-        self.validate(p)
-        return np.sign(self.denominator(u, p))
+        self.validate(j.p)
+        return np.sign(self.denominator(j))
 
     def providers(self, p: SolitonParams) -> SurfaceProviders:
-        """Closed-form provider bundle for the finite-difference oracle."""
+        """Closed-form provider bundle, in (x, t), for the finite-difference
+        oracle."""
         return SurfaceProviders(
-            position=lambda x, t: self.position(x, t, p),
-            forms=lambda x, t: self.forms(x, t, p),
-            curvatures=lambda x, t: self.curvatures(x, t, p),
+            position=lambda x, t: self.position(jet(x, t, p)),
+            forms=lambda x, t: self.forms(jet(x, t, p)),
+            curvatures=lambda x, t: self.curvatures(jet(x, t, p)),
         )
 
 
@@ -295,11 +294,11 @@ class Family:
 SPECTRAL3 = Family(
     name="spectral3",
     kind=DeformationKind.SPECTRAL,
-    position=lambda x, t, p: three_param_position(x, t, p),
-    forms=lambda x, t, p: three_param_forms_closed(x, t, p),
-    curvatures=lambda x, t, p: three_param_curvatures_closed(x, t, p),
+    position=lambda j: three_param_position(j),
+    forms=lambda j: three_param_forms_closed(j),
+    curvatures=lambda j: three_param_curvatures_closed(j),
     # the spectral-gauge denominator at nu = 0
-    denominator=lambda u, p: p.mu ** 2 * np.asarray(u, dtype=float),
+    denominator=lambda j: j.p.mu ** 2 * j.u,
     asymptotic_profile=_three_param_asymptote,
     radii=_three_param_radii,
 )
@@ -307,10 +306,10 @@ SPECTRAL3 = Family(
 SPECTRAL_GAUGE4 = Family(
     name="spectralgauge4",
     kind=DeformationKind.SPECTRAL_GAUGE,
-    position=lambda x, t, p: four_param_position(x, t, p),
-    forms=lambda x, t, p: four_param_forms_closed(x, t, p),
-    curvatures=lambda x, t, p: four_param_curvatures_closed(x, t, p),
-    denominator=spectral_gauge_curvature_denominator,
+    position=lambda j: four_param_position(j),
+    forms=lambda j: four_param_forms_closed(j),
+    curvatures=lambda j: four_param_curvatures_closed(j),
+    denominator=lambda j: spectral_gauge_curvature_denominator(j),
     asymptotic_profile=_four_param_asymptote,
     radii=_four_param_radii,
 )
@@ -431,13 +430,12 @@ def resolve(
     return Surface(fam, params, xr, tr, pid)
 
 
-def frame_tangents(x, t, p: SolitonParams, kind: DeformationKind,
-                   c: PhiConstants | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent vectors (y_x, y_t) = (Phi^-1 A Phi, Phi^-1 B Phi), as (..., 3)."""
-    if c is None:
-        c = canonical_constants(p)
+def frame_tangents(x, t, p: SolitonParams,
+                   kind: DeformationKind) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent vectors (y_x, y_t) = (Phi^-1 A Phi, Phi^-1 B Phi), as (..., 3),
+    with Phi's canonical constants."""
     a, b = frame_at(x, t, p, kind)[1][:2]
-    f = phi(x, t, p, c)
+    f = phi(x, t, p, canonical_constants(p))
     finv = su2.inv(f)
     yx = su2.su2_to_vec(su2.mul(su2.mul(finv, su2.vec_to_su2(a)), f))
     yt = su2.su2_to_vec(su2.mul(su2.mul(finv, su2.vec_to_su2(b)), f))
@@ -449,7 +447,6 @@ def position_consistency_residual(
     t,
     p: SolitonParams,
     family: Family,
-    c: PhiConstants | None = None,
     h: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual between FD position derivatives and the frame tangents.
@@ -462,12 +459,12 @@ def position_consistency_residual(
     t = np.asarray(t, dtype=float)
 
     def pos(xx, tt):
-        return family.position(xx, tt, p)
+        return family.position(jet(xx, tt, p))
 
     s = Stencil(h, order=4)
     yx_fd = derivative(pos, x, t, s, axis=0)
     yt_fd = derivative(pos, x, t, s, axis=1)
-    yx_fr, yt_fr = frame_tangents(x, t, p, family.kind, c)
+    yx_fr, yt_fr = frame_tangents(x, t, p, family.kind)
     return yx_fd - yx_fr, yt_fd - yt_fr
 
 
@@ -531,10 +528,11 @@ def asymptotic_deviation(x, t, p: SolitonParams, family: Family) -> np.ndarray:
     the terms in R5, R6 and R7 add O(sech^2 xi), a relative correction of
     O(sech xi).
     """
-    y = family.position(x, t, p)
-    branch_sign = np.where(soliton_xi(x, t, p) >= 0.0, 1, -1)
-    y2p, y3p = family.asymptotic_profile(x, t, p, 1)
-    y2m, y3m = family.asymptotic_profile(x, t, p, -1)
+    j = jet(x, t, p)
+    y = family.position(j)
+    branch_sign = np.where(j.xi >= 0.0, 1, -1)
+    y2p, y3p = family.asymptotic_profile(j, 1)
+    y2m, y3m = family.asymptotic_profile(j, -1)
     y2_inf = np.where(branch_sign > 0, y2p, y2m)
     y3_inf = np.where(branch_sign > 0, y3p, y3m)
     return np.hypot(y[..., 1] - y2_inf, y[..., 2] - y3_inf)

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from . import diffgeo
-from .immersion import SPECTRAL3
+from .immersion import SPECTRAL3, _finite_nonzero
 from .soliton import SolitonParams, xi_grid
 
 __all__ = [
@@ -217,19 +217,6 @@ def _normalize_free(n_deg: int, free: Mapping | None) -> dict[int, float]:
     return out
 
 
-def _power(name: str, value: float, n: int) -> float:
-    """value ** n, which the constrained coefficients divide by and scale
-    by, so it must neither overflow nor underflow to 0."""
-    try:
-        out = value ** n
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out) or out == 0.0:
-        raise ValueError(f"{name} = {value:g}: {name}^{n} = {out:g}, "
-                         "need it finite and nonzero")
-    return out
-
-
 def constrained_family(
     n_deg: int, free: Mapping | None, p: float, k1: float, mu: float
 ) -> PolyLagrangian:
@@ -245,8 +232,11 @@ def constrained_family(
     if n_deg not in FLAT_MONOMIALS:
         raise ValueError(f"N={n_deg} outside the supported range 3..6")
     lam = k1 / 2.0
-    l2, l4, l6 = (_power("lambda", lam, n) for n in (2, 4, 6))
-    m2, m4, m6 = (_power("mu", mu, n) for n in (2, 4, 6))
+    # the coefficients divide by and scale by these powers
+    l2, l4, l6 = (_finite_nonzero(f"lambda = {lam:g}", f"lambda^{n}", lambda: lam ** n)
+                  for n in (2, 4, 6))
+    m2, m4, m6 = (_finite_nonzero(f"mu = {mu:g}", f"mu^{n}", lambda: mu ** n)
+                  for n in (2, 4, 6))
 
     a = {i: 0.0 for i in range(1, len(FLAT_MONOMIALS[n_deg]) + 1)}
     a.update(_normalize_free(n_deg, free))
@@ -325,8 +315,6 @@ def verify_family(
     k1: float,
     mu: float,
     *,
-    xi_half: float = 2.0,
-    t_half: float = 1.0,
     nx: int = 41,
     nt: int = 41,
     s: diffgeo.Stencil | None = None,
@@ -335,7 +323,7 @@ def verify_family(
 
     For each degree in ``degrees`` evaluates the normalized shape-equation
     residual of the constrained energy on the spectral-deformation surface
-    with lam = +-k1/2 over a |xi| < xi_half by |t| <= t_half grid, and
+    with lam = +-k1/2 over an nx by nt grid of |xi| < 2 by |t| <= 1, and
     returns one :class:`FamilyReport` per degree, in order.  ``free`` maps a
     degree to that family's free coefficients (see
     :func:`constrained_family`); a degree it omits, or ``None``, leaves them
@@ -362,7 +350,7 @@ def verify_family(
     for sign in (1.0, -1.0):
         sp = SolitonParams(k1=k1, lam=sign * k1 / 2.0, mu=mu)
         providers = SPECTRAL3.providers(sp)
-        x, t = xi_grid(sp, xi_half, nx, nt, t_half)
+        x, t = xi_grid(sp, 2.0, nx, nt)
         f = providers.forms(x, t)
         singular = diffgeo.near_singular_mask(f.h11, f.h12, f.h22)
         results = diffgeo.shape_equation_residual(providers, distinct.values(), x, t, s)

@@ -72,10 +72,10 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
     fam, params = surface.family, surface.params
     x, t = surface.grid(nx, nt)
 
-    y = fam.position(x, t, params)
-    cur = fam.curvatures(x, t, params)
-    sol = soliton_jet(x, t, params)
-    den = np.abs(fam.denominator(sol.u, params))
+    j = soliton_jet(x, t, params)
+    y = fam.position(j)
+    cur = fam.curvatures(j)
+    den = np.abs(fam.denominator(j))
     with np.errstate(invalid="ignore"):
         bad = den <= SINGULAR_RTOL * np.max(den)
         bad |= ~np.isfinite(cur.K) | ~np.isfinite(cur.H)
@@ -91,7 +91,7 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
         vertices=np.asarray(y, dtype=float).reshape(-1, 3),
         K=flat(cur.K),
         H=flat(cur.H),
-        xi=flat(sol.xi),
+        xi=flat(j.xi),
         singular=bad.reshape(-1),
     )
 

@@ -91,7 +91,8 @@ def check_grid(nx: int, nt: int) -> None:
 class Jet:
     """The soliton and its derivatives at a set of points.
 
-    ``xi``, ``s`` = sech(xi) and ``tau`` = tanh(xi) are evaluated once by
+    ``x`` and ``t`` are the float arrays it was evaluated at; ``xi``,
+    ``s`` = sech(xi) and ``tau`` = tanh(xi) are evaluated once by
     :func:`jet`; each derivative is a property, an exact chain-rule
     expression in s and tau built on access, so a caller holds only the
     derivatives it uses.  The soliton is a traveling wave, so every t
@@ -99,6 +100,8 @@ class Jet:
     """
 
     p: SolitonParams
+    x: np.ndarray
+    t: np.ndarray
     xi: np.ndarray
     s: np.ndarray
     tau: np.ndarray
@@ -139,10 +142,7 @@ XI_MAX = float(np.arccosh(np.finfo(float).max))
 
 def jet(x, t, p: SolitonParams) -> Jet:
     """The soliton's jet at (x, t): the package's one evaluation of sech, tanh."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
     z = np.asarray(xi(x, t, p), dtype=float)
-    return Jet(p, z, 1.0 / np.cosh(z), np.tanh(z))
-
-
-def u(x, t, p: SolitonParams):
-    """One-soliton u = k1 sech(xi)."""
-    return jet(x, t, p).u
+    return Jet(p, x, t, z, 1.0 / np.cosh(z), np.tanh(z))

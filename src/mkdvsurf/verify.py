@@ -28,7 +28,7 @@ from .deformation import (
 )
 from .immersion import SPECTRAL3, Surface, _half_k1
 from .lax import canonical_constants, det_phi_expected, lax_residuals, zero_curvature_residual
-from .soliton import SolitonParams, check_grid, u as soliton_u, xi_grid
+from .soliton import SolitonParams, check_grid, jet, xi_grid
 
 __all__ = [
     "CHECK_NAMES",
@@ -253,11 +253,11 @@ POLE_MARGIN = 0.05
 def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p, fam = cfg.surface.params, cfg.surface.family
     x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
-    u_val = soliton_u(x, t, p)
+    j = jet(x, t, p)
     cur = curvatures_from_forms(forms_from_ab(x, t, p, fam.kind))
-    closed = fam.curvatures(x, t, p)
-    sign = fam.orientation(u_val, p)
-    den = np.abs(fam.denominator(u_val, p))
+    closed = fam.curvatures(j)
+    sign = fam.orientation(j)
+    den = np.abs(fam.denominator(j))
     keep = den > POLE_MARGIN * np.max(den)
     if not keep.any():
         raise diffgeo.SingularPointError(
@@ -282,13 +282,13 @@ def _check_weingarten(cfg: _Config, name: str, tol: float, h: None,
                       paper_literal: bool = False) -> CheckResult:
     p = cfg.surface.params
     x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
-    cur = cfg.surface.family.curvatures(x, t, p)
+    cur = cfg.surface.family.curvatures(jet(x, t, p))
     wr = immersion.weingarten_residuals(cur.K, cur.H, p, paper_literal=paper_literal)
     res = [np.abs(wr.cubic) / wr.cubic_scale]
     note = "cubic K-H relation"
     if wr.quadratic is not None:
         res.append(np.abs(wr.quadratic) / wr.quadratic_scale)
-        note += " and quadratic at k1 = 2 lambda"
+        note += f" and quadratic at k1 = {'' if p.k1 * p.lam > 0 else '-'}2 lambda"
     if paper_literal:
         note = "uncorrected constant term; failure expected and documented"
     return _result(name, cfg.label("with |xi|<2.95"), tol, np.concatenate(

@@ -27,7 +27,7 @@ from mkdvsurf.immersion import (
     weingarten_residuals,
 )
 from mkdvsurf.lax import canonical_constants, det_phi_expected, lax_residuals, phi, zero_curvature_residual
-from mkdvsurf.soliton import SolitonParams, u as soliton_u, xi_grid
+from mkdvsurf.soliton import SolitonParams, jet, xi_grid
 
 ALL_PRESETS = list(PRESETS)
 
@@ -92,14 +92,14 @@ def test_criterion_04_forms_curvature_equivalence():
         p = SolitonParams(k1, lam, mu, nu)
         family = SPECTRAL3 if nu == 0.0 else SPECTRAL_GAUGE4
         x, t = xi_grid(p, 2.95, N_XI, N_T)
-        uu = soliton_u(x, t, p)
+        j = jet(x, t, p)
         cur = curvatures_from_forms(forms_from_ab(x, t, p, family.kind))
-        closed = family.curvatures(x, t, p)
-        sign = family.orientation(uu, p)
+        closed = family.curvatures(j)
+        sign = family.orientation(j)
         if family is SPECTRAL3:
-            keep = np.ones(uu.shape, bool)
+            keep = np.ones(j.u.shape, bool)
         else:
-            den = family.denominator(uu, p)
+            den = family.denominator(j)
             keep = np.abs(den) > 0.05 * np.max(np.abs(den))
         rel_k = np.max(np.abs(cur.K - closed.K)[keep]) / np.max(np.abs(closed.K[keep]))
         rel_h = np.max(np.abs(cur.H - sign * closed.H)[keep]) / np.max(np.abs(closed.H[keep]))
@@ -112,17 +112,17 @@ def test_criterion_04_forms_curvature_equivalence():
         pre = resolve(pid)
         p = pre.params
         x, t = xi_grid(p, 2.95, N_XI, N_T)
-        uu = soliton_u(x, t, p)
+        j = jet(x, t, p)
         if pre.family is SPECTRAL3:
-            fcl = three_param_forms_closed(x, t, p)
-            keep = np.ones(uu.shape, bool)
-            sign = np.sign(uu)
+            fcl = three_param_forms_closed(j)
+            keep = np.ones(j.u.shape, bool)
+            sign = np.sign(j.u)
         else:
-            fcl = four_param_forms_closed(x, t, p)
-            den = pre.family.denominator(uu, p)
+            fcl = four_param_forms_closed(j)
+            den = pre.family.denominator(j)
             keep = np.abs(den) > 0.05 * np.max(np.abs(den))
-            sign = pre.family.orientation(uu, p)
-        ccl = pre.family.curvatures(x, t, p)
+            sign = pre.family.orientation(j)
+        ccl = pre.family.curvatures(j)
         ffd = diffgeo.fd_forms(pre.family.providers(p).position, x, t, stencil)
         cfd = curvatures_from_forms(ffd)
 
@@ -159,18 +159,18 @@ def test_criterion_06_curvature_relation():
         p = SolitonParams(rng.uniform(0.5, 3.0), rng.uniform(-1.5, 1.5),
                           rng.uniform(0.3, 3.0))
         x, t = xi_grid(p, 3.0, N_XI, N_T)
-        cur = SPECTRAL3.curvatures(x, t, p)
+        cur = SPECTRAL3.curvatures(jet(x, t, p))
         wr = weingarten_residuals(cur.K, cur.H, p)
         worst_cubic = max(worst_cubic, float(np.max(np.abs(wr.cubic) / wr.cubic_scale)))
     worst_quad = 0.0
     for _ in range(10):
         k1 = rng.uniform(0.5, 3.0)
         p = SolitonParams(k1, k1 / 2.0, rng.uniform(0.3, 3.0))
-        cur = SPECTRAL3.curvatures(*xi_grid(p, 3.0, N_XI, N_T), p)
+        cur = SPECTRAL3.curvatures(jet(*xi_grid(p, 3.0, N_XI, N_T), p))
         wr = weingarten_residuals(cur.K, cur.H, p)
         worst_quad = max(worst_quad, float(np.max(np.abs(wr.quadratic) / wr.quadratic_scale)))
     p0 = SolitonParams(2.0, 1.0, 1.0)
-    cur0 = SPECTRAL3.curvatures(np.array(0.0), np.array(0.0), p0)  # crest: xi = 0
+    cur0 = SPECTRAL3.curvatures(jet(0.0, 0.0, p0))  # crest: xi = 0
     defect = float(weingarten_residuals(cur0.K, cur0.H, p0, paper_literal=True).cubic)
     ok = worst_cubic < 1e-9 and worst_quad < 1e-9 and abs(defect - 108.0) < 1e-9
     assert _line(6, ok, f"cubic {worst_cubic:.2e}, quadratic {worst_quad:.2e} "
@@ -280,7 +280,7 @@ def test_criterion_10_figure_windows(tmp_path):
         xi_c = float(m.xi[i])
         branch = 1 if xi_c >= 0.0 else -1
         p = pre.params
-        y2_inf, y3_inf = pre.family.asymptotic_profile(m.x[i], m.t[i], p, branch)
+        y2_inf, y3_inf = pre.family.asymptotic_profile(jet(m.x[i], m.t[i], p), branch)
         dev = float(np.hypot(m.vertices[i, 1] - y2_inf, m.vertices[i, 2] - y3_inf))
         c = 2 * abs(p.mu) * p.k1 / (p.k1 ** 2 + 4 * p.lam ** 2)
         tail = c / np.cosh(xi_c)

@@ -262,7 +262,7 @@ def test_forms_without_a_point_off_the_poles_exit_2(capsys, monkeypatch):
     # a family whose denominator is 0 on the whole grid puts every point at a
     # pole; no parameters that pass validation do that to spectral3
     at_poles = dataclasses.replace(
-        immersion.SPECTRAL3, denominator=lambda u, p: np.zeros_like(u))
+        immersion.SPECTRAL3, denominator=lambda j: np.zeros_like(j.u))
     monkeypatch.setitem(immersion.FAMILIES, "spectral3", at_poles)
     code, out, err = run(capsys, "verify", "--family", "spectral3", "--k1", "2",
                          "--mu", "1", "--nx", "5", "--nt", "5", "--checks", "forms")
@@ -300,6 +300,15 @@ def test_paper_literal_regression_via_cli(capsys):
     )
     assert code == 1
     assert "expected" in out
+
+
+def test_weingarten_note_names_the_sign_of_k1_over_lambda(capsys):
+    # the quadratic is added at k1 = 2 lambda (ex2) and at k1 = -2 lambda
+    for k1, note in (("2", "k1 = 2 lambda"), ("-2", "k1 = -2 lambda")):
+        code, out, err = run(capsys, "verify", "--family", "spectral3", f"--k1={k1}",
+                             "--lambda", "1", "--mu", "-8", "--checks", "weingarten")
+        assert code == 0 and err == ""
+        assert f"(cubic K-H relation and quadratic at {note})\n" in out
 
 
 def test_missing_subcommand_exit_2(capsys):

@@ -17,7 +17,7 @@ from mkdvsurf.deformation import (
 from mkdvsurf.immersion import SPECTRAL3, SPECTRAL_GAUGE4
 from mkdvsurf.diffgeo import Stencil, derivative
 from mkdvsurf.lax import lax_U, lax_V, zero_curvature_residual
-from mkdvsurf.soliton import SolitonParams, u as soliton_u
+from mkdvsurf.soliton import SolitonParams, jet
 
 GRID = np.meshgrid(np.linspace(-2, 2, 15), np.linspace(-2, 2, 15))
 
@@ -110,9 +110,9 @@ def test_spectral_curvatures_match_closed_form(p):
     x, t = np.meshgrid(np.linspace(-1.5, 1.5, 9), np.linspace(-1.5, 1.5, 9))
     f = forms_from_ab(x, t, p, DeformationKind.SPECTRAL)
     cur = curvatures_from_forms(f)
-    uu = soliton_u(x, t, p)
-    closed = SPECTRAL3.curvatures(x, t, p)
-    sign = SPECTRAL3.orientation(uu, p)
+    j = jet(x, t, p)
+    closed = SPECTRAL3.curvatures(j)
+    sign = SPECTRAL3.orientation(j)
     assert np.max(np.abs(cur.K - closed.K)) < 1e-8 * np.max(np.abs(closed.K))
     assert np.max(np.abs(cur.H - sign * closed.H)) < 1e-8 * np.max(np.abs(closed.H))
 
@@ -121,13 +121,13 @@ def test_spectral_curvatures_match_closed_form(p):
 @given(gauge_params)
 def test_gauge_curvatures_match_closed_form(p):
     x, t = np.meshgrid(np.linspace(-1.5, 1.5, 9), np.linspace(-1.5, 1.5, 9))
-    uu = soliton_u(x, t, p)
-    den = SPECTRAL_GAUGE4.denominator(uu, p)
+    j = jet(x, t, p)
+    den = SPECTRAL_GAUGE4.denominator(j)
     keep = np.abs(den) > 0.1 * np.max(np.abs(den))
     f = forms_from_ab(x, t, p, DeformationKind.SPECTRAL_GAUGE)
     cur = curvatures_from_forms(f)
-    closed = SPECTRAL_GAUGE4.curvatures(x, t, p)
-    sign = SPECTRAL_GAUGE4.orientation(uu, p)
+    closed = SPECTRAL_GAUGE4.curvatures(j)
+    sign = SPECTRAL_GAUGE4.orientation(j)
     dk = np.abs(cur.K[keep] - closed.K[keep])
     dh = np.abs(cur.H[keep] - sign[keep] * closed.H[keep])
     assert np.max(dk) < 1e-8 * np.max(np.abs(closed.K[keep]))
@@ -136,14 +136,15 @@ def test_gauge_curvatures_match_closed_form(p):
 
 def test_spectral_closed_forms_values():
     p = SolitonParams(2.0, 1.0, mu=1.0)
-    cur = SPECTRAL3.curvatures(np.array(0.0), np.array(0.0), p)  # crest: xi = 0
+    cur = SPECTRAL3.curvatures(jet(0.0, 0.0, p))  # crest: xi = 0
     assert cur.K == pytest.approx(4.0)
     assert cur.H == pytest.approx(3.0)
     # the same closed forms written in u = k1 sech(xi):
     # K = (2/mu^2)(u^2 - 2 alpha), H = (3u^2 + 2(lam^2 - alpha))/(2 mu u)
     p = SolitonParams(1.5, -0.4, mu=-2.5)
-    uu = soliton_u(*GRID, p)
-    cur = SPECTRAL3.curvatures(*GRID, p)
+    j = jet(*GRID, p)
+    uu = j.u
+    cur = SPECTRAL3.curvatures(j)
     assert np.allclose(cur.K, (2.0 / p.mu ** 2) * (uu ** 2 - 2.0 * p.alpha), rtol=1e-12)
     assert np.allclose(cur.H, (3.0 * uu ** 2 + 2.0 * (p.lam ** 2 - p.alpha)) / (2.0 * p.mu * uu),
                        rtol=1e-12)
@@ -158,13 +159,14 @@ def test_metric_of_spectral_family_is_constant_g11():
 
 
 def test_orientation_sign_is_denominator_sign():
-    p = SolitonParams(2.0, 0.5, mu=1.0, nu=2.0)
-    uu = np.linspace(0.05, 2.0, 101)
-    sign = SPECTRAL_GAUGE4.orientation(uu, p)
-    den = SPECTRAL_GAUGE4.denominator(uu, p)
+    # at k1 = 2 and t = 0, xi = x, so u = 2 sech(x) runs from 2 down to 0.05
+    x = np.linspace(0.0, 4.4, 101)
+    j = jet(x, 0.0, SolitonParams(2.0, 0.5, mu=1.0, nu=2.0))
+    sign = SPECTRAL_GAUGE4.orientation(j)
+    den = SPECTRAL_GAUGE4.denominator(j)
     assert np.array_equal(sign, np.sign(den))
-    p3 = SolitonParams(2.0, 0.5, mu=-3.0)
-    assert np.array_equal(SPECTRAL3.orientation(uu, p3), np.sign(uu))
+    j3 = jet(x, 0.0, SolitonParams(2.0, 0.5, mu=-3.0))
+    assert np.array_equal(SPECTRAL3.orientation(j3), np.sign(j3.u))
 
 
 def test_sphere_check_radius():

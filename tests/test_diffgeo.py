@@ -76,7 +76,7 @@ def test_order2_richardson_is_the_old_lax_quotient_bitwise():
 def test_order4_is_the_old_five_point_quotient_bitwise():
     # the consistency check's former inline 5-point quotient of the position
     pre = resolve("ex6")
-    f = lambda x, t: pre.family.position(x, t, pre.params)
+    f = pre.family.providers(pre.params).position
     h = 1e-3
     old_x = (8.0 * (f(X1 + h, T1) - f(X1 - h, T1))
              - (f(X1 + 2 * h, T1) - f(X1 - 2 * h, T1))) / (12.0 * h)

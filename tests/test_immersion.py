@@ -1,9 +1,13 @@
 """Closed-form immersions: positions, forms, presets, curvature relations."""
 
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mkdvsurf import su2
+from mkdvsurf import immersion, mesh, soliton, su2, verify
 from mkdvsurf.deformation import DeformationKind, curvatures_from_forms, forms_from_ab
 from mkdvsurf.immersion import (
     DEFAULT_WINDOW,
@@ -23,7 +27,7 @@ from mkdvsurf.immersion import (
     three_param_position,
     weingarten_residuals,
 )
-from mkdvsurf.soliton import XI_MAX, SolitonParams, u as soliton_u, xi as soliton_xi
+from mkdvsurf.soliton import XI_MAX, SolitonParams, jet
 
 GRID = np.meshgrid(np.linspace(-2, 2, 13), np.linspace(-2, 2, 13))
 
@@ -74,7 +78,7 @@ def test_three_param_radius_and_phase():
     assert r1 == pytest.approx(1.0)
     # at x = t = 0 (xi = 0) the drift E and the phase G vanish:
     # y = (-4 R1 (1 - tanh xi), -4 R1 cos(G) sech xi, -4 R1 sin(G) sech xi)
-    y = three_param_position(0.0, 0.0, p)
+    y = three_param_position(jet(0.0, 0.0, p))
     assert y == pytest.approx([-4.0, -4.0, 0.0])
 
 
@@ -83,7 +87,7 @@ def test_three_param_crest_circle():
     p = resolve("ex2").params
     t = np.linspace(-3, 3, 11)
     x = -p.k1 ** 2 * t / 4.0  # xi = 0 line
-    y = three_param_position(x, t, p)
+    y = three_param_position(jet(x, t, p))
     r = np.hypot(y[..., 1], y[..., 2])
     assert np.allclose(r, 4.0, rtol=1e-12)
 
@@ -98,7 +102,7 @@ def test_four_param_radii_ex6():
     assert r7 == pytest.approx(0.0)
     # at x = t = 0 (xi = 0) the drift and the phase vanish:
     # y = (R3 E~ + R4/2, R4/2 + R5/2 - R6, 0) with E~ = 0, since tanh xi = 0
-    y = four_param_position(0.0, 0.0, p)
+    y = four_param_position(jet(0.0, 0.0, p))
     assert y == pytest.approx([0.5 * r4, 0.5 * r4 + 0.5 * r5 - r6, 0.0], abs=1e-12)
 
 
@@ -117,7 +121,7 @@ def test_frame_tangent_lengths_match_metric():
     p = pre.params
     x, t = GRID
     yx, yt = frame_tangents(x, t, p, pre.family.kind)
-    f = three_param_forms_closed(x, t, p)
+    f = three_param_forms_closed(jet(x, t, p))
     assert np.allclose(np.sum(yx * yx, axis=-1), f.g11, rtol=1e-10)
     assert np.allclose(np.sum(yx * yt, axis=-1), f.g12, rtol=1e-10)
     assert np.allclose(np.sum(yt * yt, axis=-1), f.g22, rtol=1e-10)
@@ -128,9 +132,10 @@ def test_three_param_forms_match_frame(pid):
     pre = resolve(pid)
     p = pre.params
     x, t = GRID
-    closed = three_param_forms_closed(x, t, p)
+    j = jet(x, t, p)
+    closed = three_param_forms_closed(j)
     frame = forms_from_ab(x, t, p, DeformationKind.SPECTRAL)
-    sign = np.sign(soliton_u(x, t, p))
+    sign = np.sign(j.u)
     for name in ("g11", "g12", "g22"):
         a, b = getattr(closed, name), getattr(frame, name)
         assert np.max(np.abs(a - b)) < 1e-10 * max(1.0, np.max(np.abs(a)))
@@ -144,13 +149,13 @@ def test_four_param_curvatures_match_frame(pid):
     pre = resolve(pid)
     p = pre.params
     x, t = GRID
-    closed = four_param_curvatures_closed(x, t, p)
+    j = jet(x, t, p)
+    closed = four_param_curvatures_closed(j)
     frame = curvatures_from_forms(forms_from_ab(x, t, p, pre.family.kind))
-    f4 = four_param_forms_closed(x, t, p)
-    uu = soliton_u(x, t, p)
-    den = pre.family.denominator(uu, p)
+    f4 = four_param_forms_closed(j)
+    den = pre.family.denominator(j)
     keep = np.abs(den) > 0.1 * np.max(np.abs(den))
-    sign = pre.family.orientation(uu, p)
+    sign = pre.family.orientation(j)
     assert np.max(np.abs(closed.K - frame.K)[keep]) < 1e-8 * np.max(np.abs(closed.K[keep]))
     assert np.max(np.abs(sign * closed.H - frame.H)[keep]) < 1e-8 * np.max(np.abs(closed.H[keep]))
     # closed-form four-param forms agree with the frame forms up to orientation
@@ -164,7 +169,7 @@ def test_weingarten_cubic_and_quadratic():
     x, t = GRID
     for k1, lam in ((2.0, 1.0), (2.0, -1.0), (-2.0, 1.0), (-2.0, -1.0)):
         p = SolitonParams(k1, lam, mu=1.0)
-        cur = three_param_curvatures_closed(x, t, p)
+        cur = three_param_curvatures_closed(jet(x, t, p))
         wr = weingarten_residuals(cur.K, cur.H, p)
         assert np.max(np.abs(wr.cubic) / wr.cubic_scale) < 1e-12, (k1, lam)
         assert wr.quadratic is not None, (k1, lam)
@@ -173,7 +178,7 @@ def test_weingarten_cubic_and_quadratic():
 
 def test_weingarten_no_quadratic_off_ridge():
     p = SolitonParams(2.0, 0.3, mu=1.0)
-    cur = three_param_curvatures_closed(*GRID, p)
+    cur = three_param_curvatures_closed(jet(*GRID, p))
     wr = weingarten_residuals(cur.K, cur.H, p)
     assert np.max(np.abs(wr.cubic) / wr.cubic_scale) < 1e-12
     assert wr.quadratic is None
@@ -183,7 +188,7 @@ def test_weingarten_uncorrected_defect():
     # at the crest of k1=2, lam=1, mu=1 (K=4, H=3) the uncorrected constant
     # term leaves residual 3 (k1^2 + 2 lam^2)^2 = 108
     p = SolitonParams(2.0, 1.0, mu=1.0)
-    cur = three_param_curvatures_closed(np.array(0.0), np.array(0.0), p)
+    cur = three_param_curvatures_closed(jet(0.0, 0.0, p))
     wr = weingarten_residuals(cur.K, cur.H, p, paper_literal=True)
     assert float(wr.cubic) == pytest.approx(108.0, abs=1e-9)
 
@@ -206,13 +211,13 @@ def test_asymptotic_deviation_decays(pid):
 def test_family_position_dispatch():
     p = resolve("ex2").params
     assert np.array_equal(
-        FAMILIES["spectral3"].position(GRID[0], GRID[1], p),
-        three_param_position(GRID[0], GRID[1], p),
+        FAMILIES["spectral3"].position(jet(*GRID, p)),
+        three_param_position(jet(*GRID, p)),
     )
     p6 = resolve("ex6").params
     assert np.array_equal(
-        FAMILIES["spectralgauge4"].position(GRID[0], GRID[1], p6),
-        four_param_position(GRID[0], GRID[1], p6),
+        FAMILIES["spectralgauge4"].position(jet(*GRID, p6)),
+        four_param_position(jet(*GRID, p6)),
     )
     # symmetry-ux has a frame but no closed-form position
     for name in (DeformationKind.SYMMETRY_UX.value, "nosuch"):
@@ -223,7 +228,7 @@ def test_family_position_dispatch():
 def test_a_zero_mu_or_nu_is_left_to_the_kind():
     # spectralgauge4 at mu = 0 is the unit sphere, and spectral3 has nu = 0
     sphere = resolve(family="spectralgauge4", params=SolitonParams(2.0, 0.5, mu=0.0, nu=1.0))
-    assert np.allclose(sphere.family.curvatures(GRID[0], GRID[1], sphere.params).K, 1.0)
+    assert np.allclose(sphere.family.curvatures(jet(*GRID, sphere.params)).K, 1.0)
     resolve(family="spectral3", params=SolitonParams(2.0, 1.0, mu=-8.0))
     # beside mu, an underflowing nu^2 only drops out of mu's terms
     resolve(family="spectralgauge4", params=SolitonParams(1.0, 0.0, mu=1.0, nu=1.7e-192))
@@ -232,3 +237,53 @@ def test_a_zero_mu_or_nu_is_left_to_the_kind():
                          (1.0, 1e155, "nu")):
         with pytest.raises(ValueError, match=name):
             resolve(family="spectralgauge4", params=SolitonParams(2.0, 0.5, mu=mu, nu=nu))
+
+
+def _count_jets(monkeypatch):
+    """Calls of soliton.jet from here on, by whatever name a module holds it."""
+    calls = []
+    original = soliton.jet
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "mkdvsurf" or name.startswith("mkdvsurf."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("pid", ["ex2", "ex7"])
+def test_generate_evaluates_the_soliton_once(monkeypatch, pid):
+    # position, K, H, the singular mask and the xi column share one jet
+    surface = resolve(pid)
+    calls = _count_jets(monkeypatch)
+    mesh.generate(surface, nx=11, nt=11)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pid", ["ex2", "ex7"])
+def test_forms_check_evaluates_two_jets(monkeypatch, pid):
+    # one for the frame's forms, one for the closed curvatures, orientation
+    # and pole mask
+    surface = resolve(pid)
+    calls = _count_jets(monkeypatch)
+    assert verify.run_checks(["forms"], surface, nx=11, nt=11).passed
+    assert len(calls) == 2
+
+
+def test_only_the_x_t_boundaries_evaluate_a_jet():
+    # every closed form reads the jet it is given; only the functions that
+    # take (x, t) build one
+    boundaries = {"providers", "position_consistency_residual", "asymptotic_deviation"}
+    tree = ast.parse(Path(immersion.__file__).read_text())
+    # each module-level statement, with the methods of a class one by one
+    units = [m for n in tree.body for m in (n.body if isinstance(n, ast.ClassDef) else [n])]
+    callers = {getattr(unit, "name", f"line {unit.lineno}")
+               for unit in units for node in ast.walk(unit)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "jet"}
+    assert callers == boundaries
