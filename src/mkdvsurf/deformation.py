@@ -184,8 +184,6 @@ def curvatures_from_forms(f: Forms) -> CurvaturePair:
 
 @dataclass(frozen=True)
 class SphereCheckReport:
-    K: np.ndarray
-    H: np.ndarray
     radius_estimate: float
     expected_radius: float
     k_rel_spread: float
@@ -211,13 +209,10 @@ def symmetry_sphere_check(p: SolitonParams, x, t) -> SphereCheckReport:
     if kg.size == 0:
         raise SingularPointError("all grid points degenerate; enlarge the grid")
     k_mean = float(np.mean(kg))
-    report = SphereCheckReport(
-        K=k,
-        H=h,
+    return SphereCheckReport(
         radius_estimate=float(1.0 / np.sqrt(abs(k_mean))),
         expected_radius=abs(p.alpha * p.mu / (2.0 * p.lam)),
         k_rel_spread=float(np.max(np.abs(kg - k_mean)) / abs(k_mean)),
         h2_minus_k_rel=float(np.max(np.abs(hg ** 2 - kg)) / abs(k_mean)),
         excluded=excluded,
     )
-    return report

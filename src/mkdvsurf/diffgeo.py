@@ -196,14 +196,14 @@ def fd_forms(immersion, x, t, s: Stencil | None = None) -> Forms:
     )
 
 
-def _det_sqrt(g11, g12, g22, scalar_ok: bool):
-    det = g11 * g22 - g12 ** 2
-    bad = ~(det > 0.0)
-    if np.ndim(bad) == 0:
-        if bad and scalar_ok:
-            raise SingularPointError(f"metric not positive definite: det g = {det}")
+def _sqrt_det_g(fm: Forms, scalar_ok: bool):
+    """sqrt(det g), NaN where g is not positive definite; with ``scalar_ok``
+    a scalar point where it is not raises instead."""
+    det = fm.det_g()
+    if scalar_ok and np.ndim(det) == 0 and not det > 0.0:
+        raise SingularPointError(f"metric not positive definite: det g = {det}")
     with np.errstate(invalid="ignore"):
-        return det, np.sqrt(np.where(det > 0.0, det, np.nan))
+        return np.sqrt(np.where(det > 0.0, det, np.nan))
 
 
 # One block of a divergence-form pass: the rows of the field it acts on
@@ -234,7 +234,7 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
 
     def flux(xx, tt, row):
         fm = forms(xx, tt)
-        _, sq = _det_sqrt(fm.g11, fm.g12, fm.g22, scalar_ok=False)
+        sq = _sqrt_det_g(fm, scalar_ok=False)
         fx = np.asarray(derivative(f, xx, tt, s, axis=0, nth=1))
         ft = np.asarray(derivative(f, xx, tt, s, axis=1, nth=1))
         out = None
@@ -242,10 +242,9 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
             out = np.empty(np.broadcast_shapes(fx.shape, np.shape(sq)))
         for rows, tensor, weight in blocks:
             if tensor == "g":
-                a11, a12, a22 = fm.g11, fm.g12, fm.g22
+                a11, a12, a22, det_a = fm.g11, fm.g12, fm.g22, fm.det_g()
             else:
-                a11, a12, a22 = fm.h11, fm.h12, fm.h22
-            det_a = a11 * a22 - a12 ** 2
+                a11, a12, a22, det_a = fm.h11, fm.h12, fm.h22, fm.det_h()
             w = sq if weight is None else sq * weight(xx, tt)
             with np.errstate(invalid="ignore", divide="ignore"):
                 if row == 0:
@@ -259,9 +258,7 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
 
     div = derivative(lambda a, b: flux(a, b, 0), x, t, s, axis=0, nth=1)
     div = div + derivative(lambda a, b: flux(a, b, 1), x, t, s, axis=1, nth=1)
-    fm = forms(x, t)
-    _, sq = _det_sqrt(fm.g11, fm.g12, fm.g22, scalar_ok=True)
-    return div / sq
+    return div / _sqrt_det_g(forms(x, t), scalar_ok=True)
 
 
 def laplace_beltrami(f, forms, x, t, s: Stencil | None = None):
@@ -272,25 +269,12 @@ def laplace_beltrami(f, forms, x, t, s: Stencil | None = None):
     return _divergence_form(f, forms, x, t, s)
 
 
-def nabla_dot_bar(f, forms, curvature_k, x, t, s: Stencil | None = None):
-    """Curvature-weighted operator: (1/sqrt(det g)) d_i(sqrt(det g) K h^{ij} d_j f).
-
-    ``forms`` takes (x, t) and returns the :class:`Forms` there, g and h
-    alike.  h^{ij} is the inverse of the second fundamental form; points
-    where it is singular propagate as non-finite values (see
-    near_singular_mask).
-    """
-    return _divergence_form(f, forms, x, t, s, ((..., "h", curvature_k),))
-
-
 NEAR_SINGULAR_RTOL = 1e-10
 
 
-def near_singular_mask(h11, h12, h22, rtol: float = NEAR_SINGULAR_RTOL):
+def near_singular_mask(fm: Forms):
     """Points where the second fundamental form is numerically singular."""
-    det = h11 * h22 - h12 ** 2
-    trace = h11 + h22
-    return np.abs(det) < rtol * trace ** 2
+    return np.abs(fm.det_h()) < NEAR_SINGULAR_RTOL * (fm.h11 + fm.h22) ** 2
 
 
 @dataclass(frozen=True)
@@ -305,9 +289,6 @@ class SurfaceProviders:
     forms: Callable[[np.ndarray, np.ndarray], Forms]
     curvatures: Callable[[np.ndarray, np.ndarray], CurvaturePair]
 
-    def mean_curvature(self, x, t):
-        return self.curvatures(x, t).H
-
 
 def willmore_like_residual(
     providers: SurfaceProviders, a: float, b: float, x, t, s: Stencil | None = None
@@ -317,7 +298,7 @@ def willmore_like_residual(
     Returns (residual, scale) where scale is the pointwise magnitude of the
     largest algebraic term, suitable for relative comparisons.
     """
-    lap_h = laplace_beltrami(providers.mean_curvature, providers.forms, x, t, s)
+    lap_h = laplace_beltrami(lambda a, b: providers.curvatures(a, b).H, providers.forms, x, t, s)
     cur = providers.curvatures(np.asarray(x, float), np.asarray(t, float))
     t_a = a * cur.H ** 3
     t_b = b * cur.H * cur.K

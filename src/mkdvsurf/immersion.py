@@ -447,7 +447,7 @@ def position_consistency_residual(
     t,
     p: SolitonParams,
     family: Family,
-    h: float = 1e-3,
+    h: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual between FD position derivatives and the frame tangents.
 

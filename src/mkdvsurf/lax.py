@@ -129,7 +129,7 @@ def det_phi_expected(p: SolitonParams, c: PhiConstants) -> complex:
     return (p.k1 ** 2 + 4.0 * p.lam ** 2) / p.k1 * (c.A1 * c.B2 - c.A2 * c.B1)
 
 
-def lax_residuals(x, t, p: SolitonParams, c: PhiConstants, h: float = 1e-6):
+def lax_residuals(x, t, p: SolitonParams, c: PhiConstants, h: float):
     """(Phi_x - U Phi, Phi_t - V Phi, Phi), Phi differenced by ``diffgeo.derivative``:
     order 2 at step h with one Richardson level, (4 d(h/2) - d(h))/3.
 

@@ -51,10 +51,10 @@ def xi(x, t, p: SolitonParams):
     return p.k1 * (p.k1 ** 2 * t + 4.0 * x) / 8.0
 
 
-def xi_grid(p: SolitonParams, xi_half: float, nx: int, nt: int, t_half: float = 1.0):
+def xi_grid(p: SolitonParams, xi_half: float, nx: int, nt: int):
     """(x, t) grid with nx points across |xi| <= xi_half on each of nt rows
-    spanning |t| <= t_half, so the grid follows the soliton as it travels."""
-    tv = np.linspace(-t_half, t_half, nt)
+    spanning |t| <= 1, so the grid follows the soliton as it travels."""
+    tv = np.linspace(-1.0, 1.0, nt)
     xiv = np.linspace(-xi_half, xi_half, nx)
     x = (8.0 * xiv[None, :] / p.k1 - p.k1 ** 2 * tv[:, None]) / 4.0
     return x, np.repeat(tv[:, None], nx, axis=1)

@@ -11,7 +11,7 @@ these components the algebra is real vector algebra:
     <X, Y> = -1/2 Re trace(XY)  =   x · y,
     ||X||  = sqrt(|<X, X>|)     =   |x|.
 
-Complex 2x2 matrices (``vec_to_su2``, ``su2_to_vec``, ``is_su2``) are needed
+Complex 2x2 matrices (``vec_to_su2``, ``su2_to_vec``) are needed
 only where an SL(2, C) matrix such as the fundamental solution Phi acts.
 Stacked 2x2 arithmetic (``mul``, ``det``, ``inv``) is written out entry by
 entry: numpy's ``@`` and ``np.linalg`` call BLAS or LAPACK once per 2x2
@@ -20,19 +20,6 @@ matrix of a grid, which costs several times the arithmetic itself.
 from __future__ import annotations
 
 import numpy as np
-
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-_SIGMAS = (SIGMA1, SIGMA2, SIGMA3)
-
-
-def pauli(k: int) -> np.ndarray:
-    """Return the Pauli matrix sigma_k for k in {1, 2, 3}."""
-    if k not in (1, 2, 3):
-        raise ValueError(f"Pauli index must be 1, 2, or 3, got {k}")
-    return _SIGMAS[k - 1].copy()
 
 
 def trace(x: np.ndarray) -> np.ndarray:
@@ -112,26 +99,23 @@ def su2_to_vec(f: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     """Invert vec_to_su2, rejecting inputs that are not su(2) within atol.
 
     Membership means traceless and anti-Hermitian; both defects are measured
-    entrywise against ``atol`` (absolute, since inputs come from closed-form
-    evaluation rather than iteration).
+    entrywise against ``atol`` times max(1, max|f|): absolute for entries of
+    size 1 or less, relative to the largest entry above that, where rounding
+    scales with the entries.
     """
     f = np.asarray(f, dtype=complex)
     tr_defect = np.max(np.abs(trace(f)))
     ah_defect = np.max(np.abs(f + np.conj(np.swapaxes(f, -1, -2))))
     if tr_defect > atol or ah_defect > atol:
-        raise ValueError(
-            f"matrix is not su(2) within {atol}: "
-            f"trace defect {tr_defect:.3e}, anti-Hermiticity defect {ah_defect:.3e}"
-        )
+        # the scale is at least 1, so only a defect above atol needs it
+        bound = atol * max(1.0, float(np.max(np.abs(f))))
+        if tr_defect > bound or ah_defect > bound:
+            raise ValueError(
+                f"matrix is not su(2) within {bound:.3e}: "
+                f"trace defect {tr_defect:.3e}, anti-Hermiticity defect {ah_defect:.3e}"
+            )
     v1 = ((f[..., 0, 1] + f[..., 1, 0]) / 2j).real
     v2 = ((f[..., 0, 1] - f[..., 1, 0]) / 2).real
     v3 = (-1j * f[..., 0, 0]).real
     return np.stack([v1, v2, v3], axis=-1)
 
-
-def is_su2(f: np.ndarray, atol: float = 1e-10) -> bool:
-    """True when the matrix f is traceless and anti-Hermitian within atol."""
-    f = np.asarray(f, dtype=complex)
-    if np.max(np.abs(trace(f))) > atol:
-        return False
-    return bool(np.max(np.abs(f + np.conj(np.swapaxes(f, -1, -2)))) <= atol)

@@ -60,7 +60,7 @@ def test_criterion_02_frame_solution():
     for k1, lam in [(1.0, 0.0), (2.0, 1.0), (2.0, -0.5), (3.0, 0.25)]:
         p = SolitonParams(k1, lam)
         c = canonical_constants(p)
-        rx, rt, _ = lax_residuals(x, t, p, c)
+        rx, rt, _ = lax_residuals(x, t, p, c, h=1e-6)
         worst_fd = max(worst_fd, float(np.max(np.abs(rx))), float(np.max(np.abs(rt))))
         dets = np.linalg.det(phi(x, t, p, c))
         expected = det_phi_expected(p, c)
@@ -146,7 +146,7 @@ def test_criterion_05_position_consistency():
     worst = 0.0
     for pid in ALL_PRESETS:
         pre = resolve(pid)
-        rx, rt = position_consistency_residual(x, t, pre.params, pre.family)
+        rx, rt = position_consistency_residual(x, t, pre.params, pre.family, h=1e-3)
         worst = max(worst, float(np.max(np.abs(rx))), float(np.max(np.abs(rt))))
     ok = worst < 1e-6
     assert _line(5, ok, f"max tangent mismatch {worst:.2e} over all presets (tol 1e-6)")
@@ -215,7 +215,7 @@ def test_criterion_08_shape_equation_families():
     # raise the residual at least tenfold
     sp = SolitonParams(k1=k1, lam=k1 / 2.0, mu=mu)
     prov = SPECTRAL3.providers(sp)
-    x, t = xi_grid(sp, 2.0, 21, 21, 1.0)
+    x, t = xi_grid(sp, 2.0, 21, 21)
     min_ratio = np.inf
     for n_deg in degrees:
         free = {i: rng.uniform(-1, 1) for i in lagrangian.FREE_INDICES[n_deg]}

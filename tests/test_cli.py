@@ -221,6 +221,20 @@ def test_fd_step_inside_a_checks_range_runs(capsys):
     assert "overall: pass" in out
 
 
+@pytest.mark.parametrize("surface", [
+    ("--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "1e6"),
+    ("--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "1e8"),
+    ("--family", "spectralgauge4", "--k1", "2", "--lambda", "1", "--mu", "1", "--nu", "1e6"),
+])
+def test_consistency_reports_on_large_frames(capsys, surface):
+    # frame tangents of size mu or nu carry rounding of that size: the su(2)
+    # membership test scales with them, so the check reports a verdict
+    code, out, err = run(capsys, "verify", *surface, "--checks", "consistency")
+    assert code in (0, 1), err
+    assert "not su(2)" not in out + err
+    assert out.startswith("consistency ")
+
+
 def test_verify_pass_and_fail_exit_codes(capsys):
     code, out, _ = run(
         capsys, "verify", "--preset", "ex2", "--checks", "zerocurv,forms",

@@ -41,8 +41,9 @@ def test_ab_are_su2_valued(kind):
     p = SolitonParams(2.0, 0.5, mu=1.5, nu=-0.7)
     _, frame = frame_at(*GRID, p, kind)
     a, b = frame.a, frame.b
-    assert su2.is_su2(su2.vec_to_su2(a), atol=1e-12)
-    assert su2.is_su2(su2.vec_to_su2(b), atol=1e-12)
+    # su2_to_vec raises on a matrix that is not su(2)
+    su2.su2_to_vec(su2.vec_to_su2(a), atol=1e-12)
+    su2.su2_to_vec(su2.vec_to_su2(b), atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(DeformationKind))

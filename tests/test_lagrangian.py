@@ -252,7 +252,7 @@ def test_shape_residual_scaling_invariance():
     vals[6] *= 1.05
     sp_ = SolitonParams(k1=2.0, lam=1.0, mu=-8.0)
     prov = SPECTRAL3.providers(sp_)
-    x, t = xi_grid(sp_, 2.0, 21, 21, 1.0)
+    x, t = xi_grid(sp_, 2.0, 21, 21)
     norms = []
     for scale in (1.0, 10.0):
         poly = lg.from_flat(4, [scale * v for v in vals], p=scale * 1.0)

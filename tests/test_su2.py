@@ -13,26 +13,23 @@ component = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 vec3 = st.tuples(component, component, component).map(np.array)
 
 
+def _sigma(k):
+    # the Pauli matrix sigma_k, k in {1, 2, 3}
+    from sympy.physics.matrices import msigma
+
+    return np.array(msigma(k).tolist(), dtype=complex)
+
+
 def test_pauli_identities():
-    s1, s2, s3 = su2.pauli(1), su2.pauli(2), su2.pauli(3)
+    s1, s2, s3 = (_sigma(k) for k in (1, 2, 3))
     for s in (s1, s2, s3):
         assert np.allclose(s @ s, np.eye(2))
     assert np.allclose(s1 @ s2, 1j * s3)
     assert np.allclose(s2 @ s3, 1j * s1)
     assert np.allclose(s3 @ s1, 1j * s2)
-
-
-def test_pauli_rejects_bad_index():
-    with pytest.raises(ValueError):
-        su2.pauli(0)
-    with pytest.raises(ValueError):
-        su2.pauli(4)
-
-
-def test_pauli_returns_copy():
-    s = su2.pauli(1)
-    s[0, 0] = 99.0
-    assert su2.pauli(1)[0, 0] == 0.0
+    # vec_to_su2 maps the basis vector e_k to i sigma_k
+    for k, e in enumerate(np.eye(3), start=1):
+        assert np.array_equal(su2.vec_to_su2(e), 1j * _sigma(k))
 
 
 def test_trace_on_grid():
@@ -96,7 +93,9 @@ def test_vector_algebra_certificate():
 
     x = sp.Matrix(sp.symbols("x1:4", real=True))
     y = sp.Matrix(sp.symbols("y1:4", real=True))
-    sigmas = [sp.Matrix(su2.pauli(k).tolist()).applyfunc(sp.nsimplify) for k in (1, 2, 3)]
+    from sympy.physics.matrices import msigma
+
+    sigmas = [msigma(k) for k in (1, 2, 3)]
 
     def to_su2(v):
         return sp.I * sum((v[k] * sigmas[k] for k in range(3)), sp.zeros(2, 2))
@@ -121,19 +120,36 @@ def test_vector_algebra_certificate():
 
 def test_su2_membership():
     f = su2.vec_to_su2(np.array([1.0, -2.0, 0.5]))
-    assert su2.is_su2(f)
-    assert not su2.is_su2(np.eye(2, dtype=complex))
+    su2.su2_to_vec(f)  # raises unless f is su(2)
     with pytest.raises(ValueError):
         su2.su2_to_vec(np.eye(2, dtype=complex))
 
 
 def test_hermitian_sigma1_is_not_su2():
     # sigma1 is traceless but Hermitian: only the anti-Hermiticity test rejects it
-    s1 = su2.pauli(1)
+    s1 = _sigma(1)
     assert su2.trace(s1) == 0
-    assert not su2.is_su2(s1)
     with pytest.raises(ValueError):
         su2.su2_to_vec(s1)
+
+
+def test_membership_bound_scales_with_large_entries():
+    # atol applies as is to entries of size 1 or less, and times max|f| above
+    # that, where rounding grows with the entries
+    def with_trace_defect(v, d):
+        # i d/2 on both diagonal entries: still anti-Hermitian, trace i d
+        f = su2.vec_to_su2(np.asarray(v, dtype=float))
+        f[0, 0] += 0.5j * d
+        f[1, 1] += 0.5j * d
+        return f
+
+    small, large = [0.5, -0.25, 0.125], [1e6, -2e6, 5e5]
+    with pytest.raises(ValueError, match="trace defect 2.000e-10"):
+        su2.su2_to_vec(with_trace_defect(small, 2e-10))
+    assert np.allclose(su2.su2_to_vec(with_trace_defect(large, 2e-10)), large)
+    assert np.allclose(su2.su2_to_vec(with_trace_defect(large, 2e-4)), large)
+    with pytest.raises(ValueError, match="trace defect 1.000e-03"):
+        su2.su2_to_vec(with_trace_defect(large, 1e-3))
 
 
 def test_vectorized_shapes():
