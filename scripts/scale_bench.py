@@ -1,0 +1,89 @@
+"""Wall time and peak RSS of the two user paths at large grids.
+
+Runs, each in a fresh interpreter with one BLAS/OpenMP thread,
+
+    mkdvsurf verify --preset ex2 --checks all
+    mkdvsurf generate --preset ex7 --format json
+
+at nx = nt = 101, 401 and 1001, the grid sizes the ROADMAP's north star
+names (the perfbench workloads stop at 201^2).  Each run's wall time
+covers the whole process, interpreter start included, and its peak RSS is
+the child's own ``ru_maxrss``.  Prints one JSON object; ``--out`` also
+writes it to a file.
+
+    python3 scripts/scale_bench.py
+    python3 scripts/scale_bench.py --root ../other-checkout --out scale.json
+
+``--root`` names the checkout whose ``src/`` is imported (default: this one),
+so two checkouts are measured by the same script; to compare them, run it
+on each in turn, alternating which goes first, a few times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+SIZES = (101, 401, 1001)
+COMMANDS = {
+    "verify ex2 all": ("verify", "--preset", "ex2", "--checks", "all"),
+    "generate ex7 json": ("generate", "--preset", "ex7", "--format", "json"),
+}
+
+
+def run_once(root: Path, argv: list[str]) -> dict:
+    """One fresh process: exit code, wall seconds and peak RSS in MB."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.update({v: "1" for v in THREAD_VARS})
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "mkdvsurf.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    with proc.stderr:
+        err = proc.stderr.read().decode()   # to EOF, so the child never blocks on it
+    # wait4, not Popen.wait: it returns the child's own resource usage
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = code = os.waitstatus_to_exitcode(status)
+    if code not in (0, 1):
+        raise RuntimeError(f"{' '.join(argv)} exited {code}: {err.strip()}")
+    return {"exit": code, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    if not (root / "src" / "mkdvsurf" / "cli.py").is_file():
+        print(f"error: no mkdvsurf source under {root / 'src'}", file=sys.stderr)
+        return 2
+
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in args.sizes:
+            for name, command in COMMANDS.items():
+                argv = [*command, "--nx", str(n), "--nt", str(n)]
+                if command[0] == "generate":
+                    argv += ["--out", str(Path(tmp) / "mesh.json")]
+                runs.append({"command": name, "n": n, **run_once(root, argv)})
+                print(runs[-1], file=sys.stderr)
+    result = {"python": sys.version.split()[0], "nproc": os.cpu_count(), "runs": runs}
+    text = json.dumps(result, indent=1)
+    print(text)
+    if args.out:
+        args.out.write_text(text + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -196,13 +196,17 @@ def symmetry_sphere_check(p: SolitonParams, x, t) -> SphereCheckReport:
 
     Requires lam != 0.  Points with a degenerate normal (the crest u_x = 0)
     are excluded and counted.  The expected radius is |alpha mu / (2 lam)|.
+    K and H are evaluated in tiles (``soliton.tiled``); the mean K and the
+    spreads are taken over the whole grid.
     """
     if p.lam == 0:
         raise ValueError("sphere check requires lam != 0")
-    f = forms_from_ab(x, t, p, DeformationKind.SYMMETRY_UX)
-    cur = curvatures_from_forms(f)
-    k = np.asarray(cur.K, dtype=float)
-    h = np.asarray(cur.H, dtype=float)
+
+    def pointwise(xx, tt):
+        cur = curvatures_from_forms(forms_from_ab(xx, tt, p, DeformationKind.SYMMETRY_UX))
+        return cur.K, cur.H
+
+    k, h = soliton.tiled(pointwise, x, t)
     good = np.isfinite(k) & np.isfinite(h)
     excluded = int(k.size - np.count_nonzero(good))
     kg, hg = k[good], h[good]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diffgeo
 from .immersion import SPECTRAL3, _finite_nonzero
-from .soliton import SolitonParams, xi_grid
+from .soliton import SolitonParams, tiled, xi_grid
 
 __all__ = [
     "PolyLagrangian",
@@ -334,8 +334,10 @@ def verify_family(
     N = 3, 4.  Only exactly equal terms are merged, never close ones.  The
     distinct energies share one shape-equation pass per sign of lam, so
     the curvatures are evaluated once per stencil point for all of them.
-    Points where the second fundamental form is numerically singular are
-    excluded from the statistics and counted per check.
+    The residuals are evaluated in tiles (``soliton.tiled``) and their
+    statistics taken over the whole grid.  Points where the second
+    fundamental form is numerically singular are excluded from the
+    statistics and counted per check.
     """
     free = {} if free is None else dict(free)
     if set(free) - set(degrees):
@@ -351,10 +353,14 @@ def verify_family(
         sp = SolitonParams(k1=k1, lam=sign * k1 / 2.0, mu=mu)
         providers = SPECTRAL3.providers(sp)
         x, t = xi_grid(sp, 2.0, nx, nt)
-        singular = diffgeo.near_singular_mask(providers.forms(x, t))
-        results = diffgeo.shape_equation_residual(providers, distinct.values(), x, t, s)
-        for out, (res, scale) in zip(checks.values(), results):
-            normalized = np.abs(res) / scale
+
+        def pointwise(xx, tt):
+            results = diffgeo.shape_equation_residual(providers, distinct.values(), xx, tt, s)
+            return (diffgeo.near_singular_mask(providers.forms(xx, tt)),
+                    *(np.abs(res) / scale for res, scale in results))
+
+        singular, *normalized_all = tiled(pointwise, x, t)
+        for out, normalized in zip(checks.values(), normalized_all):
             bad = singular | ~np.isfinite(normalized)
             kept = normalized[~bad]
             if kept.size == 0:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .immersion import Surface
-from .soliton import check_grid, jet as soliton_jet
+from .soliton import check_grid, jet as soliton_jet, tiled
 
 __all__ = [
     "SurfaceMesh",
@@ -67,18 +67,24 @@ class SurfaceMesh:
 
 def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
     """Sample a surface (see :func:`immersion.resolve`) on an nx by nt grid
-    over its window."""
+    over its window.
+
+    Position, curvatures and denominator are evaluated in tiles
+    (``soliton.tiled``); the singular threshold is taken over the whole grid.
+    """
     check_grid(nx, nt)
     fam, params = surface.family, surface.params
     x, t = surface.grid(nx, nt)
 
-    j = soliton_jet(x, t, params)
-    y = fam.position(j)
-    cur = fam.curvatures(j)
-    den = np.abs(fam.denominator(j))
+    def pointwise(xx, tt):
+        j = soliton_jet(xx, tt, params)
+        cur = fam.curvatures(j)
+        return fam.position(j), cur.K, cur.H, np.abs(fam.denominator(j)), j.xi
+
+    y, k, h, den, xi = tiled(pointwise, x, t)
     with np.errstate(invalid="ignore"):
         bad = den <= SINGULAR_RTOL * np.max(den)
-        bad |= ~np.isfinite(cur.K) | ~np.isfinite(cur.H)
+        bad |= ~np.isfinite(k) | ~np.isfinite(h)
         bad |= ~np.all(np.isfinite(y), axis=-1)
 
     flat = lambda a: np.asarray(a, dtype=float).reshape(-1)
@@ -89,9 +95,9 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
         x=flat(x),
         t=flat(t),
         vertices=np.asarray(y, dtype=float).reshape(-1, 3),
-        K=flat(cur.K),
-        H=flat(cur.H),
-        xi=flat(j.xi),
+        K=flat(k),
+        H=flat(h),
+        xi=flat(xi),
         singular=bad.reshape(-1),
     )
 

@@ -60,9 +60,10 @@ def xi_grid(p: SolitonParams, xi_half: float, nx: int, nt: int):
     return x, np.repeat(tv[:, None], nx, axis=1)
 
 
-# Peak memory per grid point, rounded up from the measured peak-RSS slopes:
-# about 0.8 kB for `generate` with JSON export (301^2 to 601^2) and 0.4 kB
-# for `verify --checks all` (101^2 to 201^2).
+# Peak memory per grid point, about twice the measured peak-RSS slopes
+# (scripts/scale_bench.py, 101^2 to 1001^2): 0.42 kB for `generate` with
+# JSON export, which holds the whole text, and 0.33 kB for `verify --checks
+# all`, which evaluates in tiles (0.46 kB before it did).
 GRID_BYTES_PER_POINT = 1024
 
 
@@ -85,6 +86,42 @@ def check_grid(nx: int, nt: int) -> None:
             f"({GRID_BYTES_PER_POINT} B per point), more than the "
             f"{have / 2**30:.3g} GiB of physical memory"
         )
+
+
+# Grid points per tile of `tiled`.  At 8192 points one complex array is
+# 128 kB and one stacked 2x2 complex array 512 kB, so most temporaries of a
+# check stay in a 2 MB per-core L2 cache.  The frame checks at 201^2 ran in
+# 0.77 of their untiled time at 8192 points, 0.76 at 4096, 0.79 at 12288,
+# 0.85 at 16384 and 0.89 at 2048; the shape check at 401^2, whose per-tile
+# overhead is the largest, took 1.7 s at 8192 and 2.5 s at 4096 (2-core
+# Xeon VM, 2 MB L2 per core).
+TILE_POINTS = 8192
+
+
+def tiled(f, x, t):
+    """``f(x, t)`` evaluated on consecutive tiles of ``TILE_POINTS`` points.
+
+    ``f`` is pointwise: given 1-D x and t it returns an array, or a tuple of
+    arrays, whose leading axis runs over those points.  x and t are
+    broadcast and flattened, and each result is assembled back to their
+    shape followed by its own trailing axes.  A stencil shifts only a
+    point's own coordinates, so this is bitwise ``f`` on the whole grid;
+    a reduction over the grid (a max, a median, a grid-max threshold)
+    belongs after the call, on the assembled arrays.
+    """
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    shape, xf, tf = x.shape, x.reshape(-1), t.reshape(-1)
+    outs = None
+    for i in range(0, xf.size, TILE_POINTS):
+        part = f(xf[i:i + TILE_POINTS], tf[i:i + TILE_POINTS])
+        single = not isinstance(part, tuple)
+        parts = (part,) if single else part
+        if outs is None:
+            outs = [np.empty((xf.size,) + a.shape[1:], a.dtype) for a in parts]
+        for out, a in zip(outs, parts):
+            out[i:i + TILE_POINTS] = a
+    outs = [out.reshape(shape + out.shape[1:]) for out in outs]
+    return outs[0] if single else tuple(outs)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 Each check wraps library operations that are tested independently; this
 module only chooses grids, aggregates residuals, and compares against
-tolerances.  Each check is one entry of the table ``_CHECKS``.  A check is
-compatible with a (family, parameter) combination or it is reported as
-skipped with the reason; requesting an incompatible check explicitly is a
-configuration error.
+tolerances.  A runner evaluates its pointwise part in tiles
+(``soliton.tiled``) and reduces over the whole grid once.  Each check is
+one entry of the table ``_CHECKS``.  A check is compatible with a (family,
+parameter) combination or it is reported as skipped with the reason;
+requesting an incompatible check explicitly is a configuration error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .deformation import (
 )
 from .immersion import SPECTRAL3, Surface, _half_k1
 from .lax import canonical_constants, det_phi_expected, lax_residuals, zero_curvature_residual
-from .soliton import SolitonParams, check_grid, jet, xi_grid
+from .soliton import SolitonParams, check_grid, jet, tiled, xi_grid
 
 __all__ = [
     "CHECK_NAMES",
@@ -207,8 +208,9 @@ def _round_sphere(surface: Surface) -> str | None:
 # finite-difference step, None for a check that does not difference.
 
 def _check_zerocurv(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
+    p = cfg.surface.params
     x, t = cfg.surface.grid(cfg.nx, cfg.nt)
-    res = np.abs(zero_curvature_residual(x, t, cfg.surface.params))
+    res = tiled(lambda xx, tt: np.abs(zero_curvature_residual(xx, tt, p)), x, t)
     return _result(name, cfg.label(), tol, res)
 
 
@@ -216,9 +218,13 @@ def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p = cfg.surface.params
     c = canonical_constants(p)
     x, t, label = cfg.clipped_grid()
-    rx, rt, ph = lax_residuals(x, t, p, c, h=h)
-    res = np.maximum(np.abs(rx).max(axis=(-2, -1)), np.abs(rt).max(axis=(-2, -1)))
-    dets = su2.det(ph)
+
+    def pointwise(xx, tt):
+        rx, rt, ph = lax_residuals(xx, tt, p, c, h=h)
+        return (np.maximum(np.abs(rx).max(axis=(-2, -1)), np.abs(rt).max(axis=(-2, -1))),
+                su2.det(ph))
+
+    res, dets = tiled(pointwise, x, t)
     expected = det_phi_expected(p, c)
     det_rel = float(np.max(np.abs(dets - expected)) / abs(expected))
     mx, med = _stats(res)
@@ -236,13 +242,18 @@ def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
 def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
     x, t, label = cfg.clipped_grid()
-    res = []
-    for kind in DeformationKind:
-        kp = p
-        if kind is DeformationKind.SPECTRAL and p.mu == 0.0:
-            kp = SolitonParams(p.k1, p.lam, mu=1.0, nu=p.nu)
-        res.append(np.abs(ab_compatibility_residual(x, t, kp, kind)))
-    return _result(name, label, tol, np.stack(res), note="all three deformation families")
+
+    def pointwise(xx, tt):
+        res = []
+        for kind in DeformationKind:
+            kp = p
+            if kind is DeformationKind.SPECTRAL and p.mu == 0.0:
+                kp = SolitonParams(p.k1, p.lam, mu=1.0, nu=p.nu)
+            res.append(np.abs(ab_compatibility_residual(xx, tt, kp, kind)))
+        return tuple(res)
+
+    return _result(name, label, tol, np.stack(tiled(pointwise, x, t)),
+                   note="all three deformation families")
 
 
 # Points of the forms check whose closed-form denominator is at most this
@@ -253,20 +264,24 @@ POLE_MARGIN = 0.05
 def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p, fam = cfg.surface.params, cfg.surface.family
     x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
-    j = jet(x, t, p)
-    cur = curvatures_from_forms(forms_from_ab(x, t, p, fam.kind))
-    closed = fam.curvatures(j)
-    sign = fam.orientation(j)
-    den = np.abs(fam.denominator(j))
+
+    def pointwise(xx, tt):
+        j = jet(xx, tt, p)
+        cur = curvatures_from_forms(forms_from_ab(xx, tt, p, fam.kind))
+        closed = fam.curvatures(j)
+        return (cur.K, cur.H, closed.K, closed.H, fam.orientation(j),
+                np.abs(fam.denominator(j)))
+
+    cur_k, cur_h, closed_k, closed_h, sign, den = tiled(pointwise, x, t)
     keep = den > POLE_MARGIN * np.max(den)
     if not keep.any():
         raise diffgeo.SingularPointError(
             f"{name}: no grid point clears the closed forms' poles "
             f"(|denominator| <= {POLE_MARGIN:g} max |denominator| everywhere)"
         )
-    rel_k = np.abs(cur.K[keep] - closed.K[keep]) / np.max(np.abs(closed.K[keep]))
-    rel_h = np.abs(cur.H[keep] - sign[keep] * closed.H[keep]) / np.max(
-        np.abs(closed.H[keep])
+    rel_k = np.abs(cur_k[keep] - closed_k[keep]) / np.max(np.abs(closed_k[keep]))
+    rel_h = np.abs(cur_h[keep] - sign[keep] * closed_h[keep]) / np.max(
+        np.abs(closed_h[keep])
     )
     return _result(
         name,
@@ -282,12 +297,18 @@ def _check_weingarten(cfg: _Config, name: str, tol: float, h: None,
                       paper_literal: bool = False) -> CheckResult:
     p = cfg.surface.params
     x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
-    cur = cfg.surface.family.curvatures(jet(x, t, p))
-    wr = immersion.weingarten_residuals(cur.K, cur.H, p, paper_literal=paper_literal)
-    res = [np.abs(wr.cubic) / wr.cubic_scale]
+
+    def pointwise(xx, tt):
+        cur = cfg.surface.family.curvatures(jet(xx, tt, p))
+        wr = immersion.weingarten_residuals(cur.K, cur.H, p, paper_literal=paper_literal)
+        res = (np.abs(wr.cubic) / wr.cubic_scale,)
+        if wr.quadratic is not None:
+            res += (np.abs(wr.quadratic) / wr.quadratic_scale,)
+        return res
+
+    res = tiled(pointwise, x, t)
     note = "cubic K-H relation"
-    if wr.quadratic is not None:
-        res.append(np.abs(wr.quadratic) / wr.quadratic_scale)
+    if len(res) == 2:
         note += f" and quadratic at k1 = {'' if p.k1 * p.lam > 0 else '-'}2 lambda"
     if paper_literal:
         note = "uncorrected constant term; failure expected and documented"
@@ -300,8 +321,12 @@ def _check_willmore(cfg: _Config, name: str, tol: float, h: float) -> CheckResul
     providers = cfg.surface.family.providers(p)
     x, t = xi_grid(p, 2.0, cfg.nx, cfg.nt)
     s = replace(diffgeo.OPERATOR_STENCIL, h=h)
-    res, scale = diffgeo.willmore_like_residual(providers, 4.0 / 9.0, 1.0, x, t, s)
-    return _result(name, cfg.label("with |xi|<2"), tol, np.abs(res) / scale,
+
+    def pointwise(xx, tt):
+        res, scale = diffgeo.willmore_like_residual(providers, 4.0 / 9.0, 1.0, xx, tt, s)
+        return np.abs(res) / scale
+
+    return _result(name, cfg.label("with |xi|<2"), tol, tiled(pointwise, x, t),
                    note="a=4/9, b=1")
 
 

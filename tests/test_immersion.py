@@ -120,7 +120,7 @@ def test_frame_tangent_lengths_match_metric():
     pre = resolve("ex2")
     p = pre.params
     x, t = GRID
-    yx, yt = frame_tangents(x, t, p, pre.family.kind)
+    yx, yt = map(su2.su2_to_vec, frame_tangents(x, t, p, pre.family.kind))
     f = three_param_forms_closed(jet(x, t, p))
     assert np.allclose(np.sum(yx * yx, axis=-1), f.g11, rtol=1e-10)
     assert np.allclose(np.sum(yx * yt, axis=-1), f.g12, rtol=1e-10)
