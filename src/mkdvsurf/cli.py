@@ -8,6 +8,7 @@ produced by a library operation.  Exit codes: 0 success / all checks pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -173,8 +174,15 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call: building one
+    takes about a millisecond, and parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_negative_values(argv))
     try:

@@ -176,7 +176,7 @@ def fd_forms(immersion, x, t, s: Stencil | None = None) -> Forms:
     g12 = np.einsum("...k,...k->...", yx, yt)
     g22 = np.einsum("...k,...k->...", yt, yt)
     n = np.cross(yt, yx)
-    norm = np.linalg.norm(n, axis=-1)
+    norm = np.sqrt(n[..., 0] * n[..., 0] + n[..., 1] * n[..., 1] + n[..., 2] * n[..., 2])
     degenerate = norm < DEGENERATE_CROSS_TOL
     if np.ndim(degenerate) == 0:
         if degenerate:

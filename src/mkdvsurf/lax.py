@@ -37,33 +37,35 @@ from .soliton import SolitonParams
 
 @dataclass(frozen=True)
 class PhiConstants:
-    """Integration constants (A1, A2, B1, B2) of the fundamental solution."""
+    """Integration constants of the fundamental solution on the canonical ray.
 
-    A1: complex
-    A2: complex
-    B1: complex
-    B2: complex
+    Phi's columns combine its two solutions with weights (A1, B1) and
+    (A2, B2); every Phi of this package takes A1 = A2 = A and B1 = -B2 = B
+    (see ``canonical_constants``), so the record holds the two numbers A, B.
+    """
+
+    A: complex
+    B: complex
 
     def __post_init__(self) -> None:
-        if self.A1 * self.B2 - self.A2 * self.B1 == 0:
-            raise ValueError("degenerate constants: A1*B2 - A2*B1 must be nonzero")
+        if self.A * self.B == 0:
+            raise ValueError("degenerate constants: A*B must be nonzero")
 
 
 def canonical_constants(p: SolitonParams, scale: complex = 1.0) -> PhiConstants:
-    """The choice A1 = A2, B1 = -A1 e^{-pi lam/k1}/k1, B2 = -B1.
+    """The choice A1 = A2 = A, B1 = -B2 = B with B = -A e^{-pi lam/k1}/k1.
 
     Under this module's fixed log-branch the exponent must be -pi lam/k1 to
     make Phi proportional to a unitary matrix (constant Phi^H Phi = c I);
     only then is Phi^{-1} A Phi su(2)-valued and the position vector real.
     The same ray of solutions written under the opposite branch carries the
-    opposite exponent.  The phase of B1 rotates the surface about its first
+    opposite exponent.  The phase of B rotates the surface about its first
     axis; the sign here selects the orientation that reproduces the bundled
-    closed-form positions componentwise.  The overall ``scale`` drops out of
-    all conjugations.
+    closed-form positions componentwise.  The overall ``scale`` = A drops
+    out of all conjugations.
     """
     a = complex(scale)
-    b = -a * np.exp(-np.pi * p.lam / p.k1) / p.k1
-    return PhiConstants(A1=a, A2=a, B1=b, B2=-b)
+    return PhiConstants(A=a, B=-a * np.exp(-np.pi * p.lam / p.k1) / p.k1)
 
 
 def lax_U(u, lam: float) -> np.ndarray:
@@ -101,32 +103,46 @@ def _power_factors(z, p: SolitonParams):
     return phase * damp, np.conj(phase) / damp
 
 
-def phi(x, t, p: SolitonParams, c: PhiConstants) -> np.ndarray:
-    """Closed-form fundamental solution Phi(x, t), shape (..., 2, 2)."""
+def _time_factor(t, p: SolitonParams) -> np.ndarray:
+    """e^{i omega t} with omega = (k1^2 + 4 lam^2)/8, Phi's dependence on t."""
+    omega = (p.k1 ** 2 + 4.0 * p.lam ** 2) / 8.0
+    return np.exp(1j * omega * np.asarray(t, dtype=float))
+
+
+def phi(x, t, p: SolitonParams, c: PhiConstants, time_factor=None) -> np.ndarray:
+    """Closed-form fundamental solution Phi(x, t), shape (..., 2, 2).
+
+    ``time_factor`` is ``_time_factor(t, p)``, for a caller that already
+    holds it for this t, as a stencil along x does.  With A2 = A1 and B2 = -B1 the second
+    column is the first column's A-term minus its B-term; IEEE products and
+    negation are sign-symmetric, so that is bitwise the sum with -B.
+    """
     j = soliton.jet(x, t, p)
     z, s, tau = j.xi, j.s, j.tau
     p_plus, p_minus = _power_factors(z, p)
-
-    omega = (p.k1 ** 2 + 4.0 * p.lam ** 2) / 8.0
-    ea = np.exp(1j * omega * np.asarray(t, dtype=float))
-    eb = np.conj(ea)
+    ea = _time_factor(t, p) if time_factor is None else time_factor
+    eb = np.broadcast_to(np.conj(ea), z.shape)
     ea = np.broadcast_to(ea, z.shape)
-    eb = np.broadcast_to(eb, z.shape)
 
     top = (2.0 * p.lam + 1j * p.k1 * tau) * p_plus
     bot = (p.k1 * tau + 2.0j * p.lam) * p_minus
+    a0 = -(1j / p.k1) * c.A * ea * top
+    b0 = 1j * p.k1 * c.B * eb * p_minus * s
+    a1 = 1j * c.A * ea * p_plus * s
+    b1 = c.B * eb * bot
 
-    out = np.zeros(z.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = -(1j / p.k1) * c.A1 * ea * top + 1j * p.k1 * c.B1 * eb * p_minus * s
-    out[..., 0, 1] = -(1j / p.k1) * c.A2 * ea * top + 1j * p.k1 * c.B2 * eb * p_minus * s
-    out[..., 1, 0] = 1j * c.A1 * ea * p_plus * s + c.B1 * eb * bot
-    out[..., 1, 1] = 1j * c.A2 * ea * p_plus * s + c.B2 * eb * bot
+    out = np.empty(z.shape + (2, 2), dtype=complex)
+    np.add(a0, b0, out=out[..., 0, 0])
+    np.subtract(a0, b0, out=out[..., 0, 1])
+    np.add(a1, b1, out=out[..., 1, 0])
+    np.subtract(a1, b1, out=out[..., 1, 1])
     return out
 
 
 def det_phi_expected(p: SolitonParams, c: PhiConstants) -> complex:
-    """The constant det(Phi) = ((k1^2 + 4 lam^2)/k1) (A1 B2 - A2 B1)."""
-    return (p.k1 ** 2 + 4.0 * p.lam ** 2) / p.k1 * (c.A1 * c.B2 - c.A2 * c.B1)
+    """The constant det(Phi) = ((k1^2 + 4 lam^2)/k1) (A1 B2 - A2 B1),
+    with A1 = A2 = A and B1 = -B2 = B."""
+    return (p.k1 ** 2 + 4.0 * p.lam ** 2) / p.k1 * (c.A * -c.B - c.A * c.B)
 
 
 def lax_residuals(x, t, p: SolitonParams, c: PhiConstants, h: float):
@@ -136,14 +152,19 @@ def lax_residuals(x, t, p: SolitonParams, c: PhiConstants, h: float):
     The third entry is Phi on the grid itself, returned so that a caller can
     test det Phi without evaluating it again."""
     j = soliton.jet(x, t, p)
+    # the x stencil shifts x alone, so its points share the grid's time factor
+    ea = _time_factor(t, p)
 
     def f(xx, tt):
         return phi(xx, tt, p, c)
 
+    def f_x(xx, tt):
+        return phi(xx, tt, p, c, ea)
+
     s = Stencil(h, order=2, richardson=True)
-    phi_x = derivative(f, x, t, s, axis=0)
+    phi_x = derivative(f_x, x, t, s, axis=0)
     phi_t = derivative(f, x, t, s, axis=1)
-    ph = phi(x, t, p, c)
+    ph = phi(x, t, p, c, ea)
     res_x = phi_x - su2.mul(su2.vec_to_su2(lax_U(j.u, p.lam)), ph)
     res_t = phi_t - su2.mul(su2.vec_to_su2(lax_V(j.u, j.u_x, p.lam, p.alpha)), ph)
     return res_x, res_t, ph

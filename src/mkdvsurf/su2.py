@@ -15,7 +15,10 @@ Complex 2x2 matrices (``vec_to_su2``, ``su2_to_vec``) are needed
 only where an SL(2, C) matrix such as the fundamental solution Phi acts.
 Stacked 2x2 arithmetic (``mul``, ``det``, ``inv``) is written out entry by
 entry: numpy's ``@`` and ``np.linalg`` call BLAS or LAPACK once per 2x2
-matrix of a grid, which costs several times the arithmetic itself.
+matrix of a grid, which costs several times the arithmetic itself.  For the
+same reason the sums over the three components (``su2_inner``,
+``su2_norm``) are written out; summed left to right, they are bitwise the
+numpy reductions.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ def vec(v1, v2, v3) -> np.ndarray:
 
 def su2_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<X, Y> = -1/2 Re trace(XY), which is x · y."""
-    return np.sum(np.multiply(x, y), axis=-1)
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -53,7 +56,7 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def su2_norm(x: np.ndarray) -> np.ndarray:
     """||X|| = sqrt(|<X, X>|), which is the Euclidean norm |x|."""
-    return np.linalg.norm(x, axis=-1)
+    return np.sqrt(su2_inner(x, x))
 
 
 def vec_to_su2(v: np.ndarray) -> np.ndarray:
@@ -104,8 +107,12 @@ def su2_to_vec(f: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     scales with the entries.
     """
     f = np.asarray(f, dtype=complex)
+    f00, f01, f10, f11 = f[..., 0, 0], f[..., 0, 1], f[..., 1, 0], f[..., 1, 1]
     tr_defect = np.max(np.abs(trace(f)))
-    ah_defect = np.max(np.abs(f + np.conj(np.swapaxes(f, -1, -2))))
+    # F + F^H has the entries 2 Re f00, 2 Re f11 and f01 + conj(f10), the
+    # last twice over (once conjugated)
+    ah_defect = np.max([np.max(np.abs(2.0 * f00.real)), np.max(np.abs(2.0 * f11.real)),
+                        np.max(np.abs(f01 + np.conj(f10)))])
     if tr_defect > atol or ah_defect > atol:
         # the scale is at least 1, so only a defect above atol needs it
         bound = atol * max(1.0, float(np.max(np.abs(f))))
@@ -114,8 +121,4 @@ def su2_to_vec(f: np.ndarray, atol: float = 1e-10) -> np.ndarray:
                 f"matrix is not su(2) within {bound:.3e}: "
                 f"trace defect {tr_defect:.3e}, anti-Hermiticity defect {ah_defect:.3e}"
             )
-    v1 = ((f[..., 0, 1] + f[..., 1, 0]) / 2j).real
-    v2 = ((f[..., 0, 1] - f[..., 1, 0]) / 2).real
-    v3 = (-1j * f[..., 0, 0]).real
-    return np.stack([v1, v2, v3], axis=-1)
-
+    return vec((f01.imag + f10.imag) * 0.5, (f01.real - f10.real) * 0.5, f00.imag)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mkdvsurf import immersion
-from mkdvsurf.cli import main, presets_table
+from mkdvsurf.cli import build_parser, main, presets_table
 
 
 def run(capsys, *argv):
@@ -330,3 +330,27 @@ def test_missing_subcommand_exit_2(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
+    # main reuses one parser per process: a call that exits 2 through
+    # parser.error, after setting flags of its own, changes nothing that the
+    # next call sees
+    valid = ("verify", "--preset", "ex2", "--checks", "zerocurv,lax", "--nt", "9",
+             "--format", "json")
+    alone = run(capsys, *valid)
+    assert alone[0] == 0
+    failing = (
+        # rejected by argparse itself
+        ("verify", "--preset", "ex2", "--nx", "5", "--format", "yaml"),
+        # parsed, then rejected through parser.error by the surface selection
+        ("verify", "--preset", "ex2", "--nx", "5", "--tol-lax", "1e-30", "--k1", "3"),
+        ("verify", "--preset", "ex2", "--nx", "5", "--x-min", "-1"),
+    )
+    for argv in failing:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert run(capsys, *valid) == alone
+    assert build_parser() is not build_parser()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mkdvsurf import su2
+from mkdvsurf import lax, su2
+from mkdvsurf.immersion import PRESETS, resolve
 from mkdvsurf.lax import (
     PhiConstants,
     canonical_constants,
@@ -89,11 +90,61 @@ def test_scale_invariance_of_conjugation():
     assert np.allclose(conj_base, conj_scaled, atol=1e-11)
 
 
-def test_custom_constants_change_det():
+def test_custom_constants_det():
+    # a ray other than the canonical one: det Phi is still the constant
+    # ((k1^2 + 4 lam^2)/k1) (A1 B2 - A2 B1), with (A1, A2, B1, B2) = (A, A, B, -B)
     p = SolitonParams(2.0, 1.0)
-    c = PhiConstants(A1=1.0, A2=2.0, B1=0.5, B2=-0.25)
-    expected = (p.k1 ** 2 + 4 * p.lam ** 2) / p.k1 * (c.A1 * c.B2 - c.A2 * c.B1)
-    assert det_phi_expected(p, c) == pytest.approx(expected)
+    c = PhiConstants(A=1.5 - 0.5j, B=0.25 + 2.0j)
+    A1, A2, B1, B2 = c.A, c.A, c.B, -c.B
+    expected = (p.k1 ** 2 + 4 * p.lam ** 2) / p.k1 * (A1 * B2 - A2 * B1)
+    assert det_phi_expected(p, c) == expected
+    assert det_phi_expected(p, c) != det_phi_expected(p, canonical_constants(p))
+    dets = su2.det(phi(*GRID, p, c))
+    assert np.max(np.abs(dets - expected)) < 1e-12 * abs(expected)
+    with pytest.raises(ValueError, match="degenerate"):
+        PhiConstants(A=1.0, B=0.0)
+
+
+def _phi_eight_chains(x, t, p, c):
+    # Phi as written before its columns shared their terms: eight product
+    # chains over the general constants, here (A1, A2, B1, B2) = (A, A, B, -B)
+    A1, A2, B1, B2 = c.A, c.A, c.B, -c.B
+    j = jet(x, t, p)
+    z, s, tau = j.xi, j.s, j.tau
+    phase = np.exp(1j * p.lam * z / p.k1)
+    damp = np.exp(-np.pi * p.lam / (2.0 * p.k1))
+    p_plus, p_minus = phase * damp, np.conj(phase) / damp
+    omega = (p.k1 ** 2 + 4.0 * p.lam ** 2) / 8.0
+    ea = np.exp(1j * omega * np.asarray(t, dtype=float))
+    eb = np.conj(ea)
+    ea = np.broadcast_to(ea, z.shape)
+    eb = np.broadcast_to(eb, z.shape)
+    top = (2.0 * p.lam + 1j * p.k1 * tau) * p_plus
+    bot = (p.k1 * tau + 2.0j * p.lam) * p_minus
+    out = np.zeros(z.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = -(1j / p.k1) * A1 * ea * top + 1j * p.k1 * B1 * eb * p_minus * s
+    out[..., 0, 1] = -(1j / p.k1) * A2 * ea * top + 1j * p.k1 * B2 * eb * p_minus * s
+    out[..., 1, 0] = 1j * A1 * ea * p_plus * s + B1 * eb * bot
+    out[..., 1, 1] = 1j * A2 * ea * p_plus * s + B2 * eb * bot
+    return out
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("scale", [1.0, 3.7 - 0.2j, 1e5j])
+def test_phi_is_bitwise_the_eight_chain_formula(preset, scale):
+    # on every preset's lax grid and at every offset of the lax stencil;
+    # along x also with the grid's time factor passed in, as the stencil does
+    surface = resolve(preset)
+    p = surface.params
+    c = canonical_constants(p, scale=scale)
+    x, t = surface.grid(23, 19, half=2.0)
+    h = 1e-6
+    for d in (0.0, h, -h, h / 2, -h / 2):
+        for xx, tt, ea in ((x + d, t, None), (x + d, t, lax._time_factor(t, p)),
+                           (x, t + d, None)):
+            want = _phi_eight_chains(xx, tt, p, c)
+            got = phi(xx, tt, p, c) if ea is None else phi(xx, tt, p, c, ea)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_lax_matrices_encode_soliton():

@@ -152,6 +152,57 @@ def test_membership_bound_scales_with_large_entries():
         su2.su2_to_vec(with_trace_defect(large, 1e-3))
 
 
+def _to_vec_textbook(f):
+    # the division form: v1 = (f01 + f10)/2i, v2 = (f01 - f10)/2, v3 = -i f00
+    v1 = ((f[..., 0, 1] + f[..., 1, 0]) / 2j).real
+    v2 = ((f[..., 0, 1] - f[..., 1, 0]) / 2).real
+    v3 = (-1j * f[..., 0, 0]).real
+    return np.stack([v1, v2, v3], axis=-1)
+
+
+def _defects_whole_matrix(f):
+    # trace and anti-Hermitian defects over all four entries of F + F^H
+    return (np.max(np.abs(su2.trace(f))),
+            np.max(np.abs(f + np.conj(np.swapaxes(f, -1, -2)))))
+
+
+def _conjugated_frames(rng, shape, scale):
+    # g^-1 X g for random X in su(2) and random g = [[a, -conj b], [b, conj a]],
+    # a multiple of an SU(2) matrix: su(2) up to rounding, so every entry
+    # carries a defect of a few ulps
+    v = scale * rng.normal(size=shape + (3,))
+    a, b = rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape)
+    g = np.stack([np.stack([a, -np.conj(b)], -1), np.stack([b, np.conj(a)], -1)], -2)
+    return su2.mul(su2.mul(su2.inv(g), su2.vec_to_su2(v)), g)
+
+
+@pytest.mark.parametrize("seed, shape, scale", [
+    (0, (40, 50), 1.0), (1, (8192,), 1e-3), (2, (7, 9), 1e6), (3, (), 2.5),
+])
+def test_su2_to_vec_is_bitwise_the_textbook_formula(seed, shape, scale):
+    rng = np.random.default_rng(seed)
+    for f in (su2.vec_to_su2(scale * rng.normal(size=shape + (3,))),
+              _conjugated_frames(rng, shape, scale)):
+        got = su2.su2_to_vec(f, atol=1e-6)
+        want = _to_vec_textbook(f)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_su2_to_vec_reports_the_whole_matrix_defects(seed):
+    # a Hermitian or a trace perturbation is rejected, and the message gives
+    # the defects measured over all four entries of F + F^H
+    rng = np.random.default_rng(seed)
+    f = _conjugated_frames(rng, (30, 20), 10.0 ** rng.uniform(-2, 2))
+    bump = 1e-6 * (rng.normal(size=f.shape) + 1j * rng.normal(size=f.shape))
+    for bad in (f + bump + np.conj(np.swapaxes(bump, -1, -2)), f + bump):
+        tr, ah = _defects_whole_matrix(bad)
+        with pytest.raises(ValueError) as err:
+            su2.su2_to_vec(bad)
+        assert f"trace defect {tr:.3e}, anti-Hermiticity defect {ah:.3e}" in str(err.value)
+
+
 def test_vectorized_shapes():
     v = np.random.default_rng(0).normal(size=(3, 4, 3))
     f = su2.vec_to_su2(v)
@@ -211,8 +262,10 @@ def test_stacked_2x2_helpers_match_numpy(shapes, seed):
 
 def test_no_matrix_products_or_linalg_solves_in_the_package():
     # stacked 2x2 arithmetic goes through su2.mul, det and inv: numpy's @ and
-    # np.linalg call BLAS or LAPACK once per matrix of a grid
-    banned = {"det", "inv", "solve"}
+    # np.linalg call BLAS or LAPACK once per matrix of a grid; and a norm over
+    # a trailing 3-vector axis is the sqrt of three squares, since a numpy
+    # reduction over so short an axis costs several times its arithmetic
+    banned = {"det", "inv", "solve", "norm"}
     for path in sorted(Path(su2.__file__).parent.glob("*.py")):
         found = []
         for node in ast.walk(ast.parse(path.read_text())):
