@@ -16,7 +16,8 @@ whole :class:`Frame`, (A, B) with their closed-form x and t derivatives, and
 evaluates the jet once and returns it with the frame.  From (A, B) and the
 frame normal C = [A, B]/||[A, B]|| the first and second fundamental forms
 follow, and from those the Gaussian and mean curvatures.  The closed forms
-these are checked against live in ``immersion``.
+these are checked against live in ``immersion``.  Everything here is
+pointwise; grid statistics such as the sphere check's mean K are in ``verify``.
 
 Every su(2) element here, A, B, their derivatives and U, V, is a Pauli-
 component vector built by su2.vec: (x1, x2, x3) encodes the matrix
@@ -25,7 +26,6 @@ family is (i mu/2) sigma3, and [., .] and <., .> are -2 x × y and x · y.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -180,43 +180,3 @@ def curvatures_from_forms(f: Forms) -> CurvaturePair:
         k = f.det_h() / det_g
         h = (f.g22 * f.h11 - 2.0 * f.g12 * f.h12 + f.g11 * f.h22) / (2.0 * det_g)
     return CurvaturePair(K=k, H=h)
-
-
-@dataclass(frozen=True)
-class SphereCheckReport:
-    radius_estimate: float
-    expected_radius: float
-    k_rel_spread: float
-    h2_minus_k_rel: float
-    excluded: int
-
-
-def symmetry_sphere_check(p: SolitonParams, x, t) -> SphereCheckReport:
-    """Evaluate the symmetry(u_x) family over a grid and summarize sphericity.
-
-    Requires lam != 0.  Points with a degenerate normal (the crest u_x = 0)
-    are excluded and counted.  The expected radius is |alpha mu / (2 lam)|.
-    K and H are evaluated in tiles (``soliton.tiled``); the mean K and the
-    spreads are taken over the whole grid.
-    """
-    if p.lam == 0:
-        raise ValueError("sphere check requires lam != 0")
-
-    def pointwise(xx, tt):
-        cur = curvatures_from_forms(forms_from_ab(xx, tt, p, DeformationKind.SYMMETRY_UX))
-        return cur.K, cur.H
-
-    k, h = soliton.tiled(pointwise, x, t)
-    good = np.isfinite(k) & np.isfinite(h)
-    excluded = int(k.size - np.count_nonzero(good))
-    kg, hg = k[good], h[good]
-    if kg.size == 0:
-        raise SingularPointError("all grid points degenerate; enlarge the grid")
-    k_mean = float(np.mean(kg))
-    return SphereCheckReport(
-        radius_estimate=float(1.0 / np.sqrt(abs(k_mean))),
-        expected_radius=abs(p.alpha * p.mu / (2.0 * p.lam)),
-        k_rel_spread=float(np.max(np.abs(kg - k_mean)) / abs(k_mean)),
-        h2_minus_k_rel=float(np.max(np.abs(hg ** 2 - kg)) / abs(k_mean)),
-        excluded=excluded,
-    )

@@ -6,8 +6,9 @@ curvatures, each a function of the soliton's jet (``soliton.Jet``),
 bundled per family in a :class:`Family` record; the bundled
 example presets and :func:`resolve`, which turns a preset or a family with
 parameters into one validated :class:`Surface`; curvature-relation
-residuals; and the end-to-end consistency check tying position derivatives
-back to the frame construction.
+residuals; and the frame tangents Phi^-1 A Phi and Phi^-1 B Phi that the
+position's derivatives are checked against.  Everything here is closed form
+and pointwise; ``verify`` differences the position and reduces over grids.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 
 from . import su2
 from .deformation import DeformationKind, frame_at, validate_kind
-from .diffgeo import CurvaturePair, Forms, Stencil, SurfaceProviders, derivative
+from .diffgeo import CurvaturePair, Forms, SurfaceProviders
 from .lax import canonical_constants, phi
-from .soliton import XI_MAX, Jet, SolitonParams, jet, tiled
+from .soliton import XI_MAX, Jet, SolitonParams, jet
 from .soliton import xi as soliton_xi
 
 
@@ -440,35 +441,6 @@ def frame_tangents(x, t, p: SolitonParams,
     finv = su2.inv(f)
     return (su2.mul(su2.mul(finv, su2.vec_to_su2(a)), f),
             su2.mul(su2.mul(finv, su2.vec_to_su2(b)), f))
-
-
-def position_consistency_residual(
-    x,
-    t,
-    p: SolitonParams,
-    family: Family,
-    h: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual between FD position derivatives and the frame tangents.
-
-    5-point central differences of the closed-form position at step h
-    (``diffgeo.derivative``, ``Stencil(h, order=4)``) are compared against the
-    conjugated deformation frame; both residual arrays have shape (..., 3).
-    Both are evaluated in tiles (``soliton.tiled``); the frame's su(2) test
-    runs once on the whole grid, so its bound scales with the grid's
-    largest entry.
-    """
-    def pos(xx, tt):
-        return family.position(jet(xx, tt, p))
-
-    s = Stencil(h, order=4)
-
-    def pointwise(xx, tt):
-        return (derivative(pos, xx, tt, s, axis=0), derivative(pos, xx, tt, s, axis=1),
-                *frame_tangents(xx, tt, p, family.kind))
-
-    yx_fd, yt_fd, yx_fr, yt_fr = tiled(pointwise, x, t)
-    return yx_fd - su2.su2_to_vec(yx_fr), yt_fd - su2.su2_to_vec(yt_fr)
 
 
 @dataclass(frozen=True)

@@ -98,13 +98,17 @@ def inv(m: np.ndarray) -> np.ndarray:
     return out / det(m)[..., None, None]
 
 
-def su2_to_vec(f: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    """Invert vec_to_su2, rejecting inputs that are not su(2) within atol.
+# Tolerance of the su(2) membership test of su2_to_vec.
+SU2_ATOL = 1e-10
+
+
+def su2_to_vec(f: np.ndarray) -> np.ndarray:
+    """Invert vec_to_su2, rejecting inputs that are not su(2) within SU2_ATOL.
 
     Membership means traceless and anti-Hermitian; both defects are measured
-    entrywise against ``atol`` times max(1, max|f|): absolute for entries of
-    size 1 or less, relative to the largest entry above that, where rounding
-    scales with the entries.
+    entrywise against ``SU2_ATOL`` times max(1, max|f|): absolute for entries
+    of size 1 or less, relative to the largest entry above that, where
+    rounding scales with the entries.
     """
     f = np.asarray(f, dtype=complex)
     f00, f01, f10, f11 = f[..., 0, 0], f[..., 0, 1], f[..., 1, 0], f[..., 1, 1]
@@ -113,9 +117,9 @@ def su2_to_vec(f: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     # last twice over (once conjugated)
     ah_defect = np.max([np.max(np.abs(2.0 * f00.real)), np.max(np.abs(2.0 * f11.real)),
                         np.max(np.abs(f01 + np.conj(f10)))])
-    if tr_defect > atol or ah_defect > atol:
-        # the scale is at least 1, so only a defect above atol needs it
-        bound = atol * max(1.0, float(np.max(np.abs(f))))
+    if tr_defect > SU2_ATOL or ah_defect > SU2_ATOL:
+        # the scale is at least 1, so only a defect above SU2_ATOL needs it
+        bound = SU2_ATOL * max(1.0, float(np.max(np.abs(f))))
         if tr_defect > bound or ah_defect > bound:
             raise ValueError(
                 f"matrix is not su(2) within {bound:.3e}: "

@@ -3,10 +3,12 @@
 Each check wraps library operations that are tested independently; this
 module only chooses grids, aggregates residuals, and compares against
 tolerances.  A runner evaluates its pointwise part in tiles
-(``soliton.tiled``) and reduces over the whole grid once.  Each check is
-one entry of the table ``_CHECKS``.  A check is compatible with a (family,
-parameter) combination or it is reported as skipped with the reason;
-requesting an incompatible check explicitly is a configuration error.
+(``soliton.tiled``) and reduces over the whole grid once, here: the frame
+and closed-form modules it calls (``lax``, ``deformation``, ``immersion``)
+are pointwise and reduce nothing.  Each check is one entry of the table
+``_CHECKS``.  A check is compatible with a (family, parameter) combination
+or it is reported as skipped with the reason; requesting an incompatible
+check explicitly is a configuration error.
 """
 
 from __future__ import annotations
@@ -20,13 +22,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import diffgeo, immersion, lagrangian, su2
-from .deformation import (
-    DeformationKind,
-    ab_compatibility_residual,
-    curvatures_from_forms,
-    forms_from_ab,
-    symmetry_sphere_check,
-)
+from .deformation import (DeformationKind, ab_compatibility_residual, curvatures_from_forms,
+                          forms_from_ab)
 from .immersion import SPECTRAL3, Surface, _half_k1
 from .lax import canonical_constants, det_phi_expected, lax_residuals, zero_curvature_residual
 from .soliton import SolitonParams, check_grid, jet, tiled, xi_grid
@@ -364,24 +361,44 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
 def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
     x, t, label = cfg.clipped_grid()
-    rep = symmetry_sphere_check(p, x, t)
-    radius_rel = abs(rep.radius_estimate - rep.expected_radius) / rep.expected_radius
-    res = np.array([rep.k_rel_spread, rep.h2_minus_k_rel, radius_rel])
-    return _result(
-        name,
-        label,
-        tol,
-        res,
-        excluded=rep.excluded,
-        note=f"radius {rep.radius_estimate:.6g} vs |alpha mu/(2 lambda)| = "
-        f"{rep.expected_radius:.6g}",
-    )
+
+    def pointwise(xx, tt):
+        cur = curvatures_from_forms(forms_from_ab(xx, tt, p, DeformationKind.SYMMETRY_UX))
+        return cur.K, cur.H
+
+    cur_k, cur_h = tiled(pointwise, x, t)
+    # K and H are NaN where the normal degenerates (the crest u_x = 0)
+    good = np.isfinite(cur_k) & np.isfinite(cur_h)
+    kg, hg = cur_k[good], cur_h[good]
+    if kg.size == 0:
+        raise diffgeo.SingularPointError("all grid points degenerate; enlarge the grid")
+    k_mean = float(np.mean(kg))
+    radius = float(1.0 / np.sqrt(abs(k_mean)))
+    expected = abs(p.alpha * p.mu / (2.0 * p.lam))
+    res = np.array([float(np.max(np.abs(kg - k_mean)) / abs(k_mean)),
+                    float(np.max(np.abs(hg ** 2 - kg)) / abs(k_mean)),
+                    abs(radius - expected) / expected])
+    return _result(name, label, tol, res, excluded=int(cur_k.size - np.count_nonzero(good)),
+                   note=f"radius {radius:.6g} vs |alpha mu/(2 lambda)| = {expected:.6g}")
 
 
 def _check_consistency(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
-    p = cfg.surface.params
+    p, fam = cfg.surface.params, cfg.surface.family
     x, t, label = cfg.clipped_grid()
-    rx, rt = immersion.position_consistency_residual(x, t, p, cfg.surface.family, h=h)
+    position = fam.providers(p).position
+    s = diffgeo.Stencil(h, order=4)
+
+    def pointwise(xx, tt):
+        return (diffgeo.derivative(position, xx, tt, s, axis=0),
+                diffgeo.derivative(position, xx, tt, s, axis=1),
+                *immersion.frame_tangents(xx, tt, p, fam.kind))
+
+    yx_fd, yt_fd, yx_fr, yt_fr = tiled(pointwise, x, t)
+    # the su(2) test of the tangents runs on the whole grid, so its bound
+    # scales with the grid's largest entry
+    rx, rt = yx_fd - su2.su2_to_vec(yx_fr), yt_fd - su2.su2_to_vec(yt_fr)
+    # freed before the reduction, which would otherwise raise the peak memory
+    del yx_fd, yt_fd, yx_fr, yt_fr
     res = np.concatenate([np.abs(rx).reshape(-1), np.abs(rt).reshape(-1)])
     return _result(name, label, tol, res, note="frame tangents vs position derivatives")
 
@@ -447,11 +464,12 @@ def run_checks(
     aggregate a report.
 
     ``checks`` is "all" (every standard check; incompatible ones appear as
-    skipped with the reason) or an explicit list, which may also include the
-    opt-in regression checks and raises ``CheckConfigError`` when a listed
-    check cannot run for this configuration.  A tolerance must be finite and
-    >= 0.  ``fd_step``, when given, is the one finite-difference step of the
-    lax, consistency, willmore and shape checks; it must lie in
+    skipped with the reason) or an explicit list of at least one check, each
+    named once, which may also include the opt-in regression checks and
+    raises ``CheckConfigError`` when a listed check cannot run for this
+    configuration.  A tolerance must be finite and >= 0.  ``fd_step``, when
+    given, is the one finite-difference step of the lax, consistency,
+    willmore and shape checks; it must lie in
     [diffgeo.STEP_MIN, diffgeo.STEP_MAX] and in the step range of each of
     those checks that will run.  It, the tolerances, the grid size and the
     explicit checks' requirements are validated before any check runs.
@@ -471,6 +489,11 @@ def run_checks(
             names = [c.strip() for c in checks.split(",") if c.strip()]
         else:
             names = list(checks)
+        if not names:
+            raise CheckConfigError("no checks named; name one or more, or use 'all'")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise CheckConfigError(f"checks named more than once: {', '.join(repeated)}")
         unknown = [n for n in names if n not in _CHECKS]
         if unknown:
             raise CheckConfigError(

@@ -14,20 +14,19 @@ from mkdvsurf.deformation import (
     ab_compatibility_residual,
     curvatures_from_forms,
     forms_from_ab,
-    symmetry_sphere_check,
 )
 from mkdvsurf.immersion import (
     SPECTRAL3,
     SPECTRAL_GAUGE4,
     PRESETS,
     four_param_forms_closed,
-    position_consistency_residual,
     resolve,
     three_param_forms_closed,
     weingarten_residuals,
 )
 from mkdvsurf.lax import canonical_constants, det_phi_expected, lax_residuals, phi, zero_curvature_residual
 from mkdvsurf.soliton import SolitonParams, jet, xi_grid
+from mkdvsurf.verify import run_checks
 
 ALL_PRESETS = list(PRESETS)
 
@@ -142,12 +141,12 @@ def test_criterion_04_forms_curvature_equivalence():
 
 
 def test_criterion_05_position_consistency():
-    x, t = np.meshgrid(np.linspace(-2, 2, 21), np.linspace(-2, 2, 21))
+    # the consistency check on the 21^2 grid over [-2,2]^2 at step 1e-3
     worst = 0.0
     for pid in ALL_PRESETS:
-        pre = resolve(pid)
-        rx, rt = position_consistency_residual(x, t, pre.params, pre.family, h=1e-3)
-        worst = max(worst, float(np.max(np.abs(rx))), float(np.max(np.abs(rt))))
+        pre = resolve(pid, x_range=(-2.0, 2.0), t_range=(-2.0, 2.0))
+        (check,) = run_checks(["consistency"], pre, 21, 21, fd_step=1e-3).checks
+        worst = max(worst, check.max_residual)
     ok = worst < 1e-6
     assert _line(5, ok, f"max tangent mismatch {worst:.2e} over all presets (tol 1e-6)")
 
@@ -244,20 +243,21 @@ def test_criterion_08_shape_equation_families():
 
 
 def test_criterion_09_symmetry_sphere():
+    # the sphere check on the 21^2 grid over [-2,2]^2: its residual is the
+    # largest of the relative K spread, |H^2-K| and radius error, so one
+    # bound of 1e-8 holds all three (the radius error's own bound is 1e-6)
     rng = np.random.default_rng(9)
-    x, t = np.meshgrid(np.linspace(-2, 2, 21), np.linspace(-2, 2, 21))
-    worst_k, worst_h2k, worst_r = 0.0, 0.0, 0.0
+    worst = 0.0
     for _ in range(10):
         lam = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
         p = SolitonParams(rng.uniform(0.5, 3.0), lam, rng.uniform(0.3, 3.0))
-        rep = symmetry_sphere_check(p, x, t)
-        worst_k = max(worst_k, rep.k_rel_spread)
-        worst_h2k = max(worst_h2k, rep.h2_minus_k_rel)
-        worst_r = max(worst_r, abs(rep.radius_estimate - rep.expected_radius)
-                      / rep.expected_radius)
-    ok = worst_k < 1e-8 and worst_h2k < 1e-8 and worst_r < 1e-6
-    assert _line(9, ok, f"K spread {worst_k:.2e}, |H^2-K| {worst_h2k:.2e} (tol 1e-8), "
-                        f"radius error {worst_r:.2e} (tol 1e-6)")
+        surface = resolve(family="spectral3", params=p, x_range=(-2.0, 2.0),
+                          t_range=(-2.0, 2.0))
+        (check,) = run_checks(["sphere"], surface, 21, 21).checks
+        worst = max(worst, check.max_residual)
+    ok = worst < 1e-8
+    assert _line(9, ok, f"K spread, |H^2-K| and radius error at most {worst:.2e} "
+                        f"(tol 1e-8)")
 
 
 def test_criterion_10_figure_windows(tmp_path):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mkdvsurf import immersion
+from mkdvsurf import immersion, verify as verify_mod
 from mkdvsurf.cli import build_parser, main, presets_table
 
 
@@ -254,6 +254,31 @@ def test_verify_incompatible_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--preset", "ex3", "--checks", "willmore")
     assert code == 2
     assert "incompatible" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("checks", [",", "", " , "])
+def test_verify_with_no_checks_named_exit_2(capsys, checks, fmt):
+    # an empty list is a configuration error, not a report of no checks
+    code, out, err = run(capsys, "verify", "--preset", "ex2", "--checks", checks,
+                         "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: no checks named; name one or more, or use 'all'\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_rejects_a_check_named_twice_before_running_any(capsys, monkeypatch, fmt):
+    ran = []
+    for name, runner in verify_mod._RUNNERS.items():
+        def spy(*args, _run=runner):
+            ran.append(args[1])
+            return _run(*args)
+
+        monkeypatch.setitem(verify_mod._RUNNERS, name, spy)
+    code, out, err = run(capsys, "verify", "--preset", "ex2", "--checks",
+                         "zerocurv,lax,compat,lax,zerocurv", "--format", fmt)
+    assert (code, out, ran) == (2, "", [])
+    assert err == "error: checks named more than once: lax, zerocurv\n"
 
 
 def test_sphere_skips_the_unit_sphere_of_mu_0(capsys):

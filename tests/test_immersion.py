@@ -20,7 +20,6 @@ from mkdvsurf.immersion import (
     four_param_forms_closed,
     four_param_position,
     frame_tangents,
-    position_consistency_residual,
     resolve,
     three_param_curvatures_closed,
     three_param_forms_closed,
@@ -108,12 +107,11 @@ def test_four_param_radii_ex6():
 
 @pytest.mark.parametrize("pid", list(PRESETS))
 def test_position_matches_frame_tangents(pid):
-    pre = resolve(pid)
-    p = pre.params
-    x, t = GRID
-    rx, rt = position_consistency_residual(x, t, p, pre.family, h=1e-3)
-    assert np.max(np.abs(rx)) < 1e-6
-    assert np.max(np.abs(rt)) < 1e-6
+    # the consistency check on GRID: FD y_x and y_t at step 1e-3 against the
+    # frame tangents, the largest difference of either
+    pre = resolve(pid, x_range=(-2.0, 2.0), t_range=(-2.0, 2.0))
+    (check,) = verify.run_checks(["consistency"], pre, 13, 13, fd_step=1e-3).checks
+    assert check.max_residual < 1e-6
 
 
 def test_frame_tangent_lengths_match_metric():
@@ -278,7 +276,7 @@ def test_forms_check_evaluates_two_jets(monkeypatch, pid):
 def test_only_the_x_t_boundaries_evaluate_a_jet():
     # every closed form reads the jet it is given; only the functions that
     # take (x, t) build one
-    boundaries = {"providers", "position_consistency_residual", "asymptotic_deviation"}
+    boundaries = {"providers", "asymptotic_deviation"}
     tree = ast.parse(Path(immersion.__file__).read_text())
     # each module-level statement, with the methods of a class one by one
     units = [m for n in tree.body for m in (n.body if isinstance(n, ast.ClassDef) else [n])]

@@ -1,0 +1,59 @@
+"""Layering: pointwise work in tiles, grid-wide reductions in a few callers.
+
+``soliton.tiled`` evaluates a pointwise function in tiles and leaves every
+reduction over the grid to its caller, so each caller of ``tiled`` is a
+place where the grid is reduced.  These are ``verify``'s check runners,
+``mesh.generate`` and ``lagrangian.verify_family``; the frame and
+closed-form modules are pointwise and do not difference.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import mkdvsurf
+
+PACKAGE = Path(mkdvsurf.__file__).parent
+
+
+def _tree(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_tiled_is_called_only_where_the_grid_is_reduced():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for unit in ast.parse(path.read_text()).body:
+            for node in ast.walk(unit):
+                if isinstance(node, ast.Call) and _called_name(node) == "tiled":
+                    callers.add((path.stem, getattr(unit, "name", f"line {unit.lineno}")))
+    outside_verify = {c for c in callers if c[0] != "verify"}
+    assert outside_verify == {("mesh", "generate"), ("lagrangian", "verify_family")}
+    assert any(c[0] == "verify" for c in callers)
+
+
+def test_the_frame_and_closed_form_modules_do_not_difference():
+    for module in ("immersion", "deformation"):
+        tree = _tree(module)
+        imported = {a.asname or a.name for n in ast.walk(tree)
+                    if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+        used = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert not {"derivative", "Stencil"} & (imported | used), module
+
+
+def test_reachability_holds_with_its_allowlist_as_it_is():
+    path = Path(__file__).with_name("test_reachability.py")
+    spec = importlib.util.spec_from_file_location("reachability", path)
+    reachability = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reachability)
+    assert reachability.ALLOWED == {
+        ("diffgeo", "fd_forms"),
+        ("immersion", "asymptotic_deviation"),
+        ("lagrangian", "flat_coefficients"),
+    }
+    reachability.test_every_top_level_definition_is_reached_from_the_program()

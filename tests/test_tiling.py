@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mkdvsurf import immersion, soliton, su2
+from mkdvsurf import immersion, soliton, su2, verify
 from mkdvsurf.cli import main
 
 PRESETS = list(immersion.PRESETS)
@@ -68,10 +68,11 @@ def test_every_tile_size_gives_the_same_reports_and_exports(monkeypatch, capsys,
 
 def test_the_su2_bound_of_the_frame_spans_all_tiles(monkeypatch):
     # The frame's entries of 1e6 sit in the first row of an 8x8 grid and a
-    # trace defect of 1e-8 in the last.  The defect lies between atol = 1e-10
-    # and atol * max|f| = 1e-4 over the grid, so the frame is su(2); taken
-    # over the last tile alone the bound would be 1e-10 and reject it.
-    surface = immersion.resolve("ex2")
+    # trace defect of 1e-8 in the last.  The defect lies between
+    # su2.SU2_ATOL = 1e-10 and SU2_ATOL * max|f| = 1e-4 over the grid, so the
+    # frame is su(2); taken over the last tile alone the bound would be 1e-10
+    # and reject it.
+    surface = immersion.resolve("ex2", x_range=(-2.0, 2.0), t_range=(-2.0, 2.0))
     x, t = surface.grid(8, 8)
     first, last = t.min(), t.max()
 
@@ -86,12 +87,25 @@ def test_the_su2_bound_of_the_frame_spans_all_tiles(monkeypatch):
     with pytest.raises(ValueError, match="not su\\(2\\)"):
         su2.su2_to_vec(defect_row)
 
-    def residual(tile):
-        monkeypatch.setattr(soliton, "TILE_POINTS", tile)
-        return immersion.position_consistency_residual(
-            x, t, surface.params, surface.family, h=1e-3)
+    # each su2_to_vec call of the consistency check: (input, output) bytes
+    to_vec = su2.su2_to_vec
+    calls = []
 
-    whole = residual(x.size)
+    def spy(f):
+        v = to_vec(f)
+        calls.append((f.shape, f.tobytes(), v.shape, v.tobytes()))
+        return v
+
+    monkeypatch.setattr(su2, "su2_to_vec", spy)
+
+    def consistency(tile):
+        monkeypatch.setattr(soliton, "TILE_POINTS", tile)
+        calls.clear()
+        report = verify.run_checks(["consistency"], surface, 8, 8, fd_step=1e-3)
+        return report.checks, list(calls)
+
+    whole = consistency(x.size)
+    # once for y_x and once for y_t, each on the whole 8x8 grid
+    assert [c[0] for c in whole[1]] == [(8, 8, 2, 2)] * 2
     for tile in (5, 8):
-        for got, want in zip(residual(tile), whole):
-            assert np.array_equal(got, want)
+        assert consistency(tile) == whole

@@ -38,6 +38,12 @@ def test_explicit_incompatible_check_raises():
         vf.run_checks(["nosuch"], resolve("ex2"))
 
 
+def test_an_empty_check_list_raises():
+    # the CLI passes a string; a library caller may pass a list
+    with pytest.raises(vf.CheckConfigError, match="no checks named"):
+        vf.run_checks([], resolve("ex2"))
+
+
 def test_opt_in_check_not_in_all():
     rep = vf.run_checks("all", resolve("ex2"))
     assert "weingarten-paper-literal" not in [c.name for c in rep.checks]
