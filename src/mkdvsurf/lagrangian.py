@@ -7,9 +7,9 @@ A :class:`PolyLagrangian` is a surface energy density
 a polynomial in the mean and Gauss curvatures where K counts as degree two
 (it scales like H^2 under dilation).  For N = 3..6 the module also builds
 the constrained coefficient sets under which the spectral-deformation
-soliton surfaces with lam = k1/2 solve the generalized shape equation, and
-:func:`verify_family`, a finite-difference check of this claim on a grid for
-several degrees in one pass.
+soliton surfaces with lam = k1/2 solve the generalized shape equation.  The
+residual of that equation is ``diffgeo.shape_equation_residual``; the
+``shape`` check of ``verify`` tests these families with it on a grid.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import diffgeo
-from .immersion import SPECTRAL3, _finite_nonzero
-from .soliton import SolitonParams, tiled, xi_grid
+from .immersion import _finite_nonzero
 
 __all__ = [
     "PolyLagrangian",
@@ -32,9 +30,6 @@ __all__ = [
     "from_flat",
     "flat_coefficients",
     "constrained_family",
-    "FamilyCheck",
-    "FamilyReport",
-    "verify_family",
 ]
 
 
@@ -204,10 +199,7 @@ def _normalize_free(n_deg: int, free: Mapping | None) -> dict[int, float]:
     if free is None:
         return out
     for key, val in dict(free).items():
-        if isinstance(key, str):
-            idx = int(key.lstrip("a"))
-        else:
-            idx = int(key)
+        idx = int(key)
         if idx not in allowed:
             raise ValueError(
                 f"a{idx} is not free for N={n_deg}; free indices: "
@@ -222,9 +214,9 @@ def constrained_family(
 ) -> PolyLagrangian:
     """Coefficient family of degree ``n_deg`` solved by the lam = k1/2 surfaces.
 
-    ``free`` maps the free flat indices (ints, or strings like "a5") to
-    values; omitted entries default to zero.  All remaining coefficients are
-    fixed rational functions of (p, lam, mu) with lam = k1/2; lam enters
+    ``free`` maps the free flat indices (1-based ints) to values; omitted
+    entries default to zero.  All remaining coefficients are fixed
+    rational functions of (p, lam, mu) with lam = k1/2; lam enters
     through even powers only, so both signs of lam give the same energy.
     Raises ValueError, naming lambda or mu, when a power of them that the
     coefficients use (up to the sixth) is 0, overflows or underflows to 0.
@@ -276,105 +268,3 @@ def constrained_family(
 
     values = [a[i] for i in range(1, len(FLAT_MONOMIALS[n_deg]) + 1)]
     return from_flat(n_deg, values, p=p)
-
-
-@dataclass(frozen=True)
-class FamilyCheck:
-    """Shape-equation residual statistics for one sign of lam."""
-
-    lam: float
-    max_normalized: float
-    median_normalized: float
-    excluded: int
-    total: int
-
-
-@dataclass(frozen=True)
-class FamilyReport:
-    """verify_family outcome over both admissible signs of lam."""
-
-    n_deg: int
-    p: float
-    k1: float
-    mu: float
-    checks: tuple[FamilyCheck, ...]
-
-    @property
-    def max_normalized(self) -> float:
-        return max(c.max_normalized for c in self.checks)
-
-    @property
-    def median_normalized(self) -> float:
-        return max(c.median_normalized for c in self.checks)
-
-
-def verify_family(
-    degrees: tuple[int, ...],
-    free: Mapping[int, Mapping] | None,
-    p: float,
-    k1: float,
-    mu: float,
-    *,
-    nx: int = 41,
-    nt: int = 41,
-    s: diffgeo.Stencil | None = None,
-) -> tuple[FamilyReport, ...]:
-    """Check constrained families against the shape equation on a grid.
-
-    For each degree in ``degrees`` evaluates the normalized shape-equation
-    residual of the constrained energy on the spectral-deformation surface
-    with lam = +-k1/2 over an nx by nt grid of |xi| < 2 by |t| <= 1, and
-    returns one :class:`FamilyReport` per degree, in order.  ``free`` maps a
-    degree to that family's free coefficients (see
-    :func:`constrained_family`); a degree it omits, or ``None``, leaves them
-    zero.  Degrees whose energies have equal :attr:`PolyLagrangian.terms`
-    are one energy and share one residual: with ``free`` zero the families
-    N = 3..6 coincide, so the ``shape`` check makes one pass on ex2, ex3
-    and ex5, and two on ex4, whose N = 5, 6 coefficients round apart from
-    N = 3, 4.  Only exactly equal terms are merged, never close ones.  The
-    distinct energies share one shape-equation pass per sign of lam, so
-    the curvatures are evaluated once per stencil point for all of them.
-    The residuals are evaluated in tiles (``soliton.tiled``) and their
-    statistics taken over the whole grid.  Points where the second
-    fundamental form is numerically singular are excluded from the
-    statistics and counted per check.
-    """
-    free = {} if free is None else dict(free)
-    if set(free) - set(degrees):
-        raise ValueError(f"free values for degrees {sorted(set(free) - set(degrees))} "
-                         f"outside {tuple(degrees)}")
-    lagrs = [constrained_family(n, free.get(n), p, k1, mu) for n in degrees]
-    # one energy per distinct `terms`, the first seen, in first-seen order
-    distinct = {}
-    for e in lagrs:
-        distinct.setdefault(e.terms, e)
-    checks = {key: [] for key in distinct}
-    for sign in (1.0, -1.0):
-        sp = SolitonParams(k1=k1, lam=sign * k1 / 2.0, mu=mu)
-        providers = SPECTRAL3.providers(sp)
-        x, t = xi_grid(sp, 2.0, nx, nt)
-
-        def pointwise(xx, tt):
-            results = diffgeo.shape_equation_residual(providers, distinct.values(), xx, tt, s)
-            return (diffgeo.near_singular_mask(providers.forms(xx, tt)),
-                    *(np.abs(res) / scale for res, scale in results))
-
-        singular, *normalized_all = tiled(pointwise, x, t)
-        for out, normalized in zip(checks.values(), normalized_all):
-            bad = singular | ~np.isfinite(normalized)
-            kept = normalized[~bad]
-            if kept.size == 0:
-                raise diffgeo.SingularPointError("all grid points near-singular")
-            out.append(
-                FamilyCheck(
-                    lam=sp.lam,
-                    max_normalized=float(np.max(kept)),
-                    median_normalized=float(np.median(kept)),
-                    excluded=int(np.count_nonzero(bad)),
-                    total=int(normalized.size),
-                )
-            )
-    return tuple(
-        FamilyReport(n_deg=n, p=p, k1=k1, mu=mu, checks=tuple(checks[e.terms]))
-        for n, e in zip(degrees, lagrs)
-    )

@@ -121,7 +121,7 @@ def test_degree3_instance():
     assert flat[0] == pytest.approx(-1.0)
     assert flat[5] == pytest.approx(2.25)
     assert flat[1] == flat[2] == flat[3] == 0.0
-    free = lg.constrained_family(3, {"a5": 1.5}, 72.0, 2.0, 1.0)
+    free = lg.constrained_family(3, {5: 1.5}, 72.0, 2.0, 1.0)
     assert lg.flat_coefficients(free)[4] == 1.5
 
 
@@ -132,8 +132,8 @@ def test_constrained_family_validation():
         lg.constrained_family(3, None, 0.0, 2.0, 0.0)
     with pytest.raises(ValueError, match=r"lambda = 0: lambda\^2 = 0"):
         lg.constrained_family(3, None, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        lg.constrained_family(3, {"a1": 1.0}, 0.0, 2.0, 1.0)  # a1 not free
+    with pytest.raises(ValueError, match="a1 is not free for N=3; free indices: a5"):
+        lg.constrained_family(3, {1: 1.0}, 0.0, 2.0, 1.0)
 
 
 def test_nesting_4_to_3():
@@ -191,16 +191,24 @@ def test_family_lam_sign_symmetric():
     assert a == pytest.approx(b)
 
 
-def test_verify_family_report():
-    reps = lg.verify_family((3, 4), {3: {"a5": 0.0}}, 1.0, 2.0, -8.0)
-    assert [rep.n_deg for rep in reps] == [3, 4]
-    for rep in reps:
-        assert rep.max_normalized < 1e-3
-        assert rep.median_normalized <= rep.max_normalized
-        assert {c.lam for c in rep.checks} == {1.0, -1.0}
-        assert all(c.total == 41 * 41 for c in rep.checks)
-    with pytest.raises(ValueError, match="degrees"):
-        lg.verify_family((3,), {4: {"a1": 0.0}}, 1.0, 2.0, -8.0)
+def test_verify_family_report(monkeypatch):
+    # the shape check tests the constrained families N = 3..6 on ex2, on a
+    # 41^2 grid of |xi| < 2 at each sign of lam = +-k1/2
+    from mkdvsurf import verify
+    from mkdvsurf.immersion import resolve
+
+    sampled = []
+    xi_grid = verify.xi_grid
+
+    def spy(sp_, half, nx, nt):
+        sampled.append((sp_.lam, half, nx, nt))
+        return xi_grid(sp_, half, nx, nt)
+
+    monkeypatch.setattr(verify, "xi_grid", spy)
+    (check,) = verify.run_checks(["shape"], resolve("ex2")).checks
+    assert check.passed and check.max_residual < 1e-3
+    assert check.median_residual <= check.max_residual
+    assert sorted(sampled) == [(-1.0, 2.0, 41, 41), (1.0, 2.0, 41, 41)]
 
 
 @pytest.mark.parametrize("k1, mu, power", [
@@ -222,23 +230,53 @@ def test_constrained_family_rejects_powers_out_of_range(k1, mu, power):
 
 
 @pytest.mark.parametrize("preset, passes", [("ex2", 1), ("ex3", 1), ("ex4", 2), ("ex5", 1)])
-def test_verify_family_groups_equal_energies_exactly(preset, passes):
+def test_verify_family_groups_equal_energies_exactly(monkeypatch, preset, passes):
     # with free zero the families N = 3..6 are one energy padded with
     # zeros, except on ex4, whose N = 5, 6 coefficients round apart from
-    # N = 3, 4; each degree still reports what it reports alone
-    from mkdvsurf.immersion import resolve
+    # N = 3, 4; the shape check evaluates each distinct energy once and
+    # still reports what each degree gives alone
+    from mkdvsurf import diffgeo, verify
+    from mkdvsurf.immersion import SPECTRAL3, resolve
+    from mkdvsurf.soliton import SolitonParams, xi_grid
 
-    sp_ = resolve(preset).params
+    surface = resolve(preset)
+    sp_ = surface.params
     families = [lg.constrained_family(n, None, 1.0, sp_.k1, sp_.mu) for n in (3, 4, 5, 6)]
     assert len({e.terms for e in families}) == passes
-    for free in (None, {5: {1: 0.1}}):
-        together = lg.verify_family((3, 4, 5, 6), free, 1.0, sp_.k1, sp_.mu, nx=21, nt=21)
-        for rep in together:
-            alone = lg.verify_family((rep.n_deg,), {rep.n_deg: (free or {}).get(rep.n_deg)},
-                                     1.0, sp_.k1, sp_.mu, nx=21, nt=21)
-            assert alone == (rep,)
-    # a nonzero free coefficient makes N = 5 an energy of its own
-    assert together[2].checks != together[0].checks
+
+    residual = diffgeo.shape_equation_residual
+    energies_per_call = []
+
+    def spy(providers, energies, *args):
+        energies = list(energies)
+        energies_per_call.append(len(energies))
+        return residual(providers, energies, *args)
+
+    monkeypatch.setattr(diffgeo, "shape_equation_residual", spy)
+    (check,) = verify.run_checks(["shape"], surface, 21, 21).checks
+    assert energies_per_call and set(energies_per_call) == {passes}
+
+    # the reference: each degree's energy alone, reduced per sign of lam;
+    # the report takes the largest max, the median over degrees of each
+    # degree's larger median, and the excluded points summed
+    maxima, medians, excluded = [], [], 0
+    for energy in families:
+        per_sign = []
+        for sign in (1.0, -1.0):
+            sp = SolitonParams(k1=sp_.k1, lam=sign * sp_.k1 / 2.0, mu=sp_.mu)
+            providers = SPECTRAL3.providers(sp)
+            x, t = xi_grid(sp, 2.0, 21, 21)
+            [(res, scale)] = residual(providers, (energy,), x, t, diffgeo.OPERATOR_STENCIL)
+            normalized = np.abs(res) / scale
+            bad = diffgeo.near_singular_mask(providers.forms(x, t)) | ~np.isfinite(normalized)
+            kept = normalized[~bad]
+            per_sign.append((float(np.max(kept)), float(np.median(kept))))
+            excluded += int(np.count_nonzero(bad))
+        maxima.append(max(mx for mx, _ in per_sign))
+        medians.append(max(med for _, med in per_sign))
+    assert check.max_residual == max(maxima)
+    assert check.median_residual == float(np.median(medians))
+    assert check.excluded == excluded
 
 
 def test_shape_residual_scaling_invariance():

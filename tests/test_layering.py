@@ -2,9 +2,10 @@
 
 ``soliton.tiled`` evaluates a pointwise function in tiles and leaves every
 reduction over the grid to its caller, so each caller of ``tiled`` is a
-place where the grid is reduced.  These are ``verify``'s check runners,
-``mesh.generate`` and ``lagrangian.verify_family``; the frame and
-closed-form modules are pointwise and do not difference.
+place where the grid is reduced.  These are ``verify``'s check runners
+and ``mesh.generate``.  The frame and closed-form modules are pointwise
+and do not difference, and ``lagrangian`` builds energies only: it
+imports neither the finite-difference oracle nor the soliton.
 """
 
 import ast
@@ -33,8 +34,18 @@ def test_tiled_is_called_only_where_the_grid_is_reduced():
                 if isinstance(node, ast.Call) and _called_name(node) == "tiled":
                     callers.add((path.stem, getattr(unit, "name", f"line {unit.lineno}")))
     outside_verify = {c for c in callers if c[0] != "verify"}
-    assert outside_verify == {("mesh", "generate"), ("lagrangian", "verify_family")}
+    assert outside_verify == {("mesh", "generate")}
     assert any(c[0] == "verify" for c in callers)
+
+
+def test_lagrangian_imports_neither_the_oracle_nor_the_soliton():
+    # the package imports its own modules relatively: ``from .x import y``
+    # names x, and ``from . import x`` names x among its aliases
+    modules = set()
+    for node in ast.walk(_tree("lagrangian")):
+        if isinstance(node, ast.ImportFrom):
+            modules |= {node.module} if node.module else {a.name for a in node.names}
+    assert not {"diffgeo", "soliton"} & modules
 
 
 def test_the_frame_and_closed_form_modules_do_not_difference():

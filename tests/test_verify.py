@@ -246,3 +246,46 @@ def test_check_names_are_written_only_in_the_table():
                  if isinstance(n, ast.Constant) and n.value in names
                  and not table.lineno <= n.lineno <= table.end_lineno]
     assert not elsewhere, f"check names spelled at lines {elsewhere}"
+
+
+def test_compat_tests_the_symmetry_frame_at_mu_zero(monkeypatch):
+    # the spectral and symmetry frames are mu times a fixed frame, so at
+    # mu = 0 both are tested at mu = 1: a symmetry frame with a 1% wrong
+    # b_x fails the check there, not only at mu != 0
+    from mkdvsurf import deformation
+    from mkdvsurf.deformation import DeformationKind
+
+    surface = resolve(family="spectralgauge4", params=SolitonParams(2.0, 1.0, 0.0, nu=1.0))
+    (check,) = vf.run_checks(["compat"], surface).checks
+    assert check.passed and check.max_residual < 1e-12
+    symmetry = deformation._FRAMES[DeformationKind.SYMMETRY_UX]
+
+    def wrong(j, p):
+        frame = symmetry(j, p)
+        return frame._replace(b_x=1.01 * frame.b_x)
+
+    monkeypatch.setitem(deformation._FRAMES, DeformationKind.SYMMETRY_UX, wrong)
+    (check,) = vf.run_checks(["compat"], surface).checks
+    assert check.passed is False
+
+
+def test_every_residual_reduced_is_a_magnitude(monkeypatch):
+    # _stats takes the max and median as given, so every runner must pass
+    # entries >= 0 and never -0.0
+    reduced = []
+    stats = vf._stats
+
+    def spy(res):
+        reduced.append(np.asarray(res))
+        return stats(res)
+
+    monkeypatch.setattr(vf, "_stats", spy)
+    reports = [vf.run_checks("all", resolve(preset)) for preset in immersion.PRESETS]
+    reports += [vf.run_checks(["weingarten-paper-literal"], resolve(preset))
+                for preset in ("ex2", "ex3", "ex4", "ex5")]
+    # every check that ran reduced through _stats, except shape, which
+    # keeps the points away from near-singular forms
+    ran = [c for rep in reports for c in rep.checks if c.passed is not None]
+    assert len(reduced) == len([c for c in ran if c.name != "shape"]) > 40
+    for res in reduced:
+        assert not np.any(np.signbit(res))
