@@ -129,7 +129,7 @@ def _cmd_verify(args, parser) -> int:
         report.summary_lines()
     ) + "\n"
     if args.out is not None:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

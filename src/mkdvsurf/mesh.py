@@ -102,10 +102,13 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
     )
 
 
-# Rows per %-format or json.dumps call.  A block's Python objects are all
-# that exists at once beside the output text, and the per-call overhead is
-# amortised over the block.
+# Rows per %-format, json.dumps or join call.  A block's Python objects are
+# all that exists at once beside the output text, and the per-call overhead
+# is amortised over the block.
 _BLOCK_ROWS = 4096
+
+# text of a singular flag, indexed by the flag's byte
+_FLAGS = np.array(["0", "1"], dtype=object)
 
 
 def _blocks(arr: np.ndarray):
@@ -113,13 +116,29 @@ def _blocks(arr: np.ndarray):
     return (arr[i:i + _BLOCK_ROWS] for i in range(0, len(arr), _BLOCK_ROWS))
 
 
-def _rows_text(row_fmt: str, rows: np.ndarray) -> str:
-    """``row_fmt`` applied to each row of a 2-D array.  %.17g gives the
+def _rows_text(row_fmt: str, blocks) -> str:
+    """``row_fmt`` applied to each row of each 2-D block.  %.17g gives the
     digits of format(v, ".17g"): an exact float round trip."""
     return "".join(
-        (row_fmt * len(block)) % tuple(block.reshape(-1).tolist())
-        for block in _blocks(rows)
+        (row_fmt * len(block)) % tuple(block.reshape(-1).tolist()) for block in blocks
     )
+
+
+def _distinct(fmt: str, values: np.ndarray):
+    """``fmt % v`` for each value of a float array, formatted once per
+    distinct value: returns the distinct texts (an object array) and, per
+    value, the index of its text.
+
+    x and t take only nx and nt values on the grid, and K, H and xi are
+    functions of xi alone, so most of their values repeat.  Values are told
+    apart by their bits: deduping by value would merge 0.0 with -0.0, which
+    print differently.
+    """
+    bits, inverse = np.unique(
+        np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True
+    )
+    text = ((fmt + "\0") * len(bits)) % tuple(bits.view(np.float64).tolist())
+    return np.array(text.split("\0")[:-1], dtype=object), inverse
 
 
 def _obj_text(mesh: SurfaceMesh) -> str:
@@ -129,18 +148,39 @@ def _obj_text(mesh: SurfaceMesh) -> str:
     vertices = np.where(ok[:, None], mesh.vertices, 0.0)
     quads = mesh.quads()
     faces = quads[ok[quads - 1].all(axis=1)]
-    return (_rows_text("v %.17g %.17g %.17g\n", vertices)
-            + _rows_text("f %d %d %d %d\n", faces))
+    return (_rows_text("v %.17g %.17g %.17g\n", _blocks(vertices))
+            + _rows_text("f %d %d %d %d\n", _blocks(faces)))
 
 
 def _csv_text(mesh: SurfaceMesh) -> str:
-    rows = np.column_stack(
-        (mesh.x, mesh.t, mesh.vertices, mesh.K, mesh.H, mesh.singular)
+    # the position is nearly all distinct values, and is formatted per value
+    (x, x_at), (t, t_at), (k, k_at), (h, h_at) = (
+        _distinct("%.17g", a) for a in (mesh.x, mesh.t, mesh.K, mesh.H)
     )
-    return "x,t,y1,y2,y3,K,H,singular\n" + _rows_text("%.17g," * 7 + "%d\n", rows)
+    columns = (x_at, t_at, mesh.vertices, k_at, h_at, mesh.singular.view(np.uint8))
+    blocks = (
+        np.column_stack((x[xb], t[tb], v, k[kb], h[hb], _FLAGS[fb]))
+        for xb, tb, v, kb, hb, fb in zip(*map(_blocks, columns))
+    )
+    return "x,t,y1,y2,y3,K,H,singular\n" + _rows_text(
+        "%s,%s,%.17g,%.17g,%.17g,%s,%s,%s\n", blocks
+    )
 
 
 _JSON_SEP = (",", ":")
+
+
+def _json_list(text: np.ndarray, index: np.ndarray) -> str:
+    """JSON list of ``text[index]``, gathered block by block."""
+    return "[" + ",".join(",".join(text[b].tolist()) for b in _blocks(index)) + "]"
+
+
+def _json_floats(arr: np.ndarray) -> str:
+    """JSON list of a float array in json.dumps' text (the float's repr),
+    with non-finite entries null."""
+    text, inverse = _distinct("%r", np.where(np.isfinite(arr), arr, np.nan))
+    text[text == "nan"] = "null"
+    return _json_list(text, inverse)
 
 
 def _json_array(arr: np.ndarray) -> str:
@@ -166,22 +206,18 @@ def _json_text(mesh: SurfaceMesh) -> str:
         "x_range": list(surf.x_range),
         "t_range": list(surf.t_range),
         "order": "row-major in t then x; vertex = it*nx + ix",
-        "x": mesh.x,
-        "t": mesh.t,
-        "vertices": mesh.vertices,
-        "K": mesh.K,
-        "H": mesh.H,
-        "xi": mesh.xi,
-        "singular": mesh.singular.astype(int),
     }
-    items = (
-        json.dumps(key) + ":" + (
-            _json_array(v) if isinstance(v, np.ndarray)
-            else json.dumps(v, sort_keys=True, separators=_JSON_SEP)
-        )
-        for key, v in sorted(doc.items())
-    )
-    return "{" + ",".join(items) + "}\n"
+    items = {key: json.dumps(v, sort_keys=True, separators=_JSON_SEP)
+             for key, v in doc.items()}
+    for key in ("x", "t", "K", "H", "xi"):
+        items[key] = _json_floats(getattr(mesh, key))
+    items["vertices"] = _json_array(mesh.vertices)
+    items["singular"] = _json_list(_FLAGS, mesh.singular.view(np.uint8))
+    # popped, so that no array's text is held twice: once alone, once in
+    # its "key":text item
+    return "{" + ",".join(
+        json.dumps(key) + ":" + items.pop(key) for key in sorted(items)
+    ) + "}\n"
 
 
 _WRITERS = {"obj": _obj_text, "csv": _csv_text, "json": _json_text}
@@ -204,5 +240,5 @@ def export(mesh: SurfaceMesh, fmt: str, out: str | Path) -> Path:
     """Write the mesh to ``out``; returns the path written."""
     text = export_text(mesh, fmt)
     path = Path(out)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8", newline="\n")
     return path

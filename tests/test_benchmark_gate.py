@@ -3,10 +3,11 @@
 The ``verify`` and ``frame`` workloads of ``perfbench`` compare each
 operation's checks with ``perfbench/reference.json``: the same verdicts, and
 residuals that agree to rounding (1e-3 relative for the finite-difference
-checks).  Running the seven ``verify`` operations, and the ``frame``
-operations of the checks that multiply 2x2 matrices and of those that read
-the closed-form curvatures, here makes a drift in those residuals fail the
-test suite, not only a benchmark run.
+checks).  The ``export`` workload compares the sha256 of each file written.
+Running the six ``export`` operations, the seven ``verify`` operations, and
+the ``frame`` operations of the checks that multiply 2x2 matrices and of
+those that read the closed-form curvatures, here makes a changed byte or a
+drift in those residuals fail the test suite, not only a benchmark run.
 ``perfbench/workloads.py`` is loaded from its file and used as it is.
 """
 
@@ -39,6 +40,14 @@ def _mismatches(wl, workload, ops):
         if found:
             bad[op.key] = found
     return bad
+
+
+def test_export_workload_matches_the_benchmark_reference(tmp_path, monkeypatch):
+    wl = _workloads(monkeypatch)
+    ops = wl.operations("export", tmp_path)
+    assert len(ops) == 6
+    (tmp_path / wl.WORK_DIR).mkdir()
+    assert not _mismatches(wl, "export", ops)
 
 
 def test_verify_workload_matches_the_benchmark_reference(tmp_path, monkeypatch):

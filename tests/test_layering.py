@@ -5,7 +5,9 @@ reduction over the grid to its caller, so each caller of ``tiled`` is a
 place where the grid is reduced.  These are ``verify``'s check runners
 and ``mesh.generate``.  The frame and closed-form modules are pointwise
 and do not difference, and ``lagrangian`` builds energies only: it
-imports neither the finite-difference oracle nor the soliton.
+imports neither the finite-difference oracle nor the soliton.  Every
+file the package writes is UTF-8 text with "\\n" line ends, whatever the
+platform and its locale.
 """
 
 import ast
@@ -55,6 +57,36 @@ def test_the_frame_and_closed_form_modules_do_not_difference():
                     if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
         used = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         assert not {"derivative", "Stencil"} & (imported | used), module
+
+
+def _write_mode(call):
+    """The mode of an ``open`` call, or None when it cannot be read."""
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        # open(file, mode) as a builtin, path.open(mode) as a method
+        at = 1 if isinstance(call.func, ast.Name) else 0
+        mode = call.args[at] if len(call.args) > at else ast.Constant("r")
+    return mode.value if isinstance(mode, ast.Constant) else None
+
+
+def test_every_text_write_names_its_encoding_and_newline():
+    writes = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node)
+            if name == "open":
+                mode = _write_mode(node)
+                if mode is not None and ("b" in mode or not set(mode) & set("wax+")):
+                    continue
+            elif name != "write_text":
+                continue
+            kwargs = {k.arg: getattr(k.value, "value", None) for k in node.keywords}
+            writes.append((path.stem, node.lineno, kwargs.get("encoding"),
+                           kwargs.get("newline")))
+    assert {w[0] for w in writes} >= {"cli", "mesh"}
+    assert all(w[2:] == ("utf-8", "\n") for w in writes), writes
 
 
 def test_reachability_holds_with_its_allowlist_as_it_is():

@@ -301,3 +301,20 @@ def test_multi_block_writers_match_scalar_reference(pid, field, value, edits):
     assert mesh.n_vertices > 2 * block and mesh.n_vertices % block
     edge = [(field, row, value) for row in (block - 1, block, 2 * block - 1, 2 * block)]
     _assert_matches_reference(_inject(mesh, edge + edits))
+
+
+def test_repeated_special_values_keep_their_text_across_block_boundaries():
+    # x, t, K, H and xi are formatted once per distinct bit pattern: 0.0 and
+    # -0.0 compare equal but print "0" and "-0", so a dedupe by value would
+    # write one of them wrongly; NaNs with other payloads, the sign bit
+    # included, and infinities must still be written as NaN and inf are
+    nan_a, nan_b = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                            dtype=np.uint64).view(np.float64)
+    specials = [0.0, -0.0, nan_a, nan_b, np.inf, -np.inf, 5e-324, 5e-324]
+    mesh = MULTI_BLOCK["ex4"]
+    block = ms._BLOCK_ROWS
+    rows = [r for edge in (block, 2 * block) for r in range(edge - 40, edge + 40)]
+    edits = [(field, row, specials[(row + shift) % len(specials)])
+             for shift, field in enumerate(("x", "t", "K", "H", "xi"))
+             for row in rows]
+    _assert_matches_reference(_inject(mesh, edits))
