@@ -102,9 +102,10 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
     )
 
 
-# Rows per %-format, json.dumps or join call.  A block's Python objects are
-# all that exists at once beside the output text, and the per-call overhead
-# is amortised over the block.
+# Rows per %-format, json.dumps or join call.  A block's Python objects,
+# with at most as many distinct texts per column, are all that exists at
+# once beside the output text, and the per-call overhead is amortised over
+# the block.
 _BLOCK_ROWS = 4096
 
 # text of a singular flag, indexed by the flag's byte
@@ -124,21 +125,35 @@ def _rows_text(row_fmt: str, blocks) -> str:
     )
 
 
-def _distinct(fmt: str, values: np.ndarray):
-    """``fmt % v`` for each value of a float array, formatted once per
-    distinct value: returns the distinct texts (an object array) and, per
-    value, the index of its text.
+def _format(fmt: str, values: np.ndarray, null: str | None) -> np.ndarray:
+    """``fmt % v`` for each value, in one %-call, as an object array;
+    non-finite values are written as ``null`` when it is given."""
+    text = ((fmt + "\0") * len(values)) % tuple(values.tolist())
+    text = np.array(text.split("\0")[:-1], dtype=object)
+    if null is not None:
+        text[~np.isfinite(values)] = null
+    return text
+
+
+def _column_texts(fmt: str, column: np.ndarray, null: str | None = None):
+    """The texts of each block of a float column, ``fmt % v`` per value,
+    with each distinct value formatted once.
 
     x and t take only nx and nt values on the grid, and K, H and xi are
     functions of xi alone, so most of their values repeat.  Values are told
     apart by their bits: deduping by value would merge 0.0 with -0.0, which
-    print differently.
+    print differently.  A column with no more distinct values than a block
+    has rows gets one table of texts; any other is deduped within each
+    block, so that no more than a block's texts exist at once.
     """
-    bits, inverse = np.unique(
-        np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True
+    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    if len(bits) <= _BLOCK_ROWS:
+        text = _format(fmt, bits.view(np.float64), null)
+        return (text[b] for b in _blocks(inverse))
+    return (
+        _format(fmt, bits[ids].view(np.float64), null)[at]
+        for ids, at in (np.unique(b, return_inverse=True) for b in _blocks(inverse))
     )
-    text = ((fmt + "\0") * len(bits)) % tuple(bits.view(np.float64).tolist())
-    return np.array(text.split("\0")[:-1], dtype=object), inverse
 
 
 def _obj_text(mesh: SurfaceMesh) -> str:
@@ -154,13 +169,11 @@ def _obj_text(mesh: SurfaceMesh) -> str:
 
 def _csv_text(mesh: SurfaceMesh) -> str:
     # the position is nearly all distinct values, and is formatted per value
-    (x, x_at), (t, t_at), (k, k_at), (h, h_at) = (
-        _distinct("%.17g", a) for a in (mesh.x, mesh.t, mesh.K, mesh.H)
-    )
-    columns = (x_at, t_at, mesh.vertices, k_at, h_at, mesh.singular.view(np.uint8))
+    x, t, k, h = (_column_texts("%.17g", a) for a in (mesh.x, mesh.t, mesh.K, mesh.H))
     blocks = (
-        np.column_stack((x[xb], t[tb], v, k[kb], h[hb], _FLAGS[fb]))
-        for xb, tb, v, kb, hb, fb in zip(*map(_blocks, columns))
+        np.column_stack(cols)
+        for cols in zip(x, t, _blocks(mesh.vertices), k, h,
+                        (_FLAGS[f] for f in _blocks(mesh.singular.view(np.uint8))))
     )
     return "x,t,y1,y2,y3,K,H,singular\n" + _rows_text(
         "%s,%s,%.17g,%.17g,%.17g,%s,%s,%s\n", blocks
@@ -170,17 +183,9 @@ def _csv_text(mesh: SurfaceMesh) -> str:
 _JSON_SEP = (",", ":")
 
 
-def _json_list(text: np.ndarray, index: np.ndarray) -> str:
-    """JSON list of ``text[index]``, gathered block by block."""
-    return "[" + ",".join(",".join(text[b].tolist()) for b in _blocks(index)) + "]"
-
-
-def _json_floats(arr: np.ndarray) -> str:
-    """JSON list of a float array in json.dumps' text (the float's repr),
-    with non-finite entries null."""
-    text, inverse = _distinct("%r", np.where(np.isfinite(arr), arr, np.nan))
-    text[text == "nan"] = "null"
-    return _json_list(text, inverse)
+def _json_list(texts) -> str:
+    """JSON list of the texts in each of an iterable of object arrays."""
+    return "[" + ",".join(",".join(t.tolist()) for t in texts) + "]"
 
 
 def _json_array(arr: np.ndarray) -> str:
@@ -209,10 +214,11 @@ def _json_text(mesh: SurfaceMesh) -> str:
     }
     items = {key: json.dumps(v, sort_keys=True, separators=_JSON_SEP)
              for key, v in doc.items()}
+    # %r is json.dumps' float text
     for key in ("x", "t", "K", "H", "xi"):
-        items[key] = _json_floats(getattr(mesh, key))
+        items[key] = _json_list(_column_texts("%r", getattr(mesh, key), "null"))
     items["vertices"] = _json_array(mesh.vertices)
-    items["singular"] = _json_list(_FLAGS, mesh.singular.view(np.uint8))
+    items["singular"] = _json_list(_FLAGS[b] for b in _blocks(mesh.singular.view(np.uint8)))
     # popped, so that no array's text is held twice: once alone, once in
     # its "key":text item
     return "{" + ",".join(

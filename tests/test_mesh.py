@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mkdvsurf import mesh as ms
 from mkdvsurf.immersion import DEFAULT_WINDOW, resolve
@@ -236,11 +236,14 @@ def _ref_json(mesh) -> str:
 
 REFERENCE = {"obj": _ref_obj, "csv": _ref_csv, "json": _ref_json}
 
-# values whose text the writers must get right: non-finite ones, signed
-# zero, the subnormal and overflow edges
-SPECIAL = st.sampled_from(
-    [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e16]
-)
+# values whose text the writers must get right: non-finite ones, NaNs with
+# other payloads (one with the sign bit set), signed zero, the subnormal and
+# overflow edges
+NAN_PAYLOADS = list(np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                             dtype=np.uint64).view(np.float64))
+SPECIALS = [np.nan, *NAN_PAYLOADS, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+            -1.7976931348623157e308, 1e16]
+SPECIAL = st.sampled_from(SPECIALS)
 FIELDS = st.sampled_from(["x", "t", "vertices", "K", "H", "xi", "singular"])
 
 
@@ -285,6 +288,17 @@ def test_writers_match_scalar_reference(pid, nx, nt, edits):
 
 MULTI_BLOCK = {pid: ms.generate(resolve(pid), nx=101, nt=97) for pid in ("ex4", "ex7")}
 
+# x, t, K, H and xi are formatted once per distinct bit pattern: 0.0 and
+# -0.0 compare equal but print "0" and "-0", so a dedupe by value would
+# write one of them wrongly.  Each special value sits at many rows of each
+# field on both sides of both block boundaries.
+_EDGE_ROWS = [r for edge in (ms._BLOCK_ROWS, 2 * ms._BLOCK_ROWS)
+              for r in range(edge - 40, edge + 40)]
+REPEATED_SPECIALS = [
+    (field, row, SPECIALS[(row + shift) % len(SPECIALS)])
+    for shift, field in enumerate(("x", "t", "K", "H", "xi")) for row in _EDGE_ROWS
+]
+
 
 @settings(max_examples=4, deadline=None)
 @given(
@@ -293,28 +307,16 @@ MULTI_BLOCK = {pid: ms.generate(resolve(pid), nx=101, nt=97) for pid in ("ex4", 
     st.sampled_from([np.nan, np.inf, -np.inf, -0.0]),
     st.lists(st.tuples(FIELDS, st.integers(0, 10**6), SPECIAL), max_size=6),
 )
+@example("ex4", "x", -0.0, REPEATED_SPECIALS)
 def test_multi_block_writers_match_scalar_reference(pid, field, value, edits):
     # 101 x 97 = 9797 rows: two full blocks and a partial one; special values
     # sit on both sides of each block boundary
     mesh = MULTI_BLOCK[pid]
     block = ms._BLOCK_ROWS
     assert mesh.n_vertices > 2 * block and mesh.n_vertices % block
+    # on ex4, x, t and K have no more distinct values than a block has rows
+    # and H and xi have more, so both of the writers' dedupe paths run
+    ex4 = MULTI_BLOCK["ex4"]
+    assert np.unique(ex4.K).size <= block < np.unique(ex4.H).size
     edge = [(field, row, value) for row in (block - 1, block, 2 * block - 1, 2 * block)]
     _assert_matches_reference(_inject(mesh, edge + edits))
-
-
-def test_repeated_special_values_keep_their_text_across_block_boundaries():
-    # x, t, K, H and xi are formatted once per distinct bit pattern: 0.0 and
-    # -0.0 compare equal but print "0" and "-0", so a dedupe by value would
-    # write one of them wrongly; NaNs with other payloads, the sign bit
-    # included, and infinities must still be written as NaN and inf are
-    nan_a, nan_b = np.array([0x7FF8000000000001, 0xFFF8000000000000],
-                            dtype=np.uint64).view(np.float64)
-    specials = [0.0, -0.0, nan_a, nan_b, np.inf, -np.inf, 5e-324, 5e-324]
-    mesh = MULTI_BLOCK["ex4"]
-    block = ms._BLOCK_ROWS
-    rows = [r for edge in (block, 2 * block) for r in range(edge - 40, edge + 40)]
-    edits = [(field, row, specials[(row + shift) % len(specials)])
-             for shift, field in enumerate(("x", "t", "K", "H", "xi"))
-             for row in rows]
-    _assert_matches_reference(_inject(mesh, edits))
