@@ -14,6 +14,7 @@ and pointwise; ``verify`` differences the position and reduces over grids.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -187,16 +188,20 @@ def _four_param_asymptote(j: Jet, branch: int):
 
 
 def _finite_nonzero(shown: str, name: str, scale: Callable[[], float],
-                    may_vanish: bool = False) -> float:
+                    may_vanish: bool = False, normal: bool = False) -> float:
     """Return ``scale()``, an overflow counting as inf.  Unless it is finite
-    and nonzero (or exactly 0 where ``may_vanish``), raise a ValueError
-    "<shown>: <name> = <value>, need it finite and nonzero"."""
+    and nonzero (or exactly 0 where ``may_vanish``), and with ``normal`` a
+    normal double (|value| >= ``sys.float_info.min``: a subnormal keeps only
+    a few bits), raise a ValueError "<shown>: <name> = <value>, need it ..."."""
     try:
         value = scale()
     except OverflowError:
         value = math.inf
     if not math.isfinite(value) or (value == 0.0 and not may_vanish):
         raise ValueError(f"{shown}: {name} = {value:g}, need it finite and nonzero")
+    if normal and abs(value) < sys.float_info.min:
+        raise ValueError(f"{shown}: {name} = {value:g} is subnormal, "
+                         f"need it at least {sys.float_info.min:g} in magnitude")
     return value
 
 
@@ -236,31 +241,36 @@ class Family:
         each must be finite and nonzero (not overflowed, not underflowed
         to 0).  A mu or nu of exactly 0 drops out and is left to the kind's
         rule; beside a nonzero mu, nu's powers only add to mu's terms and
-        may underflow.  So must the constants of Phi: B1 of
+        may underflow.  So must the constants of Phi, B1 of
         ``lax.canonical_constants`` and det Phi = 2 e^(-pi lambda/k1)
-        (k1^2 + 4 lambda^2)/k1^2 of ``lax.det_phi_expected``.  spectral3's
-        K is (k1/mu)^2 times a number in [-1, 1], so (k1/mu)^4 must be
-        finite.  The position's radii must be finite too.
+        (k1^2 + 4 lambda^2)/k1^2 of ``lax.det_phi_expected``, and each must
+        be a normal double: with a subnormal B1, Phi^H Phi is no multiple of
+        the identity and the frame checks overflow.  spectral3's K is
+        (k1/mu)^2 times a number in [-1, 1], so (k1/mu)^4 must be finite.
+        The position's radii must be finite too.
         """
         validate_kind(self.kind, p)
         mu_may_vanish = p.mu == 0.0
         nu_may_vanish = p.nu == 0.0 or p.mu != 0.0
         phi = lambda: math.exp(-math.pi * p.lam / p.k1)
-        scales = (("k1", "k1^4", lambda: p.k1 ** 4, False),
-                  ("k1", "k1^2 + 4 lambda^2", lambda: p.k1 ** 2 + 4.0 * p.lam ** 2, False),
-                  ("mu", "mu^2", lambda: p.mu ** 2, mu_may_vanish),
-                  ("nu", "nu^2", lambda: p.nu ** 2, nu_may_vanish),
-                  ("mu", "mu^4", lambda: p.mu ** 4, mu_may_vanish),
-                  ("nu", "nu^4", lambda: p.nu ** 4, nu_may_vanish),
-                  ("k1", "|B1| = e^(-pi lambda/k1)/|k1|", lambda: phi() / abs(p.k1), False),
+        # (parameter shown, name, scale, may it be 0, must it be normal)
+        scales = (("k1", "k1^4", lambda: p.k1 ** 4, False, False),
+                  ("k1", "k1^2 + 4 lambda^2", lambda: p.k1 ** 2 + 4.0 * p.lam ** 2, False,
+                   False),
+                  ("mu", "mu^2", lambda: p.mu ** 2, mu_may_vanish, False),
+                  ("nu", "nu^2", lambda: p.nu ** 2, nu_may_vanish, False),
+                  ("mu", "mu^4", lambda: p.mu ** 4, mu_may_vanish, False),
+                  ("nu", "nu^4", lambda: p.nu ** 4, nu_may_vanish, False),
+                  ("k1", "|B1| = e^(-pi lambda/k1)/|k1|", lambda: phi() / abs(p.k1), False,
+                   True),
                   ("k1", "det Phi", lambda: 2.0 * phi() * (p.k1 ** 2 + 4.0 * p.lam ** 2)
-                   / p.k1 ** 2, False))
+                   / p.k1 ** 2, False, True))
         if self.kind is DeformationKind.SPECTRAL:
-            scales += (("mu", "(k1/mu)^4", lambda: (p.k1 / p.mu) ** 4, True),)
-        for param, name, scale, may_vanish in scales:
+            scales += (("mu", "(k1/mu)^4", lambda: (p.k1 / p.mu) ** 4, True, False),)
+        for param, name, scale, may_vanish, normal in scales:
             shown = (f"k1 = {p.k1:g}, lambda = {p.lam:g}" if param == "k1"
                      else f"{param} = {getattr(p, param):g}")
-            _finite_nonzero(shown, name, scale, may_vanish)
+            _finite_nonzero(shown, name, scale, may_vanish, normal)
         radii = self.radii(p)
         if not all(math.isfinite(r) for r in radii):
             raise ValueError(

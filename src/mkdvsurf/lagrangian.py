@@ -162,7 +162,11 @@ class PolyLagrangian:
         """``p`` and the nonzero coefficients: the energy as the shape
         equation sees it.  Energies with equal terms differ only in N and in
         explicit zero (+0.0 or -0.0) coefficients, so at every finite
-        (H, K) their values and partials agree up to the sign of a zero."""
+        (H, K) their values and partials agree up to the sign of a zero.
+        The ``shape`` check of ``verify`` evaluates one energy per distinct
+        terms, ``PolyLagrangian(N, dict(nonzero), p)``, built from the terms
+        alone, so Horner skips each power of H that has no nonzero
+        coefficient."""
         return self.p, frozenset((nl, a) for nl, a in self.coeffs.items() if a != 0.0)
 
 

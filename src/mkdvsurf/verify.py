@@ -345,10 +345,13 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     # Degrees whose energies have equal terms are one energy and share one
     # residual: the families coincide on ex2, ex3 and ex5, and on ex4 the
     # N = 5, 6 coefficients round apart from N = 3, 4.  Only exactly equal
-    # terms are merged; the first energy seen stands for them.
+    # terms are merged, and the energy evaluated is built from the terms
+    # alone, so Horner skips the explicit zero coefficients.
     distinct = {}
     for e in energies:
-        distinct.setdefault(e.terms, e)
+        if e.terms not in distinct:
+            pressure, nonzero = e.terms
+            distinct[e.terms] = lagrangian.PolyLagrangian(e.N, dict(nonzero), pressure)
     # per distinct energy, (max, median, excluded) of each sign of lam
     stats = {key: [] for key in distinct}
     for sign in (1.0, -1.0):

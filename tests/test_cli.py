@@ -200,6 +200,27 @@ def test_generate_config_error_exit_2(tmp_path, capsys):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+# e^(-pi lambda/k1) = 5e-324: B1 and det Phi are subnormal, and the frame
+# checks used to overflow in Phi^-1 and leak numpy's RuntimeWarnings
+SUBNORMAL_PHI = ("--family", "spectral3", "--k1", "0.1288852974447968",
+                 "--lambda", "30.533654924811838", "--mu", "0.013539625534976793",
+                 "--x-min", "-1.8463196141031273", "--x-max", "2.343150778041539",
+                 "--nx", "5", "--nt", "5")
+
+
+@pytest.mark.parametrize("command", ["verify", "generate"])
+def test_subnormal_phi_constants_exit_2_naming_k1_and_lambda(tmp_path, capsys, command):
+    out_file = tmp_path / "x.obj"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, command, *SUBNORMAL_PHI, "--out", str(out_file))
+    assert (code, out) == (2, ""), err
+    (line,) = err.splitlines()
+    assert line.startswith("error: k1 = 0.128885, lambda = 30.5337: ")
+    assert "subnormal" in line
+    assert not out_file.exists()
+
+
 def test_generate_and_verify_reject_a_surface_alike(tmp_path, capsys):
     # both subcommands build their surface on one path, so one message
     for flags, field in BAD_SURFACES:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mkdvsurf import diffgeo as dg, lagrangian
 from mkdvsurf.immersion import SPECTRAL3, resolve
 from mkdvsurf.lax import canonical_constants, phi
+from mkdvsurf.soliton import SolitonParams, xi_grid
 
 X1, T1 = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
 
@@ -250,6 +251,111 @@ def test_nabla_dot_bar_keeps_the_weighted_flux_arithmetic_bitwise():
     k_of = lambda xx, tt: prov.curvatures(xx, tt).K
     got = _nabla_dot_bar(f, prov.forms, k_of, x, t)
     assert np.array_equal(got, _nabla_dot_bar_written_out(f, prov.forms, k_of, x, t))
+
+
+def _nested_divergence_form(f, forms, x, t, s, blocks):
+    # the divergence-form pass as it was before the two flux passes shared
+    # their mixed points: each flux point differentiates f afresh along both
+    # axes, so f is evaluated at every point (x + a, t + b) twice
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+
+    def flux(xx, tt, row):
+        fm = forms(xx, tt)
+        sq = dg._sqrt_det_g(fm, scalar_ok=False)
+        fx = np.asarray(dg.derivative(f, xx, tt, s, axis=0, nth=1))
+        ft = np.asarray(dg.derivative(f, xx, tt, s, axis=1, nth=1))
+        out = None
+        if len(blocks) > 1:
+            out = np.empty(np.broadcast_shapes(fx.shape, np.shape(sq)))
+        for rows, tensor, weight in blocks:
+            if tensor == "g":
+                a11, a12, a22, det_a = fm.g11, fm.g12, fm.g22, fm.det_g()
+            else:
+                a11, a12, a22, det_a = fm.h11, fm.h12, fm.h22, fm.det_h()
+            w = sq if weight is None else sq * weight(xx, tt)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                if row == 0:
+                    value = w * (a22 * fx[rows] - a12 * ft[rows]) / det_a
+                else:
+                    value = w * (-a12 * fx[rows] + a11 * ft[rows]) / det_a
+            if out is None:
+                return value
+            out[rows] = value
+        return out
+
+    div = dg.derivative(lambda a, b: flux(a, b, 0), x, t, s, axis=0, nth=1)
+    div = div + dg.derivative(lambda a, b: flux(a, b, 1), x, t, s, axis=1, nth=1)
+    return div / dg._sqrt_det_g(forms(x, t), scalar_ok=True)
+
+
+def _shape_surface(case):
+    # the shape check's spectral3 surfaces at lam = +-k1/2, and ex7
+    if case == "ex7":
+        pre = resolve("ex7")
+        return pre.family.providers(pre.params), *np.meshgrid(
+            np.linspace(-0.4, 0.4, 7), np.linspace(-0.3, 0.3, 5))
+    p = resolve("ex2").params
+    sp = SolitonParams(k1=p.k1, lam=(1.0 if case == "lam+" else -1.0) * p.k1 / 2.0, mu=p.mu)
+    return SPECTRAL3.providers(sp), *xi_grid(sp, 2.0, 7, 5)
+
+
+def _operator_cases(prov):
+    # (field, blocks): the Laplacian, the K-weighted block alone, and the
+    # fused multi-row field of the shape equation (Laplacian rows, then
+    # K-weighted rows)
+    k_of = lambda a, b: prov.curvatures(a, b).K
+
+    def rows(a, b):
+        c = prov.curvatures(a, b)
+        return np.stack([c.H, c.H ** 2 - c.K, 2.0 * c.H, c.K * c.H])
+
+    return {
+        "laplacian": (lambda a, b: prov.curvatures(a, b).H, dg._WHOLE_FIELD),
+        "k-weighted": (lambda a, b: prov.curvatures(a, b).H, ((..., "h", k_of),)),
+        "fused": (rows, ((slice(0, 2), "g", None), (slice(2, None), "h", k_of))),
+    }
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("s", [dg.OPERATOR_STENCIL, dg.Stencil(1e-3, 4, False),
+                               dg.Stencil(2e-3, 2, True), dg.Stencil(1e-3, 2, False)],
+                         ids=lambda s: f"order{s.order}-{'rich' if s.richardson else 'plain'}")
+@pytest.mark.parametrize("case", ["lam+", "lam-", "ex7"])
+def test_divergence_form_is_the_nested_pass_bitwise(case, s):
+    prov, x, t = _shape_surface(case)
+    for name, (field, blocks) in _operator_cases(prov).items():
+        got = dg._divergence_form(field, prov.forms, x, t, s, blocks)
+        assert _same_bits(got, _nested_divergence_form(field, prov.forms, x, t, s, blocks)), name
+
+
+def test_divergence_form_evaluates_each_field_point_once():
+    # the x-flux's t-derivative and the t-flux's x-derivative read the same
+    # 36 mixed points (x + a, t + b): the pass evaluates the points the
+    # nested one did, each once, in 108 field calls instead of 144.  The
+    # points are random and many: on a small or round grid, nominally equal
+    # points such as (x + h) - h and x can agree bit for bit in every entry
+    prov, _, _ = _shape_surface("lam+")
+    x, t = np.random.default_rng(5).uniform(-0.5, 0.5, (2, 41, 41))
+    field, blocks = _operator_cases(prov)["fused"]
+    calls = {"shared": [], "nested": []}
+
+    def spy(name):
+        def f(xx, tt):
+            calls[name].append((xx.tobytes(), tt.tobytes()))
+            return field(xx, tt)
+        return f
+
+    s = dg.OPERATOR_STENCIL
+    dg._divergence_form(spy("shared"), prov.forms, x, t, s, blocks)
+    _nested_divergence_form(spy("nested"), prov.forms, x, t, s, blocks)
+    assert len(calls["shared"]) == len(set(calls["shared"])) == 108
+    assert len(calls["nested"]) == 144
+    assert set(calls["shared"]) == set(calls["nested"])
 
 
 def test_near_singular_mask():

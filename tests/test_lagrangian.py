@@ -279,6 +279,34 @@ def test_verify_family_groups_equal_energies_exactly(monkeypatch, preset, passes
     assert check.excluded == excluded
 
 
+@pytest.mark.parametrize("preset", ["ex2", "ex3", "ex4", "ex5"])
+def test_shape_check_evaluates_one_energy_of_nonzero_terms_per_distinct_terms(
+        monkeypatch, preset):
+    # the energy evaluated for a group is built from its terms alone, so
+    # Horner skips the explicit zero coefficients of the constrained families
+    from mkdvsurf import diffgeo, verify
+    from mkdvsurf.immersion import resolve
+
+    surface = resolve(preset)
+    sp_ = surface.params
+    terms = {lg.constrained_family(n, None, 1.0, sp_.k1, sp_.mu).terms for n in (3, 4, 5, 6)}
+    residual = diffgeo.shape_equation_residual
+    seen = []
+
+    def spy(providers, energies, *args):
+        energies = list(energies)
+        seen.append(energies)
+        return residual(providers, energies, *args)
+
+    monkeypatch.setattr(diffgeo, "shape_equation_residual", spy)
+    verify.run_checks(["shape"], surface, 9, 9)
+    energies = {id(e): e for call in seen for e in call}.values()
+    assert all(len(call) == len(terms) for call in seen)
+    assert sorted(map(id, seen[0])) == sorted(map(id, energies))
+    assert {e.terms for e in energies} == terms
+    assert all(a != 0.0 for e in energies for a in e.coeffs.values())
+
+
 def test_shape_residual_scaling_invariance():
     # scaling (E, p) together leaves the normalized residual unchanged; use a
     # detuned energy so a genuine residual (not FD noise) dominates

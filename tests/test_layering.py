@@ -7,7 +7,8 @@ and ``mesh.generate``.  The frame and closed-form modules are pointwise
 and do not difference, and ``lagrangian`` builds energies only: it
 imports neither the finite-difference oracle nor the soliton.  Every
 file the package writes is UTF-8 text with "\\n" line ends, whatever the
-platform and its locale.
+platform and its locale.  ``diffgeo._quotient`` is the one place the
+difference-quotient arithmetic is used.
 """
 
 import ast
@@ -57,6 +58,22 @@ def test_the_frame_and_closed_form_modules_do_not_difference():
                     if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
         used = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         assert not {"derivative", "Stencil"} & (imported | used), module
+
+
+def test_the_quotient_arithmetic_is_reached_only_through_one_helper():
+    # ``derivative`` and the divergence-form pass's shared reads both go
+    # through ``diffgeo._quotient``, so it is the one difference quotient
+    arithmetic = {"_d1_once", "_d2_once", "_richardson"}
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for unit in ast.parse(path.read_text()).body:
+            for node in ast.walk(unit):
+                name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else getattr(node, "attr", None) if isinstance(node, ast.Attribute)
+                        else None)
+                if name in arithmetic:
+                    users.add((path.stem, getattr(unit, "name", f"line {unit.lineno}"), name))
+    assert users == {("diffgeo", "_quotient", name) for name in arithmetic}
 
 
 def _write_mode(call):
