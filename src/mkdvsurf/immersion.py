@@ -24,7 +24,7 @@ import numpy as np
 from . import su2
 from .deformation import DeformationKind, frame_at, validate_kind
 from .diffgeo import CurvaturePair, Forms, SurfaceProviders
-from .lax import canonical_constants, phi
+from .lax import det_phi_expected, phi
 from .soliton import XI_MAX, Jet, SolitonParams, jet
 from .soliton import xi as soliton_xi
 
@@ -241,18 +241,21 @@ class Family:
         each must be finite and nonzero (not overflowed, not underflowed
         to 0).  A mu or nu of exactly 0 drops out and is left to the kind's
         rule; beside a nonzero mu, nu's powers only add to mu's terms and
-        may underflow.  So must the constants of Phi, B1 of
-        ``lax.canonical_constants`` and det Phi = 2 e^(-pi lambda/k1)
-        (k1^2 + 4 lambda^2)/k1^2 of ``lax.det_phi_expected``, and each must
-        be a normal double: with a subnormal B1, Phi^H Phi is no multiple of
-        the identity and the frame checks overflow.  spectral3's K is
-        (k1/mu)^2 times a number in [-1, 1], so (k1/mu)^4 must be finite.
-        The position's radii must be finite too.
+        may underflow.  So must Phi's weight |B1| = e^(-pi lambda/k1)/|k1|
+        (``lax``) and det Phi = 2 e^(-pi lambda/k1) (k1^2 + 4 lambda^2)/k1^2
+        of ``lax.det_phi_expected``, and each must be a normal double: with a
+        subnormal B1, Phi^H Phi is no multiple of the identity and the frame
+        checks overflow.  spectral3 does not depend on nu, so it takes only
+        nu = 0; its K is (k1/mu)^2 times a number in [-1, 1], so (k1/mu)^4
+        must be finite.  The position's radii must be finite too.
         """
         validate_kind(self.kind, p)
+        if self.kind is DeformationKind.SPECTRAL and p.nu != 0.0:
+            raise ValueError(f"nu = {p.nu:g}: the {self.name} family does not depend on nu, "
+                             "need nu = 0")
         mu_may_vanish = p.mu == 0.0
         nu_may_vanish = p.nu == 0.0 or p.mu != 0.0
-        phi = lambda: math.exp(-math.pi * p.lam / p.k1)
+        damping = lambda: math.exp(-math.pi * p.lam / p.k1)
         # (parameter shown, name, scale, may it be 0, must it be normal)
         scales = (("k1", "k1^4", lambda: p.k1 ** 4, False, False),
                   ("k1", "k1^2 + 4 lambda^2", lambda: p.k1 ** 2 + 4.0 * p.lam ** 2, False,
@@ -261,9 +264,9 @@ class Family:
                   ("nu", "nu^2", lambda: p.nu ** 2, nu_may_vanish, False),
                   ("mu", "mu^4", lambda: p.mu ** 4, mu_may_vanish, False),
                   ("nu", "nu^4", lambda: p.nu ** 4, nu_may_vanish, False),
-                  ("k1", "|B1| = e^(-pi lambda/k1)/|k1|", lambda: phi() / abs(p.k1), False,
+                  ("k1", "|B1| = e^(-pi lambda/k1)/|k1|", lambda: damping() / abs(p.k1), False,
                    True),
-                  ("k1", "det Phi", lambda: 2.0 * phi() * (p.k1 ** 2 + 4.0 * p.lam ** 2)
+                  ("k1", "det Phi", lambda: 2.0 * damping() * (p.k1 ** 2 + 4.0 * p.lam ** 2)
                    / p.k1 ** 2, False, True))
         if self.kind is DeformationKind.SPECTRAL:
             scales += (("mu", "(k1/mu)^4", lambda: (p.k1 / p.mu) ** 4, True, False),)
@@ -444,11 +447,13 @@ def resolve(
 def frame_tangents(x, t, p: SolitonParams,
                    kind: DeformationKind) -> tuple[np.ndarray, np.ndarray]:
     """Tangent vectors (y_x, y_t) = (Phi^-1 A Phi, Phi^-1 B Phi) as su(2)
-    matrices (..., 2, 2), with Phi's canonical constants; ``su2.su2_to_vec``
-    gives their vectors."""
+    matrices (..., 2, 2); ``su2.su2_to_vec`` gives their vectors.
+
+    Phi is sqrt(c) times an SU(2) matrix, c = det Phi, so its inverse is
+    Phi^H / c with the constant c of ``lax.det_phi_expected``."""
     a, b = frame_at(x, t, p, kind)[1][:2]
-    f = phi(x, t, p, canonical_constants(p))
-    finv = su2.inv(f)
+    f = phi(x, t, p)
+    finv = np.conj(np.swapaxes(f, -1, -2)) / det_phi_expected(p)
     return (su2.mul(su2.mul(finv, su2.vec_to_su2(a)), f),
             su2.mul(su2.mul(finv, su2.vec_to_su2(b)), f))
 

@@ -21,51 +21,23 @@ solutions through the complex power
        = exp(i lam xi / k1 - pi lam / (2 k1)),
 
 evaluated on the principal branch log(-e^{2 xi}) = 2 xi + i pi, and its
-reciprocal P-.  The residual checks differentiate the closed form
-numerically, so the formulas are tested rather than trusted.
+reciprocal P-.  Phi's columns weight the two solutions by (A, B) and
+(A, -B), with the one choice A = 1, B = -e^{-pi lam/k1}/k1 (``_weight_b``):
+under this branch that exponent makes Phi proportional to a unitary matrix,
+Phi^H Phi = det(Phi) I, so that Phi^{-1} X Phi is su(2)-valued for X in
+su(2) and the position vector is real.  The sign of B selects the
+orientation that reproduces the bundled closed-form positions componentwise.
+So Phi is a function of (x, t) and the soliton's parameters alone.  The
+residual checks differentiate the closed form numerically, so the formulas
+are tested rather than trusted.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import soliton, su2
 from .diffgeo import Stencil, derivative
 from .soliton import SolitonParams
-
-
-@dataclass(frozen=True)
-class PhiConstants:
-    """Integration constants of the fundamental solution on the canonical ray.
-
-    Phi's columns combine its two solutions with weights (A1, B1) and
-    (A2, B2); every Phi of this package takes A1 = A2 = A and B1 = -B2 = B
-    (see ``canonical_constants``), so the record holds the two numbers A, B.
-    """
-
-    A: complex
-    B: complex
-
-    def __post_init__(self) -> None:
-        if self.A * self.B == 0:
-            raise ValueError("degenerate constants: A*B must be nonzero")
-
-
-def canonical_constants(p: SolitonParams, scale: complex = 1.0) -> PhiConstants:
-    """The choice A1 = A2 = A, B1 = -B2 = B with B = -A e^{-pi lam/k1}/k1.
-
-    Under this module's fixed log-branch the exponent must be -pi lam/k1 to
-    make Phi proportional to a unitary matrix (constant Phi^H Phi = c I);
-    only then is Phi^{-1} A Phi su(2)-valued and the position vector real.
-    The same ray of solutions written under the opposite branch carries the
-    opposite exponent.  The phase of B rotates the surface about its first
-    axis; the sign here selects the orientation that reproduces the bundled
-    closed-form positions componentwise.  The overall ``scale`` = A drops
-    out of all conjugations.
-    """
-    a = complex(scale)
-    return PhiConstants(A=a, B=-a * np.exp(-np.pi * p.lam / p.k1) / p.k1)
 
 
 def lax_U(u, lam: float) -> np.ndarray:
@@ -109,13 +81,18 @@ def _time_factor(t, p: SolitonParams) -> np.ndarray:
     return np.exp(1j * omega * np.asarray(t, dtype=float))
 
 
-def phi(x, t, p: SolitonParams, c: PhiConstants, time_factor=None) -> np.ndarray:
+def _weight_b(p: SolitonParams) -> float:
+    """B = -e^{-pi lam/k1}/k1, the weight of Phi's second solution (A = 1)."""
+    return -np.exp(-np.pi * p.lam / p.k1) / p.k1
+
+
+def phi(x, t, p: SolitonParams, time_factor=None) -> np.ndarray:
     """Closed-form fundamental solution Phi(x, t), shape (..., 2, 2).
 
     ``time_factor`` is ``_time_factor(t, p)``, for a caller that already
-    holds it for this t, as a stencil along x does.  With A2 = A1 and B2 = -B1 the second
-    column is the first column's A-term minus its B-term; IEEE products and
-    negation are sign-symmetric, so that is bitwise the sum with -B.
+    holds it for this t, as a stencil along x does.  The second column is
+    the first column's A-term minus its B-term; IEEE products and negation
+    are sign-symmetric, so that is bitwise the sum with -B.
     """
     j = soliton.jet(x, t, p)
     z, s, tau = j.xi, j.s, j.tau
@@ -123,13 +100,14 @@ def phi(x, t, p: SolitonParams, c: PhiConstants, time_factor=None) -> np.ndarray
     ea = _time_factor(t, p) if time_factor is None else time_factor
     eb = np.broadcast_to(np.conj(ea), z.shape)
     ea = np.broadcast_to(ea, z.shape)
+    b = _weight_b(p)
 
     top = (2.0 * p.lam + 1j * p.k1 * tau) * p_plus
     bot = (p.k1 * tau + 2.0j * p.lam) * p_minus
-    a0 = -(1j / p.k1) * c.A * ea * top
-    b0 = 1j * p.k1 * c.B * eb * p_minus * s
-    a1 = 1j * c.A * ea * p_plus * s
-    b1 = c.B * eb * bot
+    a0 = -(1j / p.k1) * ea * top
+    b0 = 1j * p.k1 * b * eb * p_minus * s
+    a1 = 1j * ea * p_plus * s
+    b1 = b * eb * bot
 
     out = np.empty(z.shape + (2, 2), dtype=complex)
     np.add(a0, b0, out=out[..., 0, 0])
@@ -139,13 +117,13 @@ def phi(x, t, p: SolitonParams, c: PhiConstants, time_factor=None) -> np.ndarray
     return out
 
 
-def det_phi_expected(p: SolitonParams, c: PhiConstants) -> complex:
-    """The constant det(Phi) = ((k1^2 + 4 lam^2)/k1) (A1 B2 - A2 B1),
-    with A1 = A2 = A and B1 = -B2 = B."""
-    return (p.k1 ** 2 + 4.0 * p.lam ** 2) / p.k1 * (c.A * -c.B - c.A * c.B)
+def det_phi_expected(p: SolitonParams) -> float:
+    """The constant det(Phi) = ((k1^2 + 4 lam^2)/k1) (A (-B) - A B) with A = 1,
+    which is 2 e^{-pi lam/k1} (k1^2 + 4 lam^2)/k1^2 > 0."""
+    return (p.k1 ** 2 + 4.0 * p.lam ** 2) / p.k1 * (-2.0 * _weight_b(p))
 
 
-def lax_residuals(x, t, p: SolitonParams, c: PhiConstants, h: float):
+def lax_residuals(x, t, p: SolitonParams, h: float):
     """(Phi_x - U Phi, Phi_t - V Phi, Phi), Phi differenced by ``diffgeo.derivative``:
     order 2 at step h with one Richardson level, (4 d(h/2) - d(h))/3.
 
@@ -156,15 +134,15 @@ def lax_residuals(x, t, p: SolitonParams, c: PhiConstants, h: float):
     ea = _time_factor(t, p)
 
     def f(xx, tt):
-        return phi(xx, tt, p, c)
+        return phi(xx, tt, p)
 
     def f_x(xx, tt):
-        return phi(xx, tt, p, c, ea)
+        return phi(xx, tt, p, ea)
 
     s = Stencil(h, order=2, richardson=True)
     phi_x = derivative(f_x, x, t, s, axis=0)
     phi_t = derivative(f, x, t, s, axis=1)
-    ph = phi(x, t, p, c, ea)
+    ph = phi(x, t, p, ea)
     res_x = phi_x - su2.mul(su2.vec_to_su2(lax_U(j.u, p.lam)), ph)
     res_t = phi_t - su2.mul(su2.vec_to_su2(lax_V(j.u, j.u_x, p.lam, p.alpha)), ph)
     return res_x, res_t, ph

@@ -12,10 +12,11 @@ these components the algebra is real vector algebra:
     ||X||  = sqrt(|<X, X>|)     =   |x|.
 
 Complex 2x2 matrices (``vec_to_su2``, ``su2_to_vec``) are needed
-only where an SL(2, C) matrix such as the fundamental solution Phi acts.
-Stacked 2x2 arithmetic (``mul``, ``det``, ``inv``) is written out entry by
-entry: numpy's ``@`` and ``np.linalg`` call BLAS or LAPACK once per 2x2
-matrix of a grid, which costs several times the arithmetic itself.  For the
+only where a matrix such as the fundamental solution Phi acts.  Stacked 2x2
+arithmetic (``mul``, ``det``) is written out entry by entry: numpy's ``@``
+and ``np.linalg`` call BLAS or LAPACK once per 2x2 matrix of a grid, which
+costs several times the arithmetic itself.  No inverse is needed: Phi is a
+multiple of a unitary matrix, so Phi^-1 = Phi^H / det Phi.  For the
 same reason the sums over the three components (``su2_inner``,
 ``su2_norm``) are written out; summed left to right, they are bitwise the
 numpy reductions.
@@ -86,16 +87,6 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def det(m: np.ndarray) -> np.ndarray:
     """The determinant of stacked 2x2 matrices, shape (...)."""
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
-def inv(m: np.ndarray) -> np.ndarray:
-    """The inverse of stacked 2x2 matrices, as adjugate / determinant."""
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 1, 1] = m[..., 0, 0]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    return out / det(m)[..., None, None]
 
 
 # Tolerance of the su(2) membership test of su2_to_vec.

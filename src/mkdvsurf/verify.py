@@ -26,7 +26,7 @@ from . import diffgeo, immersion, lagrangian, su2
 from .deformation import (DeformationKind, ab_compatibility_residual, curvatures_from_forms,
                           forms_from_ab)
 from .immersion import SPECTRAL3, Surface, _half_k1
-from .lax import canonical_constants, det_phi_expected, lax_residuals, zero_curvature_residual
+from .lax import det_phi_expected, lax_residuals, zero_curvature_residual
 from .soliton import SolitonParams, check_grid, jet, tiled, xi_grid
 
 __all__ = [
@@ -135,6 +135,11 @@ def _jsonable(v: float):
     return float(v) if np.isfinite(v) else None
 
 
+# Half-width of the square [-2,2]^2 that the lax, compat, sphere and
+# consistency checks clip the window to.
+CLIP_HALF = 2.0
+
+
 @dataclass(frozen=True)
 class _Config:
     surface: Surface
@@ -148,8 +153,9 @@ class _Config:
 
     def clipped_grid(self):
         """(x, t, label) of the grid over the window clipped to [-2,2]^2; the
-        label gives the bounds sampled."""
-        x, t = self.surface.grid(self.nx, self.nt, half=2.0)
+        label gives the bounds sampled.  ``_clipped`` is the checks' rule
+        that it has a positive width on both axes."""
+        x, t = self.surface.grid(self.nx, self.nt, half=CLIP_HALF)
         xr, tr = (float(x[0, 0]), float(x[0, -1])), (float(t[0, 0]), float(t[-1, 0]))
         detail = "on [-2,2]^2" if xr == tr == (-2.0, 2.0) else _window_label(xr, tr)
         return x, t, self.label(detail)
@@ -185,6 +191,15 @@ def _anywhere(surface: Surface) -> str | None:
     return None
 
 
+def _clipped(surface: Surface) -> str | None:
+    """The window must overlap [-2,2]^2 in an interval of positive width on
+    each axis, or the clipped grid would run outside it."""
+    for axis, (lo, hi) in (("x", surface.x_range), ("t", surface.t_range)):
+        if not max(lo, -CLIP_HALF) < min(hi, CLIP_HALF):
+            return f"requires the {axis} window to overlap (-2,2)"
+    return None
+
+
 def _spectral3(surface: Surface) -> str | None:
     return None if surface.family is SPECTRAL3 else "spectral3-family check"
 
@@ -200,7 +215,7 @@ def _round_sphere(surface: Surface) -> str | None:
         return "requires lambda != 0"
     if p.mu == 0.0:
         return "requires mu != 0"
-    return None
+    return _clipped(surface)
 
 
 # Runners: (cfg, name, tol, h) -> CheckResult, with h the check's resolved
@@ -223,15 +238,14 @@ def _entry_max(m: np.ndarray) -> np.ndarray:
 
 def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p = cfg.surface.params
-    c = canonical_constants(p)
     x, t, label = cfg.clipped_grid()
 
     def pointwise(xx, tt):
-        rx, rt, ph = lax_residuals(xx, tt, p, c, h=h)
+        rx, rt, ph = lax_residuals(xx, tt, p, h=h)
         return np.maximum(_entry_max(np.abs(rx)), _entry_max(np.abs(rt))), su2.det(ph)
 
     res, dets = tiled(pointwise, x, t)
-    expected = det_phi_expected(p, c)
+    expected = det_phi_expected(p)
     det_rel = float(np.max(np.abs(dets - expected)) / abs(expected))
     mx, med = _stats(res)
     return CheckResult(
@@ -462,15 +476,16 @@ class _Check:
 _OPERATOR_STEPS = (1e-4, diffgeo.OPERATOR_STENCIL.h, 1e-2)
 _CHECKS: dict[str, _Check] = {
     "zerocurv": _Check(_check_zerocurv, 1e-10),
-    "lax": _Check(_check_lax, 1e-6, steps=(1e-8, 1e-6, 1e-2)),
-    "compat": _Check(_check_compat, 1e-9),
+    "lax": _Check(_check_lax, 1e-6, steps=(1e-8, 1e-6, 1e-2), requires=_clipped),
+    "compat": _Check(_check_compat, 1e-9, requires=_clipped),
     "forms": _Check(_check_forms, 1e-8),
     "weingarten": _Check(_check_weingarten, 1e-9, requires=_spectral3),
     "willmore": _Check(_check_willmore, 1e-4, steps=_OPERATOR_STEPS,
                        requires=_spectral3_half_k1),
     "shape": _Check(_check_shape, 1e-3, steps=_OPERATOR_STEPS, requires=_spectral3),
     "sphere": _Check(_check_sphere, 1e-6, requires=_round_sphere),
-    "consistency": _Check(_check_consistency, 1e-6, steps=(1e-8, 1e-3, 5e-3)),
+    "consistency": _Check(_check_consistency, 1e-6, steps=(1e-8, 1e-3, 5e-3),
+                          requires=_clipped),
     "weingarten-paper-literal": _Check(partial(_check_weingarten, paper_literal=True),
                                        1e-9, requires=_spectral3, opt_in=True),
 }

@@ -24,7 +24,7 @@ from mkdvsurf.immersion import (
     three_param_forms_closed,
     weingarten_residuals,
 )
-from mkdvsurf.lax import canonical_constants, det_phi_expected, lax_residuals, phi, zero_curvature_residual
+from mkdvsurf.lax import det_phi_expected, lax_residuals, phi, zero_curvature_residual
 from mkdvsurf.soliton import SolitonParams, jet, xi_grid
 from mkdvsurf.verify import run_checks
 
@@ -58,11 +58,10 @@ def test_criterion_02_frame_solution():
     worst_fd, worst_det = 0.0, 0.0
     for k1, lam in [(1.0, 0.0), (2.0, 1.0), (2.0, -0.5), (3.0, 0.25)]:
         p = SolitonParams(k1, lam)
-        c = canonical_constants(p)
-        rx, rt, _ = lax_residuals(x, t, p, c, h=1e-6)
+        rx, rt, _ = lax_residuals(x, t, p, h=1e-6)
         worst_fd = max(worst_fd, float(np.max(np.abs(rx))), float(np.max(np.abs(rt))))
-        dets = np.linalg.det(phi(x, t, p, c))
-        expected = det_phi_expected(p, c)
+        dets = np.linalg.det(phi(x, t, p))
+        expected = det_phi_expected(p)
         worst_det = max(worst_det, float(np.max(np.abs(dets - expected)) / abs(expected)))
     ok = worst_fd < 1e-6 and worst_det < 1e-10
     assert _line(2, ok, f"max FD residual {worst_fd:.2e} (tol 1e-6), "

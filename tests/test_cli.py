@@ -130,6 +130,10 @@ BAD_SURFACES = [
      "det Phi"),
     # radii that overflow
     (("--family", "spectralgauge4", "--k1", "2", "--nu", "1e308"), "nu"),
+    # spectral3 does not depend on nu: a nonzero nu would only be written
+    # into the JSON export
+    (("--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "-8", "--nu", "5"),
+     "nu = 5: the spectral3 family does not depend on nu"),
     # a window must be finite, in order and of nonzero width
     (("--preset", "ex2", "--x-min", "2", "--x-max", "-2"), "x_range"),
     (("--preset", "ex6", "--t-min", "1", "--t-max", "1"), "t_range"),
@@ -316,6 +320,29 @@ def test_sphere_skips_the_unit_sphere_of_mu_0(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: check 'sphere' incompatible: requires mu != 0\n"
+
+
+@pytest.mark.parametrize("window, axis", [
+    # clipped to [-2,2], x would run over [2,5], outside the window
+    (("--x-min", "5", "--x-max", "10"), "x"),
+    # and t over the single row t = 2
+    (("--t-min", "2", "--t-max", "5"), "t"),
+])
+def test_clipped_checks_skip_a_window_off_the_clip_square(capsys, window, axis):
+    # --checks all skips the four checks of the clipped grid with the reason,
+    # and naming one aborts with it
+    surface = ("--preset", "ex2", *window, "--nx", "9", "--nt", "9")
+    clipped = ("lax", "compat", "sphere", "consistency")
+    reason = f"requires the {axis} window to overlap (-2,2)"
+    code, out, err = run(capsys, "verify", *surface, "--checks", "all")
+    assert code == 0, err
+    lines = {line.split()[0]: line for line in out.splitlines()}
+    assert all("skip" in lines[name] and reason in lines[name] for name in clipped)
+    assert out.endswith("overall: pass\n")
+    for name in clipped:
+        code, out, err = run(capsys, "verify", *surface, "--checks", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: check {name!r} incompatible: {reason}\n"
 
 
 def test_forms_without_a_point_off_the_poles_exit_2(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mkdvsurf import immersion, mesh, soliton, su2, verify
-from mkdvsurf.deformation import DeformationKind, curvatures_from_forms, forms_from_ab
+from mkdvsurf.deformation import DeformationKind, curvatures_from_forms, forms_from_ab, frame_at
 from mkdvsurf.immersion import (
     DEFAULT_WINDOW,
     FAMILIES,
@@ -26,6 +26,7 @@ from mkdvsurf.immersion import (
     three_param_position,
     weingarten_residuals,
 )
+from mkdvsurf.lax import phi
 from mkdvsurf.soliton import XI_MAX, SolitonParams, jet
 
 GRID = np.meshgrid(np.linspace(-2, 2, 13), np.linspace(-2, 2, 13))
@@ -123,6 +124,20 @@ def test_frame_tangent_lengths_match_metric():
     assert np.allclose(np.sum(yx * yx, axis=-1), f.g11, rtol=1e-10)
     assert np.allclose(np.sum(yx * yt, axis=-1), f.g12, rtol=1e-10)
     assert np.allclose(np.sum(yt * yt, axis=-1), f.g22, rtol=1e-10)
+
+
+@pytest.mark.parametrize("pid", sorted(PRESETS))
+def test_frame_tangents_match_the_general_inverse(pid):
+    # Phi^H / det Phi against numpy's inverse of Phi, on the clipped grid of
+    # the consistency check: the two agree to rounding
+    surface = resolve(pid)
+    p, kind = surface.params, surface.family.kind
+    x, t = surface.grid(41, 41, half=2.0)
+    f = phi(x, t, p)
+    finv = np.linalg.inv(f)
+    for got, v in zip(frame_tangents(x, t, p, kind), frame_at(x, t, p, kind)[1][:2]):
+        want = finv @ su2.vec_to_su2(v) @ f
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("pid", ["ex2", "ex3", "ex4", "ex5"])
