@@ -12,12 +12,12 @@ one-soliton background:
 
 Each kind is one function from the soliton jet (``soliton.Jet``) to its
 whole :class:`Frame`, (A, B) with their closed-form x and t derivatives, and
-``_FRAMES`` is the one map from a kind to that function; :func:`frame_at`
-evaluates the jet once and returns it with the frame.  From (A, B) and the
-frame normal C = [A, B]/||[A, B]|| the first and second fundamental forms
-follow, and from those the Gaussian and mean curvatures.  The closed forms
-these are checked against live in ``immersion``.  Everything here is
-pointwise; grid statistics such as the sphere check's mean K are in ``verify``.
+``_FRAMES`` is the one map from a kind to that function; :func:`frame` looks
+it up.  From (A, B) and the frame normal C = [A, B]/||[A, B]|| the first and
+second fundamental forms follow, and from those the Gaussian and mean
+curvatures; the closed forms they are checked against live in ``immersion``.
+Everything here is pointwise on the caller's jet, which carries p, x and t;
+grid statistics such as the sphere check's mean K are in ``verify``.
 
 Every su(2) element here, A, B, their derivatives and U, V, is a Pauli-
 component vector built by su2.vec: (x1, x2, x3) encodes the matrix
@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import soliton, su2
+from . import su2
 from .diffgeo import CurvaturePair, Forms, SingularPointError
 from .lax import lax_U, lax_V
 from .soliton import Jet, SolitonParams
@@ -61,9 +61,9 @@ class Frame(NamedTuple):
     b_t: np.ndarray
 
 
-def _spectral_frame(j: Jet, p: SolitonParams) -> Frame:
+def _spectral_frame(j: Jet) -> Frame:
     """A = mu dU/dlam (constant diagonal), B = mu dV/dlam."""
-    u = np.asarray(j.u, dtype=float)
+    p, u = j.p, np.asarray(j.u, dtype=float)
     zero = su2.vec(np.zeros_like(u), 0.0, 0.0)
     return Frame(
         a=su2.vec(np.zeros_like(u), 0.0, 0.5 * p.mu),
@@ -75,9 +75,9 @@ def _spectral_frame(j: Jet, p: SolitonParams) -> Frame:
     )
 
 
-def _spectral_gauge_frame(j: Jet, p: SolitonParams) -> Frame:
+def _spectral_gauge_frame(j: Jet) -> Frame:
     """The spectral pair plus the gauge pair with M = i nu sigma2."""
-    u = np.asarray(j.u, dtype=float)
+    p, u = j.p, np.asarray(j.u, dtype=float)
     ux, ut = j.u_x, j.u_t
     omega = p.alpha + p.alpha * p.lam + p.lam ** 2
     c = p.alpha + p.lam
@@ -93,9 +93,9 @@ def _spectral_gauge_frame(j: Jet, p: SolitonParams) -> Frame:
     )
 
 
-def _symmetry_frame(j: Jet, p: SolitonParams) -> Frame:
+def _symmetry_frame(j: Jet) -> Frame:
     """A = mu dU[u_x], B = mu dV[u_x]: the linearization along phi = u_x."""
-    u = np.asarray(j.u, dtype=float)
+    p, u = j.p, np.asarray(j.u, dtype=float)
     ux, ut, uxx, uxt = j.u_x, j.u_t, j.u_xx, j.u_xt
     m = -0.5 * p.mu
     c = p.alpha + p.lam
@@ -110,23 +110,22 @@ def _symmetry_frame(j: Jet, p: SolitonParams) -> Frame:
 
 
 # The one map from a deformation kind to its frame.
-_FRAMES: dict[DeformationKind, Callable[[Jet, SolitonParams], Frame]] = {
+_FRAMES: dict[DeformationKind, Callable[[Jet], Frame]] = {
     DeformationKind.SPECTRAL: _spectral_frame,
     DeformationKind.SPECTRAL_GAUGE: _spectral_gauge_frame,
     DeformationKind.SYMMETRY_UX: _symmetry_frame,
 }
 
 
-def frame_at(x, t, p: SolitonParams, kind: DeformationKind) -> tuple[Jet, Frame]:
-    """The soliton jet at (x, t) and the family's frame on it."""
-    validate_kind(kind, p)
-    j = soliton.jet(x, t, p)
-    return j, _FRAMES[kind](j, p)
+def frame(j: Jet, kind: DeformationKind) -> Frame:
+    """The family's frame on the soliton jet j."""
+    validate_kind(kind, j.p)
+    return _FRAMES[kind](j)
 
 
-def ab_compatibility_residual(x, t, p: SolitonParams, kind: DeformationKind):
+def ab_compatibility_residual(j: Jet, kind: DeformationKind):
     """A_t - B_x + [A, V] + [U, B] with closed-form derivatives."""
-    j, (a, b, _, a_t, b_x, _) = frame_at(x, t, p, kind)
+    p, (a, b, _, a_t, b_x, _) = j.p, frame(j, kind)
     U = lax_U(j.u, p.lam)
     V = lax_V(j.u, j.u_x, p.lam, p.alpha)
     return a_t - b_x + su2.commutator(a, V) + su2.commutator(U, b)
@@ -136,7 +135,7 @@ def ab_compatibility_residual(x, t, p: SolitonParams, kind: DeformationKind):
 NORMAL_DEGENERACY_RTOL = 1e-12
 
 
-def forms_from_ab(x, t, p: SolitonParams, kind: DeformationKind) -> Forms:
+def forms_from_ab(j: Jet, kind: DeformationKind) -> Forms:
     """Fundamental forms from the frame (A, B, U, V).
 
     g = (<A,A>, <A,B>, <B,B>) and
@@ -146,7 +145,7 @@ def forms_from_ab(x, t, p: SolitonParams, kind: DeformationKind) -> Forms:
     the h coefficients for array input and raise SingularPointError for
     scalar input.
     """
-    j, (a, b, a_x, a_t, _, b_t) = frame_at(x, t, p, kind)
+    p, (a, b, a_x, a_t, _, b_t) = j.p, frame(j, kind)
     U = lax_U(j.u, p.lam)
     V = lax_V(j.u, j.u_x, p.lam, p.alpha)
 

@@ -2,13 +2,14 @@
 
 Position vectors for the three-parameter (spectral) and four-parameter
 (spectral-gauge) families and their closed-form fundamental forms and
-curvatures, each a function of the soliton's jet (``soliton.Jet``),
-bundled per family in a :class:`Family` record; the bundled
-example presets and :func:`resolve`, which turns a preset or a family with
+curvatures, bundled per family in a :class:`Family` record; the example
+presets and :func:`resolve`, which turns a preset or a family with
 parameters into one validated :class:`Surface`; curvature-relation
 residuals; and the frame tangents Phi^-1 A Phi and Phi^-1 B Phi that the
 position's derivatives are checked against.  Everything here is closed form
-and pointwise; ``verify`` differences the position and reduces over grids.
+and pointwise and is handed the caller's ``soliton.Jet``; only
+``Family.providers`` and :func:`asymptotic_deviation`, which take (x, t),
+evaluate one.  ``verify`` differences the position and reduces over grids.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import su2
-from .deformation import DeformationKind, frame_at, validate_kind
+from .deformation import DeformationKind, frame, validate_kind
 from .diffgeo import CurvaturePair, Forms, SurfaceProviders
 from .lax import det_phi_expected, phi
 from .soliton import XI_MAX, Jet, SolitonParams, jet
@@ -106,7 +107,8 @@ def three_param_curvatures_closed(j: Jet) -> CurvaturePair:
     """Gaussian and mean curvature of the three-parameter family."""
     p, s = j.p, j.s
     k = (p.k1 ** 2 / p.mu ** 2) * (2.0 * s ** 2 - 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # near XI_MAX sech xi is subnormal and H overflows to inf, a singular point
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         h = (6.0 * p.k1 ** 2 * s ** 2 + 4.0 * p.lam ** 2 - p.k1 ** 2) / (
             4.0 * p.mu * p.k1 * s
         )
@@ -444,16 +446,16 @@ def resolve(
     return Surface(fam, params, xr, tr, pid)
 
 
-def frame_tangents(x, t, p: SolitonParams,
-                   kind: DeformationKind) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent vectors (y_x, y_t) = (Phi^-1 A Phi, Phi^-1 B Phi) as su(2)
-    matrices (..., 2, 2); ``su2.su2_to_vec`` gives their vectors.
+def frame_tangents(j: Jet, kind: DeformationKind) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent vectors (y_x, y_t) = (Phi^-1 A Phi, Phi^-1 B Phi), (A, B) and
+    Phi both on the jet j, as su(2) matrices (..., 2, 2); ``su2.su2_to_vec``
+    gives their vectors.
 
     Phi is sqrt(c) times an SU(2) matrix, c = det Phi, so its inverse is
     Phi^H / c with the constant c of ``lax.det_phi_expected``."""
-    a, b = frame_at(x, t, p, kind)[1][:2]
-    f = phi(x, t, p)
-    finv = np.conj(np.swapaxes(f, -1, -2)) / det_phi_expected(p)
+    a, b = frame(j, kind)[:2]
+    f = phi(j)
+    finv = np.conj(np.swapaxes(f, -1, -2)) / det_phi_expected(j.p)
     return (su2.mul(su2.mul(finv, su2.vec_to_su2(a)), f),
             su2.mul(su2.mul(finv, su2.vec_to_su2(b)), f))
 

@@ -8,11 +8,11 @@ The linear system is Phi_x = U Phi, Phi_t = V Phi with
 
 Its integrability condition U_t - V_x + [U, V] = 0 is equivalent to the
 traveling-wave equation the soliton satisfies.  ``lax_U`` and ``lax_V`` take
-the values u and u_x, which the residuals here read from one
-``soliton.jet``; Phi reads xi, sech xi and tanh xi from its own jet.  U and
-V are su(2)-valued and are held
-as Pauli-component vectors (see ``su2``); Phi is a complex 2x2 matrix, so
-they meet as matrices only in ``lax_residuals``, through ``su2.mul``.
+the values u and u_x; ``phi`` and the residuals take the caller's
+``soliton.Jet`` and read u, u_x, xi, sech xi and tanh xi from it.  U and V
+are su(2)-valued and are held as Pauli-component vectors (see ``su2``); Phi
+is a complex 2x2 matrix, so they meet as matrices only in ``lax_residuals``,
+through ``su2.mul``.
 
 For u = k1 sech(xi), each entry of Phi combines the two independent
 solutions through the complex power
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import soliton, su2
 from .diffgeo import Stencil, derivative
-from .soliton import SolitonParams
+from .soliton import Jet, SolitonParams
 
 
 def lax_U(u, lam: float) -> np.ndarray:
@@ -56,10 +56,9 @@ def lax_V(u, u_x, lam: float, alpha: float) -> np.ndarray:
     return su2.vec(-0.5 * (alpha + lam) * u, -0.5 * np.asarray(u_x, dtype=float), -0.5 * w)
 
 
-def zero_curvature_residual(x, t, p: SolitonParams) -> np.ndarray:
+def zero_curvature_residual(j: Jet) -> np.ndarray:
     """U_t - V_x + [U, V] as a vector, with all derivatives in closed form."""
-    j = soliton.jet(x, t, p)
-    u = np.asarray(j.u, dtype=float)
+    p, u = j.p, np.asarray(j.u, dtype=float)
     ux = j.u_x
     U = lax_U(u, p.lam)
     V = lax_V(u, ux, p.lam, p.alpha)
@@ -86,18 +85,17 @@ def _weight_b(p: SolitonParams) -> float:
     return -np.exp(-np.pi * p.lam / p.k1) / p.k1
 
 
-def phi(x, t, p: SolitonParams, time_factor=None) -> np.ndarray:
-    """Closed-form fundamental solution Phi(x, t), shape (..., 2, 2).
+def phi(j: Jet, time_factor=None) -> np.ndarray:
+    """Closed-form fundamental solution Phi at the jet's (x, t), shape (..., 2, 2).
 
-    ``time_factor`` is ``_time_factor(t, p)``, for a caller that already
+    ``time_factor`` is ``_time_factor(j.t, j.p)``, for a caller that already
     holds it for this t, as a stencil along x does.  The second column is
     the first column's A-term minus its B-term; IEEE products and negation
     are sign-symmetric, so that is bitwise the sum with -B.
     """
-    j = soliton.jet(x, t, p)
-    z, s, tau = j.xi, j.s, j.tau
+    p, z, s, tau = j.p, j.xi, j.s, j.tau
     p_plus, p_minus = _power_factors(z, p)
-    ea = _time_factor(t, p) if time_factor is None else time_factor
+    ea = _time_factor(j.t, p) if time_factor is None else time_factor
     eb = np.broadcast_to(np.conj(ea), z.shape)
     ea = np.broadcast_to(ea, z.shape)
     b = _weight_b(p)
@@ -123,26 +121,27 @@ def det_phi_expected(p: SolitonParams) -> float:
     return (p.k1 ** 2 + 4.0 * p.lam ** 2) / p.k1 * (-2.0 * _weight_b(p))
 
 
-def lax_residuals(x, t, p: SolitonParams, h: float):
-    """(Phi_x - U Phi, Phi_t - V Phi, Phi), Phi differenced by ``diffgeo.derivative``:
+def lax_residuals(j: Jet, h: float):
+    """(Phi_x - U Phi, Phi_t - V Phi, Phi) on j, Phi differenced by ``diffgeo.derivative``:
     order 2 at step h with one Richardson level, (4 d(h/2) - d(h))/3.
 
     The third entry is Phi on the grid itself, returned so that a caller can
     test det Phi without evaluating it again."""
-    j = soliton.jet(x, t, p)
-    # the x stencil shifts x alone, so its points share the grid's time factor
-    ea = _time_factor(t, p)
+    p = j.p
+    # the stencil's points are off j's, so they evaluate jets of their own; the x
+    # stencil shifts x alone, so its points share the grid's time factor
+    ea = _time_factor(j.t, p)
 
     def f(xx, tt):
-        return phi(xx, tt, p)
+        return phi(soliton.jet(xx, tt, p))
 
     def f_x(xx, tt):
-        return phi(xx, tt, p, ea)
+        return phi(soliton.jet(xx, tt, p), ea)
 
     s = Stencil(h, order=2, richardson=True)
-    phi_x = derivative(f_x, x, t, s, axis=0)
-    phi_t = derivative(f, x, t, s, axis=1)
-    ph = phi(x, t, p, ea)
+    phi_x = derivative(f_x, j.x, j.t, s, axis=0)
+    phi_t = derivative(f, j.x, j.t, s, axis=1)
+    ph = phi(j, ea)
     res_x = phi_x - su2.mul(su2.vec_to_su2(lax_U(j.u, p.lam)), ph)
     res_t = phi_t - su2.mul(su2.vec_to_su2(lax_V(j.u, j.u_x, p.lam, p.alpha)), ph)
     return res_x, res_t, ph

@@ -4,9 +4,9 @@ The wave coordinate is xi = k1 (k1^2 t + 4 x) / 8, so that
 d(xi)/dx = k1/2 and d(xi)/dt = k1^3/8, and the wave speed constant is
 alpha = k1^2 / 4.  :func:`jet` evaluates xi, sech(xi) and tanh(xi) once at
 a set of points, and the returned :class:`Jet` gives u and its x and t
-derivatives as exact chain-rule expressions in sech(xi) and tanh(xi).  The
-frame code (``lax``, ``deformation``, ``immersion``) reads the soliton only
-through a jet, so this module is the one place the soliton is evaluated.
+derivatives as exact chain-rule expressions in sech(xi) and tanh(xi).  Every
+pointwise kernel (``lax``, ``deformation``, ``immersion``) is handed its
+caller's jet; only the functions that take (x, t) call :func:`jet`.
 """
 from __future__ import annotations
 

@@ -224,7 +224,7 @@ def _round_sphere(surface: Surface) -> str | None:
 def _check_zerocurv(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
     x, t = cfg.surface.grid(cfg.nx, cfg.nt)
-    res = tiled(lambda xx, tt: np.abs(zero_curvature_residual(xx, tt, p)), x, t)
+    res = tiled(lambda xx, tt: np.abs(zero_curvature_residual(jet(xx, tt, p))), x, t)
     return _result(name, cfg.label(), tol, res)
 
 
@@ -241,7 +241,7 @@ def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     x, t, label = cfg.clipped_grid()
 
     def pointwise(xx, tt):
-        rx, rt, ph = lax_residuals(xx, tt, p, h=h)
+        rx, rt, ph = lax_residuals(jet(xx, tt, p), h=h)
         return np.maximum(_entry_max(np.abs(rx)), _entry_max(np.abs(rt))), su2.det(ph)
 
     res, dets = tiled(pointwise, x, t)
@@ -262,17 +262,17 @@ def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
 def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
     x, t, label = cfg.clipped_grid()
+    # the spectral and symmetry frames are mu times a fixed frame,
+    # identically zero at mu = 0, so they are tested at mu = 1; the jet
+    # depends on k1 alone, so one jet serves every kind's parameters
+    kind_params = {kind: SolitonParams(p.k1, p.lam, mu=1.0, nu=p.nu)
+             if kind is not DeformationKind.SPECTRAL_GAUGE and p.mu == 0.0 else p
+             for kind in DeformationKind}
 
     def pointwise(xx, tt):
-        res = []
-        for kind in DeformationKind:
-            kp = p
-            # the spectral and symmetry frames are mu times a fixed frame,
-            # identically zero at mu = 0, so they are tested at mu = 1
-            if kind is not DeformationKind.SPECTRAL_GAUGE and p.mu == 0.0:
-                kp = SolitonParams(p.k1, p.lam, mu=1.0, nu=p.nu)
-            res.append(np.abs(ab_compatibility_residual(xx, tt, kp, kind)))
-        return tuple(res)
+        j = jet(xx, tt, p)
+        return tuple(np.abs(ab_compatibility_residual(replace(j, p=kp), kind))
+                     for kind, kp in kind_params.items())
 
     return _result(name, label, tol, np.stack(tiled(pointwise, x, t)),
                    note="all three deformation families")
@@ -289,7 +289,7 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
 
     def pointwise(xx, tt):
         j = jet(xx, tt, p)
-        cur = curvatures_from_forms(forms_from_ab(xx, tt, p, fam.kind))
+        cur = curvatures_from_forms(forms_from_ab(j, fam.kind))
         closed = fam.curvatures(j)
         return (cur.K, cur.H, closed.K, closed.H, fam.orientation(j),
                 np.abs(fam.denominator(j)))
@@ -408,7 +408,7 @@ def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     x, t, label = cfg.clipped_grid()
 
     def pointwise(xx, tt):
-        cur = curvatures_from_forms(forms_from_ab(xx, tt, p, DeformationKind.SYMMETRY_UX))
+        cur = curvatures_from_forms(forms_from_ab(jet(xx, tt, p), DeformationKind.SYMMETRY_UX))
         return cur.K, cur.H
 
     cur_k, cur_h = tiled(pointwise, x, t)
@@ -436,7 +436,7 @@ def _check_consistency(cfg: _Config, name: str, tol: float, h: float) -> CheckRe
     def pointwise(xx, tt):
         return (diffgeo.derivative(position, xx, tt, s, axis=0),
                 diffgeo.derivative(position, xx, tt, s, axis=1),
-                *immersion.frame_tangents(xx, tt, p, fam.kind))
+                *immersion.frame_tangents(jet(xx, tt, p), fam.kind))
 
     yx_fd, yt_fd, yx_fr, yt_fr = tiled(pointwise, x, t)
     # the su(2) test of the tangents runs on the whole grid, so its bound

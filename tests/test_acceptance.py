@@ -46,7 +46,7 @@ def test_criterion_01_zero_curvature():
     worst = 0.0
     for k1 in (1.0, 2.0, 3.0):
         for lam in (0.0, 1.0, -1.0):
-            res = zero_curvature_residual(x, t, SolitonParams(k1, lam))
+            res = zero_curvature_residual(jet(x, t, SolitonParams(k1, lam)))
             worst = max(worst, float(np.max(np.abs(res))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 2.0
@@ -58,9 +58,10 @@ def test_criterion_02_frame_solution():
     worst_fd, worst_det = 0.0, 0.0
     for k1, lam in [(1.0, 0.0), (2.0, 1.0), (2.0, -0.5), (3.0, 0.25)]:
         p = SolitonParams(k1, lam)
-        rx, rt, _ = lax_residuals(x, t, p, h=1e-6)
+        j = jet(x, t, p)
+        rx, rt, _ = lax_residuals(j, h=1e-6)
         worst_fd = max(worst_fd, float(np.max(np.abs(rx))), float(np.max(np.abs(rt))))
-        dets = np.linalg.det(phi(x, t, p))
+        dets = np.linalg.det(phi(j))
         expected = det_phi_expected(p)
         worst_det = max(worst_det, float(np.max(np.abs(dets - expected)) / abs(expected)))
     ok = worst_fd < 1e-6 and worst_det < 1e-10
@@ -74,8 +75,9 @@ def test_criterion_03_deformation_compatibility():
     for k1, lam, mu, nu in [(1.0, 0.0, 1.0, 0.5), (2.0, 1.0, -8.0, 1.0),
                             (3.0, -0.5, 2.0, -1.0)]:
         p = SolitonParams(k1, lam, mu, nu)
+        j = jet(x, t, p)
         for kind in DeformationKind:
-            res = ab_compatibility_residual(x, t, p, kind)
+            res = ab_compatibility_residual(j, kind)
             worst = max(worst, float(np.max(np.abs(res))))
     ok = worst < 1e-9
     assert _line(3, ok, f"max residual {worst:.2e} over three families (tol 1e-9)")
@@ -91,7 +93,7 @@ def test_criterion_04_forms_curvature_equivalence():
         family = SPECTRAL3 if nu == 0.0 else SPECTRAL_GAUGE4
         x, t = xi_grid(p, 2.95, N_XI, N_T)
         j = jet(x, t, p)
-        cur = curvatures_from_forms(forms_from_ab(x, t, p, family.kind))
+        cur = curvatures_from_forms(forms_from_ab(j, family.kind))
         closed = family.curvatures(j)
         sign = family.orientation(j)
         if family is SPECTRAL3:

@@ -65,6 +65,25 @@ def test_generate_parametric_csv(tmp_path, capsys):
     assert len(lines) == 26
 
 
+def test_generate_flags_an_overflowed_h_without_a_warning(tmp_path, capsys):
+    # near soliton.XI_MAX sech xi is subnormal and spectral3's H overflows to
+    # inf: a singular vertex, not a leaked RuntimeWarning
+    out_file = tmp_path / "m.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(
+            capsys, "generate", "--family", "spectral3", "--k1", "2", "--lambda", "2",
+            "--mu", "0.01", "--x-min", "700", "--x-max", "709", "--t-min", "0",
+            "--t-max", "1", "--nx", "5", "--nt", "5", "--format", "csv",
+            "--out", str(out_file),
+        )
+    assert code == 0 and "RuntimeWarning" not in err, err
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+    flagged = [r for r in rows if r[7] == "1"]
+    assert len(flagged) == 11 and f"{len(flagged)} flagged singular" in out
+    assert [r for r in rows if r[6] == "inf"] == flagged
+
+
 def test_negative_exponent_values_parse(tmp_path, capsys):
     # "-8e0" after a flag is its value, as "--mu=-8" is
     common = ("generate", "--family", "spectral3", "--k1", "2", "--lambda", "1",

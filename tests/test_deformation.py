@@ -10,7 +10,7 @@ from mkdvsurf.deformation import (
     ab_compatibility_residual,
     curvatures_from_forms,
     forms_from_ab,
-    frame_at,
+    frame,
     validate_kind,
 )
 from mkdvsurf.immersion import SPECTRAL3, SPECTRAL_GAUGE4, resolve
@@ -39,8 +39,8 @@ gauge_params = st.builds(
 @pytest.mark.parametrize("kind", list(DeformationKind))
 def test_ab_are_su2_valued(kind):
     p = SolitonParams(2.0, 0.5, mu=1.5, nu=-0.7)
-    _, frame = frame_at(*GRID, p, kind)
-    a, b = frame.a, frame.b
+    f = frame(jet(*GRID, p), kind)
+    a, b = f.a, f.b
     # su2_to_vec raises on a matrix that is not su(2); a real component
     # vector is su(2) exactly, so the round trip is bitwise
     for v in (a, b):
@@ -53,11 +53,11 @@ def test_algebra_returns_real_component_vectors(kind):
     # the deformation and Lax algebra runs on Pauli components, not matrices
     p = SolitonParams(2.0, 0.5, mu=1.5, nu=-0.7)
     x, t = GRID
-    j, frame = frame_at(x, t, p, kind)
+    j = jet(x, t, p)
     outputs = (
-        *frame,
-        ab_compatibility_residual(x, t, p, kind),
-        zero_curvature_residual(x, t, p),
+        *frame(j, kind),
+        ab_compatibility_residual(j, kind),
+        zero_curvature_residual(j),
         lax_U(j.u, p.lam),
         lax_V(j.u, j.u_x, p.lam, p.alpha),
     )
@@ -73,11 +73,11 @@ def test_frame_derivatives_match_fd(kind):
     # k1 != 2 keeps alpha != 1, so a swapped x and t derivative shows
     p = SolitonParams(3.0, 0.5, mu=1.5, nu=-0.7)
     x, t = GRID
-    frame = frame_at(x, t, p, kind)[1]
+    f = frame(jet(x, t, p), kind)
     stencil = Stencil(1e-3, order=4, richardson=True)
-    for field, axis, exact in (("a", 0, frame.a_x), ("a", 1, frame.a_t),
-                               ("b", 0, frame.b_x), ("b", 1, frame.b_t)):
-        fd = derivative(lambda xx, tt: getattr(frame_at(xx, tt, p, kind)[1], field),
+    for field, axis, exact in (("a", 0, f.a_x), ("a", 1, f.a_t),
+                               ("b", 0, f.b_x), ("b", 1, f.b_t)):
+        fd = derivative(lambda xx, tt: getattr(frame(jet(xx, tt, p), kind), field),
                         x, t, stencil, axis=axis)
         scale = max(1.0, np.max(np.abs(exact)))
         assert np.max(np.abs(fd - exact)) <= 1e-9 * scale, (field, "xt"[axis])
@@ -87,15 +87,16 @@ def test_frame_derivatives_match_fd(kind):
 def test_compatibility_residual_vanishes(kind):
     p = SolitonParams(2.0, 1.0, mu=-8.0, nu=0.3)
     x, t = GRID
-    assert np.max(np.abs(ab_compatibility_residual(x, t, p, kind))) < 1e-9
+    assert np.max(np.abs(ab_compatibility_residual(jet(x, t, p), kind))) < 1e-9
 
 
 @settings(max_examples=20, deadline=None)
 @given(gauge_params)
 def test_compatibility_random_params(p):
     x, t = np.meshgrid(np.linspace(-1.5, 1.5, 7), np.linspace(-1.5, 1.5, 7))
+    j = jet(x, t, p)
     for kind in DeformationKind:
-        assert np.max(np.abs(ab_compatibility_residual(x, t, p, kind))) < 1e-9
+        assert np.max(np.abs(ab_compatibility_residual(j, kind))) < 1e-9
 
 
 def test_validate_kind_rejects_degenerate_weights():
@@ -111,9 +112,9 @@ def test_validate_kind_rejects_degenerate_weights():
 @given(spectral_params)
 def test_spectral_curvatures_match_closed_form(p):
     x, t = np.meshgrid(np.linspace(-1.5, 1.5, 9), np.linspace(-1.5, 1.5, 9))
-    f = forms_from_ab(x, t, p, DeformationKind.SPECTRAL)
-    cur = curvatures_from_forms(f)
     j = jet(x, t, p)
+    f = forms_from_ab(j, DeformationKind.SPECTRAL)
+    cur = curvatures_from_forms(f)
     closed = SPECTRAL3.curvatures(j)
     sign = SPECTRAL3.orientation(j)
     assert np.max(np.abs(cur.K - closed.K)) < 1e-8 * np.max(np.abs(closed.K))
@@ -127,7 +128,7 @@ def test_gauge_curvatures_match_closed_form(p):
     j = jet(x, t, p)
     den = SPECTRAL_GAUGE4.denominator(j)
     keep = np.abs(den) > 0.1 * np.max(np.abs(den))
-    f = forms_from_ab(x, t, p, DeformationKind.SPECTRAL_GAUGE)
+    f = forms_from_ab(j, DeformationKind.SPECTRAL_GAUGE)
     cur = curvatures_from_forms(f)
     closed = SPECTRAL_GAUGE4.curvatures(j)
     sign = SPECTRAL_GAUGE4.orientation(j)
@@ -156,7 +157,7 @@ def test_spectral_closed_forms_values():
 def test_metric_of_spectral_family_is_constant_g11():
     p = SolitonParams(2.0, 1.0, mu=-8.0)
     x, t = GRID
-    f = forms_from_ab(x, t, p, DeformationKind.SPECTRAL)
+    f = forms_from_ab(jet(x, t, p), DeformationKind.SPECTRAL)
     assert np.allclose(f.g11, p.mu ** 2 / 4.0, rtol=1e-12)
     assert np.allclose(f.g12, (p.mu ** 2 / 4.0) * (p.alpha + 2 * p.lam), rtol=1e-12)
 
@@ -184,7 +185,7 @@ def _radius_estimate(p, half, n):
     """1/sqrt|mean K| of the symmetry frame on the same grid, from the
     pointwise kernels: the number the check compares, to full precision."""
     x, t = np.meshgrid(np.linspace(-half, half, n), np.linspace(-half, half, n))
-    cur = curvatures_from_forms(forms_from_ab(x, t, p, DeformationKind.SYMMETRY_UX))
+    cur = curvatures_from_forms(forms_from_ab(jet(x, t, p), DeformationKind.SYMMETRY_UX))
     good = np.isfinite(cur.K) & np.isfinite(cur.H)
     return 1.0 / np.sqrt(abs(np.mean(cur.K[good])))
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mkdvsurf import diffgeo as dg, lagrangian
 from mkdvsurf.immersion import SPECTRAL3, resolve
 from mkdvsurf.lax import phi
-from mkdvsurf.soliton import SolitonParams, xi_grid
+from mkdvsurf.soliton import SolitonParams, jet, xi_grid
 
 X1, T1 = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
 
@@ -63,7 +63,7 @@ def test_derivative_on_polynomial():
 def test_order2_richardson_is_the_old_lax_quotient_bitwise():
     # the Lax check's former (4 d(h/2) - d(h))/3 with d the 3-point quotient
     p = resolve("ex2").params
-    f = lambda x, t: phi(x, t, p)
+    f = lambda x, t: phi(jet(x, t, p))
     h = 1e-6
     d_x = lambda step: (f(X1 + step, T1) - f(X1 - step, T1)) / (2.0 * step)
     d_t = lambda step: (f(X1, T1 + step) - f(X1, T1 - step)) / (2.0 * step)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mkdvsurf import immersion, mesh, soliton, su2, verify
-from mkdvsurf.deformation import DeformationKind, curvatures_from_forms, forms_from_ab, frame_at
+from mkdvsurf.deformation import DeformationKind, curvatures_from_forms, forms_from_ab, frame
 from mkdvsurf.immersion import (
     DEFAULT_WINDOW,
     FAMILIES,
@@ -119,8 +119,9 @@ def test_frame_tangent_lengths_match_metric():
     pre = resolve("ex2")
     p = pre.params
     x, t = GRID
-    yx, yt = map(su2.su2_to_vec, frame_tangents(x, t, p, pre.family.kind))
-    f = three_param_forms_closed(jet(x, t, p))
+    j = jet(x, t, p)
+    yx, yt = map(su2.su2_to_vec, frame_tangents(j, pre.family.kind))
+    f = three_param_forms_closed(j)
     assert np.allclose(np.sum(yx * yx, axis=-1), f.g11, rtol=1e-10)
     assert np.allclose(np.sum(yx * yt, axis=-1), f.g12, rtol=1e-10)
     assert np.allclose(np.sum(yt * yt, axis=-1), f.g22, rtol=1e-10)
@@ -133,9 +134,10 @@ def test_frame_tangents_match_the_general_inverse(pid):
     surface = resolve(pid)
     p, kind = surface.params, surface.family.kind
     x, t = surface.grid(41, 41, half=2.0)
-    f = phi(x, t, p)
+    j = jet(x, t, p)
+    f = phi(j)
     finv = np.linalg.inv(f)
-    for got, v in zip(frame_tangents(x, t, p, kind), frame_at(x, t, p, kind)[1][:2]):
+    for got, v in zip(frame_tangents(j, kind), frame(j, kind)[:2]):
         want = finv @ su2.vec_to_su2(v) @ f
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -147,7 +149,7 @@ def test_three_param_forms_match_frame(pid):
     x, t = GRID
     j = jet(x, t, p)
     closed = three_param_forms_closed(j)
-    frame = forms_from_ab(x, t, p, DeformationKind.SPECTRAL)
+    frame = forms_from_ab(j, DeformationKind.SPECTRAL)
     sign = np.sign(j.u)
     for name in ("g11", "g12", "g22"):
         a, b = getattr(closed, name), getattr(frame, name)
@@ -164,7 +166,7 @@ def test_four_param_curvatures_match_frame(pid):
     x, t = GRID
     j = jet(x, t, p)
     closed = four_param_curvatures_closed(j)
-    frame = curvatures_from_forms(forms_from_ab(x, t, p, pre.family.kind))
+    frame = curvatures_from_forms(forms_from_ab(j, pre.family.kind))
     f4 = four_param_forms_closed(j)
     den = pre.family.denominator(j)
     keep = np.abs(den) > 0.1 * np.max(np.abs(den))
@@ -173,7 +175,7 @@ def test_four_param_curvatures_match_frame(pid):
     assert np.max(np.abs(sign * closed.H - frame.H)[keep]) < 1e-8 * np.max(np.abs(closed.H[keep]))
     # closed-form four-param forms agree with the frame forms up to orientation
     for name in ("g11", "g12", "g22"):
-        a, b = getattr(f4, name), getattr(forms_from_ab(x, t, p, pre.family.kind), name)
+        a, b = getattr(f4, name), getattr(forms_from_ab(j, pre.family.kind), name)
         assert np.max(np.abs(a - b)[keep]) < 1e-8 * max(1.0, np.max(np.abs(a[keep])))
 
 
@@ -278,25 +280,42 @@ def test_generate_evaluates_the_soliton_once(monkeypatch, pid):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("pid", ["ex2", "ex7"])
-def test_forms_check_evaluates_two_jets(monkeypatch, pid):
-    # one for the frame's forms, one for the closed curvatures, orientation
-    # and pole mask
+# Soliton evaluations of each check on one tile: one jet at the tile's points,
+# which the runner hands to every kernel, and for lax and consistency eight
+# more at the points of the x and t stencils of Phi and of the position.
+JETS_PER_TILE = {"zerocurv": 1, "compat": 1, "forms": 1, "weingarten": 1, "sphere": 1,
+                 "lax": 9, "consistency": 9}
+
+
+@pytest.mark.parametrize("pid, check", [
+    (pid, check) for pid in ("ex2", "ex7") for check in JETS_PER_TILE
+    if verify._CHECKS[check].requires(resolve(pid)) is None])
+def test_jets_per_tile_of_each_check(monkeypatch, pid, check):
     surface = resolve(pid)
     calls = _count_jets(monkeypatch)
-    assert verify.run_checks(["forms"], surface, nx=11, nt=11).passed
-    assert len(calls) == 2
+    assert verify.run_checks([check], surface, nx=11, nt=11).passed
+    assert len(calls) == JETS_PER_TILE[check]
 
 
 def test_only_the_x_t_boundaries_evaluate_a_jet():
-    # every closed form reads the jet it is given; only the functions that
-    # take (x, t) build one
-    boundaries = {"providers", "asymptotic_deviation"}
-    tree = ast.parse(Path(immersion.__file__).read_text())
-    # each module-level statement, with the methods of a class one by one
-    units = [m for n in tree.body for m in (n.body if isinstance(n, ast.ClassDef) else [n])]
-    callers = {getattr(unit, "name", f"line {unit.lineno}")
-               for unit in units for node in ast.walk(unit)
-               if isinstance(node, ast.Call)
-               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "jet"}
+    # every pointwise kernel reads the jet it is given; only the functions
+    # that take (x, t) build one: the pointwise verify runners, generate,
+    # the closed-form providers, asymptotic_deviation and the Lax stencils
+    boundaries = {f"verify._check_{c}" for c in JETS_PER_TILE} | {
+        "mesh.generate", "immersion.Family.providers", "immersion.asymptotic_deviation",
+        "lax.lax_residuals"}
+    callers = set()
+    for path in Path(immersion.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        # the names the module binds soliton.jet to
+        names = {"jet"} | {a.asname for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                           for a in n.names if a.name == "jet" and a.asname}
+        # each module-level statement, with the methods of a class one by one
+        units = [(f"{n.name}.", m) for n in tree.body if isinstance(n, ast.ClassDef)
+                 for m in n.body]
+        units += [("", n) for n in tree.body if not isinstance(n, ast.ClassDef)]
+        callers |= {f"{path.stem}.{prefix}{getattr(unit, 'name', f'line {unit.lineno}')}"
+                    for prefix, unit in units for node in ast.walk(unit)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) in names}
     assert callers == boundaries

@@ -46,13 +46,13 @@ def test_u_matrix_entries():
 @pytest.mark.parametrize("p", SAMPLE_PARAMS)
 def test_zero_curvature(p):
     x, t = GRID
-    assert np.max(np.abs(zero_curvature_residual(x, t, p))) < 1e-12
+    assert np.max(np.abs(zero_curvature_residual(jet(x, t, p)))) < 1e-12
 
 
 @pytest.mark.parametrize("p", SAMPLE_PARAMS)
 def test_phi_solves_both_equations(p):
     x, t = GRID
-    rx, rt, _ = lax_residuals(x, t, p, h=1e-6)
+    rx, rt, _ = lax_residuals(jet(x, t, p), h=1e-6)
     assert np.max(np.abs(rx)) < 1e-8
     assert np.max(np.abs(rt)) < 1e-8
 
@@ -60,7 +60,7 @@ def test_phi_solves_both_equations(p):
 @pytest.mark.parametrize("p", SAMPLE_PARAMS)
 def test_det_constant_and_matches_formula(p):
     x, t = GRID
-    dets = np.linalg.det(phi(x, t, p))
+    dets = np.linalg.det(phi(jet(x, t, p)))
     expected = det_phi_expected(p)
     assert np.max(np.abs(dets - expected)) < 1e-10 * abs(expected)
 
@@ -68,7 +68,7 @@ def test_det_constant_and_matches_formula(p):
 def _assert_phi_proportional_to_unitary(p, x, t):
     # Phi^H Phi = det(Phi) I: the frame tangents take Phi^-1 = Phi^H / det Phi,
     # which keeps the conjugated tangent frame su(2)-valued
-    f = phi(x, t, p)
+    f = phi(jet(x, t, p))
     c = det_phi_expected(p)
     gram = np.conj(np.swapaxes(f, -1, -2)) @ f
     assert np.max(np.abs(gram - c * np.eye(2))) <= 1e-14 * c
@@ -127,7 +127,7 @@ def test_phi_is_bitwise_the_eight_chain_formula(preset):
         for xx, tt, ea in ((x + d, t, None), (x + d, t, lax._time_factor(t, p)),
                            (x, t + d, None)):
             want = _phi_eight_chains(xx, tt, p)
-            got = phi(xx, tt, p) if ea is None else phi(xx, tt, p, ea)
+            got = phi(jet(xx, tt, p), ea)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

@@ -76,14 +76,15 @@ def test_the_su2_bound_of_the_frame_spans_all_tiles(monkeypatch):
     x, t = surface.grid(8, 8)
     first, last = t.min(), t.max()
 
-    def frame_tangents(xx, tt, p, kind):
+    def frame_tangents(j, kind):
+        tt = j.t
         v = np.where((tt == first)[:, None], 1e6, 0.5) * np.ones(tt.shape + (3,))
         f = su2.vec_to_su2(v)
         f[tt == last, 0, 0] += 1e-8j
         return f, f.copy()
 
     monkeypatch.setattr(immersion, "frame_tangents", frame_tangents)
-    defect_row = frame_tangents(x[-1], t[-1], surface.params, None)[0]
+    defect_row = frame_tangents(soliton.jet(x[-1], t[-1], surface.params), None)[0]
     with pytest.raises(ValueError, match="not su\\(2\\)"):
         su2.su2_to_vec(defect_row)
 

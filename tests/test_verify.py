@@ -260,8 +260,8 @@ def test_compat_tests_the_symmetry_frame_at_mu_zero(monkeypatch):
     assert check.passed and check.max_residual < 1e-12
     symmetry = deformation._FRAMES[DeformationKind.SYMMETRY_UX]
 
-    def wrong(j, p):
-        frame = symmetry(j, p)
+    def wrong(j):
+        frame = symmetry(j)
         return frame._replace(b_x=1.01 * frame.b_x)
 
     monkeypatch.setitem(deformation._FRAMES, DeformationKind.SYMMETRY_UX, wrong)
