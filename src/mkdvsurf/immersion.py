@@ -8,8 +8,8 @@ parameters into one validated :class:`Surface`; curvature-relation
 residuals; and the frame tangents Phi^-1 A Phi and Phi^-1 B Phi that the
 position's derivatives are checked against.  Everything here is closed form
 and pointwise and is handed the caller's ``soliton.Jet``; only
-``Family.providers`` and :func:`asymptotic_deviation`, which take (x, t),
-evaluate one.  ``verify`` differences the position and reduces over grids.
+``Family.providers``, which takes (x, t), evaluates one.  ``verify``
+differences the position and reduces over grids.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def four_param_forms_closed(j: Jet) -> Forms:
 
     Polynomials in u = k1 sech(xi); the orientation of h matches the
     rational closed forms, i.e. the frame convention times the sign of the
-    curvature denominator (see Family.orientation).
+    curvature denominator (see Family.denominator).
     """
     p, u = j.p, j.u
     al, lam, mu, nu = p.alpha, p.lam, p.mu, p.nu
@@ -166,27 +166,14 @@ def four_param_curvatures_closed(j: Jet) -> CurvaturePair:
     family."""
     p, u = j.p, j.u
     den = spectral_gauge_curvature_denominator(j)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # at nu = 0 den is mu^2 u, subnormal near XI_MAX, and H overflows to inf
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         k = 2.0 * u * (u ** 2 - 2.0 * p.alpha) / den
         h = (
             p.mu * (3.0 * u ** 2 + 2.0 * (p.lam ** 2 - p.alpha))
             - 4.0 * u * p.nu * (u ** 2 - 2.0 * p.alpha)
         ) / (2.0 * den)
     return CurvaturePair(K=k, H=h)
-
-
-def _three_param_asymptote(j: Jet, branch: int):
-    # y2 and y3 carry a factor sech(xi): the surface closes onto its axis
-    z = np.zeros(j.xi.shape)
-    return z, z.copy()
-
-
-def _four_param_asymptote(j: Jet, branch: int):
-    _, _, _, r5, _, r7 = _four_param_radii(j.p)
-    g = _phase(j.x, j.t, j.p)
-    cg, sg = np.cos(g), np.sin(g)
-    return (r5 * cg + branch * r7 * sg,
-            r5 * sg - branch * r7 * cg)
 
 
 def _finite_nonzero(shown: str, name: str, scale: Callable[[], float],
@@ -214,14 +201,13 @@ class Family:
     ``position``, ``forms``, ``curvatures`` and ``denominator`` take the
     soliton's jet at the points (``soliton.jet``), which carries p, x and
     t.  ``denominator`` is the shared denominator of the closed-form K and
-    H, whose zeros are the family's singular points and whose sign orients
-    the closed forms against the frame.  ``asymptotic_profile`` takes
-    (jet, branch) and gives the (y2, y3) limit as xi -> +inf
-    (branch +1) or -inf (branch -1); (y2, y3) approaches it at the distance
-    C sech(xi), C = 2|mu| k1 / (k1^2 + 4 lam^2) (see
-    :func:`asymptotic_deviation`).  ``radii`` takes p and gives the
-    constant radii of the position (R1, or R2 .. R7).  ``FAMILIES`` holds
-    one per family.
+    H, whose zeros are the family's singular points.  Its sign orients the
+    closed forms against the frame: the closed forms normalize the normal
+    by a signed rational factor and the frame by ||[A, B]|| > 0, so the
+    closed-form H is the frame's H times sign(denominator) (0 at a pole);
+    K, a ratio of determinants, needs no sign.  ``radii`` takes p and gives
+    the constant radii of the position (R1, or R2 .. R7).  ``FAMILIES``
+    holds one per family.
     """
 
     name: str
@@ -230,7 +216,6 @@ class Family:
     forms: Callable[[Jet], Forms]
     curvatures: Callable[[Jet], CurvaturePair]
     denominator: Callable[[Jet], np.ndarray]
-    asymptotic_profile: Callable[[Jet, int], tuple[np.ndarray, np.ndarray]]
     radii: Callable[[SolitonParams], tuple[float, ...]]
 
     def validate(self, p: SolitonParams) -> None:
@@ -283,17 +268,6 @@ class Family:
                 f"the {self.name} radii {radii} are not all finite"
             )
 
-    def orientation(self, j: Jet):
-        """Sign relating the closed-form H to the frame-computed H.
-
-        The closed forms normalize the normal by a signed rational factor;
-        the frame pipeline always divides by ||[A, B]|| > 0.  The two agree
-        up to the sign of the shared denominator, returned here (+1, -1, or
-        0 at a pole).  K is a ratio of determinants and needs no adjustment.
-        """
-        self.validate(j.p)
-        return np.sign(self.denominator(j))
-
     def providers(self, p: SolitonParams) -> SurfaceProviders:
         """Closed-form provider bundle, in (x, t), for the finite-difference
         oracle."""
@@ -315,7 +289,6 @@ SPECTRAL3 = Family(
     curvatures=lambda j: three_param_curvatures_closed(j),
     # the spectral-gauge denominator at nu = 0
     denominator=lambda j: j.p.mu ** 2 * j.u,
-    asymptotic_profile=_three_param_asymptote,
     radii=_three_param_radii,
 )
 
@@ -326,7 +299,6 @@ SPECTRAL_GAUGE4 = Family(
     forms=lambda j: four_param_forms_closed(j),
     curvatures=lambda j: four_param_curvatures_closed(j),
     denominator=lambda j: spectral_gauge_curvature_denominator(j),
-    asymptotic_profile=_four_param_asymptote,
     radii=_four_param_radii,
 )
 
@@ -510,21 +482,3 @@ def weingarten_residuals(K, H, p: SolitonParams,
         quadratic=quadratic,
         quadratic_scale=quadratic_scale,
     )
-
-
-def asymptotic_deviation(x, t, p: SolitonParams, family: Family) -> np.ndarray:
-    """Distance of (y2, y3) from its asymptotic profile on the xi-sign branch.
-
-    The distance is C sech(xi) with C = 2|mu| k1 / (k1^2 + 4 lam^2).  For
-    spectral3 this is exact (C = 4|R1|).  For spectralgauge4 C = |R4|/2 and
-    the terms in R5, R6 and R7 add O(sech^2 xi), a relative correction of
-    O(sech xi).
-    """
-    j = jet(x, t, p)
-    y = family.position(j)
-    branch_sign = np.where(j.xi >= 0.0, 1, -1)
-    y2p, y3p = family.asymptotic_profile(j, 1)
-    y2m, y3m = family.asymptotic_profile(j, -1)
-    y2_inf = np.where(branch_sign > 0, y2p, y2m)
-    y3_inf = np.where(branch_sign > 0, y3p, y3m)
-    return np.hypot(y[..., 1] - y2_inf, y[..., 2] - y3_inf)

@@ -28,7 +28,6 @@ __all__ = [
     "FLAT_MONOMIALS",
     "FREE_INDICES",
     "from_flat",
-    "flat_coefficients",
     "constrained_family",
 ]
 
@@ -186,15 +185,6 @@ def from_flat(n_deg: int, values, p: float = 0.0) -> PolyLagrangian:
     if len(vals) != len(mono):
         raise ValueError(f"N={n_deg} expects {len(mono)} coefficients, got {len(vals)}")
     return PolyLagrangian(n_deg, dict(zip(mono, vals)), p=p)
-
-
-def flat_coefficients(lagr: PolyLagrangian) -> tuple[float, ...]:
-    """Coefficients of ``lagr`` in the fixed flat ordering for its degree."""
-    mono = _monomials(lagr.N)
-    extra = set(lagr.coeffs) - set(mono)
-    if extra:
-        raise ValueError(f"coefficients outside the N={lagr.N} ordering: {sorted(extra)}")
-    return tuple(lagr.coeffs.get(nl, 0.0) for nl in mono)
 
 
 def _normalize_free(n_deg: int, free: Mapping | None) -> dict[int, float]:

@@ -291,8 +291,8 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
         j = jet(xx, tt, p)
         cur = curvatures_from_forms(forms_from_ab(j, fam.kind))
         closed = fam.curvatures(j)
-        return (cur.K, cur.H, closed.K, closed.H, fam.orientation(j),
-                np.abs(fam.denominator(j)))
+        den = fam.denominator(j)
+        return cur.K, cur.H, closed.K, closed.H, np.sign(den), np.abs(den)
 
     cur_k, cur_h, closed_k, closed_h, sign, den = tiled(pointwise, x, t)
     keep = den > POLE_MARGIN * np.max(den)

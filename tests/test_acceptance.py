@@ -28,6 +28,8 @@ from mkdvsurf.lax import det_phi_expected, lax_residuals, phi, zero_curvature_re
 from mkdvsurf.soliton import SolitonParams, jet, xi_grid
 from mkdvsurf.verify import run_checks
 
+from helpers import far_field_distance, flat_coefficients
+
 ALL_PRESETS = list(PRESETS)
 
 
@@ -95,7 +97,7 @@ def test_criterion_04_forms_curvature_equivalence():
         j = jet(x, t, p)
         cur = curvatures_from_forms(forms_from_ab(j, family.kind))
         closed = family.curvatures(j)
-        sign = family.orientation(j)
+        sign = np.sign(family.denominator(j))
         if family is SPECTRAL3:
             keep = np.ones(j.u.shape, bool)
         else:
@@ -121,7 +123,7 @@ def test_criterion_04_forms_curvature_equivalence():
             fcl = four_param_forms_closed(j)
             den = pre.family.denominator(j)
             keep = np.abs(den) > 0.05 * np.max(np.abs(den))
-            sign = pre.family.orientation(j)
+            sign = np.sign(den)
         ccl = pre.family.curvatures(j)
         ffd = diffgeo.fd_forms(pre.family.providers(p).position, x, t, stencil)
         cfd = curvatures_from_forms(ffd)
@@ -229,7 +231,7 @@ def test_criterion_08_shape_equation_families():
     for n_deg in degrees:
         free = {i: rng.uniform(-1, 1) for i in lagrangian.FREE_INDICES[n_deg]}
         base_poly = lagrangian.constrained_family(n_deg, free, 1.0, k1, mu)
-        vals = list(lagrangian.flat_coefficients(base_poly))
+        vals = list(flat_coefficients(base_poly))
         constrained = [
             i for i in range(1, len(vals) + 1)
             if i not in lagrangian.FREE_INDICES[n_deg]
@@ -271,10 +273,11 @@ def test_criterion_09_symmetry_sphere():
 
 
 def test_criterion_10_figure_windows(tmp_path):
-    # In the far field (y2, y3) leaves its asymptotic profile like C sech(xi),
-    # C = 2|mu| k1 / (k1^2 + 4 lam^2): exactly for spectral3, up to
-    # O(sech^2 xi) for spectralgauge4.  The windows end at |xi| = 6 (ex2) and
-    # 8 (ex6), where that distance is still 2e-2 and 3e-3, so the far field
+    # In the far field (y2, y3) leaves its limit, the position at sech xi = 0
+    # and tanh xi = +-1, like C sech(xi), C = 2|mu| k1 / (k1^2 + 4 lam^2):
+    # exactly for spectral3, up to O(sech^2 xi) for spectralgauge4.  The
+    # windows end at |xi| = 6 (ex2) and 8 (ex6), where that distance is
+    # still 2e-2 and 3e-3, so the far field
     # is checked against the tail itself: relative 1e-3, i.e. an absolute
     # error of at most 1e-3 C sech(xi) (<= 2e-5 on every preset).
     details = []
@@ -288,10 +291,8 @@ def test_criterion_10_figure_windows(tmp_path):
         # the exported vertex at the window corner with the largest |xi|
         i = int(np.argmax(np.abs(m.xi)))
         xi_c = float(m.xi[i])
-        branch = 1 if xi_c >= 0.0 else -1
         p = pre.params
-        y2_inf, y3_inf = pre.family.asymptotic_profile(jet(m.x[i], m.t[i], p), branch)
-        dev = float(np.hypot(m.vertices[i, 1] - y2_inf, m.vertices[i, 2] - y3_inf))
+        dev = float(far_field_distance(pre.family, jet(m.x[i], m.t[i], p), m.vertices[i]))
         c = 2 * abs(p.mu) * p.k1 / (p.k1 ** 2 + 4 * p.lam ** 2)
         tail = c / np.cosh(xi_c)
         rel = dev / tail - 1.0

@@ -116,7 +116,7 @@ def test_spectral_curvatures_match_closed_form(p):
     f = forms_from_ab(j, DeformationKind.SPECTRAL)
     cur = curvatures_from_forms(f)
     closed = SPECTRAL3.curvatures(j)
-    sign = SPECTRAL3.orientation(j)
+    sign = np.sign(SPECTRAL3.denominator(j))
     assert np.max(np.abs(cur.K - closed.K)) < 1e-8 * np.max(np.abs(closed.K))
     assert np.max(np.abs(cur.H - sign * closed.H)) < 1e-8 * np.max(np.abs(closed.H))
 
@@ -131,7 +131,7 @@ def test_gauge_curvatures_match_closed_form(p):
     f = forms_from_ab(j, DeformationKind.SPECTRAL_GAUGE)
     cur = curvatures_from_forms(f)
     closed = SPECTRAL_GAUGE4.curvatures(j)
-    sign = SPECTRAL_GAUGE4.orientation(j)
+    sign = np.sign(den)
     dk = np.abs(cur.K[keep] - closed.K[keep])
     dh = np.abs(cur.H[keep] - sign[keep] * closed.H[keep])
     assert np.max(dk) < 1e-8 * np.max(np.abs(closed.K[keep]))
@@ -163,14 +163,17 @@ def test_metric_of_spectral_family_is_constant_g11():
 
 
 def test_orientation_sign_is_denominator_sign():
-    # at k1 = 2 and t = 0, xi = x, so u = 2 sech(x) runs from 2 down to 0.05
+    # at k1 = 2 and t = 0, xi = x, so u = 2 sech(x) runs from 2 down to 0.05,
+    # across both poles of the denominator: on either side of each, the
+    # frame's H is the closed-form H times the sign of the denominator
     x = np.linspace(0.0, 4.4, 101)
     j = jet(x, 0.0, SolitonParams(2.0, 0.5, mu=1.0, nu=2.0))
-    sign = SPECTRAL_GAUGE4.orientation(j)
-    den = SPECTRAL_GAUGE4.denominator(j)
-    assert np.array_equal(sign, np.sign(den))
+    sign = np.sign(SPECTRAL_GAUGE4.denominator(j))
+    frame_h = curvatures_from_forms(forms_from_ab(j, SPECTRAL_GAUGE4.kind)).H
+    assert set(sign) == {-1.0, 1.0}
+    assert np.array_equal(np.sign(frame_h * SPECTRAL_GAUGE4.curvatures(j).H), sign)
     j3 = jet(x, 0.0, SolitonParams(2.0, 0.5, mu=-3.0))
-    assert np.array_equal(SPECTRAL3.orientation(j3), np.sign(j3.u))
+    assert np.array_equal(np.sign(SPECTRAL3.denominator(j3)), np.sign(j3.u))
 
 
 def _sphere_check(p, half, n):

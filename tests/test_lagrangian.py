@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mkdvsurf import lagrangian as lg
 
+from helpers import flat_coefficients
+
 coeff = st.floats(-3.0, 3.0, allow_nan=False)
 
 
@@ -110,19 +112,19 @@ def test_flat_roundtrip(n_deg):
     rng = np.random.default_rng(n_deg)
     vals = rng.normal(size=len(lg.FLAT_MONOMIALS[n_deg]))
     poly = lg.from_flat(n_deg, vals, p=0.5)
-    assert lg.flat_coefficients(poly) == pytest.approx(tuple(vals))
+    assert flat_coefficients(poly) == pytest.approx(tuple(vals))
     assert poly.p == 0.5
 
 
 def test_degree3_instance():
     # p = 72, mu = 1, k1 = 2: leading H^3 coefficient -1, K H coefficient 9/4
     poly = lg.constrained_family(3, None, 72.0, 2.0, 1.0)
-    flat = lg.flat_coefficients(poly)
+    flat = flat_coefficients(poly)
     assert flat[0] == pytest.approx(-1.0)
     assert flat[5] == pytest.approx(2.25)
     assert flat[1] == flat[2] == flat[3] == 0.0
     free = lg.constrained_family(3, {5: 1.5}, 72.0, 2.0, 1.0)
-    assert lg.flat_coefficients(free)[4] == 1.5
+    assert flat_coefficients(free)[4] == 1.5
 
 
 def test_constrained_family_validation():
@@ -138,8 +140,8 @@ def test_constrained_family_validation():
 
 def test_nesting_4_to_3():
     p, k1, mu = 5.0, 2.0, 3.0
-    f4 = lg.flat_coefficients(lg.constrained_family(4, None, p, k1, mu))
-    f3 = lg.flat_coefficients(lg.constrained_family(3, None, p, k1, mu))
+    f4 = flat_coefficients(lg.constrained_family(4, None, p, k1, mu))
+    f3 = flat_coefficients(lg.constrained_family(3, None, p, k1, mu))
     # with its free params zero, the degree-4 family collapses one step down:
     # monomial-level equality against the degree-3 family
     assert f4[0] == 0.0  # H^4
@@ -153,8 +155,8 @@ def test_nesting_4_to_3():
 def test_nesting_5_to_4():
     k1, mu = 2.0, 3.0
     free5 = {1: 0.0, 2: 0.4, 9: -0.3, 11: 0.0}
-    f5 = lg.flat_coefficients(lg.constrained_family(5, free5, 0.0, k1, mu))
-    f4 = lg.flat_coefficients(lg.constrained_family(4, {1: 0.4, 8: -0.3}, 0.0, k1, mu))
+    f5 = flat_coefficients(lg.constrained_family(5, free5, 0.0, k1, mu))
+    f4 = flat_coefficients(lg.constrained_family(4, {1: 0.4, 8: -0.3}, 0.0, k1, mu))
     # H^4..1 and K..K H^2 blocks line up monomial by monomial
     assert f5[1] == f4[0] and f5[2] == pytest.approx(f4[1]) and f5[3] == pytest.approx(f4[2])
     assert f5[5] == pytest.approx(f4[4])
@@ -165,8 +167,8 @@ def test_nesting_5_to_4():
 def test_nesting_6_to_5():
     k1, mu = 2.0, 1.5
     free6 = {1: 0.0, 2: 0.7, 3: -0.2, 8: 0.0, 10: 0.9, 12: 0.5, 14: 0.0, 16: 0.0}
-    f6 = lg.flat_coefficients(lg.constrained_family(6, free6, 1.0, k1, mu))
-    f5 = lg.flat_coefficients(
+    f6 = flat_coefficients(lg.constrained_family(6, free6, 1.0, k1, mu))
+    f5 = flat_coefficients(
         lg.constrained_family(5, {1: 0.7, 2: -0.2, 9: 0.9, 11: 0.5}, 1.0, k1, mu)
     )
     assert f6[0] == 0.0
@@ -186,8 +188,8 @@ def test_homogeneity_budget_of_families():
 
 def test_family_lam_sign_symmetric():
     # lam enters the coefficient formulas through even powers only
-    a = lg.flat_coefficients(lg.constrained_family(5, {1: 0.3}, 1.0, 2.0, 1.5))
-    b = lg.flat_coefficients(lg.constrained_family(5, {1: 0.3}, 1.0, -2.0, 1.5))
+    a = flat_coefficients(lg.constrained_family(5, {1: 0.3}, 1.0, 2.0, 1.5))
+    b = flat_coefficients(lg.constrained_family(5, {1: 0.3}, 1.0, -2.0, 1.5))
     assert a == pytest.approx(b)
 
 
@@ -314,7 +316,7 @@ def test_shape_residual_scaling_invariance():
     from mkdvsurf.immersion import SPECTRAL3
     from mkdvsurf.soliton import SolitonParams, xi_grid
 
-    vals = list(lg.flat_coefficients(lg.constrained_family(4, {1: 0.25}, 1.0, 2.0, -8.0)))
+    vals = list(flat_coefficients(lg.constrained_family(4, {1: 0.25}, 1.0, 2.0, -8.0)))
     vals[6] *= 1.05
     sp_ = SolitonParams(k1=2.0, lam=1.0, mu=-8.0)
     prov = SPECTRAL3.providers(sp_)

@@ -13,10 +13,6 @@ ALLOWED = {
     # the FD forms of a position: the reference of acceptance criterion 4, and
     # the oracle of the planned `metric` check
     ("diffgeo", "fd_forms"),
-    # the far-field profile distance that acceptance criterion 10 pins
-    ("immersion", "asymptotic_deviation"),
-    # the public flat coefficient ordering that criterion 8 detunes through
-    ("lagrangian", "flat_coefficients"),
 }
 
 
