@@ -420,8 +420,8 @@ def resolve(
 
 def frame_tangents(j: Jet, kind: DeformationKind) -> tuple[np.ndarray, np.ndarray]:
     """Tangent vectors (y_x, y_t) = (Phi^-1 A Phi, Phi^-1 B Phi), (A, B) and
-    Phi both on the jet j, as su(2) matrices (..., 2, 2); ``su2.su2_to_vec``
-    gives their vectors.
+    Phi both on the jet j, as su(2) matrices (..., 2, 2);
+    ``su2.su2_components`` gives their vectors.
 
     Phi is sqrt(c) times an SU(2) matrix, c = det Phi, so its inverse is
     Phi^H / c with the constant c of ``lax.det_phi_expected``."""

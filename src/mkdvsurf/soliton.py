@@ -62,8 +62,9 @@ def xi_grid(p: SolitonParams, xi_half: float, nx: int, nt: int):
 
 # Peak memory per grid point, about twice the measured peak-RSS slopes
 # (scripts/scale_bench.py, 101^2 to 1001^2): 0.42 kB for `generate` with
-# JSON export, which holds the whole text, and 0.33 kB for `verify --checks
-# all`, which evaluates in tiles (0.46 kB before it did).
+# JSON export, which holds the whole text, and 0.09 kB for `verify --checks
+# all`, whose frame checks keep one float64 per residual value they report
+# (0.28 kB when they kept the whole frame, 0.46 kB before tiling).
 GRID_BYTES_PER_POINT = 1024
 
 
@@ -107,7 +108,10 @@ def tiled(f, x, t):
     shape followed by its own trailing axes.  A stencil shifts only a
     point's own coordinates, so this is bitwise ``f`` on the whole grid;
     a reduction over the grid (a max, a median, a grid-max threshold)
-    belongs after the call, on the assembled arrays.
+    belongs after the call, on the assembled arrays.  The one exception is
+    a maximum: ``f`` may keep its tile's exact maxima on the side for the
+    caller to fold after the call, which gives the grid's maxima bit for bit
+    without assembling what they are taken over.
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     shape, xf, tf = x.shape, x.reshape(-1), t.reshape(-1)

@@ -11,15 +11,17 @@ these components the algebra is real vector algebra:
     <X, Y> = -1/2 Re trace(XY)  =   x · y,
     ||X||  = sqrt(|<X, X>|)     =   |x|.
 
-Complex 2x2 matrices (``vec_to_su2``, ``su2_to_vec``) are needed
-only where a matrix such as the fundamental solution Phi acts.  Stacked 2x2
-arithmetic (``mul``, ``det``) is written out entry by entry: numpy's ``@``
-and ``np.linalg`` call BLAS or LAPACK once per 2x2 matrix of a grid, which
-costs several times the arithmetic itself.  No inverse is needed: Phi is a
-multiple of a unitary matrix, so Phi^-1 = Phi^H / det Phi.  For the
-same reason the sums over the three components (``su2_inner``,
-``su2_norm``) are written out; summed left to right, they are bitwise the
-numpy reductions.
+Complex 2x2 matrices (``vec_to_su2``, and ``su2_components`` back) are
+needed only where a matrix such as the fundamental solution Phi acts.  A
+matrix read back is tested for membership in su(2) in two steps,
+``su2_defects`` and ``check_su2``, so that a caller can fold the defects of
+the parts of a grid and test the grid once.  Stacked 2x2 arithmetic
+(``mul``, ``det``) is written out entry by entry: numpy's ``@`` and
+``np.linalg`` call BLAS or LAPACK once per 2x2 matrix of a grid, which costs
+several times the arithmetic itself.  No inverse is needed: Phi is a
+multiple of a unitary matrix, so Phi^-1 = Phi^H / det Phi.  For the same
+reason the sums over the three components (``su2_inner``, ``su2_norm``) are
+written out; summed left to right, they are bitwise the numpy reductions.
 """
 from __future__ import annotations
 
@@ -89,31 +91,46 @@ def det(m: np.ndarray) -> np.ndarray:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-# Tolerance of the su(2) membership test of su2_to_vec.
+# Tolerance of the su(2) membership test (``check_su2``).
 SU2_ATOL = 1e-10
 
 
-def su2_to_vec(f: np.ndarray) -> np.ndarray:
-    """Invert vec_to_su2, rejecting inputs that are not su(2) within SU2_ATOL.
+def su2_defects(f: np.ndarray) -> np.ndarray:
+    """(trace defect, anti-Hermiticity defect, max|f|) of 2x2 matrices
+    (..., 2, 2), each the largest over the stack.
+
+    The three are maxima, so those of a stack split into parts are the
+    elementwise maxima of the parts' (``np.max(..., axis=0)``), bit for bit.
+    """
+    f = np.asarray(f, dtype=complex)
+    f00, f01, f10, f11 = f[..., 0, 0], f[..., 0, 1], f[..., 1, 0], f[..., 1, 1]
+    # F + F^H has the entries 2 Re f00, 2 Re f11 and f01 + conj(f10), the
+    # last twice over (once conjugated)
+    ah_defect = np.max([np.max(np.abs(2.0 * f00.real)), np.max(np.abs(2.0 * f11.real)),
+                        np.max(np.abs(f01 + np.conj(f10)))])
+    return np.array([np.max(np.abs(trace(f))), ah_defect, np.max(np.abs(f))])
+
+
+def check_su2(tr_defect: float, ah_defect: float, f_max: float) -> None:
+    """Reject matrices whose ``su2_defects`` show they are not su(2) within
+    SU2_ATOL.
 
     Membership means traceless and anti-Hermitian; both defects are measured
     entrywise against ``SU2_ATOL`` times max(1, max|f|): absolute for entries
     of size 1 or less, relative to the largest entry above that, where
     rounding scales with the entries.
     """
+    bound = SU2_ATOL * max(1.0, float(f_max))
+    if tr_defect > bound or ah_defect > bound:
+        raise ValueError(
+            f"matrix is not su(2) within {bound:.3e}: "
+            f"trace defect {tr_defect:.3e}, anti-Hermiticity defect {ah_defect:.3e}"
+        )
+
+
+def su2_components(f: np.ndarray) -> np.ndarray:
+    """The vector (..., 3) that vec_to_su2 maps to f, for f in su(2): read
+    from the entries without testing membership (see ``check_su2``)."""
     f = np.asarray(f, dtype=complex)
-    f00, f01, f10, f11 = f[..., 0, 0], f[..., 0, 1], f[..., 1, 0], f[..., 1, 1]
-    tr_defect = np.max(np.abs(trace(f)))
-    # F + F^H has the entries 2 Re f00, 2 Re f11 and f01 + conj(f10), the
-    # last twice over (once conjugated)
-    ah_defect = np.max([np.max(np.abs(2.0 * f00.real)), np.max(np.abs(2.0 * f11.real)),
-                        np.max(np.abs(f01 + np.conj(f10)))])
-    if tr_defect > SU2_ATOL or ah_defect > SU2_ATOL:
-        # the scale is at least 1, so only a defect above SU2_ATOL needs it
-        bound = SU2_ATOL * max(1.0, float(np.max(np.abs(f))))
-        if tr_defect > bound or ah_defect > bound:
-            raise ValueError(
-                f"matrix is not su(2) within {bound:.3e}: "
-                f"trace defect {tr_defect:.3e}, anti-Hermiticity defect {ah_defect:.3e}"
-            )
+    f00, f01, f10 = f[..., 0, 0], f[..., 0, 1], f[..., 1, 0]
     return vec((f01.imag + f10.imag) * 0.5, (f01.real - f10.real) * 0.5, f00.imag)

@@ -6,8 +6,12 @@ tolerances.  A runner evaluates its pointwise part in tiles
 (``soliton.tiled``) and reduces over the whole grid once, here: the
 modules it calls (``lax``, ``deformation``, ``immersion``, ``diffgeo``) are
 pointwise and reduce nothing, and ``lagrangian`` only builds the energies
-that the ``shape`` check tests.  Each check is one entry of the table
-``_CHECKS``.  A check is compatible with a (family, parameter) combination
+that the ``shape`` check tests.  The frame runners (``consistency``,
+``compat``, ``forms``, ``lax``) keep across tiles one float64 per residual
+value they report and nothing else; where only a maximum is reported (the
+su(2) test of the ``consistency`` frame, the ``lax`` determinant drift)
+they fold each tile's exact maxima instead.  Each check is one entry of the
+table ``_CHECKS``.  A check is compatible with a (family, parameter) combination
 or it is reported as skipped with the reason; requesting an incompatible
 check explicitly is a configuration error.
 """
@@ -167,8 +171,9 @@ def _window_label(xr, tr) -> str:
 
 def _stats(res: np.ndarray) -> tuple[float, float]:
     """Max and median of a residual of magnitudes (every runner passes
-    entries >= 0)."""
-    return float(np.max(res)), float(np.median(res))
+    entries >= 0).  The median partitions ``res`` in place, so a caller
+    passes an array it owns and does not read afterwards."""
+    return float(np.max(res)), float(np.median(res, overwrite_input=True))
 
 
 def _result(name, cfg_label, tol, res, excluded=0, note="") -> CheckResult:
@@ -239,14 +244,17 @@ def _entry_max(m: np.ndarray) -> np.ndarray:
 def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p = cfg.surface.params
     x, t, label = cfg.clipped_grid()
+    expected = det_phi_expected(p)
+    # per tile, the largest |det Phi - expected|: only the grid's is reported
+    det_dev = []
 
     def pointwise(xx, tt):
         rx, rt, ph = lax_residuals(jet(xx, tt, p), h=h)
-        return np.maximum(_entry_max(np.abs(rx)), _entry_max(np.abs(rt))), su2.det(ph)
+        det_dev.append(np.max(np.abs(su2.det(ph) - expected)))
+        return np.maximum(_entry_max(np.abs(rx)), _entry_max(np.abs(rt)))
 
-    res, dets = tiled(pointwise, x, t)
-    expected = det_phi_expected(p)
-    det_rel = float(np.max(np.abs(dets - expected)) / abs(expected))
+    res = tiled(pointwise, x, t)
+    det_rel = float(np.max(det_dev) / abs(expected))
     mx, med = _stats(res)
     return CheckResult(
         name=name,
@@ -271,10 +279,12 @@ def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
 
     def pointwise(xx, tt):
         j = jet(xx, tt, p)
-        return tuple(np.abs(ab_compatibility_residual(replace(j, p=kp), kind))
-                     for kind, kp in kind_params.items())
+        res = np.empty((xx.size, len(kind_params), 3))
+        for i, (kind, kp) in enumerate(kind_params.items()):
+            np.abs(ab_compatibility_residual(replace(j, p=kp), kind), out=res[:, i])
+        return res
 
-    return _result(name, label, tol, np.stack(tiled(pointwise, x, t)),
+    return _result(name, label, tol, tiled(pointwise, x, t),
                    note="all three deformation families")
 
 
@@ -292,25 +302,29 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
         cur = curvatures_from_forms(forms_from_ab(j, fam.kind))
         closed = fam.curvatures(j)
         den = fam.denominator(j)
-        return cur.K, cur.H, closed.K, closed.H, np.sign(den), np.abs(den)
+        return (np.abs(cur.K - closed.K), np.abs(cur.H - np.sign(den) * closed.H),
+                np.abs(closed.K), np.abs(closed.H), np.abs(den))
 
-    cur_k, cur_h, closed_k, closed_h, sign, den = tiled(pointwise, x, t)
+    diff_k, diff_h, closed_k, closed_h, den = tiled(pointwise, x, t)
     keep = den > POLE_MARGIN * np.max(den)
-    if not keep.any():
+    n_keep = int(np.count_nonzero(keep))
+    if n_keep == 0:
         raise diffgeo.SingularPointError(
             f"{name}: no grid point clears the closed forms' poles "
             f"(|denominator| <= {POLE_MARGIN:g} max |denominator| everywhere)"
         )
-    rel_k = np.abs(cur_k[keep] - closed_k[keep]) / np.max(np.abs(closed_k[keep]))
-    rel_h = np.abs(cur_h[keep] - sign[keep] * closed_h[keep]) / np.max(
-        np.abs(closed_h[keep])
-    )
+    # each kept difference relative to the largest kept closed form
+    rel = np.empty(2 * n_keep)
+    for part, diff, closed in ((rel[:n_keep], diff_k, closed_k),
+                               (rel[n_keep:], diff_h, closed_h)):
+        np.compress(keep.reshape(-1), diff, out=part)
+        part /= np.max(closed, where=keep, initial=0.0)
     return _result(
         name,
         cfg.label("with |xi|<2.95"),
         tol,
-        np.concatenate([rel_k, rel_h]),
-        excluded=int(keep.size - np.count_nonzero(keep)),
+        rel,
+        excluded=keep.size - n_keep,
         note="frame curvatures vs closed forms",
     )
 
@@ -433,18 +447,22 @@ def _check_consistency(cfg: _Config, name: str, tol: float, h: float) -> CheckRe
     position = fam.providers(p).position
     s = diffgeo.Stencil(h, order=4)
 
-    def pointwise(xx, tt):
-        return (diffgeo.derivative(position, xx, tt, s, axis=0),
-                diffgeo.derivative(position, xx, tt, s, axis=1),
-                *immersion.frame_tangents(jet(xx, tt, p), fam.kind))
+    # per tile, the su(2) defects of y_x and of y_t
+    defects = []
 
-    yx_fd, yt_fd, yx_fr, yt_fr = tiled(pointwise, x, t)
-    # the su(2) test of the tangents runs on the whole grid, so its bound
-    # scales with the grid's largest entry
-    rx, rt = yx_fd - su2.su2_to_vec(yx_fr), yt_fd - su2.su2_to_vec(yt_fr)
-    # freed before the reduction, which would otherwise raise the peak memory
-    del yx_fd, yt_fd, yx_fr, yt_fr
-    res = np.concatenate([np.abs(rx).reshape(-1), np.abs(rt).reshape(-1)])
+    def pointwise(xx, tt):
+        res = np.empty((xx.size, 2, 3))
+        for axis, frame in enumerate(immersion.frame_tangents(jet(xx, tt, p), fam.kind)):
+            fd = diffgeo.derivative(position, xx, tt, s, axis=axis)
+            np.abs(fd - su2.su2_components(frame), out=res[:, axis])
+            defects.append(su2.su2_defects(frame))
+        return res
+
+    res = tiled(pointwise, x, t)
+    # the su(2) test of each tangent on the whole grid, so that its bound
+    # scales with that tangent's largest entry on the grid
+    for grid_max in np.max(np.reshape(defects, (-1, 2, 3)), axis=0):
+        su2.check_su2(*grid_max)
     return _result(name, label, tol, res, note="frame tangents vs position derivatives")
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from mkdvsurf import su2
 from mkdvsurf.lagrangian import FLAT_MONOMIALS
 
 
@@ -25,3 +26,10 @@ def far_field_distance(family, j, y=None):
 def flat_coefficients(poly):
     """Coefficients of ``poly`` in the flat ordering of its degree."""
     return tuple(poly.coeffs.get(nl, 0.0) for nl in FLAT_MONOMIALS[poly.N])
+
+
+def su2_to_vec(f):
+    """The components of the su(2) matrices ``f``, after the membership test
+    that raises ValueError on a matrix that is not su(2)."""
+    su2.check_su2(*su2.su2_defects(f))
+    return su2.su2_components(f)

@@ -19,6 +19,8 @@ from mkdvsurf.lax import lax_U, lax_V, zero_curvature_residual
 from mkdvsurf.soliton import SolitonParams, jet
 from mkdvsurf.verify import CheckConfigError, run_checks
 
+from helpers import su2_to_vec
+
 GRID = np.meshgrid(np.linspace(-2, 2, 15), np.linspace(-2, 2, 15))
 
 spectral_params = st.builds(
@@ -45,7 +47,7 @@ def test_ab_are_su2_valued(kind):
     # vector is su(2) exactly, so the round trip is bitwise
     for v in (a, b):
         assert v.dtype == np.float64
-        assert np.array_equal(su2.su2_to_vec(su2.vec_to_su2(v)), v)
+        assert np.array_equal(su2_to_vec(su2.vec_to_su2(v)), v)
 
 
 @pytest.mark.parametrize("kind", list(DeformationKind))

@@ -28,7 +28,7 @@ from mkdvsurf.immersion import (
 from mkdvsurf.lax import phi
 from mkdvsurf.soliton import XI_MAX, SolitonParams, jet
 
-from helpers import far_field_distance
+from helpers import far_field_distance, su2_to_vec
 
 GRID = np.meshgrid(np.linspace(-2, 2, 13), np.linspace(-2, 2, 13))
 
@@ -121,7 +121,7 @@ def test_frame_tangent_lengths_match_metric():
     p = pre.params
     x, t = GRID
     j = jet(x, t, p)
-    yx, yt = map(su2.su2_to_vec, frame_tangents(j, pre.family.kind))
+    yx, yt = map(su2_to_vec, frame_tangents(j, pre.family.kind))
     f = three_param_forms_closed(j)
     assert np.allclose(np.sum(yx * yx, axis=-1), f.g11, rtol=1e-10)
     assert np.allclose(np.sum(yx * yt, axis=-1), f.g12, rtol=1e-10)

@@ -15,6 +15,8 @@ from mkdvsurf.lax import (
 )
 from mkdvsurf.soliton import SolitonParams, jet
 
+from helpers import su2_to_vec
+
 GRID = np.meshgrid(np.linspace(-2, 2, 17), np.linspace(-2, 2, 17))
 
 SAMPLE_PARAMS = [
@@ -32,7 +34,7 @@ def test_u_v_are_su2_valued(p):
     # vector is su(2) exactly, so the round trip is bitwise
     for v in (lax_U(j.u, p.lam), lax_V(j.u, j.u_x, p.lam, p.alpha)):
         assert v.dtype == np.float64
-        assert np.array_equal(su2.su2_to_vec(su2.vec_to_su2(v)), v)
+        assert np.array_equal(su2_to_vec(su2.vec_to_su2(v)), v)
 
 
 def test_u_matrix_entries():

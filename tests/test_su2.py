@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from mkdvsurf import su2
 
+from helpers import su2_to_vec
+
 component = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 vec3 = st.tuples(component, component, component).map(np.array)
 
@@ -42,7 +44,7 @@ def test_trace_on_grid():
 @settings(max_examples=50, deadline=None)
 @given(vec3)
 def test_vec_roundtrip(v):
-    assert np.allclose(su2.su2_to_vec(su2.vec_to_su2(v)), v)
+    assert np.allclose(su2_to_vec(su2.vec_to_su2(v)), v)
 
 
 def _inner_by_trace(fa, fb):
@@ -120,9 +122,9 @@ def test_vector_algebra_certificate():
 
 def test_su2_membership():
     f = su2.vec_to_su2(np.array([1.0, -2.0, 0.5]))
-    su2.su2_to_vec(f)  # raises unless f is su(2)
+    su2_to_vec(f)  # raises unless f is su(2)
     with pytest.raises(ValueError):
-        su2.su2_to_vec(np.eye(2, dtype=complex))
+        su2_to_vec(np.eye(2, dtype=complex))
 
 
 def test_hermitian_sigma1_is_not_su2():
@@ -130,7 +132,7 @@ def test_hermitian_sigma1_is_not_su2():
     s1 = _sigma(1)
     assert su2.trace(s1) == 0
     with pytest.raises(ValueError):
-        su2.su2_to_vec(s1)
+        su2_to_vec(s1)
 
 
 def test_membership_bound_scales_with_large_entries():
@@ -145,11 +147,11 @@ def test_membership_bound_scales_with_large_entries():
 
     small, large = [0.5, -0.25, 0.125], [1e6, -2e6, 5e5]
     with pytest.raises(ValueError, match="trace defect 2.000e-10"):
-        su2.su2_to_vec(with_trace_defect(small, 2e-10))
-    assert np.allclose(su2.su2_to_vec(with_trace_defect(large, 2e-10)), large)
-    assert np.allclose(su2.su2_to_vec(with_trace_defect(large, 2e-4)), large)
+        su2_to_vec(with_trace_defect(small, 2e-10))
+    assert np.allclose(su2_to_vec(with_trace_defect(large, 2e-10)), large)
+    assert np.allclose(su2_to_vec(with_trace_defect(large, 2e-4)), large)
     with pytest.raises(ValueError, match="trace defect 1.000e-03"):
-        su2.su2_to_vec(with_trace_defect(large, 1e-3))
+        su2_to_vec(with_trace_defect(large, 1e-3))
 
 
 def _to_vec_textbook(f):
@@ -183,7 +185,7 @@ def test_su2_to_vec_is_bitwise_the_textbook_formula(seed, shape, scale):
     rng = np.random.default_rng(seed)
     for f in (su2.vec_to_su2(scale * rng.normal(size=shape + (3,))),
               _conjugated_frames(rng, shape, scale)):
-        got = su2.su2_to_vec(f)
+        got = su2.su2_components(f)
         want = _to_vec_textbook(f)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -199,15 +201,30 @@ def test_su2_to_vec_reports_the_whole_matrix_defects(seed):
     for bad in (f + bump + np.conj(np.swapaxes(bump, -1, -2)), f + bump):
         tr, ah = _defects_whole_matrix(bad)
         with pytest.raises(ValueError) as err:
-            su2.su2_to_vec(bad)
+            su2_to_vec(bad)
         assert f"trace defect {tr:.3e}, anti-Hermiticity defect {ah:.3e}" in str(err.value)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_su2_defects_of_the_parts_fold_to_those_of_the_whole(seed):
+    # the defects are maxima: those of a stack are the elementwise maxima of
+    # the defects of its parts, bit for bit, whatever the parts' sizes
+    rng = np.random.default_rng(seed)
+    f = _conjugated_frames(rng, (101,), 10.0 ** rng.uniform(-3, 6))
+    f += 1e-9 * (rng.normal(size=f.shape) + 1j * rng.normal(size=f.shape))
+    whole = su2.su2_defects(f)
+    assert whole.shape == (3,)
+    assert whole[2] == np.max(np.abs(f))
+    for size in (1, 7, 50, 101):
+        parts = [su2.su2_defects(f[i:i + size]) for i in range(0, f.shape[0], size)]
+        assert np.array_equal(np.max(parts, axis=0), whole)
 
 
 def test_vectorized_shapes():
     v = np.random.default_rng(0).normal(size=(3, 4, 3))
     f = su2.vec_to_su2(v)
     assert f.shape == (3, 4, 2, 2)
-    assert su2.su2_to_vec(f).shape == (3, 4, 3)
+    assert su2_to_vec(f).shape == (3, 4, 3)
     assert su2.su2_inner(v, v).shape == (3, 4)
     assert su2.su2_norm(v).shape == (3, 4)
     assert su2.commutator(v, v).shape == (3, 4, 3)

@@ -66,47 +66,89 @@ def test_every_tile_size_gives_the_same_reports_and_exports(monkeypatch, capsys,
     assert all(o[0] in (0, 1) for k, o in whole.items() if k != ("verify", "ex7", "weingarten"))
 
 
-def test_the_su2_bound_of_the_frame_spans_all_tiles(monkeypatch):
-    # The frame's entries of 1e6 sit in the first row of an 8x8 grid and a
-    # trace defect of 1e-8 in the last.  The defect lies between
-    # su2.SU2_ATOL = 1e-10 and SU2_ATOL * max|f| = 1e-4 over the grid, so the
-    # frame is su(2); taken over the last tile alone the bound would be 1e-10
-    # and reject it.
-    surface = immersion.resolve("ex2", x_range=(-2.0, 2.0), t_range=(-2.0, 2.0))
+def _consistency_frame(monkeypatch, surface, yx_entry, yt_entry, yx_defect, yt_defect):
+    """Replace the frame tangents of the consistency check on the 8x8 grid of
+    ``surface``: in the first row y_x has the entries ``yx_entry`` and y_t
+    ``yt_entry``, 0.5 elsewhere, and in the last row y_x carries the trace
+    defect ``yx_defect`` and y_t ``yt_defect``.  Returns the frame's last row."""
     x, t = surface.grid(8, 8)
     first, last = t.min(), t.max()
 
     def frame_tangents(j, kind):
-        tt = j.t
-        v = np.where((tt == first)[:, None], 1e6, 0.5) * np.ones(tt.shape + (3,))
-        f = su2.vec_to_su2(v)
-        f[tt == last, 0, 0] += 1e-8j
-        return f, f.copy()
+        in_first = (j.t == first)[:, None]
+        yx, yt = (su2.vec_to_su2(np.where(in_first, entry, 0.5) * np.ones(j.t.shape + (3,)))
+                  for entry in (yx_entry, yt_entry))
+        yx[j.t == last, 0, 0] += yx_defect * 1j
+        yt[j.t == last, 0, 0] += yt_defect * 1j
+        return yx, yt
 
     monkeypatch.setattr(immersion, "frame_tangents", frame_tangents)
-    defect_row = frame_tangents(soliton.jet(x[-1], t[-1], surface.params), None)[0]
-    with pytest.raises(ValueError, match="not su\\(2\\)"):
-        su2.su2_to_vec(defect_row)
+    return frame_tangents(soliton.jet(x[-1], t[-1], surface.params), None)
 
-    # each su2_to_vec call of the consistency check: (input, output) bytes
-    to_vec = su2.su2_to_vec
-    calls = []
 
-    def spy(f):
-        v = to_vec(f)
-        calls.append((f.shape, f.tobytes(), v.shape, v.tobytes()))
-        return v
+def _consistency(monkeypatch, surface, tile):
+    monkeypatch.setattr(soliton, "TILE_POINTS", tile)
+    return verify.run_checks(["consistency"], surface, 8, 8, fd_step=1e-3)
 
-    monkeypatch.setattr(su2, "su2_to_vec", spy)
+
+WINDOW = {"x_range": (-2.0, 2.0), "t_range": (-2.0, 2.0)}
+
+
+def test_the_su2_bound_of_the_frame_spans_all_tiles(monkeypatch):
+    # Both tangents have entries of 1e6 in the first row of an 8x8 grid and a
+    # trace defect of 1e-8 in the last.  The defect lies between
+    # su2.SU2_ATOL = 1e-10 and SU2_ATOL * max|f| = 1.4e-4 over the grid, so the
+    # frame is su(2); taken over the last tile alone the bound would be 1e-10
+    # and reject it.
+    surface = immersion.resolve("ex2", **WINDOW)
+    defect_rows = _consistency_frame(monkeypatch, surface, 1e6, 1e6, 1e-8, 1e-8)
+    for defect_row in defect_rows:
+        with pytest.raises(ValueError, match="not su\\(2\\)"):
+            su2.check_su2(*su2.su2_defects(defect_row))
+
+    # the (trace defect, anti-Hermiticity defect, max|f|) that each su(2)
+    # test of the consistency check decides on
+    check_su2 = su2.check_su2
+    tested = []
+
+    def spy(*defects):
+        tested.append(defects)
+        return check_su2(*defects)
+
+    monkeypatch.setattr(su2, "check_su2", spy)
 
     def consistency(tile):
-        monkeypatch.setattr(soliton, "TILE_POINTS", tile)
-        calls.clear()
-        report = verify.run_checks(["consistency"], surface, 8, 8, fd_step=1e-3)
-        return report.checks, list(calls)
+        tested.clear()
+        return _consistency(monkeypatch, surface, tile).checks, list(tested)
 
-    whole = consistency(x.size)
-    # once for y_x and once for y_t, each on the whole 8x8 grid
-    assert [c[0] for c in whole[1]] == [(8, 8, 2, 2)] * 2
+    whole = consistency(64)
+    # once for y_x and once for y_t, each on the grid maxima
+    f_max = np.max(np.abs(su2.vec_to_su2(np.full(3, 1e6))))
+    assert [d[2] for d in whole[1]] == [f_max, f_max]
+    assert [d[0] for d in whole[1]] == pytest.approx([1e-8, 1e-8])
     for tile in (5, 8):
         assert consistency(tile) == whole
+
+
+@pytest.mark.parametrize("yx_entry, yt_entry, yx_defect, yt_defect", [
+    (1e6, 1e6, 0.0, 1e-3),   # y_t above the grid-wide bound of 1.4e-4
+    (1e6, 1e6, 1e-3, 0.0),   # y_x above the grid-wide bound of 1.4e-4
+    (1e6, 1.0, 0.0, 1e-8),   # y_t above its own bound of 1e-10, below y_x's
+    (1.0, 1e6, 1e-8, 0.0),   # y_x above its own bound of 1e-10, below y_t's
+])
+def test_a_defect_above_its_tangents_bound_is_rejected_at_every_tile_size(
+        monkeypatch, capsys, yx_entry, yt_entry, yx_defect, yt_defect):
+    # The bound of each tangent scales with that tangent's own largest entry
+    # on the grid: where one tangent's entries are at most 1, its trace
+    # defect is held to 1e-10 however large the other's entries are.
+    surface = immersion.resolve("ex2", **WINDOW)
+    _consistency_frame(monkeypatch, surface, yx_entry, yt_entry, yx_defect, yt_defect)
+    defect = max(yx_defect, yt_defect)
+    for tile in (5, 8, 64):
+        with pytest.raises(ValueError, match=f"not su\\(2\\).*trace defect {defect:.3e}"):
+            _consistency(monkeypatch, surface, tile)
+        argv = ["verify", "--preset", "ex2", "--checks", "consistency", "--nx", "8",
+                "--nt", "8", "--fd-step", "1e-3", "--x-min", "-2", "--x-max", "2",
+                "--t-min", "-2", "--t-max", "2"]
+        assert main(argv) == 2
+        assert "not su(2)" in capsys.readouterr().err

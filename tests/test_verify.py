@@ -2,6 +2,7 @@
 
 import ast
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,3 +290,23 @@ def test_every_residual_reduced_is_a_magnitude(monkeypatch):
     assert len(reduced) == len([c for c in ran if c.name != "shape"]) > 40
     for res in reduced:
         assert not np.any(np.signbit(res))
+
+
+def test_consistency_memory_grows_by_the_values_it_reports():
+    # Per added grid point the check keeps the 48 B of its six residual
+    # magnitudes, the grid's coordinates and one tile's work, which does not
+    # grow: the traced peak may grow by at most 150 B per point from 101^2 to
+    # 201^2.  Assembling the frame and FD tangents of the whole grid before
+    # reducing costs about 290 B per point.
+    surface = resolve("ex2")
+    vf.run_checks(["consistency"], surface, 11, 11)
+    peaks = {}
+    for n in (101, 201):
+        tracemalloc.start()
+        try:
+            vf.run_checks(["consistency"], surface, n, n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_point = (peaks[201] - peaks[101]) / (201 ** 2 - 101 ** 2)
+    assert per_point <= 150, f"{per_point:.0f} B per grid point"
