@@ -4,6 +4,7 @@ Runs, each in a fresh interpreter with one BLAS/OpenMP thread,
 
     mkdvsurf verify --preset ex2 --checks all
     mkdvsurf generate --preset ex7 --format json
+    mkdvsurf generate --preset ex7 --format obj
 
 at nx = nt = 101, 401 and 1001, the grid sizes the ROADMAP's north star
 names (the perfbench workloads stop at 201^2).  Each run's wall time
@@ -36,6 +37,7 @@ SIZES = (101, 401, 1001)
 COMMANDS = {
     "verify ex2 all": ("verify", "--preset", "ex2", "--checks", "all"),
     "generate ex7 json": ("generate", "--preset", "ex7", "--format", "json"),
+    "generate ex7 obj": ("generate", "--preset", "ex7", "--format", "obj"),
 }
 
 
@@ -74,7 +76,7 @@ def main(argv=None) -> int:
             for name, command in COMMANDS.items():
                 argv = [*command, "--nx", str(n), "--nt", str(n)]
                 if command[0] == "generate":
-                    argv += ["--out", str(Path(tmp) / "mesh.json")]
+                    argv += ["--out", str(Path(tmp) / f"mesh.{command[-1]}")]
                 runs.append({"command": name, "n": n, **run_once(root, argv)})
                 print(runs[-1], file=sys.stderr)
     result = {"python": sys.version.split()[0], "nproc": os.cpu_count(), "runs": runs}

@@ -21,7 +21,6 @@ __all__ = [
     "SurfaceMesh",
     "generate",
     "export",
-    "export_text",
     "SINGULAR_RTOL",
 ]
 
@@ -62,7 +61,7 @@ class SurfaceMesh:
         """
         nx = self.nx
         a = (np.arange(self.nt - 1)[:, None] * nx + np.arange(nx - 1)).reshape(-1) + 1
-        return np.stack([a, a + 1, a + nx + 1, a + nx], axis=1)
+        return a[:, None] + np.array([0, 1, nx + 1, nx])
 
 
 def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
@@ -102,10 +101,10 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
     )
 
 
-# Rows per %-format, json.dumps or join call.  A block's Python objects,
-# with at most as many distinct texts per column, are all that exists at
-# once beside the output text, and the per-call overhead is amortised over
-# the block.
+# Rows per %-format, json.dumps or join call, and per chunk of text an
+# export writes.  A block's Python objects and its text, with at most as
+# many distinct texts per column, are all that exists at once beside the
+# mesh, and the per-call overhead is amortised over the block.
 _BLOCK_ROWS = 4096
 
 # text of a singular flag, indexed by the flag's byte
@@ -117,12 +116,12 @@ def _blocks(arr: np.ndarray):
     return (arr[i:i + _BLOCK_ROWS] for i in range(0, len(arr), _BLOCK_ROWS))
 
 
-def _rows_text(row_fmt: str, blocks) -> str:
-    """``row_fmt`` applied to each row of each 2-D block.  %.17g gives the
-    digits of format(v, ".17g"): an exact float round trip."""
-    return "".join(
-        (row_fmt * len(block)) % tuple(block.reshape(-1).tolist()) for block in blocks
-    )
+def _rows(row_fmt: str, blocks):
+    """The text of ``row_fmt`` applied to each row of a 2-D block, one
+    chunk per block.  %.17g gives the digits of format(v, ".17g"): an exact
+    float round trip."""
+    for block in blocks:
+        yield (row_fmt * len(block)) % tuple(block.reshape(-1).tolist())
 
 
 def _format(fmt: str, values: np.ndarray, null: str | None) -> np.ndarray:
@@ -144,30 +143,37 @@ def _column_texts(fmt: str, column: np.ndarray, null: str | None = None):
     apart by their bits: deduping by value would merge 0.0 with -0.0, which
     print differently.  A column with no more distinct values than a block
     has rows gets one table of texts; any other is deduped within each
-    block, so that no more than a block's texts exist at once.
+    block, so that no more than a block's texts exist at once.  Nothing is
+    computed before the first block is asked for.
     """
     bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
     if len(bits) <= _BLOCK_ROWS:
         text = _format(fmt, bits.view(np.float64), null)
-        return (text[b] for b in _blocks(inverse))
-    return (
-        _format(fmt, bits[ids].view(np.float64), null)[at]
-        for ids, at in (np.unique(b, return_inverse=True) for b in _blocks(inverse))
-    )
+        for b in _blocks(inverse):
+            yield text[b]
+    else:
+        for b in _blocks(inverse):
+            ids, at = np.unique(b, return_inverse=True)
+            yield _format(fmt, bits[ids].view(np.float64), null)[at]
 
 
-def _obj_text(mesh: SurfaceMesh) -> str:
+def _obj_chunks(mesh: SurfaceMesh):
     ok = np.isfinite(mesh.vertices).all(axis=1)
-    # a non-finite vertex is written as the placeholder "v 0 0 0", which
-    # keeps indices stable; faces touching it are left out
-    vertices = np.where(ok[:, None], mesh.vertices, 0.0)
-    quads = mesh.quads()
-    faces = quads[ok[quads - 1].all(axis=1)]
-    return (_rows_text("v %.17g %.17g %.17g\n", _blocks(vertices))
-            + _rows_text("f %d %d %d %d\n", _blocks(faces)))
+    finite = ok.all()
+    vertices = _blocks(mesh.vertices)
+    if not finite:
+        # a non-finite vertex is written as the placeholder "v 0 0 0", which
+        # keeps indices stable; faces touching it are left out
+        vertices = (np.where(np.isfinite(b).all(axis=1)[:, None], b, 0.0)
+                    for b in vertices)
+    yield from _rows("v %.17g %.17g %.17g\n", vertices)
+    faces = _blocks(mesh.quads())
+    if not finite:
+        faces = (b[ok[b - 1].all(axis=1)] for b in faces)
+    yield from _rows("f %d %d %d %d\n", faces)
 
 
-def _csv_text(mesh: SurfaceMesh) -> str:
+def _csv_chunks(mesh: SurfaceMesh):
     # the position is nearly all distinct values, and is formatted per value
     x, t, k, h = (_column_texts("%.17g", a) for a in (mesh.x, mesh.t, mesh.K, mesh.H))
     blocks = (
@@ -175,28 +181,29 @@ def _csv_text(mesh: SurfaceMesh) -> str:
         for cols in zip(x, t, _blocks(mesh.vertices), k, h,
                         (_FLAGS[f] for f in _blocks(mesh.singular.view(np.uint8))))
     )
-    return "x,t,y1,y2,y3,K,H,singular\n" + _rows_text(
-        "%s,%s,%.17g,%.17g,%.17g,%s,%s,%s\n", blocks
-    )
+    yield "x,t,y1,y2,y3,K,H,singular\n"
+    yield from _rows("%s,%s,%.17g,%.17g,%.17g,%s,%s,%s\n", blocks)
 
 
 _JSON_SEP = (",", ":")
 
 
-def _json_list(texts) -> str:
-    """JSON list of the texts in each of an iterable of object arrays."""
-    return "[" + ",".join(",".join(t.tolist()) for t in texts) + "]"
+def _json_list(parts):
+    """JSON list of entries given as comma-separated texts, one chunk per
+    part."""
+    sep = "["
+    for part in parts:
+        yield sep + part
+        sep = ","
+    yield "]"
 
 
-def _json_array(arr: np.ndarray) -> str:
-    """JSON list of an array, block by block, with non-finite entries null."""
-    return "[" + ",".join(
-        json.dumps(np.where(np.isfinite(b), b, None).tolist(), separators=_JSON_SEP)[1:-1]
-        for b in _blocks(arr)
-    ) + "]"
+def _joined(texts):
+    """The comma-separated text of each of an iterable of object arrays."""
+    return (",".join(t.tolist()) for t in texts)
 
 
-def _json_text(mesh: SurfaceMesh) -> str:
+def _json_chunks(mesh: SurfaceMesh):
     # Key by key in sorted order, the bytes of json.dumps(doc, sort_keys=True,
     # separators=(",", ":")) without holding the arrays as Python floats.
     surf = mesh.surface
@@ -212,25 +219,36 @@ def _json_text(mesh: SurfaceMesh) -> str:
         "t_range": list(surf.t_range),
         "order": "row-major in t then x; vertex = it*nx + ix",
     }
-    items = {key: json.dumps(v, sort_keys=True, separators=_JSON_SEP)
+    # each value's chunks; the array generators compute nothing (no
+    # np.unique of a column) until their key is written
+    items = {key: [json.dumps(v, sort_keys=True, separators=_JSON_SEP)]
              for key, v in doc.items()}
     # %r is json.dumps' float text
     for key in ("x", "t", "K", "H", "xi"):
-        items[key] = _json_list(_column_texts("%r", getattr(mesh, key), "null"))
-    items["vertices"] = _json_array(mesh.vertices)
-    items["singular"] = _json_list(_FLAGS[b] for b in _blocks(mesh.singular.view(np.uint8)))
-    # popped, so that no array's text is held twice: once alone, once in
-    # its "key":text item
-    return "{" + ",".join(
-        json.dumps(key) + ":" + items.pop(key) for key in sorted(items)
-    ) + "}\n"
+        items[key] = _json_list(_joined(_column_texts("%r", getattr(mesh, key), "null")))
+    # each block's list of [y1,y2,y3] lists, without its brackets
+    items["vertices"] = _json_list(
+        json.dumps(np.where(np.isfinite(b), b, None).tolist(), separators=_JSON_SEP)[1:-1]
+        for b in _blocks(mesh.vertices)
+    )
+    items["singular"] = _json_list(
+        _joined(_FLAGS[b] for b in _blocks(mesh.singular.view(np.uint8))))
+    sep = "{"
+    for key in sorted(items):
+        yield sep + json.dumps(key) + ":"
+        yield from items[key]
+        sep = ","
+    yield "}\n"
 
 
-_WRITERS = {"obj": _obj_text, "csv": _csv_text, "json": _json_text}
+_WRITERS = {"obj": _obj_chunks, "csv": _csv_chunks, "json": _json_chunks}
 
 
-def export_text(mesh: SurfaceMesh, fmt: str) -> str:
-    """Serialize a mesh to one of the supported formats."""
+def export(mesh: SurfaceMesh, fmt: str, out: str | Path) -> Path:
+    """Write the mesh to ``out`` in one of the supported formats, one block
+    of rows at a time, so that the whole text is never held; returns the
+    path written.  A bad format or an empty mesh raises before ``out`` is
+    opened."""
     if mesh.n_vertices == 0:
         raise ValueError("empty mesh")
     try:
@@ -239,12 +257,7 @@ def export_text(mesh: SurfaceMesh, fmt: str) -> str:
         raise ValueError(
             f"unknown format {fmt!r}; valid formats: {', '.join(sorted(_WRITERS))}"
         ) from None
-    return writer(mesh)
-
-
-def export(mesh: SurfaceMesh, fmt: str, out: str | Path) -> Path:
-    """Write the mesh to ``out``; returns the path written."""
-    text = export_text(mesh, fmt)
     path = Path(out)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        f.writelines(writer(mesh))
     return path

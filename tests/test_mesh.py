@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +15,17 @@ from mkdvsurf.immersion import DEFAULT_WINDOW, resolve
 from mkdvsurf.soliton import XI_MAX, SolitonParams
 
 
+def _exported(mesh, fmt) -> str:
+    """The text ``ms.export`` writes, read back byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return ms.export(mesh, fmt, Path(tmp) / f"mesh.{fmt}").read_bytes().decode()
+
+
 def test_two_by_two_mesh():
     m = ms.generate(resolve("ex2"), nx=2, nt=2)
     assert m.n_vertices == 4
     assert m.quads().tolist() == [[1, 2, 4, 3]]
-    obj = ms.export_text(m, "obj")
+    obj = _exported(m, "obj")
     lines = obj.strip().split("\n")
     assert sum(1 for l in lines if l.startswith("v ")) == 4
     assert lines[-1] == "f 1 2 4 3"
@@ -64,7 +73,7 @@ def test_window_override():
 
 def test_csv_roundtrip():
     m = ms.generate(resolve("ex6"), nx=7, nt=5)
-    text = ms.export_text(m, "csv")
+    text = _exported(m, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "x,t,y1,y2,y3,K,H,singular"
     assert len(lines) == 1 + m.n_vertices
@@ -78,7 +87,7 @@ def test_csv_roundtrip():
 
 def test_csv_precision_fifteen_digits():
     m = ms.generate(resolve("ex4"), nx=3, nt=3)
-    row = ms.export_text(m, "csv").strip().split("\n")[1].split(",")
+    row = _exported(m, "csv").strip().split("\n")[1].split(",")
     # 17 significant digits reproduce the double exactly
     assert float(row[2]) == m.vertices[0, 0]
 
@@ -87,12 +96,12 @@ def test_export_determinism():
     a = ms.generate(resolve("ex7"), nx=21, nt=21)
     b = ms.generate(resolve("ex7"), nx=21, nt=21)
     for fmt in ("obj", "csv", "json"):
-        assert ms.export_text(a, fmt) == ms.export_text(b, fmt)
+        assert _exported(a, fmt) == _exported(b, fmt)
 
 
 def test_json_schema():
     m = ms.generate(resolve("ex3"), nx=4, nt=3)
-    doc = json.loads(ms.export_text(m, "json"))
+    doc = json.loads(_exported(m, "json"))
     assert doc["mesh_version"] == 1
     assert doc["family"] == "spectral3"
     assert doc["preset"] == "ex3"
@@ -102,27 +111,66 @@ def test_json_schema():
     assert doc["params"]["mu"] == -4.0
 
 
-def test_obj_skips_faces_touching_nonfinite_vertices():
+def _center_nan_mesh():
     m = ms.generate(resolve("ex2"), nx=3, nt=3)
     vertices = m.vertices.copy()
     vertices[4] = np.nan  # center vertex of the 3x3 grid
-    broken = dataclasses.replace(m, vertices=vertices)
-    obj = ms.export_text(broken, "obj")
+    return dataclasses.replace(m, vertices=vertices)
+
+
+def test_obj_skips_faces_touching_nonfinite_vertices():
+    obj = _exported(_center_nan_mesh(), "obj")
     assert "nan" not in obj.lower()
     assert obj.count("\nf ") == 0  # every quad touches the center vertex
     assert "v 0 0 0" in obj
 
 
-def test_export_unknown_format():
+def test_export_unknown_format(tmp_path):
+    # rejected before the file is opened: a file already there keeps its bytes
     m = ms.generate(resolve("ex2"), nx=2, nt=2)
-    with pytest.raises(ValueError):
-        ms.export_text(m, "stl")
+    path = tmp_path / "mesh.stl"
+    path.write_bytes(b"kept")
+    with pytest.raises(ValueError, match="unknown format"):
+        ms.export(m, "stl", path)
+    assert path.read_bytes() == b"kept"
+
+
+def test_export_empty_mesh(tmp_path):
+    m = dataclasses.replace(ms.generate(resolve("ex2"), nx=2, nt=2), nt=0)
+    path = tmp_path / "mesh.obj"
+    path.write_bytes(b"kept")
+    with pytest.raises(ValueError, match="empty mesh"):
+        ms.export(m, "obj", path)
+    assert path.read_bytes() == b"kept"
 
 
 def test_export_writes_file(tmp_path):
-    m = ms.generate(resolve("ex2"), nx=4, nt=4)
-    out = ms.export(m, "obj", tmp_path / "mesh.obj")
-    assert out.read_text() == ms.export_text(m, "obj")
+    # ex4 at 70 x 61 has 4270 vertices, more than one block; the bytes are
+    # those of the scalar reference writers below, UTF-8 with "\n" line ends
+    for m in (ms.generate(resolve("ex4"), nx=70, nt=61), _center_nan_mesh()):
+        for fmt in ("obj", "csv", "json"):
+            out = ms.export(m, fmt, tmp_path / f"mesh.{fmt}")
+            assert out.read_bytes() == REFERENCE[fmt](m).encode(), fmt
+
+
+def test_export_memory_does_not_grow_with_the_text(tmp_path):
+    # An export holds one block's text at a time, so its peak grows with the
+    # grid only by the arrays it keeps per vertex (the OBJ face table, the
+    # CSV columns' distinct-value indices), not by the 88-146 B per vertex
+    # of the text; one whole-document copy would add at least that much.
+    for pid in ("ex4", "ex7"):
+        meshes = {n: ms.generate(resolve(pid), nx=n, nt=n) for n in (101, 201)}
+        for fmt in ("obj", "csv", "json"):
+            peak = {}
+            for n, m in meshes.items():
+                tracemalloc.start()
+                try:
+                    ms.export(m, fmt, tmp_path / f"mesh.{fmt}")
+                    peak[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            slope = (peak[201] - peak[101]) / (201 ** 2 - 101 ** 2)
+            assert slope <= 64, f"{pid} {fmt}: {slope:.0f} B per vertex"
 
 
 def test_parametric_generate():
@@ -266,7 +314,7 @@ def _inject(mesh, edits):
 
 def _assert_matches_reference(mesh):
     for fmt, ref in REFERENCE.items():
-        got, want = ms.export_text(mesh, fmt), ref(mesh)
+        got, want = _exported(mesh, fmt), ref(mesh)
         if got != want:
             # pytest's own diff of two texts this long takes minutes
             at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
