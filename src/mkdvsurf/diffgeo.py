@@ -224,19 +224,24 @@ _WHOLE_FIELD = ((..., "g", None),)
 
 
 def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
-    """(1/sqrt(det g)) d_i(sqrt(det g) w a^{ij} d_j f) in nested flux form.
+    """(1/sqrt(det g)) d_i(sqrt(det g) w a^{ij} d_j f) in nested flux form,
+    once for each surface of ``forms``.
 
-    ``forms`` takes (x, t) and returns the :class:`Forms` there.  Each block
-    ``(rows, tensor, weight)`` applies the operator to the rows ``rows`` of
-    f's value: a^{ij} is the inverse of the metric g (``tensor`` "g") or of
-    the second form h ("h"), and w the scalar field ``weight`` (1 when
-    None).  The bracketed flux is itself a field whose divergence is taken
-    by the same central stencils.  ``f`` may return leading axes (one field
-    per energy): the forms and the weight are evaluated once per stencil
-    point and broadcast against them.  All blocks share one pass, so each
-    flux point calls ``forms`` once and differentiates f once, and each
-    block fills its own rows of the flux with the arithmetic it would have
-    alone.
+    ``forms`` is a sequence of callables, one per surface, each taking
+    (x, t) and returning the :class:`Forms` there; the surfaces share the
+    field f and the weights, and the result is a list with one divergence
+    per surface.  Each block ``(rows, tensor, weight)`` applies the operator
+    to the rows ``rows`` of f's value: a^{ij} is the inverse of the metric g
+    (``tensor`` "g") or of the second form h ("h"), and w the scalar field
+    ``weight`` (1 when None).  The bracketed flux is itself a field whose
+    divergence is taken by the same central stencils.  ``f`` may return
+    leading axes (one field per energy).  At each flux point f is
+    differentiated once and each block's weight is evaluated once for all
+    surfaces, and each surface's ``forms`` is called once; every block of
+    every surface fills its own rows of one flux array with the arithmetic
+    it would have alone, and the central quotients act on all of them at
+    once, element by element.  So each surface's divergence is bitwise
+    what a pass with that surface alone gives.
 
     The x-flux at (x + a, t) differentiates f along t at the points
     (x + a, t + b), and the t-flux at (x, t + b) along x at the same
@@ -247,7 +252,9 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
     would evaluate, and every quotient is :func:`_quotient`'s; the result
     is bitwise that of differentiating f afresh at each flux point.  At
     ``OPERATOR_STENCIL`` f is called 108 times (6 x 6 mixed points and 36
-    on each axis) instead of 144.
+    on each axis) instead of 144, whatever the number of surfaces, and each
+    weight and each surface's ``forms`` 12 times at the flux points; each
+    ``forms`` once more at (x, t).
     """
     if s is None:
         s = OPERATOR_STENCIL
@@ -256,26 +263,26 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
     mixed = {}  # (a, b) -> f(x + a, t + b), from the x-pass to the t-pass
 
     def flux(xx, tt, fx, ft, row):
-        fm = forms(xx, tt)
-        sq = _sqrt_det_g(fm, scalar_ok=False)
         fx, ft = np.asarray(fx), np.asarray(ft)
+        weights = [None if weight is None else weight(xx, tt) for _, _, weight in blocks]
         out = None
-        if len(blocks) > 1:
-            out = np.empty(np.broadcast_shapes(fx.shape, np.shape(sq)))
-        for rows, tensor, weight in blocks:
-            if tensor == "g":
-                a11, a12, a22, det_a = fm.g11, fm.g12, fm.g22, fm.det_g()
-            else:
-                a11, a12, a22, det_a = fm.h11, fm.h12, fm.h22, fm.det_h()
-            w = sq if weight is None else sq * weight(xx, tt)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                if row == 0:
-                    value = w * (a22 * fx[rows] - a12 * ft[rows]) / det_a
-                else:
-                    value = w * (-a12 * fx[rows] + a11 * ft[rows]) / det_a
+        for surface, provider in enumerate(forms):
+            fm = provider(xx, tt)
+            sq = _sqrt_det_g(fm, scalar_ok=False)
             if out is None:
-                return value
-            out[rows] = value
+                out = np.empty((len(forms),) + np.broadcast_shapes(fx.shape, np.shape(sq)))
+            for (rows, tensor, _), wv in zip(blocks, weights):
+                if tensor == "g":
+                    a11, a12, a22, det_a = fm.g11, fm.g12, fm.g22, fm.det_g()
+                else:
+                    a11, a12, a22, det_a = fm.h11, fm.h12, fm.h22, fm.det_h()
+                w = sq if wv is None else sq * wv
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    if row == 0:
+                        value = w * (a22 * fx[rows] - a12 * ft[rows])
+                    else:
+                        value = w * (-a12 * fx[rows] + a11 * ft[rows])
+                    np.divide(value, det_a, out=out[surface, rows])
         return out
 
     def x_flux(a):
@@ -292,7 +299,8 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
 
     div = _quotient(x_flux, s, 1)
     div = div + _quotient(t_flux, s, 1)
-    return div / _sqrt_det_g(forms(x, t), scalar_ok=True)
+    return [d / _sqrt_det_g(provider(x, t), scalar_ok=True)
+            for d, provider in zip(div, forms)]
 
 
 def laplace_beltrami(f, forms, x, t, s: Stencil | None = None):
@@ -300,7 +308,8 @@ def laplace_beltrami(f, forms, x, t, s: Stencil | None = None):
 
     ``forms`` takes (x, t) and returns the :class:`Forms` there.
     """
-    return _divergence_form(f, forms, x, t, s)
+    [lap] = _divergence_form(f, (forms,), x, t, s)
+    return lap
 
 
 NEAR_SINGULAR_RTOL = 1e-10
@@ -341,24 +350,33 @@ def willmore_like_residual(
 
 
 def shape_equation_residual(
-    providers: SurfaceProviders,
+    curvatures: Callable[[np.ndarray, np.ndarray], CurvaturePair],
+    forms,
     energies,
     x,
     t,
     s: Stencil | None = None,
 ):
-    """Residuals of the generalized shape equation for polynomial energies.
+    """Residuals of the generalized shape equation for polynomial energies,
+    on each of several surfaces that share one curvature field.
 
-    For each energy E in the sequence ``energies``,
+    ``curvatures`` takes (x, t) and returns the :class:`CurvaturePair`
+    there; ``forms`` is a sequence of :class:`Forms` callables, one per
+    surface, all with those K and H.  For each energy E in the sequence
+    ``energies``,
     (Lap + 4H^2 - 2K) dE/dH + 2 (div-bar + 2KH) dE/dK - 4 H E + 2p,
-    where div-bar is the curvature-weighted operator.  Returns a list with
-    one (residual, scale) pair per energy, scale the largest of its four
-    term magnitudes.  The dE/dH fields of all energies, and the dE/dK
-    fields of those that depend on K, are rows of one field from one
+    where div-bar is the curvature-weighted operator.  Returns one list per
+    surface with one (residual, scale) pair per energy, scale the largest of
+    its four term magnitudes.  The dE/dH fields of all energies, and the
+    dE/dK fields of those that depend on K, are rows of one field from one
     curvature call per stencil point, and both operators act on it in one
-    divergence-form pass: the Laplacian on the dE/dH rows, div-bar on the
-    dE/dK rows.  Every pair is bitwise what the energy alone gives, and the
-    div-bar term of an energy free of K is exactly zero.
+    divergence-form pass for all surfaces: the Laplacian on the dE/dH rows,
+    div-bar on the dE/dK rows.  At ``OPERATOR_STENCIL`` that is 121
+    curvature calls (108 stencil points, the weight K at 12 flux points and
+    one at (x, t)) whatever the number of surfaces, and 13 calls of each
+    surface's ``forms``.  Every pair is bitwise what the energy gives alone
+    on that surface alone, and the div-bar term of an energy free of K is
+    exactly zero.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -371,7 +389,7 @@ def shape_equation_residual(
     n_h = len(energies)
 
     def field(xx, tt):
-        c = providers.curvatures(xx, tt)
+        c = curvatures(xx, tt)
         out = np.empty((n_h + len(with_k),) + np.shape(c.H))
         for row, e in zip(out, energies):
             row[...] = e.dH(c.H, c.K)
@@ -381,22 +399,26 @@ def shape_equation_residual(
 
     blocks = [(slice(0, n_h), "g", None)]
     if with_k:
-        blocks.append(
-            (slice(n_h, None), "h", lambda a, b: providers.curvatures(a, b).K)
-        )
-    ops = _divergence_form(field, providers.forms, x, t, s, blocks)
-    nabla = iter(ops[n_h:])
-    cur = providers.curvatures(x, t)
+        blocks.append((slice(n_h, None), "h", lambda a, b: curvatures(a, b).K))
+    per_surface = _divergence_form(field, forms, x, t, s, blocks)
+    cur = curvatures(x, t)
     h_, k_ = cur.H, cur.K
-    out = []
-    for e, lap_e, dep in zip(energies, ops[:n_h], on_k):
-        term1 = lap_e + (4.0 * h_ ** 2 - 2.0 * k_) * e.dH(h_, k_)
-        nabla_term = next(nabla) if dep else np.zeros_like(h_)
-        term2 = 2.0 * (nabla_term + 2.0 * k_ * h_ * e.dK(h_, k_))
+    # the terms read at (x, t) alone, the same on every surface
+    pointwise = []
+    for e in energies:
         term3 = -4.0 * h_ * e.eval(h_, k_)
-        term4 = 2.0 * e.p + np.zeros_like(term3)
-        scale = np.maximum.reduce(
-            [np.abs(term1), np.abs(term2), np.abs(term3), np.abs(term4), np.full_like(term3, 1e-30)]
-        )
-        out.append((term1 + term2 + term3 + term4, scale))
-    return out
+        pointwise.append(((4.0 * h_ ** 2 - 2.0 * k_) * e.dH(h_, k_),
+                          2.0 * k_ * h_ * e.dK(h_, k_), term3,
+                          2.0 * e.p + np.zeros_like(term3)))
+    results = []
+    for ops in per_surface:
+        nabla = iter(ops[n_h:])
+        out = []
+        for lap_e, dep, (curv_h, curv_k, term3, term4) in zip(ops[:n_h], on_k, pointwise):
+            term1 = lap_e + curv_h
+            term2 = 2.0 * ((next(nabla) if dep else np.zeros_like(h_)) + curv_k)
+            scale = np.maximum.reduce([np.abs(term1), np.abs(term2), np.abs(term3),
+                                       np.abs(term4), np.full_like(term3, 1e-30)])
+            out.append((term1 + term2 + term3 + term4, scale))
+        results.append(out)
+    return results

@@ -53,14 +53,19 @@ class SurfaceMesh:
     def n_vertices(self) -> int:
         return self.nx * self.nt
 
-    def quads(self) -> np.ndarray:
+    def quads(self, cells: np.ndarray | None = None) -> np.ndarray:
         """1-based vertex quadruples (a, b, d, c), one row per grid cell.
 
         a-b is the +x edge of the lower t row, c-d the row above; the
         winding (a, b, d, c) keeps consecutive vertices edge-adjacent.
+        ``cells`` picks the cells by their row-major index c = it * (nx - 1)
+        + ix (default: all, in order); cell c's first corner is
+        a = c + c // (nx - 1) + 1.
         """
         nx = self.nx
-        a = (np.arange(self.nt - 1)[:, None] * nx + np.arange(nx - 1)).reshape(-1) + 1
+        if cells is None:
+            cells = np.arange((nx - 1) * (self.nt - 1))
+        a = cells + cells // (nx - 1) + 1
         return a[:, None] + np.array([0, 1, nx + 1, nx])
 
 
@@ -167,7 +172,10 @@ def _obj_chunks(mesh: SurfaceMesh):
         vertices = (np.where(np.isfinite(b).all(axis=1)[:, None], b, 0.0)
                     for b in vertices)
     yield from _rows("v %.17g %.17g %.17g\n", vertices)
-    faces = _blocks(mesh.quads())
+    # each block's faces from its cell indices, so no face table is held
+    cells = (mesh.nx - 1) * (mesh.nt - 1)
+    faces = (mesh.quads(np.arange(i, min(i + _BLOCK_ROWS, cells)))
+             for i in range(0, cells, _BLOCK_ROWS))
     if not finite:
         faces = (b[ok[b - 1].all(axis=1)] for b in faces)
     yield from _rows("f %d %d %d %d\n", faces)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 
 from mkdvsurf import su2
+from mkdvsurf.diffgeo import shape_equation_residual
 from mkdvsurf.lagrangian import FLAT_MONOMIALS
 
 
@@ -33,3 +34,11 @@ def su2_to_vec(f):
     that raises ValueError on a matrix that is not su(2)."""
     su2.check_su2(*su2.su2_defects(f))
     return su2.su2_components(f)
+
+
+def shape_residuals(providers, energies, x, t, s=None):
+    """``diffgeo.shape_equation_residual`` on the one surface of the
+    provider bundle ``providers``: its (residual, scale) pair per energy."""
+    [pairs] = shape_equation_residual(providers.curvatures, (providers.forms,), energies,
+                                      x, t, s)
+    return pairs

@@ -11,6 +11,8 @@ from mkdvsurf.immersion import SPECTRAL3, resolve
 from mkdvsurf.lax import phi
 from mkdvsurf.soliton import SolitonParams, jet, xi_grid
 
+from helpers import shape_residuals
+
 X1, T1 = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
 
 
@@ -210,7 +212,8 @@ def test_operator_linearity(a, b):
 def _nabla_dot_bar(f, forms, k_of, x, t):
     # the curvature-weighted operator (1/sqrt(det g)) d_i(sqrt(det g) K h^ij d_j f)
     # as the shape equation runs it: one "h" block weighted by K
-    return dg._divergence_form(f, forms, x, t, None, ((..., "h", k_of),))
+    [div] = dg._divergence_form(f, (forms,), x, t, None, ((..., "h", k_of),))
+    return div
 
 
 def _nabla_dot_bar_written_out(f, forms, k_of, x, t):
@@ -328,8 +331,28 @@ def _same_bits(a, b):
 def test_divergence_form_is_the_nested_pass_bitwise(case, s):
     prov, x, t = _shape_surface(case)
     for name, (field, blocks) in _operator_cases(prov).items():
-        got = dg._divergence_form(field, prov.forms, x, t, s, blocks)
+        [got] = dg._divergence_form(field, (prov.forms,), x, t, s, blocks)
         assert _same_bits(got, _nested_divergence_form(field, prov.forms, x, t, s, blocks)), name
+
+
+@pytest.mark.parametrize("s", [dg.OPERATOR_STENCIL, dg.Stencil(1e-3, 2, False)],
+                         ids=lambda s: f"order{s.order}-{'rich' if s.richardson else 'plain'}")
+def test_divergence_form_of_several_surfaces_is_each_alone_bitwise(s):
+    # the shape check's pass: one field, the metrics of lam = +-k1/2 (and
+    # ex7's, unrelated to the field), each divergence bitwise what a pass
+    # with that surface alone gives, with the Laplacian block alone, the
+    # K-weighted h-block alone and both; on a grid and at a single point
+    plus, x, t = _shape_surface("lam+")
+    minus, _, _ = _shape_surface("lam-")
+    other = _shape_surface("ex7")[0]
+    forms = (plus.forms, minus.forms, other.forms)
+    for xx, tt in ((x, t), (x[1, 2], t[1, 2])):
+        for name, (field, blocks) in _operator_cases(plus).items():
+            together = dg._divergence_form(field, forms, xx, tt, s, blocks)
+            assert len(together) == len(forms)
+            for got, provider in zip(together, forms):
+                [alone] = dg._divergence_form(field, (provider,), xx, tt, s, blocks)
+                assert _same_bits(got, alone), name
 
 
 def test_divergence_form_evaluates_each_field_point_once():
@@ -350,7 +373,7 @@ def test_divergence_form_evaluates_each_field_point_once():
         return f
 
     s = dg.OPERATOR_STENCIL
-    dg._divergence_form(spy("shared"), prov.forms, x, t, s, blocks)
+    dg._divergence_form(spy("shared"), (prov.forms,), x, t, s, blocks)
     _nested_divergence_form(spy("nested"), prov.forms, x, t, s, blocks)
     assert len(calls["shared"]) == len(set(calls["shared"])) == 108
     assert len(calls["nested"]) == 144
@@ -405,7 +428,7 @@ class _H2Lagrangian(_ConstLagrangian):
 def test_shape_residual_constant_energy_is_minus_4h():
     prov = SPECTRAL3.providers(resolve("ex2").params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
-    [(res, _)] = dg.shape_equation_residual(prov, (_ConstLagrangian(),), x, t)
+    [(res, _)] = shape_residuals(prov, (_ConstLagrangian(),), x, t)
     h = prov.curvatures(x, t).H
     assert np.allclose(res, -4.0 * h, atol=1e-10)
 
@@ -413,7 +436,7 @@ def test_shape_residual_constant_energy_is_minus_4h():
 def test_shape_residual_h2_is_willmore_operator():
     prov = SPECTRAL3.providers(resolve("ex2").params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
-    [(res, _)] = dg.shape_equation_residual(prov, (_H2Lagrangian(),), x, t)
+    [(res, _)] = shape_residuals(prov, (_H2Lagrangian(),), x, t)
     h = prov.curvatures(x, t).H
     k = prov.curvatures(x, t).K
     lap = dg.laplace_beltrami(lambda a, b: prov.curvatures(a, b).H, prov.forms, x, t)
@@ -438,7 +461,7 @@ def test_shape_residual_cmc_balance():
         )
 
     prov = sphere_providers()
-    [(res, _)] = dg.shape_equation_residual(prov, (Pressurized(2.0),), X1, T1)
+    [(res, _)] = shape_residuals(prov, (Pressurized(2.0),), X1, T1)
     assert np.max(np.abs(res)) < 1e-12
 
 
@@ -456,14 +479,14 @@ def test_multi_energy_shape_residuals_equal_single_calls():
         for n in (3, 4, 5, 6)
     ]
     energies.insert(2, _H2Lagrangian())
-    together = dg.shape_equation_residual(prov, energies, x, t)
+    together = shape_residuals(prov, energies, x, t)
     assert len(together) == len(energies)
     for energy, (res, scale) in zip(energies, together):
-        [(res1, scale1)] = dg.shape_equation_residual(prov, (energy,), x, t)
+        [(res1, scale1)] = shape_residuals(prov, (energy,), x, t)
         assert np.array_equal(res, res1)
         assert np.array_equal(scale, scale1)
     with pytest.raises(ValueError):
-        dg.shape_equation_residual(prov, (), x, t)
+        shape_residuals(prov, (), x, t)
 
 
 def test_shape_residual_of_k_free_energy_skips_the_k_operator():
@@ -480,12 +503,10 @@ def test_shape_residual_of_k_free_energy_skips_the_k_operator():
 
     prov = dg.SurfaceProviders(position=sphere, forms=flat_second_form, curvatures=curvatures)
     gauss = lagrangian.PolyLagrangian(2, {(0, 1): 1.0})
-    (res_k, _), (res_h2, scale_h2) = dg.shape_equation_residual(
-        prov, (gauss, _H2Lagrangian()), X1, T1
-    )
+    (res_k, _), (res_h2, scale_h2) = shape_residuals(prov, (gauss, _H2Lagrangian()), X1, T1)
     assert np.all(np.isnan(res_k))
     assert np.all(np.isfinite(res_h2))
-    [(alone, scale_alone)] = dg.shape_equation_residual(prov, (_H2Lagrangian(),), X1, T1)
+    [(alone, scale_alone)] = shape_residuals(prov, (_H2Lagrangian(),), X1, T1)
     assert np.array_equal(res_h2, alone)
     assert np.array_equal(scale_h2, scale_alone)
 
@@ -534,7 +555,7 @@ def test_fused_shape_pass_is_the_two_operator_composition_bitwise(preset):
         for n in (3, 4, 5, 6)
     ]
     energies.insert(1, _H2Lagrangian())
-    fused = dg.shape_equation_residual(prov, energies, x, t)
+    fused = shape_residuals(prov, energies, x, t)
     apart = _two_operator_residuals(prov, energies, x, t)
     assert len(fused) == len(apart)
     for (res, scale), (res1, scale1) in zip(fused, apart):

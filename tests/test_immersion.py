@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mkdvsurf import immersion, mesh, soliton, su2, verify
+from mkdvsurf import diffgeo, immersion, mesh, soliton, su2, verify
 from mkdvsurf.deformation import DeformationKind, curvatures_from_forms, forms_from_ab, frame
 from mkdvsurf.immersion import (
     DEFAULT_WINDOW,
@@ -26,7 +27,7 @@ from mkdvsurf.immersion import (
     weingarten_residuals,
 )
 from mkdvsurf.lax import phi
-from mkdvsurf.soliton import XI_MAX, SolitonParams, jet
+from mkdvsurf.soliton import XI_MAX, SolitonParams, jet, xi_grid
 
 from helpers import far_field_distance, su2_to_vec
 
@@ -207,6 +208,45 @@ def test_weingarten_uncorrected_defect():
     cur = three_param_curvatures_closed(jet(0.0, 0.0, p))
     wr = weingarten_residuals(cur.K, cur.H, p, paper_literal=True)
     assert float(wr.cubic) == pytest.approx(108.0, abs=1e-9)
+
+
+def _curvatures_at_both_signs(k1, mu, x, t):
+    """The bytes of spectral3's K and H at lam = k1/2 and at lam = -k1/2."""
+    out = []
+    for sign in (1.0, -1.0):
+        cur = SPECTRAL3.curvatures(jet(x, t, SolitonParams(k1, sign * k1 / 2.0, mu)))
+        out.append((np.asarray(cur.K).tobytes(), np.asarray(cur.H).tobytes()))
+    return out
+
+
+def _stencil_points(x, t):
+    # the shape check's grid moved by each pair of the operator stencil's
+    # offsets (0, +-h/2, +-h, +-2h), as the divergence-form pass moves it
+    h = diffgeo.OPERATOR_STENCIL.h
+    offsets = (0.0, h / 2.0, -h / 2.0, h, -h, 2.0 * h, -2.0 * h)
+    return ((x + a, t + b) for a in offsets for b in offsets)
+
+
+@pytest.mark.parametrize("pid", ["ex2", "ex3", "ex4", "ex5"])
+def test_spectral3_curvatures_are_bitwise_even_in_lam(pid):
+    # K and H read lam only as lam^2, so the shape check's surfaces at
+    # lam = +-k1/2 share one curvature field bit for bit
+    p = resolve(pid).params
+    for x, t in _stencil_points(*xi_grid(p, 2.0, 41, 41)):
+        plus, minus = _curvatures_at_both_signs(p.k1, p.mu, x, t)
+        assert plus == minus
+
+
+NONZERO = st.floats(0.01, 50.0) | st.floats(-50.0, -0.01)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(NONZERO, NONZERO)
+def test_spectral3_curvatures_are_bitwise_even_in_lam_sweep(k1, mu):
+    x, t = xi_grid(SolitonParams(k1), 2.0, 9, 7)
+    for xx, tt in _stencil_points(x, t):
+        plus, minus = _curvatures_at_both_signs(k1, mu, xx, tt)
+        assert plus == minus
 
 
 @pytest.mark.parametrize("pid", list(PRESETS))

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mkdvsurf import lagrangian as lg
 
-from helpers import flat_coefficients
+from helpers import flat_coefficients, shape_residuals
 
 coeff = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -195,22 +195,46 @@ def test_family_lam_sign_symmetric():
 
 def test_verify_family_report(monkeypatch):
     # the shape check tests the constrained families N = 3..6 on ex2, on a
-    # 41^2 grid of |xi| < 2 at each sign of lam = +-k1/2
-    from mkdvsurf import verify
+    # 41^2 grid of |xi| < 2, against the metrics of both signs lam = +-k1/2:
+    # one grid serves both signs, and the forms of each sign are evaluated
+    # on all of its points
+    from mkdvsurf import diffgeo, immersion, verify
     from mkdvsurf.immersion import resolve
 
-    sampled = []
+    grids, forms_at, tested = [], [], []
     xi_grid = verify.xi_grid
+    forms = immersion.three_param_forms_closed
+    residual = diffgeo.shape_equation_residual
 
-    def spy(sp_, half, nx, nt):
-        sampled.append((sp_.lam, half, nx, nt))
-        return xi_grid(sp_, half, nx, nt)
+    def grid_spy(sp_, half, nx, nt):
+        x, t = xi_grid(sp_, half, nx, nt)
+        grids.append(((sp_.k1, half, nx, nt), x, t))
+        return x, t
 
-    monkeypatch.setattr(verify, "xi_grid", spy)
+    def forms_spy(j):
+        forms_at.append((j.p.lam, j.x.tobytes(), j.t.tobytes()))
+        return forms(j)
+
+    def residual_spy(curvatures, forms_, energies, *args):
+        energies = list(energies)
+        tested.append((len(forms_), {e.terms for e in energies}))
+        return residual(curvatures, forms_, energies, *args)
+
+    monkeypatch.setattr(verify, "xi_grid", grid_spy)
+    monkeypatch.setattr(immersion, "three_param_forms_closed", forms_spy)
+    monkeypatch.setattr(diffgeo, "shape_equation_residual", residual_spy)
     (check,) = verify.run_checks(["shape"], resolve("ex2")).checks
     assert check.passed and check.max_residual < 1e-3
     assert check.median_residual <= check.max_residual
-    assert sorted(sampled) == [(-1.0, 2.0, 41, 41), (1.0, 2.0, 41, 41)]
+    [(sampled, x, t)] = grids
+    assert sampled == (2.0, 2.0, 41, 41)
+    # one pass for both surfaces, with the energy of every degree (on ex2
+    # the four families are one energy)
+    families = {lg.constrained_family(n, None, 1.0, 2.0, -8.0).terms for n in (3, 4, 5, 6)}
+    assert tested == [(2, families)]
+    assert {lam for lam, _, _ in forms_at} == {1.0, -1.0}
+    for lam in (1.0, -1.0):
+        assert (lam, x.tobytes(), t.tobytes()) in forms_at
 
 
 @pytest.mark.parametrize("k1, mu, power", [
@@ -249,10 +273,10 @@ def test_verify_family_groups_equal_energies_exactly(monkeypatch, preset, passes
     residual = diffgeo.shape_equation_residual
     energies_per_call = []
 
-    def spy(providers, energies, *args):
+    def spy(curvatures, forms, energies, *args):
         energies = list(energies)
         energies_per_call.append(len(energies))
-        return residual(providers, energies, *args)
+        return residual(curvatures, forms, energies, *args)
 
     monkeypatch.setattr(diffgeo, "shape_equation_residual", spy)
     (check,) = verify.run_checks(["shape"], surface, 21, 21).checks
@@ -268,7 +292,8 @@ def test_verify_family_groups_equal_energies_exactly(monkeypatch, preset, passes
             sp = SolitonParams(k1=sp_.k1, lam=sign * sp_.k1 / 2.0, mu=sp_.mu)
             providers = SPECTRAL3.providers(sp)
             x, t = xi_grid(sp, 2.0, 21, 21)
-            [(res, scale)] = residual(providers, (energy,), x, t, diffgeo.OPERATOR_STENCIL)
+            [(res, scale)] = shape_residuals(providers, (energy,), x, t,
+                                             diffgeo.OPERATOR_STENCIL)
             normalized = np.abs(res) / scale
             bad = diffgeo.near_singular_mask(providers.forms(x, t)) | ~np.isfinite(normalized)
             kept = normalized[~bad]
@@ -295,10 +320,10 @@ def test_shape_check_evaluates_one_energy_of_nonzero_terms_per_distinct_terms(
     residual = diffgeo.shape_equation_residual
     seen = []
 
-    def spy(providers, energies, *args):
+    def spy(curvatures, forms, energies, *args):
         energies = list(energies)
         seen.append(energies)
-        return residual(providers, energies, *args)
+        return residual(curvatures, forms, energies, *args)
 
     monkeypatch.setattr(diffgeo, "shape_equation_residual", spy)
     verify.run_checks(["shape"], surface, 9, 9)
@@ -324,7 +349,7 @@ def test_shape_residual_scaling_invariance():
     norms = []
     for scale in (1.0, 10.0):
         poly = lg.from_flat(4, [scale * v for v in vals], p=scale * 1.0)
-        [(res, ref)] = diffgeo.shape_equation_residual(prov, (poly,), x, t)
+        [(res, ref)] = shape_residuals(prov, (poly,), x, t)
         norms.append(np.max(np.abs(res) / ref))
     assert norms[0] == pytest.approx(norms[1], rel=1e-6)
 

@@ -10,7 +10,9 @@ import pytest
 from mkdvsurf import immersion, lagrangian, lax, verify as vf
 from mkdvsurf.diffgeo import CurvaturePair
 from mkdvsurf.immersion import resolve
-from mkdvsurf.soliton import SolitonParams
+from mkdvsurf.soliton import SolitonParams, xi_grid
+
+from helpers import shape_residuals
 
 
 def test_all_checks_pass_on_reference_preset():
@@ -129,8 +131,34 @@ def test_shape_check_curvature_budget(monkeypatch):
         monkeypatch.setattr(immersion, name, counted)
     rep = vf.run_checks(["shape"], resolve("ex2"), nx=41, nt=41)
     assert rep.passed
-    assert 0 < calls["three_param_curvatures_closed"] <= 314
+    assert 0 < calls["three_param_curvatures_closed"] <= 157
     assert 0 < calls["three_param_forms_closed"] <= 28
+
+
+def test_shape_check_evaluates_one_curvature_field_for_both_signs(monkeypatch):
+    # the surfaces at lam = +-k1/2 share their K and H, so the check makes
+    # the curvature calls of one single-surface pass, half those of one
+    # pass per sign: 108 stencil points, the weight K at 12 flux points and
+    # one on the grid (41^2 is one tile)
+    calls = []
+    closed = immersion.three_param_curvatures_closed
+
+    def counted(j):
+        calls.append(j.p.lam)
+        return closed(j)
+
+    monkeypatch.setattr(immersion, "three_param_curvatures_closed", counted)
+    surface = resolve("ex2")
+    assert vf.run_checks(["shape"], surface, nx=41, nt=41).passed
+    in_check = len(calls)
+    calls.clear()
+    p = surface.params
+    energy = lagrangian.constrained_family(3, None, 1.0, p.k1, p.mu)
+    for sign in (1.0, -1.0):
+        sp = SolitonParams(k1=p.k1, lam=sign * p.k1 / 2.0, mu=p.mu)
+        shape_residuals(immersion.SPECTRAL3.providers(sp), (energy,),
+                        *xi_grid(sp, 2.0, 41, 41))
+    assert 2 * in_check == len(calls) == 242
 
 
 def test_shape_check_energy_budget(monkeypatch):
