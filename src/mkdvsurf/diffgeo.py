@@ -1,11 +1,12 @@
 """Finite-difference differential-geometry oracle.
 
-Everything here works directly on an immersion callable (x, t) -> R^3 or on
-scalar and :class:`Forms` provider callables, with no knowledge of closed
-forms: first and second fundamental forms by central differences, the
-surface Laplacian and the curvature-weighted divergence operator in nested
-flux form, and the residuals of the Willmore-like and generalized shape
-equations.
+Everything here works on plain fields, callables of (x, t) arrays: an
+immersion into R^3, scalars, :class:`Forms` and :class:`CurvaturePair`,
+with no knowledge of closed forms: first and second fundamental forms by
+central differences, the surface Laplacian and the curvature-weighted
+divergence operator in nested flux form, and the residuals of the
+Willmore-like and generalized shape equations, stacked with one leading
+axis per surface and per energy.
 
 :func:`_quotient` is the package's only difference-quotient arithmetic:
 :func:`derivative` and the divergence-form pass both read their stencil
@@ -17,7 +18,6 @@ returns live here for that reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -227,21 +227,21 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
     """(1/sqrt(det g)) d_i(sqrt(det g) w a^{ij} d_j f) in nested flux form,
     once for each surface of ``forms``.
 
-    ``forms`` is a sequence of callables, one per surface, each taking
-    (x, t) and returning the :class:`Forms` there; the surfaces share the
-    field f and the weights, and the result is a list with one divergence
-    per surface.  Each block ``(rows, tensor, weight)`` applies the operator
-    to the rows ``rows`` of f's value: a^{ij} is the inverse of the metric g
-    (``tensor`` "g") or of the second form h ("h"), and w the scalar field
-    ``weight`` (1 when None).  The bracketed flux is itself a field whose
-    divergence is taken by the same central stencils.  ``f`` may return
-    leading axes (one field per energy).  At each flux point f is
-    differentiated once and each block's weight is evaluated once for all
-    surfaces, and each surface's ``forms`` is called once; every block of
-    every surface fills its own rows of one flux array with the arithmetic
-    it would have alone, and the central quotients act on all of them at
-    once, element by element.  So each surface's divergence is bitwise
-    what a pass with that surface alone gives.
+    ``forms`` is a sequence of :class:`Forms` fields, one per surface; the
+    surfaces share the field f and the weights, and the result is one array
+    of shape (surfaces,) + the shape of f's value.  Each block
+    ``(rows, tensor, weight)`` applies the operator to the rows ``rows`` of
+    f's value: a^{ij} is the inverse of the metric g (``tensor`` "g") or of
+    the second form h ("h"), and w the scalar field ``weight`` (1 when
+    None).  The bracketed flux is itself a field whose divergence is taken
+    by the same central stencils.  ``f`` may return leading axes (one field
+    per energy).  At each flux point f is differentiated once and each
+    block's weight is evaluated once for all surfaces, and each surface's
+    ``forms`` is called once; every block of every surface fills its own
+    rows of one flux array with the arithmetic it would have alone, and the
+    central quotients act on all of them at once, element by element.  So
+    each surface's divergence is bitwise what a pass with that surface
+    alone gives.
 
     The x-flux at (x + a, t) differentiates f along t at the points
     (x + a, t + b), and the t-flux at (x, t + b) along x at the same
@@ -266,8 +266,8 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
         fx, ft = np.asarray(fx), np.asarray(ft)
         weights = [None if weight is None else weight(xx, tt) for _, _, weight in blocks]
         out = None
-        for surface, provider in enumerate(forms):
-            fm = provider(xx, tt)
+        for surface, surface_forms in enumerate(forms):
+            fm = surface_forms(xx, tt)
             sq = _sqrt_det_g(fm, scalar_ok=False)
             if out is None:
                 out = np.empty((len(forms),) + np.broadcast_shapes(fx.shape, np.shape(sq)))
@@ -299,17 +299,17 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
 
     div = _quotient(x_flux, s, 1)
     div = div + _quotient(t_flux, s, 1)
-    return [d / _sqrt_det_g(provider(x, t), scalar_ok=True)
-            for d, provider in zip(div, forms)]
+    for surface, surface_forms in enumerate(forms):
+        div[surface] /= _sqrt_det_g(surface_forms(x, t), scalar_ok=True)
+    return div
 
 
 def laplace_beltrami(f, forms, x, t, s: Stencil | None = None):
     """Surface Laplacian: (1/sqrt(det g)) d_i(sqrt(det g) g^{ij} d_j f).
 
-    ``forms`` takes (x, t) and returns the :class:`Forms` there.
+    ``forms`` is the surface's :class:`Forms` field.
     """
-    [lap] = _divergence_form(f, (forms,), x, t, s)
-    return lap
+    return _divergence_form(f, (forms,), x, t, s)[0]
 
 
 NEAR_SINGULAR_RTOL = 1e-10
@@ -320,63 +320,40 @@ def near_singular_mask(fm: Forms):
     return np.abs(fm.det_h()) < NEAR_SINGULAR_RTOL * (fm.h11 + fm.h22) ** 2
 
 
-@dataclass(frozen=True)
-class SurfaceProviders:
-    """Callable bundle describing one surface: position, forms, curvatures.
+def willmore_like_residual(curvatures, forms, a, b, x, t, s: Stencil | None = None):
+    """Residual of the surface equation Lap(H) + a H^3 + b H K on the
+    surface of the :class:`CurvaturePair` and :class:`Forms` fields.
 
-    Each callable takes broadcastable (x, t) arrays; forms returns the
-    :class:`Forms` (g and h together), curvatures a CurvaturePair.
+    Returns (residual, scale), arrays of the shape of x and t, where scale
+    is the pointwise magnitude of the largest algebraic term.
     """
-
-    position: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    forms: Callable[[np.ndarray, np.ndarray], Forms]
-    curvatures: Callable[[np.ndarray, np.ndarray], CurvaturePair]
-
-
-def willmore_like_residual(
-    providers: SurfaceProviders, a: float, b: float, x, t, s: Stencil | None = None
-):
-    """Residual of the surface equation Lap(H) + a H^3 + b H K.
-
-    Returns (residual, scale) where scale is the pointwise magnitude of the
-    largest algebraic term, suitable for relative comparisons.
-    """
-    lap_h = laplace_beltrami(lambda a, b: providers.curvatures(a, b).H, providers.forms, x, t, s)
-    cur = providers.curvatures(np.asarray(x, float), np.asarray(t, float))
+    lap_h = laplace_beltrami(lambda a, b: curvatures(a, b).H, forms, x, t, s)
+    cur = curvatures(np.asarray(x, float), np.asarray(t, float))
     t_a = a * cur.H ** 3
     t_b = b * cur.H * cur.K
     scale = np.maximum(np.maximum(np.abs(t_a), np.abs(t_b)), 1e-30)
     return lap_h + t_a + t_b, scale
 
 
-def shape_equation_residual(
-    curvatures: Callable[[np.ndarray, np.ndarray], CurvaturePair],
-    forms,
-    energies,
-    x,
-    t,
-    s: Stencil | None = None,
-):
-    """Residuals of the generalized shape equation for polynomial energies,
-    on each of several surfaces that share one curvature field.
+def shape_equation_residual(curvatures, forms, energies, x, t, s: Stencil | None = None):
+    """Residuals of the generalized shape equation for polynomial energies
+    on several surfaces that share one :class:`CurvaturePair` field.
 
-    ``curvatures`` takes (x, t) and returns the :class:`CurvaturePair`
-    there; ``forms`` is a sequence of :class:`Forms` callables, one per
-    surface, all with those K and H.  For each energy E in the sequence
-    ``energies``,
+    ``forms`` is a sequence of :class:`Forms` fields, one per surface.  For
+    each energy E in the sequence ``energies``,
     (Lap + 4H^2 - 2K) dE/dH + 2 (div-bar + 2KH) dE/dK - 4 H E + 2p,
-    where div-bar is the curvature-weighted operator.  Returns one list per
-    surface with one (residual, scale) pair per energy, scale the largest of
-    its four term magnitudes.  The dE/dH fields of all energies, and the
-    dE/dK fields of those that depend on K, are rows of one field from one
-    curvature call per stencil point, and both operators act on it in one
-    divergence-form pass for all surfaces: the Laplacian on the dE/dH rows,
-    div-bar on the dE/dK rows.  At ``OPERATOR_STENCIL`` that is 121
+    where div-bar is the curvature-weighted operator.  Returns
+    (residual, scale), arrays of shape (surfaces, energies) + the shape of
+    x and t, scale the largest of the four term magnitudes.  The dE/dH
+    fields of all energies, and the dE/dK fields of those that depend on K,
+    are rows of one field from one curvature call per stencil point, and one
+    divergence-form pass for all surfaces applies the Laplacian to the dE/dH
+    rows and div-bar to the dE/dK rows.  At ``OPERATOR_STENCIL`` that is 121
     curvature calls (108 stencil points, the weight K at 12 flux points and
     one at (x, t)) whatever the number of surfaces, and 13 calls of each
-    surface's ``forms``.  Every pair is bitwise what the energy gives alone
-    on that surface alone, and the div-bar term of an energy free of K is
-    exactly zero.
+    ``forms``.  The terms are formed element by element, so every entry is
+    bitwise what the energy gives alone on that surface alone, and the
+    div-bar term of an energy free of K is exactly zero.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -400,25 +377,21 @@ def shape_equation_residual(
     blocks = [(slice(0, n_h), "g", None)]
     if with_k:
         blocks.append((slice(n_h, None), "h", lambda a, b: curvatures(a, b).K))
-    per_surface = _divergence_form(field, forms, x, t, s, blocks)
+    ops = _divergence_form(field, forms, x, t, s, blocks)
     cur = curvatures(x, t)
     h_, k_ = cur.H, cur.K
-    # the terms read at (x, t) alone, the same on every surface
-    pointwise = []
-    for e in energies:
-        term3 = -4.0 * h_ * e.eval(h_, k_)
-        pointwise.append(((4.0 * h_ ** 2 - 2.0 * k_) * e.dH(h_, k_),
-                          2.0 * k_ * h_ * e.dK(h_, k_), term3,
-                          2.0 * e.p + np.zeros_like(term3)))
-    results = []
-    for ops in per_surface:
-        nabla = iter(ops[n_h:])
-        out = []
-        for lap_e, dep, (curv_h, curv_k, term3, term4) in zip(ops[:n_h], on_k, pointwise):
-            term1 = lap_e + curv_h
-            term2 = 2.0 * ((next(nabla) if dep else np.zeros_like(h_)) + curv_k)
-            scale = np.maximum.reduce([np.abs(term1), np.abs(term2), np.abs(term3),
-                                       np.abs(term4), np.full_like(term3, 1e-30)])
-            out.append((term1 + term2 + term3 + term4, scale))
-        results.append(out)
-    return results
+    # the terms read at (x, t) alone, one row per energy
+    curv_h, curv_k, term3, term4 = np.empty((4, n_h) + np.shape(h_))
+    for i, e in enumerate(energies):
+        curv_h[i] = (4.0 * h_ ** 2 - 2.0 * k_) * e.dH(h_, k_)
+        curv_k[i] = 2.0 * k_ * h_ * e.dK(h_, k_)
+        term3[i] = -4.0 * h_ * e.eval(h_, k_)
+        term4[i] = 2.0 * e.p + np.zeros_like(term3[i])
+    # div-bar of each energy, zero for those free of K
+    nabla = np.zeros_like(ops[:, :n_h])
+    nabla[:, on_k] = ops[:, n_h:]
+    term1 = ops[:, :n_h] + curv_h
+    term2 = 2.0 * (nabla + curv_k)
+    scale = np.maximum.reduce(np.broadcast_arrays(
+        np.abs(term1), np.abs(term2), np.abs(term3), np.abs(term4), 1e-30))
+    return term1 + term2 + term3 + term4, scale

@@ -7,8 +7,9 @@ presets and :func:`resolve`, which turns a preset or a family with
 parameters into one validated :class:`Surface`; curvature-relation
 residuals; and the frame tangents Phi^-1 A Phi and Phi^-1 B Phi that the
 position's derivatives are checked against.  Everything here is closed form
-and pointwise and is handed the caller's ``soliton.Jet``; only
-``Family.providers``, which takes (x, t), evaluates one.  ``verify``
+and pointwise and is handed the caller's ``soliton.Jet``; nothing here
+evaluates one.  ``verify`` composes a closed form with ``soliton.jet`` into
+the (x, t) field that the finite-difference oracle (``diffgeo``) takes,
 differences the position and reduces over grids.
 """
 
@@ -24,9 +25,9 @@ import numpy as np
 
 from . import su2
 from .deformation import DeformationKind, frame, validate_kind
-from .diffgeo import CurvaturePair, Forms, SurfaceProviders
+from .diffgeo import CurvaturePair, Forms
 from .lax import det_phi_expected, phi
-from .soliton import XI_MAX, Jet, SolitonParams, jet
+from .soliton import XI_MAX, Jet, SolitonParams
 from .soliton import xi as soliton_xi
 
 
@@ -267,15 +268,6 @@ class Family:
                 f"k1 = {p.k1:g}, lambda = {p.lam:g}, mu = {p.mu:g}, nu = {p.nu:g}: "
                 f"the {self.name} radii {radii} are not all finite"
             )
-
-    def providers(self, p: SolitonParams) -> SurfaceProviders:
-        """Closed-form provider bundle, in (x, t), for the finite-difference
-        oracle."""
-        return SurfaceProviders(
-            position=lambda x, t: self.position(jet(x, t, p)),
-            forms=lambda x, t: self.forms(jet(x, t, p)),
-            curvatures=lambda x, t: self.curvatures(jet(x, t, p)),
-        )
 
 
 # The closed forms are called through their module-level names, not stored

@@ -11,6 +11,7 @@ caller's jet; only the functions that take (x, t) call :func:`jet`.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -62,18 +63,24 @@ def xi_grid(p: SolitonParams, xi_half: float, nx: int, nt: int):
 
 # Peak memory per grid point, about twice the measured peak-RSS slopes
 # (scripts/scale_bench.py, 101^2 to 1001^2): 0.42 kB for `generate` with
-# JSON export, which holds the whole text, and 0.09 kB for `verify --checks
-# all`, whose frame checks keep one float64 per residual value they report
-# (0.28 kB when they kept the whole frame, 0.46 kB before tiling).
+# JSON export when it held the whole text (exports now stream it block by
+# block), and 0.09 kB for `verify --checks all`, whose frame checks keep
+# one float64 per residual value they report (0.28 kB when they kept the
+# whole frame, 0.46 kB before tiling).
 GRID_BYTES_PER_POINT = 1024
 
 
 def check_grid(nx: int, nt: int) -> None:
-    """Reject an nx by nt grid below 2x2 or larger than physical memory.
+    """Reject an nx by nt grid whose sizes are not integers (numpy integers
+    are), or that is below 2x2 or larger than physical memory.
 
     Runs before anything is allocated, so an oversized grid is a ValueError
     naming nx*nt and the estimate rather than a MemoryError mid-run.
     """
+    try:
+        nx, nt = operator.index(nx), operator.index(nt)
+    except TypeError:
+        raise ValueError(f"grid nx = {nx!r}, nt = {nt!r}: need integers") from None
     if nx < 2 or nt < 2:
         raise ValueError("grid must be at least 2x2")
     need = nx * nt * GRID_BYTES_PER_POINT

@@ -353,13 +353,14 @@ def _check_weingarten(cfg: _Config, name: str, tol: float, h: None,
 
 
 def _check_willmore(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
-    p = cfg.surface.params
-    providers = cfg.surface.family.providers(p)
+    p, fam = cfg.surface.params, cfg.surface.family
     x, t = xi_grid(p, 2.0, cfg.nx, cfg.nt)
     s = replace(diffgeo.OPERATOR_STENCIL, h=h)
+    curvatures = lambda xx, tt: fam.curvatures(jet(xx, tt, p))
+    forms = lambda xx, tt: fam.forms(jet(xx, tt, p))
 
     def pointwise(xx, tt):
-        res, scale = diffgeo.willmore_like_residual(providers, 4.0 / 9.0, 1.0, xx, tt, s)
+        res, scale = diffgeo.willmore_like_residual(curvatures, forms, 4.0 / 9.0, 1.0, xx, tt, s)
         return np.abs(res) / scale
 
     return _result(name, cfg.label("with |xi|<2"), tol, tiled(pointwise, x, t),
@@ -372,12 +373,14 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
 
     The two surfaces share the grid (``xi_grid`` reads k1 alone) and their K
     and H bit for bit (the spectral3 curvatures read lam only as lam^2), so
-    one curvature field serves both and only the metrics differ.  Each tile
-    makes one ``diffgeo.shape_equation_residual`` pass for both signs and
-    all distinct energies: 121 curvature calls at ``OPERATOR_STENCIL``, half
-    what one pass per sign makes, and 14 forms calls per sign (13 in the
-    pass and one for the near-singular mask).  Each sign is reduced on its
-    own.
+    one curvature field, that of lam = +k1/2, serves both and only the
+    metrics differ.  Each tile makes one ``diffgeo.shape_equation_residual``
+    pass for both signs and all distinct energies: 121 curvature calls at
+    ``OPERATOR_STENCIL``, half what one pass per sign makes, and 14 forms
+    calls per sign (13 in the pass and one for the near-singular mask).  It
+    returns the (points, surfaces, energies) normalized residuals, NaN where
+    the surface is near-singular; each (surface, energy) pair keeps its
+    finite entries and excludes the others.
     """
     p = cfg.surface.params
     s = replace(diffgeo.OPERATOR_STENCIL, h=h)
@@ -392,42 +395,42 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
         if e.terms not in distinct:
             pressure, nonzero = e.terms
             distinct[e.terms] = lagrangian.PolyLagrangian(e.N, dict(nonzero), pressure)
-    surfaces = [SPECTRAL3.providers(SolitonParams(k1=p.k1, lam=sign * p.k1 / 2.0, mu=p.mu))
-                for sign in (1.0, -1.0)]
+    plus, minus = (SolitonParams(k1=p.k1, lam=sign * p.k1 / 2.0, mu=p.mu)
+                   for sign in (1.0, -1.0))
+    curvatures = lambda xx, tt: SPECTRAL3.curvatures(jet(xx, tt, plus))
+    forms = (lambda xx, tt: SPECTRAL3.forms(jet(xx, tt, plus)),
+             lambda xx, tt: SPECTRAL3.forms(jet(xx, tt, minus)))
     x, t = xi_grid(p, 2.0, cfg.nx, cfg.nt)
 
     def pointwise(xx, tt):
-        per_surface = diffgeo.shape_equation_residual(
-            surfaces[0].curvatures, [sf.forms for sf in surfaces], distinct.values(), xx, tt, s)
-        return tuple(out for sf, results in zip(surfaces, per_surface)
-                     for out in (diffgeo.near_singular_mask(sf.forms(xx, tt)),
-                                 *(np.abs(res) / scale for res, scale in results)))
+        res, scale = diffgeo.shape_equation_residual(
+            curvatures, forms, distinct.values(), xx, tt, s)
+        singular = np.stack([diffgeo.near_singular_mask(f(xx, tt)) for f in forms])
+        normalized = np.where(singular[:, None], np.nan, np.abs(res) / scale)
+        return np.moveaxis(normalized, -1, 0)
 
-    outs = tiled(pointwise, x, t)
-    # per distinct energy, (max, median, excluded) of each sign of lam
-    stats = {key: [] for key in distinct}
-    for i in range(0, len(outs), 1 + len(distinct)):
-        singular, *normalized_all = outs[i:i + 1 + len(distinct)]
-        for out, normalized in zip(stats.values(), normalized_all):
-            bad = singular | ~np.isfinite(normalized)
-            kept = normalized[~bad]
-            if kept.size == 0:
-                raise diffgeo.SingularPointError("all grid points near-singular")
-            out.append((float(np.max(kept)), float(np.median(kept)),
-                        int(np.count_nonzero(bad))))
-    # the largest max; the median over degrees of each degree's larger
-    # median; the excluded points of every degree and sign
-    per_degree = [stats[e.terms] for e in energies]
-    worst = max(mx for signs in per_degree for mx, _, _ in signs)
+    # (surfaces, energies, points), and (max, median, excluded) of each pair
+    by_pair = tiled(pointwise, x, t).reshape(-1, len(forms), len(distinct)).transpose(1, 2, 0)
+    stats = np.empty(by_pair.shape[:2] + (3,))
+    for pair in np.ndindex(by_pair.shape[:2]):
+        values = by_pair[pair]
+        kept = values[np.isfinite(values)]
+        if kept.size == 0:
+            raise diffgeo.SingularPointError("all grid points near-singular")
+        stats[pair] = np.max(kept), np.median(kept), values.size - kept.size
+    # per degree its energy's column: the largest max, the median over degrees
+    # of each degree's larger median, and every degree's excluded points
+    columns = [list(distinct).index(e.terms) for e in energies]
+    mx, med, excluded = np.moveaxis(stats[:, columns], -1, 0)
+    worst = float(np.max(mx))
     return CheckResult(
         name=name,
         passed=bool(worst <= tol),
         max_residual=worst,
-        median_residual=float(np.median([max(med for _, med, _ in signs)
-                                         for signs in per_degree])),
+        median_residual=float(np.median(np.max(med, axis=0))),
         tolerance=tol,
         grid=cfg.label("with |xi|<2"),
-        excluded=sum(n for signs in per_degree for _, _, n in signs),
+        excluded=int(np.sum(excluded)),
         note="constrained families N=3..6, p=1, free params zero",
     )
 
@@ -459,7 +462,7 @@ def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
 def _check_consistency(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p, fam = cfg.surface.params, cfg.surface.family
     x, t, label = cfg.clipped_grid()
-    position = fam.providers(p).position
+    position = lambda xx, tt: fam.position(jet(xx, tt, p))
     s = diffgeo.Stencil(h, order=4)
 
     # per tile, the su(2) defects of y_x and of y_t

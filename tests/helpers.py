@@ -1,12 +1,14 @@
 """Readings of package results that more than one test file takes."""
 
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from mkdvsurf import su2
 from mkdvsurf.diffgeo import shape_equation_residual
 from mkdvsurf.lagrangian import FLAT_MONOMIALS
+from mkdvsurf.soliton import jet
 
 
 def far_field_distance(family, j, y=None):
@@ -36,9 +38,25 @@ def su2_to_vec(f):
     return su2.su2_components(f)
 
 
-def shape_residuals(providers, energies, x, t, s=None):
+class Fields(NamedTuple):
+    """One surface's (x, t) position, forms and curvature fields."""
+
+    position: Callable
+    forms: Callable
+    curvatures: Callable
+
+
+def fields(family, p):
+    """The :class:`Fields` of ``family`` at the parameters ``p``: each closed
+    form on the soliton's jet at the points, as ``verify``'s runners build
+    them."""
+    return Fields(*(lambda x, t, closed=closed: closed(jet(x, t, p))
+                    for closed in (family.position, family.forms, family.curvatures)))
+
+
+def shape_residuals(surface, energies, x, t, s=None):
     """``diffgeo.shape_equation_residual`` on the one surface of the
-    provider bundle ``providers``: its (residual, scale) pair per energy."""
-    [pairs] = shape_equation_residual(providers.curvatures, (providers.forms,), energies,
-                                      x, t, s)
-    return pairs
+    :class:`Fields` ``surface``: its (residual, scale) pair per energy."""
+    res, scale = shape_equation_residual(surface.curvatures, (surface.forms,), energies,
+                                         x, t, s)
+    return list(zip(res[0], scale[0]))

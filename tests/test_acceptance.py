@@ -28,7 +28,7 @@ from mkdvsurf.lax import det_phi_expected, lax_residuals, phi, zero_curvature_re
 from mkdvsurf.soliton import SolitonParams, jet, xi_grid
 from mkdvsurf.verify import run_checks
 
-from helpers import far_field_distance, flat_coefficients, shape_residuals
+from helpers import far_field_distance, fields, flat_coefficients, shape_residuals
 
 ALL_PRESETS = list(PRESETS)
 
@@ -125,7 +125,7 @@ def test_criterion_04_forms_curvature_equivalence():
             keep = np.abs(den) > 0.05 * np.max(np.abs(den))
             sign = np.sign(den)
         ccl = pre.family.curvatures(j)
-        ffd = diffgeo.fd_forms(pre.family.providers(p).position, x, t, stencil)
+        ffd = diffgeo.fd_forms(fields(pre.family, p).position, x, t, stencil)
         cfd = curvatures_from_forms(ffd)
 
         def rel(a_fd, a_cl):
@@ -183,14 +183,17 @@ def test_criterion_07_willmore_like():
     worst = 0.0
     for k1, mu in [(1.0, 2.0), (2.0, -8.0), (3.0, 1.0)]:
         p = SolitonParams(k1, k1 / 2.0, mu)
-        prov = SPECTRAL3.providers(p)
+        prov = fields(SPECTRAL3, p)
         x, t = xi_grid(p, 2.0, N_XI, N_T)
-        res, scale = diffgeo.willmore_like_residual(prov, 4.0 / 9.0, 1.0, x, t)
+        res, scale = diffgeo.willmore_like_residual(prov.curvatures, prov.forms, 4.0 / 9.0, 1.0,
+                                                    x, t)
         worst = max(worst, float(np.max(np.abs(res) / scale)))
     # control: away from lam = k1/2 the relation must visibly break
     p_ctrl = SolitonParams(2.0, 0.6, -8.0)
     x, t = xi_grid(p_ctrl, 2.0, 11, 5)
-    res, scale = diffgeo.willmore_like_residual(SPECTRAL3.providers(p_ctrl), 4.0 / 9.0, 1.0, x, t)
+    ctrl = fields(SPECTRAL3, p_ctrl)
+    res, scale = diffgeo.willmore_like_residual(ctrl.curvatures, ctrl.forms, 4.0 / 9.0, 1.0,
+                                                x, t)
     control = float(np.max(np.abs(res) / scale))
     ok = worst < 1e-4 and control > 1e-2
     assert _line(7, ok, f"max normalized residual {worst:.2e} (tol 1e-4), "
@@ -215,7 +218,7 @@ def test_criterion_08_shape_equation_families():
                  for n in degrees]
         for lam in (k1 / 2.0, -k1 / 2.0):
             sp = SolitonParams(k1=k1, lam=lam, mu=mu)
-            prov = SPECTRAL3.providers(sp)
+            prov = fields(SPECTRAL3, sp)
             x, t = xi_grid(sp, 2.0, 41, 41)
             singular = diffgeo.near_singular_mask(prov.forms(x, t))
             for res, scale in shape_residuals(prov, polys, x, t):
@@ -225,7 +228,7 @@ def test_criterion_08_shape_equation_families():
     # detuning power: every constrained coefficient, perturbed by 10%, must
     # raise the residual at least tenfold
     sp = SolitonParams(k1=k1, lam=k1 / 2.0, mu=mu)
-    prov = SPECTRAL3.providers(sp)
+    prov = fields(SPECTRAL3, sp)
     x, t = xi_grid(sp, 2.0, 21, 21)
     min_ratio = np.inf
     for n_deg in degrees:

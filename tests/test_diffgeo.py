@@ -11,7 +11,7 @@ from mkdvsurf.immersion import SPECTRAL3, resolve
 from mkdvsurf.lax import phi
 from mkdvsurf.soliton import SolitonParams, jet, xi_grid
 
-from helpers import shape_residuals
+from helpers import Fields, fields, shape_residuals
 
 X1, T1 = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
 
@@ -78,7 +78,7 @@ def test_order2_richardson_is_the_old_lax_quotient_bitwise():
 def test_order4_is_the_old_five_point_quotient_bitwise():
     # the consistency check's former inline 5-point quotient of the position
     pre = resolve("ex6")
-    f = pre.family.providers(pre.params).position
+    f = fields(pre.family, pre.params).position
     h = 1e-3
     old_x = (8.0 * (f(X1 + h, T1) - f(X1 - h, T1))
              - (f(X1 + 2 * h, T1) - f(X1 - 2 * h, T1))) / (12.0 * h)
@@ -247,7 +247,7 @@ def test_nabla_dot_bar_reduces_to_laplacian_on_unit_sphere():
 
 
 def test_nabla_dot_bar_keeps_the_weighted_flux_arithmetic_bitwise():
-    prov = SPECTRAL3.providers(resolve("ex2").params)
+    prov = fields(SPECTRAL3, resolve("ex2").params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
     f = lambda xx, tt: prov.curvatures(xx, tt).H
     k_of = lambda xx, tt: prov.curvatures(xx, tt).K
@@ -295,11 +295,11 @@ def _shape_surface(case):
     # the shape check's spectral3 surfaces at lam = +-k1/2, and ex7
     if case == "ex7":
         pre = resolve("ex7")
-        return pre.family.providers(pre.params), *np.meshgrid(
+        return fields(pre.family, pre.params), *np.meshgrid(
             np.linspace(-0.4, 0.4, 7), np.linspace(-0.3, 0.3, 5))
     p = resolve("ex2").params
     sp = SolitonParams(k1=p.k1, lam=(1.0 if case == "lam+" else -1.0) * p.k1 / 2.0, mu=p.mu)
-    return SPECTRAL3.providers(sp), *xi_grid(sp, 2.0, 7, 5)
+    return fields(SPECTRAL3, sp), *xi_grid(sp, 2.0, 7, 5)
 
 
 def _operator_cases(prov):
@@ -349,7 +349,7 @@ def test_divergence_form_of_several_surfaces_is_each_alone_bitwise(s):
     for xx, tt in ((x, t), (x[1, 2], t[1, 2])):
         for name, (field, blocks) in _operator_cases(plus).items():
             together = dg._divergence_form(field, forms, xx, tt, s, blocks)
-            assert len(together) == len(forms)
+            assert together.shape == (len(forms),) + np.shape(field(xx, tt))
             for got, provider in zip(together, forms):
                 [alone] = dg._divergence_form(field, (provider,), xx, tt, s, blocks)
                 assert _same_bits(got, alone), name
@@ -391,9 +391,9 @@ def test_near_singular_mask():
 
 def test_willmore_residual_shapes_and_scale():
     pre = resolve("ex2")
-    prov = SPECTRAL3.providers(pre.params)
+    prov = fields(SPECTRAL3, pre.params)
     x, t = np.meshgrid(np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
-    res, scale = dg.willmore_like_residual(prov, 4.0 / 9.0, 1.0, x, t)
+    res, scale = dg.willmore_like_residual(prov.curvatures, prov.forms, 4.0 / 9.0, 1.0, x, t)
     assert res.shape == x.shape
     assert np.all(scale > 0)
     assert np.max(np.abs(res) / scale) < 1e-4
@@ -426,7 +426,7 @@ class _H2Lagrangian(_ConstLagrangian):
 
 
 def test_shape_residual_constant_energy_is_minus_4h():
-    prov = SPECTRAL3.providers(resolve("ex2").params)
+    prov = fields(SPECTRAL3, resolve("ex2").params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
     [(res, _)] = shape_residuals(prov, (_ConstLagrangian(),), x, t)
     h = prov.curvatures(x, t).H
@@ -434,7 +434,7 @@ def test_shape_residual_constant_energy_is_minus_4h():
 
 
 def test_shape_residual_h2_is_willmore_operator():
-    prov = SPECTRAL3.providers(resolve("ex2").params)
+    prov = fields(SPECTRAL3, resolve("ex2").params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 5), np.linspace(-0.4, 0.4, 5))
     [(res, _)] = shape_residuals(prov, (_H2Lagrangian(),), x, t)
     h = prov.curvatures(x, t).H
@@ -449,26 +449,24 @@ def test_shape_residual_cmc_balance():
         def __init__(self, p):
             self.p = p
 
-    def sphere_providers():
+    def sphere_fields():
         def curvatures(x, t):
             one = np.ones_like(np.asarray(x, dtype=float))
             return dg.CurvaturePair(K=one, H=one)
 
-        return dg.SurfaceProviders(
-            position=sphere,
-            forms=sphere_forms,
-            curvatures=curvatures,
-        )
+        return Fields(position=sphere, forms=sphere_forms, curvatures=curvatures)
 
-    prov = sphere_providers()
+    prov = sphere_fields()
     [(res, _)] = shape_residuals(prov, (Pressurized(2.0),), X1, T1)
     assert np.max(np.abs(res)) < 1e-12
 
 
 def test_multi_energy_shape_residuals_equal_single_calls():
-    # one pass for several energies gives each energy's own residual bitwise
+    # one pass for several energies gives each energy's own residual bitwise;
+    # and one pass for several surfaces (here the metrics of lam = +-k1/2,
+    # which share K and H) stacks each surface's (energy, ...) residuals
     pre = resolve("ex2")
-    prov = SPECTRAL3.providers(pre.params)
+    prov = fields(SPECTRAL3, pre.params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 7), np.linspace(-0.3, 0.3, 5))
     rng = np.random.default_rng(7)
     energies = [
@@ -487,6 +485,16 @@ def test_multi_energy_shape_residuals_equal_single_calls():
         assert np.array_equal(scale, scale1)
     with pytest.raises(ValueError):
         shape_residuals(prov, (), x, t)
+    minus = fields(SPECTRAL3, SolitonParams(k1=2.0, lam=-1.0, mu=-8.0))
+    res, scale = dg.shape_equation_residual(prov.curvatures, (prov.forms, minus.forms),
+                                            energies, x, t)
+    assert res.shape == scale.shape == (2, len(energies)) + x.shape
+    for row, forms in enumerate((prov.forms, minus.forms)):
+        alone = Fields(None, forms, prov.curvatures)
+        for col, energy in enumerate(energies):
+            [(res1, scale1)] = shape_residuals(alone, (energy,), x, t)
+            assert _same_bits(res[row, col], res1)
+            assert _same_bits(scale[row, col], scale1)
 
 
 def test_shape_residual_of_k_free_energy_skips_the_k_operator():
@@ -501,7 +509,7 @@ def test_shape_residual_of_k_free_energy_skips_the_k_operator():
         zero = np.zeros_like(np.asarray(x, dtype=float))
         return dg.Forms(g.g11, g.g12, g.g22, zero, zero, zero)
 
-    prov = dg.SurfaceProviders(position=sphere, forms=flat_second_form, curvatures=curvatures)
+    prov = Fields(position=sphere, forms=flat_second_form, curvatures=curvatures)
     gauss = lagrangian.PolyLagrangian(2, {(0, 1): 1.0})
     (res_k, _), (res_h2, scale_h2) = shape_residuals(prov, (gauss, _H2Lagrangian()), X1, T1)
     assert np.all(np.isnan(res_k))
@@ -544,7 +552,7 @@ def _two_operator_residuals(prov, energies, x, t):
 @pytest.mark.parametrize("preset", ["ex2", "ex7"])
 def test_fused_shape_pass_is_the_two_operator_composition_bitwise(preset):
     pre = resolve(preset)
-    prov = pre.family.providers(pre.params)
+    prov = fields(pre.family, pre.params)
     x, t = np.meshgrid(np.linspace(-0.4, 0.4, 7), np.linspace(-0.3, 0.3, 5))
     rng = np.random.default_rng(11)
     energies = [

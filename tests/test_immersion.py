@@ -340,10 +340,12 @@ def test_jets_per_tile_of_each_check(monkeypatch, pid, check):
 
 def test_only_the_x_t_boundaries_evaluate_a_jet():
     # every pointwise kernel reads the jet it is given; only the functions
-    # that take (x, t) build one: the pointwise verify runners, generate,
-    # the closed-form providers and the Lax stencils
+    # that take (x, t) build one: the pointwise verify runners, those that
+    # compose the finite-difference oracle's (x, t) fields, generate and the
+    # Lax stencils
     boundaries = {f"verify._check_{c}" for c in JETS_PER_TILE} | {
-        "mesh.generate", "immersion.Family.providers", "lax.lax_residuals"}
+        "verify._check_willmore", "verify._check_shape", "mesh.generate",
+        "lax.lax_residuals"}
     callers = set()
     for path in Path(immersion.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mkdvsurf import lagrangian as lg
 
-from helpers import flat_coefficients, shape_residuals
+from helpers import fields, flat_coefficients, shape_residuals
 
 coeff = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -255,8 +255,10 @@ def test_constrained_family_rejects_powers_out_of_range(k1, mu, power):
             lg.constrained_family(n_deg, None, 1.0, k1, mu)
 
 
-@pytest.mark.parametrize("preset, passes", [("ex2", 1), ("ex3", 1), ("ex4", 2), ("ex5", 1)])
-def test_verify_family_groups_equal_energies_exactly(monkeypatch, preset, passes):
+@pytest.mark.parametrize("preset, passes, sign_mask", [
+    ("ex2", 1, False), ("ex3", 1, False), ("ex4", 2, False), ("ex5", 1, False),
+    ("ex4", 2, True)], ids=["ex2-1", "ex3-1", "ex4-2", "ex5-1", "ex4-2-sign-mask"])
+def test_verify_family_groups_equal_energies_exactly(monkeypatch, preset, passes, sign_mask):
     # with free zero the families N = 3..6 are one energy padded with
     # zeros, except on ex4, whose N = 5, 6 coefficients round apart from
     # N = 3, 4; the shape check evaluates each distinct energy once and
@@ -267,6 +269,15 @@ def test_verify_family_groups_equal_energies_exactly(monkeypatch, preset, passes
 
     surface = resolve(preset)
     sp_ = surface.params
+    if sign_mask:
+        # No preset has a near-singular point, so a stub mask that differs
+        # between the signs shows that each surface's mask reaches its own
+        # residuals.  On spectral3 det g / g11^2 = k1^2 sech^2 xi, and
+        # g12 = mu^2 (alpha + 2 lam)/4 > 0 only at lam = +k1/2 here: there
+        # the points of sech^2 xi > 0.5 are masked, at lam = -k1/2 those of
+        # sech^2 xi > 0.9.
+        monkeypatch.setattr(diffgeo, "near_singular_mask", lambda fm: fm.det_g() > np.where(
+            fm.g12 > 0.0, 0.5, 0.9) * sp_.k1 ** 2 * fm.g11 ** 2)
     families = [lg.constrained_family(n, None, 1.0, sp_.k1, sp_.mu) for n in (3, 4, 5, 6)]
     assert len({e.terms for e in families}) == passes
 
@@ -290,12 +301,12 @@ def test_verify_family_groups_equal_energies_exactly(monkeypatch, preset, passes
         per_sign = []
         for sign in (1.0, -1.0):
             sp = SolitonParams(k1=sp_.k1, lam=sign * sp_.k1 / 2.0, mu=sp_.mu)
-            providers = SPECTRAL3.providers(sp)
+            sign_fields = fields(SPECTRAL3, sp)
             x, t = xi_grid(sp, 2.0, 21, 21)
-            [(res, scale)] = shape_residuals(providers, (energy,), x, t,
+            [(res, scale)] = shape_residuals(sign_fields, (energy,), x, t,
                                              diffgeo.OPERATOR_STENCIL)
             normalized = np.abs(res) / scale
-            bad = diffgeo.near_singular_mask(providers.forms(x, t)) | ~np.isfinite(normalized)
+            bad = diffgeo.near_singular_mask(sign_fields.forms(x, t)) | ~np.isfinite(normalized)
             kept = normalized[~bad]
             per_sign.append((float(np.max(kept)), float(np.median(kept))))
             excluded += int(np.count_nonzero(bad))
@@ -304,6 +315,7 @@ def test_verify_family_groups_equal_energies_exactly(monkeypatch, preset, passes
     assert check.max_residual == max(maxima)
     assert check.median_residual == float(np.median(medians))
     assert check.excluded == excluded
+    assert (excluded > 0) == sign_mask
 
 
 @pytest.mark.parametrize("preset", ["ex2", "ex3", "ex4", "ex5"])
@@ -344,7 +356,7 @@ def test_shape_residual_scaling_invariance():
     vals = list(flat_coefficients(lg.constrained_family(4, {1: 0.25}, 1.0, 2.0, -8.0)))
     vals[6] *= 1.05
     sp_ = SolitonParams(k1=2.0, lam=1.0, mu=-8.0)
-    prov = SPECTRAL3.providers(sp_)
+    prov = fields(SPECTRAL3, sp_)
     x, t = xi_grid(sp_, 2.0, 21, 21)
     norms = []
     for scale in (1.0, 10.0):

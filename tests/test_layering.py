@@ -3,12 +3,13 @@
 ``soliton.tiled`` evaluates a pointwise function in tiles and leaves every
 reduction over the grid to its caller, so each caller of ``tiled`` is a
 place where the grid is reduced.  These are ``verify``'s check runners
-and ``mesh.generate``.  The frame and closed-form modules are pointwise
-and do not difference, and ``lagrangian`` builds energies only: it
-imports neither the finite-difference oracle nor the soliton.  Every
-file the package writes is UTF-8 text with "\\n" line ends, whatever the
-platform and its locale.  ``diffgeo._quotient`` is the one place the
-difference-quotient arithmetic is used.
+and ``mesh.generate``.  The frame and closed-form modules are pointwise,
+do not difference and take only the geometry types from ``diffgeo``, and
+``lagrangian`` builds energies only: it imports neither the
+finite-difference oracle nor the soliton.  Every file the package writes
+is UTF-8 text with "\\n" line ends, whatever the platform and its locale.
+``diffgeo._quotient`` is the one place the difference-quotient arithmetic
+is used.
 """
 
 import ast
@@ -58,6 +59,23 @@ def test_the_frame_and_closed_form_modules_do_not_difference():
                     if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
         used = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         assert not {"derivative", "Stencil"} & (imported | used), module
+
+
+def test_the_closed_form_modules_take_only_the_geometry_types_from_the_oracle():
+    # the closed forms and the frame return the oracle's Forms and
+    # CurvaturePair and raise its SingularPointError, and that is all they
+    # take from it: the oracle is handed plain (x, t) fields, not a type of
+    # theirs, and a bundle type for them would be one more interface
+    geometry = {"Forms", "CurvaturePair", "SingularPointError"}
+    for module in ("immersion", "deformation"):
+        taken = set()
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("diffgeo"):
+                taken |= {a.name for a in node.names}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # the module itself: ``from . import diffgeo``, ``import mkdvsurf.diffgeo``
+                taken |= {a.name for a in node.names if a.name.endswith("diffgeo")}
+        assert taken and taken <= geometry, (module, taken - geometry)
 
 
 def test_the_quotient_arithmetic_is_reached_only_through_one_helper():

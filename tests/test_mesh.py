@@ -44,6 +44,12 @@ def test_generate_validation():
         resolve("ex99")
     with pytest.raises(ValueError):
         ms.generate(resolve("ex2"), nx=1)
+    # a grid size that is not an integer is a ValueError naming it, whole
+    # valued or not, not numpy's TypeError; a numpy integer is one
+    for nx, nt in ((11.0, 11), (11, 11.5)):
+        with pytest.raises(ValueError, match=rf"nx = {nx!r}, nt = {nt!r}: need integers"):
+            ms.generate(resolve("ex2"), nx, nt)
+    assert ms.generate(resolve("ex2"), np.int64(3), np.int32(3)).vertices.shape == (9, 3)
     # a parametric run without a window samples DEFAULT_WINDOW
     surf = resolve(family="spectral3", params=SolitonParams(2.0, mu=1.0))
     m = ms.generate(surf, nx=3, nt=3)

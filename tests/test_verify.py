@@ -12,7 +12,7 @@ from mkdvsurf.diffgeo import CurvaturePair
 from mkdvsurf.immersion import resolve
 from mkdvsurf.soliton import SolitonParams, xi_grid
 
-from helpers import shape_residuals
+from helpers import fields, shape_residuals
 
 
 def test_all_checks_pass_on_reference_preset():
@@ -45,6 +45,15 @@ def test_an_empty_check_list_raises():
     # the CLI passes a string; a library caller may pass a list
     with pytest.raises(vf.CheckConfigError, match="no checks named"):
         vf.run_checks([], resolve("ex2"))
+
+
+def test_grid_sizes_must_be_integers():
+    # 11.5 used to run on 11 points and report "11x11"; numpy integers pass
+    for nx, nt in ((11.5, 11), (11, 11.0)):
+        with pytest.raises(vf.CheckConfigError, match=rf"nx = {nx!r}, nt = {nt!r}"):
+            vf.run_checks(["zerocurv"], resolve("ex2"), nx, nt)
+    rep = vf.run_checks(["zerocurv"], resolve("ex2"), np.int64(11), np.int32(5))
+    assert rep.grid.startswith("11x5 ")
 
 
 def test_opt_in_check_not_in_all():
@@ -156,7 +165,7 @@ def test_shape_check_evaluates_one_curvature_field_for_both_signs(monkeypatch):
     energy = lagrangian.constrained_family(3, None, 1.0, p.k1, p.mu)
     for sign in (1.0, -1.0):
         sp = SolitonParams(k1=p.k1, lam=sign * p.k1 / 2.0, mu=p.mu)
-        shape_residuals(immersion.SPECTRAL3.providers(sp), (energy,),
+        shape_residuals(fields(immersion.SPECTRAL3, sp), (energy,),
                         *xi_grid(sp, 2.0, 41, 41))
     assert 2 * in_check == len(calls) == 242
 
