@@ -3,16 +3,18 @@
 Runs, each in a fresh interpreter with one BLAS/OpenMP thread,
 
     mkdvsurf verify --preset ex2 --checks all
+    mkdvsurf verify --preset ex2 --checks shape
     mkdvsurf generate --preset ex7 --format json
     mkdvsurf generate --preset ex7 --format obj
 
 at nx = nt = 101, 401 and 1001, the grid sizes the ROADMAP's north star
-names (the perfbench workloads stop at 201^2).  Each run's wall time
-covers the whole process, interpreter start included, and its peak RSS is
-the child's own ``ru_maxrss``.  Each child runs in the checkout with the
-fixed environment ``CHILD_ENV``, which imports ``src/`` by a relative path,
-so its peak RSS does not move with the size of the caller's environment
-or the length of the checkout's path.  Prints one JSON object; ``--out``
+names (the perfbench workloads stop at 201^2); ``shape``, the
+finite-difference oracle's largest check, is also timed alone.  Each run's
+wall time covers the whole process, interpreter start included, and its
+peak RSS is the child's own ``ru_maxrss``.  Each child runs in the
+checkout with the fixed environment ``CHILD_ENV``, which imports ``src/``
+by a relative path, so its peak RSS does not move with the size of the
+caller's environment or the length of the checkout's path.  Prints one JSON object; ``--out``
 also writes it to a file.
 
     python3 scripts/scale_bench.py
@@ -39,6 +41,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 SIZES = (101, 401, 1001)
 COMMANDS = {
     "verify ex2 all": ("verify", "--preset", "ex2", "--checks", "all"),
+    "verify ex2 shape": ("verify", "--preset", "ex2", "--checks", "shape"),
     "generate ex7 json": ("generate", "--preset", "ex7", "--format", "json"),
     "generate ex7 obj": ("generate", "--preset", "ex7", "--format", "obj"),
 }

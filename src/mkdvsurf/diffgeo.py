@@ -10,13 +10,18 @@ axis per surface and per energy.
 
 :func:`_quotient` is the package's only difference-quotient arithmetic:
 :func:`derivative` and the divergence-form pass both read their stencil
-points through it.  The module imports no other package module, so the
+points through it.  Fields are pointwise; the one a divergence-form pass
+differentiates is called once per stencil line, on the line's points
+stacked on a new leading axis, at most one tile of :data:`TILE_POINTS`
+points per call.  The module imports no other package module, so the
 oracle cannot reach the closed forms it checks; the geometry types it
-returns live here for that reason.
+returns live here for that reason, and so does ``TILE_POINTS``, which
+``soliton.tiled`` also reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +83,17 @@ class Stencil:
 DERIVATIVE_STENCIL = Stencil(h=1e-4, order=4, richardson=False)
 # nested divergence-form operators: larger step plus one Richardson level
 OPERATOR_STENCIL = Stencil(h=1e-3, order=4, richardson=True)
+
+# Grid points per tile of `soliton.tiled`, and the most points one stacked
+# field call of the divergence-form pass takes.  At 8192 points one complex
+# array is 128 kB and one stacked 2x2 complex array 512 kB, so most
+# temporaries of a check stay in a 2 MB per-core L2 cache.  The frame checks
+# at 201^2 ran in 0.77 of their untiled time at 8192 points, 0.76 at 4096,
+# 0.79 at 12288, 0.85 at 16384 and 0.89 at 2048; the shape check at 401^2,
+# whose per-tile overhead is the largest, took 1.7 s at 8192 and 2.5 s at
+# 4096 (2-core Xeon VM, 2 MB L2 per core).  It is defined in this module,
+# which imports no other, so that both can read it.
+TILE_POINTS = 8192
 
 
 def _shift(f, x, t, d, axis):
@@ -142,6 +158,14 @@ def _quotient(read, s: Stencil, nth: int):
     if not s.richardson:
         return d
     return _richardson(d, base(at, s.h / 2.0, s.order), s.order)
+
+
+def _reads(s: Stencil, nth: int):
+    """The distinct offsets :func:`_quotient` reads, in the order it reads
+    them."""
+    order = []
+    _quotient(lambda d: order.append(d) or 0.0, s, nth)
+    return order
 
 
 def derivative(f, x, t, s: Stencil, axis: int, nth: int = 1):
@@ -223,6 +247,36 @@ def _sqrt_det_g(fm: Forms, scalar_ok: bool):
 _WHOLE_FIELD = ((..., "g", None),)
 
 
+def _line(f, point, offsets, shape):
+    """A reader of the field f along one stencil line: ``read(d)`` is f at
+    ``point(d)``, for each offset d of ``offsets`` once and in that order.
+
+    The points are stacked on a new leading axis, at most
+    ``max(1, TILE_POINTS // N)`` of them per call of f for N points of the
+    shape ``shape``, so that no call takes more than one tile's points.  The
+    coordinates are those ``point`` computes, and f is pointwise, so each
+    value is bitwise f at that point alone.  A call's values are evaluated
+    when the first of them is read and freed once the last is.
+    """
+    per_call = max(1, TILE_POINTS // math.prod(shape))
+    pending = list(offsets)
+    values = {}
+    points = (slice(None),) * len(shape)
+
+    def read(d):
+        if d not in values:
+            chunk = pending[:per_call]
+            del pending[:per_call]
+            xs, ts = np.empty((2, len(chunk)) + shape)
+            for j, c in enumerate(chunk):
+                xs[j], ts[j] = point(c)
+            value = f(xs, ts)
+            values.update((c, value[(..., j) + points]) for j, c in enumerate(chunk))
+        return values.pop(d)
+
+    return read
+
+
 def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
     """(1/sqrt(det g)) d_i(sqrt(det g) w a^{ij} d_j f) in nested flux form,
     once for each surface of ``forms``.
@@ -250,16 +304,29 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
     t-pass reads and frees it.  The coordinates are computed as ``x + a``
     and ``t + b`` in both passes, so the shared values are those each pass
     would evaluate, and every quotient is :func:`_quotient`'s; the result
-    is bitwise that of differentiating f afresh at each flux point.  At
-    ``OPERATOR_STENCIL`` f is called 108 times (6 x 6 mixed points and 36
-    on each axis) instead of 144, whatever the number of surfaces, and each
-    weight and each surface's ``forms`` 12 times at the flux points; each
-    ``forms`` once more at (x, t).
+    is bitwise that of differentiating f afresh at each flux point.
+
+    f is pointwise, and it accepts one leading stacked axis on x and t,
+    which it returns just before the point axes (after any leading axes of
+    its own).  It is called once per stencil line, not once per point: a
+    line is the x-axis points ((x + a) + c, t) or the mixed points
+    (x + a, t + b) of the x-flux at x + a, or the t-axis points
+    (x, (t + b) + c) of the t-flux at t + b, stacked on the new axis, at
+    most ``max(1, TILE_POINTS // N)`` points per call for N points in x and
+    t (see :func:`_line`).  At ``OPERATOR_STENCIL`` a pass reads f at 108
+    points (6 x 6 mixed points and 36 on each axis) instead of 144,
+    whatever the number of surfaces, in 18 calls of six points up to 36^2
+    points, 36 calls of 4 + 2 at 41^2, and 108 calls of one point on a
+    tile of ``TILE_POINTS``.  Each weight and each surface's ``forms`` is
+    called once per point, 12 times at the flux points, and each ``forms``
+    once more at (x, t).
     """
     if s is None:
         s = OPERATOR_STENCIL
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(x.shape, t.shape)
+    offsets = _reads(s, 1)
     mixed = {}  # (a, b) -> f(x + a, t + b), from the x-pass to the t-pass
 
     def flux(xx, tt, fx, ft, row):
@@ -287,14 +354,15 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
 
     def x_flux(a):
         xa = x + a
-        fx = _quotient(lambda c: f(xa + c, t), s, 1)
-        ft = _quotient(lambda b: mixed.setdefault((a, b), f(xa, t + b)), s, 1)
+        fx = _quotient(_line(f, lambda c: (xa + c, t), offsets, shape), s, 1)
+        on_mixed = _line(f, lambda b: (xa, t + b), offsets, shape)
+        ft = _quotient(lambda b: mixed.setdefault((a, b), on_mixed(b)), s, 1)
         return flux(xa, t, fx, ft, 0)
 
     def t_flux(b):
         tb = t + b
         fx = _quotient(lambda a: mixed.pop((a, b)), s, 1)
-        ft = _quotient(lambda c: f(x, tb + c), s, 1)
+        ft = _quotient(_line(f, lambda c: (x, tb + c), offsets, shape), s, 1)
         return flux(x, tb, fx, ft, 1)
 
     div = _quotient(x_flux, s, 1)
@@ -307,7 +375,10 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
 def laplace_beltrami(f, forms, x, t, s: Stencil | None = None):
     """Surface Laplacian: (1/sqrt(det g)) d_i(sqrt(det g) g^{ij} d_j f).
 
-    ``forms`` is the surface's :class:`Forms` field.
+    ``forms`` is the surface's :class:`Forms` field.  f is pointwise and
+    takes stacked points as :func:`_divergence_form` describes: at
+    ``OPERATOR_STENCIL`` it is read at 108 points in one call per stencil
+    line (18 calls on up to 36^2 points), and ``forms`` 13 times.
     """
     return _divergence_form(f, (forms,), x, t, s)[0]
 
@@ -346,14 +417,18 @@ def shape_equation_residual(curvatures, forms, energies, x, t, s: Stencil | None
     (residual, scale), arrays of shape (surfaces, energies) + the shape of
     x and t, scale the largest of the four term magnitudes.  The dE/dH
     fields of all energies, and the dE/dK fields of those that depend on K,
-    are rows of one field from one curvature call per stencil point, and one
+    are rows of one field from one curvature call per stencil line, and one
     divergence-form pass for all surfaces applies the Laplacian to the dE/dH
-    rows and div-bar to the dE/dK rows.  At ``OPERATOR_STENCIL`` that is 121
-    curvature calls (108 stencil points, the weight K at 12 flux points and
-    one at (x, t)) whatever the number of surfaces, and 13 calls of each
+    rows and div-bar to the dE/dK rows.  ``curvatures`` is pointwise and
+    takes the pass's stacked points (see :func:`_divergence_form`).  At
+    ``OPERATOR_STENCIL`` that is 18 to 108 curvature calls for the 108
+    stencil points (18 up to 36^2 points, 36 at 41^2, 108 on a tile of
+    ``TILE_POINTS``), 12 for the weight K at the flux points and one at
+    (x, t), whatever the number of surfaces, and 13 calls of each
     ``forms``.  The terms are formed element by element, so every entry is
     bitwise what the energy gives alone on that surface alone, and the
-    div-bar term of an energy free of K is exactly zero.
+    div-bar term of an energy free of K is exactly zero.  x and t may be a
+    single point.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -368,10 +443,10 @@ def shape_equation_residual(curvatures, forms, energies, x, t, s: Stencil | None
     def field(xx, tt):
         c = curvatures(xx, tt)
         out = np.empty((n_h + len(with_k),) + np.shape(c.H))
-        for row, e in zip(out, energies):
-            row[...] = e.dH(c.H, c.K)
-        for row, e in zip(out[n_h:], with_k):
-            row[...] = e.dK(c.H, c.K)
+        for i, e in enumerate(energies):
+            out[i] = e.dH(c.H, c.K)
+        for i, e in enumerate(with_k):
+            out[n_h + i] = e.dK(c.H, c.K)
         return out
 
     blocks = [(slice(0, n_h), "g", None)]

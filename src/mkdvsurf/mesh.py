@@ -148,10 +148,13 @@ def _column_texts(fmt: str, column: np.ndarray, null: str | None = None):
     apart by their bits: deduping by value would merge 0.0 with -0.0, which
     print differently.  A column with no more distinct values than a block
     has rows gets one table of texts; any other is deduped within each
-    block, so that no more than a block's texts exist at once.  Nothing is
-    computed before the first block is asked for.
+    block, so that no more than a block's texts exist at once.  The index of
+    each value's text is held in the smallest unsigned type that counts the
+    distinct values.  Nothing is computed before the first block is asked
+    for.
     """
     bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    inverse = inverse.astype(np.min_scalar_type(len(bits) - 1))
     if len(bits) <= _BLOCK_ROWS:
         text = _format(fmt, bits.view(np.float64), null)
         for b in _blocks(inverse):

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diffgeo import TILE_POINTS  # grid points per tile of `tiled`
+
 
 @dataclass(frozen=True)
 class SolitonParams:
@@ -96,14 +98,6 @@ def check_grid(nx: int, nt: int) -> None:
         )
 
 
-# Grid points per tile of `tiled`.  At 8192 points one complex array is
-# 128 kB and one stacked 2x2 complex array 512 kB, so most temporaries of a
-# check stay in a 2 MB per-core L2 cache.  The frame checks at 201^2 ran in
-# 0.77 of their untiled time at 8192 points, 0.76 at 4096, 0.79 at 12288,
-# 0.85 at 16384 and 0.89 at 2048; the shape check at 401^2, whose per-tile
-# overhead is the largest, took 1.7 s at 8192 and 2.5 s at 4096 (2-core
-# Xeon VM, 2 MB L2 per core).
-TILE_POINTS = 8192
 
 
 def tiled(f, x, t):

@@ -375,9 +375,12 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     and H bit for bit (the spectral3 curvatures read lam only as lam^2), so
     one curvature field, that of lam = +k1/2, serves both and only the
     metrics differ.  Each tile makes one ``diffgeo.shape_equation_residual``
-    pass for both signs and all distinct energies: 121 curvature calls at
-    ``OPERATOR_STENCIL``, half what one pass per sign makes, and 14 forms
-    calls per sign (13 in the pass and one for the near-singular mask).  It
+    pass for both signs and all distinct energies: at ``OPERATOR_STENCIL``
+    one curvature call per stencil line of at most
+    ``max(1, diffgeo.TILE_POINTS // N)`` stacked points for an N-point tile
+    (36 at 41^2), 12 for the weight K and one at the grid points, 49 in all
+    at 41^2 and half what one pass per sign makes, and 14 forms calls per
+    sign (13 in the pass and one for the near-singular mask).  It
     returns the (points, surfaces, energies) normalized residuals, NaN where
     the surface is near-singular; each (surface, energy) pair keeps its
     finite entries and excludes the others.

@@ -328,11 +328,15 @@ def _same_bits(a, b):
                                dg.Stencil(2e-3, 2, True), dg.Stencil(1e-3, 2, False)],
                          ids=lambda s: f"order{s.order}-{'rich' if s.richardson else 'plain'}")
 @pytest.mark.parametrize("case", ["lam+", "lam-", "ex7"])
-def test_divergence_form_is_the_nested_pass_bitwise(case, s):
+def test_divergence_form_is_the_nested_pass_bitwise(monkeypatch, case, s):
+    # at tile bounds that stack 1, 2, 4 and 6 stencil points per field call
     prov, x, t = _shape_surface(case)
-    for name, (field, blocks) in _operator_cases(prov).items():
-        [got] = dg._divergence_form(field, (prov.forms,), x, t, s, blocks)
-        assert _same_bits(got, _nested_divergence_form(field, prov.forms, x, t, s, blocks)), name
+    for per_call in (1, 2, 4, 6):
+        monkeypatch.setattr(dg, "TILE_POINTS", per_call * x.size)
+        for name, (field, blocks) in _operator_cases(prov).items():
+            [got] = dg._divergence_form(field, (prov.forms,), x, t, s, blocks)
+            want = _nested_divergence_form(field, prov.forms, x, t, s, blocks)
+            assert _same_bits(got, want), (name, per_call)
 
 
 @pytest.mark.parametrize("s", [dg.OPERATOR_STENCIL, dg.Stencil(1e-3, 2, False)],
@@ -357,27 +361,33 @@ def test_divergence_form_of_several_surfaces_is_each_alone_bitwise(s):
 
 def test_divergence_form_evaluates_each_field_point_once():
     # the x-flux's t-derivative and the t-flux's x-derivative read the same
-    # 36 mixed points (x + a, t + b): the pass evaluates the points the
-    # nested one did, each once, in 108 field calls instead of 144.  The
-    # points are random and many: on a small or round grid, nominally equal
-    # points such as (x + h) - h and x can agree bit for bit in every entry
+    # 36 mixed points (x + a, t + b): the pass evaluates the 108 distinct
+    # points of the nested pass's 144, each once, in one stacked call per
+    # stencil line of six points, split into calls of at most one tile's
+    # points: 4 + 2 per line at 41^2.  The points are random and many: on a
+    # small or round grid, nominally equal points such as (x + h) - h and x
+    # can agree bit for bit in every entry
     prov, _, _ = _shape_surface("lam+")
     x, t = np.random.default_rng(5).uniform(-0.5, 0.5, (2, 41, 41))
     field, blocks = _operator_cases(prov)["fused"]
-    calls = {"shared": [], "nested": []}
+    calls = {"shared": [], "nested": []}  # the points of each call
 
-    def spy(name):
+    def spy(name, stacked):
         def f(xx, tt):
-            calls[name].append((xx.tobytes(), tt.tobytes()))
+            points = zip(xx, tt) if stacked else [(xx, tt)]
+            calls[name].append([(a.tobytes(), b.tobytes()) for a, b in points])
             return field(xx, tt)
         return f
 
     s = dg.OPERATOR_STENCIL
-    dg._divergence_form(spy("shared"), (prov.forms,), x, t, s, blocks)
-    _nested_divergence_form(spy("nested"), prov.forms, x, t, s, blocks)
-    assert len(calls["shared"]) == len(set(calls["shared"])) == 108
-    assert len(calls["nested"]) == 144
-    assert set(calls["shared"]) == set(calls["nested"])
+    dg._divergence_form(spy("shared", True), (prov.forms,), x, t, s, blocks)
+    _nested_divergence_form(spy("nested", False), prov.forms, x, t, s, blocks)
+    shared, nested = ([p for call in calls[name] for p in call] for name in calls)
+    assert [len(call) for call in calls["shared"]] == [4, 2] * 18
+    assert max(map(len, calls["shared"])) <= dg.TILE_POINTS // x.size
+    assert len(shared) == len(set(shared)) == 108
+    assert len(calls["nested"]) == len(nested) == 144
+    assert set(shared) == set(nested)
 
 
 def test_near_singular_mask():
@@ -495,6 +505,11 @@ def test_multi_energy_shape_residuals_equal_single_calls():
             [(res1, scale1)] = shape_residuals(alone, (energy,), x, t)
             assert _same_bits(res[row, col], res1)
             assert _same_bits(scale[row, col], scale1)
+    # and at a single point, the grid's entry there
+    res1, scale1 = dg.shape_equation_residual(prov.curvatures, (prov.forms, minus.forms),
+                                              energies, x[1, 2], t[1, 2])
+    assert _same_bits(res1, res[..., 1, 2])
+    assert _same_bits(scale1, scale[..., 1, 2])
 
 
 def test_shape_residual_of_k_free_energy_skips_the_k_operator():

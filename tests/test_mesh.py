@@ -162,10 +162,12 @@ def test_export_writes_file(tmp_path):
 def test_export_memory_does_not_grow_with_the_text(tmp_path):
     # An export holds one block's text at a time, so its peak grows with the
     # grid only by the arrays it keeps per vertex (the CSV columns'
-    # distinct-value indices, 32 B), not by the 88-146 B per vertex of the
-    # text; one whole-document copy would add at least that much.  The OBJ
-    # writer computes each block's faces from its cell indices and keeps one
-    # finiteness flag per vertex: a whole face table would add 32 B.
+    # distinct-value indices, each in the smallest integer type that counts
+    # its values), not by the 88-146 B per vertex of the text; one
+    # whole-document copy would add at least that much, and int64 indices
+    # 32 B in CSV.  The OBJ writer computes each block's faces from its cell
+    # indices and keeps one finiteness flag per vertex: a whole face table
+    # would add 32 B.
     for pid in ("ex4", "ex7"):
         meshes = {n: ms.generate(resolve(pid), nx=n, nt=n) for n in (101, 201)}
         for fmt in ("obj", "csv", "json"):
@@ -178,7 +180,7 @@ def test_export_memory_does_not_grow_with_the_text(tmp_path):
                 finally:
                     tracemalloc.stop()
             slope = (peak[201] - peak[101]) / (201 ** 2 - 101 ** 2)
-            cap = 8 if fmt == "obj" else 64
+            cap = 24 if fmt == "csv" else 8
             assert slope <= cap, f"{pid} {fmt}: {slope:.0f} B per vertex"
 
 
