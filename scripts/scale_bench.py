@@ -6,10 +6,12 @@ Runs, each in a fresh interpreter with one BLAS/OpenMP thread,
     mkdvsurf verify --preset ex2 --checks shape
     mkdvsurf generate --preset ex7 --format json
     mkdvsurf generate --preset ex7 --format obj
+    mkdvsurf generate --preset ex4 --format csv
 
 at nx = nt = 101, 401 and 1001, the grid sizes the ROADMAP's north star
 names (the perfbench workloads stop at 201^2); ``shape``, the
-finite-difference oracle's largest check, is also timed alone.  Each run's
+finite-difference oracle's largest check, is also timed alone, and ex4 is
+the preset with the most distinct K, H and xi values to format.  Each run's
 wall time covers the whole process, interpreter start included, and its
 peak RSS is the child's own ``ru_maxrss``.  Each child runs in the
 checkout with the fixed environment ``CHILD_ENV``, which imports ``src/``
@@ -44,6 +46,7 @@ COMMANDS = {
     "verify ex2 shape": ("verify", "--preset", "ex2", "--checks", "shape"),
     "generate ex7 json": ("generate", "--preset", "ex7", "--format", "json"),
     "generate ex7 obj": ("generate", "--preset", "ex7", "--format", "obj"),
+    "generate ex4 csv": ("generate", "--preset", "ex4", "--format", "csv"),
 }
 
 

@@ -277,7 +277,7 @@ def _line(f, point, offsets, shape):
     return read
 
 
-def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
+def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD, forms_at=None):
     """(1/sqrt(det g)) d_i(sqrt(det g) w a^{ij} d_j f) in nested flux form,
     once for each surface of ``forms``.
 
@@ -319,7 +319,8 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
     points, 36 calls of 4 + 2 at 41^2, and 108 calls of one point on a
     tile of ``TILE_POINTS``.  Each weight and each surface's ``forms`` is
     called once per point, 12 times at the flux points, and each ``forms``
-    once more at (x, t).
+    once more at (x, t) unless ``forms_at``, each surface's :class:`Forms`
+    at (x, t) as the caller already evaluated it, is given.
     """
     if s is None:
         s = OPERATOR_STENCIL
@@ -367,8 +368,10 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD):
 
     div = _quotient(x_flux, s, 1)
     div = div + _quotient(t_flux, s, 1)
-    for surface, surface_forms in enumerate(forms):
-        div[surface] /= _sqrt_det_g(surface_forms(x, t), scalar_ok=True)
+    if forms_at is None:
+        forms_at = [surface_forms(x, t) for surface_forms in forms]
+    for surface, fm in enumerate(forms_at):
+        div[surface] /= _sqrt_det_g(fm, scalar_ok=True)
     return div
 
 
@@ -406,7 +409,8 @@ def willmore_like_residual(curvatures, forms, a, b, x, t, s: Stencil | None = No
     return lap_h + t_a + t_b, scale
 
 
-def shape_equation_residual(curvatures, forms, energies, x, t, s: Stencil | None = None):
+def shape_equation_residual(curvatures, forms, energies, x, t, s: Stencil | None = None,
+                            forms_at=None):
     """Residuals of the generalized shape equation for polynomial energies
     on several surfaces that share one :class:`CurvaturePair` field.
 
@@ -425,10 +429,11 @@ def shape_equation_residual(curvatures, forms, energies, x, t, s: Stencil | None
     stencil points (18 up to 36^2 points, 36 at 41^2, 108 on a tile of
     ``TILE_POINTS``), 12 for the weight K at the flux points and one at
     (x, t), whatever the number of surfaces, and 13 calls of each
-    ``forms``.  The terms are formed element by element, so every entry is
-    bitwise what the energy gives alone on that surface alone, and the
-    div-bar term of an energy free of K is exactly zero.  x and t may be a
-    single point.
+    ``forms``, 12 when ``forms_at`` gives each surface's :class:`Forms` at
+    (x, t) (see :func:`_divergence_form`).  The terms are formed element
+    by element, so every entry is bitwise what the energy gives alone on
+    that surface alone, and the div-bar term of an energy free of K is
+    exactly zero.  x and t may be a single point.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -452,7 +457,7 @@ def shape_equation_residual(curvatures, forms, energies, x, t, s: Stencil | None
     blocks = [(slice(0, n_h), "g", None)]
     if with_k:
         blocks.append((slice(n_h, None), "h", lambda a, b: curvatures(a, b).K))
-    ops = _divergence_form(field, forms, x, t, s, blocks)
+    ops = _divergence_form(field, forms, x, t, s, blocks, forms_at)
     cur = curvatures(x, t)
     h_, k_ = cur.H, cur.K
     # the terms read at (x, t) alone, one row per energy

@@ -107,10 +107,18 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
 
 
 # Rows per %-format, json.dumps or join call, and per chunk of text an
-# export writes.  A block's Python objects and its text, with at most as
-# many distinct texts per column, are all that exists at once beside the
-# mesh, and the per-call overhead is amortised over the block.
+# export writes.  A block's Python objects and its text are all that exists
+# at once beside the mesh and the column tables of ``_column_texts``, and
+# the per-call overhead is amortised over the block.
 _BLOCK_ROWS = 4096
+
+# The most distinct values a float column may have and still get one table
+# of texts for the whole export: 2^16, so each value's index into the table
+# fits in uint16 and the table holds at most about 5 MB of str.  Every
+# x, t, K, H and xi column of the presets up to 1001^2 fits (the largest is
+# ex4's xi at 1001^2, with 61,008 distinct values); a column whose values do
+# not repeat (a million at 1001^2) is deduped within each block instead.
+_TABLE_MAX = 1 << 16
 
 # text of a singular flag, indexed by the flag's byte
 _FLAGS = np.array(["0", "1"], dtype=object)
@@ -144,18 +152,20 @@ def _column_texts(fmt: str, column: np.ndarray, null: str | None = None):
     with each distinct value formatted once.
 
     x and t take only nx and nt values on the grid, and K, H and xi are
-    functions of xi alone, so most of their values repeat.  Values are told
-    apart by their bits: deduping by value would merge 0.0 with -0.0, which
-    print differently.  A column with no more distinct values than a block
-    has rows gets one table of texts; any other is deduped within each
-    block, so that no more than a block's texts exist at once.  The index of
-    each value's text is held in the smallest unsigned type that counts the
+    functions of xi alone, so most of their values repeat, and they repeat
+    in every block.  Values are told apart by their bits: deduping by value
+    would merge 0.0 with -0.0, which print differently.  A column with at
+    most ``_TABLE_MAX`` (2^16) distinct values gets one table of texts for
+    the whole column, at most about 5 MB, so each distinct value is
+    formatted once per export; any other is deduped within each block, so
+    that no more than a block's texts exist at once.  The index of each
+    value's text is held in the smallest unsigned type that counts the
     distinct values.  Nothing is computed before the first block is asked
     for.
     """
     bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
     inverse = inverse.astype(np.min_scalar_type(len(bits) - 1))
-    if len(bits) <= _BLOCK_ROWS:
+    if len(bits) <= _TABLE_MAX:
         text = _format(fmt, bits.view(np.float64), null)
         for b in _blocks(inverse):
             yield text[b]

@@ -379,8 +379,9 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     one curvature call per stencil line of at most
     ``max(1, diffgeo.TILE_POINTS // N)`` stacked points for an N-point tile
     (36 at 41^2), 12 for the weight K and one at the grid points, 49 in all
-    at 41^2 and half what one pass per sign makes, and 14 forms calls per
-    sign (13 in the pass and one for the near-singular mask).  It
+    at 41^2 and half what one pass per sign makes, and 13 forms calls per
+    sign: 12 at the flux points and one at the grid points, whose value
+    serves both the pass and the near-singular mask.  It
     returns the (points, surfaces, energies) normalized residuals, NaN where
     the surface is near-singular; each (surface, energy) pair keeps its
     finite entries and excludes the others.
@@ -406,9 +407,10 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     x, t = xi_grid(p, 2.0, cfg.nx, cfg.nt)
 
     def pointwise(xx, tt):
+        at = [f(xx, tt) for f in forms]
         res, scale = diffgeo.shape_equation_residual(
-            curvatures, forms, distinct.values(), xx, tt, s)
-        singular = np.stack([diffgeo.near_singular_mask(f(xx, tt)) for f in forms])
+            curvatures, forms, distinct.values(), xx, tt, s, at)
+        singular = np.stack([diffgeo.near_singular_mask(fm) for fm in at])
         normalized = np.where(singular[:, None], np.nan, np.abs(res) / scale)
         return np.moveaxis(normalized, -1, 0)
 

@@ -505,6 +505,21 @@ def test_multi_energy_shape_residuals_equal_single_calls():
             [(res1, scale1)] = shape_residuals(alone, (energy,), x, t)
             assert _same_bits(res[row, col], res1)
             assert _same_bits(scale[row, col], scale1)
+    # the caller's forms at (x, t) give the same bits, and each surface's
+    # forms is then called at the 12 flux points alone
+    calls = []
+
+    def counted(forms):
+        def call(a, b):
+            calls.append(forms)
+            return forms(a, b)
+        return call
+
+    at = [prov.forms(x, t), minus.forms(x, t)]
+    res_at, scale_at = dg.shape_equation_residual(
+        prov.curvatures, (counted(prov.forms), counted(minus.forms)), energies, x, t, None, at)
+    assert _same_bits(res_at, res) and _same_bits(scale_at, scale)
+    assert calls.count(prov.forms) == calls.count(minus.forms) == 12
     # and at a single point, the grid's entry there
     res1, scale1 = dg.shape_equation_residual(prov.curvatures, (prov.forms, minus.forms),
                                               energies, x[1, 2], t[1, 2])

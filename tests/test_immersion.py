@@ -327,10 +327,10 @@ def test_generate_evaluates_the_soliton_once(monkeypatch, pid):
 # divergence-form pass of willmore and shape builds one jet per call of its
 # fields: 18 stacked calls of the curvature field at 11^2 (one per stencil
 # line), each surface's forms at the 12 flux points and at (x, t), and the
-# curvatures at (x, t); shape adds the weight K at the flux points and one
-# more forms call per sign for its near-singular mask.
+# curvatures at (x, t); shape adds the weight K at the flux points, and its
+# near-singular mask shares the pass's one forms call per sign at (x, t).
 JETS_PER_TILE = {"zerocurv": 1, "compat": 1, "forms": 1, "weingarten": 1, "sphere": 1,
-                 "lax": 9, "consistency": 9, "willmore": 32, "shape": 59}
+                 "lax": 9, "consistency": 9, "willmore": 32, "shape": 57}
 
 
 @pytest.mark.parametrize("pid, check", [

@@ -5,6 +5,7 @@ import json
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -373,9 +374,51 @@ def test_multi_block_writers_match_scalar_reference(pid, field, value, edits):
     mesh = MULTI_BLOCK[pid]
     block = ms._BLOCK_ROWS
     assert mesh.n_vertices > 2 * block and mesh.n_vertices % block
-    # on ex4, x, t and K have no more distinct values than a block has rows
-    # and H and xi have more, so both of the writers' dedupe paths run
+    # with the table bound lowered to a block's rows: on ex4, x, t and K have
+    # no more distinct values than that and H and xi have more, so both of
+    # the writers' dedupe paths run
     ex4 = MULTI_BLOCK["ex4"]
     assert np.unique(ex4.K).size <= block < np.unique(ex4.H).size
     edge = [(field, row, value) for row in (block - 1, block, 2 * block - 1, 2 * block)]
-    _assert_matches_reference(_inject(mesh, edge + edits))
+    with mock.patch.object(ms, "_TABLE_MAX", block):
+        _assert_matches_reference(_inject(mesh, edge + edits))
+
+
+@pytest.mark.parametrize("pid", ["ex2", "ex4", "ex7"])
+def test_table_bound_leaves_the_bytes_unchanged(pid):
+    # each column takes the one-table path or the per-block path by its
+    # distinct count against ms._TABLE_MAX; a bound just below and one just
+    # at each column's count (so below every count and above all of them
+    # too) write the same bytes
+    for n in (101, 201):
+        mesh = ms.generate(resolve(pid), nx=n, nt=n)
+        counts = {np.unique(getattr(mesh, key).view(np.uint64)).size
+                  for key in ("x", "t", "K", "H", "xi")}
+        bounds = {c - 1 for c in counts} | counts
+        for fmt in ("csv", "json"):
+            want = _exported(mesh, fmt)
+            for bound in sorted(bounds):
+                with mock.patch.object(ms, "_TABLE_MAX", bound):
+                    # a bool, as pytest's diff of two texts this long takes minutes
+                    same = _exported(mesh, fmt) == want
+                assert same, (n, fmt, bound)
+
+
+def test_each_distinct_value_is_formatted_once_per_export(monkeypatch):
+    # ex4 at 201^2: x and t take 201 values each, and K, H and xi 2,157,
+    # 6,423 and 9,701, all below the table bound, so each is formatted once
+    # for the whole export and not once per block that holds it
+    mesh = ms.generate(resolve("ex4"), nx=201, nt=201)
+    formatted = []
+    original = ms._format
+
+    def counted(fmt, values, null):
+        formatted.append(len(values))
+        return original(fmt, values, null)
+
+    monkeypatch.setattr(ms, "_format", counted)
+    _exported(mesh, "json")
+    assert sorted(formatted) == [201, 201, 2157, 6423, 9701]
+    formatted.clear()
+    _exported(mesh, "csv")
+    assert sorted(formatted) == [201, 201, 2157, 6423]
