@@ -277,11 +277,13 @@ def _line(f, point, offsets, shape):
     return read
 
 
-def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD, forms_at=None):
+def _divergence_form(f, forms, x, t, forms_at, s, blocks=_WHOLE_FIELD):
     """(1/sqrt(det g)) d_i(sqrt(det g) w a^{ij} d_j f) in nested flux form,
     once for each surface of ``forms``.
 
-    ``forms`` is a sequence of :class:`Forms` fields, one per surface; the
+    ``forms`` is a sequence of :class:`Forms` fields, one per surface, and
+    ``forms_at`` each surface's :class:`Forms` at (x, t), as the caller
+    evaluated them; the result is divided by their sqrt(det g).  The
     surfaces share the field f and the weights, and the result is one array
     of shape (surfaces,) + the shape of f's value.  Each block
     ``(rows, tensor, weight)`` applies the operator to the rows ``rows`` of
@@ -318,9 +320,7 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD, forms_at=None):
     whatever the number of surfaces, in 18 calls of six points up to 36^2
     points, 36 calls of 4 + 2 at 41^2, and 108 calls of one point on a
     tile of ``TILE_POINTS``.  Each weight and each surface's ``forms`` is
-    called once per point, 12 times at the flux points, and each ``forms``
-    once more at (x, t) unless ``forms_at``, each surface's :class:`Forms`
-    at (x, t) as the caller already evaluated it, is given.
+    called once per point, 12 times at the flux points.
     """
     if s is None:
         s = OPERATOR_STENCIL
@@ -368,8 +368,6 @@ def _divergence_form(f, forms, x, t, s, blocks=_WHOLE_FIELD, forms_at=None):
 
     div = _quotient(x_flux, s, 1)
     div = div + _quotient(t_flux, s, 1)
-    if forms_at is None:
-        forms_at = [surface_forms(x, t) for surface_forms in forms]
     for surface, fm in enumerate(forms_at):
         div[surface] /= _sqrt_det_g(fm, scalar_ok=True)
     return div
@@ -381,9 +379,12 @@ def laplace_beltrami(f, forms, x, t, s: Stencil | None = None):
     ``forms`` is the surface's :class:`Forms` field.  f is pointwise and
     takes stacked points as :func:`_divergence_form` describes: at
     ``OPERATOR_STENCIL`` it is read at 108 points in one call per stencil
-    line (18 calls on up to 36^2 points), and ``forms`` 13 times.
+    line (18 calls on up to 36^2 points), and ``forms`` 13 times: at the
+    12 flux points and at (x, t).
     """
-    return _divergence_form(f, (forms,), x, t, s)[0]
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    return _divergence_form(f, (forms,), x, t, (forms(x, t),), s)[0]
 
 
 NEAR_SINGULAR_RTOL = 1e-10
@@ -409,12 +410,15 @@ def willmore_like_residual(curvatures, forms, a, b, x, t, s: Stencil | None = No
     return lap_h + t_a + t_b, scale
 
 
-def shape_equation_residual(curvatures, forms, energies, x, t, s: Stencil | None = None,
-                            forms_at=None):
+def shape_equation_residual(curvatures, forms, energies, x, t, forms_at,
+                            s: Stencil | None = None):
     """Residuals of the generalized shape equation for polynomial energies
     on several surfaces that share one :class:`CurvaturePair` field.
 
-    ``forms`` is a sequence of :class:`Forms` fields, one per surface.  For
+    ``forms`` is a sequence of :class:`Forms` fields, one per surface, and
+    ``forms_at`` each surface's :class:`Forms` at (x, t), which a caller
+    that also reads them, as the ``shape`` check does for its near-singular
+    mask, evaluates once for both.  For
     each energy E in the sequence ``energies``,
     (Lap + 4H^2 - 2K) dE/dH + 2 (div-bar + 2KH) dE/dK - 4 H E + 2p,
     where div-bar is the curvature-weighted operator.  Returns
@@ -428,9 +432,8 @@ def shape_equation_residual(curvatures, forms, energies, x, t, s: Stencil | None
     ``OPERATOR_STENCIL`` that is 18 to 108 curvature calls for the 108
     stencil points (18 up to 36^2 points, 36 at 41^2, 108 on a tile of
     ``TILE_POINTS``), 12 for the weight K at the flux points and one at
-    (x, t), whatever the number of surfaces, and 13 calls of each
-    ``forms``, 12 when ``forms_at`` gives each surface's :class:`Forms` at
-    (x, t) (see :func:`_divergence_form`).  The terms are formed element
+    (x, t), whatever the number of surfaces, and 12 calls of each
+    ``forms``, at the flux points.  The terms are formed element
     by element, so every entry is bitwise what the energy gives alone on
     that surface alone, and the div-bar term of an energy free of K is
     exactly zero.  x and t may be a single point.
@@ -457,7 +460,7 @@ def shape_equation_residual(curvatures, forms, energies, x, t, s: Stencil | None
     blocks = [(slice(0, n_h), "g", None)]
     if with_k:
         blocks.append((slice(n_h, None), "h", lambda a, b: curvatures(a, b).K))
-    ops = _divergence_form(field, forms, x, t, s, blocks, forms_at)
+    ops = _divergence_form(field, forms, x, t, forms_at, s, blocks)
     cur = curvatures(x, t)
     h_, k_ = cur.H, cur.K
     # the terms read at (x, t) alone, one row per energy

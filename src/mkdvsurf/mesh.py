@@ -116,8 +116,8 @@ _BLOCK_ROWS = 4096
 # of texts for the whole export: 2^16, so each value's index into the table
 # fits in uint16 and the table holds at most about 5 MB of str.  Every
 # x, t, K, H and xi column of the presets up to 1001^2 fits (the largest is
-# ex4's xi at 1001^2, with 61,008 distinct values); a column whose values do
-# not repeat (a million at 1001^2) is deduped within each block instead.
+# ex4's xi at 1001^2, with 61,008 distinct values of 1,002,001); a column
+# with more is deduped within each block instead.
 _TABLE_MAX = 1 << 16
 
 # text of a singular flag, indexed by the flag's byte
@@ -154,18 +154,23 @@ def _column_texts(fmt: str, column: np.ndarray, null: str | None = None):
     x and t take only nx and nt values on the grid, and K, H and xi are
     functions of xi alone, so most of their values repeat, and they repeat
     in every block.  Values are told apart by their bits: deduping by value
-    would merge 0.0 with -0.0, which print differently.  A column with at
-    most ``_TABLE_MAX`` (2^16) distinct values gets one table of texts for
-    the whole column, at most about 5 MB, so each distinct value is
-    formatted once per export; any other is deduped within each block, so
-    that no more than a block's texts exist at once.  The index of each
-    value's text is held in the smallest unsigned type that counts the
-    distinct values.  Nothing is computed before the first block is asked
-    for.
+    would merge 0.0 with -0.0, which print differently.  A column whose
+    values repeat, with at most ``_TABLE_MAX`` (2^16) distinct values and
+    at most one per two rows, gets one table of texts for the whole column,
+    at most about 5 MB, so each distinct value is formatted once per
+    export.  Any other is deduped within each block, so that no more than a
+    block's texts exist at once.  A column of nearly all distinct values,
+    such as K, H and xi of spectral3 at k1 1.7, lambda 0.3137, mu -2.2
+    (1.3 to 1.4 rows per distinct value at 201^2, against at least 2.6 in
+    every column of the presets from 101^2 to 1001^2), formats each value
+    at most 1.4 times in blocks: a table would save a quarter of that and
+    hold seven to ten times a block's texts.  The index of each value's
+    text is held in the smallest unsigned type that counts the distinct
+    values.  Nothing is computed before the first block is asked for.
     """
     bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
     inverse = inverse.astype(np.min_scalar_type(len(bits) - 1))
-    if len(bits) <= _TABLE_MAX:
+    if len(bits) <= min(_TABLE_MAX, len(column) // 2):
         text = _format(fmt, bits.view(np.float64), null)
         for b in _blocks(inverse):
             yield text[b]

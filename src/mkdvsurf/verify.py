@@ -409,7 +409,7 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     def pointwise(xx, tt):
         at = [f(xx, tt) for f in forms]
         res, scale = diffgeo.shape_equation_residual(
-            curvatures, forms, distinct.values(), xx, tt, s, at)
+            curvatures, forms, distinct.values(), xx, tt, at, s)
         singular = np.stack([diffgeo.near_singular_mask(fm) for fm in at])
         normalized = np.where(singular[:, None], np.nan, np.abs(res) / scale)
         return np.moveaxis(normalized, -1, 0)

@@ -58,5 +58,5 @@ def shape_residuals(surface, energies, x, t, s=None):
     """``diffgeo.shape_equation_residual`` on the one surface of the
     :class:`Fields` ``surface``: its (residual, scale) pair per energy."""
     res, scale = shape_equation_residual(surface.curvatures, (surface.forms,), energies,
-                                         x, t, s)
+                                         x, t, (surface.forms(x, t),), s)
     return list(zip(res[0], scale[0]))

@@ -212,7 +212,7 @@ def test_operator_linearity(a, b):
 def _nabla_dot_bar(f, forms, k_of, x, t):
     # the curvature-weighted operator (1/sqrt(det g)) d_i(sqrt(det g) K h^ij d_j f)
     # as the shape equation runs it: one "h" block weighted by K
-    [div] = dg._divergence_form(f, (forms,), x, t, None, ((..., "h", k_of),))
+    [div] = dg._divergence_form(f, (forms,), x, t, (forms(x, t),), None, ((..., "h", k_of),))
     return div
 
 
@@ -334,7 +334,8 @@ def test_divergence_form_is_the_nested_pass_bitwise(monkeypatch, case, s):
     for per_call in (1, 2, 4, 6):
         monkeypatch.setattr(dg, "TILE_POINTS", per_call * x.size)
         for name, (field, blocks) in _operator_cases(prov).items():
-            [got] = dg._divergence_form(field, (prov.forms,), x, t, s, blocks)
+            [got] = dg._divergence_form(field, (prov.forms,), x, t, (prov.forms(x, t),), s,
+                                        blocks)
             want = _nested_divergence_form(field, prov.forms, x, t, s, blocks)
             assert _same_bits(got, want), (name, per_call)
 
@@ -352,10 +353,12 @@ def test_divergence_form_of_several_surfaces_is_each_alone_bitwise(s):
     forms = (plus.forms, minus.forms, other.forms)
     for xx, tt in ((x, t), (x[1, 2], t[1, 2])):
         for name, (field, blocks) in _operator_cases(plus).items():
-            together = dg._divergence_form(field, forms, xx, tt, s, blocks)
+            together = dg._divergence_form(field, forms, xx, tt,
+                                           [f(xx, tt) for f in forms], s, blocks)
             assert together.shape == (len(forms),) + np.shape(field(xx, tt))
             for got, provider in zip(together, forms):
-                [alone] = dg._divergence_form(field, (provider,), xx, tt, s, blocks)
+                [alone] = dg._divergence_form(field, (provider,), xx, tt,
+                                              (provider(xx, tt),), s, blocks)
                 assert _same_bits(got, alone), name
 
 
@@ -380,7 +383,8 @@ def test_divergence_form_evaluates_each_field_point_once():
         return f
 
     s = dg.OPERATOR_STENCIL
-    dg._divergence_form(spy("shared", True), (prov.forms,), x, t, s, blocks)
+    dg._divergence_form(spy("shared", True), (prov.forms,), x, t, (prov.forms(x, t),), s,
+                        blocks)
     _nested_divergence_form(spy("nested", False), prov.forms, x, t, s, blocks)
     shared, nested = ([p for call in calls[name] for p in call] for name in calls)
     assert [len(call) for call in calls["shared"]] == [4, 2] * 18
@@ -496,17 +500,8 @@ def test_multi_energy_shape_residuals_equal_single_calls():
     with pytest.raises(ValueError):
         shape_residuals(prov, (), x, t)
     minus = fields(SPECTRAL3, SolitonParams(k1=2.0, lam=-1.0, mu=-8.0))
-    res, scale = dg.shape_equation_residual(prov.curvatures, (prov.forms, minus.forms),
-                                            energies, x, t)
-    assert res.shape == scale.shape == (2, len(energies)) + x.shape
-    for row, forms in enumerate((prov.forms, minus.forms)):
-        alone = Fields(None, forms, prov.curvatures)
-        for col, energy in enumerate(energies):
-            [(res1, scale1)] = shape_residuals(alone, (energy,), x, t)
-            assert _same_bits(res[row, col], res1)
-            assert _same_bits(scale[row, col], scale1)
-    # the caller's forms at (x, t) give the same bits, and each surface's
-    # forms is then called at the 12 flux points alone
+    # each surface's forms is called at the 12 flux points alone; its forms
+    # at (x, t) are the caller's
     calls = []
 
     def counted(forms):
@@ -516,13 +511,21 @@ def test_multi_energy_shape_residuals_equal_single_calls():
         return call
 
     at = [prov.forms(x, t), minus.forms(x, t)]
-    res_at, scale_at = dg.shape_equation_residual(
-        prov.curvatures, (counted(prov.forms), counted(minus.forms)), energies, x, t, None, at)
-    assert _same_bits(res_at, res) and _same_bits(scale_at, scale)
+    res, scale = dg.shape_equation_residual(
+        prov.curvatures, (counted(prov.forms), counted(minus.forms)), energies, x, t, at)
     assert calls.count(prov.forms) == calls.count(minus.forms) == 12
+    assert res.shape == scale.shape == (2, len(energies)) + x.shape
+    for row, forms in enumerate((prov.forms, minus.forms)):
+        alone = Fields(None, forms, prov.curvatures)
+        for col, energy in enumerate(energies):
+            [(res1, scale1)] = shape_residuals(alone, (energy,), x, t)
+            assert _same_bits(res[row, col], res1)
+            assert _same_bits(scale[row, col], scale1)
     # and at a single point, the grid's entry there
+    x1, t1 = x[1, 2], t[1, 2]
     res1, scale1 = dg.shape_equation_residual(prov.curvatures, (prov.forms, minus.forms),
-                                              energies, x[1, 2], t[1, 2])
+                                              energies, x1, t1,
+                                              [prov.forms(x1, t1), minus.forms(x1, t1)])
     assert _same_bits(res1, res[..., 1, 2])
     assert _same_bits(scale1, scale[..., 1, 2])
 

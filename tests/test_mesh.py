@@ -161,14 +161,15 @@ def test_export_writes_file(tmp_path):
 
 
 def test_export_memory_does_not_grow_with_the_text(tmp_path):
-    # An export holds one block's text at a time, so its peak grows with the
-    # grid only by the arrays it keeps per vertex (the CSV columns'
-    # distinct-value indices, each in the smallest integer type that counts
-    # its values), not by the 88-146 B per vertex of the text; one
-    # whole-document copy would add at least that much, and int64 indices
-    # 32 B in CSV.  The OBJ writer computes each block's faces from its cell
-    # indices and keeps one finiteness flag per vertex: a whole face table
-    # would add 32 B.
+    # An export holds one block's text at a time, beside the tables of texts
+    # of its repeating columns (one distinct value per 2.6 to 201 rows here),
+    # so its peak grows with the grid only by those tables and the arrays it
+    # keeps per vertex (the CSV columns' distinct-value indices, each in the
+    # smallest integer type that counts its values), not by the 88-146 B per
+    # vertex of the text; one whole-document copy would add at least that
+    # much, and int64 indices 32 B in CSV.  The OBJ writer computes each
+    # block's faces from its cell indices and keeps one finiteness flag per
+    # vertex: a whole face table would add 32 B.
     for pid in ("ex4", "ex7"):
         meshes = {n: ms.generate(resolve(pid), nx=n, nt=n) for n in (101, 201)}
         for fmt in ("obj", "csv", "json"):
@@ -386,22 +387,20 @@ def test_multi_block_writers_match_scalar_reference(pid, field, value, edits):
 
 @pytest.mark.parametrize("pid", ["ex2", "ex4", "ex7"])
 def test_table_bound_leaves_the_bytes_unchanged(pid):
-    # each column takes the one-table path or the per-block path by its
-    # distinct count against ms._TABLE_MAX; a bound just below and one just
-    # at each column's count (so below every count and above all of them
-    # too) write the same bytes
+    # every column of these exports repeats, with at most one distinct value
+    # per two rows, and takes the one-table path; a bound of 0 puts every
+    # column on the per-block path, and the bytes are the same
     for n in (101, 201):
         mesh = ms.generate(resolve(pid), nx=n, nt=n)
-        counts = {np.unique(getattr(mesh, key).view(np.uint64)).size
-                  for key in ("x", "t", "K", "H", "xi")}
-        bounds = {c - 1 for c in counts} | counts
+        for key in ("x", "t", "K", "H", "xi"):
+            count = np.unique(getattr(mesh, key).view(np.uint64)).size
+            assert count <= min(ms._TABLE_MAX, mesh.n_vertices // 2), (n, key)
         for fmt in ("csv", "json"):
             want = _exported(mesh, fmt)
-            for bound in sorted(bounds):
-                with mock.patch.object(ms, "_TABLE_MAX", bound):
-                    # a bool, as pytest's diff of two texts this long takes minutes
-                    same = _exported(mesh, fmt) == want
-                assert same, (n, fmt, bound)
+            with mock.patch.object(ms, "_TABLE_MAX", 0):
+                # a bool, as pytest's diff of two texts this long takes minutes
+                same = _exported(mesh, fmt) == want
+            assert same, (n, fmt)
 
 
 def test_each_distinct_value_is_formatted_once_per_export(monkeypatch):
@@ -422,3 +421,25 @@ def test_each_distinct_value_is_formatted_once_per_export(monkeypatch):
     formatted.clear()
     _exported(mesh, "csv")
     assert sorted(formatted) == [201, 201, 2157, 6423]
+
+
+def test_a_column_that_does_not_repeat_is_formatted_per_block(monkeypatch):
+    # spectral3 at k1 1.7, lambda 0.3137, mu -2.2 on 101^2: K, H and xi have
+    # 7,342, 7,941 and 10,201 distinct values of 10,201, under the table
+    # bound but more than one per two rows.  The blocks format each value
+    # little more than once, and a table would hold more than a block's
+    # texts, so each of the three is formatted block by block (three
+    # blocks), and only x and t get a table
+    surface = resolve(family="spectral3", params=SolitonParams(1.7, 0.3137, mu=-2.2))
+    mesh = ms.generate(surface, nx=101, nt=101)
+    formatted = []
+    original = ms._format
+
+    def counted(fmt, values, null):
+        formatted.append(len(values))
+        return original(fmt, values, null)
+
+    monkeypatch.setattr(ms, "_format", counted)
+    _exported(mesh, "json")
+    assert formatted.count(101) == 2 and len(formatted) == 2 + 3 * 3
+    assert max(formatted) <= ms._BLOCK_ROWS
