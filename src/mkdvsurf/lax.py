@@ -27,9 +27,13 @@ under this branch that exponent makes Phi proportional to a unitary matrix,
 Phi^H Phi = det(Phi) I, so that Phi^{-1} X Phi is su(2)-valued for X in
 su(2) and the position vector is real.  The sign of B selects the
 orientation that reproduces the bundled closed-form positions componentwise.
-So Phi is a function of (x, t) and the soliton's parameters alone.  The
-residual checks differentiate the closed form numerically, so the formulas
-are tested rather than trusted.
+So Phi is a function of (x, t) and the soliton's parameters alone.  Beyond
+xi, it depends on t only through e^{i omega t}, omega = (k1^2 + 4 lam^2)/8,
+and its conjugate: each entry is a sum of two products of a t-only factor
+and a part in xi.  ``_time_terms`` forms the four t-only factors once per
+run of equal t (a row of a grid), and ``phi`` evaluates the xi parts per
+point.  The residual checks differentiate the closed form numerically, so
+the formulas are tested rather than trusted.
 """
 from __future__ import annotations
 
@@ -85,29 +89,56 @@ def _weight_b(p: SolitonParams) -> float:
     return -np.exp(-np.pi * p.lam / p.k1) / p.k1
 
 
-def phi(j: Jet, time_factor=None) -> np.ndarray:
-    """Closed-form fundamental solution Phi at the jet's (x, t), shape (..., 2, 2).
+def _time_terms(t, p: SolitonParams):
+    """Phi's four t-only factors at t, each of t's shape:
+    -(i/k1) ea, i k1 B eb, i ea and B eb, with ea = e^{i omega t} and eb its
+    conjugate, the left-hand factors of the four product chains of ``phi``.
 
-    ``time_factor`` is ``_time_factor(j.t, j.p)``, for a caller that already
-    holds it for this t, as a stencil along x does.  The second column is
-    the first column's A-term minus its B-term; IEEE products and negation
-    are sign-symmetric, so that is bitwise the sum with -B.
+    They are evaluated once per run of equal t in t's flat order, such as a
+    row of a grid, and repeated over the run.  Runs are told apart by their
+    bits, not by ==, which would merge -0.0 with 0.0; each factor is a
+    function of its t alone, so this is bitwise the evaluation at every
+    point.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    bits = flat.view(np.uint64)
+    starts = np.empty(flat.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    runs = np.diff(starts, append=flat.size)
+    ea = _time_factor(flat[starts], p)
+    eb = np.conj(ea)
+    b = _weight_b(p)
+    terms = (-(1j / p.k1) * ea, 1j * p.k1 * b * eb, 1j * ea, b * eb)
+    return tuple(np.repeat(f, runs).reshape(t.shape) for f in terms)
+
+
+def phi(j: Jet, time_terms=None) -> np.ndarray:
+    """Closed-form fundamental solution Phi at the jet's (x, t), shape (..., 2, 2),
+    stored entry-first (``su2.empty_2x2``).
+
+    Each entry is a sum of two products, a t-only factor of ``_time_terms``
+    times a part in xi: the xi parts are evaluated per point, the t factors
+    once per run of equal t.  ``time_terms`` is ``_time_terms(j.t, j.p)``,
+    for a caller that already holds it for this t, as a stencil along x
+    does.  The second column is the first column's A-term minus its B-term;
+    IEEE products and negation are sign-symmetric, so that is bitwise the
+    sum with -B.
     """
     p, z, s, tau = j.p, j.xi, j.s, j.tau
     p_plus, p_minus = _power_factors(z, p)
-    ea = _time_factor(j.t, p) if time_factor is None else time_factor
-    eb = np.broadcast_to(np.conj(ea), z.shape)
-    ea = np.broadcast_to(ea, z.shape)
-    b = _weight_b(p)
+    ta0, tb0, ta1, tb1 = _time_terms(j.t, p) if time_terms is None else time_terms
 
     top = (2.0 * p.lam + 1j * p.k1 * tau) * p_plus
     bot = (p.k1 * tau + 2.0j * p.lam) * p_minus
-    a0 = -(1j / p.k1) * ea * top
-    b0 = 1j * p.k1 * b * eb * p_minus * s
-    a1 = 1j * ea * p_plus * s
-    b1 = b * eb * bot
+    a0 = ta0 * top
+    b0 = tb0 * p_minus * s
+    a1 = ta1 * p_plus * s
+    b1 = tb1 * bot
 
-    out = np.empty(z.shape + (2, 2), dtype=complex)
+    out = su2.empty_2x2(z.shape)
     np.add(a0, b0, out=out[..., 0, 0])
     np.subtract(a0, b0, out=out[..., 0, 1])
     np.add(a1, b1, out=out[..., 1, 0])
@@ -129,19 +160,19 @@ def lax_residuals(j: Jet, h: float):
     test det Phi without evaluating it again."""
     p = j.p
     # the stencil's points are off j's, so they evaluate jets of their own; the x
-    # stencil shifts x alone, so its points share the grid's time factor
-    ea = _time_factor(j.t, p)
+    # stencil shifts x alone, so its points share the grid's t factors
+    terms = _time_terms(j.t, p)
 
     def f(xx, tt):
         return phi(soliton.jet(xx, tt, p))
 
     def f_x(xx, tt):
-        return phi(soliton.jet(xx, tt, p), ea)
+        return phi(soliton.jet(xx, tt, p), terms)
 
     s = Stencil(h, order=2, richardson=True)
     phi_x = derivative(f_x, j.x, j.t, s, axis=0)
     phi_t = derivative(f, j.x, j.t, s, axis=1)
-    ph = phi(j, ea)
+    ph = phi(j, terms)
     res_x = phi_x - su2.mul(su2.vec_to_su2(lax_U(j.u, p.lam)), ph)
     res_t = phi_t - su2.mul(su2.vec_to_su2(lax_V(j.u, j.u_x, p.lam, p.alpha)), ph)
     return res_x, res_t, ph

@@ -106,18 +106,17 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
     )
 
 
-# Rows per %-format, json.dumps or join call, and per chunk of text an
+# Rows per %-format or join call, and per chunk of text an
 # export writes.  A block's Python objects and its text are all that exists
 # at once beside the mesh and the column tables of ``_column_texts``, and
 # the per-call overhead is amortised over the block.
 _BLOCK_ROWS = 4096
 
 # The most distinct values a float column may have and still get one table
-# of texts for the whole export: 2^16, so each value's index into the table
-# fits in uint16 and the table holds at most about 5 MB of str.  Every
-# x, t, K, H and xi column of the presets up to 1001^2 fits (the largest is
-# ex4's xi at 1001^2, with 61,008 distinct values of 1,002,001); a column
-# with more is deduped within each block instead.
+# of texts for the whole export: 2^16, so the table holds at most about
+# 5 MB of str.  Every x, t, K, H and xi column of the presets up to 1001^2
+# fits (the largest is ex4's xi at 1001^2, with 61,008 distinct values of
+# 1,002,001); a column with more is deduped within each block instead.
 _TABLE_MAX = 1 << 16
 
 # text of a singular flag, indexed by the flag's byte
@@ -164,20 +163,22 @@ def _column_texts(fmt: str, column: np.ndarray, null: str | None = None):
     (1.3 to 1.4 rows per distinct value at 201^2, against at least 2.6 in
     every column of the presets from 101^2 to 1001^2), formats each value
     at most 1.4 times in blocks: a table would save a quarter of that and
-    hold seven to ten times a block's texts.  The index of each value's
-    text is held in the smallest unsigned type that counts the distinct
-    values.  Nothing is computed before the first block is asked for.
+    hold seven to ten times a block's texts.  Each block finds its values'
+    texts by binary search in the sorted distinct bits, so beyond a block
+    the column costs only the one sorted copy of its bits that
+    ``np.unique`` makes, and no index is held per row.  Nothing is computed
+    before the first block is asked for.
     """
-    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    inverse = inverse.astype(np.min_scalar_type(len(bits) - 1))
-    if len(bits) <= min(_TABLE_MAX, len(column) // 2):
-        text = _format(fmt, bits.view(np.float64), null)
-        for b in _blocks(inverse):
-            yield text[b]
+    bits = column.view(np.uint64)
+    distinct = np.unique(bits)
+    if len(distinct) <= min(_TABLE_MAX, len(column) // 2):
+        text = _format(fmt, distinct.view(np.float64), null)
+        for b in _blocks(bits):
+            yield text[np.searchsorted(distinct, b)]
     else:
-        for b in _blocks(inverse):
+        for b in _blocks(bits):
             ids, at = np.unique(b, return_inverse=True)
-            yield _format(fmt, bits[ids].view(np.float64), null)[at]
+            yield _format(fmt, ids.view(np.float64), null)[at]
 
 
 def _obj_chunks(mesh: SurfaceMesh):
@@ -252,11 +253,14 @@ def _json_chunks(mesh: SurfaceMesh):
     # %r is json.dumps' float text
     for key in ("x", "t", "K", "H", "xi"):
         items[key] = _json_list(_joined(_column_texts("%r", getattr(mesh, key), "null")))
-    # each block's list of [y1,y2,y3] lists, without its brackets
+    # each block's [y1,y2,y3] lists, without the trailing comma; %s of a
+    # float is its repr, and a block holding a non-finite value is written
+    # from its texts, with null for those values
+    vertices = (b if np.isfinite(b).all()
+                else _format("%r", b.reshape(-1), "null").reshape(b.shape)
+                for b in _blocks(mesh.vertices))
     items["vertices"] = _json_list(
-        json.dumps(np.where(np.isfinite(b), b, None).tolist(), separators=_JSON_SEP)[1:-1]
-        for b in _blocks(mesh.vertices)
-    )
+        rows[:-1] for rows in _rows("[%s,%s,%s],", vertices))
     items["singular"] = _json_list(
         _joined(_FLAGS[b] for b in _blocks(mesh.singular.view(np.uint8))))
     sep = "{"

@@ -22,6 +22,14 @@ several times the arithmetic itself.  No inverse is needed: Phi is a
 multiple of a unitary matrix, so Phi^-1 = Phi^H / det Phi.  For the same
 reason the sums over the three components (``su2_inner``, ``su2_norm``) are
 written out; summed left to right, they are bitwise the numpy reductions.
+
+A stack of 2x2 complex matrices has the shape (..., 2, 2), but the stacks
+this module and ``lax.phi`` make are stored entry-first: ``empty_2x2``
+allocates a (2, 2, ...) buffer and returns its transposed view, so each
+entry ``m[..., i, j]`` is one contiguous array, and the entry-by-entry
+arithmetic, ``np.abs`` and the maxima run on contiguous memory.  Such a
+stack is not C-contiguous: a caller that reinterprets its bytes with
+``.view`` takes ``np.ascontiguousarray`` of it first.
 """
 from __future__ import annotations
 
@@ -31,6 +39,12 @@ import numpy as np
 def trace(x: np.ndarray) -> np.ndarray:
     """Trace over the trailing 2x2 axes."""
     return x[..., 0, 0] + x[..., 1, 1]
+
+
+def empty_2x2(shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+    """An uninitialised stack of 2x2 matrices of shape ``shape + (2, 2)``,
+    stored entry-first (see the module docstring)."""
+    return np.empty((2, 2) + shape, dtype).transpose(*range(2, len(shape) + 2), 0, 1)
 
 
 def vec(v1, v2, v3) -> np.ndarray:
@@ -65,7 +79,7 @@ def su2_norm(x: np.ndarray) -> np.ndarray:
 def vec_to_su2(v: np.ndarray) -> np.ndarray:
     """Map a vector (..., 3) to F = i * sum_k v_k sigma_k, shape (..., 2, 2)."""
     v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (2, 2), dtype=complex)
+    out = empty_2x2(v.shape[:-1])
     v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
     out[..., 0, 0] = 1j * v3
     out[..., 1, 1] = -1j * v3
@@ -78,7 +92,7 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The product ab of stacked 2x2 matrices (..., 2, 2); the stacks broadcast."""
     a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out = empty_2x2(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), np.result_type(a, b))
     out[..., 0, 0] = a00 * b00 + a01 * b10
     out[..., 0, 1] = a00 * b01 + a01 * b11
     out[..., 1, 0] = a10 * b00 + a11 * b10

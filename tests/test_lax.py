@@ -114,23 +114,73 @@ def _phi_eight_chains(x, t, p):
     return out
 
 
+def _bits(a):
+    # the stacks are stored entry-first, so their bytes are read through a copy
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_phi_is_bitwise_the_eight_chain_formula(preset):
     # on every preset's lax grid and at every offset of the lax stencil;
-    # along x also with the grid's time factor passed in, as the stencil does.
+    # along x also with the grid's t factors passed in, as the stencil does.
     # The oracle writes each entry of Phi as its own two product chains at
     # A = 1, B = -e^(-pi lam/k1)/k1, so it pins the shared-term arithmetic
-    # of ``phi``: the second column as the first column's terms with -B
+    # of ``phi``: the second column as the first column's terms with -B,
+    # and the t factors formed once per row
     surface = resolve(preset)
     p = surface.params
     x, t = surface.grid(23, 19, half=2.0)
     h = 1e-6
     for d in (0.0, h, -h, h / 2, -h / 2):
-        for xx, tt, ea in ((x + d, t, None), (x + d, t, lax._time_factor(t, p)),
-                           (x, t + d, None)):
+        for xx, tt, terms in ((x + d, t, None), (x + d, t, lax._time_terms(t, p)),
+                              (x, t + d, None)):
             want = _phi_eight_chains(xx, tt, p)
-            got = phi(jet(xx, tt, p), ea)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            got = phi(jet(xx, tt, p), terms)
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def _time_term_chains(t, p):
+    # the left-hand factors of the four chains of ``_phi_eight_chains``, at
+    # every point
+    b = -np.exp(-np.pi * p.lam / p.k1) / p.k1
+    omega = (p.k1 ** 2 + 4.0 * p.lam ** 2) / 8.0
+    ea = np.exp(1j * omega * np.asarray(t, dtype=float))
+    eb = np.conj(ea)
+    return -(1j / p.k1) * ea, 1j * p.k1 * b * eb, 1j * ea, b * eb
+
+
+_RNG = np.random.default_rng(32)
+
+
+@pytest.mark.parametrize("t", [
+    resolve("ex2").grid(41, 41, half=2.0)[1].reshape(-1)[:1000],  # a tile's rows
+    resolve("ex7").grid(201, 201)[1],                             # a 2-D grid
+    _RNG.uniform(-3.0, 3.0, 777),                                 # no runs
+    np.array([0.0, -0.0, -0.0, 0.0, 0.0, 1.5, -0.0]),            # signed zeros
+    np.array([np.nan, np.nan, 1.0, np.nan, 1.0, 1.0]),
+    np.array(-0.75),                                              # 0-d
+    np.array([]),
+], ids=["tile", "grid-2d", "random", "signed-zeros", "nan", "0-d", "empty"])
+@pytest.mark.parametrize("p", SAMPLE_PARAMS[1:])
+def test_time_terms_are_bitwise_the_per_point_chains(t, p):
+    with np.errstate(invalid="ignore"):
+        got = lax._time_terms(t, p)
+        want = _time_term_chains(t, p)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == np.shape(t)
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+def test_phi_and_stacks_have_contiguous_entries():
+    p = SAMPLE_PARAMS[1]
+    j = jet(*GRID, p)
+    v = lax_U(j.u, p.lam)
+    stacks = (phi(j), su2.vec_to_su2(v), su2.mul(su2.vec_to_su2(v), phi(j)))
+    for m in stacks:
+        assert m.shape == GRID[0].shape + (2, 2)
+        for i in (0, 1):
+            for k in (0, 1):
+                assert m[..., i, k].flags.c_contiguous
 
 
 def test_lax_matrices_encode_soliton():

@@ -163,11 +163,11 @@ def test_export_writes_file(tmp_path):
 def test_export_memory_does_not_grow_with_the_text(tmp_path):
     # An export holds one block's text at a time, beside the tables of texts
     # of its repeating columns (one distinct value per 2.6 to 201 rows here),
-    # so its peak grows with the grid only by those tables and the arrays it
-    # keeps per vertex (the CSV columns' distinct-value indices, each in the
-    # smallest integer type that counts its values), not by the 88-146 B per
-    # vertex of the text; one whole-document copy would add at least that
-    # much, and int64 indices 32 B in CSV.  The OBJ writer computes each
+    # so its peak grows with the grid only by those tables and the sorted
+    # copy of one column's bits that finds its distinct values, not by the
+    # 88-146 B per vertex of the text; one whole-document copy would add at
+    # least that much, and np.unique's int64 inverse indices some 33 B per
+    # vertex while they are made.  The OBJ writer computes each
     # block's faces from its cell indices and keeps one finiteness flag per
     # vertex: a whole face table would add 32 B.
     for pid in ("ex4", "ex7"):

@@ -191,6 +191,24 @@ def test_shape_check_energy_budget(monkeypatch):
     assert 0 < calls <= 582
 
 
+def test_lax_check_time_factor_budget(monkeypatch):
+    # Phi's t factors are formed once per row of equal t: on the 41^2 grid
+    # (one tile of 41 rows) once for the grid and its x stencil, once for
+    # each of the four shifted t stencils; a per-point evaluation would
+    # see 5 x 1681 points
+    seen = []
+    time_factor = lax._time_factor
+
+    def counted(t, p):
+        seen.append(np.size(t))
+        return time_factor(t, p)
+
+    monkeypatch.setattr(lax, "_time_factor", counted)
+    rep = vf.run_checks(["lax"], resolve("ex2"), nx=41, nt=41)
+    assert rep.passed
+    assert 0 < sum(seen) <= 5 * 41
+
+
 def _scale_h(closed):
     def scaled(*args):
         cur = closed(*args)
