@@ -1,6 +1,7 @@
 """Verification report plumbing: check selection, tolerances, serialization."""
 
 import ast
+import hashlib
 import json
 import tracemalloc
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from mkdvsurf import immersion, lagrangian, lax, verify as vf
+from mkdvsurf.cli import main
 from mkdvsurf.diffgeo import CurvaturePair
 from mkdvsurf.immersion import resolve
-from mkdvsurf.soliton import SolitonParams, xi_grid
+from mkdvsurf.soliton import SolitonParams, tiled, xi_grid
 
 from helpers import fields, shape_residuals
 
@@ -368,3 +370,81 @@ def test_consistency_memory_grows_by_the_values_it_reports():
             tracemalloc.stop()
     per_point = (peaks[201] - peaks[101]) / (201 ** 2 - 101 ** 2)
     assert per_point <= 150, f"{per_point:.0f} B per grid point"
+
+
+# Surfaces on which the checks that run once per distinct xi must report
+# what an evaluation at every point reports: every preset, spectral3 and
+# spectralgauge4 surfaces whose xi repeat little, and a window off [-2,2]^2.
+XI_INPUTS = [("--preset", pid, "--nx", n, "--nt", n)
+             for pid in immersion.PRESETS for n in ("41", "101")]
+XI_INPUTS += [
+    ("--family", "spectral3", "--k1", "1.7", "--lambda", "0.3137", "--mu", "-2.2"),
+    ("--family", "spectralgauge4", "--k1", "1.3", "--lambda", "0.2", "--mu", "0.7",
+     "--nu", "-0.4"),
+    ("--preset", "ex2", "--x-min", "-3", "--x-max", "1.5"),
+]
+
+
+def test_checks_run_once_per_distinct_xi_report_what_every_point_reports(
+        monkeypatch, capsys):
+    # the reports, and the bytes of every residual array reduced: a max and
+    # a median can agree where the arrays do not
+    reduced = []
+    stats = vf._stats
+
+    def spy(res):
+        reduced.append(hashlib.sha256(np.ascontiguousarray(res).tobytes()).hexdigest())
+        return stats(res)
+
+    monkeypatch.setattr(vf, "_stats", spy)
+
+    def reports():
+        out = []
+        for argv in XI_INPUTS:
+            reduced.clear()
+            code = main(["verify", *argv, "--checks", "all", "--format", "json"])
+            out.append((argv, code, capsys.readouterr().out, list(reduced)))
+        return out
+
+    once = reports()
+    # every point evaluated, and gathered as it is
+    monkeypatch.setattr(vf, "_by_xi", lambda f, grid, p: (tiled(f, *grid), lambda v: v))
+    for got, want in zip(reports(), once):
+        assert got == want, got[0]
+
+
+@pytest.mark.parametrize("check, points", [("compat", 982), ("forms", 420)])
+def test_checks_evaluate_the_soliton_once_per_distinct_xi(monkeypatch, check, points):
+    # ex2 has k1 = 2, so xi = x + t: its clipped 201^2 grid (40,401 points)
+    # has 982 distinct xi, and its xi grid of |xi| < 2.95 has 420
+    evaluated = []
+    jet = vf.jet
+
+    def counted(x, t, p):
+        evaluated.append(np.size(x))
+        return jet(x, t, p)
+
+    monkeypatch.setattr(vf, "jet", counted)
+    assert vf.run_checks([check], resolve("ex2"), 201, 201).passed
+    assert sum(evaluated) == points
+
+
+def test_forms_memory_keeps_only_what_it_reports_per_point():
+    # The pole mask and the two normalisers are taken over the distinct xi,
+    # so per grid point the check keeps |dK|, |dH| and the mask (17 B), its
+    # xi index (2 B) and the kept relative differences with compress's index
+    # (24 B): the traced peak grows by about 51 B per point from 101^2 to
+    # 201^2.  Keeping |K closed|, |H closed| and |den| per point as well
+    # costs about 80 B.
+    surface = resolve("ex2")
+    vf.run_checks(["forms"], surface, 11, 11)
+    peaks = {}
+    for n in (101, 201):
+        tracemalloc.start()
+        try:
+            vf.run_checks(["forms"], surface, n, n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_point = (peaks[201] - peaks[101]) / (201 ** 2 - 101 ** 2)
+    assert per_point <= 64, f"{per_point:.0f} B per grid point"
