@@ -10,16 +10,17 @@ that the ``shape`` check tests.  The frame runners (``consistency``,
 ``compat``, ``forms``, ``lax``) keep across tiles one float64 per residual
 value they report and nothing else; where only a maximum is reported (the
 su(2) test of the ``consistency`` frame, the ``lax`` determinant drift)
-they fold each tile's exact maxima instead.  The checks whose kernels read
-(x, t) only through the soliton's xi, ``zerocurv``, ``compat``, ``forms``,
-``weingarten`` and ``sphere``, evaluate once per distinct xi of their grid
-(``_by_xi``), keep a small index of each point's xi, and gather the values
-back per point before they reduce, so they report what an evaluation at
-every point reports, bit for bit.  The
-other four cannot: ``lax`` and ``consistency`` read t through Phi's
-e^{i omega t} and (x, t) through the position's phase, and the stencils of
-``willmore`` and ``shape`` shift x and t apart, so two points of equal xi
-have stencils of unequal xi.  Each check is one entry of the table
+they fold each tile's exact maxima instead.  ``compat``, ``forms`` and
+``sphere``, whose kernels read (x, t) only through the soliton's xi,
+evaluate once per distinct xi of their grid (``_by_xi``), keep a small
+index of each point's xi, and gather the values back per point before they
+reduce, so they report what an evaluation at every point reports, bit for
+bit.  ``zerocurv`` and ``weingarten`` read only xi too, but their kernels
+cost less than the search and the gather.  The other four cannot:
+``lax`` and ``consistency`` read t through Phi's e^{i omega t} and (x, t)
+through the position's phase, and the stencils of ``willmore`` and
+``shape`` shift x and t apart, so two points of equal xi have stencils of
+unequal xi.  Each check is one entry of the table
 ``_CHECKS``.  A check is compatible with a (family, parameter) combination
 or it is reported as skipped with the reason; requesting an incompatible
 check explicitly is a configuration error.
@@ -165,19 +166,13 @@ class _Config:
         return f"{self.nx}x{self.nt} {detail}"
 
     def clipped_grid(self):
-        """(x, t) of the grid over the window clipped to [-2,2]^2.
-        ``_clipped`` is the checks' rule that it has a positive width on
-        both axes."""
-        return self.surface.grid(self.nx, self.nt, half=CLIP_HALF)
-
-    def clipped_label(self) -> str:
-        """The label of ``clipped_grid``, which gives the bounds sampled.
-        linspace ends an axis of any length on the same two values, so the
-        2x2 grid has them."""
-        x, t = self.surface.grid(2, 2, half=CLIP_HALF)
+        """(x, t, label) of the grid over the window clipped to [-2,2]^2; the
+        label gives the bounds sampled.  ``_clipped`` is the checks' rule
+        that it has a positive width on both axes."""
+        x, t = self.surface.grid(self.nx, self.nt, half=CLIP_HALF)
         xr, tr = (float(x[0, 0]), float(x[0, -1])), (float(t[0, 0]), float(t[-1, 0]))
         detail = "on [-2,2]^2" if xr == tr == (-2.0, 2.0) else _window_label(xr, tr)
-        return self.label(detail)
+        return x, t, self.label(detail)
 
 
 def _window_label(xr, tr) -> str:
@@ -202,24 +197,29 @@ def _by_xi(f, grid, p: SolitonParams):
     bits, and ``gather(values)`` is ``tiled(f, *grid)`` bit for bit.
     ``gather`` takes any array, or tuple of arrays, indexed like ``values``,
     so a runner may reduce over the distinct values first and gather per
-    point only what it keeps.
+    point only what it keeps.  A runner drops its grid once this returns,
+    so the grid is freed before the gathered arrays are allocated.
 
     Each point's xi is found by binary search in the sorted distinct bits,
     as ``mesh._column_texts`` does, and kept as an index of the smallest
     unsigned type (2 B per point up to 2^16 distinct xi); the grid's xi bits
-    live only while they are sorted.  The grid itself is dropped once ``f``
-    has run, so a runner that passes it without keeping it frees it before
-    the gathered arrays are allocated.
+    live only while they are sorted.  A grid with fewer than two points per
+    distinct xi (the rule of ``mesh._column_texts`` too) is evaluated at
+    every point, and ``gather`` returns what it is given: there the search
+    and the gather save little time or none, and the distinct values would
+    be held beside the gathered ones.
     """
     x, t = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in grid))
     shape, xf, tf = x.shape, x.reshape(-1), t.reshape(-1)
-    del grid, x, t
     bits = lambda xx, tt: xi(xx, tt, p).view(np.uint64)
     # sorted in place: np.unique hashes them first, which took five times
     # as long as the sort on 1001^2 points
     distinct = tiled(bits, xf, tf)
     distinct.sort()
     distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    if 2 * distinct.size > xf.size:
+        del distinct
+        return tiled(f, x, t), lambda arrays: arrays
     small = np.min_scalar_type(distinct.size - 1)
     index = tiled(lambda xx, tt: np.searchsorted(distinct, bits(xx, tt)).astype(small), xf, tf)
     # a grid point of each distinct xi; any one serves
@@ -228,7 +228,6 @@ def _by_xi(f, grid, p: SolitonParams):
         part = index[i:i + diffgeo.TILE_POINTS]
         picked[part] = np.arange(i, i + part.size)
     values = tiled(f, xf[picked], tf[picked])
-    del xf, tf
 
     def gather(arrays):
         single = not isinstance(arrays, tuple)
@@ -298,9 +297,9 @@ def _round_sphere(surface: Surface) -> str | None:
 
 def _check_zerocurv(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
-    res, gather = _by_xi(lambda xx, tt: np.abs(zero_curvature_residual(jet(xx, tt, p))),
-                         cfg.surface.grid(cfg.nx, cfg.nt), p)
-    return _result(name, cfg.label(), tol, gather(res))
+    x, t = cfg.surface.grid(cfg.nx, cfg.nt)
+    res = tiled(lambda xx, tt: np.abs(zero_curvature_residual(jet(xx, tt, p))), x, t)
+    return _result(name, cfg.label(), tol, res)
 
 
 def _entry_max(m: np.ndarray) -> np.ndarray:
@@ -313,7 +312,7 @@ def _entry_max(m: np.ndarray) -> np.ndarray:
 
 def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p = cfg.surface.params
-    x, t = cfg.clipped_grid()
+    x, t, label = cfg.clipped_grid()
     expected = det_phi_expected(p)
     # per tile, the largest |det Phi - expected|: only the grid's is reported
     det_dev = []
@@ -332,13 +331,14 @@ def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
         max_residual=mx,
         median_residual=med,
         tolerance=tol,
-        grid=cfg.clipped_label(),
+        grid=label,
         note=f"det drift rel {det_rel:.2e} (<= {DET_DRIFT_RTOL:.0e})",
     )
 
 
 def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
+    x, t, label = cfg.clipped_grid()
     # the spectral and symmetry frames are mu times a fixed frame,
     # identically zero at mu = 0, so they are tested at mu = 1; the jet
     # depends on k1 alone, so one jet serves every kind's parameters
@@ -353,9 +353,9 @@ def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
             np.abs(ab_compatibility_residual(replace(j, p=kp), kind), out=res[:, i])
         return res
 
-    res, gather = _by_xi(pointwise, cfg.clipped_grid(), p)
-    return _result(name, cfg.clipped_label(), tol, gather(res),
-                   note="all three deformation families")
+    res, gather = _by_xi(pointwise, (x, t), p)
+    del x, t
+    return _result(name, label, tol, gather(res), note="all three deformation families")
 
 
 # Points of the forms check whose closed-form denominator is at most this
@@ -406,6 +406,7 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
 def _check_weingarten(cfg: _Config, name: str, tol: float, h: None,
                       paper_literal: bool = False) -> CheckResult:
     p = cfg.surface.params
+    x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
 
     def pointwise(xx, tt):
         cur = cfg.surface.family.curvatures(jet(xx, tt, p))
@@ -415,8 +416,7 @@ def _check_weingarten(cfg: _Config, name: str, tol: float, h: None,
             res += (np.abs(wr.quadratic) / wr.quadratic_scale,)
         return res
 
-    res, gather = _by_xi(pointwise, xi_grid(p, 2.95, cfg.nx, cfg.nt), p)
-    res = gather(res)
+    res = tiled(pointwise, x, t)
     note = "cubic K-H relation"
     if len(res) == 2:
         note += f" and quadratic at k1 = {'' if p.k1 * p.lam > 0 else '-'}2 lambda"
@@ -516,12 +516,14 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
 
 def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
+    x, t, label = cfg.clipped_grid()
 
     def pointwise(xx, tt):
         cur = curvatures_from_forms(forms_from_ab(jet(xx, tt, p), DeformationKind.SYMMETRY_UX))
         return cur.K, cur.H
 
-    cur, gather = _by_xi(pointwise, cfg.clipped_grid(), p)
+    cur, gather = _by_xi(pointwise, (x, t), p)
+    del x, t
     cur_k, cur_h = gather(cur)
     # K and H are NaN where the normal degenerates (the crest u_x = 0)
     good = np.isfinite(cur_k) & np.isfinite(cur_h)
@@ -534,14 +536,13 @@ def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     res = np.array([float(np.max(np.abs(kg - k_mean)) / abs(k_mean)),
                     float(np.max(np.abs(hg ** 2 - kg)) / abs(k_mean)),
                     abs(radius - expected) / expected])
-    return _result(name, cfg.clipped_label(), tol, res,
-                   excluded=int(cur_k.size - np.count_nonzero(good)),
+    return _result(name, label, tol, res, excluded=int(cur_k.size - np.count_nonzero(good)),
                    note=f"radius {radius:.6g} vs |alpha mu/(2 lambda)| = {expected:.6g}")
 
 
 def _check_consistency(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p, fam = cfg.surface.params, cfg.surface.family
-    x, t = cfg.clipped_grid()
+    x, t, label = cfg.clipped_grid()
     position = lambda xx, tt: fam.position(jet(xx, tt, p))
     s = diffgeo.Stencil(h, order=4)
 
@@ -561,8 +562,7 @@ def _check_consistency(cfg: _Config, name: str, tol: float, h: float) -> CheckRe
     # scales with that tangent's largest entry on the grid
     for grid_max in np.max(np.reshape(defects, (-1, 2, 3)), axis=0):
         su2.check_su2(*grid_max)
-    return _result(name, cfg.clipped_label(), tol, res,
-                   note="frame tangents vs position derivatives")
+    return _result(name, label, tol, res, note="frame tangents vs position derivatives")
 
 
 @dataclass(frozen=True)

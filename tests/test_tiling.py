@@ -11,11 +11,9 @@ from mkdvsurf.cli import main
 PRESETS = list(immersion.PRESETS)
 FRAME_CHECKS = ("zerocurv", "lax", "compat", "forms", "weingarten", "sphere", "consistency")
 # The frame checks run on ex2 and ex7, and on a spectral3 surface whose xi
-# seldom repeat: the checks that evaluate once per distinct xi have 146
-# distinct xi of 2867 points on its xi grid at 61x47 and no repeats on its
-# window, so they evaluate the soliton in several small tiles.  On the xi
-# grid of ex2 and ex7 (125 distinct xi) only their search for the distinct
-# xi runs in several.
+# seldom repeat: at 61x47 its xi grid has 146 distinct xi of 2867 points, so
+# ``forms``, which evaluates once per distinct xi, evaluates the soliton in
+# two small tiles.
 SURFACES = {"ex2": ("--preset", "ex2"), "ex7": ("--preset", "ex7"),
             "spectral3": ("--family", "spectral3", "--k1", "1.7", "--lambda", "0.3137",
                           "--mu", "-2.2")}
@@ -24,20 +22,25 @@ SURFACES = {"ex2": ("--preset", "ex2"), "ex7": ("--preset", "ex7"),
 # the shape check past the time this test may take.
 SMALL_TILE = 127
 WHOLE_GRID = 61 * 47
+# The xi grid of ex2 and ex7 has 125 distinct xi at 61x47, one small tile:
+# there only the search for the distinct xi runs in several.
+ONE_TILE_OF_XI = {("verify", "ex2", "forms"), ("verify", "ex7", "forms")}
 
 
 def _outputs(capsys, monkeypatch, out_dir):
-    """{operation: (exit code, stdout, stderr, file sha256, evaluations of xi)}."""
-    evaluations = []
+    """{operation: (exit code, stdout, stderr, file sha256, soliton
+    evaluations, evaluations of xi in the search for the distinct xi)}."""
+    evaluations = {"soliton": 0, "search": 0}
     xi = soliton.xi
 
-    def counted_xi(*args):
-        evaluations.append(1)
-        return xi(*args)
+    def counted(key):
+        def counted_xi(*args):
+            evaluations[key] += 1
+            return xi(*args)
+        return counted_xi
 
-    monkeypatch.setattr(soliton, "xi", counted_xi)
-    # and the xi by which the checks run once per distinct xi find them
-    monkeypatch.setattr(verify, "xi", counted_xi)
+    monkeypatch.setattr(soliton, "xi", counted("soliton"))
+    monkeypatch.setattr(verify, "xi", counted("search"))
     runs = [("verify", p, "all", "41", "41") for p in PRESETS]
     runs += [("verify", s, c, "61", "47") for s in SURFACES for c in FRAME_CHECKS]
     runs += [("generate", p, fmt, "61", "47") for p in ("ex2", "ex4", "ex7")
@@ -50,13 +53,13 @@ def _outputs(capsys, monkeypatch, out_dir):
             argv += ["--checks", what, "--format", "json"]
         else:
             argv += ["--format", what, "--out", str(out_file)]
-        evaluations.clear()
+        evaluations.update(soliton=0, search=0)
         code = main(argv)
         captured = capsys.readouterr()
         digest = (hashlib.sha256(out_file.read_bytes()).hexdigest()
                   if command == "generate" else None)
         outputs[(command, pid, what)] = (code, captured.out, captured.err, digest,
-                                         len(evaluations))
+                                         evaluations["soliton"], evaluations["search"])
     monkeypatch.setattr(soliton, "xi", xi)
     monkeypatch.setattr(verify, "xi", xi)
     return outputs
@@ -68,12 +71,17 @@ def test_every_tile_size_gives_the_same_reports_and_exports(monkeypatch, capsys,
     monkeypatch.setattr(soliton, "TILE_POINTS", SMALL_TILE)
     tiled = _outputs(capsys, monkeypatch, tmp_path)
     assert tiled.keys() == whole.keys()
-    for key, (code, out, err, digest, n_whole) in whole.items():
+    for key, (code, out, err, digest, n_soliton, n_search) in whole.items():
         assert tiled[key][:4] == (code, out, err, digest), key
         if code != 2:
-            # the operation really ran in tiles: each evaluates xi at least
-            # once more than the whole grid does
-            assert tiled[key][4] > n_whole, key
+            # the operation really ran in tiles: each evaluates the soliton
+            # at least once more than the whole grid does, or, where its
+            # distinct xi fit in one small tile, searches for them more often
+            soliton_evals, search_evals = tiled[key][4:]
+            if key in ONE_TILE_OF_XI:
+                assert search_evals > n_search > 0, key
+            else:
+                assert soliton_evals > n_soliton, key
     # every preset and check ran, and every export was written
     assert all(o[0] in (0, 1) for k, o in whole.items() if k != ("verify", "ex7", "weingarten"))
 

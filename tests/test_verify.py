@@ -413,10 +413,21 @@ def test_checks_run_once_per_distinct_xi_report_what_every_point_reports(
         assert got == want, got[0]
 
 
-@pytest.mark.parametrize("check, points", [("compat", 982), ("forms", 420)])
-def test_checks_evaluate_the_soliton_once_per_distinct_xi(monkeypatch, check, points):
+@pytest.mark.parametrize("argv, check, points", [
     # ex2 has k1 = 2, so xi = x + t: its clipped 201^2 grid (40,401 points)
     # has 982 distinct xi, and its xi grid of |xi| < 2.95 has 420
+    (("--preset", "ex2", "--nx", "201", "--nt", "201"), "compat", 982),
+    (("--preset", "ex2", "--nx", "201", "--nt", "201"), "forms", 420),
+    (("--preset", "ex4", "--nx", "101", "--nt", "101"), "compat", 3861),
+    # fewer than two points per distinct xi: every point is evaluated, on
+    # ex4's clipped 41^2 grid (1058 distinct xi of 1681) and on a spectral3
+    # window where no xi repeats
+    (("--preset", "ex4", "--nx", "41", "--nt", "41"), "compat", 1681),
+    (("--family", "spectral3", "--k1", "1.7", "--lambda", "0.3137", "--mu", "-2.2"),
+     "sphere", 1681),
+])
+def test_checks_evaluate_the_soliton_once_per_distinct_xi(monkeypatch, capsys, argv, check,
+                                                          points):
     evaluated = []
     jet = vf.jet
 
@@ -425,7 +436,8 @@ def test_checks_evaluate_the_soliton_once_per_distinct_xi(monkeypatch, check, po
         return jet(x, t, p)
 
     monkeypatch.setattr(vf, "jet", counted)
-    assert vf.run_checks([check], resolve("ex2"), 201, 201).passed
+    assert main(["verify", *argv, "--checks", check]) == 0
+    capsys.readouterr()
     assert sum(evaluated) == points
 
 
