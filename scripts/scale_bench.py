@@ -9,6 +9,7 @@ Runs, each in a fresh interpreter with one BLAS/OpenMP thread,
     mkdvsurf verify --preset ex4 --checks compat
     mkdvsurf generate --preset ex7 --format json
     mkdvsurf generate --preset ex7 --format obj
+    mkdvsurf generate --preset ex4 --format obj
     mkdvsurf generate --preset ex4 --format csv
 
 at nx = nt = 101, 401 and 1001, the grid sizes the ROADMAP's north star
@@ -18,7 +19,9 @@ finite-difference oracle's largest check, is also timed alone, as are
 solution Phi, and ``compat`` on ex4, the largest of the checks that run
 once per distinct xi, on the preset whose xi repeat least (4.4 points per
 distinct xi on the clipped 201^2 grid); ex4 is also the preset with the
-most distinct K, H and xi values to format.  Each run's wall time covers
+most distinct K, H and xi values to format, and the one whose positions
+are hardest to write: 31% of them print as d.ddde-XX and 0.7% fall outside
+the numpy formatter's range, 1e-11 <= |v| < 1e16.  Each run's wall time covers
 the whole process, interpreter start included, and its peak RSS is the
 child's own ``ru_maxrss``.  Each child runs in the checkout with the fixed
 environment ``CHILD_ENV``, which imports ``src/`` by a relative path, so its
@@ -56,6 +59,7 @@ COMMANDS = {
     "verify ex4 compat": ("verify", "--preset", "ex4", "--checks", "compat"),
     "generate ex7 json": ("generate", "--preset", "ex7", "--format", "json"),
     "generate ex7 obj": ("generate", "--preset", "ex7", "--format", "obj"),
+    "generate ex4 obj": ("generate", "--preset", "ex4", "--format", "obj"),
     "generate ex4 csv": ("generate", "--preset", "ex4", "--format", "csv"),
 }
 

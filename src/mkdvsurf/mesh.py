@@ -3,11 +3,15 @@
 A mesh samples one immersion family on a rectangular (x, t) window, stores
 positions with closed-form K and H per vertex, and flags vertices where the
 curvature formulas genuinely blow up.  Exports are byte-deterministic: the
-same mesh always serializes to the same OBJ, CSV, or JSON file.
+same mesh always serializes to the same OBJ, CSV, or JSON file.  The %.17g
+text of OBJ and CSV comes from ``_g17``, an exact numpy formatter for
+1e-11 <= |v| < 1e16 that leaves every other value to Python; JSON writes
+Python's repr.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,17 +110,18 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
     )
 
 
-# Rows per %-format or join call, and per chunk of text an
-# export writes.  A block's Python objects and its text are all that exists
-# at once beside the mesh and the column tables of ``_column_texts``, and
-# the per-call overhead is amortised over the block.
+# Rows per block: each block is one chunk of text an export writes.  A
+# block's arrays, Python objects and text are all that exists at once beside
+# the mesh and the column tables of ``_column_texts``, and the per-call
+# overhead is amortised over the block.
 _BLOCK_ROWS = 4096
 
 # The most distinct values a float column may have and still get one table
 # of texts for the whole export: 2^16, so the table holds at most about
-# 5 MB of str.  Every x, t, K, H and xi column of the presets up to 1001^2
-# fits (the largest is ex4's xi at 1001^2, with 61,008 distinct values of
-# 1,002,001); a column with more is deduped within each block instead.
+# 5 MB of str (JSON) or 2.8 MB of ``_g17`` rows (CSV).  Every x, t, K, H
+# and xi column of the presets up to 1001^2 fits (the largest is ex4's xi
+# at 1001^2, with 61,008 distinct values of 1,002,001); a column with more
+# is deduped within each block instead.
 _TABLE_MAX = 1 << 16
 
 # text of a singular flag, indexed by the flag's byte
@@ -130,8 +135,8 @@ def _blocks(arr: np.ndarray):
 
 def _rows(row_fmt: str, blocks):
     """The text of ``row_fmt`` applied to each row of a 2-D block, one
-    chunk per block.  %.17g gives the digits of format(v, ".17g"): an exact
-    float round trip."""
+    chunk per block: the OBJ faces (%d) and the JSON vertex rows (%s, a
+    float's repr)."""
     for block in blocks:
         yield (row_fmt * len(block)) % tuple(block.reshape(-1).tolist())
 
@@ -146,9 +151,144 @@ def _format(fmt: str, values: np.ndarray, null: str | None) -> np.ndarray:
     return text
 
 
-def _column_texts(fmt: str, column: np.ndarray, null: str | None = None):
-    """The texts of each block of a float column, ``fmt % v`` per value,
-    with each distinct value formatted once.
+# %.17g text with numpy (``_g17``).  A value v with 1e-11 <= |v| < 1e16 is
+# v = m 2^q with a 53-bit m; its 17 significant digits are
+# D = round(|v| 10^(16 - E)) with E = floor(log10 |v|), and |v| 10^(16 - E) =
+# m 5^k / 2^s with k = 16 - E in [1, 27], so m 5^k < 2^116 is exact in two
+# 64-bit words.  Every other value (zeros, smaller or larger magnitudes,
+# subnormals, inf and NaN) is formatted by Python, one value at a time.
+#
+def _ceil_pow10(e: int) -> float:
+    """The least double >= 10^e."""
+    f = float(f"1e{e}")                 # correctly rounded
+    num, den = f.as_integer_ratio()
+    below = num * 10 ** max(-e, 0) < den * 10 ** max(e, 0)
+    return float(np.nextafter(f, np.inf)) if below else f
+
+
+# _TENS[i] is the least double >= 10^(i - 11), for E = i - 11 in [-11, 16]:
+# |v| >= 10^E exactly when |v| >= _TENS[E + 11], so a binary search in it
+# gives E with no rounding.
+_TENS = np.array([_ceil_pow10(e) for e in range(-11, 17)])
+_POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)
+_U = np.uint64
+
+# The slots of a value's text, 43 bytes: a sign, the "0." and up to three
+# zeros of 1e-4 <= |v| < 0.1, the digits d0 ... d16 at 6, 8, ..., 38 with a
+# "." slot after each of d0 ... d15, and the "e-XX" exponent of %g's
+# exponential form (in this range only 1e-11 <= |v| < 1e-4 takes it).
+_G17_SLOTS = np.frombuffer(b"-0.000" + b"0." * 16 + b"0" + b"e-00", np.uint8)
+_G17_WIDTH = len(_G17_SLOTS)
+
+
+@functools.cache
+def _g17_templates() -> np.ndarray:
+    """One row of slots per (sign, E + 11, significant digits - 1): the text
+    of a value of that class whose digits are all 0, with NUL in each slot
+    the class leaves out.  %g writes positionally for -4 <= E < 17 and as
+    d.ddde-XX below, with trailing zeros of the fraction and a bare point
+    stripped."""
+    out = np.zeros((2, 28, 17, _G17_WIDTH), np.uint8)
+    for neg, e, n in np.ndindex(out.shape[:3]):
+        exp, sig = e - 11, n + 1
+        keep = np.zeros(_G17_WIDTH, bool)
+        keep[0] = neg
+        if -4 <= exp < 0:
+            keep[1:3 - exp - 1] = True       # "0." and -E - 1 zeros
+        keep[6:6 + 2 * max(sig, exp + 1):2] = True
+        point = max(exp, 0)                   # the digit the point follows
+        if sig > point + 1 and not -4 <= exp < 0:
+            keep[7 + 2 * point] = True
+        row = np.where(keep, _G17_SLOTS, 0)
+        if exp < -4:
+            row[39:] = np.frombuffer(b"e-%02d" % -exp, np.uint8)
+        out[neg, e, n] = row
+    return out.reshape(-1, _G17_WIDTH)
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """The bytes of ``format(v, ".17g")`` for each value, one row of a
+    (n, 43) uint8 matrix per value; the row's NUL bytes are not part of the
+    text.  Values with 1e-11 <= |v| < 1e16 are formatted with integer
+    arithmetic in numpy, every other value by Python, one value at a time.
+    """
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    a = np.abs(v)
+    fast = (a >= _TENS[0]) & (a < _TENS[-1])
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        a = np.where(fast, a, 1.0)
+    e = np.searchsorted(_TENS, a, side="right") - 1     # E + 11
+    bits = a.view(_U)
+    m = (bits & _U((1 << 52) - 1)) | _U(1 << 52)
+    k = 27 - e                                          # 16 - E
+    s = 1075 - (bits >> _U(52)).astype(np.int64) - k    # |v| 10^k = m 5^k / 2^s
+    m <<= np.maximum(-s, 0).astype(_U)                  # s < 0 only for |v| >= 2^52
+    s = np.maximum(s, 0).astype(_U)
+    # m 5^k = hi 2^64 + lo, from products of 32-bit limbs
+    f = _POW5[k]
+    m0, m1, f0, f1 = m & _U(0xFFFFFFFF), m >> _U(32), f & _U(0xFFFFFFFF), f >> _U(32)
+    low = m0 * f0
+    mid = m0 * f1 + m1 * f0
+    lo = low + (mid << _U(32))
+    hi = m1 * f1 + (mid >> _U(32)) + (lo < low)
+    # D = m 5^k / 2^s, rounded half to even on the remainder; s <= 62.
+    # 10^16 <= D < 10^17: in the fast range no value rounds up to the next
+    # power of ten, which would take one within 5e-18 of it below; the
+    # nearest there is 1e-7, 4.5e-17 below 10^-7 (outside it, 1e-14 lies
+    # 1.2e-18 below 10^-14 and prints as 1e-14)
+    d = (hi << (_U(64) - s)) | (lo >> s)
+    one = _U(1) << s
+    rem2 = (lo & (one - _U(1))) << _U(1)
+    d += (rem2 > one) | ((rem2 == one) & ((d & _U(1)) == 1))
+    # the 17 digits, and the count of trailing zeros %g strips
+    digits = np.empty((len(v), 17), np.uint8)
+    zeros = np.zeros(len(v), np.uint8)
+    trailing = np.ones(len(v), bool)
+    top = (d // _U(10 ** 8)).astype(np.uint32)
+    x = (d - top * _U(10 ** 8)).astype(np.uint32)
+    for j in range(16, 0, -1):
+        if j == 8:
+            x = top
+        quot = x // np.uint32(10)
+        digit = x - quot * np.uint32(10)
+        digits[:, j] = digit
+        trailing &= digit == 0
+        zeros += trailing
+        x = quot
+    digits[:, 0] = x
+    cls = ((v < 0) * 28 + e) * 17 + 16 - zeros
+    text = np.take(_g17_templates(), cls, axis=0)
+    # a digit slot the class leaves out holds a trailing zero: it stays NUL
+    text[:, 6:39:2] += digits
+    if len(slow):
+        # at most 24 bytes: -2.2250738585072014e-308
+        own = np.array([format(w, ".17g") for w in v[slow].tolist()], dtype="S24")
+        text[slow] = 0
+        text[slow, :24] = own.view(np.uint8).reshape(-1, 24)
+    return text
+
+
+def _text_rows(pieces) -> str:
+    """Rows of text laid out by ``pieces``, one row per row of their
+    matrices: a piece is either bytes, written in every row, or a
+    (rows, width) uint8 matrix such as ``_g17``'s, whose NUL bytes are left
+    out.  The pieces are laid side by side in one (rows, width) matrix,
+    which is read as ASCII once its NUL bytes are dropped."""
+    rows = next(len(p) for p in pieces if isinstance(p, np.ndarray))
+    pieces = [np.frombuffer(p, np.uint8) if isinstance(p, bytes) else p for p in pieces]
+    ends = np.cumsum([p.shape[-1] for p in pieces])
+    out = np.empty((rows, ends[-1]), np.uint8)
+    for p, end in zip(pieces, ends):
+        out[:, end - p.shape[-1]:end] = p
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _column_texts(texts, column: np.ndarray):
+    """The texts of each block of a float column, ``texts(values)`` taken
+    row by row, with each distinct value formatted once.  ``texts`` returns
+    one text per value along its first axis: an object array of str, or a
+    matrix of ``_g17`` rows.
 
     x and t take only nx and nt values on the grid, and K, H and xi are
     functions of xi alone, so most of their values repeat, and they repeat
@@ -156,29 +296,34 @@ def _column_texts(fmt: str, column: np.ndarray, null: str | None = None):
     would merge 0.0 with -0.0, which print differently.  A column whose
     values repeat, with at most ``_TABLE_MAX`` (2^16) distinct values and
     at most one per two rows, gets one table of texts for the whole column,
-    at most about 5 MB, so each distinct value is formatted once per
-    export.  Any other is deduped within each block, so that no more than a
-    block's texts exist at once.  A column of nearly all distinct values,
-    such as K, H and xi of spectral3 at k1 1.7, lambda 0.3137, mu -2.2
-    (1.3 to 1.4 rows per distinct value at 201^2, against at least 2.6 in
-    every column of the presets from 101^2 to 1001^2), formats each value
-    at most 1.4 times in blocks: a table would save a quarter of that and
-    hold seven to ten times a block's texts.  Each block finds its values'
-    texts by binary search in the sorted distinct bits, so beyond a block
-    the column costs only the one sorted copy of its bits that
-    ``np.unique`` makes, and no index is held per row.  Nothing is computed
-    before the first block is asked for.
+    so each distinct value is formatted once per export.  Any other is
+    deduped within each block, so that no more than a block's texts exist
+    at once.  A column of nearly all distinct values, such as K, H and xi
+    of spectral3 at k1 1.7, lambda 0.3137, mu -2.2 (1.3 to 1.4 rows per
+    distinct value at 201^2, against at least 2.6 in every column of the
+    presets from 101^2 to 1001^2), formats each value at most 1.4 times in
+    blocks: a table would save a quarter of that and hold seven to ten
+    times a block's texts.  Each block finds its values' texts by binary
+    search in the sorted distinct bits, so beyond a block the column costs
+    only the one sorted copy of its bits that ``np.unique`` makes, and no
+    index is held per row.  Nothing is computed before the first block is
+    asked for.
     """
     bits = column.view(np.uint64)
     distinct = np.unique(bits)
     if len(distinct) <= min(_TABLE_MAX, len(column) // 2):
-        text = _format(fmt, distinct.view(np.float64), null)
+        table = texts(distinct.view(np.float64))
         for b in _blocks(bits):
-            yield text[np.searchsorted(distinct, b)]
+            yield np.take(table, np.searchsorted(distinct, b), axis=0)
     else:
         for b in _blocks(bits):
             ids, at = np.unique(b, return_inverse=True)
-            yield _format(fmt, ids.view(np.float64), null)[at]
+            yield np.take(texts(ids.view(np.float64)), at, axis=0)
+
+
+def _positions(blocks):
+    """The ``_g17`` rows of each block of positions, as (rows, 3, 43)."""
+    return (_g17(b).reshape(len(b), 3, -1) for b in blocks)
 
 
 def _obj_chunks(mesh: SurfaceMesh):
@@ -190,7 +335,8 @@ def _obj_chunks(mesh: SurfaceMesh):
         # keeps indices stable; faces touching it are left out
         vertices = (np.where(np.isfinite(b).all(axis=1)[:, None], b, 0.0)
                     for b in vertices)
-    yield from _rows("v %.17g %.17g %.17g\n", vertices)
+    for y in _positions(vertices):
+        yield _text_rows([b"v ", y[:, 0], b" ", y[:, 1], b" ", y[:, 2], b"\n"])
     # each block's faces from its cell indices, so no face table is held
     cells = (mesh.nx - 1) * (mesh.nt - 1)
     faces = (mesh.quads(np.arange(i, min(i + _BLOCK_ROWS, cells)))
@@ -201,15 +347,14 @@ def _obj_chunks(mesh: SurfaceMesh):
 
 
 def _csv_chunks(mesh: SurfaceMesh):
-    # the position is nearly all distinct values, and is formatted per value
-    x, t, k, h = (_column_texts("%.17g", a) for a in (mesh.x, mesh.t, mesh.K, mesh.H))
-    blocks = (
-        np.column_stack(cols)
-        for cols in zip(x, t, _blocks(mesh.vertices), k, h,
-                        (_FLAGS[f] for f in _blocks(mesh.singular.view(np.uint8))))
-    )
+    # x, t, K and H repeat and come from one table of _g17 rows per column;
+    # the position is nearly all distinct values, formatted block by block
+    x, t, k, h = (_column_texts(_g17, a) for a in (mesh.x, mesh.t, mesh.K, mesh.H))
     yield "x,t,y1,y2,y3,K,H,singular\n"
-    yield from _rows("%s,%s,%.17g,%.17g,%.17g,%s,%s,%s\n", blocks)
+    for xs, ts, y, ks, hs, flags in zip(x, t, _positions(_blocks(mesh.vertices)), k, h,
+                                        _blocks(mesh.singular.view(np.uint8))):
+        yield _text_rows([xs, b",", ts, b",", y[:, 0], b",", y[:, 1], b",", y[:, 2],
+                          b",", ks, b",", hs, b",", (flags + ord("0"))[:, None], b"\n"])
 
 
 _JSON_SEP = (",", ":")
@@ -228,6 +373,11 @@ def _json_list(parts):
 def _joined(texts):
     """The comma-separated text of each of an iterable of object arrays."""
     return (",".join(t.tolist()) for t in texts)
+
+
+def _json_floats(values: np.ndarray) -> np.ndarray:
+    """json.dumps' text of each float, with null for a non-finite one."""
+    return _format("%r", values, "null")
 
 
 def _json_chunks(mesh: SurfaceMesh):
@@ -252,7 +402,7 @@ def _json_chunks(mesh: SurfaceMesh):
              for key, v in doc.items()}
     # %r is json.dumps' float text
     for key in ("x", "t", "K", "H", "xi"):
-        items[key] = _json_list(_joined(_column_texts("%r", getattr(mesh, key), "null")))
+        items[key] = _json_list(_joined(_column_texts(_json_floats, getattr(mesh, key))))
     # each block's [y1,y2,y3] lists, without the trailing comma; %s of a
     # float is its repr, and a block holding a non-finite value is written
     # from its texts, with null for those values

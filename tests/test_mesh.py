@@ -4,6 +4,7 @@ import dataclasses
 import json
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -406,21 +407,29 @@ def test_table_bound_leaves_the_bytes_unchanged(pid):
 def test_each_distinct_value_is_formatted_once_per_export(monkeypatch):
     # ex4 at 201^2: x and t take 201 values each, and K, H and xi 2,157,
     # 6,423 and 9,701, all below the table bound, so each is formatted once
-    # for the whole export and not once per block that holds it
+    # for the whole export and not once per block that holds it.  JSON
+    # formats them with _format, CSV with _g17, which also formats the
+    # position block by block (three values per row)
     mesh = ms.generate(resolve("ex4"), nx=201, nt=201)
     formatted = []
-    original = ms._format
+    format_, g17 = ms._format, ms._g17
 
-    def counted(fmt, values, null):
+    def counted_format(fmt, values, null):
         formatted.append(len(values))
-        return original(fmt, values, null)
+        return format_(fmt, values, null)
 
-    monkeypatch.setattr(ms, "_format", counted)
+    def counted_g17(values):
+        formatted.append(values.size)
+        return g17(values)
+
+    monkeypatch.setattr(ms, "_format", counted_format)
+    monkeypatch.setattr(ms, "_g17", counted_g17)
     _exported(mesh, "json")
     assert sorted(formatted) == [201, 201, 2157, 6423, 9701]
     formatted.clear()
     _exported(mesh, "csv")
-    assert sorted(formatted) == [201, 201, 2157, 6423]
+    positions = [3 * len(b) for b in ms._blocks(mesh.vertices)]
+    assert sorted(formatted) == sorted([201, 201, 2157, 6423, *positions])
 
 
 def test_a_column_that_does_not_repeat_is_formatted_per_block(monkeypatch):
@@ -443,3 +452,84 @@ def test_a_column_that_does_not_repeat_is_formatted_per_block(monkeypatch):
     _exported(mesh, "json")
     assert formatted.count(101) == 2 and len(formatted) == 2 + 3 * 3
     assert max(formatted) <= ms._BLOCK_ROWS
+
+
+def _assert_g17_is_format(values):
+    """``ms._g17`` of each value is the text of format(v, ".17g")."""
+    values = np.asarray(values, dtype=np.float64)
+    got = [row.tobytes().replace(b"\0", b"").decode() for row in ms._g17(values)]
+    want = [format(v, ".17g") for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+# any float64 by its bits: NaN payloads, +-inf, +-0, subnormals, normals;
+# and bit patterns whose exponent lies in or near the fast path's range
+BITS = st.integers(0, 2 ** 64 - 1)
+NEAR_FAST = st.builds(lambda sign, exp, frac: sign << 63 | exp << 52 | frac,
+                      st.integers(0, 1), st.integers(1023 - 40, 1023 + 56),
+                      st.integers(0, 2 ** 52 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(BITS, NEAR_FAST), min_size=1, max_size=64))
+def test_g17_is_format_17g_of_any_bit_pattern(patterns):
+    _assert_g17_is_format(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def _powers_of_ten():
+    """10^e (0.0 below the subnormals) and its two neighbours, for e in
+    -330 ... 308; the double nearest 10^e may lie on either side of it, and
+    a few print as the next power of ten (1e-14, 1e+98)."""
+    out = []
+    for e in range(-330, 309):
+        p = float(Fraction(10) ** e)
+        out += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    return out
+
+
+def _ties():
+    """Exact ties of the 17-digit rounding: M / 2^j = M 5^j / 10^j with M
+    odd and M 5^j of 18 digits, ending in 5; from 1e-8 to 1e16."""
+    out = []
+    for j in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+        mid = (lo + hi) // 2
+        out += [m / 2 ** j for m in (lo, lo + 1, mid, mid + 1, hi - 2, hi - 1)
+                if lo <= m < hi and m % 2]
+    return out
+
+
+# the edges of the fast path, 1e-11 <= |v| < 1e16, and the values where
+# |v| 10^(16 - E) stops needing a division (2^52, 2^53)
+FAST_EDGES = [v for x in (1e-11, 1e16, 2.0 ** 52, 2.0 ** 53, 9999999999999998.0)
+              for v in (x, np.nextafter(x, 0.0), np.nextafter(x, np.inf))]
+
+
+@pytest.mark.parametrize("edges", [_powers_of_ten(), _ties(), FAST_EDGES])
+def test_g17_is_format_17g_at_the_edges(edges):
+    _assert_g17_is_format(edges + [-v for v in edges])
+
+
+def test_g17_known_texts():
+    text = [row.tobytes().replace(b"\0", b"").decode()
+            for row in ms._g17(np.array([1e-7, 1e-6, 1235 / 2 ** 20, 1e-14, 1e16, -0.0]))]
+    assert text == ["9.9999999999999995e-08", "9.9999999999999995e-07",
+                    "0.0011777877807617188", "1e-14", "10000000000000000", "-0"]
+    assert len(_ties()) > 50
+
+
+def test_g17_fast_path_formats_nearly_every_position(monkeypatch):
+    # ex4 has the most position values outside the fast path of the presets:
+    # 861 of 121,203 at 201^2, values below 1e-11 and one -0.0; the budget
+    # fails a fast path that stops taking values it covers
+    mesh = ms.generate(resolve("ex4"), nx=201, nt=201)
+    slow = []
+
+    def counted(value, spec):
+        slow.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(ms, "format", counted, raising=False)
+    ms._g17(mesh.vertices)
+    assert 0 < len(slow) <= 0.01 * mesh.vertices.size
