@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .immersion import Surface
-from .soliton import check_grid, jet as soliton_jet, tiled
+from .soliton import check_grid, jet as soliton_jet, repeats, tiled
 
 __all__ = [
     "SurfaceMesh",
@@ -121,7 +121,7 @@ _BLOCK_ROWS = 4096
 # 5 MB of str (JSON) or 2.8 MB of ``_g17`` rows (CSV).  Every x, t, K, H
 # and xi column of the presets up to 1001^2 fits (the largest is ex4's xi
 # at 1001^2, with 61,008 distinct values of 1,002,001); a column with more
-# is deduped within each block instead.
+# is formatted directly, block by block.
 _TABLE_MAX = 1 << 16
 
 # text of a singular flag, indexed by the flag's byte
@@ -286,39 +286,26 @@ def _text_rows(pieces) -> str:
 
 def _column_texts(texts, column: np.ndarray):
     """The texts of each block of a float column, ``texts(values)`` taken
-    row by row, with each distinct value formatted once.  ``texts`` returns
-    one text per value along its first axis: an object array of str, or a
-    matrix of ``_g17`` rows.
+    row by row.  ``texts`` returns one text per value along its first axis:
+    an object array of str, or a matrix of ``_g17`` rows.
 
     x and t take only nx and nt values on the grid, and K, H and xi are
-    functions of xi alone, so most of their values repeat, and they repeat
-    in every block.  Values are told apart by their bits: deduping by value
-    would merge 0.0 with -0.0, which print differently.  A column whose
-    values repeat, with at most ``_TABLE_MAX`` (2^16) distinct values and
-    at most one per two rows, gets one table of texts for the whole column,
-    so each distinct value is formatted once per export.  Any other is
-    deduped within each block, so that no more than a block's texts exist
-    at once.  A column of nearly all distinct values, such as K, H and xi
-    of spectral3 at k1 1.7, lambda 0.3137, mu -2.2 (1.3 to 1.4 rows per
-    distinct value at 201^2, against at least 2.6 in every column of the
-    presets from 101^2 to 1001^2), formats each value at most 1.4 times in
-    blocks: a table would save a quarter of that and hold seven to ten
-    times a block's texts.  Each block finds its values' texts by binary
-    search in the sorted distinct bits, so beyond a block the column costs
-    only the one sorted copy of its bits that ``np.unique`` makes, and no
-    index is held per row.  Nothing is computed before the first block is
-    asked for.
+    functions of xi alone, so their values repeat in every block.  A column
+    whose values repeat (``soliton.repeats``) with at most ``_TABLE_MAX``
+    distinct values gets one table of texts for the whole column, so each
+    distinct value is formatted once per export, and each block finds its
+    values' texts by binary search, so that no index is held per row.  Any
+    other column is formatted directly, block by block.  Nothing is
+    computed before the first block is asked for.
     """
-    bits = column.view(np.uint64)
-    distinct = np.unique(bits)
-    if len(distinct) <= min(_TABLE_MAX, len(column) // 2):
-        table = texts(distinct.view(np.float64))
-        for b in _blocks(bits):
-            yield np.take(table, np.searchsorted(distinct, b), axis=0)
-    else:
-        for b in _blocks(bits):
-            ids, at = np.unique(b, return_inverse=True)
-            yield np.take(texts(ids.view(np.float64)), at, axis=0)
+    found = repeats(column)
+    if found is None or found[0].size > _TABLE_MAX:
+        yield from map(texts, _blocks(column))
+        return
+    distinct, index = found
+    table = texts(distinct)
+    for b in _blocks(column):
+        yield np.take(table, index(b), axis=0)
 
 
 def _positions(blocks):
@@ -397,7 +384,7 @@ def _json_chunks(mesh: SurfaceMesh):
         "order": "row-major in t then x; vertex = it*nx + ix",
     }
     # each value's chunks; the array generators compute nothing (no
-    # np.unique of a column) until their key is written
+    # search for a column's repeats) until their key is written
     items = {key: [json.dumps(v, sort_keys=True, separators=_JSON_SEP)]
              for key, v in doc.items()}
     # %r is json.dumps' float text

@@ -12,11 +12,12 @@ value they report and nothing else; where only a maximum is reported (the
 su(2) test of the ``consistency`` frame, the ``lax`` determinant drift)
 they fold each tile's exact maxima instead.  ``compat``, ``forms`` and
 ``sphere``, whose kernels read (x, t) only through the soliton's xi,
-evaluate once per distinct xi of their grid (``_by_xi``), keep a small
-index of each point's xi, and gather the values back per point before they
-reduce, so they report what an evaluation at every point reports, bit for
-bit.  ``zerocurv`` and ``weingarten`` read only xi too, but their kernels
-cost less than the search and the gather.  The other four cannot:
+evaluate once per distinct xi of a grid whose xi repeat by the rule of
+``soliton.repeats`` (``_by_xi``), keep a small index of each point's xi, and
+gather the values back per point before they reduce, so they report what
+an evaluation at every point reports, bit for bit.  ``zerocurv`` and
+``weingarten`` read only xi too, but their kernels cost less than the
+search and the gather.  The other four cannot:
 ``lax`` and ``consistency`` read t through Phi's e^{i omega t} and (x, t)
 through the position's phase, and the stencils of ``willmore`` and
 ``shape`` shift x and t apart, so two points of equal xi have stencils of
@@ -41,7 +42,7 @@ from .deformation import (DeformationKind, ab_compatibility_residual, curvatures
                           forms_from_ab)
 from .immersion import SPECTRAL3, Surface, _half_k1
 from .lax import det_phi_expected, lax_residuals, zero_curvature_residual
-from .soliton import SolitonParams, check_grid, jet, tiled, xi, xi_grid
+from .soliton import SolitonParams, check_grid, jet, repeats, tiled, xi, xi_grid
 
 __all__ = [
     "CHECK_NAMES",
@@ -176,7 +177,10 @@ class _Config:
 
 
 def _window_label(xr, tr) -> str:
-    return f"on [{xr[0]:g},{xr[1]:g}]x[{tr[0]:g},{tr[1]:g}]"
+    """The window's bounds, each as %g when that reads back as the bound
+    and as its repr otherwise, so that unequal bounds never print alike."""
+    text = lambda v: f"{v:g}" if float(f"{v:g}") == v else repr(v)
+    return f"on [{text(xr[0])},{text(xr[1])}]x[{text(tr[0])},{text(tr[1])}]"
 
 
 def _stats(res: np.ndarray) -> tuple[float, float]:
@@ -188,40 +192,25 @@ def _stats(res: np.ndarray) -> tuple[float, float]:
 
 def _by_xi(f, grid, p: SolitonParams):
     """``tiled(f, *grid)`` with ``f`` evaluated once per distinct xi of the
-    grid (x, t).
+    grid (x, t) when its xi repeat (``soliton.repeats``).
 
     ``f`` must read (x, t) only through the soliton's xi, as the frames and
-    closed forms do, so that points whose xi agree bit for bit get equal
-    outputs bit for bit.  Returns ``(values, gather)``: ``values`` is
-    ``tiled(f)`` at one grid point per distinct xi, told apart by their
-    bits, and ``gather(values)`` is ``tiled(f, *grid)`` bit for bit.
-    ``gather`` takes any array, or tuple of arrays, indexed like ``values``,
-    so a runner may reduce over the distinct values first and gather per
-    point only what it keeps.  A runner drops its grid once this returns,
-    so the grid is freed before the gathered arrays are allocated.
-
-    Each point's xi is found by binary search in the sorted distinct bits,
-    as ``mesh._column_texts`` does, and kept as an index of the smallest
-    unsigned type (2 B per point up to 2^16 distinct xi); the grid's xi bits
-    live only while they are sorted.  A grid with fewer than two points per
-    distinct xi (the rule of ``mesh._column_texts`` too) is evaluated at
-    every point, and ``gather`` returns what it is given: there the search
-    and the gather save little time or none, and the distinct values would
-    be held beside the gathered ones.
+    closed forms do.  Returns ``(values, gather)``: ``values`` is ``f`` at
+    one grid point per distinct xi, and ``gather(values)`` is
+    ``tiled(f, *grid)`` bit for bit; ``gather`` takes any array, or tuple of
+    arrays, indexed like ``values``, so a runner may reduce over the
+    distinct values first and gather per point only what it keeps, after
+    dropping its grid.  Each point's index among the distinct xi is kept
+    (2 B per point up to 2^16 distinct xi).  Where xi do not repeat,
+    ``values`` is ``f`` at every point and ``gather`` returns its input.
     """
     x, t = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in grid))
     shape, xf, tf = x.shape, x.reshape(-1), t.reshape(-1)
-    bits = lambda xx, tt: xi(xx, tt, p).view(np.uint64)
-    # sorted in place: np.unique hashes them first, which took five times
-    # as long as the sort on 1001^2 points
-    distinct = tiled(bits, xf, tf)
-    distinct.sort()
-    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-    if 2 * distinct.size > xf.size:
-        del distinct
+    found = repeats(tiled(lambda xx, tt: xi(xx, tt, p), xf, tf))
+    if found is None:
         return tiled(f, x, t), lambda arrays: arrays
-    small = np.min_scalar_type(distinct.size - 1)
-    index = tiled(lambda xx, tt: np.searchsorted(distinct, bits(xx, tt)).astype(small), xf, tf)
+    distinct, index_of = found
+    index = tiled(lambda xx, tt: index_of(xi(xx, tt, p)), xf, tf)
     # a grid point of each distinct xi; any one serves
     picked = np.empty(distinct.size, dtype=np.intp)
     for i in range(0, index.size, diffgeo.TILE_POINTS):

@@ -366,6 +366,20 @@ def test_clipped_checks_skip_a_window_off_the_clip_square(capsys, window, axis):
         assert err == f"error: check {name!r} incompatible: {reason}\n"
 
 
+def test_grid_labels_tell_close_bounds_apart(capsys):
+    # clipped to [-2,2], x runs over [1.9999999,2]: %g of both bounds is "2",
+    # so the lower one is written as its repr; a bound %g writes exactly
+    # keeps its %g text
+    code, out, err = run(capsys, "verify", "--preset", "ex2", "--x-min", "1.9999999",
+                         "--x-max", "2.5", "--checks", "compat")
+    assert code == 0, err
+    assert "  41x41 on [1.9999999,2]x[-2,2]  " in out
+    code, out, err = run(capsys, "verify", "--preset", "ex2", "--x-min", "-1.5",
+                         "--x-max", "2.5", "--checks", "compat", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["checks"][0]["grid"] == "41x41 on [-1.5,2]x[-2,2]"
+
+
 def test_forms_without_a_point_off_the_poles_exit_2(capsys, monkeypatch):
     # a family whose denominator is 0 on the whole grid puts every point at a
     # pole; no parameters that pass validation do that to spectral3

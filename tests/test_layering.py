@@ -9,7 +9,7 @@ do not difference and take only the geometry types from ``diffgeo``, and
 finite-difference oracle nor the soliton.  Every file the package writes
 is UTF-8 text with "\\n" line ends, whatever the platform and its locale.
 ``diffgeo._quotient`` is the one place the difference-quotient arithmetic
-is used.
+is used, and ``soliton.repeats`` the one place that finds repeated values.
 """
 
 import ast
@@ -92,6 +92,39 @@ def test_the_quotient_arithmetic_is_reached_only_through_one_helper():
                 if name in arithmetic:
                     users.add((path.stem, getattr(unit, "name", f"line {unit.lineno}"), name))
     assert users == {("diffgeo", "_quotient", name) for name in arithmetic}
+
+
+def _shifted_pair(a, b):
+    """Whether a and b are ``v[1:]`` and ``v[:-1]`` of one array v, in either
+    order: the operands of a scan for equal neighbours."""
+    return (isinstance(a, ast.Subscript) and isinstance(b, ast.Subscript)
+            and ast.unparse(a.value) == ast.unparse(b.value)
+            and {ast.unparse(a.slice), ast.unparse(b.slice)} == {"1:", ":-1"})
+
+
+def test_repeated_values_are_found_only_by_soliton_repeats():
+    # sorting values and dropping equal neighbours is how ``soliton.repeats``
+    # finds the distinct bit patterns that mesh formats once and verify
+    # evaluates once; the one other scan for equal neighbours is the run
+    # scan over t in ``lax._time_terms``, which needs no sort.  np.unique is
+    # used nowhere: it hashes, and by value it would merge 0.0 and -0.0
+    sorts, scans = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for unit in ast.parse(path.read_text()).body:
+            where = (path.stem, getattr(unit, "name", f"line {unit.lineno}"))
+            for node in ast.walk(unit):
+                if isinstance(node, ast.Call):
+                    name = _called_name(node)
+                    assert name != "unique", where
+                    if name in {"sort", "argsort", "lexsort"}:
+                        sorts.add(where)
+                    if name in {"equal", "not_equal"} and _shifted_pair(*node.args[:2]):
+                        scans.add(where)
+                elif isinstance(node, ast.Compare) and _shifted_pair(node.left,
+                                                                     node.comparators[0]):
+                    scans.add(where)
+    assert sorts == {("soliton", "repeats")}
+    assert scans == {("soliton", "repeats"), ("lax", "_time_terms")}
 
 
 def _write_mode(call):

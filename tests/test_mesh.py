@@ -377,8 +377,8 @@ def test_multi_block_writers_match_scalar_reference(pid, field, value, edits):
     block = ms._BLOCK_ROWS
     assert mesh.n_vertices > 2 * block and mesh.n_vertices % block
     # with the table bound lowered to a block's rows: on ex4, x, t and K have
-    # no more distinct values than that and H and xi have more, so both of
-    # the writers' dedupe paths run
+    # no more distinct values than that and H and xi have more, so both the
+    # table path and the direct path run
     ex4 = MULTI_BLOCK["ex4"]
     assert np.unique(ex4.K).size <= block < np.unique(ex4.H).size
     edge = [(field, row, value) for row in (block - 1, block, 2 * block - 1, 2 * block)]
@@ -389,8 +389,8 @@ def test_multi_block_writers_match_scalar_reference(pid, field, value, edits):
 @pytest.mark.parametrize("pid", ["ex2", "ex4", "ex7"])
 def test_table_bound_leaves_the_bytes_unchanged(pid):
     # every column of these exports repeats, with at most one distinct value
-    # per two rows, and takes the one-table path; a bound of 0 puts every
-    # column on the per-block path, and the bytes are the same
+    # per two rows, and takes the table path; a bound of 0 puts every column
+    # on the direct path, and the bytes are the same
     for n in (101, 201):
         mesh = ms.generate(resolve(pid), nx=n, nt=n)
         for key in ("x", "t", "K", "H", "xi"):
@@ -434,24 +434,40 @@ def test_each_distinct_value_is_formatted_once_per_export(monkeypatch):
 
 def test_a_column_that_does_not_repeat_is_formatted_per_block(monkeypatch):
     # spectral3 at k1 1.7, lambda 0.3137, mu -2.2 on 101^2: K, H and xi have
-    # 7,342, 7,941 and 10,201 distinct values of 10,201, under the table
-    # bound but more than one per two rows.  The blocks format each value
-    # little more than once, and a table would hold more than a block's
-    # texts, so each of the three is formatted block by block (three
-    # blocks), and only x and t get a table
+    # 7,342, 7,941 and 10,201 distinct values of 10,201, more than one per
+    # two rows, so each is formatted directly: the values of each of its
+    # three blocks as they stand, with no table.  x and t repeat, and each
+    # gets one table of its distinct values in the order of their bits
     surface = resolve(family="spectral3", params=SolitonParams(1.7, 0.3137, mu=-2.2))
     mesh = ms.generate(surface, nx=101, nt=101)
+    bits = lambda a: a.view(np.uint64).reshape(-1).tolist()
+    table = lambda a: sorted(set(bits(a)))
+    direct = lambda a: [bits(b) for b in ms._blocks(a)]
     formatted = []
-    original = ms._format
+    format_, g17 = ms._format, ms._g17
 
-    def counted(fmt, values, null):
-        formatted.append(len(values))
-        return original(fmt, values, null)
+    def counted_format(fmt, values, null):
+        formatted.append(bits(values))
+        return format_(fmt, values, null)
 
-    monkeypatch.setattr(ms, "_format", counted)
+    def counted_g17(values):
+        formatted.append(bits(values))
+        return g17(values)
+
+    monkeypatch.setattr(ms, "_format", counted_format)
+    monkeypatch.setattr(ms, "_g17", counted_g17)
     _exported(mesh, "json")
-    assert formatted.count(101) == 2 and len(formatted) == 2 + 3 * 3
-    assert max(formatted) <= ms._BLOCK_ROWS
+    # the keys in sorted order: H, K, t, x, xi
+    assert formatted == [*direct(mesh.H), *direct(mesh.K), table(mesh.t), table(mesh.x),
+                         *direct(mesh.xi)]
+    formatted.clear()
+    _exported(mesh, "csv")
+    # x's and t's tables, then each block's position, K and H in turn; the
+    # position is formatted directly too
+    want = [table(mesh.x), table(mesh.t)]
+    for y, k, h in zip(*map(direct, (mesh.vertices, mesh.K, mesh.H))):
+        want += [y, k, h]
+    assert formatted == want
 
 
 def _assert_g17_is_format(values):

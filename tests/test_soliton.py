@@ -130,3 +130,57 @@ def test_sech_and_tanh_are_evaluated_only_in_the_jet():
             assert allowed, "soliton.jet no longer evaluates cosh and tanh"
             found = [line for line in found if line not in allowed]
         assert not found, f"{path.name} evaluates cosh/tanh at lines {found}"
+
+
+def _bit_list(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_repeats_tells_values_apart_by_their_bits():
+    # 0.0 == -0.0, and a NaN equals nothing, but each bit pattern is one
+    # value: the four patterns below are four values, each held twice
+    patterns = [0, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001]
+    values = np.array(patterns * 2, dtype=np.uint64).view(np.float64)
+    distinct, index = soliton.repeats(values)
+    assert _bit_list(distinct) == sorted(patterns)
+    assert _bit_list(distinct[index(values)]) == _bit_list(values)
+
+
+@pytest.mark.parametrize("count, dtype", [(256, np.uint8), (257, np.uint16),
+                                          (65536, np.uint16), (65537, np.uint32)])
+def test_repeats_index_type_is_the_smallest_that_holds_every_position(count, dtype):
+    values = np.repeat(np.arange(count, dtype=float), 2)
+    distinct, index = soliton.repeats(values)
+    assert distinct.size == count
+    at = index(values)
+    assert at.dtype == dtype and at[-1] == count - 1
+
+
+@pytest.mark.parametrize("n", [2, 7, 10, 4096])
+def test_repeats_keeps_at_most_one_distinct_value_per_two_entries(n):
+    half = (np.arange(n) % (n // 2)).astype(float)
+    assert soliton.repeats(half)[0].size == n // 2
+    one_more = np.minimum(np.arange(n), n // 2).astype(float)
+    assert np.unique(one_more).size == n // 2 + 1
+    assert soliton.repeats(one_more) is None
+
+
+def test_repeats_of_no_values():
+    distinct, index = soliton.repeats(np.empty(0))
+    assert distinct.size == 0
+    at = index(np.empty(0))
+    assert at.size == 0 and at.dtype == np.uint8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=50),
+       st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
+def test_repeats_gathers_each_entry_back_bit_for_bit(patterns, copies, seed):
+    # any bit patterns, each at least twice, shuffled; the input is left as it was
+    values = np.array(patterns * copies, dtype=np.uint64).view(np.float64)
+    np.random.default_rng(seed).shuffle(values)
+    before = _bit_list(values)
+    distinct, index = soliton.repeats(values)
+    bits = distinct.view(np.uint64)
+    assert np.all(bits[1:] > bits[:-1]) and set(bits.tolist()) == set(patterns)
+    assert _bit_list(distinct[index(values)]) == before == _bit_list(values)
