@@ -11,7 +11,9 @@ Runs, each in a fresh interpreter with one BLAS/OpenMP thread,
     mkdvsurf generate --preset ex7 --format obj
     mkdvsurf generate --preset ex4 --format obj
     mkdvsurf generate --preset ex4 --format csv
+    mkdvsurf generate --preset ex4 --format json
     mkdvsurf generate --family spectral3 --k1 1.7 --lambda 0.3137 --mu -2.2 --format csv
+    mkdvsurf generate --family spectral3 --k1 1.7 --lambda 0.3137 --mu -2.2 --format json
 
 at nx = nt = 101, 401 and 1001, the grid sizes the ROADMAP's north star
 names (the perfbench workloads stop at 201^2); ``shape``, the
@@ -23,12 +25,12 @@ distinct xi on the clipped 201^2 grid); ex4 is also the preset with the
 most distinct K, H and xi values to format, and the one whose positions
 are hardest to write: 31% of them print as d.ddde-XX and 0.7% fall outside
 the numpy formatter's range, 1e-11 <= |v| < 1e16.  The spectral3 surface at
-k1 1.7, lambda 0.3137, mu -2.2 is one whose K and H barely repeat (1.3 to
-1.4 rows per distinct value up to 401^2, and more than 2^16 distinct values
-at 1001^2), so at every size the CSV writer formats them directly, block by
-block, rather than from a table.  Each run's wall time covers
-the whole process, interpreter start included, and its peak RSS is the
-child's own ``ru_maxrss``.  Each child runs in the checkout with the fixed
+k1 1.7, lambda 0.3137, mu -2.2 is one whose K, H and xi barely repeat (1.3
+to 1.4 rows per distinct K and H value up to 401^2, and more than 2^16
+distinct values at 1001^2), so at every size the CSV and JSON writers
+format them directly, block by block, rather than from a table.  Each
+run's wall time covers the whole process, interpreter start included, and
+its peak RSS is the child's own ``ru_maxrss``.  Each child runs in the checkout with the fixed
 environment ``CHILD_ENV``, which imports ``src/`` by a relative path, so its
 peak RSS does not move with the size of the caller's environment or the
 length of the checkout's path.  Prints one JSON object; ``--out`` also
@@ -66,8 +68,11 @@ COMMANDS = {
     "generate ex7 obj": ("generate", "--preset", "ex7", "--format", "obj"),
     "generate ex4 obj": ("generate", "--preset", "ex4", "--format", "obj"),
     "generate ex4 csv": ("generate", "--preset", "ex4", "--format", "csv"),
+    "generate ex4 json": ("generate", "--preset", "ex4", "--format", "json"),
     "generate spectral3 k1 1.7 csv": ("generate", "--family", "spectral3", "--k1", "1.7",
                                       "--lambda", "0.3137", "--mu", "-2.2", "--format", "csv"),
+    "generate spectral3 k1 1.7 json": ("generate", "--family", "spectral3", "--k1", "1.7",
+                                       "--lambda", "0.3137", "--mu", "-2.2", "--format", "json"),
 }
 
 

@@ -3,10 +3,10 @@
 A mesh samples one immersion family on a rectangular (x, t) window, stores
 positions with closed-form K and H per vertex, and flags vertices where the
 curvature formulas genuinely blow up.  Exports are byte-deterministic: the
-same mesh always serializes to the same OBJ, CSV, or JSON file.  The %.17g
-text of OBJ and CSV comes from ``_g17``, an exact numpy formatter for
-1e-11 <= |v| < 1e16 that leaves every other value to Python; JSON writes
-Python's repr.
+same mesh always serializes to the same OBJ, CSV, or JSON file.  Their
+float text comes from ``_float_text``, an exact numpy formatter for
+1e-11 <= |v| < 1e16 that leaves every other value to Python: %.17g for OBJ
+and CSV, and Python's shortest repr for JSON.
 """
 
 from __future__ import annotations
@@ -117,15 +117,12 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
 _BLOCK_ROWS = 4096
 
 # The most distinct values a float column may have and still get one table
-# of texts for the whole export: 2^16, so the table holds at most about
-# 5 MB of str (JSON) or 2.8 MB of ``_g17`` rows (CSV).  Every x, t, K, H
-# and xi column of the presets up to 1001^2 fits (the largest is ex4's xi
-# at 1001^2, with 61,008 distinct values of 1,002,001); a column with more
-# is formatted directly, block by block.
+# of texts for the whole export: 2^16, so the table holds at most 2.8 MB of
+# ``_float_text`` rows.  Every x, t, K, H and xi column of the presets up to
+# 1001^2 fits (the largest is ex4's xi at 1001^2, with 61,008 distinct
+# values of 1,002,001); a column with more is formatted directly, block by
+# block.
 _TABLE_MAX = 1 << 16
-
-# text of a singular flag, indexed by the flag's byte
-_FLAGS = np.array(["0", "1"], dtype=object)
 
 
 def _blocks(arr: np.ndarray):
@@ -133,31 +130,29 @@ def _blocks(arr: np.ndarray):
     return (arr[i:i + _BLOCK_ROWS] for i in range(0, len(arr), _BLOCK_ROWS))
 
 
-def _rows(row_fmt: str, blocks):
-    """The text of ``row_fmt`` applied to each row of a 2-D block, one
-    chunk per block: the OBJ faces (%d) and the JSON vertex rows (%s, a
-    float's repr)."""
-    for block in blocks:
-        yield (row_fmt * len(block)) % tuple(block.reshape(-1).tolist())
-
-
-def _format(fmt: str, values: np.ndarray, null: str | None) -> np.ndarray:
-    """``fmt % v`` for each value, in one %-call, as an object array;
-    non-finite values are written as ``null`` when it is given."""
-    text = ((fmt + "\0") * len(values)) % tuple(values.tolist())
-    text = np.array(text.split("\0")[:-1], dtype=object)
-    if null is not None:
-        text[~np.isfinite(values)] = null
-    return text
-
-
-# %.17g text with numpy (``_g17``).  A value v with 1e-11 <= |v| < 1e16 is
-# v = m 2^q with a 53-bit m; its 17 significant digits are
-# D = round(|v| 10^(16 - E)) with E = floor(log10 |v|), and |v| 10^(16 - E) =
-# m 5^k / 2^s with k = 16 - E in [1, 27], so m 5^k < 2^116 is exact in two
-# 64-bit words.  Every other value (zeros, smaller or larger magnitudes,
-# subnormals, inf and NaN) is formatted by Python, one value at a time.
+# Float text with numpy (``_float_text``), in two modes: format(v, ".17g")
+# for OBJ and CSV, and repr(v), the shortest text that reads back as v, for
+# JSON.  A value v with 1e-11 <= |v| < 1e16 is v = m 2^q with a 53-bit m;
+# with E = floor(log10 |v|) and k = 16 - E in [1, 27], X = |v| 10^k =
+# m 5^k / 2^s is exact in two 64-bit words (m 5^k < 2^116), and its 17
+# significant digits are D17 = round(X), rounded half to even.
 #
+# repr writes the fewest digits that read back as v (Steele and White 1990;
+# Python's repr is Gay's correctly rounded conversion): the nearest decimal
+# with the fewest digits that lies in v's rounding interval, of half-width
+# h = 2^(q - 1) 10^k in units of X.  No decimal of 16 or fewer digits lies
+# on an end, a midpoint between v and a neighbour: such a midpoint is
+# (2m + 1) 2^(q - 1), with 17 or more significant digits when q <= 0, and an
+# odd integer when q >= 1, where the candidates are v itself and multiples
+# of 10.
+# One ulp of v is 1.1 to 22.2 units of X, so at most one 15-digit decimal
+# lies in the interval and a 17-digit one always does: testing
+# D15 = round(X / 100) and then D16 = round(X / 10) is enough, and a shorter
+# text is D15 with its trailing zeros stripped.
+#
+# Every other value is formatted by Python, one value at a time: zeros,
+# smaller or larger magnitudes, subnormals, inf and NaN, and for repr the
+# exact powers of two, whose interval is lopsided (h / 2 below v).
 def _ceil_pow10(e: int) -> float:
     """The least double >= 10^e."""
     f = float(f"1e{e}")                 # correctly rounded
@@ -172,109 +167,222 @@ def _ceil_pow10(e: int) -> float:
 _TENS = np.array([_ceil_pow10(e) for e in range(-11, 17)])
 _POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)
 _U = np.uint64
+# the bits of 1.5, which stands in for each value Python formats: it is in
+# the fast range and not a power of two
+_STANDIN = np.float64(1.5).view(_U)
 
 # The slots of a value's text, 43 bytes: a sign, the "0." and up to three
 # zeros of 1e-4 <= |v| < 0.1, the digits d0 ... d16 at 6, 8, ..., 38 with a
-# "." slot after each of d0 ... d15, and the "e-XX" exponent of %g's
+# "." slot after each of d0 ... d15, and the "e-XX" exponent of the
 # exponential form (in this range only 1e-11 <= |v| < 1e-4 takes it).
-_G17_SLOTS = np.frombuffer(b"-0.000" + b"0." * 16 + b"0" + b"e-00", np.uint8)
-_G17_WIDTH = len(_G17_SLOTS)
+_SLOTS = np.frombuffer(b"-0.000" + b"0." * 16 + b"0" + b"e-00", np.uint8)
+_WIDTH = len(_SLOTS)
 
 
 @functools.cache
-def _g17_templates() -> np.ndarray:
-    """One row of slots per (sign, E + 11, significant digits - 1): the text
-    of a value of that class whose digits are all 0, with NUL in each slot
-    the class leaves out.  %g writes positionally for -4 <= E < 17 and as
-    d.ddde-XX below, with trailing zeros of the fraction and a bare point
-    stripped."""
-    out = np.zeros((2, 28, 17, _G17_WIDTH), np.uint8)
+def _templates(shortest: bool) -> np.ndarray:
+    """One row of slots per (sign, E + 11, significant digits - 1) for E in
+    [-11, 15]: the text of a value of that class whose digits are all 0,
+    with NUL in each slot the class leaves out.  Both modes write
+    positionally for -4 <= E < 16 and as d.ddde-XX below, with trailing
+    zeros of the fraction and a bare point stripped; repr writes an
+    integer-valued v with ".0"."""
+    out = np.zeros((2, len(_TENS) - 1, 17, _WIDTH), np.uint8)
     for neg, e, n in np.ndindex(out.shape[:3]):
         exp, sig = e - 11, n + 1
-        keep = np.zeros(_G17_WIDTH, bool)
+        # the digits written, with the "0" of repr's ".0"
+        written = max(sig, exp + 1) + (shortest and sig <= exp + 1)
+        keep = np.zeros(_WIDTH, bool)
         keep[0] = neg
         if -4 <= exp < 0:
             keep[1:3 - exp - 1] = True       # "0." and -E - 1 zeros
-        keep[6:6 + 2 * max(sig, exp + 1):2] = True
+        keep[6:6 + 2 * written:2] = True
         point = max(exp, 0)                   # the digit the point follows
-        if sig > point + 1 and not -4 <= exp < 0:
+        if written > point + 1 and not -4 <= exp < 0:
             keep[7 + 2 * point] = True
-        row = np.where(keep, _G17_SLOTS, 0)
+        row = np.where(keep, _SLOTS, 0)
         if exp < -4:
             row[39:] = np.frombuffer(b"e-%02d" % -exp, np.uint8)
         out[neg, e, n] = row
-    return out.reshape(-1, _G17_WIDTH)
+    return out.reshape(-1, _WIDTH)
 
 
-def _g17(values: np.ndarray) -> np.ndarray:
-    """The bytes of ``format(v, ".17g")`` for each value, one row of a
-    (n, 43) uint8 matrix per value; the row's NUL bytes are not part of the
-    text.  Values with 1e-11 <= |v| < 1e16 are formatted with integer
+def _product(m: np.ndarray, f: np.ndarray):
+    """m f = hi 2^64 + lo for m < 2^55 and f < 2^63, from products of
+    32-bit limbs; m and f are overwritten."""
+    low = _U(0xFFFFFFFF)
+    m1, f1 = m >> _U(32), f >> _U(32)
+    m &= low
+    f &= low
+    mid = m * f1
+    m *= f                                              # the low limbs
+    f *= m1
+    mid += f                                            # m0 f1 + m1 f0 < 2^64
+    m1 *= f1                                            # the high limbs
+    del f1
+    lo = mid << _U(32)
+    lo += m
+    m1 += mid >> _U(32)
+    m1 += lo < m                                        # carry
+    return m1, lo
+
+
+def _significand(bits: np.ndarray, e: np.ndarray, shortest: bool) -> np.ndarray:
+    """The 17 significant digits, as one integer, of each |v| of the fast
+    range given by its ``bits``, with E + 11 = ``e``: D17, or with
+    ``shortest`` repr's digits followed by zeros.  A repr that rounds up to
+    10^(E + 1) moves its ``e`` in place."""
+    # s = 1075 - (biased exponent of v) - k
+    s = (1048 + e.astype(np.int16)) - (bits >> _U(52)).astype(np.int16)
+    shift = np.maximum(-s, 0).astype(np.uint8)          # s < 0 only for |v| >= 2^52
+    s = np.maximum(s, 0).astype(np.uint8)               # X = m 5^k / 2^s, s <= 62
+    five = _POW5[27 - e]                                # 5^k, k = 16 - E
+    if shortest:
+        half = five << shift    # the interval's half-width h, in units of 2^-(s + 1) of X
+    m = bits & _U((1 << 52) - 1)
+    m |= _U(1 << 52)
+    m <<= shift
+    del shift
+    hi, lo = _product(m, five)
+    del m, five
+    # X = d + r / 2^s
+    one = _U(1) << s
+    d = hi << (64 - s)
+    d |= lo >> s
+    r = lo
+    r &= one - _U(1)
+    del hi, lo
+    # D17, rounded half to even on the remainder.  10^16 <= D17 < 10^17: in
+    # the fast range no value rounds up to the next power of ten, which would
+    # take one within 5e-18 of it below; the nearest there is 1e-7, 4.5e-17
+    # below 10^-7 (outside it, 1e-14 lies 1.2e-18 below 10^-14 and prints as
+    # 1e-14)
+    rem2 = r << _U(1)
+    out = d + ((rem2 > one) | ((rem2 == one) & ((d & _U(1)) == 1)))
+    del rem2
+    if not shortest:
+        return out
+    # A decimal at n + b / 2^s from X (whole n, b < 2^s) lies in the
+    # interval when n 2^(s + 1) + 2b <= half.  That needs n <= h, so n is
+    # clipped to h's whole part before the shift, and no sum overflows.
+    mask = one
+    mask -= _U(1)                                       # 2^s - 1
+    s += 1
+    whole = (half >> s).astype(np.uint8)
+    for p in (10, 100):                                 # D16, then D15
+        q = d // _U(p)
+        n = d - q * _U(p)                               # X / p = q + (n + r / 2^s) / p
+        up = (n > p // 2) | ((n == p // 2) & ((r > 0) | ((q & _U(1)) == 1)))
+        q += up
+        q *= _U(p)                                      # round(X / p) p
+        # |round(X / p) p - X| = n + b / 2^s
+        np.subtract(_U(p), n, out=n, where=up)
+        n -= up & (r > 0)
+        b = np.where(up, np.negative(r) & mask, r)
+        fits = n <= whole
+        np.minimum(n, whole, out=n)
+        n <<= s
+        b <<= _U(1)
+        b += n
+        fits &= b <= half
+        np.copyto(out, q, where=fits)
+    carry = out == _U(10 ** 17)
+    out[carry] = 10 ** 16
+    e += carry
+    return out
+
+
+def _float_text(values: np.ndarray, shortest: bool = False) -> np.ndarray:
+    """The bytes of ``format(v, ".17g")`` for each value, or with
+    ``shortest`` of its JSON text, ``repr(v)`` or null when v is not finite;
+    one row of a (n, 43) uint8 matrix per value, whose NUL bytes are not part
+    of the text.  Values of the fast range are formatted with integer
     arithmetic in numpy, every other value by Python, one value at a time.
+    Temporaries are dropped or overwritten once used, so that a block's
+    peak stays about twice its text.
     """
     v = np.asarray(values, dtype=np.float64).reshape(-1)
-    a = np.abs(v)
+    bits = v.view(_U) & _U((1 << 63) - 1)               # of |v|
+    a = bits.view(np.float64)
     fast = (a >= _TENS[0]) & (a < _TENS[-1])
+    if shortest:
+        fast &= (bits << _U(12)) != 0                   # not a power of two
     slow = np.flatnonzero(~fast)
-    if len(slow):
-        a = np.where(fast, a, 1.0)
-    e = np.searchsorted(_TENS, a, side="right") - 1     # E + 11
-    bits = a.view(_U)
-    m = (bits & _U((1 << 52) - 1)) | _U(1 << 52)
-    k = 27 - e                                          # 16 - E
-    s = 1075 - (bits >> _U(52)).astype(np.int64) - k    # |v| 10^k = m 5^k / 2^s
-    m <<= np.maximum(-s, 0).astype(_U)                  # s < 0 only for |v| >= 2^52
-    s = np.maximum(s, 0).astype(_U)
-    # m 5^k = hi 2^64 + lo, from products of 32-bit limbs
-    f = _POW5[k]
-    m0, m1, f0, f1 = m & _U(0xFFFFFFFF), m >> _U(32), f & _U(0xFFFFFFFF), f >> _U(32)
-    low = m0 * f0
-    mid = m0 * f1 + m1 * f0
-    lo = low + (mid << _U(32))
-    hi = m1 * f1 + (mid >> _U(32)) + (lo < low)
-    # D = m 5^k / 2^s, rounded half to even on the remainder; s <= 62.
-    # 10^16 <= D < 10^17: in the fast range no value rounds up to the next
-    # power of ten, which would take one within 5e-18 of it below; the
-    # nearest there is 1e-7, 4.5e-17 below 10^-7 (outside it, 1e-14 lies
-    # 1.2e-18 below 10^-14 and prints as 1e-14)
-    d = (hi << (_U(64) - s)) | (lo >> s)
-    one = _U(1) << s
-    rem2 = (lo & (one - _U(1))) << _U(1)
-    d += (rem2 > one) | ((rem2 == one) & ((d & _U(1)) == 1))
-    # the 17 digits, and the count of trailing zeros %g strips
+    del fast
+    bits[slow] = _STANDIN
+    e = np.searchsorted(_TENS, a, side="right").astype(np.int8)
+    e -= 1                                              # E + 11
+    d = _significand(bits, e, shortest)
+    del bits, a
+    # the 17 digits, and the count of trailing zeros that are stripped
     digits = np.empty((len(v), 17), np.uint8)
     zeros = np.zeros(len(v), np.uint8)
     trailing = np.ones(len(v), bool)
     top = (d // _U(10 ** 8)).astype(np.uint32)
-    x = (d - top * _U(10 ** 8)).astype(np.uint32)
+    d -= top * _U(10 ** 8)
+    x = d.astype(np.uint32)
+    del d
     for j in range(16, 0, -1):
         if j == 8:
             x = top
         quot = x // np.uint32(10)
-        digit = x - quot * np.uint32(10)
-        digits[:, j] = digit
-        trailing &= digit == 0
+        x -= quot * np.uint32(10)
+        digits[:, j] = x
+        trailing &= x == 0
         zeros += trailing
         x = quot
     digits[:, 0] = x
-    cls = ((v < 0) * 28 + e) * 17 + 16 - zeros
-    text = np.take(_g17_templates(), cls, axis=0)
+    cls = (v < 0).astype(np.int16)
+    cls *= len(_TENS) - 1
+    cls += e
+    cls *= 17
+    cls += 16
+    cls -= zeros
+    text = np.take(_templates(shortest), cls, axis=0)
     # a digit slot the class leaves out holds a trailing zero: it stays NUL
     text[:, 6:39:2] += digits
     if len(slow):
         # at most 24 bytes: -2.2250738585072014e-308
-        own = np.array([format(w, ".17g") for w in v[slow].tolist()], dtype="S24")
+        w = v[slow]
+        if shortest:
+            own = np.array([repr(x) for x in w.tolist()], dtype="S24")
+            own[~np.isfinite(w)] = b"null"
+        else:
+            own = np.array([format(x, ".17g") for x in w.tolist()], dtype="S24")
         text[slow] = 0
         text[slow, :24] = own.view(np.uint8).reshape(-1, 24)
     return text
 
 
+def _g17(values: np.ndarray) -> np.ndarray:
+    """``_float_text`` in its %.17g mode, the text of OBJ and CSV."""
+    return _float_text(values)
+
+
+def _json_floats(values: np.ndarray) -> np.ndarray:
+    """``_float_text`` in its repr mode, json.dumps' text of each float."""
+    return _float_text(values, shortest=True)
+
+
+def _int_text(values: np.ndarray, width: int) -> np.ndarray:
+    """The decimal text of each positive integer below 10^width and 2^32:
+    its digits, right-aligned in the last axis of a (..., width) uint8
+    matrix, with NUL before the first."""
+    out = np.empty(values.shape + (width,), np.uint8)
+    x = values.astype(np.uint32)
+    for j in range(width - 1, -1, -1):
+        quot = x // np.uint32(10)
+        out[..., j] = np.where(x > 0, x - quot * np.uint32(10) + ord("0"), 0)
+        x = quot
+    return out
+
+
 def _text_rows(pieces) -> str:
     """Rows of text laid out by ``pieces``, one row per row of their
     matrices: a piece is either bytes, written in every row, or a
-    (rows, width) uint8 matrix such as ``_g17``'s, whose NUL bytes are left
-    out.  The pieces are laid side by side in one (rows, width) matrix,
-    which is read as ASCII once its NUL bytes are dropped."""
+    (rows, width) uint8 matrix such as ``_float_text``'s, whose NUL bytes
+    are left out.  The pieces are laid side by side in one (rows, width)
+    matrix, which is read as ASCII once its NUL bytes are dropped."""
     rows = next(len(p) for p in pieces if isinstance(p, np.ndarray))
     pieces = [np.frombuffer(p, np.uint8) if isinstance(p, bytes) else p for p in pieces]
     ends = np.cumsum([p.shape[-1] for p in pieces])
@@ -286,8 +394,7 @@ def _text_rows(pieces) -> str:
 
 def _column_texts(texts, column: np.ndarray):
     """The texts of each block of a float column, ``texts(values)`` taken
-    row by row.  ``texts`` returns one text per value along its first axis:
-    an object array of str, or a matrix of ``_g17`` rows.
+    row by row; ``texts`` is ``_g17`` or ``_json_floats``.
 
     x and t take only nx and nt values on the grid, and K, H and xi are
     functions of xi alone, so their values repeat in every block.  A column
@@ -308,9 +415,9 @@ def _column_texts(texts, column: np.ndarray):
         yield np.take(table, index(b), axis=0)
 
 
-def _positions(blocks):
-    """The ``_g17`` rows of each block of positions, as (rows, 3, 43)."""
-    return (_g17(b).reshape(len(b), 3, -1) for b in blocks)
+def _positions(texts, blocks):
+    """The rows of ``texts`` of each block of positions, as (rows, 3, 43)."""
+    return (texts(b).reshape(len(b), 3, -1) for b in blocks)
 
 
 def _obj_chunks(mesh: SurfaceMesh):
@@ -322,7 +429,7 @@ def _obj_chunks(mesh: SurfaceMesh):
         # keeps indices stable; faces touching it are left out
         vertices = (np.where(np.isfinite(b).all(axis=1)[:, None], b, 0.0)
                     for b in vertices)
-    for y in _positions(vertices):
+    for y in _positions(_g17, vertices):
         yield _text_rows([b"v ", y[:, 0], b" ", y[:, 1], b" ", y[:, 2], b"\n"])
     # each block's faces from its cell indices, so no face table is held
     cells = (mesh.nx - 1) * (mesh.nt - 1)
@@ -330,7 +437,10 @@ def _obj_chunks(mesh: SurfaceMesh):
              for i in range(0, cells, _BLOCK_ROWS))
     if not finite:
         faces = (b[ok[b - 1].all(axis=1)] for b in faces)
-    yield from _rows("f %d %d %d %d\n", faces)
+    width = len(str(mesh.n_vertices))
+    for b in faces:
+        f = _int_text(b, width)
+        yield _text_rows([b"f ", f[:, 0], b" ", f[:, 1], b" ", f[:, 2], b" ", f[:, 3], b"\n"])
 
 
 def _csv_chunks(mesh: SurfaceMesh):
@@ -338,8 +448,8 @@ def _csv_chunks(mesh: SurfaceMesh):
     # the position is nearly all distinct values, formatted block by block
     x, t, k, h = (_column_texts(_g17, a) for a in (mesh.x, mesh.t, mesh.K, mesh.H))
     yield "x,t,y1,y2,y3,K,H,singular\n"
-    for xs, ts, y, ks, hs, flags in zip(x, t, _positions(_blocks(mesh.vertices)), k, h,
-                                        _blocks(mesh.singular.view(np.uint8))):
+    for xs, ts, y, ks, hs, flags in zip(x, t, _positions(_g17, _blocks(mesh.vertices)), k,
+                                        h, _blocks(mesh.singular.view(np.uint8))):
         yield _text_rows([xs, b",", ts, b",", y[:, 0], b",", y[:, 1], b",", y[:, 2],
                           b",", ks, b",", hs, b",", (flags + ord("0"))[:, None], b"\n"])
 
@@ -347,24 +457,14 @@ def _csv_chunks(mesh: SurfaceMesh):
 _JSON_SEP = (",", ":")
 
 
-def _json_list(parts):
-    """JSON list of entries given as comma-separated texts, one chunk per
-    part."""
+def _json_list(blocks):
+    """The JSON list whose entries are the rows that ``_text_rows`` lays
+    out from each block's pieces, one chunk per block."""
     sep = "["
-    for part in parts:
-        yield sep + part
+    for pieces in blocks:
+        yield sep + _text_rows([*pieces, b","])[:-1]
         sep = ","
     yield "]"
-
-
-def _joined(texts):
-    """The comma-separated text of each of an iterable of object arrays."""
-    return (",".join(t.tolist()) for t in texts)
-
-
-def _json_floats(values: np.ndarray) -> np.ndarray:
-    """json.dumps' text of each float, with null for a non-finite one."""
-    return _format("%r", values, "null")
 
 
 def _json_chunks(mesh: SurfaceMesh):
@@ -387,19 +487,14 @@ def _json_chunks(mesh: SurfaceMesh):
     # search for a column's repeats) until their key is written
     items = {key: [json.dumps(v, sort_keys=True, separators=_JSON_SEP)]
              for key, v in doc.items()}
-    # %r is json.dumps' float text
     for key in ("x", "t", "K", "H", "xi"):
-        items[key] = _json_list(_joined(_column_texts(_json_floats, getattr(mesh, key))))
-    # each block's [y1,y2,y3] lists, without the trailing comma; %s of a
-    # float is its repr, and a block holding a non-finite value is written
-    # from its texts, with null for those values
-    vertices = (b if np.isfinite(b).all()
-                else _format("%r", b.reshape(-1), "null").reshape(b.shape)
-                for b in _blocks(mesh.vertices))
+        items[key] = _json_list(
+            [texts] for texts in _column_texts(_json_floats, getattr(mesh, key)))
     items["vertices"] = _json_list(
-        rows[:-1] for rows in _rows("[%s,%s,%s],", vertices))
+        [b"[", y[:, 0], b",", y[:, 1], b",", y[:, 2], b"]"]
+        for y in _positions(_json_floats, _blocks(mesh.vertices)))
     items["singular"] = _json_list(
-        _joined(_FLAGS[b] for b in _blocks(mesh.singular.view(np.uint8))))
+        [(flags + ord("0"))[:, None]] for flags in _blocks(mesh.singular.view(np.uint8)))
     sep = "{"
     for key in sorted(items):
         yield sep + json.dumps(key) + ":"

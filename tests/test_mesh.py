@@ -407,28 +407,23 @@ def test_table_bound_leaves_the_bytes_unchanged(pid):
 def test_each_distinct_value_is_formatted_once_per_export(monkeypatch):
     # ex4 at 201^2: x and t take 201 values each, and K, H and xi 2,157,
     # 6,423 and 9,701, all below the table bound, so each is formatted once
-    # for the whole export and not once per block that holds it.  JSON
-    # formats them with _format, CSV with _g17, which also formats the
-    # position block by block (three values per row)
+    # for the whole export and not once per block that holds it.  Both
+    # writers format them with _float_text, which also formats the position
+    # block by block (three values per row)
     mesh = ms.generate(resolve("ex4"), nx=201, nt=201)
     formatted = []
-    format_, g17 = ms._format, ms._g17
+    float_text = ms._float_text
 
-    def counted_format(fmt, values, null):
-        formatted.append(len(values))
-        return format_(fmt, values, null)
-
-    def counted_g17(values):
+    def counted(values, *mode, **kw):
         formatted.append(values.size)
-        return g17(values)
+        return float_text(values, *mode, **kw)
 
-    monkeypatch.setattr(ms, "_format", counted_format)
-    monkeypatch.setattr(ms, "_g17", counted_g17)
+    monkeypatch.setattr(ms, "_float_text", counted)
+    positions = [3 * len(b) for b in ms._blocks(mesh.vertices)]
     _exported(mesh, "json")
-    assert sorted(formatted) == [201, 201, 2157, 6423, 9701]
+    assert sorted(formatted) == sorted([201, 201, 2157, 6423, 9701, *positions])
     formatted.clear()
     _exported(mesh, "csv")
-    positions = [3 * len(b) for b in ms._blocks(mesh.vertices)]
     assert sorted(formatted) == sorted([201, 201, 2157, 6423, *positions])
 
 
@@ -444,26 +439,21 @@ def test_a_column_that_does_not_repeat_is_formatted_per_block(monkeypatch):
     table = lambda a: sorted(set(bits(a)))
     direct = lambda a: [bits(b) for b in ms._blocks(a)]
     formatted = []
-    format_, g17 = ms._format, ms._g17
+    float_text = ms._float_text
 
-    def counted_format(fmt, values, null):
+    def counted(values, *mode, **kw):
         formatted.append(bits(values))
-        return format_(fmt, values, null)
+        return float_text(values, *mode, **kw)
 
-    def counted_g17(values):
-        formatted.append(bits(values))
-        return g17(values)
-
-    monkeypatch.setattr(ms, "_format", counted_format)
-    monkeypatch.setattr(ms, "_g17", counted_g17)
+    monkeypatch.setattr(ms, "_float_text", counted)
     _exported(mesh, "json")
-    # the keys in sorted order: H, K, t, x, xi
-    assert formatted == [*direct(mesh.H), *direct(mesh.K), table(mesh.t), table(mesh.x),
-                         *direct(mesh.xi)]
+    # the keys in sorted order: H, K, t, vertices, x, xi; the position is
+    # formatted directly too
+    assert formatted == [*direct(mesh.H), *direct(mesh.K), table(mesh.t),
+                         *direct(mesh.vertices), table(mesh.x), *direct(mesh.xi)]
     formatted.clear()
     _exported(mesh, "csv")
-    # x's and t's tables, then each block's position, K and H in turn; the
-    # position is formatted directly too
+    # x's and t's tables, then each block's position, K and H in turn
     want = [table(mesh.x), table(mesh.t)]
     for y, k, h in zip(*map(direct, (mesh.vertices, mesh.K, mesh.H))):
         want += [y, k, h]
@@ -549,3 +539,88 @@ def test_g17_fast_path_formats_nearly_every_position(monkeypatch):
     monkeypatch.setattr(ms, "format", counted, raising=False)
     ms._g17(mesh.vertices)
     assert 0 < len(slow) <= 0.01 * mesh.vertices.size
+
+
+def _assert_repr_mode_is_json(values):
+    """``ms._float_text`` in its repr mode gives repr(v) for each finite
+    value and null for inf and NaN: json.dumps' text of a float."""
+    values = np.asarray(values, dtype=np.float64)
+    got = [row.tobytes().replace(b"\0", b"").decode()
+           for row in ms._float_text(values, shortest=True)]
+    want = [repr(v) if np.isfinite(v) else "null" for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(BITS, NEAR_FAST), min_size=1, max_size=64))
+def test_repr_mode_is_repr_of_any_bit_pattern(patterns):
+    _assert_repr_mode_is_json(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def _powers_of_two():
+    """2^e for every double exponent, and its two neighbours: an exact power
+    of two has a lopsided rounding interval and goes to Python."""
+    out = []
+    for e in range(-1074, 1024):
+        p = 2.0 ** e
+        out += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    return out
+
+
+def _integers():
+    """Integer-valued doubles, which repr writes with ".0": small ones, the
+    powers of ten and their neighbours, and the largest below 1e16."""
+    out = list(range(1, 1001))
+    for j in range(1, 17):
+        out += [10 ** j - 1, 10 ** j, 10 ** j + 1, 5 * 10 ** (j - 1)]
+    out += [2 ** 53 + i for i in range(-64, 64)]
+    out += [9999999999999998 - 2 * i for i in range(64)]
+    return [float(v) for v in out]
+
+
+@pytest.mark.parametrize("values", [_powers_of_ten(), _powers_of_two(), _integers(),
+                                    _ties(), FAST_EDGES])
+def test_repr_mode_is_repr_at_the_edges(values):
+    _assert_repr_mode_is_json(values + [-v for v in values])
+
+
+def test_repr_mode_known_texts():
+    values = [1e-4, 1e-5, 1.2e-4, 1.2e-5, 9.9999e-5, 1e-6, 1e-7, 3.0, 0.1 + 0.2,
+              9999999999999998.0, 1e16, -0.0, 0.0, np.inf, -np.inf, np.nan]
+    text = [row.tobytes().replace(b"\0", b"").decode()
+            for row in ms._float_text(np.array(values), shortest=True)]
+    # the switch to the exponent at 1e-5, a rounding carry that moves the
+    # exponent (1e-6 is 9.9999999999999995e-07 to 17 digits), ".0" on an
+    # integer value, and null for inf and NaN
+    assert text == ["0.0001", "1e-05", "0.00012", "1.2e-05", "9.9999e-05", "1e-06",
+                    "1e-07", "3.0", "0.30000000000000004", "9999999999999998.0", "1e+16",
+                    "-0.0", "0.0", "null", "null", "null"]
+
+
+def test_repr_mode_formats_nearly_every_json_value(monkeypatch):
+    # Python formats only the values outside the fast range and the exact
+    # powers of two: at most 1% of each JSON export's floats
+    slow = []
+
+    def counted(value):
+        slow.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(ms, "repr", counted, raising=False)
+    for pid in ("ex4", "ex7"):
+        mesh = ms.generate(resolve(pid), nx=201, nt=201)
+        slow.clear()
+        _exported(mesh, "json")
+        floats = 5 * mesh.n_vertices + mesh.vertices.size
+        assert len(slow) <= 0.01 * floats, (pid, len(slow))
+        for v in slow:
+            assert not 1e-11 <= abs(v) < 1e16 or abs(np.frexp(v)[0]) == 0.5, v
+
+
+def test_int_text_writes_every_digit_count():
+    values = np.array([[1, 9, 10, 99], [100, 4270, 1002001, 9999999]])
+    text = ms._int_text(values, 7)
+    assert text.shape == (2, 4, 7)
+    got = [row.tobytes().replace(b"\0", b"").decode() for row in text.reshape(-1, 7)]
+    assert got == [str(v) for v in values.reshape(-1).tolist()]
