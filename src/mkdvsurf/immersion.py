@@ -331,15 +331,9 @@ class Surface:
     t_range: Window
     preset_id: str | None
 
-    def grid(self, nx: int, nt: int, half: float | None = None):
-        """Meshgrid (x, t) over the window, clipped to [-half, half]^2 if given."""
-        xr, tr = self.x_range, self.t_range
-        if half is not None:
-            xr = (max(xr[0], -half), min(xr[1], half))
-            tr = (max(tr[0], -half), min(tr[1], half))
-        xv = np.linspace(xr[0], xr[1], nx)
-        tv = np.linspace(tr[0], tr[1], nt)
-        return np.meshgrid(xv, tv)
+    def grid(self, nx: int, nt: int):
+        """Meshgrid (x, t) of nx by nt points over the window, bounds included."""
+        return np.meshgrid(np.linspace(*self.x_range, nx), np.linspace(*self.t_range, nt))
 
 
 def _window(axis: str, given: Window | None, default: Window) -> Window:

@@ -354,16 +354,6 @@ def _float_text(values: np.ndarray, shortest: bool = False) -> np.ndarray:
     return text
 
 
-def _g17(values: np.ndarray) -> np.ndarray:
-    """``_float_text`` in its %.17g mode, the text of OBJ and CSV."""
-    return _float_text(values)
-
-
-def _json_floats(values: np.ndarray) -> np.ndarray:
-    """``_float_text`` in its repr mode, json.dumps' text of each float."""
-    return _float_text(values, shortest=True)
-
-
 def _int_text(values: np.ndarray, width: int) -> np.ndarray:
     """The decimal text of each positive integer below 10^width and 2^32:
     its digits, right-aligned in the last axis of a (..., width) uint8
@@ -392,9 +382,9 @@ def _text_rows(pieces) -> str:
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _column_texts(texts, column: np.ndarray):
-    """The texts of each block of a float column, ``texts(values)`` taken
-    row by row; ``texts`` is ``_g17`` or ``_json_floats``.
+def _column_texts(column: np.ndarray, shortest: bool = False):
+    """The texts of each block of a float column, ``_float_text(values,
+    shortest)`` taken row by row.
 
     x and t take only nx and nt values on the grid, and K, H and xi are
     functions of xi alone, so their values repeat in every block.  A column
@@ -407,17 +397,17 @@ def _column_texts(texts, column: np.ndarray):
     """
     found = repeats(column)
     if found is None or found[0].size > _TABLE_MAX:
-        yield from map(texts, _blocks(column))
+        yield from (_float_text(b, shortest) for b in _blocks(column))
         return
     distinct, index = found
-    table = texts(distinct)
+    table = _float_text(distinct, shortest)
     for b in _blocks(column):
         yield np.take(table, index(b), axis=0)
 
 
-def _positions(texts, blocks):
-    """The rows of ``texts`` of each block of positions, as (rows, 3, 43)."""
-    return (texts(b).reshape(len(b), 3, -1) for b in blocks)
+def _positions(blocks, shortest: bool = False):
+    """The rows of ``_float_text`` of each block of positions, as (rows, 3, 43)."""
+    return (_float_text(b, shortest).reshape(len(b), 3, -1) for b in blocks)
 
 
 def _obj_chunks(mesh: SurfaceMesh):
@@ -429,7 +419,7 @@ def _obj_chunks(mesh: SurfaceMesh):
         # keeps indices stable; faces touching it are left out
         vertices = (np.where(np.isfinite(b).all(axis=1)[:, None], b, 0.0)
                     for b in vertices)
-    for y in _positions(_g17, vertices):
+    for y in _positions(vertices):
         yield _text_rows([b"v ", y[:, 0], b" ", y[:, 1], b" ", y[:, 2], b"\n"])
     # each block's faces from its cell indices, so no face table is held
     cells = (mesh.nx - 1) * (mesh.nt - 1)
@@ -444,12 +434,12 @@ def _obj_chunks(mesh: SurfaceMesh):
 
 
 def _csv_chunks(mesh: SurfaceMesh):
-    # x, t, K and H repeat and come from one table of _g17 rows per column;
+    # x, t, K and H repeat and come from one table of %.17g rows per column;
     # the position is nearly all distinct values, formatted block by block
-    x, t, k, h = (_column_texts(_g17, a) for a in (mesh.x, mesh.t, mesh.K, mesh.H))
+    x, t, k, h = (_column_texts(a) for a in (mesh.x, mesh.t, mesh.K, mesh.H))
     yield "x,t,y1,y2,y3,K,H,singular\n"
-    for xs, ts, y, ks, hs, flags in zip(x, t, _positions(_g17, _blocks(mesh.vertices)), k,
-                                        h, _blocks(mesh.singular.view(np.uint8))):
+    for xs, ts, y, ks, hs, flags in zip(x, t, _positions(_blocks(mesh.vertices)), k, h,
+                                        _blocks(mesh.singular.view(np.uint8))):
         yield _text_rows([xs, b",", ts, b",", y[:, 0], b",", y[:, 1], b",", y[:, 2],
                           b",", ks, b",", hs, b",", (flags + ord("0"))[:, None], b"\n"])
 
@@ -489,10 +479,10 @@ def _json_chunks(mesh: SurfaceMesh):
              for key, v in doc.items()}
     for key in ("x", "t", "K", "H", "xi"):
         items[key] = _json_list(
-            [texts] for texts in _column_texts(_json_floats, getattr(mesh, key)))
+            [texts] for texts in _column_texts(getattr(mesh, key), shortest=True))
     items["vertices"] = _json_list(
         [b"[", y[:, 0], b",", y[:, 1], b",", y[:, 2], b"]"]
-        for y in _positions(_json_floats, _blocks(mesh.vertices)))
+        for y in _positions(_blocks(mesh.vertices), shortest=True))
     items["singular"] = _json_list(
         [(flags + ord("0"))[:, None]] for flags in _blocks(mesh.singular.view(np.uint8)))
     sep = "{"

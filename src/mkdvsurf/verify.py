@@ -1,30 +1,32 @@
 """Named verification checks and machine-readable reports.
 
 Each check wraps library operations that are tested independently; this
-module only chooses grids, aggregates residuals, and compares against
-tolerances.  A runner evaluates its pointwise part in tiles
-(``soliton.tiled``) and reduces over the whole grid once, here: the
-modules it calls (``lax``, ``deformation``, ``immersion``, ``diffgeo``) are
+module only samples grids, aggregates residuals, and compares against
+tolerances.  Each check is one entry of the table ``_CHECKS``, which names
+its sample: the surface's window (``_window``), the window clipped to
+[-2,2]^2 (``_clipped_window``, skipped where the window does not overlap the
+square) or nx values of xi on each of nt rows (``_xi_profile``).  A runner
+takes its grid from ``cfg.grid()``, evaluates its pointwise part in tiles
+(``soliton.tiled``) and reduces over the whole grid once, here: the modules
+it calls (``lax``, ``deformation``, ``immersion``, ``diffgeo``) are
 pointwise and reduce nothing, and ``lagrangian`` only builds the energies
 that the ``shape`` check tests.  The frame runners (``consistency``,
 ``compat``, ``forms``, ``lax``) keep across tiles one float64 per residual
 value they report and nothing else; where only a maximum is reported (the
-su(2) test of the ``consistency`` frame, the ``lax`` determinant drift)
-they fold each tile's exact maxima instead.  ``compat``, ``forms`` and
+su(2) test of the ``consistency`` frame, the ``lax`` determinant drift) they
+fold each tile's exact maxima instead.  ``compat``, ``forms`` and
 ``sphere``, whose kernels read (x, t) only through the soliton's xi,
 evaluate once per distinct xi of a grid whose xi repeat by the rule of
 ``soliton.repeats`` (``_by_xi``), keep a small index of each point's xi, and
-gather the values back per point before they reduce, so they report what
-an evaluation at every point reports, bit for bit.  ``zerocurv`` and
-``weingarten`` read only xi too, but their kernels cost less than the
-search and the gather.  The other four cannot:
-``lax`` and ``consistency`` read t through Phi's e^{i omega t} and (x, t)
-through the position's phase, and the stencils of ``willmore`` and
-``shape`` shift x and t apart, so two points of equal xi have stencils of
-unequal xi.  Each check is one entry of the table
-``_CHECKS``.  A check is compatible with a (family, parameter) combination
-or it is reported as skipped with the reason; requesting an incompatible
-check explicitly is a configuration error.
+gather the values back per point before they reduce, so they report what an
+evaluation at every point reports, bit for bit.  ``zerocurv`` and
+``weingarten`` read only xi too, but their kernels cost less than the search
+and the gather.  The other four cannot: ``lax`` and ``consistency`` read t
+through Phi's e^{i omega t} and (x, t) through the position's phase, and the
+stencils of ``willmore`` and ``shape`` shift x and t apart, so two points of
+equal xi have stencils of unequal xi.  A check is compatible with a (family,
+parameter) combination or it is reported as skipped with the reason;
+requesting an incompatible check explicitly is a configuration error.
 """
 
 from __future__ import annotations
@@ -150,9 +152,53 @@ def _jsonable(v: float):
     return float(v) if np.isfinite(v) else None
 
 
-# Half-width of the square [-2,2]^2 that the lax, compat, sphere and
-# consistency checks clip the window to.
+# Samples: (surface, nx, nt) -> (x, t, label), the nx by nt grid a check
+# evaluates and its text in the report.  Each check names its sample in
+# _CHECKS, and only the samples build grids.
+
+def _label(nx: int, nt: int, xr, tr) -> str:
+    """The grid on the window's bounds, each as %g when that reads back as
+    the bound and as its repr otherwise, so unequal bounds never print alike."""
+    text = lambda v: f"{v:g}" if float(f"{v:g}") == v else repr(v)
+    return f"{nx}x{nt} on [{text(xr[0])},{text(xr[1])}]x[{text(tr[0])},{text(tr[1])}]"
+
+
+def _window(surface: Surface, nx: int, nt: int):
+    """The surface's own window."""
+    return *surface.grid(nx, nt), _label(nx, nt, surface.x_range, surface.t_range)
+
+
+# Half-width of the square [-2,2]^2 that _clipped_window clips the window to.
 CLIP_HALF = 2.0
+
+
+def _clip(surface: Surface):
+    """The window's x and t bounds clipped to [-2,2]^2."""
+    return tuple((max(lo, -CLIP_HALF), min(hi, CLIP_HALF))
+                 for lo, hi in (surface.x_range, surface.t_range))
+
+
+def _overlap(surface: Surface) -> str | None:
+    """``_clipped_window``'s rule: the clipped window has positive width on both axes."""
+    for axis, (lo, hi) in zip("xt", _clip(surface)):
+        if not lo < hi:
+            return f"requires the {axis} window to overlap (-2,2)"
+    return None
+
+
+def _clipped_window(surface: Surface, nx: int, nt: int):
+    """The window clipped to [-2,2]^2, for the surfaces ``_overlap`` admits."""
+    xr, tr = _clip(surface)
+    x, t, label = _window(replace(surface, x_range=xr, t_range=tr), nx, nt)
+    return x, t, f"{nx}x{nt} on [-2,2]^2" if xr == tr == (-CLIP_HALF, CLIP_HALF) else label
+
+
+def _xi_profile(half: float):
+    """nx values of xi across |xi| <= half on each of nt rows (``soliton.xi_grid``)."""
+    def sample(surface: Surface, nx: int, nt: int):
+        x, t = xi_grid(surface.params, half, nx, nt)
+        return x, t, f"{nx}x{nt} with |xi|<{half:g}"
+    return sample
 
 
 @dataclass(frozen=True)
@@ -160,27 +206,11 @@ class _Config:
     surface: Surface
     nx: int
     nt: int
+    sample: Callable
 
-    def label(self, detail: str = "") -> str:
-        if not detail:
-            detail = _window_label(self.surface.x_range, self.surface.t_range)
-        return f"{self.nx}x{self.nt} {detail}"
-
-    def clipped_grid(self):
-        """(x, t, label) of the grid over the window clipped to [-2,2]^2; the
-        label gives the bounds sampled.  ``_clipped`` is the checks' rule
-        that it has a positive width on both axes."""
-        x, t = self.surface.grid(self.nx, self.nt, half=CLIP_HALF)
-        xr, tr = (float(x[0, 0]), float(x[0, -1])), (float(t[0, 0]), float(t[-1, 0]))
-        detail = "on [-2,2]^2" if xr == tr == (-2.0, 2.0) else _window_label(xr, tr)
-        return x, t, self.label(detail)
-
-
-def _window_label(xr, tr) -> str:
-    """The window's bounds, each as %g when that reads back as the bound
-    and as its repr otherwise, so that unequal bounds never print alike."""
-    text = lambda v: f"{v:g}" if float(f"{v:g}") == v else repr(v)
-    return f"on [{text(xr[0])},{text(xr[1])}]x[{text(tr[0])},{text(tr[1])}]"
+    def grid(self):
+        """(x, t, label) of the check's sample of the surface."""
+        return self.sample(self.surface, self.nx, self.nt)
 
 
 def _stats(res: np.ndarray) -> tuple[float, float]:
@@ -234,7 +264,7 @@ def _by_xi(f, grid, p: SolitonParams):
     return values, gather
 
 
-def _result(name, cfg_label, tol, res, excluded=0, note="") -> CheckResult:
+def _result(name, label, tol, res, excluded=0, note="") -> CheckResult:
     mx, med = _stats(res)
     return CheckResult(
         name=name,
@@ -242,7 +272,7 @@ def _result(name, cfg_label, tol, res, excluded=0, note="") -> CheckResult:
         max_residual=mx,
         median_residual=med,
         tolerance=tol,
-        grid=cfg_label,
+        grid=label,
         excluded=excluded,
         note=note,
     )
@@ -251,15 +281,6 @@ def _result(name, cfg_label, tol, res, excluded=0, note="") -> CheckResult:
 # Requirements: a Surface's reason to skip a check, or None if it applies.
 
 def _anywhere(surface: Surface) -> str | None:
-    return None
-
-
-def _clipped(surface: Surface) -> str | None:
-    """The window must overlap [-2,2]^2 in an interval of positive width on
-    each axis, or the clipped grid would run outside it."""
-    for axis, (lo, hi) in (("x", surface.x_range), ("t", surface.t_range)):
-        if not max(lo, -CLIP_HALF) < min(hi, CLIP_HALF):
-            return f"requires the {axis} window to overlap (-2,2)"
     return None
 
 
@@ -276,9 +297,7 @@ def _round_sphere(surface: Surface) -> str | None:
     p = surface.params
     if p.lam == 0.0:
         return "requires lambda != 0"
-    if p.mu == 0.0:
-        return "requires mu != 0"
-    return _clipped(surface)
+    return "requires mu != 0" if p.mu == 0.0 else None
 
 
 # Runners: (cfg, name, tol, h) -> CheckResult, with h the check's resolved
@@ -286,9 +305,9 @@ def _round_sphere(surface: Surface) -> str | None:
 
 def _check_zerocurv(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
-    x, t = cfg.surface.grid(cfg.nx, cfg.nt)
+    x, t, label = cfg.grid()
     res = tiled(lambda xx, tt: np.abs(zero_curvature_residual(jet(xx, tt, p))), x, t)
-    return _result(name, cfg.label(), tol, res)
+    return _result(name, label, tol, res)
 
 
 def _entry_max(m: np.ndarray) -> np.ndarray:
@@ -301,7 +320,7 @@ def _entry_max(m: np.ndarray) -> np.ndarray:
 
 def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p = cfg.surface.params
-    x, t, label = cfg.clipped_grid()
+    x, t, label = cfg.grid()
     expected = det_phi_expected(p)
     # per tile, the largest |det Phi - expected|: only the grid's is reported
     det_dev = []
@@ -327,7 +346,7 @@ def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
 
 def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
-    x, t, label = cfg.clipped_grid()
+    x, t, label = cfg.grid()
     # the spectral and symmetry frames are mu times a fixed frame,
     # identically zero at mu = 0, so they are tested at mu = 1; the jet
     # depends on k1 alone, so one jet serves every kind's parameters
@@ -363,8 +382,9 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
         return (np.abs(cur.K - closed.K), np.abs(cur.H - np.sign(den) * closed.H),
                 np.abs(closed.K), np.abs(closed.H), np.abs(den))
 
-    (diff_k, diff_h, closed_k, closed_h, den), gather = _by_xi(
-        pointwise, xi_grid(p, 2.95, cfg.nx, cfg.nt), p)
+    x, t, label = cfg.grid()
+    (diff_k, diff_h, closed_k, closed_h, den), gather = _by_xi(pointwise, (x, t), p)
+    del x, t
     # The values at the distinct xi are the grid's set of values, so the pole
     # threshold and the largest kept closed forms are the grid's, bit for
     # bit; only the differences and the mask are needed per point.
@@ -382,20 +402,14 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     for part, diff, norm in zip((rel[:n_keep], rel[n_keep:]), (diff_k, diff_h), norms):
         np.compress(keep.reshape(-1), diff, out=part)
         part /= norm
-    return _result(
-        name,
-        cfg.label("with |xi|<2.95"),
-        tol,
-        rel,
-        excluded=keep.size - n_keep,
-        note="frame curvatures vs closed forms",
-    )
+    return _result(name, label, tol, rel, excluded=keep.size - n_keep,
+                   note="frame curvatures vs closed forms")
 
 
 def _check_weingarten(cfg: _Config, name: str, tol: float, h: None,
                       paper_literal: bool = False) -> CheckResult:
     p = cfg.surface.params
-    x, t = xi_grid(p, 2.95, cfg.nx, cfg.nt)
+    x, t, label = cfg.grid()
 
     def pointwise(xx, tt):
         cur = cfg.surface.family.curvatures(jet(xx, tt, p))
@@ -411,13 +425,12 @@ def _check_weingarten(cfg: _Config, name: str, tol: float, h: None,
         note += f" and quadratic at k1 = {'' if p.k1 * p.lam > 0 else '-'}2 lambda"
     if paper_literal:
         note = "uncorrected constant term; failure expected and documented"
-    return _result(name, cfg.label("with |xi|<2.95"), tol, np.concatenate(
-        [r.reshape(-1) for r in res]), note=note)
+    return _result(name, label, tol, np.concatenate([r.reshape(-1) for r in res]), note=note)
 
 
 def _check_willmore(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p, fam = cfg.surface.params, cfg.surface.family
-    x, t = xi_grid(p, 2.0, cfg.nx, cfg.nt)
+    x, t, label = cfg.grid()
     s = replace(diffgeo.OPERATOR_STENCIL, h=h)
     curvatures = lambda xx, tt: fam.curvatures(jet(xx, tt, p))
     forms = lambda xx, tt: fam.forms(jet(xx, tt, p))
@@ -426,8 +439,7 @@ def _check_willmore(cfg: _Config, name: str, tol: float, h: float) -> CheckResul
         res, scale = diffgeo.willmore_like_residual(curvatures, forms, 4.0 / 9.0, 1.0, xx, tt, s)
         return np.abs(res) / scale
 
-    return _result(name, cfg.label("with |xi|<2"), tol, tiled(pointwise, x, t),
-                   note="a=4/9, b=1")
+    return _result(name, label, tol, tiled(pointwise, x, t), note="a=4/9, b=1")
 
 
 def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
@@ -467,7 +479,7 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     curvatures = lambda xx, tt: SPECTRAL3.curvatures(jet(xx, tt, plus))
     forms = (lambda xx, tt: SPECTRAL3.forms(jet(xx, tt, plus)),
              lambda xx, tt: SPECTRAL3.forms(jet(xx, tt, minus)))
-    x, t = xi_grid(p, 2.0, cfg.nx, cfg.nt)
+    x, t, label = cfg.grid()
 
     def pointwise(xx, tt):
         at = [f(xx, tt) for f in forms]
@@ -497,7 +509,7 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
         max_residual=worst,
         median_residual=float(np.median(np.max(med, axis=0))),
         tolerance=tol,
-        grid=cfg.label("with |xi|<2"),
+        grid=label,
         excluded=int(np.sum(excluded)),
         note="constrained families N=3..6, p=1, free params zero",
     )
@@ -505,7 +517,7 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
 
 def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
-    x, t, label = cfg.clipped_grid()
+    x, t, label = cfg.grid()
 
     def pointwise(xx, tt):
         cur = curvatures_from_forms(forms_from_ab(jet(xx, tt, p), DeformationKind.SYMMETRY_UX))
@@ -531,7 +543,7 @@ def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
 
 def _check_consistency(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p, fam = cfg.surface.params, cfg.surface.family
-    x, t, label = cfg.clipped_grid()
+    x, t, label = cfg.grid()
     position = lambda xx, tt: fam.position(jet(xx, tt, p))
     s = diffgeo.Stencil(h, order=4)
 
@@ -558,14 +570,16 @@ def _check_consistency(cfg: _Config, name: str, tol: float, h: float) -> CheckRe
 class _Check:
     """One named check.
 
-    ``run`` is its runner; ``tol`` its default tolerance; ``steps`` the
-    (min, default, max) of its finite-difference step, None if it does not
-    difference; ``requires`` maps a Surface to the reason the check cannot
-    run on it, or None; ``opt_in`` keeps it out of ``--checks all``.
+    ``run`` is its runner; ``tol`` its default tolerance; ``sample`` its
+    grid; ``steps`` the (min, default, max) of its finite-difference step,
+    None if it does not difference; ``requires`` maps a Surface to the
+    reason the check cannot run on it, or None; ``opt_in`` keeps it out of
+    ``--checks all``.
     """
 
     run: Callable[..., CheckResult]
     tol: float
+    sample: Callable
     steps: tuple[float, float, float] | None = None
     requires: Callable[[Surface], str | None] = _anywhere
     opt_in: bool = False
@@ -581,19 +595,21 @@ class _Check:
 # uncorrected Weingarten relation.
 _OPERATOR_STEPS = (1e-4, diffgeo.OPERATOR_STENCIL.h, 1e-2)
 _CHECKS: dict[str, _Check] = {
-    "zerocurv": _Check(_check_zerocurv, 1e-10),
-    "lax": _Check(_check_lax, 1e-6, steps=(1e-8, 1e-6, 1e-2), requires=_clipped),
-    "compat": _Check(_check_compat, 1e-9, requires=_clipped),
-    "forms": _Check(_check_forms, 1e-8),
-    "weingarten": _Check(_check_weingarten, 1e-9, requires=_spectral3),
-    "willmore": _Check(_check_willmore, 1e-4, steps=_OPERATOR_STEPS,
+    "zerocurv": _Check(_check_zerocurv, 1e-10, _window),
+    "lax": _Check(_check_lax, 1e-6, _clipped_window, steps=(1e-8, 1e-6, 1e-2)),
+    "compat": _Check(_check_compat, 1e-9, _clipped_window),
+    "forms": _Check(_check_forms, 1e-8, _xi_profile(2.95)),
+    "weingarten": _Check(_check_weingarten, 1e-9, _xi_profile(2.95), requires=_spectral3),
+    "willmore": _Check(_check_willmore, 1e-4, _xi_profile(2.0), steps=_OPERATOR_STEPS,
                        requires=_spectral3_half_k1),
-    "shape": _Check(_check_shape, 1e-3, steps=_OPERATOR_STEPS, requires=_spectral3),
-    "sphere": _Check(_check_sphere, 1e-6, requires=_round_sphere),
-    "consistency": _Check(_check_consistency, 1e-6, steps=(1e-8, 1e-3, 5e-3),
-                          requires=_clipped),
+    "shape": _Check(_check_shape, 1e-3, _xi_profile(2.0), steps=_OPERATOR_STEPS,
+                    requires=_spectral3),
+    "sphere": _Check(_check_sphere, 1e-6, _clipped_window, requires=_round_sphere),
+    "consistency": _Check(_check_consistency, 1e-6, _clipped_window,
+                          steps=(1e-8, 1e-3, 5e-3)),
     "weingarten-paper-literal": _Check(partial(_check_weingarten, paper_literal=True),
-                                       1e-9, requires=_spectral3, opt_in=True),
+                                       1e-9, _xi_profile(2.95), requires=_spectral3,
+                                       opt_in=True),
 }
 
 CHECK_NAMES = tuple(n for n, c in _CHECKS.items() if not c.opt_in)
@@ -670,6 +686,8 @@ def run_checks(
     for name in names:
         check = _CHECKS[name]
         reason, h = check.requires(surface), None
+        if reason is None and check.sample is _clipped_window:
+            reason = _overlap(surface)
         if reason is not None and explicit:
             raise CheckConfigError(f"check {name!r} incompatible: {reason}")
         if reason is None and check.steps is not None:
@@ -683,19 +701,15 @@ def run_checks(
                 h = fd_step
         plan.append((name, reason, h))
 
-    cfg = _Config(surface=surface, nx=int(nx), nt=int(nt))
+    nx, nt = int(nx), int(nt)
+    window = _label(nx, nt, surface.x_range, surface.t_range)
     results = []
     for name, reason, h in plan:
         if reason is None:
+            cfg = _Config(surface, nx, nt, _CHECKS[name].sample)
             results.append(_RUNNERS[name](cfg, name, tols[name], h))
         else:
-            results.append(CheckResult(
-                name=name,
-                passed=None,
-                max_residual=float("nan"),
-                median_residual=float("nan"),
-                tolerance=tols[name],
-                grid=cfg.label(),
-                note=f"skipped: {reason}",
-            ))
-    return VerificationReport(surface=surface, grid=cfg.label(), checks=tuple(results))
+            results.append(CheckResult(name=name, passed=None, max_residual=math.nan,
+                                       median_residual=math.nan, tolerance=tols[name],
+                                       grid=window, note=f"skipped: {reason}"))
+    return VerificationReport(surface=surface, grid=window, checks=tuple(results))

@@ -133,9 +133,9 @@ def test_frame_tangent_lengths_match_metric():
 def test_frame_tangents_match_the_general_inverse(pid):
     # Phi^H / det Phi against numpy's inverse of Phi, on the clipped grid of
     # the consistency check: the two agree to rounding
-    surface = resolve(pid)
+    surface = resolve(pid, x_range=(-2.0, 2.0), t_range=(-2.0, 2.0))
     p, kind = surface.params, surface.family.kind
-    x, t = surface.grid(41, 41, half=2.0)
+    x, t = surface.grid(41, 41)
     j = jet(x, t, p)
     f = phi(j)
     finv = np.linalg.inv(f)

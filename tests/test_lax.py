@@ -84,8 +84,8 @@ def test_phi_proportional_to_unitary(p):
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_phi_proportional_to_unitary_on_the_clipped_grid(preset):
     # as the lax and consistency checks sample each preset
-    surface = resolve(preset)
-    _assert_phi_proportional_to_unitary(surface.params, *surface.grid(41, 41, half=2.0))
+    surface = resolve(preset, x_range=(-2.0, 2.0), t_range=(-2.0, 2.0))
+    _assert_phi_proportional_to_unitary(surface.params, *surface.grid(41, 41))
 
 
 def _phi_eight_chains(x, t, p):
@@ -127,9 +127,9 @@ def test_phi_is_bitwise_the_eight_chain_formula(preset):
     # A = 1, B = -e^(-pi lam/k1)/k1, so it pins the shared-term arithmetic
     # of ``phi``: the second column as the first column's terms with -B,
     # and the t factors formed once per row
-    surface = resolve(preset)
+    surface = resolve(preset, x_range=(-2.0, 2.0), t_range=(-2.0, 2.0))
     p = surface.params
-    x, t = surface.grid(23, 19, half=2.0)
+    x, t = surface.grid(23, 19)
     h = 1e-6
     for d in (0.0, h, -h, h / 2, -h / 2):
         for xx, tt, terms in ((x + d, t, None), (x + d, t, lax._time_terms(t, p)),
@@ -153,7 +153,8 @@ _RNG = np.random.default_rng(32)
 
 
 @pytest.mark.parametrize("t", [
-    resolve("ex2").grid(41, 41, half=2.0)[1].reshape(-1)[:1000],  # a tile's rows
+    # a tile's rows
+    resolve("ex2", x_range=(-2.0, 2.0), t_range=(-2.0, 2.0)).grid(41, 41)[1].reshape(-1)[:1000],
     resolve("ex7").grid(201, 201)[1],                             # a 2-D grid
     _RNG.uniform(-3.0, 3.0, 777),                                 # no runs
     np.array([0.0, -0.0, -0.0, 0.0, 0.0, 1.5, -0.0]),            # signed zeros

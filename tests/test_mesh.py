@@ -461,9 +461,9 @@ def test_a_column_that_does_not_repeat_is_formatted_per_block(monkeypatch):
 
 
 def _assert_g17_is_format(values):
-    """``ms._g17`` of each value is the text of format(v, ".17g")."""
+    """``ms._float_text`` of each value is the text of format(v, ".17g")."""
     values = np.asarray(values, dtype=np.float64)
-    got = [row.tobytes().replace(b"\0", b"").decode() for row in ms._g17(values)]
+    got = [row.tobytes().replace(b"\0", b"").decode() for row in ms._float_text(values)]
     want = [format(v, ".17g") for v in values.tolist()]
     bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
     assert not bad, bad[:5]
@@ -519,7 +519,7 @@ def test_g17_is_format_17g_at_the_edges(edges):
 
 def test_g17_known_texts():
     text = [row.tobytes().replace(b"\0", b"").decode()
-            for row in ms._g17(np.array([1e-7, 1e-6, 1235 / 2 ** 20, 1e-14, 1e16, -0.0]))]
+            for row in ms._float_text(np.array([1e-7, 1e-6, 1235 / 2 ** 20, 1e-14, 1e16, -0.0]))]
     assert text == ["9.9999999999999995e-08", "9.9999999999999995e-07",
                     "0.0011777877807617188", "1e-14", "10000000000000000", "-0"]
     assert len(_ties()) > 50
@@ -537,7 +537,7 @@ def test_g17_fast_path_formats_nearly_every_position(monkeypatch):
         return format(value, spec)
 
     monkeypatch.setattr(ms, "format", counted, raising=False)
-    ms._g17(mesh.vertices)
+    ms._float_text(mesh.vertices)
     assert 0 < len(slow) <= 0.01 * mesh.vertices.size
 
 

@@ -273,6 +273,63 @@ def test_clipped_checks_label_the_window_sampled():
     one_axis = resolve("ex2", x_range=(-1.0, 3.0))
     rep = vf.run_checks(["lax"], one_axis, nx=5, nt=5)
     assert rep.checks[0].grid == "5x5 on [-1,2]x[-2,2]"
+    # a window that touches the square only at t = 2 skips the four checks
+    # of the clipped sample, and its skips carry the window's label
+    touching = resolve("ex2", t_range=(2.0, 4.0))
+    rep = vf.run_checks("all", touching, nx=5, nt=5)
+    skipped = [c for c in rep.checks if c.passed is None]
+    assert [c.name for c in skipped] == list(clipped)
+    assert {(c.grid, c.note) for c in skipped} == {
+        ("5x5 on [-3,3]x[2,4]", "skipped: requires the t window to overlap (-2,2)")}
+
+
+def test_every_check_labels_its_sample():
+    names = vf.CHECK_NAMES + vf.OPT_IN_CHECKS
+    rep = vf.run_checks(names, resolve("ex2"), nx=41, nt=41)
+    window, clipped = "41x41 on [-3,3]x[-3,3]", "41x41 on [-2,2]^2"
+    forms, operator = "41x41 with |xi|<2.95", "41x41 with |xi|<2"
+    assert {c.name: c.grid for c in rep.checks} == {
+        "zerocurv": window, "lax": clipped, "compat": clipped, "forms": forms,
+        "weingarten": forms, "willmore": operator, "shape": operator, "sphere": clipped,
+        "consistency": clipped, "weingarten-paper-literal": forms}
+    assert rep.grid == window
+
+
+def test_only_the_samples_build_grids():
+    # each _CHECKS entry names its sample, and only the sample functions
+    # call Surface.grid, xi_grid or np.meshgrid; the runners take their
+    # grid and its label from cfg.grid()
+    samples = {"_window", "_clipped_window", "_xi_profile"}
+    tree = ast.parse(open(vf.__file__).read())
+    builders = []
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in samples:
+            continue
+        for n in ast.walk(fn):
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            # cfg.grid() is the runner's sample, Surface.grid(nx, nt) a grid
+            if name in ("xi_grid", "meshgrid", "clipped_grid") or (name == "grid" and n.args):
+                builders.append((name, n.lineno))
+    assert not builders, f"grids built outside the samples: {builders}"
+    (table,) = [n for n in tree.body if isinstance(n, ast.AnnAssign)
+                and getattr(n.target, "id", None) == "_CHECKS"]
+    for entry in table.value.values:
+        sample = entry.args[2]
+        named = sample.func if isinstance(sample, ast.Call) else sample
+        assert named.id in samples, ast.unparse(entry)
+    assert all(c.sample.__qualname__.split(".")[0] in samples for c in vf._CHECKS.values())
+    # the runners spell no label: the sample writes it
+    runners = [fn for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_check_")]
+    assert runners
+    for fn in runners:
+        body = fn.body[1:] if ast.get_docstring(fn) else fn.body
+        texts = [n.value for stmt in body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        assert not [v for v in texts if "|xi|" in v or "on [" in v], fn.name
 
 
 def test_every_check_has_a_runner_looked_up_at_call_time(monkeypatch):
