@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks",
         default="all",
         help="comma-separated check names, or 'all' (default); available: "
-        + ", ".join(verify_mod.CHECK_NAMES + verify_mod.OPT_IN_CHECKS),
+        + ", ".join(verify_mod.CHECK_NAMES),
     )
     for name, tol in verify_mod.DEFAULT_TOLERANCES.items():
         ver.add_argument(f"--tol-{name}", type=float, default=None,

@@ -63,7 +63,7 @@ class Frame(NamedTuple):
 
 def _spectral_frame(j: Jet) -> Frame:
     """A = mu dU/dlam (constant diagonal), B = mu dV/dlam."""
-    p, u = j.p, np.asarray(j.u, dtype=float)
+    p, u = j.p, j.u
     zero = su2.vec(np.zeros_like(u), 0.0, 0.0)
     return Frame(
         a=su2.vec(np.zeros_like(u), 0.0, 0.5 * p.mu),
@@ -77,7 +77,7 @@ def _spectral_frame(j: Jet) -> Frame:
 
 def _spectral_gauge_frame(j: Jet) -> Frame:
     """The spectral pair plus the gauge pair with M = i nu sigma2."""
-    p, u = j.p, np.asarray(j.u, dtype=float)
+    p, u = j.p, j.u
     ux, ut = j.u_x, j.u_t
     omega = p.alpha + p.alpha * p.lam + p.lam ** 2
     c = p.alpha + p.lam
@@ -95,7 +95,7 @@ def _spectral_gauge_frame(j: Jet) -> Frame:
 
 def _symmetry_frame(j: Jet) -> Frame:
     """A = mu dU[u_x], B = mu dV[u_x]: the linearization along phi = u_x."""
-    p, u = j.p, np.asarray(j.u, dtype=float)
+    p, u = j.p, j.u
     ux, ut, uxx, uxt = j.u_x, j.u_t, j.u_xx, j.u_xt
     m = -0.5 * p.mu
     c = p.alpha + p.lam

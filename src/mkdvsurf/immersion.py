@@ -434,12 +434,11 @@ def _half_k1(p: SolitonParams) -> bool:
     return abs(abs(p.k1) - 2.0 * abs(p.lam)) <= 1e-12 * max(1.0, abs(p.k1))
 
 
-def weingarten_residuals(K, H, p: SolitonParams,
-                         paper_literal: bool = False) -> WeingartenResiduals:
+def weingarten_residuals(K, H, p: SolitonParams) -> WeingartenResiduals:
     """Evaluate the cubic (and, when |k1| = 2 |lam|, quadratic) K-H relations.
 
-    The cubic's constant term is 4 (k1^2 + 2 lam^2)^2; with paper_literal the
-    coefficient 4 is dropped, reproducing a documented nonzero defect.
+    The cubic's constant term is 4 (k1^2 + 2 lam^2)^2; the paper prints
+    (k1^2 + 2 lam^2)^2, which leaves the defect 3 (k1^2 + 2 lam^2)^2.
     """
     K = np.asarray(K, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -448,7 +447,7 @@ def weingarten_residuals(K, H, p: SolitonParams,
     t1 = 8.0 * m2 * H ** 2 * (m2 * K + p.k1 ** 2)
     t2 = 9.0 * m2 ** 2 * K ** 2
     t3 = 12.0 * m2 * c * K
-    t4 = (1.0 if paper_literal else 4.0) * c ** 2
+    t4 = 4.0 * c ** 2
     cubic = t1 - t2 - t3 - t4
     cubic_scale = np.maximum.reduce(
         [np.abs(t1), np.abs(t2), np.abs(t3), np.full_like(t1, abs(t4))]

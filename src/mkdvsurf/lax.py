@@ -46,7 +46,7 @@ from .soliton import Jet, SolitonParams
 
 def lax_U(u, lam: float) -> np.ndarray:
     """U as the vector (-u/2, 0, lam/2), i.e. U = (i/2) [[lam, -u], [-u, -lam]]."""
-    return su2.vec(-0.5 * np.asarray(u, dtype=float), 0.0, 0.5 * lam)
+    return su2.vec(-0.5 * u, 0.0, 0.5 * lam)
 
 
 def lax_V(u, u_x, lam: float, alpha: float) -> np.ndarray:
@@ -55,14 +55,13 @@ def lax_V(u, u_x, lam: float, alpha: float) -> np.ndarray:
     With w = u^2/2 - (alpha + alpha lam + lam^2) that is the printed matrix
     V = -(i/2) [[w, (alpha+lam) u - i u_x], [(alpha+lam) u + i u_x, -w]].
     """
-    u = np.asarray(u, dtype=float)
     w = 0.5 * u ** 2 - (alpha + alpha * lam + lam ** 2)
-    return su2.vec(-0.5 * (alpha + lam) * u, -0.5 * np.asarray(u_x, dtype=float), -0.5 * w)
+    return su2.vec(-0.5 * (alpha + lam) * u, -0.5 * u_x, -0.5 * w)
 
 
 def zero_curvature_residual(j: Jet) -> np.ndarray:
     """U_t - V_x + [U, V] as a vector, with all derivatives in closed form."""
-    p, u = j.p, np.asarray(j.u, dtype=float)
+    p, u = j.p, j.u
     ux = j.u_x
     U = lax_U(u, p.lam)
     V = lax_V(u, ux, p.lam, p.alpha)

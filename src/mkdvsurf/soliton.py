@@ -6,7 +6,9 @@ alpha = k1^2 / 4.  :func:`jet` evaluates xi, sech(xi) and tanh(xi) once at
 a set of points, and the returned :class:`Jet` gives u and its x and t
 derivatives as exact chain-rule expressions in sech(xi) and tanh(xi).  Every
 pointwise kernel (``lax``, ``deformation``, ``immersion``) is handed its
-caller's jet; only the functions that take (x, t) call :func:`jet`.
+caller's jet and computes in the jet's type (long double, or sympy
+symbols in the tests' proofs); only the functions that take (x, t) call
+:func:`jet`, which reads them as float64.
 What reads only xi repeats with it: :func:`repeats` finds the distinct
 values that ``verify`` evaluates once and ``mesh`` formats once.
 """

@@ -51,11 +51,13 @@ def vec(v1, v2, v3) -> np.ndarray:
     """The vector (..., 3) of i(v1 sigma1 + v2 sigma2 + v3 sigma3).
 
     The components broadcast against each other, so constants may be given
-    as scalars next to grid-valued components.
+    as scalars next to grid-valued components.  The vector has the
+    components' result type, at least float64: long double stays long
+    double, and sympy expressions give an object array.
     """
-    v1, v2, v3 = np.broadcast_arrays(v1, v2, v3)
-    out = np.empty(v1.shape + (3,))
-    out[..., 0], out[..., 1], out[..., 2] = v1, v2, v3
+    parts = np.asarray(v1), np.asarray(v2), np.asarray(v3)
+    out = np.empty(np.broadcast(*parts).shape + (3,), np.result_type(*parts, float))
+    out[..., 0], out[..., 1], out[..., 2] = parts
     return out
 
 
@@ -77,9 +79,10 @@ def su2_norm(x: np.ndarray) -> np.ndarray:
 
 
 def vec_to_su2(v: np.ndarray) -> np.ndarray:
-    """Map a vector (..., 3) to F = i * sum_k v_k sigma_k, shape (..., 2, 2)."""
-    v = np.asarray(v, dtype=float)
-    out = empty_2x2(v.shape[:-1])
+    """Map a vector (..., 3) to F = i * sum_k v_k sigma_k, shape (..., 2, 2),
+    in the components' complex result type, at least complex128."""
+    v = np.asarray(v)
+    out = empty_2x2(v.shape[:-1], np.result_type(v, complex))
     v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
     out[..., 0, 0] = 1j * v3
     out[..., 1, 1] = -1j * v3
@@ -116,7 +119,7 @@ def su2_defects(f: np.ndarray) -> np.ndarray:
     The three are maxima, so those of a stack split into parts are the
     elementwise maxima of the parts' (``np.max(..., axis=0)``), bit for bit.
     """
-    f = np.asarray(f, dtype=complex)
+    f = np.asarray(f)
     f00, f01, f10, f11 = f[..., 0, 0], f[..., 0, 1], f[..., 1, 0], f[..., 1, 1]
     # F + F^H has the entries 2 Re f00, 2 Re f11 and f01 + conj(f10), the
     # last twice over (once conjugated)
@@ -145,6 +148,6 @@ def check_su2(tr_defect: float, ah_defect: float, f_max: float) -> None:
 def su2_components(f: np.ndarray) -> np.ndarray:
     """The vector (..., 3) that vec_to_su2 maps to f, for f in su(2): read
     from the entries without testing membership (see ``check_su2``)."""
-    f = np.asarray(f, dtype=complex)
+    f = np.asarray(f)
     f00, f01, f10 = f[..., 0, 0], f[..., 0, 1], f[..., 1, 0]
     return vec((f01.imag + f10.imag) * 0.5, (f01.real - f10.real) * 0.5, f00.imag)

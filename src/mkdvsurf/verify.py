@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -48,7 +47,6 @@ from .soliton import SolitonParams, check_grid, jet, repeats, tiled, xi, xi_grid
 
 __all__ = [
     "CHECK_NAMES",
-    "OPT_IN_CHECKS",
     "DEFAULT_TOLERANCES",
     "CheckResult",
     "VerificationReport",
@@ -194,7 +192,13 @@ def _clipped_window(surface: Surface, nx: int, nt: int):
 
 
 def _xi_profile(half: float):
-    """nx values of xi across |xi| <= half on each of nt rows (``soliton.xi_grid``)."""
+    """nx values of xi across |xi| <= half on each of nt rows (``soliton.xi_grid``).
+
+    The rows span t in [-1, 1] whatever the surface's window: the profile
+    follows the soliton, not the window, so a check on it samples the same
+    points for any window (``--x-min`` ... ``--t-max``), is never skipped for
+    it, and only its label says what it sampled.
+    """
     def sample(surface: Surface, nx: int, nt: int):
         x, t = xi_grid(surface.params, half, nx, nt)
         return x, t, f"{nx}x{nt} with |xi|<{half:g}"
@@ -406,14 +410,13 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
                    note="frame curvatures vs closed forms")
 
 
-def _check_weingarten(cfg: _Config, name: str, tol: float, h: None,
-                      paper_literal: bool = False) -> CheckResult:
+def _check_weingarten(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
     x, t, label = cfg.grid()
 
     def pointwise(xx, tt):
         cur = cfg.surface.family.curvatures(jet(xx, tt, p))
-        wr = immersion.weingarten_residuals(cur.K, cur.H, p, paper_literal=paper_literal)
+        wr = immersion.weingarten_residuals(cur.K, cur.H, p)
         res = (np.abs(wr.cubic) / wr.cubic_scale,)
         if wr.quadratic is not None:
             res += (np.abs(wr.quadratic) / wr.quadratic_scale,)
@@ -423,8 +426,6 @@ def _check_weingarten(cfg: _Config, name: str, tol: float, h: None,
     note = "cubic K-H relation"
     if len(res) == 2:
         note += f" and quadratic at k1 = {'' if p.k1 * p.lam > 0 else '-'}2 lambda"
-    if paper_literal:
-        note = "uncorrected constant term; failure expected and documented"
     return _result(name, label, tol, np.concatenate([r.reshape(-1) for r in res]), note=note)
 
 
@@ -573,16 +574,14 @@ class _Check:
     ``run`` is its runner; ``tol`` its default tolerance; ``sample`` its
     grid; ``steps`` the (min, default, max) of its finite-difference step,
     None if it does not difference; ``requires`` maps a Surface to the
-    reason the check cannot run on it, or None; ``opt_in`` keeps it out of
-    ``--checks all``.
+    reason the check cannot run on it, or None.
     """
 
-    run: Callable[..., CheckResult]
+    run: Callable[[_Config, str, float, float | None], CheckResult]
     tol: float
     sample: Callable
     steps: tuple[float, float, float] | None = None
     requires: Callable[[Surface], str | None] = _anywhere
-    opt_in: bool = False
 
 
 # The checks, in report order.  Step ranges: outside them a check measures
@@ -590,9 +589,7 @@ class _Check:
 # divergence operators of willmore and shape (FAIL on ex2..ex5), and from
 # 7e-3 up truncation fails consistency on ex4.  Measured on all seven presets
 # at 5^2, 21^2, 41^2 and 101^2; the willmore/shape floor keeps a factor 3
-# above the smallest passing step, 3e-5.  The opt-in check is a regression
-# check that is expected to fail: it pins down the known defect of the
-# uncorrected Weingarten relation.
+# above the smallest passing step, 3e-5.
 _OPERATOR_STEPS = (1e-4, diffgeo.OPERATOR_STENCIL.h, 1e-2)
 _CHECKS: dict[str, _Check] = {
     "zerocurv": _Check(_check_zerocurv, 1e-10, _window),
@@ -607,13 +604,9 @@ _CHECKS: dict[str, _Check] = {
     "sphere": _Check(_check_sphere, 1e-6, _clipped_window, requires=_round_sphere),
     "consistency": _Check(_check_consistency, 1e-6, _clipped_window,
                           steps=(1e-8, 1e-3, 5e-3)),
-    "weingarten-paper-literal": _Check(partial(_check_weingarten, paper_literal=True),
-                                       1e-9, _xi_profile(2.95), requires=_spectral3,
-                                       opt_in=True),
 }
 
-CHECK_NAMES = tuple(n for n, c in _CHECKS.items() if not c.opt_in)
-OPT_IN_CHECKS = tuple(n for n, c in _CHECKS.items() if c.opt_in)
+CHECK_NAMES = tuple(_CHECKS)
 DEFAULT_TOLERANCES: dict[str, float] = {n: c.tol for n, c in _CHECKS.items()}
 # Looked up by name at call time, so that an entry replaced here (to time or
 # instrument a check) is the one that runs.
@@ -631,11 +624,10 @@ def run_checks(
     """Run named checks on a surface (see :func:`immersion.resolve`) and
     aggregate a report.
 
-    ``checks`` is "all" (every standard check; incompatible ones appear as
-    skipped with the reason) or an explicit list of at least one check, each
-    named once, which may also include the opt-in regression checks and
-    raises ``CheckConfigError`` when a listed check cannot run for this
-    configuration.  A tolerance must be finite and >= 0.  ``fd_step``, when
+    ``checks`` is "all" (every check; incompatible ones appear as skipped
+    with the reason) or an explicit list of at least one check, each named
+    once, which raises ``CheckConfigError`` when a listed check cannot run
+    for this configuration.  A tolerance must be finite and >= 0.  ``fd_step``, when
     given, is the one finite-difference step of the lax, consistency,
     willmore and shape checks; it must lie in
     [diffgeo.STEP_MIN, diffgeo.STEP_MAX] and in the step range of each of

@@ -1,14 +1,16 @@
 """Readings of package results that more than one test file takes."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
+import sympy as sp
 
 from mkdvsurf import su2
 from mkdvsurf.diffgeo import shape_equation_residual
 from mkdvsurf.lagrangian import FLAT_MONOMIALS
-from mkdvsurf.soliton import jet
+from mkdvsurf.soliton import Jet, jet
 
 
 def far_field_distance(family, j, y=None):
@@ -29,6 +31,15 @@ def far_field_distance(family, j, y=None):
 def flat_coefficients(poly):
     """Coefficients of ``poly`` in the flat ordering of its degree."""
     return tuple(poly.coeffs.get(nl, 0.0) for nl in FLAT_MONOMIALS[poly.N])
+
+
+def printed_cubic(K, H, p):
+    """The cubic K-H relation as the paper prints it: its constant term is
+    (k1^2 + 2 lam^2)^2, a quarter of the 4 (k1^2 + 2 lam^2)^2 that
+    ``immersion.weingarten_residuals`` corrects it to."""
+    m2, c = p.mu ** 2, p.k1 ** 2 + 2.0 * p.lam ** 2
+    return (8.0 * m2 * H ** 2 * (m2 * K + p.k1 ** 2) - 9.0 * m2 ** 2 * K ** 2
+            - 12.0 * m2 * c * K - c ** 2)
 
 
 def su2_to_vec(f):
@@ -60,3 +71,38 @@ def shape_residuals(surface, energies, x, t, s=None):
     res, scale = shape_equation_residual(surface.curvatures, (surface.forms,), energies,
                                          x, t, (surface.forms(x, t),), s)
     return list(zip(res[0], scale[0]))
+
+
+class Symbolic(NamedTuple):
+    """The symbolic model of the soliton (:func:`symbolic_model`)."""
+
+    jet: Jet
+    S: sp.Symbol
+    T: sp.Symbol
+
+    def reduce(self, expr):
+        """``expr`` with its float constants as exact rationals, expanded and
+        reduced by T^2 = 1 - S^2: 0 exactly when ``expr`` vanishes on the
+        soliton."""
+        expr = sp.expand(sp.nsimplify(sp.sympify(expr), rational=True))
+        return sp.expand(sp.rem(expr, self.T ** 2 + self.S ** 2 - 1, self.T))
+
+    def d_xi(self, expr):
+        """d/d(xi) by the chain rule, with dS/dxi = -S T and dT/dxi = S^2."""
+        expr = sp.sympify(expr)
+        return sp.diff(expr, self.S) * (-self.S * self.T) + sp.diff(expr, self.T) * self.S ** 2
+
+
+def symbolic_model() -> Symbolic:
+    """A soliton jet in symbols, for exact proofs of the pointwise kernels.
+
+    The parameter record is duck-typed: k1, lam, mu and nu are symbols and
+    alpha is k1^2/4 exactly.  The jet's s = sech(xi) and tau = tanh(xi) are
+    the symbols S and T, tied by T^2 = 1 - S^2 (:meth:`Symbolic.reduce`), so
+    the kernels, which compute in their jet's type, return sympy
+    expressions, held in object arrays.
+    """
+    k1, lam, mu, nu = sp.symbols("k1 lambda mu nu", real=True)
+    x, t, xi, S, T = sp.symbols("x t xi S T", real=True)
+    p = SimpleNamespace(k1=k1, lam=lam, mu=mu, nu=nu, alpha=k1 ** 2 / 4)
+    return Symbolic(Jet(p, x, t, xi, S, T), S, T)

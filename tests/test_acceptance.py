@@ -28,7 +28,7 @@ from mkdvsurf.lax import det_phi_expected, lax_residuals, phi, zero_curvature_re
 from mkdvsurf.soliton import SolitonParams, jet, xi_grid
 from mkdvsurf.verify import run_checks
 
-from helpers import far_field_distance, fields, flat_coefficients, shape_residuals
+from helpers import far_field_distance, fields, flat_coefficients, printed_cubic, shape_residuals
 
 ALL_PRESETS = list(PRESETS)
 
@@ -173,7 +173,7 @@ def test_criterion_06_curvature_relation():
         worst_quad = max(worst_quad, float(np.max(np.abs(wr.quadratic) / wr.quadratic_scale)))
     p0 = SolitonParams(2.0, 1.0, 1.0)
     cur0 = SPECTRAL3.curvatures(jet(0.0, 0.0, p0))  # crest: xi = 0
-    defect = float(weingarten_residuals(cur0.K, cur0.H, p0, paper_literal=True).cubic)
+    defect = float(printed_cubic(cur0.K, cur0.H, p0))
     ok = worst_cubic < 1e-9 and worst_quad < 1e-9 and abs(defect - 108.0) < 1e-9
     assert _line(6, ok, f"cubic {worst_cubic:.2e}, quadratic {worst_quad:.2e} "
                         f"(tol 1e-9), uncorrected defect {defect:.12g} (expected 108)")

@@ -1,0 +1,88 @@
+"""Exact proofs of the frame, Lax and closed-form identities on a symbolic jet,
+and the long-double boundary: the pointwise kernels compute in their jet's type.
+
+The symbolic model (``helpers.symbolic_model``) carries k1, lambda, mu and nu
+as symbols and sech xi, tanh xi as S, T with T^2 = 1 - S^2, so each identity
+below holds for every parameter and every point, where the numeric tests
+sample some of them.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from mkdvsurf import su2
+from mkdvsurf.deformation import DeformationKind, ab_compatibility_residual, frame
+from mkdvsurf.immersion import four_param_forms_closed, three_param_forms_closed
+from mkdvsurf.lax import zero_curvature_residual
+from mkdvsurf.soliton import Jet, SolitonParams
+
+from helpers import symbolic_model
+
+KINDS = list(DeformationKind)
+
+
+@functools.cache
+def model():
+    return symbolic_model()
+
+
+@functools.cache
+def symbolic_frame(kind):
+    return frame(model().jet, kind)
+
+
+def assert_zero(*exprs):
+    for e in exprs:
+        assert model().reduce(e) == 0, e
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_frame_derivatives_are_the_xi_derivatives(kind):
+    # on the traveling wave d/dx = (k1/2) d/dxi and d/dt = (k1^3/8) d/dxi
+    m = model()
+    k1 = m.jet.p.k1
+    f = symbolic_frame(kind)
+    for v, v_x, v_t in ((f.a, f.a_x, f.a_t), (f.b, f.b_x, f.b_t)):
+        for c, c_x, c_t in zip(v, v_x, v_t):
+            dc = m.d_xi(c)
+            assert_zero(c_x - k1 / 2 * dc, c_t - k1 ** 3 / 8 * dc)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_compatibility_residual_vanishes(kind):
+    assert_zero(*ab_compatibility_residual(model().jet, kind))
+
+
+def test_zero_curvature_residual_vanishes():
+    assert_zero(*zero_curvature_residual(model().jet))
+
+
+@pytest.mark.parametrize("closed, kind", [
+    (three_param_forms_closed, DeformationKind.SPECTRAL),
+    (four_param_forms_closed, DeformationKind.SPECTRAL_GAUGE),
+])
+def test_closed_first_form_is_the_frames(closed, kind):
+    # g = (<A,A>, <A,B>, <B,B>) of the family's frame, for every parameter
+    a, b = symbolic_frame(kind)[:2]
+    g = closed(model().jet)
+    assert_zero(g.g11 - su2.su2_inner(a, a), g.g12 - su2.su2_inner(a, b),
+                g.g22 - su2.su2_inner(b, b))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+def test_long_double_jet_gives_long_double_residuals():
+    # a jet evaluated in long double keeps its type through the frames and
+    # the Lax pair, so the residuals reach long double's rounding (float64
+    # reads about 3.6e-15 and 2.5e-16 here)
+    p = SolitonParams(2.0, 1.0, mu=-8.0, nu=0.5)
+    axis = np.linspace(-2, 2, 41, dtype=np.longdouble)
+    x, t = np.meshgrid(axis, axis)
+    z = p.k1 * (p.k1 ** 2 * t + 4 * x) / 8
+    j = Jet(p, x, t, z, 1 / np.cosh(z), np.tanh(z))
+    residuals = [ab_compatibility_residual(j, kind) for kind in KINDS]
+    for res in residuals + [zero_curvature_residual(j)]:
+        assert res.dtype == np.longdouble
+        assert np.max(np.abs(res)) <= 1e-17

@@ -415,13 +415,22 @@ def test_verify_json_stdout(capsys):
     assert json.loads(out)["passed"] is True
 
 
-def test_paper_literal_regression_via_cli(capsys):
-    code, out, _ = run(
+def test_the_uncorrected_weingarten_check_is_unknown(capsys):
+    # the paper's uncorrected cubic is pinned by tests, not run as a check
+    code, out, err = run(
         capsys, "verify", "--preset", "ex2", "--checks", "weingarten-paper-literal",
         "--nx", "9", "--nt", "9",
     )
-    assert code == 1
-    assert "expected" in out
+    assert code == 2 and out == ""
+    assert err == ("error: unknown checks: weingarten-paper-literal; valid: "
+                   + ", ".join(verify_mod.CHECK_NAMES) + "\n")
+
+
+def test_the_uncorrected_weingarten_tolerance_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--preset", "ex2", "--tol-weingarten-paper-literal", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-weingarten-paper-literal" in capsys.readouterr().err
 
 
 def test_weingarten_note_names_the_sign_of_k1_over_lambda(capsys):

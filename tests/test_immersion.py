@@ -29,7 +29,7 @@ from mkdvsurf.immersion import (
 from mkdvsurf.lax import phi
 from mkdvsurf.soliton import XI_MAX, SolitonParams, jet, xi_grid
 
-from helpers import far_field_distance, su2_to_vec
+from helpers import far_field_distance, printed_cubic, su2_to_vec
 
 GRID = np.meshgrid(np.linspace(-2, 2, 13), np.linspace(-2, 2, 13))
 
@@ -203,11 +203,12 @@ def test_weingarten_no_quadratic_off_ridge():
 
 def test_weingarten_uncorrected_defect():
     # at the crest of k1=2, lam=1, mu=1 (K=4, H=3) the uncorrected constant
-    # term leaves residual 3 (k1^2 + 2 lam^2)^2 = 108
+    # term leaves residual 3 (k1^2 + 2 lam^2)^2 = 108, where the corrected
+    # cubic leaves none
     p = SolitonParams(2.0, 1.0, mu=1.0)
     cur = three_param_curvatures_closed(jet(0.0, 0.0, p))
-    wr = weingarten_residuals(cur.K, cur.H, p, paper_literal=True)
-    assert float(wr.cubic) == pytest.approx(108.0, abs=1e-9)
+    assert float(printed_cubic(cur.K, cur.H, p)) == pytest.approx(108.0, abs=1e-9)
+    assert float(weingarten_residuals(cur.K, cur.H, p).cubic) == 0.0
 
 
 def _curvatures_at_both_signs(k1, mu, x, t):

@@ -58,19 +58,6 @@ def test_grid_sizes_must_be_integers():
     assert rep.grid.startswith("11x5 ")
 
 
-def test_opt_in_check_not_in_all():
-    rep = vf.run_checks("all", resolve("ex2"))
-    assert "weingarten-paper-literal" not in [c.name for c in rep.checks]
-
-
-def test_paper_literal_regression_fails_as_documented():
-    rep = vf.run_checks(["weingarten-paper-literal"], resolve("ex2"))
-    c = rep.checks[0]
-    assert c.passed is False
-    assert not rep.passed
-    assert "expected" in c.note
-
-
 def test_tolerance_override_flips_outcome():
     rep = vf.run_checks(["zerocurv"], resolve("ex2"), tolerances={"zerocurv": 1e-30})
     assert not rep.passed
@@ -284,14 +271,13 @@ def test_clipped_checks_label_the_window_sampled():
 
 
 def test_every_check_labels_its_sample():
-    names = vf.CHECK_NAMES + vf.OPT_IN_CHECKS
-    rep = vf.run_checks(names, resolve("ex2"), nx=41, nt=41)
+    rep = vf.run_checks(vf.CHECK_NAMES, resolve("ex2"), nx=41, nt=41)
     window, clipped = "41x41 on [-3,3]x[-3,3]", "41x41 on [-2,2]^2"
     forms, operator = "41x41 with |xi|<2.95", "41x41 with |xi|<2"
     assert {c.name: c.grid for c in rep.checks} == {
         "zerocurv": window, "lax": clipped, "compat": clipped, "forms": forms,
         "weingarten": forms, "willmore": operator, "shape": operator, "sphere": clipped,
-        "consistency": clipped, "weingarten-paper-literal": forms}
+        "consistency": clipped}
     assert rep.grid == window
 
 
@@ -335,10 +321,10 @@ def test_only_the_samples_build_grids():
 def test_every_check_has_a_runner_looked_up_at_call_time(monkeypatch):
     # per-check timing wraps the entries of _RUNNERS, so each check has one
     # and run_checks calls whatever the entry holds when it runs
-    assert set(vf._RUNNERS) == set(vf.CHECK_NAMES + vf.OPT_IN_CHECKS)
+    assert set(vf._RUNNERS) == set(vf.CHECK_NAMES)
     assert vf._RUNNERS["weingarten"] is vf._check_weingarten
     calls = []
-    for name in ("zerocurv", "weingarten-paper-literal"):
+    for name in ("zerocurv", "weingarten"):
         runner = vf._RUNNERS[name]
 
         def counted(*args, _runner=runner):
@@ -346,15 +332,15 @@ def test_every_check_has_a_runner_looked_up_at_call_time(monkeypatch):
             return _runner(*args)
 
         monkeypatch.setitem(vf._RUNNERS, name, counted)
-    rep = vf.run_checks(["zerocurv", "weingarten-paper-literal"], resolve("ex2"), nx=5, nt=5)
-    assert calls == ["zerocurv", "weingarten-paper-literal"]
+    rep = vf.run_checks(["zerocurv", "weingarten"], resolve("ex2"), nx=5, nt=5)
+    assert calls == ["zerocurv", "weingarten"]
     assert [c.name for c in rep.checks] == calls
 
 
 def test_check_names_are_written_only_in_the_table():
     # a check is declared by its one _CHECKS entry: no other line of the
     # module spells a check's name
-    names = set(vf.CHECK_NAMES + vf.OPT_IN_CHECKS)
+    names = set(vf.CHECK_NAMES)
     tree = ast.parse(open(vf.__file__).read())
     (table,) = [n for n in tree.body if isinstance(n, ast.AnnAssign)
                 and getattr(n.target, "id", None) == "_CHECKS"]
@@ -399,8 +385,6 @@ def test_every_residual_reduced_is_a_magnitude(monkeypatch):
 
     monkeypatch.setattr(vf, "_stats", spy)
     reports = [vf.run_checks("all", resolve(preset)) for preset in immersion.PRESETS]
-    reports += [vf.run_checks(["weingarten-paper-literal"], resolve(preset))
-                for preset in ("ex2", "ex3", "ex4", "ex5")]
     # every check that ran reduced through _stats, except shape, which
     # keeps the points away from near-singular forms
     ran = [c for rep in reports for c in rep.checks if c.passed is not None]
