@@ -29,11 +29,13 @@ k1 1.7, lambda 0.3137, mu -2.2 is one whose K, H and xi barely repeat (1.3
 to 1.4 rows per distinct K and H value up to 401^2, and more than 2^16
 distinct values at 1001^2), so at every size the CSV and JSON writers
 format them directly, block by block, rather than from a table.  Each
-run's wall time covers the whole process, interpreter start included, and
-its peak RSS is the child's own ``ru_maxrss``.  Each child runs in the checkout with the fixed
-environment ``CHILD_ENV``, which imports ``src/`` by a relative path, so its
-peak RSS does not move with the size of the caller's environment or the
-length of the checkout's path.  Prints one JSON object; ``--out`` also
+run's wall time covers the whole process, interpreter start included; its
+peak RSS, minor page faults and CPU time are the child's own ``ru_maxrss``,
+``ru_minflt`` and ``ru_utime + ru_stime``, since the ``lax``, ``consistency``
+and CSV timings follow the allocator's page faults.  Each child runs in the
+checkout with the fixed environment ``CHILD_ENV``, which imports ``src/`` by
+a relative path, so its peak RSS does not move with the size of the
+caller's environment or the length of the checkout's path.  Prints one JSON object; ``--out`` also
 writes it to a file.
 
     python3 scripts/scale_bench.py
@@ -83,8 +85,8 @@ CHILD_ENV = {"PYTHONPATH": "src", **{v: "1" for v in THREAD_VARS}}
 
 
 def run_once(root: Path, argv: list[str]) -> dict:
-    """One fresh process in ``root``: exit code, wall seconds and peak RSS
-    in MB."""
+    """One fresh process in ``root``: exit code, wall seconds, peak RSS in
+    MB, minor page faults and CPU seconds (user + system)."""
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "mkdvsurf.cli", *argv], env=CHILD_ENV,
                             cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
@@ -96,7 +98,8 @@ def run_once(root: Path, argv: list[str]) -> dict:
     proc.returncode = code = os.waitstatus_to_exitcode(status)
     if code not in (0, 1):
         raise RuntimeError(f"{' '.join(argv)} exited {code}: {err.strip()}")
-    return {"exit": code, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+    return {"exit": code, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "minor_faults": usage.ru_minflt, "cpu_s": usage.ru_utime + usage.ru_stime}
 
 
 def main(argv=None) -> int:

@@ -13,10 +13,11 @@ axis per surface and per energy.
 points through it.  Fields are pointwise; the one a divergence-form pass
 differentiates is called once per stencil line, on the line's points
 stacked on a new leading axis, at most one tile of :data:`TILE_POINTS`
-points per call.  The module imports no other package module, so the
-oracle cannot reach the closed forms it checks; the geometry types it
-returns live here for that reason, and so does ``TILE_POINTS``, which
-``soliton.tiled`` also reads.
+points per call.  Its quotients, and ``lax``'s complex ones, divide by a
+real scalar through :func:`div_real`.  The module imports no other package
+module, so the oracle cannot reach the closed forms it checks; the geometry
+types it returns live here for that reason, and so does ``TILE_POINTS``,
+which ``soliton.tiled`` also reads.
 """
 
 from __future__ import annotations
@@ -102,10 +103,29 @@ def _shift(f, x, t, d, axis):
     return f(x, t + d)
 
 
+def div_real(a, d):
+    """a / d for a real scalar d, where the caller owns the temporary ``a``.
+
+    numpy has no complex-by-real division loop: a complex a / d divides each
+    element by d + 0j in full.  A complex array ``a`` is instead multiplied
+    in place by 1/d, the reciprocal that the division forms itself, in a's
+    precision: the result equals a / d under ==, with NaN in the same places,
+    and only the sign of an exact zero may differ.  The multiply would also
+    overflow where a part is inf or NaN and the quotient is NaN, so overflow
+    is not reported: an overflowed quotient shows as inf.  Any other ``a``
+    keeps numpy's true division, bit for bit.
+    """
+    if isinstance(a, np.ndarray) and a.dtype.kind == "c":
+        with np.errstate(over="ignore"):
+            a *= a.real.dtype.type(1.0) / d
+        return a
+    return a / d
+
+
 def _d1_once(at, h, order):
     if order == 2:
-        return (at(h) - at(-h)) / (2.0 * h)
-    return (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12.0 * h)
+        return div_real(at(h) - at(-h), 2.0 * h)
+    return div_real(8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h)), 12.0 * h)
 
 
 def _d2_once(at, h, order):
@@ -113,15 +133,15 @@ def _d2_once(at, h, order):
     fp = at(h)
     fm = at(-h)
     if order == 2:
-        return (fp - 2.0 * f0 + fm) / (h * h)
+        return div_real(fp - 2.0 * f0 + fm, h * h)
     fpp = at(2 * h)
     fmm = at(-2 * h)
-    return (-30.0 * f0 + 16.0 * (fp + fm) - (fpp + fmm)) / (12.0 * h * h)
+    return div_real(-30.0 * f0 + 16.0 * (fp + fm) - (fpp + fmm), 12.0 * h * h)
 
 
 def _richardson(coarse, fine, order):
     fac = 2.0 ** order
-    return (fac * fine - coarse) / (fac - 1.0)
+    return div_real(fac * fine - coarse, fac - 1.0)
 
 
 def _quotient(read, s: Stencil, nth: int):

@@ -26,7 +26,7 @@ import numpy as np
 from . import su2
 from .deformation import DeformationKind, frame, validate_kind
 from .diffgeo import CurvaturePair, Forms
-from .lax import det_phi_expected, phi
+from .lax import phi, phi_inverse
 from .soliton import XI_MAX, Jet, SolitonParams
 from .soliton import xi as soliton_xi
 
@@ -409,11 +409,10 @@ def frame_tangents(j: Jet, kind: DeformationKind) -> tuple[np.ndarray, np.ndarra
     Phi both on the jet j, as su(2) matrices (..., 2, 2);
     ``su2.su2_components`` gives their vectors.
 
-    Phi is sqrt(c) times an SU(2) matrix, c = det Phi, so its inverse is
-    Phi^H / c with the constant c of ``lax.det_phi_expected``."""
+    Phi^-1 = Phi^H / det Phi comes from ``lax.phi_inverse``."""
     a, b = frame(j, kind)[:2]
     f = phi(j)
-    finv = np.conj(np.swapaxes(f, -1, -2)) / det_phi_expected(j.p)
+    finv = phi_inverse(f, j.p)
     return (su2.mul(su2.mul(finv, su2.vec_to_su2(a)), f),
             su2.mul(su2.mul(finv, su2.vec_to_su2(b)), f))
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import soliton, su2
-from .diffgeo import Stencil, derivative
+from .diffgeo import Stencil, derivative, div_real
 from .soliton import Jet, SolitonParams
 
 
@@ -72,9 +72,9 @@ def zero_curvature_residual(j: Jet) -> np.ndarray:
 
 def _power_factors(z, p: SolitonParams):
     """P+ = e^{i lam xi/k1 - pi lam/(2 k1)} and its reciprocal P-."""
-    phase = np.exp(1j * p.lam * z / p.k1)
+    phase = np.exp(div_real(1j * p.lam * z, p.k1))
     damp = np.exp(-np.pi * p.lam / (2.0 * p.k1))
-    return phase * damp, np.conj(phase) / damp
+    return phase * damp, div_real(np.conj(phase), damp)
 
 
 def _time_factor(t, p: SolitonParams) -> np.ndarray:
@@ -149,6 +149,13 @@ def det_phi_expected(p: SolitonParams) -> float:
     """The constant det(Phi) = ((k1^2 + 4 lam^2)/k1) (A (-B) - A B) with A = 1,
     which is 2 e^{-pi lam/k1} (k1^2 + 4 lam^2)/k1^2 > 0."""
     return (p.k1 ** 2 + 4.0 * p.lam ** 2) / p.k1 * (-2.0 * _weight_b(p))
+
+
+def phi_inverse(f, p: SolitonParams) -> np.ndarray:
+    """Phi^-1 for Phi = ``phi`` on p's soliton: Phi is sqrt(c) times an SU(2)
+    matrix, c = det Phi, so its inverse is Phi^H / c with the constant c of
+    ``det_phi_expected``."""
+    return div_real(np.conj(np.swapaxes(f, -1, -2)), det_phi_expected(p))
 
 
 def lax_residuals(j: Jet, h: float):

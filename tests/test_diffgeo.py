@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mkdvsurf import diffgeo as dg, lagrangian
-from mkdvsurf.immersion import SPECTRAL3, resolve
-from mkdvsurf.lax import phi
+from mkdvsurf import diffgeo as dg, lagrangian, su2, verify
+from mkdvsurf.immersion import PRESETS, SPECTRAL3, resolve
+from mkdvsurf.lax import det_phi_expected, phi
 from mkdvsurf.soliton import SolitonParams, jet, xi_grid
 
 from helpers import Fields, fields, shape_residuals
@@ -137,6 +137,72 @@ def test_oracle_imports_no_package_module():
         else:
             continue
         assert not [n for n in names if n.split(".")[0] == "mkdvsurf"], names
+
+
+def _real_divisors():
+    # the steps' denominators 2h and 12h at the lax and consistency bounds,
+    # the Richardson denominators 3 and 15, and each preset's Phi constants:
+    # lax._power_factors' damp = e^(-pi lam/(2 k1)) and det Phi; and their negatives
+    steps = [h for name in ("lax", "consistency") for h in verify._CHECKS[name].steps]
+    ds = [2.0 * h for h in steps] + [12.0 * h for h in steps] + [3.0, 15.0]
+    for preset in sorted(PRESETS):
+        p = resolve(preset).params
+        ds += [np.exp(-np.pi * p.lam / (2.0 * p.k1)), det_phi_expected(p)]
+    return ds + [-d for d in ds]
+
+
+# zeros, subnormals, normal, huge and non-finite parts
+_PARTS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.5, 0.7, 3e300, -1.7e308,
+                   np.finfo(float).max, np.inf, -np.inf, np.nan])
+
+
+def _complex_layouts():
+    rng = np.random.default_rng(39)
+    n = 4096
+    values = (rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+              + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n))
+    pairs = np.empty(_PARTS.size ** 2, complex)
+    pairs.real = np.repeat(_PARTS, _PARTS.size)
+    pairs.imag = np.tile(_PARTS, _PARTS.size)
+    flat = np.concatenate([pairs, values])
+    stack = su2.empty_2x2((flat.size // 4,))
+    stack[...] = flat[: stack.size].reshape(-1, 2, 2)
+    return [flat, stack] + [np.array(v) for v in pairs]
+
+
+def _fp_errors(divide):
+    # the floating-point errors numpy reports for one call (underflow is
+    # ignored by default, so it is not compared)
+    seen = set()
+    with np.errstate(all="call", under="ignore", call=lambda kind, flag: seen.add(kind)):
+        out = divide()
+    return out, seen
+
+
+def test_div_real_of_a_complex_array_is_numpy_division():
+    # equal to a / d under ==, NaN in the same parts, in place, and no
+    # floating-point error that a / d does not report
+    for d in _real_divisors():
+        for a in _complex_layouts():
+            want, want_errors = _fp_errors(lambda: a / d)
+            work = a.copy()
+            got, got_errors = _fp_errors(lambda: dg.div_real(work, d))
+            assert got is work
+            assert np.array_equal(got.real, want.real, equal_nan=True), d
+            assert np.array_equal(got.imag, want.imag, equal_nan=True), d
+            assert got_errors <= want_errors, (d, got_errors, want_errors)
+
+
+def test_div_real_of_a_real_array_is_bitwise_numpy_division():
+    rng = np.random.default_rng(39)
+    values = np.concatenate([_PARTS, rng.standard_normal(4096)
+                             * 10.0 ** rng.integers(-320, 300, 4096)])
+    for d in _real_divisors():
+        for a in (values, values.reshape(-1, 1, 1), np.array(values[5])):
+            with np.errstate(all="ignore"):
+                got, want = dg.div_real(a.copy(), d), a / d
+            assert np.array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64)), d
 
 
 def test_mixed_derivative():

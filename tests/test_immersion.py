@@ -26,7 +26,7 @@ from mkdvsurf.immersion import (
     three_param_position,
     weingarten_residuals,
 )
-from mkdvsurf.lax import phi
+from mkdvsurf.lax import det_phi_expected, phi
 from mkdvsurf.soliton import XI_MAX, SolitonParams, jet, xi_grid
 
 from helpers import far_field_distance, printed_cubic, su2_to_vec
@@ -142,6 +142,26 @@ def test_frame_tangents_match_the_general_inverse(pid):
     for got, v in zip(frame_tangents(j, kind), frame(j, kind)[:2]):
         want = finv @ su2.vec_to_su2(v) @ f
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _bits(a):
+    # the stacks are stored entry-first, so their bytes are read through a copy
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("pid", sorted(PRESETS))
+def test_frame_tangents_are_bitwise_the_conjugation_by_phi_h_over_det(pid):
+    # on the consistency check's clipped grid, both tangents are bitwise
+    # Phi^-1 A Phi and Phi^-1 B Phi with Phi^-1 = Phi^H / det Phi formed by
+    # numpy's complex division, as written here
+    surface = resolve(pid, x_range=(-2.0, 2.0), t_range=(-2.0, 2.0))
+    p, kind = surface.params, surface.family.kind
+    j = jet(*surface.grid(41, 41), p)
+    f = phi(j)
+    finv = np.conj(np.swapaxes(f, -1, -2)) / det_phi_expected(p)
+    for got, v in zip(frame_tangents(j, kind), frame(j, kind)[:2]):
+        want = su2.mul(su2.mul(finv, su2.vec_to_su2(v)), f)
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("pid", ["ex2", "ex3", "ex4", "ex5"])

@@ -22,6 +22,7 @@ def test_scale_bench_runs_every_command_at_a_small_grid():
         ("generate spectral3 k1 1.7 json", 11)]
     for r in runs:
         assert r["exit"] == 0 and r["peak_rss_mb"] > 0, r
+        assert r["minor_faults"] >= 0 and r["cpu_s"] >= 0, r
 
 
 def _load_script():
