@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 
@@ -181,7 +182,48 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# glibc's malloc thresholds for a CLI process: blocks of up to 2 MiB come
+# from the heap, so a tile's temporaries (at most 512 KiB) and an export's
+# block buffers (1.6 MB for a CSV block) are reused rather than mapped and
+# page-faulted per call, while grid-sized arrays at 1001^2 (8 MB and more)
+# stay mapped and return to the system when freed; the heap's top is given
+# back only past 32 MiB free.  Fixed thresholds also stop glibc from raising
+# its mmap threshold after whichever large free comes first, so a check's
+# speed does not depend on the checks that ran before it.
+_MMAP_THRESHOLD = 2 << 20
+_TRIM_THRESHOLD = 32 << 20
+# mallopt's parameter numbers in glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# Settings by which the user already tunes glibc's malloc: then it is left alone.
+_MALLOC_VARIABLES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
+@functools.cache
+def _pin_malloc() -> bool:
+    """Set ``_MMAP_THRESHOLD`` and ``_TRIM_THRESHOLD`` by glibc's ``mallopt``,
+    once per process; True if both were set.
+
+    Nothing is set where the C library has no ``mallopt`` or where the
+    environment already tunes malloc (``MALLOC_MMAP_THRESHOLD_``,
+    ``MALLOC_TRIM_THRESHOLD_`` or a ``glibc.malloc.`` entry of
+    ``GLIBC_TUNABLES``).  Only ``main`` calls it: importing the package
+    leaves a library caller's allocator as it was.
+    """
+    if any(v in os.environ for v in _MALLOC_VARIABLES) or \
+            "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return False
+    import ctypes   # here, so that importing the CLI does not load it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) and \
+        bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
 def main(argv=None) -> int:
+    _pin_malloc()
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_negative_values(argv))

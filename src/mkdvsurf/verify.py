@@ -14,14 +14,17 @@ that the ``shape`` check tests.  The frame runners (``consistency``,
 ``compat``, ``forms``, ``lax``) keep across tiles one float64 per residual
 value they report and nothing else; where only a maximum is reported (the
 su(2) test of the ``consistency`` frame, the ``lax`` determinant drift) they
-fold each tile's exact maxima instead.  ``compat``, ``forms`` and
-``sphere``, whose kernels read (x, t) only through the soliton's xi,
-evaluate once per distinct xi of a grid whose xi repeat by the rule of
-``soliton.repeats`` (``_by_xi``), keep a small index of each point's xi, and
-gather the values back per point before they reduce, so they report what an
-evaluation at every point reports, bit for bit.  ``zerocurv`` and
-``weingarten`` read only xi too, but their kernels cost less than the search
-and the gather.  The other four cannot: ``lax`` and ``consistency`` read t
+fold each tile's exact maxima instead.  ``zerocurv``, ``compat``,
+``forms`` and ``sphere``, whose kernels read (x, t) only through the
+soliton's xi, evaluate once per distinct xi of a grid whose xi repeat by the
+rule of ``soliton.repeats`` (``_by_xi``).  The first three reduce over the
+distinct values, each taken as many times as its xi occurs on the grid
+(``_stats`` with counts), and keep nothing per grid point; ``sphere``
+gathers its values back per point through a small index of each point's xi,
+because the summation order of its mean K is that of the grid.  So each
+reports what an evaluation at every point reports, bit for bit.
+``weingarten`` reads only xi too, but its kernel costs less than the search.
+The other four cannot: ``lax`` and ``consistency`` read t
 through Phi's e^{i omega t} and (x, t) through the position's phase, and the
 stencils of ``willmore`` and ``shape`` shift x and t apart, so two points of
 equal xi have stencils of unequal xi.  A check is compatible with a (family,
@@ -217,59 +220,92 @@ class _Config:
         return self.sample(self.surface, self.nx, self.nt)
 
 
-def _stats(res: np.ndarray) -> tuple[float, float]:
+def _stats(res: np.ndarray, counts: np.ndarray | None = None) -> tuple[float, float]:
     """Max and median of a residual of magnitudes (every runner passes
-    entries >= 0).  The median partitions ``res`` in place, so a caller
-    passes an array it owns and does not read afterwards."""
-    return float(np.max(res)), float(np.median(res, overwrite_input=True))
+    entries >= +0.0), each ``res[i]`` taken ``counts[i]`` times where
+    ``counts`` are given (``_by_xi``): ``np.max`` and ``np.median`` of
+    ``np.repeat(res, counts, axis=0)``, bit for bit, without forming it
+    where the values repeat.
+
+    NaN is read from the max.  Otherwise the median of n values is the
+    value of rank n // 2, or the mean of ranks n // 2 - 1 and n // 2 for
+    even n, as ``np.median`` takes it.  Unweighted, one partition at those
+    ranks finds them, in place, so a caller passes an array it owns and
+    does not read afterwards.  Weighted, ``soliton.repeats`` orders the
+    distinct values by their bits, which is their order, since no entry has
+    its sign bit set, and the counts give each value's ranks; values that
+    barely repeat are expanded instead.
+    """
+    values = res.reshape(-1)
+    mx = np.max(values)
+    if np.isnan(mx):
+        return float(mx), float(mx)
+    if counts is not None:
+        counts = np.repeat(counts, values.size // counts.size)
+        found = repeats(values)
+        if found is None:
+            values = np.repeat(values, counts)
+        else:
+            distinct, index_of = found
+            ends = np.cumsum(np.bincount(index_of(values), weights=counts,
+                                         minlength=distinct.size))
+            ranks = [ends[-1] // 2] if ends[-1] % 2 else [ends[-1] // 2 - 1, ends[-1] // 2]
+            return float(mx), float(np.mean(distinct[np.searchsorted(ends, ranks, "right")]))
+    k = values.size // 2
+    ranks = [k] if values.size % 2 else [k - 1, k]
+    values.partition(ranks)
+    return float(mx), float(np.mean(values[ranks[0]:k + 1]))
 
 
-def _by_xi(f, grid, p: SolitonParams):
-    """``tiled(f, *grid)`` with ``f`` evaluated once per distinct xi of the
-    grid (x, t) when its xi repeat (``soliton.repeats``).
+def _by_xi(f, grid, p: SolitonParams, per_point: bool = False):
+    """``f`` on the grid (x, t), evaluated once per distinct xi of the grid
+    when its xi repeat (``soliton.repeats``).
 
     ``f`` must read (x, t) only through the soliton's xi, as the frames and
-    closed forms do.  Returns ``(values, gather)``: ``values`` is ``f`` at
-    one grid point per distinct xi, and ``gather(values)`` is
-    ``tiled(f, *grid)`` bit for bit; ``gather`` takes any array, or tuple of
-    arrays, indexed like ``values``, so a runner may reduce over the
-    distinct values first and gather per point only what it keeps, after
-    dropping its grid.  Each point's index among the distinct xi is kept
-    (2 B per point up to 2^16 distinct xi).  Where xi do not repeat,
-    ``values`` is ``f`` at every point and ``gather`` returns its input.
+    closed forms do.  Returns ``(values, counts)``: ``values`` is ``f`` at
+    one grid point per distinct xi, and ``counts`` the number of grid points
+    of each, so that a runner reduces over the distinct values with their
+    counts (``_stats``) and keeps nothing per grid point.  Where xi do not
+    repeat, ``values`` is ``tiled(f, *grid)`` and ``counts`` None.  With
+    ``per_point``, ``values`` is ``tiled(f, *grid)`` bit for bit in any case,
+    gathered from the distinct values by a small index of each point's xi
+    (2 B per point up to 2^16 distinct xi), and ``counts`` None.
     """
     x, t = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in grid))
     shape, xf, tf = x.shape, x.reshape(-1), t.reshape(-1)
-    found = repeats(tiled(lambda xx, tt: xi(xx, tt, p), xf, tf))
+    z = tiled(lambda xx, tt: xi(xx, tt, p), xf, tf)
+    found = repeats(z)
     if found is None:
-        return tiled(f, x, t), lambda arrays: arrays
+        return tiled(f, x, t), None
     distinct, index_of = found
-    index = tiled(lambda xx, tt: index_of(xi(xx, tt, p)), xf, tf)
+    counts = np.zeros(distinct.size, dtype=np.intp)
     # a grid point of each distinct xi; any one serves
     picked = np.empty(distinct.size, dtype=np.intp)
-    for i in range(0, index.size, diffgeo.TILE_POINTS):
-        part = index[i:i + diffgeo.TILE_POINTS]
+    index = []
+    for i in range(0, z.size, diffgeo.TILE_POINTS):
+        part = index_of(z[i:i + diffgeo.TILE_POINTS])
         picked[part] = np.arange(i, i + part.size)
+        counts += np.bincount(part, minlength=distinct.size)
+        if per_point:
+            index.append(part)
+    del z
     values = tiled(f, xf[picked], tf[picked])
+    if not per_point:
+        return values, counts
 
-    def gather(arrays):
-        single = not isinstance(arrays, tuple)
-        outs = []
-        for a in (arrays,) if single else arrays:
-            out = np.empty(index.shape + a.shape[1:], a.dtype)
-            # tile by tile, so that only a tile's index is widened to intp;
-            # "clip" writes to out unbuffered, and every index is in range
-            for i in range(0, index.size, diffgeo.TILE_POINTS):
-                np.take(a, index[i:i + diffgeo.TILE_POINTS], axis=0,
-                        out=out[i:i + diffgeo.TILE_POINTS], mode="clip")
-            outs.append(out.reshape(shape + a.shape[1:]))
-        return outs[0] if single else tuple(outs)
+    def gather(a):
+        out = np.empty((xf.size,) + a.shape[1:], a.dtype)
+        # tile by tile, so that only a tile's index is widened to intp;
+        # "clip" writes to out unbuffered, and every index is in range
+        for i, part in zip(range(0, xf.size, diffgeo.TILE_POINTS), index):
+            np.take(a, part, axis=0, out=out[i:i + part.size], mode="clip")
+        return out.reshape(shape + a.shape[1:])
 
-    return values, gather
+    return (tuple(map(gather, values)) if isinstance(values, tuple) else gather(values)), None
 
 
-def _result(name, label, tol, res, excluded=0, note="") -> CheckResult:
-    mx, med = _stats(res)
+def _result(name, label, tol, res, counts=None, excluded=0, note="") -> CheckResult:
+    mx, med = _stats(res, counts)
     return CheckResult(
         name=name,
         passed=bool(mx <= tol),
@@ -310,8 +346,9 @@ def _round_sphere(surface: Surface) -> str | None:
 def _check_zerocurv(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
     x, t, label = cfg.grid()
-    res = tiled(lambda xx, tt: np.abs(zero_curvature_residual(jet(xx, tt, p))), x, t)
-    return _result(name, label, tol, res)
+    res, counts = _by_xi(lambda xx, tt: np.abs(zero_curvature_residual(jet(xx, tt, p))),
+                         (x, t), p)
+    return _result(name, label, tol, res, counts)
 
 
 def _entry_max(m: np.ndarray) -> np.ndarray:
@@ -365,9 +402,9 @@ def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
             np.abs(ab_compatibility_residual(replace(j, p=kp), kind), out=res[:, i])
         return res
 
-    res, gather = _by_xi(pointwise, (x, t), p)
+    res, counts = _by_xi(pointwise, (x, t), p)
     del x, t
-    return _result(name, label, tol, gather(res), note="all three deformation families")
+    return _result(name, label, tol, res, counts, note="all three deformation families")
 
 
 # Points of the forms check whose closed-form denominator is at most this
@@ -387,11 +424,10 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
                 np.abs(closed.K), np.abs(closed.H), np.abs(den))
 
     x, t, label = cfg.grid()
-    (diff_k, diff_h, closed_k, closed_h, den), gather = _by_xi(pointwise, (x, t), p)
+    (diff_k, diff_h, closed_k, closed_h, den), counts = _by_xi(pointwise, (x, t), p)
     del x, t
     # The values at the distinct xi are the grid's set of values, so the pole
-    # threshold and the largest kept closed forms are the grid's, bit for
-    # bit; only the differences and the mask are needed per point.
+    # threshold and the largest kept closed forms are the grid's, bit for bit.
     keep = den > POLE_MARGIN * np.max(den)
     if not keep.any():
         raise diffgeo.SingularPointError(
@@ -399,14 +435,14 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
             f"(|denominator| <= {POLE_MARGIN:g} max |denominator| everywhere)"
         )
     norms = [np.max(closed, where=keep, initial=0.0) for closed in (closed_k, closed_h)]
-    diff_k, diff_h, keep = gather((diff_k, diff_h, keep))
-    n_keep = int(np.count_nonzero(keep))
     # each kept difference relative to the largest kept closed form
-    rel = np.empty(2 * n_keep)
-    for part, diff, norm in zip((rel[:n_keep], rel[n_keep:]), (diff_k, diff_h), norms):
-        np.compress(keep.reshape(-1), diff, out=part)
-        part /= norm
-    return _result(name, label, tol, rel, excluded=keep.size - n_keep,
+    rel = np.concatenate([diff[keep] / norm for diff, norm in zip((diff_k, diff_h), norms)])
+    if counts is None:
+        excluded = int(keep.size - np.count_nonzero(keep))
+    else:
+        excluded = int(np.sum(counts[~keep]))
+        counts = np.tile(counts[keep], 2)
+    return _result(name, label, tol, rel, counts, excluded=excluded,
                    note="frame curvatures vs closed forms")
 
 
@@ -524,9 +560,8 @@ def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
         cur = curvatures_from_forms(forms_from_ab(jet(xx, tt, p), DeformationKind.SYMMETRY_UX))
         return cur.K, cur.H
 
-    cur, gather = _by_xi(pointwise, (x, t), p)
+    (cur_k, cur_h), _ = _by_xi(pointwise, (x, t), p, per_point=True)
     del x, t
-    cur_k, cur_h = gather(cur)
     # K and H are NaN where the normal degenerates (the crest u_x = 0)
     good = np.isfinite(cur_k) & np.isfinite(cur_h)
     kg, hg = cur_k[good], cur_h[good]

@@ -3,10 +3,12 @@
 import ast
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mkdvsurf import immersion, lagrangian, lax, verify as vf
 from mkdvsurf.cli import main
@@ -374,14 +376,16 @@ def test_compat_tests_the_symmetry_frame_at_mu_zero(monkeypatch):
 
 
 def test_every_residual_reduced_is_a_magnitude(monkeypatch):
-    # _stats takes the max and median as given, so every runner must pass
-    # entries >= 0 and never -0.0
+    # _stats takes the max and median as given, and orders weighted values
+    # by their bits, so every runner must pass entries >= 0 and never -0.0,
+    # with a count >= 1 per value where it passes counts
     reduced = []
     stats = vf._stats
 
-    def spy(res):
+    def spy(res, counts=None):
         reduced.append(np.asarray(res))
-        return stats(res)
+        assert counts is None or (counts.size and np.min(counts) >= 1)
+        return stats(res, counts)
 
     monkeypatch.setattr(vf, "_stats", spy)
     reports = [vf.run_checks("all", resolve(preset)) for preset in immersion.PRESETS]
@@ -428,14 +432,17 @@ XI_INPUTS += [
 
 def test_checks_run_once_per_distinct_xi_report_what_every_point_reports(
         monkeypatch, capsys):
-    # the reports, and the bytes of every residual array reduced: a max and
-    # a median can agree where the arrays do not
+    # the reports, and the bits of every multiset of residuals reduced (each
+    # value taken as often as its count says, sorted): a max and a median
+    # can agree where the multisets do not
     reduced = []
     stats = vf._stats
 
-    def spy(res):
-        reduced.append(hashlib.sha256(np.ascontiguousarray(res).tobytes()).hexdigest())
-        return stats(res)
+    def spy(res, counts=None):
+        every = res if counts is None else np.repeat(res, counts, axis=0)
+        bits = np.sort(np.ascontiguousarray(every).reshape(-1).view(np.uint64))
+        reduced.append(hashlib.sha256(bits.tobytes()).hexdigest())
+        return stats(res, counts)
 
     monkeypatch.setattr(vf, "_stats", spy)
 
@@ -449,7 +456,7 @@ def test_checks_run_once_per_distinct_xi_report_what_every_point_reports(
 
     once = reports()
     # every point evaluated, and gathered as it is
-    monkeypatch.setattr(vf, "_by_xi", lambda f, grid, p: (tiled(f, *grid), lambda v: v))
+    monkeypatch.setattr(vf, "_by_xi", lambda f, grid, p, per_point=False: (tiled(f, *grid), None))
     for got, want in zip(reports(), once):
         assert got == want, got[0]
 
@@ -466,6 +473,8 @@ def test_checks_run_once_per_distinct_xi_report_what_every_point_reports(
     (("--preset", "ex4", "--nx", "41", "--nt", "41"), "compat", 1681),
     (("--family", "spectral3", "--k1", "1.7", "--lambda", "0.3137", "--mu", "-2.2"),
      "sphere", 1681),
+    # zerocurv samples the whole window: ex2's [-3,3]^2 at 201^2 has 1260
+    (("--preset", "ex2", "--nx", "201", "--nt", "201"), "zerocurv", 1260),
 ])
 def test_checks_evaluate_the_soliton_once_per_distinct_xi(monkeypatch, capsys, argv, check,
                                                           points):
@@ -482,22 +491,63 @@ def test_checks_evaluate_the_soliton_once_per_distinct_xi(monkeypatch, capsys, a
     assert sum(evaluated) == points
 
 
-def test_forms_memory_keeps_only_what_it_reports_per_point():
-    # The pole mask and the two normalisers are taken over the distinct xi,
-    # so per grid point the check keeps |dK|, |dH| and the mask (17 B), its
-    # xi index (2 B) and the kept relative differences with compress's index
-    # (24 B): the traced peak grows by about 51 B per point from 101^2 to
-    # 201^2.  Keeping |K closed|, |H closed| and |den| per point as well
-    # costs about 80 B.
+# Residual magnitudes as the runners pass them: +0.0 (74% of the compat and
+# 79% of the zerocurv entries on the seven presets at 201^2), ties,
+# subnormal to huge finite values, inf and NaN.
+_MAGNITUDES = st.one_of(st.sampled_from([0.0, 1e-16, 2.5e-10, 1.0, math.inf, math.nan]),
+                        st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_MAGNITUDES, st.integers(1, 5)), min_size=1, max_size=40),
+       st.integers(1, 4))
+@example([(0.0, 1)], 1)
+@example([(0.0, 3), (1.0, 1)], 1)
+@example([(0.0, 2), (1.0, 2), (2.0, 1)], 2)
+@example([(math.nan, 1), (0.0, 4)], 1)
+@example([(math.inf, 2), (1e300, 1), (1e300, 1)], 1)
+def test_weighted_stats_are_the_stats_of_the_expanded_values(pairs, width):
+    # each row of width entries taken counts times, as _by_xi hands them
+    # over; rows of one entry are the plain 1-D case
+    values = np.array([v for v, _ in pairs for _ in range(width)]).reshape(-1, width)
+    counts = np.array([c for _, c in pairs])
+    expanded = np.repeat(values, counts, axis=0)
+    want = (float(np.max(expanded)), float(np.median(expanded)))
+    for got in (vf._stats(values.copy(), counts), vf._stats(expanded.copy())):
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
+def _traced_growth_per_point(check: str) -> float:
+    """The growth of a check's traced peak per grid point from 101^2 to
+    201^2 on ex2."""
     surface = resolve("ex2")
-    vf.run_checks(["forms"], surface, 11, 11)
+    vf.run_checks([check], surface, 11, 11)
     peaks = {}
     for n in (101, 201):
         tracemalloc.start()
         try:
-            vf.run_checks(["forms"], surface, n, n)
+            vf.run_checks([check], surface, n, n)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    per_point = (peaks[201] - peaks[101]) / (201 ** 2 - 101 ** 2)
-    assert per_point <= 64, f"{per_point:.0f} B per grid point"
+    return (peaks[201] - peaks[101]) / (201 ** 2 - 101 ** 2)
+
+
+def test_forms_memory_keeps_only_what_it_reports_per_point():
+    # The pole mask, the two normalisers and the statistics are taken over
+    # the distinct xi with their counts, so per grid point the check keeps
+    # only its sample: the grid's x and t and their xi (24 B), about 31 B
+    # per point in all.  Gathering |dK|, |dH| and the mask back per
+    # point, with each point's xi index and the kept relative differences,
+    # costs about 51 B.
+    per_point = _traced_growth_per_point("forms")
+    assert per_point <= 40, f"{per_point:.0f} B per grid point"
+
+
+@pytest.mark.parametrize("check", ["compat", "zerocurv"])
+def test_checks_reduced_with_counts_keep_nothing_per_point(check):
+    # As for forms: about 31 B per point, the sample and its xi.  Gathering
+    # the nine compat magnitudes per point costs about 75 B, and zerocurv's
+    # three at every point about 55 B.
+    per_point = _traced_growth_per_point(check)
+    assert per_point <= 40, f"{per_point:.0f} B per grid point"
