@@ -6,6 +6,7 @@ Runs, each in a fresh interpreter with one BLAS/OpenMP thread,
     mkdvsurf verify --preset ex2 --checks shape
     mkdvsurf verify --preset ex7 --checks lax
     mkdvsurf verify --preset ex7 --checks consistency
+    mkdvsurf verify --preset ex2 --checks consistency
     mkdvsurf verify --preset ex4 --checks compat
     mkdvsurf generate --preset ex7 --format json
     mkdvsurf generate --preset ex7 --format obj
@@ -19,7 +20,8 @@ at nx = nt = 101, 401 and 1001, the grid sizes the ROADMAP's north star
 names (the perfbench workloads stop at 201^2); ``shape``, the
 finite-difference oracle's largest check, is also timed alone, as are
 ``lax`` and ``consistency``, the two checks that evaluate the Lax-pair
-solution Phi, and ``compat`` on ex4, the largest of the checks that run
+solution Phi, ``consistency`` also on ex2, where it evaluates the spectral
+frame at every point, and ``compat`` on ex4, the largest of the checks that run
 once per distinct xi, on the preset whose xi repeat least (4.4 points per
 distinct xi on the clipped 201^2 grid); ex4 is also the preset with the
 most distinct K, H and xi values to format, and the one whose positions
@@ -65,6 +67,7 @@ COMMANDS = {
     "verify ex2 shape": ("verify", "--preset", "ex2", "--checks", "shape"),
     "verify ex7 lax": ("verify", "--preset", "ex7", "--checks", "lax"),
     "verify ex7 consistency": ("verify", "--preset", "ex7", "--checks", "consistency"),
+    "verify ex2 consistency": ("verify", "--preset", "ex2", "--checks", "consistency"),
     "verify ex4 compat": ("verify", "--preset", "ex4", "--checks", "compat"),
     "generate ex7 json": ("generate", "--preset", "ex7", "--format", "json"),
     "generate ex7 obj": ("generate", "--preset", "ex7", "--format", "obj"),

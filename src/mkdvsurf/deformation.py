@@ -10,12 +10,14 @@ one-soliton background:
 * symmetry (u_x):  A, B obtained by differentiating U, V along the symmetry
                    direction u -> u + eps*phi with phi = u_x, scaled by mu
 
-Each kind is one function from the soliton jet (``soliton.Jet``) to its
-whole :class:`Frame`, (A, B) with their closed-form x and t derivatives, and
-``_FRAMES`` is the one map from a kind to that function; :func:`frame` looks
-it up.  From (A, B) and the frame normal C = [A, B]/||[A, B]|| the first and
-second fundamental forms follow, and from those the Gaussian and mean
-curvatures; the closed forms they are checked against live in ``immersion``.
+The spectral pair is the spectral-gauge pair at nu = 0, so two functions
+map the soliton jet (``soliton.Jet``) to a whole :class:`Frame`, (A, B) with
+their closed-form x and t derivatives.  ``_FRAMES``, the one map from a kind
+to its frame, gives the spectral kind the spectral-gauge frame at nu = 0,
+and :func:`frame` looks it up.  From (A, B) and the frame normal
+C = [A, B]/||[A, B]|| the first and second fundamental forms follow, and
+from those the Gaussian and mean curvatures; the closed forms they are
+checked against live in ``immersion``.
 Everything here is pointwise on the caller's jet, which carries p, x and t;
 grid statistics such as the sphere check's mean K are in ``verify``.
 
@@ -61,35 +63,25 @@ class Frame(NamedTuple):
     b_t: np.ndarray
 
 
-def _spectral_frame(j: Jet) -> Frame:
-    """A = mu dU/dlam (constant diagonal), B = mu dV/dlam."""
-    p, u = j.p, j.u
-    zero = su2.vec(np.zeros_like(u), 0.0, 0.0)
-    return Frame(
-        a=su2.vec(np.zeros_like(u), 0.0, 0.5 * p.mu),
-        b=su2.vec(-0.5 * p.mu * u, 0.0, 0.5 * p.mu * (p.alpha + 2.0 * p.lam)),
-        a_x=zero,
-        a_t=zero,
-        b_x=su2.vec(-0.5 * p.mu * j.u_x, 0.0, 0.0),
-        b_t=su2.vec(-0.5 * p.mu * j.u_t, 0.0, 0.0),
-    )
-
-
-def _spectral_gauge_frame(j: Jet) -> Frame:
-    """The spectral pair plus the gauge pair with M = i nu sigma2."""
+def _spectral_gauge_frame(j: Jet, nu: float) -> Frame:
+    """The spectral pair mu d(U, V)/dlam plus the gauge pair ([M, U], [M, V])
+    with M = i nu sigma2; at nu = 0, the spectral pair alone."""
     p, u = j.p, j.u
     ux, ut = j.u_x, j.u_t
+    # Each nu term whose spectral part is zero is subtracted from +0.0: at
+    # nu = 0 the entry is then +0.0, as mu d(U, V)/dlam has it, where the
+    # product -nu * x would leave -0.0 for x > 0.
     omega = p.alpha + p.alpha * p.lam + p.lam ** 2
     c = p.alpha + p.lam
-    b1 = -0.5 * p.mu * u + p.nu * (0.5 * u ** 2 - omega)
-    b3 = 0.5 * p.mu * (p.alpha + 2.0 * p.lam) - p.nu * c * u
+    b1 = -0.5 * p.mu * u + nu * (0.5 * u ** 2 - omega)
+    b3 = 0.5 * p.mu * (p.alpha + 2.0 * p.lam) - nu * c * u
     return Frame(
-        a=su2.vec(-p.nu * p.lam, 0.0, 0.5 * p.mu - p.nu * u),
+        a=su2.vec(0.0 - nu * p.lam, 0.0, 0.5 * p.mu - nu * u),
         b=su2.vec(b1, 0.0, b3),
-        a_x=su2.vec(0.0, 0.0, -p.nu * ux),
-        a_t=su2.vec(0.0, 0.0, -p.nu * ut),
-        b_x=su2.vec(-0.5 * p.mu * ux + p.nu * u * ux, 0.0, -p.nu * c * ux),
-        b_t=su2.vec(-0.5 * p.mu * ut + p.nu * u * ut, 0.0, -p.nu * c * ut),
+        a_x=su2.vec(0.0, 0.0, 0.0 - nu * ux),
+        a_t=su2.vec(0.0, 0.0, 0.0 - nu * ut),
+        b_x=su2.vec(-0.5 * p.mu * ux + nu * u * ux, 0.0, 0.0 - nu * c * ux),
+        b_t=su2.vec(-0.5 * p.mu * ut + nu * u * ut, 0.0, 0.0 - nu * c * ut),
     )
 
 
@@ -111,8 +103,8 @@ def _symmetry_frame(j: Jet) -> Frame:
 
 # The one map from a deformation kind to its frame.
 _FRAMES: dict[DeformationKind, Callable[[Jet], Frame]] = {
-    DeformationKind.SPECTRAL: _spectral_frame,
-    DeformationKind.SPECTRAL_GAUGE: _spectral_gauge_frame,
+    DeformationKind.SPECTRAL: lambda j: _spectral_gauge_frame(j, 0.0),
+    DeformationKind.SPECTRAL_GAUGE: lambda j: _spectral_gauge_frame(j, j.p.nu),
     DeformationKind.SYMMETRY_UX: _symmetry_frame,
 }
 

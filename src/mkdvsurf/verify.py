@@ -200,11 +200,17 @@ def _xi_profile(half: float):
     The rows span t in [-1, 1] whatever the surface's window: the profile
     follows the soliton, not the window, so a check on it samples the same
     points for any window (``--x-min`` ... ``--t-max``), is never skipped for
-    it, and only its label says what it sampled.
+    it, and only its label says what it sampled.  Where [-half, half] is not
+    inside the xi range of the window's corners, the label says so.
     """
     def sample(surface: Surface, nx: int, nt: int):
         x, t = xi_grid(surface.params, half, nx, nt)
-        return x, t, f"{nx}x{nt} with |xi|<{half:g}"
+        label = f"{nx}x{nt} with |xi|<{half:g}"
+        corners = xi(*np.meshgrid(surface.x_range, surface.t_range), surface.params)
+        lo, hi = np.min(corners), np.max(corners)
+        if lo > -half or hi < half:
+            label += f", not inside the window's xi range [{lo:g},{hi:g}]"
+        return x, t, label
     return sample
 
 

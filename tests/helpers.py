@@ -8,6 +8,7 @@ import numpy as np
 import sympy as sp
 
 from mkdvsurf import su2
+from mkdvsurf.deformation import Frame
 from mkdvsurf.diffgeo import shape_equation_residual
 from mkdvsurf.lagrangian import FLAT_MONOMIALS
 from mkdvsurf.soliton import Jet, jet
@@ -26,6 +27,22 @@ def far_field_distance(family, j, y=None):
         y = family.position(j)
     lim = family.position(replace(j, s=0.0, tau=np.where(j.xi >= 0.0, 1.0, -1.0)))
     return np.hypot(y[..., 1] - lim[..., 1], y[..., 2] - lim[..., 2])
+
+
+def typed_spectral_frame(j):
+    """The spectral frame A = mu dU/dlam, B = mu dV/dlam with its derivatives,
+    each entry typed out on its own: the reference that the spectral-gauge
+    frame at nu = 0 reproduces bit for bit."""
+    p, u = j.p, j.u
+    zero = su2.vec(np.zeros_like(u), 0.0, 0.0)
+    return Frame(
+        a=su2.vec(np.zeros_like(u), 0.0, 0.5 * p.mu),
+        b=su2.vec(-0.5 * p.mu * u, 0.0, 0.5 * p.mu * (p.alpha + 2.0 * p.lam)),
+        a_x=zero,
+        a_t=zero,
+        b_x=su2.vec(-0.5 * p.mu * j.u_x, 0.0, 0.0),
+        b_t=su2.vec(-0.5 * p.mu * j.u_t, 0.0, 0.0),
+    )
 
 
 def flat_coefficients(poly):

@@ -11,11 +11,12 @@ import functools
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from mkdvsurf import su2
 from mkdvsurf.deformation import DeformationKind, ab_compatibility_residual, frame
 from mkdvsurf.immersion import four_param_forms_closed, three_param_forms_closed
-from mkdvsurf.lax import zero_curvature_residual
+from mkdvsurf.lax import lax_U, lax_V, zero_curvature_residual
 from mkdvsurf.soliton import Jet, SolitonParams
 
 from helpers import symbolic_model
@@ -48,6 +49,39 @@ def test_frame_derivatives_are_the_xi_derivatives(kind):
         for c, c_x, c_t in zip(v, v_x, v_t):
             dc = m.d_xi(c)
             assert_zero(c_x - k1 / 2 * dc, c_t - k1 ** 3 / 8 * dc)
+
+
+def _diff(v, var):
+    return np.array([sp.diff(c, var) for c in v], dtype=object)
+
+
+def _defining_pair(kind):
+    """(A, B) by the kind's definition, from the Lax pair (U, V) themselves."""
+    j = model().jet
+    p = j.p
+    U, V = lax_U(j.u, p.lam), lax_V(j.u, j.u_x, p.lam, p.alpha)
+    spectral = (p.mu * _diff(U, p.lam), p.mu * _diff(V, p.lam))
+    if kind is DeformationKind.SPECTRAL:
+        return spectral
+    if kind is DeformationKind.SPECTRAL_GAUGE:
+        m = su2.vec(0, p.nu, 0)
+        return spectral[0] + su2.commutator(m, U), spectral[1] + su2.commutator(m, V)
+    # the symmetry u -> u + eps u_x moves u_x to u_x + eps u_xx
+    eps = sp.Symbol("epsilon")
+    moved = (lax_U(j.u + eps * j.u_x, p.lam),
+             lax_V(j.u + eps * j.u_x, j.u_x + eps * j.u_xx, p.lam, p.alpha))
+    return tuple(p.mu * np.array([c.subs(eps, 0) for c in _diff(v, eps)]) for v in moved)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_frame_is_its_definition(kind):
+    # spectral: mu d(U, V)/dlam; spectral-gauge: that plus ([M, U], [M, V])
+    # with M = i nu sigma2; symmetry: mu d/deps (U, V) along u -> u + eps u_x.
+    # The derivative and compatibility identities hold for any multiple of a
+    # frame; this one also fixes its scale
+    f = symbolic_frame(kind)
+    for got, want in zip(f[:2], _defining_pair(kind)):
+        assert_zero(*(got - want))
 
 
 @pytest.mark.parametrize("kind", KINDS)

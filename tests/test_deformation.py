@@ -13,13 +13,13 @@ from mkdvsurf.deformation import (
     frame,
     validate_kind,
 )
-from mkdvsurf.immersion import SPECTRAL3, SPECTRAL_GAUGE4, resolve
+from mkdvsurf.immersion import PRESETS, SPECTRAL3, SPECTRAL_GAUGE4, resolve
 from mkdvsurf.diffgeo import Stencil, derivative
 from mkdvsurf.lax import lax_U, lax_V, zero_curvature_residual
 from mkdvsurf.soliton import SolitonParams, jet
 from mkdvsurf.verify import CheckConfigError, run_checks
 
-from helpers import su2_to_vec
+from helpers import su2_to_vec, typed_spectral_frame
 
 GRID = np.meshgrid(np.linspace(-2, 2, 15), np.linspace(-2, 2, 15))
 
@@ -83,6 +83,38 @@ def test_frame_derivatives_match_fd(kind):
                         x, t, stencil, axis=axis)
         scale = max(1.0, np.max(np.abs(exact)))
         assert np.max(np.abs(fd - exact)) <= 1e-9 * scale, (field, "xt"[axis])
+
+
+def _spectral_frame_and_reference(surface):
+    j = jet(*surface.grid(41, 41), surface.params)
+    return frame(j, DeformationKind.SPECTRAL), typed_spectral_frame(j)
+
+
+@pytest.mark.parametrize("surface", [
+    *(pytest.param(resolve(pid), id=pid)
+      for pid in sorted(PRESETS) if PRESETS[pid][0] is SPECTRAL3),
+    *(pytest.param(resolve(family="spectral3", params=SolitonParams(k1, lam, mu)),
+                   id=f"k1={k1:g},lam={lam:g},mu={mu:g}") for k1, lam, mu in (
+        (1.2, 0.0, -3.0), (1.0, -0.7, 2.0),
+        (2.0, -0.5, 1.3),  # alpha + 2 lam = 0: B's third component is 0.0
+    )),
+])
+def test_spectral_frame_is_bitwise_the_typed_spectral_frame(surface):
+    # the spectral-gauge frame at nu = 0 is mu d(U, V)/dlam entry by entry,
+    # signed zeros included
+    got, want = _spectral_frame_and_reference(surface)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def test_spectral_frame_equals_the_typed_one_where_a_zero_changes_sign():
+    # alpha + 2 lam = 0 with mu < 0 types B's third component as -0.0; the
+    # spectral part -0.0 minus the gauge part 0 * c * u (c > 0 > u), -0.0,
+    # gives +0.0, so the two agree as numbers only
+    surface = resolve(family="spectral3", params=SolitonParams(-2.0, -0.5, mu=-1.3))
+    for g, w in zip(*_spectral_frame_and_reference(surface)):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("kind", list(DeformationKind))

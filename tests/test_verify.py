@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,6 +282,20 @@ def test_every_check_labels_its_sample():
         "weingarten": forms, "willmore": operator, "shape": operator, "sphere": clipped,
         "consistency": clipped}
     assert rep.grid == window
+
+
+def test_xi_profile_label_says_when_the_window_does_not_contain_it():
+    # ex2's xi is x + t, so on x in [5, 10], t in [-3, 3] it runs over [2, 13],
+    # which contains neither profile; the label says so, and the samples and
+    # their results are those of the default window
+    profiles = ("forms", "weingarten", "willmore", "shape")
+    far = vf.run_checks(profiles, resolve("ex2", x_range=(5.0, 10.0)), nx=5, nt=5)
+    outside = ", not inside the window's xi range [2,13]"
+    assert [c.grid for c in far.checks] == (["5x5 with |xi|<2.95" + outside] * 2
+                                            + ["5x5 with |xi|<2" + outside] * 2)
+    default = vf.run_checks(profiles, resolve("ex2"), nx=5, nt=5)
+    assert [replace(c, grid="") for c in far.checks] == [
+        replace(c, grid="") for c in default.checks]
 
 
 def test_only_the_samples_build_grids():
