@@ -8,6 +8,7 @@ produced by a library operation.  Exit codes: 0 success / all checks pass,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import re
@@ -228,16 +229,18 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_negative_values(argv))
     try:
+        # before any work, the error that opening --out would raise at the end
+        parent = os.path.dirname(getattr(args, "out", None) or ".") or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise OSError(code, os.strerror(code), args.out)
         if args.command == "generate":
             return _cmd_generate(args, parser)
         if args.command == "verify":
             return _cmd_verify(args, parser)
         sys.stdout.write(presets_table())
         return 0
-    except (verify_mod.CheckConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -99,6 +99,8 @@ def _time_terms(t, p: SolitonParams):
     function of its t alone, so this is bitwise the evaluation at every
     point.
     """
+    if t is None:   # a jet of xi alone, whose None asarray would read as NaN
+        raise TypeError("Phi reads t, which a jet of xi alone does not hold")
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
     bits = flat.view(np.uint64)

@@ -399,7 +399,7 @@ def _column_texts(column: np.ndarray, shortest: bool = False):
     if found is None or found[0].size > _TABLE_MAX:
         yield from (_float_text(b, shortest) for b in _blocks(column))
         return
-    distinct, index = found
+    distinct, _, index = found
     table = _float_text(distinct, shortest)
     for b in _blocks(column):
         yield np.take(table, index(b), axis=0)

@@ -2,22 +2,22 @@
 
 The wave coordinate is xi = k1 (k1^2 t + 4 x) / 8, so that
 d(xi)/dx = k1/2 and d(xi)/dt = k1^3/8, and the wave speed constant is
-alpha = k1^2 / 4.  :func:`jet` evaluates xi, sech(xi) and tanh(xi) once at
-a set of points, and the returned :class:`Jet` gives u and its x and t
-derivatives as exact chain-rule expressions in sech(xi) and tanh(xi).  Every
-pointwise kernel (``lax``, ``deformation``, ``immersion``) is handed its
-caller's jet and computes in the jet's type (long double, or sympy
-symbols in the tests' proofs); only the functions that take (x, t) call
-:func:`jet`, which reads them as float64.
-What reads only xi repeats with it: :func:`repeats` finds the distinct
-values that ``verify`` evaluates once and ``mesh`` formats once.
+alpha = k1^2 / 4.  :func:`xi_jet` evaluates sech(xi) and tanh(xi) once at a
+set of xi, and the returned :class:`Jet` gives u and its x and t derivatives
+as exact chain-rule expressions in sech(xi) and tanh(xi); :func:`jet` is it
+at the xi of (x, t), which it reads as float64 and keeps.  Every pointwise
+kernel (``lax``, ``deformation``, ``immersion``) is handed its caller's jet
+and computes in the jet's type (long double, or sympy symbols in the tests'
+proofs).  What reads only xi repeats with it: :func:`repeats` finds the
+distinct values, with counts, that ``mesh`` formats once and ``verify``
+evaluates once, on jets of xi alone, where the position and Phi raise.
 """
 from __future__ import annotations
 
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,29 +102,29 @@ def check_grid(nx: int, nt: int) -> None:
         )
 
 
-def tiled(f, x, t):
-    """``f(x, t)`` evaluated on consecutive tiles of ``TILE_POINTS`` points.
+def tiled(f, *coords):
+    """``f(*coords)`` evaluated on consecutive tiles of ``TILE_POINTS`` points.
 
-    ``f`` is pointwise: given 1-D x and t it returns an array, or a tuple of
-    arrays, whose leading axis runs over those points.  x and t are
-    broadcast and flattened, and each result is assembled back to their
-    shape followed by its own trailing axes.  A stencil shifts only a
-    point's own coordinates, so this is bitwise ``f`` on the whole grid;
-    a reduction over the grid (a max, a median, a grid-max threshold)
-    belongs after the call, on the assembled arrays.  The one exception is
-    a maximum: ``f`` may keep its tile's exact maxima on the side for the
-    caller to fold after the call, which gives the grid's maxima bit for bit
-    without assembling what they are taken over.
+    ``f`` is pointwise: given 1-D coordinates, (x, t) or xi alone, it returns
+    an array, or a tuple of arrays, whose leading axis runs over those
+    points.  The coordinates are broadcast and flattened, and each result is
+    assembled back to their shape followed by its own trailing axes.  A
+    stencil shifts only a point's own coordinates, so this is bitwise ``f``
+    on the whole grid; a reduction over the grid (a max, a median, a
+    grid-max threshold) belongs after the call, on the assembled arrays.
+    The one exception is a maximum: ``f`` may keep its tile's exact maxima
+    on the side for the caller to fold after the call, which gives the
+    grid's maxima bit for bit without assembling what they are taken over.
     """
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    shape, xf, tf = x.shape, x.reshape(-1), t.reshape(-1)
+    coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+    shape, flat = coords[0].shape, [c.reshape(-1) for c in coords]
     outs = None
-    for i in range(0, xf.size, TILE_POINTS):
-        part = f(xf[i:i + TILE_POINTS], tf[i:i + TILE_POINTS])
+    for i in range(0, flat[0].size, TILE_POINTS):
+        part = f(*(c[i:i + TILE_POINTS] for c in flat))
         single = not isinstance(part, tuple)
         parts = (part,) if single else part
         if outs is None:
-            outs = [np.empty((xf.size,) + a.shape[1:], a.dtype) for a in parts]
+            outs = [np.empty((flat[0].size,) + a.shape[1:], a.dtype) for a in parts]
         for out, a in zip(outs, parts):
             out[i:i + TILE_POINTS] = a
     outs = [out.reshape(shape + out.shape[1:]) for out in outs]
@@ -132,39 +132,47 @@ def tiled(f, x, t):
 
 
 def repeats(values: np.ndarray):
-    """``(distinct, index)`` of a 1-D float64 array with at most one distinct
-    value per two entries, else None: then a caller works on every entry.
+    """``(distinct, counts, index)`` of a 1-D float64 array with at most one
+    distinct value per two entries, else None: then a caller works on every
+    entry.
 
-    ``distinct`` holds the values in the order of their bits; ``index(v)``
-    is the position there of each of the array's values ``v`` (1-D), as the
-    smallest unsigned type that holds them all.  Values are equal only when
-    their bits are, so 0.0 and -0.0, or two NaN payloads, stay apart.  The
-    bits are sorted in a copy: ``np.unique`` hashes them first, which took
-    five times as long on 1001^2 points.
+    ``distinct`` holds the values in the order of their bits and ``counts``
+    how many entries hold each, the run lengths of the sorted bits;
+    ``index(v)`` is the position in ``distinct`` of each of the array's
+    values ``v`` (1-D), as the smallest unsigned type that holds them all.
+    Values are equal only when their bits are, so 0.0 and -0.0, or two NaN
+    payloads, stay apart.  The bits are sorted in a copy: ``np.unique``
+    hashes them first, which took five times as long on 1001^2 points.
     """
     bits = np.sort(values.view(np.uint64))
-    bits = np.concatenate((bits[:1], bits[1:][bits[1:] != bits[:-1]]))
-    if 2 * bits.size > values.size:
+    # where each run of equal bits starts, in one mask the size of values
+    starts = np.empty(bits.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    if 2 * starts.size > values.size:
         return None
+    counts, bits = np.diff(starts, append=bits.size), bits[starts]
     small = np.min_scalar_type(max(bits.size - 1, 0))
-    return bits.view(np.float64), lambda v: np.searchsorted(bits, v.view(np.uint64)).astype(small)
+    return (bits.view(np.float64), counts,
+            lambda v: np.searchsorted(bits, v.view(np.uint64)).astype(small))
 
 
 @dataclass(frozen=True)
 class Jet:
     """The soliton and its derivatives at a set of points.
 
-    ``x`` and ``t`` are the float arrays it was evaluated at; ``xi``,
-    ``s`` = sech(xi) and ``tau`` = tanh(xi) are evaluated once by
-    :func:`jet`; each derivative is a property, an exact chain-rule
-    expression in s and tau built on access, so a caller holds only the
-    derivatives it uses.  The soliton is a traveling wave, so every t
-    derivative is alpha times the x derivative of the same order.
+    ``xi``, ``s`` = sech(xi) and ``tau`` = tanh(xi) are evaluated once by
+    :func:`xi_jet`; ``x`` and ``t`` are the float arrays :func:`jet` read xi
+    from, or None on a jet of xi alone.  Each derivative is a property, an
+    exact chain-rule expression in s and tau built on access, so a caller
+    holds only the derivatives it uses.  The soliton is a traveling wave, so
+    every t derivative is alpha times the x derivative of the same order.
     """
 
     p: SolitonParams
-    x: np.ndarray
-    t: np.ndarray
+    x: np.ndarray | None
+    t: np.ndarray | None
     xi: np.ndarray
     s: np.ndarray
     tau: np.ndarray
@@ -203,9 +211,14 @@ class Jet:
 XI_MAX = float(np.arccosh(np.finfo(float).max))
 
 
+def xi_jet(z, p: SolitonParams) -> Jet:
+    """The soliton's jet at xi = z, x = t = None: the package's one evaluation of sech, tanh."""
+    z = np.asarray(z, dtype=float)
+    return Jet(p, None, None, z, 1.0 / np.cosh(z), np.tanh(z))
+
+
 def jet(x, t, p: SolitonParams) -> Jet:
-    """The soliton's jet at (x, t): the package's one evaluation of sech, tanh."""
+    """The soliton's jet at (x, t): :func:`xi_jet` at their xi, holding x and t."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    z = np.asarray(xi(x, t, p), dtype=float)
-    return Jet(p, x, t, z, 1.0 / np.cosh(z), np.tanh(z))
+    return replace(xi_jet(xi(x, t, p), p), x=x, t=t)

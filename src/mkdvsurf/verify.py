@@ -15,16 +15,16 @@ that the ``shape`` check tests.  The frame runners (``consistency``,
 value they report and nothing else; where only a maximum is reported (the
 su(2) test of the ``consistency`` frame, the ``lax`` determinant drift) they
 fold each tile's exact maxima instead.  ``zerocurv``, ``compat``,
-``forms`` and ``sphere``, whose kernels read (x, t) only through the
-soliton's xi, evaluate once per distinct xi of a grid whose xi repeat by the
-rule of ``soliton.repeats`` (``_by_xi``).  The first three reduce over the
-distinct values, each taken as many times as its xi occurs on the grid
-(``_stats`` with counts), and keep nothing per grid point; ``sphere``
-gathers its values back per point through a small index of each point's xi,
-because the summation order of its mean K is that of the grid.  So each
-reports what an evaluation at every point reports, bit for bit.
-``weingarten`` reads only xi too, but its kernel costs less than the search.
-The other four cannot: ``lax`` and ``consistency`` read t
+``forms``, ``weingarten`` and ``sphere``, whose kernels read (x, t) only
+through the soliton's xi, take a function of the jet and evaluate it on jets
+of the distinct xi of a grid whose xi repeat by the rule of
+``soliton.repeats`` (``_by_xi``), and at every point otherwise.  The first
+four reduce over the distinct values, each taken as many times as its xi
+occurs on the grid (``_stats`` with the counts of ``soliton.repeats``), and
+keep nothing per grid point; ``sphere`` gathers its values back per point
+through each point's xi, because the summation order of its mean K is that
+of the grid.  So each reports what an evaluation at every point reports,
+bit for bit.  The other four cannot: ``lax`` and ``consistency`` read t
 through Phi's e^{i omega t} and (x, t) through the position's phase, and the
 stencils of ``willmore`` and ``shape`` shift x and t apart, so two points of
 equal xi have stencils of unequal xi.  A check is compatible with a (family,
@@ -46,7 +46,7 @@ from .deformation import (DeformationKind, ab_compatibility_residual, curvatures
                           forms_from_ab)
 from .immersion import SPECTRAL3, Surface, _half_k1
 from .lax import det_phi_expected, lax_residuals, zero_curvature_residual
-from .soliton import SolitonParams, check_grid, jet, repeats, tiled, xi, xi_grid
+from .soliton import SolitonParams, check_grid, jet, repeats, tiled, xi, xi_grid, xi_jet
 
 __all__ = [
     "CHECK_NAMES",
@@ -252,7 +252,7 @@ def _stats(res: np.ndarray, counts: np.ndarray | None = None) -> tuple[float, fl
         if found is None:
             values = np.repeat(values, counts)
         else:
-            distinct, index_of = found
+            distinct, _, index_of = found
             ends = np.cumsum(np.bincount(index_of(values), weights=counts,
                                          minlength=distinct.size))
             ranks = [ends[-1] // 2] if ends[-1] % 2 else [ends[-1] // 2 - 1, ends[-1] // 2]
@@ -264,50 +264,34 @@ def _stats(res: np.ndarray, counts: np.ndarray | None = None) -> tuple[float, fl
 
 
 def _by_xi(f, grid, p: SolitonParams, per_point: bool = False):
-    """``f`` on the grid (x, t), evaluated once per distinct xi of the grid
-    when its xi repeat (``soliton.repeats``).
+    """``f`` of the soliton's jet on the grid (x, t), for an ``f`` that reads
+    the jet only through xi, as the frames and closed forms do.
 
-    ``f`` must read (x, t) only through the soliton's xi, as the frames and
-    closed forms do.  Returns ``(values, counts)``: ``values`` is ``f`` at
-    one grid point per distinct xi, and ``counts`` the number of grid points
-    of each, so that a runner reduces over the distinct values with their
-    counts (``_stats``) and keeps nothing per grid point.  Where xi do not
-    repeat, ``values`` is ``tiled(f, *grid)`` and ``counts`` None.  With
-    ``per_point``, ``values`` is ``tiled(f, *grid)`` bit for bit in any case,
-    gathered from the distinct values by a small index of each point's xi
-    (2 B per point up to 2^16 distinct xi), and ``counts`` None.
+    Returns ``(values, counts)``: where the grid's xi repeat
+    (``soliton.repeats``), ``f`` on jets of the distinct xi
+    (``soliton.xi_jet``) and the number of grid points of each, for a runner
+    to reduce with (``_stats``); else ``f(jet(x, t, p))`` at every point and
+    None.  With ``per_point``, for an ``f`` that returns a tuple, that in any
+    case, gathered from the distinct values through each grid point's xi.
     """
-    x, t = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in grid))
-    shape, xf, tf = x.shape, x.reshape(-1), t.reshape(-1)
-    z = tiled(lambda xx, tt: xi(xx, tt, p), xf, tf)
-    found = repeats(z)
+    z = tiled(lambda xx, tt: xi(xx, tt, p), *grid)
+    found = repeats(z.reshape(-1))
     if found is None:
-        return tiled(f, x, t), None
-    distinct, index_of = found
-    counts = np.zeros(distinct.size, dtype=np.intp)
-    # a grid point of each distinct xi; any one serves
-    picked = np.empty(distinct.size, dtype=np.intp)
-    index = []
-    for i in range(0, z.size, diffgeo.TILE_POINTS):
-        part = index_of(z[i:i + diffgeo.TILE_POINTS])
-        picked[part] = np.arange(i, i + part.size)
-        counts += np.bincount(part, minlength=distinct.size)
-        if per_point:
-            index.append(part)
-    del z
-    values = tiled(f, xf[picked], tf[picked])
+        return tiled(lambda xx, tt: f(jet(xx, tt, p)), *grid), None
+    distinct, counts, index_of = found
+    z = z if per_point else None   # only the gather reads it: not held through f
+    values = tiled(lambda zz: f(xi_jet(zz, p)), distinct)
     if not per_point:
         return values, counts
-
-    def gather(a):
-        out = np.empty((xf.size,) + a.shape[1:], a.dtype)
-        # tile by tile, so that only a tile's index is widened to intp;
-        # "clip" writes to out unbuffered, and every index is in range
-        for i, part in zip(range(0, xf.size, diffgeo.TILE_POINTS), index):
-            np.take(a, part, axis=0, out=out[i:i + part.size], mode="clip")
-        return out.reshape(shape + a.shape[1:])
-
-    return (tuple(map(gather, values)) if isinstance(values, tuple) else gather(values)), None
+    outs = tuple(np.empty(z.shape + a.shape[1:], a.dtype) for a in values)
+    for i in range(0, z.size, diffgeo.TILE_POINTS):
+        # a tile's index, the only one widened to intp; "clip" writes to
+        # out unbuffered, and every index is in range
+        at = index_of(z.reshape(-1)[i:i + diffgeo.TILE_POINTS])
+        for a, out in zip(values, outs):
+            np.take(a, at, axis=0, mode="clip",
+                    out=out.reshape((-1,) + a.shape[1:])[i:i + diffgeo.TILE_POINTS])
+    return outs, None
 
 
 def _result(name, label, tol, res, counts=None, excluded=0, note="") -> CheckResult:
@@ -352,8 +336,7 @@ def _round_sphere(surface: Surface) -> str | None:
 def _check_zerocurv(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
     x, t, label = cfg.grid()
-    res, counts = _by_xi(lambda xx, tt: np.abs(zero_curvature_residual(jet(xx, tt, p))),
-                         (x, t), p)
+    res, counts = _by_xi(lambda j: np.abs(zero_curvature_residual(j)), (x, t), p)
     return _result(name, label, tol, res, counts)
 
 
@@ -401,9 +384,8 @@ def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
              if kind is not DeformationKind.SPECTRAL_GAUGE and p.mu == 0.0 else p
              for kind in DeformationKind}
 
-    def pointwise(xx, tt):
-        j = jet(xx, tt, p)
-        res = np.empty((xx.size, len(kind_params), 3))
+    def pointwise(j):
+        res = np.empty((j.xi.size, len(kind_params), 3))
         for i, (kind, kp) in enumerate(kind_params.items()):
             np.abs(ab_compatibility_residual(replace(j, p=kp), kind), out=res[:, i])
         return res
@@ -421,8 +403,7 @@ POLE_MARGIN = 0.05
 def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p, fam = cfg.surface.params, cfg.surface.family
 
-    def pointwise(xx, tt):
-        j = jet(xx, tt, p)
+    def pointwise(j):
         cur = curvatures_from_forms(forms_from_ab(j, fam.kind))
         closed = fam.curvatures(j)
         den = fam.denominator(j)
@@ -456,19 +437,19 @@ def _check_weingarten(cfg: _Config, name: str, tol: float, h: None) -> CheckResu
     p = cfg.surface.params
     x, t, label = cfg.grid()
 
-    def pointwise(xx, tt):
-        cur = cfg.surface.family.curvatures(jet(xx, tt, p))
+    def pointwise(j):
+        cur = cfg.surface.family.curvatures(j)
         wr = immersion.weingarten_residuals(cur.K, cur.H, p)
-        res = (np.abs(wr.cubic) / wr.cubic_scale,)
+        res = [np.abs(wr.cubic) / wr.cubic_scale]
         if wr.quadratic is not None:
-            res += (np.abs(wr.quadratic) / wr.quadratic_scale,)
-        return res
+            res.append(np.abs(wr.quadratic) / wr.quadratic_scale)
+        return np.stack(res, axis=-1)
 
-    res = tiled(pointwise, x, t)
+    res, counts = _by_xi(pointwise, (x, t), p)
     note = "cubic K-H relation"
-    if len(res) == 2:
+    if res.shape[-1] == 2:
         note += f" and quadratic at k1 = {'' if p.k1 * p.lam > 0 else '-'}2 lambda"
-    return _result(name, label, tol, np.concatenate([r.reshape(-1) for r in res]), note=note)
+    return _result(name, label, tol, res, counts, note=note)
 
 
 def _check_willmore(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
@@ -562,8 +543,8 @@ def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
     x, t, label = cfg.grid()
 
-    def pointwise(xx, tt):
-        cur = curvatures_from_forms(forms_from_ab(jet(xx, tt, p), DeformationKind.SYMMETRY_UX))
+    def pointwise(j):
+        cur = curvatures_from_forms(forms_from_ab(j, DeformationKind.SYMMETRY_UX))
         return cur.K, cur.H
 
     (cur_k, cur_h), _ = _by_xi(pointwise, (x, t), p, per_point=True)

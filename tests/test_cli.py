@@ -332,6 +332,28 @@ def test_verify_rejects_a_check_named_twice_before_running_any(capsys, monkeypat
     assert err == "error: checks named more than once: lax, zerocurv\n"
 
 
+@pytest.mark.parametrize("parent, message", [
+    ("missing", "[Errno 2] No such file or directory"),
+    ("a-file", "[Errno 20] Not a directory"),
+])
+@pytest.mark.parametrize("command", ["verify", "generate"])
+def test_out_into_no_directory_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                      parent, message):
+    # the error opening the file would give at the end, before any check or
+    # mesh is computed
+    (tmp_path / "a-file").write_text("")
+    out_file = tmp_path / parent / "r.json"
+    ran = []
+    for name in verify_mod._RUNNERS:
+        monkeypatch.setitem(verify_mod._RUNNERS, name, lambda *args: ran.append(args[1]))
+    monkeypatch.setattr(cli.mesh_mod, "generate", lambda *args, **kw: ran.append("generate"))
+    code, out, err = run(capsys, command, "--preset", "ex2", "--nx", "5", "--nt", "5",
+                         "--out", str(out_file))
+    assert (code, out, ran) == (2, "", [])
+    assert err == f"error: {message}: {str(out_file)!r}\n"
+    assert not out_file.exists()
+
+
 def test_sphere_skips_the_unit_sphere_of_mu_0(capsys):
     # at mu = 0 the symmetry frame, mu times a fixed field, is degenerate
     # everywhere: --checks all skips sphere, naming it aborts with the reason

@@ -317,9 +317,10 @@ def test_a_zero_mu_or_nu_is_left_to_the_kind():
 
 
 def _count_jets(monkeypatch):
-    """Calls of soliton.jet from here on, by whatever name a module holds it."""
+    """Soliton evaluations from here on: calls of soliton.xi_jet, which
+    soliton.jet goes through, by whatever name a module holds it."""
     calls = []
-    original = soliton.jet
+    original = soliton.xi_jet
 
     def counted(*args):
         calls.append(1)
@@ -343,7 +344,8 @@ def test_generate_evaluates_the_soliton_once(monkeypatch, pid):
 
 
 # Soliton evaluations of each check on one tile: one jet at the tile's points,
-# which the runner hands to every kernel, and for lax and consistency eight
+# or at its distinct xi for the five checks that read only xi, which the
+# runner hands to every kernel, and for lax and consistency eight
 # more at the points of the x and t stencils of Phi and of the position.  The
 # divergence-form pass of willmore and shape builds one jet per call of its
 # fields: 18 stacked calls of the curvature field at 11^2 (one per stencil
@@ -364,19 +366,14 @@ def test_jets_per_tile_of_each_check(monkeypatch, pid, check):
     assert len(calls) == JETS_PER_TILE[check]
 
 
-def test_only_the_x_t_boundaries_evaluate_a_jet():
-    # every pointwise kernel reads the jet it is given; only the functions
-    # that take (x, t) build one: the pointwise verify runners, those that
-    # compose the finite-difference oracle's (x, t) fields, generate and the
-    # Lax stencils
-    boundaries = {f"verify._check_{c}" for c in JETS_PER_TILE} | {
-        "mesh.generate", "lax.lax_residuals"}
+def _callers(function: str) -> set[str]:
+    """The module-level units of the package that call soliton's
+    ``function`` by its name or by a name it is imported as."""
     callers = set()
     for path in Path(immersion.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
-        # the names the module binds soliton.jet to
-        names = {"jet"} | {a.asname for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                           for a in n.names if a.name == "jet" and a.asname}
+        names = {function} | {a.asname for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                              for a in n.names if a.name == function and a.asname}
         # each module-level statement, with the methods of a class one by one
         units = [(f"{n.name}.", m) for n in tree.body if isinstance(n, ast.ClassDef)
                  for m in n.body]
@@ -385,4 +382,17 @@ def test_only_the_x_t_boundaries_evaluate_a_jet():
                     for prefix, unit in units for node in ast.walk(unit)
                     if isinstance(node, ast.Call)
                     and getattr(node.func, "id", getattr(node.func, "attr", None)) in names}
-    assert callers == boundaries
+    return callers
+
+
+def test_only_the_x_t_boundaries_evaluate_a_jet():
+    # every pointwise kernel reads the jet it is given; only the functions
+    # that take (x, t) build one: the runners that read x and t apart, those
+    # that compose the finite-difference oracle's (x, t) fields, the
+    # evaluation of the five xi-only checks, generate and the Lax stencils
+    assert _callers("jet") == {f"verify._check_{c}" for c in
+                               ("lax", "consistency", "willmore", "shape")} | {
+        "verify._by_xi", "mesh.generate", "lax.lax_residuals"}
+    # and a jet of xi alone is built only for the distinct xi of those five
+    # checks, and by soliton.jet at the xi of (x, t)
+    assert _callers("xi_jet") == {"verify._by_xi", "soliton.jet"}

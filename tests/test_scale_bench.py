@@ -17,8 +17,9 @@ def test_scale_bench_runs_every_command_at_a_small_grid():
     assert [(r["command"], r["n"]) for r in runs] == [
         ("verify ex2 all", 11), ("verify ex2 shape", 11), ("verify ex7 lax", 11),
         ("verify ex7 consistency", 11), ("verify ex2 consistency", 11),
-        ("verify ex4 compat", 11), ("generate ex7 json", 11), ("generate ex7 obj", 11),
-        ("generate ex4 obj", 11), ("generate ex4 csv", 11), ("generate ex4 json", 11),
+        ("verify ex4 compat", 11), ("verify ex4 zerocurv", 11), ("generate ex7 json", 11),
+        ("generate ex7 obj", 11), ("generate ex4 obj", 11), ("generate ex4 csv", 11),
+        ("generate ex4 json", 11),
         ("generate spectral3 k1 1.7 csv", 11), ("generate spectral3 k1 1.7 json", 11)]
     for r in runs:
         assert r["exit"] == 0 and r["peak_rss_mb"] > 0, r

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mkdvsurf import soliton
+from mkdvsurf import immersion, lax, soliton
 
 params = st.builds(
     soliton.SolitonParams,
@@ -115,7 +115,8 @@ def test_jet_is_the_exact_derivative_chain():
 
 
 def test_sech_and_tanh_are_evaluated_only_in_the_jet():
-    # every other module reads sech xi and tanh xi from soliton.jet
+    # every other module reads sech xi and tanh xi from soliton.xi_jet, and
+    # soliton.jet is xi_jet at the xi of (x, t)
     def hyperbolic_lines(tree):
         return [node.lineno for node in ast.walk(tree)
                 if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
@@ -125,15 +126,44 @@ def test_sech_and_tanh_are_evaluated_only_in_the_jet():
         tree = ast.parse(path.read_text())
         found = hyperbolic_lines(tree)
         if path.name == "soliton.py":
-            (jet_def,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "jet"]
-            allowed = set(hyperbolic_lines(jet_def))
-            assert allowed, "soliton.jet no longer evaluates cosh and tanh"
+            defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+            allowed = set(hyperbolic_lines(defs["xi_jet"]))
+            assert allowed, "soliton.xi_jet no longer evaluates cosh and tanh"
+            assert not hyperbolic_lines(defs["jet"])
+            assert "xi_jet" in {getattr(n.func, "id", None) for n in ast.walk(defs["jet"])
+                                if isinstance(n, ast.Call)}, "soliton.jet bypasses xi_jet"
             found = [line for line in found if line not in allowed]
         assert not found, f"{path.name} evaluates cosh/tanh at lines {found}"
 
 
+_JET_FIELDS = ("xi", "s", "tau", "u", "u_x", "u_xx", "u_xxx", "u_t", "u_xt", "u_xxt")
+
+
+@pytest.mark.parametrize("pid", sorted(immersion.PRESETS))
+def test_a_jet_of_xi_is_bitwise_the_jet_at_x_t(pid):
+    # every value a xi-only kernel reads, at the xi of each point of the
+    # preset's 41^2 window; x and t are None, so what reads them raises
+    surface = immersion.resolve(pid)
+    x, t = surface.grid(41, 41)
+    want = soliton.jet(x, t, surface.params)
+    got = soliton.xi_jet(soliton.xi(x, t, surface.params), surface.params)
+    assert (got.p, got.x, got.t) == (surface.params, None, None)
+    for name in _JET_FIELDS:
+        assert _bit_list(getattr(got, name)) == _bit_list(getattr(want, name)), name
+    with pytest.raises(TypeError):
+        surface.family.position(got)
+    with pytest.raises(TypeError):
+        lax.phi(got)
+
+
 def _bit_list(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _assert_counts(values, distinct, counts, index):
+    # the run lengths of the sort are the multiplicities of the index
+    assert counts.sum() == values.size
+    assert counts.tolist() == np.bincount(index(values), minlength=distinct.size).tolist()
 
 
 def test_repeats_tells_values_apart_by_their_bits():
@@ -141,19 +171,22 @@ def test_repeats_tells_values_apart_by_their_bits():
     # value: the four patterns below are four values, each held twice
     patterns = [0, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001]
     values = np.array(patterns * 2, dtype=np.uint64).view(np.float64)
-    distinct, index = soliton.repeats(values)
+    distinct, counts, index = soliton.repeats(values)
     assert _bit_list(distinct) == sorted(patterns)
     assert _bit_list(distinct[index(values)]) == _bit_list(values)
+    assert counts.tolist() == [2, 2, 2, 2]
+    _assert_counts(values, distinct, counts, index)
 
 
 @pytest.mark.parametrize("count, dtype", [(256, np.uint8), (257, np.uint16),
                                           (65536, np.uint16), (65537, np.uint32)])
 def test_repeats_index_type_is_the_smallest_that_holds_every_position(count, dtype):
     values = np.repeat(np.arange(count, dtype=float), 2)
-    distinct, index = soliton.repeats(values)
+    distinct, counts, index = soliton.repeats(values)
     assert distinct.size == count
     at = index(values)
     assert at.dtype == dtype and at[-1] == count - 1
+    _assert_counts(values, distinct, counts, index)
 
 
 @pytest.mark.parametrize("n", [2, 7, 10, 4096])
@@ -166,10 +199,11 @@ def test_repeats_keeps_at_most_one_distinct_value_per_two_entries(n):
 
 
 def test_repeats_of_no_values():
-    distinct, index = soliton.repeats(np.empty(0))
-    assert distinct.size == 0
+    distinct, counts, index = soliton.repeats(np.empty(0))
+    assert distinct.size == counts.size == 0
     at = index(np.empty(0))
     assert at.size == 0 and at.dtype == np.uint8
+    _assert_counts(np.empty(0), distinct, counts, index)
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,7 +214,8 @@ def test_repeats_gathers_each_entry_back_bit_for_bit(patterns, copies, seed):
     values = np.array(patterns * copies, dtype=np.uint64).view(np.float64)
     np.random.default_rng(seed).shuffle(values)
     before = _bit_list(values)
-    distinct, index = soliton.repeats(values)
+    distinct, counts, index = soliton.repeats(values)
     bits = distinct.view(np.uint64)
     assert np.all(bits[1:] > bits[:-1]) and set(bits.tolist()) == set(patterns)
     assert _bit_list(distinct[index(values)]) == before == _bit_list(values)
+    _assert_counts(values, distinct, counts, index)

@@ -15,7 +15,7 @@ from mkdvsurf import immersion, lagrangian, lax, verify as vf
 from mkdvsurf.cli import main
 from mkdvsurf.diffgeo import CurvaturePair
 from mkdvsurf.immersion import resolve
-from mkdvsurf.soliton import SolitonParams, tiled, xi_grid
+from mkdvsurf.soliton import SolitonParams, jet, tiled, xi_grid
 
 from helpers import fields, shape_residuals
 
@@ -471,7 +471,8 @@ def test_checks_run_once_per_distinct_xi_report_what_every_point_reports(
 
     once = reports()
     # every point evaluated, and gathered as it is
-    monkeypatch.setattr(vf, "_by_xi", lambda f, grid, p, per_point=False: (tiled(f, *grid), None))
+    monkeypatch.setattr(vf, "_by_xi", lambda f, grid, p, per_point=False: (
+        tiled(lambda x, t: f(jet(x, t, p)), *grid), None))
     for got, want in zip(reports(), once):
         assert got == want, got[0]
 
@@ -493,14 +494,20 @@ def test_checks_run_once_per_distinct_xi_report_what_every_point_reports(
 ])
 def test_checks_evaluate_the_soliton_once_per_distinct_xi(monkeypatch, capsys, argv, check,
                                                           points):
+    # points of both jet constructors: at (x, t), and at distinct xi
     evaluated = []
-    jet = vf.jet
+    at_x_t, at_xi = vf.jet, vf.xi_jet
 
     def counted(x, t, p):
         evaluated.append(np.size(x))
-        return jet(x, t, p)
+        return at_x_t(x, t, p)
+
+    def counted_xi(z, p):
+        evaluated.append(np.size(z))
+        return at_xi(z, p)
 
     monkeypatch.setattr(vf, "jet", counted)
+    monkeypatch.setattr(vf, "xi_jet", counted_xi)
     assert main(["verify", *argv, "--checks", check]) == 0
     capsys.readouterr()
     assert sum(evaluated) == points
