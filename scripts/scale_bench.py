@@ -4,6 +4,7 @@ Runs, each in a fresh interpreter with one BLAS/OpenMP thread,
 
     mkdvsurf verify --preset ex2 --checks all
     mkdvsurf verify --preset ex2 --checks shape
+    mkdvsurf verify --preset ex2 --checks willmore
     mkdvsurf verify --preset ex7 --checks lax
     mkdvsurf verify --preset ex7 --checks consistency
     mkdvsurf verify --preset ex2 --checks consistency
@@ -19,7 +20,8 @@ Runs, each in a fresh interpreter with one BLAS/OpenMP thread,
 
 at nx = nt = 101, 401 and 1001, the grid sizes the ROADMAP's north star
 names (the perfbench workloads stop at 201^2); ``shape``, the
-finite-difference oracle's largest check, is also timed alone, as are
+finite-difference oracle's largest check, is also timed alone, and so is
+``willmore``, its other divergence-form check, as are
 ``lax`` and ``consistency``, the two checks that evaluate the Lax-pair
 solution Phi, ``consistency`` also on ex2, where it evaluates the spectral
 frame at every point, and ``compat`` on ex4, the largest of the checks that run
@@ -68,6 +70,7 @@ SIZES = (101, 401, 1001)
 COMMANDS = {
     "verify ex2 all": ("verify", "--preset", "ex2", "--checks", "all"),
     "verify ex2 shape": ("verify", "--preset", "ex2", "--checks", "shape"),
+    "verify ex2 willmore": ("verify", "--preset", "ex2", "--checks", "willmore"),
     "verify ex7 lax": ("verify", "--preset", "ex7", "--checks", "lax"),
     "verify ex7 consistency": ("verify", "--preset", "ex7", "--checks", "consistency"),
     "verify ex2 consistency": ("verify", "--preset", "ex2", "--checks", "consistency"),

@@ -10,11 +10,13 @@ axis per surface and per energy.
 
 :func:`_quotient` is the package's only difference-quotient arithmetic:
 :func:`derivative` and the divergence-form pass both read their stencil
-points through it.  Fields are pointwise; the one a divergence-form pass
-differentiates is called once per stencil line, on the line's points
-stacked on a new leading axis, at most one tile of :data:`TILE_POINTS`
-points per call.  Its quotients, and ``lax``'s complex ones, divide by a
-real scalar through :func:`div_real`.  The module imports no other package
+points through it.  Fields are pointwise.  A divergence-form pass takes
+its flux points in stacks of at most one tile of :data:`TILE_POINTS`
+points, stacked on a new leading axis: it calls the field it
+differentiates once per stencil offset of a stack, and the geometry of the
+flux (every surface's forms and the weights) once per stack.  Its
+quotients, and ``lax``'s complex ones, divide by a real scalar through
+:func:`div_real`.  The module imports no other package
 module, so the oracle cannot reach the closed forms it checks; the geometry
 types it returns live here for that reason, and so does ``TILE_POINTS``,
 which ``soliton.tiled`` also reads.
@@ -86,7 +88,7 @@ DERIVATIVE_STENCIL = Stencil(h=1e-4, order=4, richardson=False)
 OPERATOR_STENCIL = Stencil(h=1e-3, order=4, richardson=True)
 
 # Grid points per tile of `soliton.tiled`, and the most points one stacked
-# field call of the divergence-form pass takes.  At 8192 points one complex
+# call of the divergence-form pass takes.  At 8192 points one complex
 # array is 128 kB and one stacked 2x2 complex array 512 kB, so most
 # temporaries of a check stay in a 2 MB per-core L2 cache.  The frame checks
 # at 201^2 ran in 0.77 of their untiled time at 8192 points, 0.76 at 4096,
@@ -262,62 +264,50 @@ def _sqrt_det_g(fm: Forms, scalar_ok: bool):
 
 
 # One block of a divergence-form pass: the rows of the field it acts on
-# (``...`` for the whole field), the form whose inverse it applies ("g" or
-# "h") and its scalar weight (None for 1).
-_WHOLE_FIELD = ((..., "g", None),)
+# (``...`` for the whole field) and the form whose inverse it applies ("g" or
+# "h"); its scalar weight is the pass's geometry's.
+_WHOLE_FIELD = ((..., "g"),)
 
 
-def _line(f, point, offsets, shape):
-    """A reader of the field f along one stencil line: ``read(d)`` is f at
-    ``point(d)``, for each offset d of ``offsets`` once and in that order.
-
-    The points are stacked on a new leading axis, at most
-    ``max(1, TILE_POINTS // N)`` of them per call of f for N points of the
-    shape ``shape``, so that no call takes more than one tile's points.  The
-    coordinates are those ``point`` computes, and f is pointwise, so each
-    value is bitwise f at that point alone.  A call's values are evaluated
-    when the first of them is read and freed once the last is.
+def _stacks(evaluate, offsets, per_call, axis):
+    """A reader of one value per offset: ``read(d)`` for each offset d of
+    ``offsets`` once and in that order.  The offsets are taken ``per_call``
+    at a time, and ``evaluate(stack)`` returns the values of a stack's
+    offsets on the axis ``axis``, when the first of them is read; each
+    value is freed once it is read.
     """
-    per_call = max(1, TILE_POINTS // math.prod(shape))
     pending = list(offsets)
     values = {}
-    points = (slice(None),) * len(shape)
 
     def read(d):
         if d not in values:
-            chunk = pending[:per_call]
+            stack = pending[:per_call]
             del pending[:per_call]
-            xs, ts = np.empty((2, len(chunk)) + shape)
-            for j, c in enumerate(chunk):
-                xs[j], ts[j] = point(c)
-            value = f(xs, ts)
-            values.update((c, value[(..., j) + points]) for j, c in enumerate(chunk))
+            values.update(zip(stack, np.moveaxis(evaluate(stack), axis, 0)))
         return values.pop(d)
 
     return read
 
 
-def _divergence_form(f, forms, x, t, forms_at, s, blocks=_WHOLE_FIELD):
+def _divergence_form(f, geometry, x, t, forms_at, s, blocks=_WHOLE_FIELD):
     """(1/sqrt(det g)) d_i(sqrt(det g) w a^{ij} d_j f) in nested flux form,
-    once for each surface of ``forms``.
+    once for each surface of ``geometry``.
 
-    ``forms`` is a sequence of :class:`Forms` fields, one per surface, and
-    ``forms_at`` each surface's :class:`Forms` at (x, t), as the caller
+    ``geometry(xx, tt)`` returns ``(forms, weights)`` at the points: each
+    surface's :class:`Forms` and each block's scalar weight w (None for 1).
+    ``forms_at`` is each surface's :class:`Forms` at (x, t), as the caller
     evaluated them; the result is divided by their sqrt(det g).  The
     surfaces share the field f and the weights, and the result is one array
     of shape (surfaces,) + the shape of f's value.  Each block
-    ``(rows, tensor, weight)`` applies the operator to the rows ``rows`` of
-    f's value: a^{ij} is the inverse of the metric g (``tensor`` "g") or of
-    the second form h ("h"), and w the scalar field ``weight`` (1 when
-    None).  The bracketed flux is itself a field whose divergence is taken
-    by the same central stencils.  ``f`` may return leading axes (one field
-    per energy).  At each flux point f is differentiated once and each
-    block's weight is evaluated once for all surfaces, and each surface's
-    ``forms`` is called once; every block of every surface fills its own
-    rows of one flux array with the arithmetic it would have alone, and the
-    central quotients act on all of them at once, element by element.  So
-    each surface's divergence is bitwise what a pass with that surface
-    alone gives.
+    ``(rows, tensor)`` applies the operator to the rows ``rows`` of f's
+    value, with a^{ij} the inverse of the metric g (``tensor`` "g") or of
+    the second form h ("h").  The bracketed flux is itself a field whose
+    divergence is taken by the same central stencils.  ``f`` may return
+    leading axes (one field per energy).  Every block of every surface
+    fills its own rows of one flux array with the arithmetic it would have
+    alone, and the central quotients act on all of them at once, element by
+    element.  So each surface's divergence is bitwise what a pass with that
+    surface alone gives.
 
     The x-flux at (x + a, t) differentiates f along t at the points
     (x + a, t + b), and the t-flux at (x, t + b) along x at the same
@@ -328,19 +318,26 @@ def _divergence_form(f, forms, x, t, forms_at, s, blocks=_WHOLE_FIELD):
     would evaluate, and every quotient is :func:`_quotient`'s; the result
     is bitwise that of differentiating f afresh at each flux point.
 
-    f is pointwise, and it accepts one leading stacked axis on x and t,
-    which it returns just before the point axes (after any leading axes of
-    its own).  It is called once per stencil line, not once per point: a
-    line is the x-axis points ((x + a) + c, t) or the mixed points
-    (x + a, t + b) of the x-flux at x + a, or the t-axis points
-    (x, (t + b) + c) of the t-flux at t + b, stacked on the new axis, at
-    most ``max(1, TILE_POINTS // N)`` points per call for N points in x and
-    t (see :func:`_line`).  At ``OPERATOR_STENCIL`` a pass reads f at 108
+    Each pass (x, then t) takes its six flux offsets in stacks of at most
+    ``max(1, TILE_POINTS // N)`` offsets for N points in x and t, and
+    evaluates a stack's flux points at once, stacked on a new leading axis
+    of x and t: f, ``geometry`` and the weights are pointwise and accept
+    that axis, and f returns it just before the point axes (after any
+    leading axes of its own).  For each stencil offset an x-stack calls f
+    once at its x-axis points ((x + a) + c, t) and once at its mixed points
+    (x + a, t + b); a t-stack reads the mixed values the x-pass kept,
+    stacked anew, and calls f once at its t-axis points (x, (t + b) + c).
+    ``geometry`` is called and the flux arithmetic runs once per stack, and
+    the outer quotients read the stacked fluxes one offset at a time.  So
+    no call takes more than one tile's points, and every element goes
+    through the arithmetic it would have alone.  At ``OPERATOR_STENCIL`` a
+    pass reads f at 108
     points (6 x 6 mixed points and 36 on each axis) instead of 144,
-    whatever the number of surfaces, in 18 calls of six points up to 36^2
-    points, 36 calls of 4 + 2 at 41^2, and 108 calls of one point on a
-    tile of ``TILE_POINTS``.  Each weight and each surface's ``forms`` is
-    called once per point, 12 times at the flux points.
+    whatever the number of surfaces: in 18 calls of six points up to 36^2
+    points, 36 calls of four or two at 41^2 (stacks of 4 + 2), and 108
+    calls of one point on a tile of ``TILE_POINTS``; ``geometry`` is called
+    once per stack, twice up to 36^2 points, four times at 41^2 and 12
+    times on a tile.
     """
     if s is None:
         s = OPERATOR_STENCIL
@@ -348,18 +345,24 @@ def _divergence_form(f, forms, x, t, forms_at, s, blocks=_WHOLE_FIELD):
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(x.shape, t.shape)
     offsets = _reads(s, 1)
+    per_call = max(1, TILE_POINTS // math.prod(shape))
+    axis = -1 - len(shape)  # a value's stack axis, just before the point axes
     mixed = {}  # (a, b) -> f(x + a, t + b), from the x-pass to the t-pass
 
+    def stacked(stack, point):
+        xs, ts = np.empty((2, len(stack)) + shape)
+        for j, d in enumerate(stack):
+            xs[j], ts[j] = point(d)
+        return xs, ts
+
     def flux(xx, tt, fx, ft, row):
-        fx, ft = np.asarray(fx), np.asarray(ft)
-        weights = [None if weight is None else weight(xx, tt) for _, _, weight in blocks]
+        forms, weights = geometry(xx, tt)
         out = None
-        for surface, surface_forms in enumerate(forms):
-            fm = surface_forms(xx, tt)
+        for surface, fm in enumerate(forms):
             sq = _sqrt_det_g(fm, scalar_ok=False)
             if out is None:
                 out = np.empty((len(forms),) + np.broadcast_shapes(fx.shape, np.shape(sq)))
-            for (rows, tensor, _), wv in zip(blocks, weights):
+            for (rows, tensor), wv in zip(blocks, weights):
                 if tensor == "g":
                     a11, a12, a22, det_a = fm.g11, fm.g12, fm.g22, fm.det_g()
                 else:
@@ -373,38 +376,43 @@ def _divergence_form(f, forms, x, t, forms_at, s, blocks=_WHOLE_FIELD):
                     np.divide(value, det_a, out=out[surface, rows])
         return out
 
-    def x_flux(a):
-        xa = x + a
-        fx = _quotient(_line(f, lambda c: (xa + c, t), offsets, shape), s, 1)
-        on_mixed = _line(f, lambda b: (xa, t + b), offsets, shape)
-        ft = _quotient(lambda b: mixed.setdefault((a, b), on_mixed(b)), s, 1)
-        return flux(xa, t, fx, ft, 0)
+    def x_flux(stack):
+        xa, t0 = stacked(stack, lambda a: (x + a, t))
 
-    def t_flux(b):
-        tb = t + b
-        fx = _quotient(lambda a: mixed.pop((a, b)), s, 1)
-        ft = _quotient(_line(f, lambda c: (x, tb + c), offsets, shape), s, 1)
-        return flux(x, tb, fx, ft, 1)
+        def on_mixed(b):
+            value = f(xa, t0 + b)
+            mixed.update(((a, b), v) for a, v in zip(stack, np.moveaxis(value, axis, 0)))
+            return value
 
-    div = _quotient(x_flux, s, 1)
-    div = div + _quotient(t_flux, s, 1)
+        fx = _quotient(lambda c: f(xa + c, t0), s, 1)
+        ft = _quotient(on_mixed, s, 1)
+        return flux(xa, t0, fx, ft, 0)
+
+    def t_flux(stack):
+        x0, tb = stacked(stack, lambda b: (x, t + b))
+        fx = _quotient(lambda a: np.stack([mixed.pop((a, b)) for b in stack], axis), s, 1)
+        ft = _quotient(lambda c: f(x0, tb + c), s, 1)
+        return flux(x0, tb, fx, ft, 1)
+
+    div = _quotient(_stacks(x_flux, offsets, per_call, axis), s, 1)
+    div = div + _quotient(_stacks(t_flux, offsets, per_call, axis), s, 1)
     for surface, fm in enumerate(forms_at):
         div[surface] /= _sqrt_det_g(fm, scalar_ok=True)
     return div
 
 
-def laplace_beltrami(f, forms, x, t, s: Stencil | None = None):
+def laplace_beltrami(f, forms, x, t, forms_at, s: Stencil | None = None):
     """Surface Laplacian: (1/sqrt(det g)) d_i(sqrt(det g) g^{ij} d_j f).
 
-    ``forms`` is the surface's :class:`Forms` field.  f is pointwise and
-    takes stacked points as :func:`_divergence_form` describes: at
-    ``OPERATOR_STENCIL`` it is read at 108 points in one call per stencil
-    line (18 calls on up to 36^2 points), and ``forms`` 13 times: at the
-    12 flux points and at (x, t).
+    ``forms`` is the surface's :class:`Forms` field and ``forms_at`` its
+    value at (x, t), the caller's.  f and ``forms`` are pointwise and take
+    stacked points as :func:`_divergence_form` describes: at
+    ``OPERATOR_STENCIL`` f is read at 108 points, in 18 calls up to 36^2
+    points and 36 at 41^2, and ``forms`` once per stack of flux points,
+    twice up to 36^2 points and four times at 41^2.
     """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return _divergence_form(f, (forms,), x, t, (forms(x, t),), s)[0]
+    geometry = lambda xx, tt: ((forms(xx, tt),), (None,))
+    return _divergence_form(f, geometry, x, t, (forms_at,), s)[0]
 
 
 NEAR_SINGULAR_RTOL = 1e-10
@@ -415,48 +423,54 @@ def near_singular_mask(fm: Forms):
     return np.abs(fm.det_h()) < NEAR_SINGULAR_RTOL * (fm.h11 + fm.h22) ** 2
 
 
-def willmore_like_residual(curvatures, forms, a, b, x, t, s: Stencil | None = None):
+def willmore_like_residual(curvatures, forms, a, b, x, t, at, s: Stencil | None = None):
     """Residual of the surface equation Lap(H) + a H^3 + b H K on the
     surface of the :class:`CurvaturePair` and :class:`Forms` fields.
 
-    Returns (residual, scale), arrays of the shape of x and t, where scale
-    is the pointwise magnitude of the largest algebraic term.
+    ``at`` is the surface's ``(Forms, CurvaturePair)`` at (x, t), which the
+    caller evaluates, so that one evaluation of the surface there can serve
+    both.  Lap(H) is :func:`laplace_beltrami`'s.  Returns (residual, scale),
+    arrays of the shape of x and t, where scale is the pointwise magnitude
+    of the largest algebraic term.
     """
-    lap_h = laplace_beltrami(lambda a, b: curvatures(a, b).H, forms, x, t, s)
-    cur = curvatures(np.asarray(x, float), np.asarray(t, float))
+    forms_at, cur = at
+    lap_h = laplace_beltrami(lambda xx, tt: curvatures(xx, tt).H, forms, x, t, forms_at, s)
     t_a = a * cur.H ** 3
     t_b = b * cur.H * cur.K
     scale = np.maximum(np.maximum(np.abs(t_a), np.abs(t_b)), 1e-30)
     return lap_h + t_a + t_b, scale
 
 
-def shape_equation_residual(curvatures, forms, energies, x, t, forms_at,
+def shape_equation_residual(curvatures, geometry, energies, x, t, at,
                             s: Stencil | None = None):
     """Residuals of the generalized shape equation for polynomial energies
     on several surfaces that share one :class:`CurvaturePair` field.
 
-    ``forms`` is a sequence of :class:`Forms` fields, one per surface, and
-    ``forms_at`` each surface's :class:`Forms` at (x, t), which a caller
-    that also reads them, as the ``shape`` check does for its near-singular
-    mask, evaluates once for both.  For
-    each energy E in the sequence ``energies``,
+    ``geometry(xx, tt)`` returns ``(forms, cur)``: a sequence of
+    :class:`Forms`, one per surface, and the shared :class:`CurvaturePair`,
+    so that one evaluation of the surfaces at a set of points serves both;
+    ``at`` is its value at (x, t), which a caller that also reads the forms
+    there, as the ``shape`` check does for its near-singular mask,
+    evaluates once for both.  For each energy E in the sequence
+    ``energies``,
     (Lap + 4H^2 - 2K) dE/dH + 2 (div-bar + 2KH) dE/dK - 4 H E + 2p,
     where div-bar is the curvature-weighted operator.  Returns
     (residual, scale), arrays of shape (surfaces, energies) + the shape of
     x and t, scale the largest of the four term magnitudes.  The dE/dH
     fields of all energies, and the dE/dK fields of those that depend on K,
-    are rows of one field from one curvature call per stencil line, and one
-    divergence-form pass for all surfaces applies the Laplacian to the dE/dH
-    rows and div-bar to the dE/dK rows.  ``curvatures`` is pointwise and
-    takes the pass's stacked points (see :func:`_divergence_form`).  At
+    are rows of one field from one ``curvatures`` call per stencil offset
+    of a stack of flux points, and one divergence-form pass for all
+    surfaces applies the Laplacian to the dE/dH rows and div-bar to the
+    dE/dK rows.  ``curvatures`` and ``geometry`` are pointwise and take the
+    pass's stacked points (see :func:`_divergence_form`).  At
     ``OPERATOR_STENCIL`` that is 18 to 108 curvature calls for the 108
     stencil points (18 up to 36^2 points, 36 at 41^2, 108 on a tile of
-    ``TILE_POINTS``), 12 for the weight K at the flux points and one at
-    (x, t), whatever the number of surfaces, and 12 calls of each
-    ``forms``, at the flux points.  The terms are formed element
-    by element, so every entry is bitwise what the energy gives alone on
-    that surface alone, and the div-bar term of an energy free of K is
-    exactly zero.  x and t may be a single point.
+    ``TILE_POINTS``) and one geometry call per stack of flux points, which
+    gives every surface's forms and the weight K (2 up to 36^2 points, 4 at
+    41^2 and 12 on a tile), whatever the number of surfaces.  The terms are
+    formed element by element, so every entry is bitwise what the energy
+    gives alone on that surface alone, and the div-bar term of an energy
+    free of K is exactly zero.  x and t may be a single point.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -477,11 +491,16 @@ def shape_equation_residual(curvatures, forms, energies, x, t, forms_at,
             out[n_h + i] = e.dK(c.H, c.K)
         return out
 
-    blocks = [(slice(0, n_h), "g", None)]
+    blocks = [(slice(0, n_h), "g")]
     if with_k:
-        blocks.append((slice(n_h, None), "h", lambda a, b: curvatures(a, b).K))
-    ops = _divergence_form(field, forms, x, t, forms_at, s, blocks)
-    cur = curvatures(x, t)
+        blocks.append((slice(n_h, None), "h"))
+
+    def flux_geometry(xx, tt):
+        forms, cur = geometry(xx, tt)
+        return forms, (None, cur.K)[:len(blocks)]
+
+    forms_at, cur = at
+    ops = _divergence_form(field, flux_geometry, x, t, forms_at, s, blocks)
     h_, k_ = cur.H, cur.K
     # the terms read at (x, t) alone, one row per energy
     curv_h, curv_k, term3, term4 = np.empty((4, n_h) + np.shape(h_))

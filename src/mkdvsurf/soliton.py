@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -211,14 +211,15 @@ class Jet:
 XI_MAX = float(np.arccosh(np.finfo(float).max))
 
 
-def xi_jet(z, p: SolitonParams) -> Jet:
-    """The soliton's jet at xi = z, x = t = None: the package's one evaluation of sech, tanh."""
+def xi_jet(z, p: SolitonParams, x=None, t=None) -> Jet:
+    """The soliton's jet at xi = z, holding the x and t it was read from
+    (None on a jet of xi alone): the package's one evaluation of sech, tanh."""
     z = np.asarray(z, dtype=float)
-    return Jet(p, None, None, z, 1.0 / np.cosh(z), np.tanh(z))
+    return Jet(p, x, t, z, 1.0 / np.cosh(z), np.tanh(z))
 
 
 def jet(x, t, p: SolitonParams) -> Jet:
     """The soliton's jet at (x, t): :func:`xi_jet` at their xi, holding x and t."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    return replace(xi_jet(xi(x, t, p), p), x=x, t=t)
+    return xi_jet(xi(x, t, p), p, x, t)

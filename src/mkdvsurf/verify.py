@@ -460,7 +460,9 @@ def _check_willmore(cfg: _Config, name: str, tol: float, h: float) -> CheckResul
     forms = lambda xx, tt: fam.forms(jet(xx, tt, p))
 
     def pointwise(xx, tt):
-        res, scale = diffgeo.willmore_like_residual(curvatures, forms, 4.0 / 9.0, 1.0, xx, tt, s)
+        j = jet(xx, tt, p)
+        res, scale = diffgeo.willmore_like_residual(
+            curvatures, forms, 4.0 / 9.0, 1.0, xx, tt, (fam.forms(j), fam.curvatures(j)), s)
         return np.abs(res) / scale
 
     return _result(name, label, tol, tiled(pointwise, x, t), note="a=4/9, b=1")
@@ -475,15 +477,17 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     one curvature field, that of lam = +k1/2, serves both and only the
     metrics differ.  Each tile makes one ``diffgeo.shape_equation_residual``
     pass for both signs and all distinct energies: at ``OPERATOR_STENCIL``
-    one curvature call per stencil line of at most
-    ``max(1, diffgeo.TILE_POINTS // N)`` stacked points for an N-point tile
-    (36 at 41^2), 12 for the weight K and one at the grid points, 49 in all
-    at 41^2 and half what one pass per sign makes, and 13 forms calls per
-    sign: 12 at the flux points and one at the grid points, whose value
-    serves both the pass and the near-singular mask.  It
-    returns the (points, surfaces, energies) normalized residuals, NaN where
-    the surface is near-singular; each (surface, energy) pair keeps its
-    finite entries and excludes the others.
+    one curvature call per stencil offset of a stack of at most
+    ``max(1, diffgeo.TILE_POINTS // N)`` flux points for an N-point tile
+    (36 at 41^2), one geometry call per stack (4 at 41^2) and one at the
+    grid points, 41 curvature calls in all at 41^2 and half what one pass
+    per sign makes.  A geometry call evaluates one soliton jet and hands it
+    to both signs' forms and to the curvatures, which give the weight K at
+    the flux points and, at the grid points, the algebraic terms; there the
+    forms also serve the near-singular mask.  It returns the (points,
+    surfaces, energies) normalized residuals, NaN where the surface is
+    near-singular; each (surface, energy) pair keeps its finite entries and
+    excludes the others.
     """
     p = cfg.surface.params
     s = replace(diffgeo.OPERATOR_STENCIL, h=h)
@@ -501,20 +505,24 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     plus, minus = (SolitonParams(k1=p.k1, lam=sign * p.k1 / 2.0, mu=p.mu)
                    for sign in (1.0, -1.0))
     curvatures = lambda xx, tt: SPECTRAL3.curvatures(jet(xx, tt, plus))
-    forms = (lambda xx, tt: SPECTRAL3.forms(jet(xx, tt, plus)),
-             lambda xx, tt: SPECTRAL3.forms(jet(xx, tt, minus)))
+
+    def geometry(xx, tt):
+        # the signs' jets differ only in p
+        j = jet(xx, tt, plus)
+        return (SPECTRAL3.forms(j), SPECTRAL3.forms(replace(j, p=minus))), SPECTRAL3.curvatures(j)
+
     x, t, label = cfg.grid()
 
     def pointwise(xx, tt):
-        at = [f(xx, tt) for f in forms]
+        at = geometry(xx, tt)
         res, scale = diffgeo.shape_equation_residual(
-            curvatures, forms, distinct.values(), xx, tt, at, s)
-        singular = np.stack([diffgeo.near_singular_mask(fm) for fm in at])
+            curvatures, geometry, distinct.values(), xx, tt, at, s)
+        singular = np.stack([diffgeo.near_singular_mask(fm) for fm in at[0]])
         normalized = np.where(singular[:, None], np.nan, np.abs(res) / scale)
         return np.moveaxis(normalized, -1, 0)
 
     # (surfaces, energies, points), and (max, median, excluded) of each pair
-    by_pair = tiled(pointwise, x, t).reshape(-1, len(forms), len(distinct)).transpose(1, 2, 0)
+    by_pair = tiled(pointwise, x, t).reshape(-1, 2, len(distinct)).transpose(1, 2, 0)
     stats = np.empty(by_pair.shape[:2] + (3,))
     for pair in np.ndindex(by_pair.shape[:2]):
         values = by_pair[pair]

@@ -82,11 +82,19 @@ def fields(family, p):
                     for closed in (family.position, family.forms, family.curvatures)))
 
 
+def shape_geometry(*surfaces):
+    """The geometry field of ``diffgeo.shape_equation_residual`` for the
+    :class:`Fields` ``surfaces``, which share the first one's curvatures:
+    every surface's forms and those curvatures at the points."""
+    return lambda x, t: (tuple(f.forms(x, t) for f in surfaces), surfaces[0].curvatures(x, t))
+
+
 def shape_residuals(surface, energies, x, t, s=None):
     """``diffgeo.shape_equation_residual`` on the one surface of the
     :class:`Fields` ``surface``: its (residual, scale) pair per energy."""
-    res, scale = shape_equation_residual(surface.curvatures, (surface.forms,), energies,
-                                         x, t, (surface.forms(x, t),), s)
+    geometry = shape_geometry(surface)
+    res, scale = shape_equation_residual(surface.curvatures, geometry, energies,
+                                         x, t, geometry(x, t), s)
     return list(zip(res[0], scale[0]))
 
 

@@ -185,15 +185,17 @@ def test_criterion_07_willmore_like():
         p = SolitonParams(k1, k1 / 2.0, mu)
         prov = fields(SPECTRAL3, p)
         x, t = xi_grid(p, 2.0, N_XI, N_T)
+        at = (prov.forms(x, t), prov.curvatures(x, t))
         res, scale = diffgeo.willmore_like_residual(prov.curvatures, prov.forms, 4.0 / 9.0, 1.0,
-                                                    x, t)
+                                                    x, t, at)
         worst = max(worst, float(np.max(np.abs(res) / scale)))
     # control: away from lam = k1/2 the relation must visibly break
     p_ctrl = SolitonParams(2.0, 0.6, -8.0)
     x, t = xi_grid(p_ctrl, 2.0, 11, 5)
     ctrl = fields(SPECTRAL3, p_ctrl)
+    at = (ctrl.forms(x, t), ctrl.curvatures(x, t))
     res, scale = diffgeo.willmore_like_residual(ctrl.curvatures, ctrl.forms, 4.0 / 9.0, 1.0,
-                                                x, t)
+                                                x, t, at)
     control = float(np.max(np.abs(res) / scale))
     ok = worst < 1e-4 and control > 1e-2
     assert _line(7, ok, f"max normalized residual {worst:.2e} (tol 1e-4), "

@@ -1,6 +1,7 @@
 """Finite-difference oracle: forms from positions, surface operators."""
 
 import ast
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from mkdvsurf.immersion import PRESETS, SPECTRAL3, resolve
 from mkdvsurf.lax import det_phi_expected, phi
 from mkdvsurf.soliton import SolitonParams, jet, xi_grid
 
-from helpers import Fields, fields, shape_residuals
+from helpers import Fields, fields, shape_geometry, shape_residuals
 
 X1, T1 = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
 
@@ -239,14 +240,14 @@ def test_fd_forms_degenerate_point_raises():
 
 def test_laplace_beltrami_flat():
     f = lambda x, t: x ** 2 + t ** 2
-    got = dg.laplace_beltrami(f, flat_forms(), X1, T1)
+    got = dg.laplace_beltrami(f, flat_forms(), X1, T1, flat_forms()(X1, T1))
     assert np.allclose(got, 4.0, atol=1e-8)
 
 
 def test_laplace_beltrami_sphere_eigenfunction():
     # f = sin(polar) has eigenvalue -2 on the unit sphere
     f = lambda x, t: np.sin(x)
-    got = dg.laplace_beltrami(f, sphere_forms, X1, T1)
+    got = dg.laplace_beltrami(f, sphere_forms, X1, T1, sphere_forms(X1, T1))
     assert np.allclose(got, -2.0 * np.sin(X1), atol=1e-8)
 
 
@@ -256,7 +257,8 @@ def test_laplace_convergence_order():
     errs = []
     for h in (4e-3, 2e-3):
         s = dg.Stencil(h=h, order=2, richardson=False)
-        errs.append(np.max(np.abs(dg.laplace_beltrami(f, flat_forms(), X1, T1, s) - exact)))
+        lap = dg.laplace_beltrami(f, flat_forms(), X1, T1, flat_forms()(X1, T1), s)
+        errs.append(np.max(np.abs(lap - exact)))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0  # second order: halving h -> ~4x
 
@@ -268,17 +270,30 @@ def test_operator_linearity(a, b):
     f = lambda x, t: np.sin(x) + t ** 2
     g = lambda x, t: np.cos(t) * x
     combo = lambda x, t: a * f(x, t) + b * g(x, t)
-    lhs = dg.laplace_beltrami(combo, forms, X1, T1)
-    rhs = a * dg.laplace_beltrami(f, forms, X1, T1) + b * dg.laplace_beltrami(
-        g, forms, X1, T1
+    at = forms(X1, T1)
+    lhs = dg.laplace_beltrami(combo, forms, X1, T1, at)
+    rhs = a * dg.laplace_beltrami(f, forms, X1, T1, at) + b * dg.laplace_beltrami(
+        g, forms, X1, T1, at
     )
     assert np.max(np.abs(lhs - rhs)) < 1e-8 * (1 + abs(a) + abs(b))
+
+
+def _divergence_form(f, forms, x, t, s, blocks):
+    # the pass over the surfaces of the Forms fields ``forms``, with blocks
+    # (rows, tensor, weight field or None) as the nested pass takes them:
+    # one geometry call gives every surface's forms and every block's weight
+    def geometry(a, b):
+        return ([fm(a, b) for fm in forms],
+                [None if weight is None else weight(a, b) for _, _, weight in blocks])
+
+    return dg._divergence_form(f, geometry, x, t, [fm(x, t) for fm in forms], s,
+                               [(rows, tensor) for rows, tensor, _ in blocks])
 
 
 def _nabla_dot_bar(f, forms, k_of, x, t):
     # the curvature-weighted operator (1/sqrt(det g)) d_i(sqrt(det g) K h^ij d_j f)
     # as the shape equation runs it: one "h" block weighted by K
-    [div] = dg._divergence_form(f, (forms,), x, t, (forms(x, t),), None, ((..., "h", k_of),))
+    [div] = _divergence_form(f, (forms,), x, t, None, ((..., "h", k_of),))
     return div
 
 
@@ -308,7 +323,7 @@ def test_nabla_dot_bar_reduces_to_laplacian_on_unit_sphere():
     f = lambda x, t: np.sin(x)
     k_of = lambda x, t: np.ones_like(x)
     got = _nabla_dot_bar(f, sphere_forms, k_of, X1, T1)
-    lap = dg.laplace_beltrami(f, sphere_forms, X1, T1)
+    lap = dg.laplace_beltrami(f, sphere_forms, X1, T1, sphere_forms(X1, T1))
     assert np.allclose(got, lap, atol=1e-7)
 
 
@@ -379,7 +394,7 @@ def _operator_cases(prov):
         return np.stack([c.H, c.H ** 2 - c.K, 2.0 * c.H, c.K * c.H])
 
     return {
-        "laplacian": (lambda a, b: prov.curvatures(a, b).H, dg._WHOLE_FIELD),
+        "laplacian": (lambda a, b: prov.curvatures(a, b).H, ((..., "g", None),)),
         "k-weighted": (lambda a, b: prov.curvatures(a, b).H, ((..., "h", k_of),)),
         "fused": (rows, ((slice(0, 2), "g", None), (slice(2, None), "h", k_of))),
     }
@@ -395,15 +410,16 @@ def _same_bits(a, b):
                          ids=lambda s: f"order{s.order}-{'rich' if s.richardson else 'plain'}")
 @pytest.mark.parametrize("case", ["lam+", "lam-", "ex7"])
 def test_divergence_form_is_the_nested_pass_bitwise(monkeypatch, case, s):
-    # at tile bounds that stack 1, 2, 4 and 6 stencil points per field call
+    # at tile bounds that stack 1, 2, 4, 5 (an uneven 5 + 1) and 6 flux
+    # offsets per stack, and at a single point, whose one stack holds all six
     prov, x, t = _shape_surface(case)
-    for per_call in (1, 2, 4, 6):
-        monkeypatch.setattr(dg, "TILE_POINTS", per_call * x.size)
+    points = [(x, t, per_call) for per_call in (1, 2, 4, 5, 6)] + [(x[1, 2], t[1, 2], 6)]
+    for xx, tt, per_call in points:
+        monkeypatch.setattr(dg, "TILE_POINTS", per_call * np.size(xx))
         for name, (field, blocks) in _operator_cases(prov).items():
-            [got] = dg._divergence_form(field, (prov.forms,), x, t, (prov.forms(x, t),), s,
-                                        blocks)
-            want = _nested_divergence_form(field, prov.forms, x, t, s, blocks)
-            assert _same_bits(got, want), (name, per_call)
+            [got] = _divergence_form(field, (prov.forms,), xx, tt, s, blocks)
+            want = _nested_divergence_form(field, prov.forms, xx, tt, s, blocks)
+            assert _same_bits(got, want), (name, per_call, np.shape(xx))
 
 
 @pytest.mark.parametrize("s", [dg.OPERATOR_STENCIL, dg.Stencil(1e-3, 2, False)],
@@ -419,12 +435,10 @@ def test_divergence_form_of_several_surfaces_is_each_alone_bitwise(s):
     forms = (plus.forms, minus.forms, other.forms)
     for xx, tt in ((x, t), (x[1, 2], t[1, 2])):
         for name, (field, blocks) in _operator_cases(plus).items():
-            together = dg._divergence_form(field, forms, xx, tt,
-                                           [f(xx, tt) for f in forms], s, blocks)
+            together = _divergence_form(field, forms, xx, tt, s, blocks)
             assert together.shape == (len(forms),) + np.shape(field(xx, tt))
             for got, provider in zip(together, forms):
-                [alone] = dg._divergence_form(field, (provider,), xx, tt,
-                                              (provider(xx, tt),), s, blocks)
+                [alone] = _divergence_form(field, (provider,), xx, tt, s, blocks)
                 assert _same_bits(got, alone), name
 
 
@@ -432,10 +446,12 @@ def test_divergence_form_evaluates_each_field_point_once():
     # the x-flux's t-derivative and the t-flux's x-derivative read the same
     # 36 mixed points (x + a, t + b): the pass evaluates the 108 distinct
     # points of the nested pass's 144, each once, in one stacked call per
-    # stencil line of six points, split into calls of at most one tile's
-    # points: 4 + 2 per line at 41^2.  The points are random and many: on a
-    # small or round grid, nominally equal points such as (x + h) - h and x
-    # can agree bit for bit in every entry
+    # stencil offset of a stack of flux offsets, at most one tile's points
+    # per call: at 41^2 each pass runs a stack of four flux offsets, then
+    # one of two, and the x-pass reads the axis and the mixed points (12
+    # calls per stack), the t-pass the axis points alone (6).  The points are
+    # random and many: on a small or round grid, nominally equal points such
+    # as (x + h) - h and x can agree bit for bit in every entry
     prov, _, _ = _shape_surface("lam+")
     x, t = np.random.default_rng(5).uniform(-0.5, 0.5, (2, 41, 41))
     field, blocks = _operator_cases(prov)["fused"]
@@ -449,15 +465,35 @@ def test_divergence_form_evaluates_each_field_point_once():
         return f
 
     s = dg.OPERATOR_STENCIL
-    dg._divergence_form(spy("shared", True), (prov.forms,), x, t, (prov.forms(x, t),), s,
-                        blocks)
+    _divergence_form(spy("shared", True), (prov.forms,), x, t, s, blocks)
     _nested_divergence_form(spy("nested", False), prov.forms, x, t, s, blocks)
     shared, nested = ([p for call in calls[name] for p in call] for name in calls)
-    assert [len(call) for call in calls["shared"]] == [4, 2] * 18
+    assert [len(call) for call in calls["shared"]] == [4] * 12 + [2] * 12 + [4] * 6 + [2] * 6
     assert max(map(len, calls["shared"])) <= dg.TILE_POINTS // x.size
     assert len(shared) == len(set(shared)) == 108
     assert len(calls["nested"]) == len(nested) == 144
     assert set(shared) == set(nested)
+
+
+@pytest.mark.parametrize("per_call", [1, 2, 4, 5, 6, 7])
+def test_divergence_form_calls_its_geometry_once_per_stack(monkeypatch, per_call):
+    # each pass takes its six flux offsets in stacks of at most per_call:
+    # one geometry call per stack, with every surface's forms and every
+    # block's weight at all of the stack's flux points
+    prov, x, t = _shape_surface("lam+")
+    field, blocks = _operator_cases(prov)["fused"]
+    monkeypatch.setattr(dg, "TILE_POINTS", per_call * x.size)
+    sizes = []
+
+    def geometry(a, b):
+        sizes.append(len(a))
+        return (prov.forms(a, b),), (None, prov.curvatures(a, b).K)
+
+    dg._divergence_form(field, geometry, x, t, (prov.forms(x, t),), dg.OPERATOR_STENCIL,
+                        [(rows, tensor) for rows, tensor, _ in blocks])
+    stacks = [min(per_call, 6 - i) for i in range(0, 6, per_call)]
+    assert len(sizes) == 2 * math.ceil(6 / per_call)
+    assert sizes == 2 * stacks
 
 
 def test_near_singular_mask():
@@ -473,7 +509,8 @@ def test_willmore_residual_shapes_and_scale():
     pre = resolve("ex2")
     prov = fields(SPECTRAL3, pre.params)
     x, t = np.meshgrid(np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
-    res, scale = dg.willmore_like_residual(prov.curvatures, prov.forms, 4.0 / 9.0, 1.0, x, t)
+    at = (prov.forms(x, t), prov.curvatures(x, t))
+    res, scale = dg.willmore_like_residual(prov.curvatures, prov.forms, 4.0 / 9.0, 1.0, x, t, at)
     assert res.shape == x.shape
     assert np.all(scale > 0)
     assert np.max(np.abs(res) / scale) < 1e-4
@@ -519,7 +556,8 @@ def test_shape_residual_h2_is_willmore_operator():
     [(res, _)] = shape_residuals(prov, (_H2Lagrangian(),), x, t)
     h = prov.curvatures(x, t).H
     k = prov.curvatures(x, t).K
-    lap = dg.laplace_beltrami(lambda a, b: prov.curvatures(a, b).H, prov.forms, x, t)
+    lap = dg.laplace_beltrami(lambda a, b: prov.curvatures(a, b).H, prov.forms, x, t,
+                              prov.forms(x, t))
     assert np.allclose(res, 2 * lap + 4 * h ** 3 - 4 * k * h, atol=1e-7)
 
 
@@ -566,8 +604,8 @@ def test_multi_energy_shape_residuals_equal_single_calls():
     with pytest.raises(ValueError):
         shape_residuals(prov, (), x, t)
     minus = fields(SPECTRAL3, SolitonParams(k1=2.0, lam=-1.0, mu=-8.0))
-    # each surface's forms is called at the 12 flux points alone; its forms
-    # at (x, t) are the caller's
+    # each surface's forms is called once per stack of flux points, one
+    # stack of six per pass on this grid; its forms at (x, t) are the caller's
     calls = []
 
     def counted(forms):
@@ -576,10 +614,11 @@ def test_multi_energy_shape_residuals_equal_single_calls():
             return forms(a, b)
         return call
 
-    at = [prov.forms(x, t), minus.forms(x, t)]
-    res, scale = dg.shape_equation_residual(
-        prov.curvatures, (counted(prov.forms), counted(minus.forms)), energies, x, t, at)
-    assert calls.count(prov.forms) == calls.count(minus.forms) == 12
+    geometry = shape_geometry(Fields(None, counted(prov.forms), prov.curvatures),
+                              Fields(None, counted(minus.forms), None))
+    at = shape_geometry(prov, minus)(x, t)
+    res, scale = dg.shape_equation_residual(prov.curvatures, geometry, energies, x, t, at)
+    assert calls.count(prov.forms) == calls.count(minus.forms) == 2
     assert res.shape == scale.shape == (2, len(energies)) + x.shape
     for row, forms in enumerate((prov.forms, minus.forms)):
         alone = Fields(None, forms, prov.curvatures)
@@ -589,9 +628,9 @@ def test_multi_energy_shape_residuals_equal_single_calls():
             assert _same_bits(scale[row, col], scale1)
     # and at a single point, the grid's entry there
     x1, t1 = x[1, 2], t[1, 2]
-    res1, scale1 = dg.shape_equation_residual(prov.curvatures, (prov.forms, minus.forms),
+    res1, scale1 = dg.shape_equation_residual(prov.curvatures, shape_geometry(prov, minus),
                                               energies, x1, t1,
-                                              [prov.forms(x1, t1), minus.forms(x1, t1)])
+                                              shape_geometry(prov, minus)(x1, t1))
     assert _same_bits(res1, res[..., 1, 2])
     assert _same_bits(scale1, scale[..., 1, 2])
 
@@ -631,7 +670,7 @@ def _two_operator_residuals(prov, energies, x, t):
     out = []
     for e in energies:
         lap = dg.laplace_beltrami(
-            lambda a, b: e.dH(*_hk(prov, a, b)), prov.forms, x, t)
+            lambda a, b: e.dH(*_hk(prov, a, b)), prov.forms, x, t, prov.forms(x, t))
         term1 = lap + (4.0 * h ** 2 - 2.0 * k) * e.dH(h, k)
         if e.depends_on_k():
             nabla = _nabla_dot_bar_written_out(

@@ -349,11 +349,12 @@ def test_generate_evaluates_the_soliton_once(monkeypatch, pid):
 # more at the points of the x and t stencils of Phi and of the position.  The
 # divergence-form pass of willmore and shape builds one jet per call of its
 # fields: 18 stacked calls of the curvature field at 11^2 (one per stencil
-# line), each surface's forms at the 12 flux points and at (x, t), and the
-# curvatures at (x, t); shape adds the weight K at the flux points, and its
-# near-singular mask shares the pass's one forms call per sign at (x, t).
+# offset of a stack of six flux points), one per stack for the flux's
+# geometry (the forms of willmore's surface, or of both of shape's signs
+# and the weight K), two stacks in all, and one at (x, t) for the forms and
+# the curvatures there, which shape's near-singular mask shares.
 JETS_PER_TILE = {"zerocurv": 1, "compat": 1, "forms": 1, "weingarten": 1, "sphere": 1,
-                 "lax": 9, "consistency": 9, "willmore": 32, "shape": 57}
+                 "lax": 9, "consistency": 9, "willmore": 21, "shape": 21}
 
 
 @pytest.mark.parametrize("pid, check", [

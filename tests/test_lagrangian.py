@@ -215,10 +215,10 @@ def test_verify_family_report(monkeypatch):
         forms_at.append((j.p.lam, j.x.tobytes(), j.t.tobytes()))
         return forms(j)
 
-    def residual_spy(curvatures, forms_, energies, *args):
+    def residual_spy(curvatures, geometry, energies, x, t, at, *args):
         energies = list(energies)
-        tested.append((len(forms_), {e.terms for e in energies}))
-        return residual(curvatures, forms_, energies, *args)
+        tested.append((len(at[0]), {e.terms for e in energies}))
+        return residual(curvatures, geometry, energies, x, t, at, *args)
 
     monkeypatch.setattr(verify, "xi_grid", grid_spy)
     monkeypatch.setattr(immersion, "three_param_forms_closed", forms_spy)

@@ -15,7 +15,8 @@ def test_scale_bench_runs_every_command_at_a_small_grid():
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(proc.stdout)["runs"]
     assert [(r["command"], r["n"]) for r in runs] == [
-        ("verify ex2 all", 11), ("verify ex2 shape", 11), ("verify ex7 lax", 11),
+        ("verify ex2 all", 11), ("verify ex2 shape", 11), ("verify ex2 willmore", 11),
+        ("verify ex7 lax", 11),
         ("verify ex7 consistency", 11), ("verify ex2 consistency", 11),
         ("verify ex4 compat", 11), ("verify ex4 zerocurv", 11), ("generate ex7 json", 11),
         ("generate ex7 obj", 11), ("generate ex4 obj", 11), ("generate ex4 csv", 11),

@@ -118,12 +118,12 @@ def test_fd_step_override_respected():
 
 def test_shape_check_curvature_budget(monkeypatch):
     # the FD oracle evaluates each stencil point once, for all four energies
-    # at a time, in one curvature call per stencil line (4 + 2 points at
-    # 41^2), and the Laplacian and the K-weighted operator share one pass
-    # with one forms call per flux point; the forms at the grid points serve
-    # both the pass and the near-singular mask, 13 calls per sign; a
-    # re-expanded stencil, a second pass, a call per point or a second
-    # forms call shows here before it shows as time
+    # at a time, in one curvature call per stencil offset of a stack of flux
+    # points (stacks of 4 + 2 at 41^2), and the Laplacian and the K-weighted
+    # operator share one pass with one forms call per sign and stack; the
+    # forms at the grid points serve both the pass and the near-singular
+    # mask; a re-expanded stencil, a second pass, a call per point or a
+    # second forms call shows here before it shows as time
     calls = {"three_param_curvatures_closed": 0, "three_param_forms_closed": 0}
     for name in calls:
         closed = getattr(immersion, name)
@@ -142,8 +142,9 @@ def test_shape_check_curvature_budget(monkeypatch):
 def test_shape_check_evaluates_one_curvature_field_for_both_signs(monkeypatch):
     # the surfaces at lam = +-k1/2 share their K and H, so the check makes
     # the curvature calls of one single-surface pass, half those of one
-    # pass per sign: 36 for the 18 stencil lines (4 + 2 points per call at
-    # 41^2, one tile), the weight K at 12 flux points and one on the grid
+    # pass per sign: 36 for the stencil offsets of the stacks of four and
+    # two flux points at 41^2 (one tile), four for the flux geometry's
+    # weight K, one per stack of each pass, and one on the grid
     calls = []
     closed = immersion.three_param_curvatures_closed
 
@@ -162,7 +163,7 @@ def test_shape_check_evaluates_one_curvature_field_for_both_signs(monkeypatch):
         sp = SolitonParams(k1=p.k1, lam=sign * p.k1 / 2.0, mu=p.mu)
         shape_residuals(fields(immersion.SPECTRAL3, sp), (energy,),
                         *xi_grid(sp, 2.0, 41, 41))
-    assert 2 * in_check == len(calls) == 98
+    assert 2 * in_check == len(calls) == 82
 
 
 def test_shape_check_energy_budget(monkeypatch):
