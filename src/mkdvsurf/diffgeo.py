@@ -11,15 +11,15 @@ axis per surface and per energy.
 :func:`_quotient` is the package's only difference-quotient arithmetic:
 :func:`derivative` and the divergence-form pass both read their stencil
 points through it.  Fields are pointwise.  A divergence-form pass takes
-its flux points in stacks of at most one tile of :data:`TILE_POINTS`
-points, stacked on a new leading axis: it calls the field it
-differentiates once per stencil offset of a stack, and the geometry of the
-flux (every surface's forms and the weights) once per stack.  Its
-quotients, and ``lax``'s complex ones, divide by a real scalar through
-:func:`div_real`.  The module imports no other package
-module, so the oracle cannot reach the closed forms it checks; the geometry
-types it returns live here for that reason, and so does ``TILE_POINTS``,
-which ``soliton.tiled`` also reads.
+its flux offsets in the fewest equal stacks whose calls hold at most
+:data:`STACK_POINTS` points, two tiles' worth, with a stack's flux points
+on a new leading axis: it calls the field it differentiates once per
+stencil offset of a stack, and the geometry of the flux (every surface's
+forms and the weights) once per stack.  Its quotients, and ``lax``'s
+complex ones, divide by a real scalar through :func:`div_real`.  The
+module imports no other package module, so the oracle cannot reach the
+closed forms it checks; the geometry types it returns live here for that
+reason, and so does ``TILE_POINTS``, which ``soliton.tiled`` also reads.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ DERIVATIVE_STENCIL = Stencil(h=1e-4, order=4, richardson=False)
 # nested divergence-form operators: larger step plus one Richardson level
 OPERATOR_STENCIL = Stencil(h=1e-3, order=4, richardson=True)
 
-# Grid points per tile of `soliton.tiled`, and the most points one stacked
-# call of the divergence-form pass takes.  At 8192 points one complex
+# Grid points per tile of `soliton.tiled`.  At 8192 points one complex
 # array is 128 kB and one stacked 2x2 complex array 512 kB, so most
 # temporaries of a check stay in a 2 MB per-core L2 cache.  The frame checks
 # at 201^2 ran in 0.77 of their untiled time at 8192 points, 0.76 at 4096,
@@ -97,6 +96,20 @@ OPERATOR_STENCIL = Stencil(h=1e-3, order=4, richardson=True)
 # 4096 (2-core Xeon VM, 2 MB L2 per core).  It is defined in this module,
 # which imports no other, so that both can read it.
 TILE_POINTS = 8192
+
+# The most points one stacked call of the divergence-form pass takes: a
+# pass takes its six flux offsets in the fewest equal stacks within it, one
+# stack of six up to 52^2 points (so at the default 41^2), 3 + 3 up to 73^2
+# and 2 + 2 + 2 on a full tile.  Against a budget of one tile (3 + 3 at
+# 41^2, six stacks of one on a full tile), two tiles took the `shape` check
+# on ex2 from 0.61-0.62 to 0.57-0.63 s of CPU at 401^2 and from 3.99-4.27 to
+# 3.63-3.99 s at 1001^2, and its traced peak at 401^2 from 13.3 to 14.9 MiB;
+# three tiles read 0.56-0.59 s and 17.1 MiB there, and six (one stack of
+# six everywhere) 0.58-0.64 s and 21.7 MiB.  At 41^2 the `verify` pass of
+# all seven presets took the same CPU at one tile and two.  (Two processes
+# per budget, each the min of three runs at 401^2 and one run at 1001^2,
+# malloc pinned as `cli.main` pins it; 2-core x86-64 VM, numpy 2.4.6.)
+STACK_POINTS = 2 * TILE_POINTS
 
 
 def _shift(f, x, t, d, axis):
@@ -318,26 +331,27 @@ def _divergence_form(f, geometry, x, t, forms_at, s, blocks=_WHOLE_FIELD):
     would evaluate, and every quotient is :func:`_quotient`'s; the result
     is bitwise that of differentiating f afresh at each flux point.
 
-    Each pass (x, then t) takes its six flux offsets in stacks of at most
-    ``max(1, TILE_POINTS // N)`` offsets for N points in x and t, and
-    evaluates a stack's flux points at once, stacked on a new leading axis
-    of x and t: f, ``geometry`` and the weights are pointwise and accept
-    that axis, and f returns it just before the point axes (after any
-    leading axes of its own).  For each stencil offset an x-stack calls f
-    once at its x-axis points ((x + a) + c, t) and once at its mixed points
-    (x + a, t + b); a t-stack reads the mixed values the x-pass kept,
-    stacked anew, and calls f once at its t-axis points (x, (t + b) + c).
-    ``geometry`` is called and the flux arithmetic runs once per stack, and
-    the outer quotients read the stacked fluxes one offset at a time.  So
-    no call takes more than one tile's points, and every element goes
+    Each pass (x, then t) takes its flux offsets, six at
+    ``OPERATOR_STENCIL``, in the fewest equal stacks whose calls hold at
+    most ``STACK_POINTS`` points for N points in x and t (one offset per
+    stack where N exceeds half of it), and evaluates a stack's flux points
+    at once, stacked on a new leading axis of x and t: f, ``geometry`` and
+    the weights are pointwise and accept that axis, and f returns it just
+    before the point axes (after any leading axes of its own).  For each
+    stencil offset an x-stack calls f once at its x-axis points
+    ((x + a) + c, t) and once at its mixed points (x + a, t + b); a t-stack
+    reads the mixed values the x-pass kept, stacked anew, and calls f once
+    at its t-axis points (x, (t + b) + c).  ``geometry`` is called and the
+    flux arithmetic runs once per stack, and the outer quotients read the
+    stacked fluxes one offset at a time.  So no call takes more than
+    ``STACK_POINTS`` points unless N alone does, and every element goes
     through the arithmetic it would have alone.  At ``OPERATOR_STENCIL`` a
-    pass reads f at 108
-    points (6 x 6 mixed points and 36 on each axis) instead of 144,
-    whatever the number of surfaces: in 18 calls of six points up to 36^2
-    points, 36 calls of four or two at 41^2 (stacks of 4 + 2), and 108
-    calls of one point on a tile of ``TILE_POINTS``; ``geometry`` is called
-    once per stack, twice up to 36^2 points, four times at 41^2 and 12
-    times on a tile.
+    pass reads f at 108 points (6 x 6 mixed points and 36 on each axis)
+    instead of 144, whatever the number of surfaces: in 18 calls of six
+    points up to 52^2 points (so at 41^2), 36 calls of three up to 73^2
+    (stacks of 3 + 3) and 54 calls of two on a tile of ``TILE_POINTS``
+    (2 + 2 + 2); ``geometry`` is called once per stack, twice up to 52^2
+    points, four times up to 73^2 and six times on a tile.
     """
     if s is None:
         s = OPERATOR_STENCIL
@@ -345,7 +359,9 @@ def _divergence_form(f, geometry, x, t, forms_at, s, blocks=_WHOLE_FIELD):
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(x.shape, t.shape)
     offsets = _reads(s, 1)
-    per_call = max(1, TILE_POINTS // math.prod(shape))
+    # the fewest equal stacks of offsets whose calls fit STACK_POINTS
+    per_call = max(n for n in range(1, len(offsets) + 1) if len(offsets) % n == 0
+                   and (n == 1 or n * math.prod(shape) <= STACK_POINTS))
     axis = -1 - len(shape)  # a value's stack axis, just before the point axes
     mixed = {}  # (a, b) -> f(x + a, t + b), from the x-pass to the t-pass
 
@@ -407,9 +423,9 @@ def laplace_beltrami(f, forms, x, t, forms_at, s: Stencil | None = None):
     ``forms`` is the surface's :class:`Forms` field and ``forms_at`` its
     value at (x, t), the caller's.  f and ``forms`` are pointwise and take
     stacked points as :func:`_divergence_form` describes: at
-    ``OPERATOR_STENCIL`` f is read at 108 points, in 18 calls up to 36^2
-    points and 36 at 41^2, and ``forms`` once per stack of flux points,
-    twice up to 36^2 points and four times at 41^2.
+    ``OPERATOR_STENCIL`` f is read at 108 points, in 18 calls up to 52^2
+    points (so at 41^2) and 54 on a tile, and ``forms`` once per stack of
+    flux points, twice up to 52^2 points and six times on a tile.
     """
     geometry = lambda xx, tt: ((forms(xx, tt),), (None,))
     return _divergence_form(f, geometry, x, t, (forms_at,), s)[0]
@@ -464,13 +480,14 @@ def shape_equation_residual(curvatures, geometry, energies, x, t, at,
     dE/dK rows.  ``curvatures`` and ``geometry`` are pointwise and take the
     pass's stacked points (see :func:`_divergence_form`).  At
     ``OPERATOR_STENCIL`` that is 18 to 108 curvature calls for the 108
-    stencil points (18 up to 36^2 points, 36 at 41^2, 108 on a tile of
-    ``TILE_POINTS``) and one geometry call per stack of flux points, which
-    gives every surface's forms and the weight K (2 up to 36^2 points, 4 at
-    41^2 and 12 on a tile), whatever the number of surfaces.  The terms are
-    formed element by element, so every entry is bitwise what the energy
-    gives alone on that surface alone, and the div-bar term of an energy
-    free of K is exactly zero.  x and t may be a single point.
+    stencil points (18 up to 52^2 points, so at 41^2, 36 up to 73^2, 54 up
+    to a tile of ``TILE_POINTS`` and 108 beyond) and one geometry call per
+    stack of flux points, which gives every surface's forms and the weight
+    K (2 up to 52^2 points, 4 up to 73^2, 6 up to a tile and 12 beyond),
+    whatever the number of surfaces.  The terms are formed element by
+    element, so every entry is bitwise what the energy gives alone on that
+    surface alone, and the div-bar term of an energy free of K is exactly
+    zero.  x and t may be a single point.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)

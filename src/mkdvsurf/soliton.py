@@ -2,15 +2,18 @@
 
 The wave coordinate is xi = k1 (k1^2 t + 4 x) / 8, so that
 d(xi)/dx = k1/2 and d(xi)/dt = k1^3/8, and the wave speed constant is
-alpha = k1^2 / 4.  :func:`xi_jet` evaluates sech(xi) and tanh(xi) once at a
-set of xi, and the returned :class:`Jet` gives u and its x and t derivatives
-as exact chain-rule expressions in sech(xi) and tanh(xi); :func:`jet` is it
-at the xi of (x, t), which it reads as float64 and keeps.  Every pointwise
-kernel (``lax``, ``deformation``, ``immersion``) is handed its caller's jet
-and computes in the jet's type (long double, or sympy symbols in the tests'
-proofs).  What reads only xi repeats with it: :func:`repeats` finds the
-distinct values, with counts, that ``mesh`` formats once and ``verify``
-evaluates once, on jets of xi alone, where the position and Phi raise.
+alpha = k1^2 / 4.  :func:`xi_jet` evaluates sech(xi) once at a set of xi,
+and the returned :class:`Jet` evaluates tanh(xi) on the first read of its
+``tau``, so a jet whose readers take sech alone (the spectral3 forms and
+curvatures) never evaluates it.  The jet gives u and its x and t
+derivatives as exact chain-rule expressions in sech(xi) and tanh(xi);
+:func:`jet` is it at the xi of (x, t), which it reads as float64 and
+keeps.  Every pointwise kernel (``lax``, ``deformation``, ``immersion``) is
+handed its caller's jet and computes in the jet's type (long double, or
+sympy symbols in the tests' proofs).  What reads only xi repeats with it:
+:func:`repeats` finds the distinct values, with counts, that ``mesh``
+formats once and ``verify`` evaluates once, on jets of xi alone, where the
+position and Phi raise.
 """
 from __future__ import annotations
 
@@ -158,16 +161,33 @@ def repeats(values: np.ndarray):
             lambda v: np.searchsorted(bits, v.view(np.uint64)).astype(small))
 
 
+class _Tanh:
+    """The default of :attr:`Jet.tau`: tanh(xi), evaluated on the jet's first
+    read of it and then held in the jet's ``__dict__``.  The descriptor has
+    no ``__set__``, so every later read finds the held value first, as it
+    finds every other field, and no read of a jet runs a hook."""
+
+    def __get__(self, j, owner=None):
+        if j is None:
+            return None  # the field's default, as dataclasses reads it
+        tau = j.__dict__["tau"] = np.tanh(j.xi)
+        return tau
+
+
 @dataclass(frozen=True)
 class Jet:
     """The soliton and its derivatives at a set of points.
 
-    ``xi``, ``s`` = sech(xi) and ``tau`` = tanh(xi) are evaluated once by
-    :func:`xi_jet`; ``x`` and ``t`` are the float arrays :func:`jet` read xi
-    from, or None on a jet of xi alone.  Each derivative is a property, an
-    exact chain-rule expression in s and tau built on access, so a caller
-    holds only the derivatives it uses.  The soliton is a traveling wave, so
-    every t derivative is alpha times the x derivative of the same order.
+    ``xi`` and ``s`` = sech(xi) are evaluated once by :func:`xi_jet`, and
+    ``tau`` = tanh(xi) once, on its first read, unless the jet was built
+    with it (the tests' symbolic model passes a symbol); ``x`` and ``t`` are
+    the float arrays :func:`jet` read xi from, or None on a jet of xi
+    alone.  ``dataclasses.replace`` reads ``tau`` like every field, so the
+    copy holds the value and evaluates nothing more.  Each derivative is a
+    property, an exact chain-rule expression in s and tau built on access,
+    so a caller holds only the derivatives it uses.  The soliton is a
+    traveling wave, so every t derivative is alpha times the x derivative
+    of the same order.
     """
 
     p: SolitonParams
@@ -175,7 +195,11 @@ class Jet:
     t: np.ndarray | None
     xi: np.ndarray
     s: np.ndarray
-    tau: np.ndarray
+    tau: np.ndarray | None = _Tanh()
+
+    def __post_init__(self):
+        if self.__dict__["tau"] is None:  # evaluated on first read
+            del self.__dict__["tau"]
 
     @property
     def u(self):
@@ -213,9 +237,10 @@ XI_MAX = float(np.arccosh(np.finfo(float).max))
 
 def xi_jet(z, p: SolitonParams, x=None, t=None) -> Jet:
     """The soliton's jet at xi = z, holding the x and t it was read from
-    (None on a jet of xi alone): the package's one evaluation of sech, tanh."""
+    (None on a jet of xi alone): the package's one evaluation of sech, with
+    tanh evaluated by the jet on the first read of its ``tau``."""
     z = np.asarray(z, dtype=float)
-    return Jet(p, x, t, z, 1.0 / np.cosh(z), np.tanh(z))
+    return Jet(p, x, t, z, 1.0 / np.cosh(z))
 
 
 def jet(x, t, p: SolitonParams) -> Jet:

@@ -1,7 +1,6 @@
 """Finite-difference oracle: forms from positions, surface operators."""
 
 import ast
-import math
 
 import numpy as np
 import pytest
@@ -410,16 +409,20 @@ def _same_bits(a, b):
                          ids=lambda s: f"order{s.order}-{'rich' if s.richardson else 'plain'}")
 @pytest.mark.parametrize("case", ["lam+", "lam-", "ex7"])
 def test_divergence_form_is_the_nested_pass_bitwise(monkeypatch, case, s):
-    # at tile bounds that stack 1, 2, 4, 5 (an uneven 5 + 1) and 6 flux
-    # offsets per stack, and at a single point, whose one stack holds all six
+    # at budgets of 1, 2, 3, 5 and 6 flux offsets' points, which take the
+    # six offsets of OPERATOR_STENCIL in stacks of one, of two, 3 + 3 twice
+    # (five rounds down to equal stacks) and one stack of six; at the
+    # default budget (one stack of six on these 35 points); and at a single
+    # point, whose one stack holds all six
     prov, x, t = _shape_surface(case)
-    points = [(x, t, per_call) for per_call in (1, 2, 4, 5, 6)] + [(x[1, 2], t[1, 2], 6)]
-    for xx, tt, per_call in points:
-        monkeypatch.setattr(dg, "TILE_POINTS", per_call * np.size(xx))
+    points = [(x, t, per_call * x.size) for per_call in (1, 2, 3, 5, 6)]
+    points += [(x, t, dg.STACK_POINTS), (x[1, 2], t[1, 2], dg.STACK_POINTS)]
+    for xx, tt, budget in points:
+        monkeypatch.setattr(dg, "STACK_POINTS", budget)
         for name, (field, blocks) in _operator_cases(prov).items():
             [got] = _divergence_form(field, (prov.forms,), xx, tt, s, blocks)
             want = _nested_divergence_form(field, prov.forms, xx, tt, s, blocks)
-            assert _same_bits(got, want), (name, per_call, np.shape(xx))
+            assert _same_bits(got, want), (name, budget, np.shape(xx))
 
 
 @pytest.mark.parametrize("s", [dg.OPERATOR_STENCIL, dg.Stencil(1e-3, 2, False)],
@@ -446,10 +449,10 @@ def test_divergence_form_evaluates_each_field_point_once():
     # the x-flux's t-derivative and the t-flux's x-derivative read the same
     # 36 mixed points (x + a, t + b): the pass evaluates the 108 distinct
     # points of the nested pass's 144, each once, in one stacked call per
-    # stencil offset of a stack of flux offsets, at most one tile's points
-    # per call: at 41^2 each pass runs a stack of four flux offsets, then
-    # one of two, and the x-pass reads the axis and the mixed points (12
-    # calls per stack), the t-pass the axis points alone (6).  The points are
+    # stencil offset of a stack of flux offsets, at most STACK_POINTS points
+    # per call: at 41^2 each pass runs one stack of all six flux offsets,
+    # and the x-pass reads the axis and the mixed points (12 calls), the
+    # t-pass the axis points alone (6).  The points are
     # random and many: on a small or round grid, nominally equal points such
     # as (x + h) - h and x can agree bit for bit in every entry
     prov, _, _ = _shape_surface("lam+")
@@ -468,21 +471,23 @@ def test_divergence_form_evaluates_each_field_point_once():
     _divergence_form(spy("shared", True), (prov.forms,), x, t, s, blocks)
     _nested_divergence_form(spy("nested", False), prov.forms, x, t, s, blocks)
     shared, nested = ([p for call in calls[name] for p in call] for name in calls)
-    assert [len(call) for call in calls["shared"]] == [4] * 12 + [2] * 12 + [4] * 6 + [2] * 6
-    assert max(map(len, calls["shared"])) <= dg.TILE_POINTS // x.size
+    assert [len(call) for call in calls["shared"]] == [6] * 18
+    assert max(map(len, calls["shared"])) <= dg.STACK_POINTS // x.size
     assert len(shared) == len(set(shared)) == 108
     assert len(calls["nested"]) == len(nested) == 144
     assert set(shared) == set(nested)
 
 
-@pytest.mark.parametrize("per_call", [1, 2, 4, 5, 6, 7])
+@pytest.mark.parametrize("per_call", [1, 2, 3, 4, 5, 6, 7])
 def test_divergence_form_calls_its_geometry_once_per_stack(monkeypatch, per_call):
-    # each pass takes its six flux offsets in stacks of at most per_call:
-    # one geometry call per stack, with every surface's forms and every
-    # block's weight at all of the stack's flux points
+    # with a budget of per_call flux offsets' points, each pass takes its
+    # six flux offsets in the fewest equal stacks within it (so four and
+    # five take 3 + 3, and seven one stack of six): one geometry call per
+    # stack, with every surface's forms and every block's weight at all of
+    # the stack's flux points
     prov, x, t = _shape_surface("lam+")
     field, blocks = _operator_cases(prov)["fused"]
-    monkeypatch.setattr(dg, "TILE_POINTS", per_call * x.size)
+    monkeypatch.setattr(dg, "STACK_POINTS", per_call * x.size)
     sizes = []
 
     def geometry(a, b):
@@ -491,9 +496,8 @@ def test_divergence_form_calls_its_geometry_once_per_stack(monkeypatch, per_call
 
     dg._divergence_form(field, geometry, x, t, (prov.forms(x, t),), dg.OPERATOR_STENCIL,
                         [(rows, tensor) for rows, tensor, _ in blocks])
-    stacks = [min(per_call, 6 - i) for i in range(0, 6, per_call)]
-    assert len(sizes) == 2 * math.ceil(6 / per_call)
-    assert sizes == 2 * stacks
+    stack = {1: 1, 2: 2, 3: 3, 4: 3, 5: 3, 6: 6, 7: 6}[per_call]
+    assert sizes == 2 * (6 // stack) * [stack]
 
 
 def test_near_singular_mask():

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,56 @@ def test_jets_per_tile_of_each_check(monkeypatch, pid, check):
     calls = _count_jets(monkeypatch)
     assert verify.run_checks([check], surface, nx=11, nt=11).passed
     assert len(calls) == JETS_PER_TILE[check]
+
+
+def _count_tanh(monkeypatch):
+    """Evaluations of tanh from here on: calls of np.tanh, which the jet's
+    tau makes on its first read."""
+    calls = []
+    original = np.tanh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tanh", counted)
+    return calls
+
+
+# Evaluations of tanh xi per jet built: the spectral3 closed forms that
+# shape, willmore and weingarten read take sech xi alone, so those checks
+# never evaluate it; lax, consistency and generate read the tau of every jet
+# they build, and evaluate it once per jet.
+TANH_PER_JET = {"shape": 0, "willmore": 0, "weingarten": 0, "lax": 1, "consistency": 1,
+                "generate": 1}
+
+
+@pytest.mark.parametrize("task", TANH_PER_JET)
+def test_tanh_is_evaluated_once_per_jet_whose_tau_is_read(monkeypatch, task):
+    surface = resolve("ex2")
+    jets, tanh = _count_jets(monkeypatch), _count_tanh(monkeypatch)
+    if task == "generate":
+        mesh.generate(surface, nx=11, nt=11)
+    else:
+        assert verify.run_checks([task], surface, nx=11, nt=11).passed
+    assert jets and len(tanh) == TANH_PER_JET[task] * len(jets)
+
+
+def test_a_jet_holds_tanh_from_its_first_read_and_replace_carries_it(monkeypatch):
+    p = resolve("ex2").params
+    x, t = xi_grid(p, 2.0, 7, 5)
+    tanh = _count_tanh(monkeypatch)
+    j = jet(x, t, p)
+    assert not tanh
+    tau = j.tau
+    j.u_x, j.u_xxx  # every later read finds the value held
+    assert len(tanh) == 1 and j.tau is tau
+    assert tau.tobytes() == np.tanh(j.xi).tobytes()  # a second evaluation, for the bits
+    copy = replace(j, p=SolitonParams(k1=p.k1, lam=-p.lam, mu=p.mu))
+    assert copy.tau is tau and len(tanh) == 2
+    # a jet built with tau holds it, and evaluates nothing
+    given = soliton.Jet(p, None, None, j.xi, j.s, tau)
+    assert given.tau is tau and len(tanh) == 2
 
 
 def _callers(function: str) -> set[str]:

@@ -115,24 +115,28 @@ def test_jet_is_the_exact_derivative_chain():
 
 
 def test_sech_and_tanh_are_evaluated_only_in_the_jet():
-    # every other module reads sech xi and tanh xi from soliton.xi_jet, and
-    # soliton.jet is xi_jet at the xi of (x, t)
-    def hyperbolic_lines(tree):
+    # every other module reads sech xi and tanh xi from a soliton.Jet: its
+    # one np.cosh is in soliton.xi_jet, and its one np.tanh in the default
+    # of the jet's tau, which evaluates it on first read; soliton.jet is
+    # xi_jet at the xi of (x, t)
+    def lines(tree, names):
         return [node.lineno for node in ast.walk(tree)
                 if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
-                and {getattr(node, a, None) for a in ("attr", "id", "name")} & {"cosh", "tanh"}]
+                and {getattr(node, a, None) for a in ("attr", "id", "name")} & names]
 
+    lazy = type(vars(soliton.Jet)["tau"]).__name__
     for path in sorted(Path(soliton.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        found = hyperbolic_lines(tree)
+        found = lines(tree, {"cosh", "tanh"})
         if path.name == "soliton.py":
-            defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-            allowed = set(hyperbolic_lines(defs["xi_jet"]))
-            assert allowed, "soliton.xi_jet no longer evaluates cosh and tanh"
-            assert not hyperbolic_lines(defs["jet"])
+            defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            cosh, tanh = lines(defs["xi_jet"], {"cosh"}), lines(defs[lazy], {"tanh"})
+            assert len(cosh) == 1, "soliton.xi_jet no longer evaluates cosh, once"
+            assert len(tanh) == 1, "Jet.tau no longer evaluates tanh, once"
+            assert not lines(defs["jet"], {"cosh", "tanh"})
             assert "xi_jet" in {getattr(n.func, "id", None) for n in ast.walk(defs["jet"])
                                 if isinstance(n, ast.Call)}, "soliton.jet bypasses xi_jet"
-            found = [line for line in found if line not in allowed]
+            found = [line for line in found if line not in cosh + tanh]
         assert not found, f"{path.name} evaluates cosh/tanh at lines {found}"
 
 

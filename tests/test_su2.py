@@ -1,6 +1,7 @@
 """Pauli-basis algebra, the su(2) <-> R^3 identification, and 2x2 arithmetic."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +52,36 @@ def _inner_by_trace(fa, fb):
     return -0.5 * su2.trace(fa @ fb).real
 
 
+def _rounding_bound(terms, n, products):
+    # the forward error of a float64 sum of the products ``terms``, n
+    # roundings on any path: Higham's gamma_n = n u / (1 - n u), u = 2^-53,
+    # times sum |term|; and where a product underflows it loses up to half
+    # the smallest subnormal, eta = 2^-1075, counted twice for the roundings
+    # it passes through later
+    u, eta = Fraction(1, 2 ** 53), Fraction(1, 2 ** 1075)
+    return n * u / (1 - n * u) * sum(map(abs, terms)) + 2 * products * eta
+
+
 @settings(max_examples=50, deadline=None)
 @given(vec3, vec3)
+@example(np.array([998535.0, 0.0, -998473.9921875]),
+         np.array([-998464.0, 0.0, -998473.9921875]))
+@example(np.array([4.448541068583704e-233, 0.0, 0.0]),
+         np.array([4.448541068583704e-233, 0.0, 0.0]))
 def test_inner_is_dot(a, b):
-    fa, fb = su2.vec_to_su2(a), su2.vec_to_su2(b)
+    # against the exact dot product: cancellation can leave it far below the
+    # rounding of its terms (the first example's is -50937165.156188965, off
+    # by 6.1e-5 in su2_inner), so the bound is absolute, and the second
+    # example's product underflows to 0.  su2_inner is a left-to-right sum
+    # of three products, three roundings on any path; the trace form rounds
+    # once more where trace adds its two diagonal entries, each such a sum,
+    # from nine products in all, the halving included
+    terms = [Fraction(float(ai)) * Fraction(float(bi)) for ai, bi in zip(a, b)]
+    exact = sum(terms)
     inner = su2.su2_inner(a, b)
-    assert inner == pytest.approx(float(a @ b), rel=1e-12, abs=1e-9)
-    assert inner == pytest.approx(_inner_by_trace(fa, fb), rel=1e-12, abs=1e-9)
+    assert abs(Fraction(float(inner)) - exact) <= _rounding_bound(terms, 3, 3)
+    by_trace = _inner_by_trace(su2.vec_to_su2(a), su2.vec_to_su2(b))
+    assert abs(Fraction(float(by_trace)) - exact) <= _rounding_bound(terms, 4, 9)
 
 
 @settings(max_examples=50, deadline=None)

@@ -142,9 +142,9 @@ def test_shape_check_curvature_budget(monkeypatch):
 def test_shape_check_evaluates_one_curvature_field_for_both_signs(monkeypatch):
     # the surfaces at lam = +-k1/2 share their K and H, so the check makes
     # the curvature calls of one single-surface pass, half those of one
-    # pass per sign: 36 for the stencil offsets of the stacks of four and
-    # two flux points at 41^2 (one tile), four for the flux geometry's
-    # weight K, one per stack of each pass, and one on the grid
+    # pass per sign: 18 for the stencil offsets of the one stack of six
+    # flux points per pass at 41^2 (one tile), two for the flux geometry's
+    # weight K, one per stack, and one on the grid
     calls = []
     closed = immersion.three_param_curvatures_closed
 
@@ -163,7 +163,7 @@ def test_shape_check_evaluates_one_curvature_field_for_both_signs(monkeypatch):
         sp = SolitonParams(k1=p.k1, lam=sign * p.k1 / 2.0, mu=p.mu)
         shape_residuals(fields(immersion.SPECTRAL3, sp), (energy,),
                         *xi_grid(sp, 2.0, 41, 41))
-    assert 2 * in_check == len(calls) == 82
+    assert 2 * in_check == len(calls) == 42
 
 
 def test_shape_check_energy_budget(monkeypatch):
@@ -538,6 +538,26 @@ def test_weighted_stats_are_the_stats_of_the_expanded_values(pairs, width):
     want = (float(np.max(expanded)), float(np.median(expanded)))
     for got in (vf._stats(values.copy(), counts), vf._stats(expanded.copy())):
         assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
+# odd and even sizes, one and two entries, ties, and zeros of either sign
+_MEDIAN_CASES = [
+    [0.5], [0.25, 0.5], [0.5, 0.25, 0.5], [1.0, 3.0, 2.0, 0.5], [2.0, 2.0, 2.0, 2.0],
+    [1.0, 0.0, 1.0, 0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [-0.0], [-0.0, -0.0],
+    [0.0, -0.0, 1.0, -0.0], [-0.0, 0.0, 0.0, -0.0, 2.0],
+] + [np.random.default_rng(n).choice([-0.0, 0.0, 0.5, 1.0, 3.0], n).tolist()
+     for n in (7, 8, 64, 65)]
+
+
+@pytest.mark.parametrize("values", _MEDIAN_CASES)
+def test_unweighted_stats_are_numpy_max_and_median_bitwise(values):
+    # one partition at the upper middle rank, and the lower middle as the
+    # largest value below it, give np.median's bits, through _stats and
+    # through _median, which the shape check calls alone
+    v = np.array(values)
+    want = np.array([np.max(v), np.median(v)]).view(np.uint64).tolist()
+    for got in (vf._stats(v.copy()), (np.max(v), vf._median(v.copy()))):
+        assert np.array(got).view(np.uint64).tolist() == want
 
 
 def _traced_growth_per_point(check: str) -> float:
