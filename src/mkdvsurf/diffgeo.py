@@ -10,21 +10,22 @@ axis per surface and per energy.
 
 :func:`_quotient` is the package's only difference-quotient arithmetic:
 :func:`derivative` and the divergence-form pass both read their stencil
-points through it.  Fields are pointwise.  A divergence-form pass takes
-its flux offsets in the fewest equal stacks whose calls hold at most
-:data:`STACK_POINTS` points, two tiles' worth, with a stack's flux points
-on a new leading axis: it calls the field it differentiates once per
-stencil offset of a stack, and the geometry of the flux (every surface's
-forms and the weights) once per stack.  Its quotients, and ``lax``'s
-complex ones, divide by a real scalar through :func:`div_real`.  The
-module imports no other package module, so the oracle cannot reach the
-closed forms it checks; the geometry types it returns live here for that
-reason, and so does ``TILE_POINTS``, which ``soliton.tiled`` also reads.
+points through it.  Fields are pointwise.  A divergence-form operator
+runs two flux passes (x, then t), each on all six flux offsets of the
+stencil at once, with the flux points stacked on a new leading axis: it
+calls the field it differentiates once per stencil offset, 18 times, and
+the geometry of the flux (every surface's forms and the weights) once per
+pass, each call at 6 N points for the N points its caller passes.  So a
+direct caller bounds each call by the N it passes; the package's callers,
+the ``willmore`` and ``shape`` checks, pass tiles of ``soliton.tiled``
+sized for that.  The oracle's quotients, and ``lax``'s complex ones,
+divide by a real scalar through :func:`div_real`.  The module imports no
+other package module, so the oracle cannot reach the closed forms it
+checks; the geometry types it returns live here for that reason.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,31 +87,6 @@ class Stencil:
 DERIVATIVE_STENCIL = Stencil(h=1e-4, order=4, richardson=False)
 # nested divergence-form operators: larger step plus one Richardson level
 OPERATOR_STENCIL = Stencil(h=1e-3, order=4, richardson=True)
-
-# Grid points per tile of `soliton.tiled`.  At 8192 points one complex
-# array is 128 kB and one stacked 2x2 complex array 512 kB, so most
-# temporaries of a check stay in a 2 MB per-core L2 cache.  The frame checks
-# at 201^2 ran in 0.77 of their untiled time at 8192 points, 0.76 at 4096,
-# 0.79 at 12288, 0.85 at 16384 and 0.89 at 2048; the shape check at 401^2,
-# whose per-tile overhead is the largest, took 1.7 s at 8192 and 2.5 s at
-# 4096 (2-core Xeon VM, 2 MB L2 per core).  It is defined in this module,
-# which imports no other, so that both can read it.
-TILE_POINTS = 8192
-
-# The most points one stacked call of the divergence-form pass takes: a
-# pass takes its six flux offsets in the fewest equal stacks within it, one
-# stack of six up to 52^2 points (so at the default 41^2), 3 + 3 up to 73^2
-# and 2 + 2 + 2 on a full tile.  Against a budget of one tile (3 + 3 at
-# 41^2, six stacks of one on a full tile), two tiles took the `shape` check
-# on ex2 from 0.61-0.62 to 0.57-0.63 s of CPU at 401^2 and from 3.99-4.27 to
-# 3.63-3.99 s at 1001^2, and its traced peak at 401^2 from 13.3 to 14.9 MiB;
-# three tiles read 0.56-0.59 s and 17.1 MiB there, and six (one stack of
-# six everywhere) 0.58-0.64 s and 21.7 MiB.  At 41^2 the `verify` pass of
-# all seven presets took the same CPU at one tile and two.  (Two processes
-# per budget, each the min of three runs at 401^2 and one run at 1001^2,
-# malloc pinned as `cli.main` pins it; 2-core x86-64 VM, numpy 2.4.6.)
-STACK_POINTS = 2 * TILE_POINTS
-
 
 def _shift(f, x, t, d, axis):
     if axis == 0:
@@ -282,26 +258,6 @@ def _sqrt_det_g(fm: Forms, scalar_ok: bool):
 _WHOLE_FIELD = ((..., "g"),)
 
 
-def _stacks(evaluate, offsets, per_call, axis):
-    """A reader of one value per offset: ``read(d)`` for each offset d of
-    ``offsets`` once and in that order.  The offsets are taken ``per_call``
-    at a time, and ``evaluate(stack)`` returns the values of a stack's
-    offsets on the axis ``axis``, when the first of them is read; each
-    value is freed once it is read.
-    """
-    pending = list(offsets)
-    values = {}
-
-    def read(d):
-        if d not in values:
-            stack = pending[:per_call]
-            del pending[:per_call]
-            values.update(zip(stack, np.moveaxis(evaluate(stack), axis, 0)))
-        return values.pop(d)
-
-    return read
-
-
 def _divergence_form(f, geometry, x, t, forms_at, s, blocks=_WHOLE_FIELD):
     """(1/sqrt(det g)) d_i(sqrt(det g) w a^{ij} d_j f) in nested flux form,
     once for each surface of ``geometry``.
@@ -331,27 +287,23 @@ def _divergence_form(f, geometry, x, t, forms_at, s, blocks=_WHOLE_FIELD):
     would evaluate, and every quotient is :func:`_quotient`'s; the result
     is bitwise that of differentiating f afresh at each flux point.
 
-    Each pass (x, then t) takes its flux offsets, six at
-    ``OPERATOR_STENCIL``, in the fewest equal stacks whose calls hold at
-    most ``STACK_POINTS`` points for N points in x and t (one offset per
-    stack where N exceeds half of it), and evaluates a stack's flux points
-    at once, stacked on a new leading axis of x and t: f, ``geometry`` and
-    the weights are pointwise and accept that axis, and f returns it just
-    before the point axes (after any leading axes of its own).  For each
-    stencil offset an x-stack calls f once at its x-axis points
-    ((x + a) + c, t) and once at its mixed points (x + a, t + b); a t-stack
-    reads the mixed values the x-pass kept, stacked anew, and calls f once
-    at its t-axis points (x, (t + b) + c).  ``geometry`` is called and the
-    flux arithmetic runs once per stack, and the outer quotients read the
-    stacked fluxes one offset at a time.  So no call takes more than
-    ``STACK_POINTS`` points unless N alone does, and every element goes
-    through the arithmetic it would have alone.  At ``OPERATOR_STENCIL`` a
-    pass reads f at 108 points (6 x 6 mixed points and 36 on each axis)
-    instead of 144, whatever the number of surfaces: in 18 calls of six
-    points up to 52^2 points (so at 41^2), 36 calls of three up to 73^2
-    (stacks of 3 + 3) and 54 calls of two on a tile of ``TILE_POINTS``
-    (2 + 2 + 2); ``geometry`` is called once per stack, twice up to 52^2
-    points, four times up to 73^2 and six times on a tile.
+    Each pass (x, then t) evaluates all its flux points at once, the N
+    points of x and t at each of its flux offsets (six at
+    ``OPERATOR_STENCIL``) stacked on a new leading axis: f, ``geometry``
+    and the weights are pointwise and accept that axis, and f returns it
+    just before the point axes (after any leading axes of its own).  For
+    each stencil offset the x-pass calls f once at its x-axis points
+    ((x + a) + c, t) and once at its mixed points (x + a, t + b); the
+    t-pass reads the mixed values the x-pass kept, stacked anew, and calls
+    f once at its t-axis points (x, (t + b) + c).  ``geometry`` is called
+    and the flux arithmetic runs once per pass, and the outer quotients
+    read the stacked fluxes one offset at a time.  So every call takes
+    6 N points at ``OPERATOR_STENCIL``, which the caller bounds by the N
+    it passes, and every element goes through the arithmetic it would
+    have alone.  At ``OPERATOR_STENCIL`` the two passes read f at 108
+    points (6 x 6 mixed points and 36 on each axis) instead of 144,
+    whatever the number of surfaces, in 18 calls, and call ``geometry``
+    twice.
     """
     if s is None:
         s = OPERATOR_STENCIL
@@ -359,15 +311,12 @@ def _divergence_form(f, geometry, x, t, forms_at, s, blocks=_WHOLE_FIELD):
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(x.shape, t.shape)
     offsets = _reads(s, 1)
-    # the fewest equal stacks of offsets whose calls fit STACK_POINTS
-    per_call = max(n for n in range(1, len(offsets) + 1) if len(offsets) % n == 0
-                   and (n == 1 or n * math.prod(shape) <= STACK_POINTS))
-    axis = -1 - len(shape)  # a value's stack axis, just before the point axes
+    axis = -1 - len(shape)  # a value's offset axis, just before the point axes
     mixed = {}  # (a, b) -> f(x + a, t + b), from the x-pass to the t-pass
 
-    def stacked(stack, point):
-        xs, ts = np.empty((2, len(stack)) + shape)
-        for j, d in enumerate(stack):
+    def stacked(point):
+        xs, ts = np.empty((2, len(offsets)) + shape)
+        for j, d in enumerate(offsets):
             xs[j], ts[j] = point(d)
         return xs, ts
 
@@ -392,26 +341,29 @@ def _divergence_form(f, geometry, x, t, forms_at, s, blocks=_WHOLE_FIELD):
                     np.divide(value, det_a, out=out[surface, rows])
         return out
 
-    def x_flux(stack):
-        xa, t0 = stacked(stack, lambda a: (x + a, t))
+    def x_flux():
+        xa, t0 = stacked(lambda a: (x + a, t))
 
         def on_mixed(b):
             value = f(xa, t0 + b)
-            mixed.update(((a, b), v) for a, v in zip(stack, np.moveaxis(value, axis, 0)))
+            mixed.update(((a, b), v) for a, v in zip(offsets, np.moveaxis(value, axis, 0)))
             return value
 
         fx = _quotient(lambda c: f(xa + c, t0), s, 1)
         ft = _quotient(on_mixed, s, 1)
         return flux(xa, t0, fx, ft, 0)
 
-    def t_flux(stack):
-        x0, tb = stacked(stack, lambda b: (x, t + b))
-        fx = _quotient(lambda a: np.stack([mixed.pop((a, b)) for b in stack], axis), s, 1)
+    def t_flux():
+        x0, tb = stacked(lambda b: (x, t + b))
+        fx = _quotient(lambda a: np.stack([mixed.pop((a, b)) for b in offsets], axis), s, 1)
         ft = _quotient(lambda c: f(x0, tb + c), s, 1)
         return flux(x0, tb, fx, ft, 1)
 
-    div = _quotient(_stacks(x_flux, offsets, per_call, axis), s, 1)
-    div = div + _quotient(_stacks(t_flux, offsets, per_call, axis), s, 1)
+    def by_offset(fluxes):  # a reader of each offset's flux, once
+        return dict(zip(offsets, np.moveaxis(fluxes, axis, 0))).pop
+
+    div = _quotient(by_offset(x_flux()), s, 1)
+    div = div + _quotient(by_offset(t_flux()), s, 1)
     for surface, fm in enumerate(forms_at):
         div[surface] /= _sqrt_det_g(fm, scalar_ok=True)
     return div
@@ -423,9 +375,8 @@ def laplace_beltrami(f, forms, x, t, forms_at, s: Stencil | None = None):
     ``forms`` is the surface's :class:`Forms` field and ``forms_at`` its
     value at (x, t), the caller's.  f and ``forms`` are pointwise and take
     stacked points as :func:`_divergence_form` describes: at
-    ``OPERATOR_STENCIL`` f is read at 108 points, in 18 calls up to 52^2
-    points (so at 41^2) and 54 on a tile, and ``forms`` once per stack of
-    flux points, twice up to 52^2 points and six times on a tile.
+    ``OPERATOR_STENCIL`` f is read at 108 points in 18 calls, and ``forms``
+    twice, once per pass of flux points.
     """
     geometry = lambda xx, tt: ((forms(xx, tt),), (None,))
     return _divergence_form(f, geometry, x, t, (forms_at,), s)[0]
@@ -475,16 +426,14 @@ def shape_equation_residual(curvatures, geometry, energies, x, t, at,
     x and t, scale the largest of the four term magnitudes.  The dE/dH
     fields of all energies, and the dE/dK fields of those that depend on K,
     are rows of one field from one ``curvatures`` call per stencil offset
-    of a stack of flux points, and one divergence-form pass for all
+    of a pass of flux points, and one divergence-form pass for all
     surfaces applies the Laplacian to the dE/dH rows and div-bar to the
     dE/dK rows.  ``curvatures`` and ``geometry`` are pointwise and take the
     pass's stacked points (see :func:`_divergence_form`).  At
-    ``OPERATOR_STENCIL`` that is 18 to 108 curvature calls for the 108
-    stencil points (18 up to 52^2 points, so at 41^2, 36 up to 73^2, 54 up
-    to a tile of ``TILE_POINTS`` and 108 beyond) and one geometry call per
-    stack of flux points, which gives every surface's forms and the weight
-    K (2 up to 52^2 points, 4 up to 73^2, 6 up to a tile and 12 beyond),
-    whatever the number of surfaces.  The terms are formed element by
+    ``OPERATOR_STENCIL`` that is 18 curvature calls for the 108 stencil
+    points and 2 geometry calls, one per pass of flux points, which give
+    every surface's forms and the weight K, whatever the number of
+    surfaces.  The terms are formed element by
     element, so every entry is bitwise what the energy gives alone on that
     surface alone, and the div-bar term of an energy free of K is exactly
     zero.  x and t may be a single point.

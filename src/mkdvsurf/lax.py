@@ -103,11 +103,7 @@ def _time_terms(t, p: SolitonParams):
         raise TypeError("Phi reads t, which a jet of xi alone does not hold")
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
-    bits = flat.view(np.uint64)
-    starts = np.empty(flat.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
+    starts = soliton.run_starts(flat.view(np.uint64))
     runs = np.diff(starts, append=flat.size)
     ea = _time_factor(flat[starts], p)
     eb = np.conj(ea)

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffgeo import TILE_POINTS  # grid points per tile of `tiled`
-
 
 @dataclass(frozen=True)
 class SolitonParams:
@@ -105,8 +103,19 @@ def check_grid(nx: int, nt: int) -> None:
         )
 
 
-def tiled(f, *coords):
-    """``f(*coords)`` evaluated on consecutive tiles of ``TILE_POINTS`` points.
+# Grid points per tile of `tiled`.  At 8192 points one complex array is
+# 128 kB and one stacked 2x2 complex array 512 kB, so most temporaries of a
+# check stay in a 2 MB per-core L2 cache.  The frame checks at 201^2 ran in
+# 0.77 of their untiled time at 8192 points, 0.76 at 4096, 0.79 at 12288,
+# 0.85 at 16384 and 0.89 at 2048; the shape check at 401^2, whose per-tile
+# overhead is the largest, took 1.7 s at 8192 and 2.5 s at 4096 (2-core
+# Xeon VM, 2 MB L2 per core).
+TILE_POINTS = 8192
+
+
+def tiled(f, *coords, points=None):
+    """``f(*coords)`` evaluated on consecutive tiles of ``points`` points,
+    ``TILE_POINTS`` by default.
 
     ``f`` is pointwise: given 1-D coordinates, (x, t) or xi alone, it returns
     an array, or a tuple of arrays, whose leading axis runs over those
@@ -119,19 +128,34 @@ def tiled(f, *coords):
     on the side for the caller to fold after the call, which gives the
     grid's maxima bit for bit without assembling what they are taken over.
     """
+    points = TILE_POINTS if points is None else points
     coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
     shape, flat = coords[0].shape, [c.reshape(-1) for c in coords]
     outs = None
-    for i in range(0, flat[0].size, TILE_POINTS):
-        part = f(*(c[i:i + TILE_POINTS] for c in flat))
+    for i in range(0, flat[0].size, points):
+        part = f(*(c[i:i + points] for c in flat))
         single = not isinstance(part, tuple)
         parts = (part,) if single else part
         if outs is None:
             outs = [np.empty((flat[0].size,) + a.shape[1:], a.dtype) for a in parts]
         for out, a in zip(outs, parts):
-            out[i:i + TILE_POINTS] = a
+            out[i:i + points] = a
     outs = [out.reshape(shape + out.shape[1:]) for out in outs]
     return outs[0] if single else tuple(outs)
+
+
+def run_starts(bits: np.ndarray) -> np.ndarray:
+    """Where each run of equal neighbours in the 1-D array ``bits`` starts:
+    the scan of :func:`repeats` (on sorted bits) and of ``lax._time_terms``
+    (on the bits of t).  Each caller forms the run lengths,
+    ``np.diff(starts, append=bits.size)``, itself: :func:`repeats` needs
+    none where its values barely repeat, and lengths the size of ``bits``
+    beside its sorted copy and the starts would raise its peak."""
+    # where each run starts, in one mask the size of bits
+    starts = np.empty(bits.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
 
 
 def repeats(values: np.ndarray):
@@ -148,11 +172,7 @@ def repeats(values: np.ndarray):
     hashes them first, which took five times as long on 1001^2 points.
     """
     bits = np.sort(values.view(np.uint64))
-    # where each run of equal bits starts, in one mask the size of values
-    starts = np.empty(bits.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
+    starts = run_starts(bits)
     if 2 * starts.size > values.size:
         return None
     counts, bits = np.diff(starts, append=bits.size), bits[starts]

@@ -41,7 +41,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import diffgeo, immersion, lagrangian, su2
+from . import diffgeo, immersion, lagrangian, soliton, su2
 from .deformation import (DeformationKind, ab_compatibility_residual, curvatures_from_forms,
                           forms_from_ab)
 from .immersion import SPECTRAL3, Surface, _half_k1
@@ -300,13 +300,13 @@ def _by_xi(f, grid, p: SolitonParams, per_point: bool = False):
     if not per_point:
         return values, counts
     outs = tuple(np.empty(z.shape + a.shape[1:], a.dtype) for a in values)
-    for i in range(0, z.size, diffgeo.TILE_POINTS):
+    for i in range(0, z.size, soliton.TILE_POINTS):
         # a tile's index, the only one widened to intp; "clip" writes to
         # out unbuffered, and every index is in range
-        at = index_of(z.reshape(-1)[i:i + diffgeo.TILE_POINTS])
+        at = index_of(z.reshape(-1)[i:i + soliton.TILE_POINTS])
         for a, out in zip(values, outs):
             np.take(a, at, axis=0, mode="clip",
-                    out=out.reshape((-1,) + a.shape[1:])[i:i + diffgeo.TILE_POINTS])
+                    out=out.reshape((-1,) + a.shape[1:])[i:i + soliton.TILE_POINTS])
     return outs, None
 
 
@@ -468,6 +468,18 @@ def _check_weingarten(cfg: _Config, name: str, tol: float, h: None) -> CheckResu
     return _result(name, label, tol, res, counts, note=note)
 
 
+# The divergence-form pass of `willmore` and `shape` makes each field and
+# geometry call at the six flux offsets of all of a tile's points, so these
+# two runners take tiles of a third of TILE_POINTS: no call holds more than
+# 6 x 2730 points, two tiles' worth.  Against calls of at most one tile's
+# points, two tiles' took the `shape` check on ex2 from 0.61-0.62 to
+# 0.57-0.63 s of CPU at 401^2 and from 3.99-4.27 to 3.63-3.99 s at 1001^2;
+# three tiles' read 0.56-0.59 s at 401^2 and six 0.58-0.64 s, each for a
+# larger traced peak (two processes per budget, each the min of three runs
+# at 401^2 and one run at 1001^2, malloc pinned as `cli.main` pins it;
+# 2-core x86-64 VM, numpy 2.4.6).  On tiles of a third, the traced peak of
+# `shape` on ex2 at 401^2 is 10.6 MiB, against 15.0 for the same calls in
+# stacks of two offsets on whole tiles.
 def _check_willmore(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     p, fam = cfg.surface.params, cfg.surface.family
     x, t, label = cfg.grid()
@@ -481,7 +493,8 @@ def _check_willmore(cfg: _Config, name: str, tol: float, h: float) -> CheckResul
             curvatures, forms, 4.0 / 9.0, 1.0, xx, tt, (fam.forms(j), fam.curvatures(j)), s)
         return np.abs(res) / scale
 
-    return _result(name, label, tol, tiled(pointwise, x, t), note="a=4/9, b=1")
+    return _result(name, label, tol, tiled(pointwise, x, t, points=soliton.TILE_POINTS // 3),
+                   note="a=4/9, b=1")
 
 
 def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
@@ -491,12 +504,11 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     The two surfaces share the grid (``xi_grid`` reads k1 alone) and their K
     and H bit for bit (the spectral3 curvatures read lam only as lam^2), so
     one curvature field, that of lam = +k1/2, serves both and only the
-    metrics differ.  Each tile makes one ``diffgeo.shape_equation_residual``
-    pass for both signs and all distinct energies: at ``OPERATOR_STENCIL``
-    one curvature call per stencil offset of a stack of flux points, whose
-    calls hold at most ``diffgeo.STACK_POINTS`` points (18 at 41^2, one
-    stack per pass), one geometry call per stack (2 at 41^2) and one at the
-    grid points, 21 curvature calls in all at 41^2 and half what one pass
+    metrics differ.  Each tile, a third of ``soliton.TILE_POINTS`` as for
+    ``willmore``, makes one ``diffgeo.shape_equation_residual`` pass for
+    both signs and all distinct energies: at ``OPERATOR_STENCIL`` 18
+    curvature calls and 2 geometry calls at the six flux offsets of the
+    tile's points, and one geometry call at its points, half what one pass
     per sign makes.  A geometry call evaluates one soliton jet and hands it
     to both signs' forms and to the curvatures, which give the weight K at
     the flux points and, at the grid points, the algebraic terms; there the
@@ -541,8 +553,10 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
         normalized = np.where(singular[:, None], np.nan, np.abs(res) / scale)
         return np.moveaxis(normalized, -1, 0)
 
+    by_pair = tiled(pointwise, x, t, points=soliton.TILE_POINTS // 3)
+    del x, t
     # (surfaces, energies, points), and (max, median, excluded) of each pair
-    by_pair = tiled(pointwise, x, t).reshape(-1, 2, len(distinct)).transpose(1, 2, 0)
+    by_pair = by_pair.reshape(-1, 2, len(distinct)).transpose(1, 2, 0)
     stats = np.empty(by_pair.shape[:2] + (3,))
     for pair in np.ndindex(by_pair.shape[:2]):
         values = by_pair[pair]

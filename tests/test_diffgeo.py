@@ -408,21 +408,15 @@ def _same_bits(a, b):
                                dg.Stencil(2e-3, 2, True), dg.Stencil(1e-3, 2, False)],
                          ids=lambda s: f"order{s.order}-{'rich' if s.richardson else 'plain'}")
 @pytest.mark.parametrize("case", ["lam+", "lam-", "ex7"])
-def test_divergence_form_is_the_nested_pass_bitwise(monkeypatch, case, s):
-    # at budgets of 1, 2, 3, 5 and 6 flux offsets' points, which take the
-    # six offsets of OPERATOR_STENCIL in stacks of one, of two, 3 + 3 twice
-    # (five rounds down to equal stacks) and one stack of six; at the
-    # default budget (one stack of six on these 35 points); and at a single
-    # point, whose one stack holds all six
+def test_divergence_form_is_the_nested_pass_bitwise(case, s):
+    # each pass takes all its flux offsets in one stack, on a grid and at a
+    # single point
     prov, x, t = _shape_surface(case)
-    points = [(x, t, per_call * x.size) for per_call in (1, 2, 3, 5, 6)]
-    points += [(x, t, dg.STACK_POINTS), (x[1, 2], t[1, 2], dg.STACK_POINTS)]
-    for xx, tt, budget in points:
-        monkeypatch.setattr(dg, "STACK_POINTS", budget)
+    for xx, tt in ((x, t), (x[1, 2], t[1, 2])):
         for name, (field, blocks) in _operator_cases(prov).items():
             [got] = _divergence_form(field, (prov.forms,), xx, tt, s, blocks)
             want = _nested_divergence_form(field, prov.forms, xx, tt, s, blocks)
-            assert _same_bits(got, want), (name, budget, np.shape(xx))
+            assert _same_bits(got, want), (name, np.shape(xx))
 
 
 @pytest.mark.parametrize("s", [dg.OPERATOR_STENCIL, dg.Stencil(1e-3, 2, False)],
@@ -449,16 +443,16 @@ def test_divergence_form_evaluates_each_field_point_once():
     # the x-flux's t-derivative and the t-flux's x-derivative read the same
     # 36 mixed points (x + a, t + b): the pass evaluates the 108 distinct
     # points of the nested pass's 144, each once, in one stacked call per
-    # stencil offset of a stack of flux offsets, at most STACK_POINTS points
-    # per call: at 41^2 each pass runs one stack of all six flux offsets,
-    # and the x-pass reads the axis and the mixed points (12 calls), the
-    # t-pass the axis points alone (6).  The points are
-    # random and many: on a small or round grid, nominally equal points such
-    # as (x + h) - h and x can agree bit for bit in every entry
+    # stencil offset of all six flux offsets: the x-pass reads the axis and
+    # the mixed points (12 calls), the t-pass the axis points alone (6), and
+    # each pass calls the geometry once, at its 6 N flux points.  The points
+    # are random and many: on a small or round grid, nominally equal points
+    # such as (x + h) - h and x can agree bit for bit in every entry
     prov, _, _ = _shape_surface("lam+")
     x, t = np.random.default_rng(5).uniform(-0.5, 0.5, (2, 41, 41))
     field, blocks = _operator_cases(prov)["fused"]
     calls = {"shared": [], "nested": []}  # the points of each call
+    geometry_points = []
 
     def spy(name, stacked):
         def f(xx, tt):
@@ -467,37 +461,51 @@ def test_divergence_form_evaluates_each_field_point_once():
             return field(xx, tt)
         return f
 
+    def geometry(a, b):
+        geometry_points.append(a.size)
+        return (prov.forms(a, b),), (None, prov.curvatures(a, b).K)
+
     s = dg.OPERATOR_STENCIL
-    _divergence_form(spy("shared", True), (prov.forms,), x, t, s, blocks)
+    dg._divergence_form(spy("shared", True), geometry, x, t, (prov.forms(x, t),), s,
+                        [(rows, tensor) for rows, tensor, _ in blocks])
     _nested_divergence_form(spy("nested", False), prov.forms, x, t, s, blocks)
     shared, nested = ([p for call in calls[name] for p in call] for name in calls)
     assert [len(call) for call in calls["shared"]] == [6] * 18
-    assert max(map(len, calls["shared"])) <= dg.STACK_POINTS // x.size
+    assert geometry_points == [6 * x.size] * 2
     assert len(shared) == len(set(shared)) == 108
     assert len(calls["nested"]) == len(nested) == 144
     assert set(shared) == set(nested)
 
 
-@pytest.mark.parametrize("per_call", [1, 2, 3, 4, 5, 6, 7])
-def test_divergence_form_calls_its_geometry_once_per_stack(monkeypatch, per_call):
-    # with a budget of per_call flux offsets' points, each pass takes its
-    # six flux offsets in the fewest equal stacks within it (so four and
-    # five take 3 + 3, and seven one stack of six): one geometry call per
-    # stack, with every surface's forms and every block's weight at all of
-    # the stack's flux points
-    prov, x, t = _shape_surface("lam+")
+@pytest.mark.parametrize("quarter_tiles", [1, 2, 3, 4, 5, 6, 7])
+def test_divergence_form_calls_its_geometry_once_per_stack(quarter_tiles):
+    # each pass takes its six flux offsets in one stack at every size: one
+    # geometry call per pass, with every surface's forms and every block's
+    # weight at all 6 N of its flux points.  The grids of 2048 to 14336
+    # points cross every size at which a pass once split its offsets into
+    # smaller stacks (3 + 3 past 52^2, 2 + 2 + 2 past 73^2, stacks of one
+    # past a tile)
+    prov, _, _ = _shape_surface("lam+")
+    p = resolve("ex2").params
+    sp = SolitonParams(k1=p.k1, lam=p.k1 / 2.0, mu=p.mu)
+    x, t = xi_grid(sp, 2.0, 64 * quarter_tiles, 32)
     field, blocks = _operator_cases(prov)["fused"]
-    monkeypatch.setattr(dg, "STACK_POINTS", per_call * x.size)
     sizes = []
+    field_sizes = []
 
     def geometry(a, b):
-        sizes.append(len(a))
+        sizes.append(a.size)
         return (prov.forms(a, b),), (None, prov.curvatures(a, b).K)
 
-    dg._divergence_form(field, geometry, x, t, (prov.forms(x, t),), dg.OPERATOR_STENCIL,
+    def spy(a, b):
+        field_sizes.append(np.broadcast(a, b).size)
+        return field(a, b)
+
+    dg._divergence_form(spy, geometry, x, t, (prov.forms(x, t),), dg.OPERATOR_STENCIL,
                         [(rows, tensor) for rows, tensor, _ in blocks])
-    stack = {1: 1, 2: 2, 3: 3, 4: 3, 5: 3, 6: 6, 7: 6}[per_call]
-    assert sizes == 2 * (6 // stack) * [stack]
+    assert x.size == 2048 * quarter_tiles
+    assert sizes == [6 * x.size] * 2
+    assert field_sizes == [6 * x.size] * 18
 
 
 def test_near_singular_mask():

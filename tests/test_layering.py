@@ -9,7 +9,8 @@ do not difference and take only the geometry types from ``diffgeo``, and
 finite-difference oracle nor the soliton.  Every file the package writes
 is UTF-8 text with "\\n" line ends, whatever the platform and its locale.
 ``diffgeo._quotient`` is the one place the difference-quotient arithmetic
-is used, and ``soliton.repeats`` the one place that finds repeated values.
+is used, ``soliton.repeats`` the one place that finds repeated values, and
+``soliton.run_starts`` the one scan for runs of equal neighbours.
 """
 
 import ast
@@ -105,9 +106,10 @@ def _shifted_pair(a, b):
 def test_repeated_values_are_found_only_by_soliton_repeats():
     # sorting values and dropping equal neighbours is how ``soliton.repeats``
     # finds the distinct bit patterns that mesh formats once and verify
-    # evaluates once; the one other scan for equal neighbours is the run
-    # scan over t in ``lax._time_terms``, which needs no sort.  np.unique is
-    # used nowhere: it hashes, and by value it would merge 0.0 and -0.0
+    # evaluates once; its scan for equal neighbours is
+    # ``soliton.run_starts``, which the run scan over t in
+    # ``lax._time_terms`` calls too, with no sort.  np.unique is used nowhere: it hashes, and by value it would
+    # merge 0.0 and -0.0
     sorts, scans = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         for unit in ast.parse(path.read_text()).body:
@@ -124,7 +126,7 @@ def test_repeated_values_are_found_only_by_soliton_repeats():
                                                                      node.comparators[0]):
                     scans.add(where)
     assert sorts == {("soliton", "repeats")}
-    assert scans == {("soliton", "repeats"), ("lax", "_time_terms")}
+    assert scans == {("soliton", "run_starts")}
 
 
 def _write_mode(call):

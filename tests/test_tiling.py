@@ -1,5 +1,6 @@
 """Tiled evaluation (``soliton.tiled``): the same bytes at every tile size."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -177,3 +178,28 @@ def test_a_defect_above_its_tangents_bound_is_rejected_at_every_tile_size(
                 "--t-min", "-2", "--t-max", "2"]
         assert main(argv) == 2
         assert "not su(2)" in capsys.readouterr().err
+
+
+def test_no_closed_form_call_of_the_operator_checks_holds_more_than_two_tiles(monkeypatch):
+    # The divergence-form pass of ``shape`` and ``willmore`` evaluates the
+    # curvatures and forms at all six flux offsets of its tile's points at
+    # once, so the two runners take tiles of a third of TILE_POINTS: on
+    # 201^2 points, more than one such tile, no call holds more than two
+    # tiles' points, where whole tiles would give calls of six.
+    sizes = []
+
+    def spied(f):
+        def counted(j):
+            sizes.append(j.xi.size)
+            return f(j)
+        return counted
+
+    family = dataclasses.replace(immersion.SPECTRAL3, forms=spied(immersion.SPECTRAL3.forms),
+                                 curvatures=spied(immersion.SPECTRAL3.curvatures))
+    monkeypatch.setattr(verify, "SPECTRAL3", family)
+    surface = dataclasses.replace(immersion.resolve("ex2"), family=family)
+    for check in ("shape", "willmore"):
+        sizes.clear()
+        report = verify.run_checks([check], surface, 201, 201)
+        assert report.checks[0].passed is not None, check
+        assert soliton.TILE_POINTS < max(sizes) <= 2 * soliton.TILE_POINTS, check
