@@ -6,30 +6,32 @@ tolerances.  Each check is one entry of the table ``_CHECKS``, which names
 its sample: the surface's window (``_window``), the window clipped to
 [-2,2]^2 (``_clipped_window``, skipped where the window does not overlap the
 square) or nx values of xi on each of nt rows (``_xi_profile``).  A runner
-takes its grid from ``cfg.grid()``, evaluates its pointwise part in tiles
-(``soliton.tiled``) and reduces over the whole grid once, here: the modules
-it calls (``lax``, ``deformation``, ``immersion``, ``diffgeo``) are
-pointwise and reduce nothing, and ``lagrangian`` only builds the energies
-that the ``shape`` check tests.  The frame runners (``consistency``,
-``compat``, ``forms``, ``lax``) keep across tiles one float64 per residual
-value they report and nothing else; where only a maximum is reported (the
-su(2) test of the ``consistency`` frame, the ``lax`` determinant drift) they
-fold each tile's exact maxima instead.  ``zerocurv``, ``compat``,
-``forms``, ``weingarten`` and ``sphere``, whose kernels read (x, t) only
-through the soliton's xi, take a function of the jet and evaluate it on jets
-of the distinct xi of a grid whose xi repeat by the rule of
-``soliton.repeats`` (``_by_xi``), and at every point otherwise.  The first
-four reduce over the distinct values, each taken as many times as its xi
-occurs on the grid (``_stats`` with the counts of ``soliton.repeats``), and
-keep nothing per grid point; ``sphere`` gathers its values back per point
-through each point's xi, because the summation order of its mean K is that
-of the grid.  So each reports what an evaluation at every point reports,
-bit for bit.  The other four cannot: ``lax`` and ``consistency`` read t
-through Phi's e^{i omega t} and (x, t) through the position's phase, and the
-stencils of ``willmore`` and ``shape`` shift x and t apart, so two points of
-equal xi have stencils of unequal xi.  A check is compatible with a (family,
-parameter) combination or it is reported as skipped with the reason;
-requesting an incompatible check explicitly is a configuration error.
+evaluates its pointwise part on its sample in tiles (``soliton.tiled``) and
+reduces over the whole sample once, here: the modules it calls (``lax``,
+``deformation``, ``immersion``, ``diffgeo``) are pointwise and reduce
+nothing, and ``lagrangian`` only builds the energies that the ``shape``
+check tests.  The frame runners (``consistency``, ``compat``, ``forms``,
+``lax``) keep across tiles one float64 per residual value they report and
+nothing else; where only a maximum is reported (the su(2) test of the
+``consistency`` frame, the ``lax`` determinant drift) they fold each tile's
+exact maxima instead.  ``zerocurv``, ``compat``, ``forms``, ``weingarten``
+and ``sphere``, whose kernels read (x, t) only through the soliton's xi,
+hand a function of the jet to ``_by_xi``, which takes the sample's xi,
+drops x and t, and evaluates the function on jets of xi alone: at the
+distinct xi where they repeat by the rule of ``soliton.repeats``, and at
+every point's xi otherwise.  The first four reduce over the distinct
+values, each taken as many times as its xi occurs in the sample
+(``_stats`` with the counts of ``soliton.repeats``), and keep nothing per
+point; ``sphere`` gathers its values back per point through each point's
+xi, because the summation order of its mean K is that of the grid.  So
+each reports what an evaluation at every (x, t) reports, bit for bit.  The
+other four take their grid from ``cfg.grid()`` and build jets at (x, t):
+``lax`` and ``consistency`` read t through Phi's e^{i omega t} and (x, t)
+through the position's phase, and the stencils of ``willmore`` and
+``shape`` shift x and t apart, so two points of equal xi have stencils of
+unequal xi.  A check is compatible with a (family, parameter) combination
+or it is reported as skipped with the reason; requesting an incompatible
+check explicitly is a configuration error.
 """
 
 from __future__ import annotations
@@ -279,26 +281,31 @@ def _median(values: np.ndarray) -> float:
     return float(np.mean(values[lower:k + 1]))
 
 
-def _by_xi(f, grid, p: SolitonParams, per_point: bool = False):
-    """``f`` of the soliton's jet on the grid (x, t), for an ``f`` that reads
-    the jet only through xi, as the frames and closed forms do.
+def _by_xi(f, cfg: _Config, per_point: bool = False):
+    """``f`` of the soliton's jet on the check's sample, for an ``f`` that
+    reads the jet only through xi, as the frames and closed forms do.
 
-    Returns ``(values, counts)``: where the grid's xi repeat
-    (``soliton.repeats``), ``f`` on jets of the distinct xi
-    (``soliton.xi_jet``) and the number of grid points of each, for a runner
-    to reduce with (``_stats``); else ``f(jet(x, t, p))`` at every point and
-    None.  With ``per_point``, for an ``f`` that returns a tuple, that in any
-    case, gathered from the distinct values through each grid point's xi.
+    Takes the sample's xi in tiles and drops x and t, then evaluates ``f``
+    on jets of xi alone (``soliton.xi_jet``).  Returns ``(values, counts,
+    label)``: where the xi repeat (``soliton.repeats``), ``f`` at the
+    distinct xi and the number of sample points of each, for a runner to
+    reduce with (``_stats``); else ``f`` at every point's xi and None.  With
+    ``per_point``, for an ``f`` that returns a tuple, the values at every
+    point in any case, gathered from the distinct values through each
+    point's xi.
     """
-    z = tiled(lambda xx, tt: xi(xx, tt, p), *grid)
+    x, t, label = cfg.grid()
+    p = cfg.surface.params
+    z = tiled(lambda xx, tt: xi(xx, tt, p), x, t)
+    del x, t
     found = repeats(z.reshape(-1))
     if found is None:
-        return tiled(lambda xx, tt: f(jet(xx, tt, p)), *grid), None
+        return tiled(lambda zz: f(xi_jet(zz, p)), z), None, label
     distinct, counts, index_of = found
     z = z if per_point else None   # only the gather reads it: not held through f
     values = tiled(lambda zz: f(xi_jet(zz, p)), distinct)
     if not per_point:
-        return values, counts
+        return values, counts, label
     outs = tuple(np.empty(z.shape + a.shape[1:], a.dtype) for a in values)
     for i in range(0, z.size, soliton.TILE_POINTS):
         # a tile's index, the only one widened to intp; "clip" writes to
@@ -307,7 +314,7 @@ def _by_xi(f, grid, p: SolitonParams, per_point: bool = False):
         for a, out in zip(values, outs):
             np.take(a, at, axis=0, mode="clip",
                     out=out.reshape((-1,) + a.shape[1:])[i:i + soliton.TILE_POINTS])
-    return outs, None
+    return outs, None, label
 
 
 def _result(name, label, tol, res, counts=None, excluded=0, note="") -> CheckResult:
@@ -350,9 +357,7 @@ def _round_sphere(surface: Surface) -> str | None:
 # finite-difference step, None for a check that does not difference.
 
 def _check_zerocurv(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
-    p = cfg.surface.params
-    x, t, label = cfg.grid()
-    res, counts = _by_xi(lambda j: np.abs(zero_curvature_residual(j)), (x, t), p)
+    res, counts, label = _by_xi(lambda j: np.abs(zero_curvature_residual(j)), cfg)
     return _result(name, label, tol, res, counts)
 
 
@@ -392,7 +397,6 @@ def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
 
 def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
-    x, t, label = cfg.grid()
     # the spectral and symmetry frames are mu times a fixed frame,
     # identically zero at mu = 0, so they are tested at mu = 1; the jet
     # depends on k1 alone, so one jet serves every kind's parameters
@@ -406,8 +410,7 @@ def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
             np.abs(ab_compatibility_residual(replace(j, p=kp), kind), out=res[:, i])
         return res
 
-    res, counts = _by_xi(pointwise, (x, t), p)
-    del x, t
+    res, counts, label = _by_xi(pointwise, cfg)
     return _result(name, label, tol, res, counts, note="all three deformation families")
 
 
@@ -417,7 +420,7 @@ POLE_MARGIN = 0.05
 
 
 def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
-    p, fam = cfg.surface.params, cfg.surface.family
+    fam = cfg.surface.family
 
     def pointwise(j):
         cur = curvatures_from_forms(forms_from_ab(j, fam.kind))
@@ -426,9 +429,7 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
         return (np.abs(cur.K - closed.K), np.abs(cur.H - np.sign(den) * closed.H),
                 np.abs(closed.K), np.abs(closed.H), np.abs(den))
 
-    x, t, label = cfg.grid()
-    (diff_k, diff_h, closed_k, closed_h, den), counts = _by_xi(pointwise, (x, t), p)
-    del x, t
+    (diff_k, diff_h, closed_k, closed_h, den), counts, label = _by_xi(pointwise, cfg)
     # The values at the distinct xi are the grid's set of values, so the pole
     # threshold and the largest kept closed forms are the grid's, bit for bit.
     keep = den > POLE_MARGIN * np.max(den)
@@ -451,7 +452,6 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
 
 def _check_weingarten(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
-    x, t, label = cfg.grid()
 
     def pointwise(j):
         cur = cfg.surface.family.curvatures(j)
@@ -461,7 +461,7 @@ def _check_weingarten(cfg: _Config, name: str, tol: float, h: None) -> CheckResu
             res.append(np.abs(wr.quadratic) / wr.quadratic_scale)
         return np.stack(res, axis=-1)
 
-    res, counts = _by_xi(pointwise, (x, t), p)
+    res, counts, label = _by_xi(pointwise, cfg)
     note = "cubic K-H relation"
     if res.shape[-1] == 2:
         note += f" and quadratic at k1 = {'' if p.k1 * p.lam > 0 else '-'}2 lambda"
@@ -583,14 +583,12 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
 
 def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
-    x, t, label = cfg.grid()
 
     def pointwise(j):
         cur = curvatures_from_forms(forms_from_ab(j, DeformationKind.SYMMETRY_UX))
         return cur.K, cur.H
 
-    (cur_k, cur_h), _ = _by_xi(pointwise, (x, t), p, per_point=True)
-    del x, t
+    (cur_k, cur_h), _, label = _by_xi(pointwise, cfg, per_point=True)
     # K and H are NaN where the normal degenerates (the crest u_x = 0)
     good = np.isfinite(cur_k) & np.isfinite(cur_h)
     kg, hg = cur_k[good], cur_h[good]

@@ -4,9 +4,10 @@ The ``verify`` and ``frame`` workloads of ``perfbench`` compare each
 operation's checks with ``perfbench/reference.json``: the same verdicts, and
 residuals that agree to rounding (1e-3 relative for the finite-difference
 checks).  The ``export`` workload compares the sha256 of each file written.
-Running the six ``export`` operations, the seven ``verify`` operations, and
-the ``frame`` operations of the checks that multiply 2x2 matrices and of
-those that read the closed-form curvatures, here makes a changed byte or a
+Running the six ``export`` operations, the seven ``verify`` operations and
+all 44 ``frame`` operations (those of the checks that multiply 2x2
+matrices, of those that read the closed-form curvatures, and of those that
+evaluate the frames on jets of xi alone) here makes a changed byte or a
 drift in those residuals fail the test suite, not only a benchmark run.
 ``perfbench/workloads.py`` is loaded from its file and used as it is.
 """
@@ -72,4 +73,13 @@ def test_frame_curvature_checks_match_the_benchmark_reference(tmp_path, monkeypa
     ops = [op for op in wl.operations("frame", tmp_path)
            if op.key.split("/")[1] in ("forms", "weingarten")]
     assert len(ops) == 11
+    assert not _mismatches(wl, "frame", ops)
+
+
+def test_frame_xi_checks_match_the_benchmark_reference(tmp_path, monkeypatch):
+    # zerocurv, compat and sphere evaluate their frames only on jets of xi
+    wl = _workloads(monkeypatch)
+    ops = [op for op in wl.operations("frame", tmp_path)
+           if op.key.split("/")[1] in ("zerocurv", "compat", "sphere")]
+    assert len(ops) == 19
     assert not _mismatches(wl, "frame", ops)

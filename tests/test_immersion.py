@@ -440,11 +440,11 @@ def _callers(function: str) -> set[str]:
 def test_only_the_x_t_boundaries_evaluate_a_jet():
     # every pointwise kernel reads the jet it is given; only the functions
     # that take (x, t) build one: the runners that read x and t apart, those
-    # that compose the finite-difference oracle's (x, t) fields, the
-    # evaluation of the five xi-only checks, generate and the Lax stencils
+    # that compose the finite-difference oracle's (x, t) fields, generate
+    # and the Lax stencils
     assert _callers("jet") == {f"verify._check_{c}" for c in
                                ("lax", "consistency", "willmore", "shape")} | {
-        "verify._by_xi", "mesh.generate", "lax.lax_residuals"}
-    # and a jet of xi alone is built only for the distinct xi of those five
-    # checks, and by soliton.jet at the xi of (x, t)
+        "mesh.generate", "lax.lax_residuals"}
+    # and a jet of xi alone is built only by the evaluation of the five
+    # xi-only checks, and by soliton.jet at the xi of (x, t)
     assert _callers("xi_jet") == {"verify._by_xi", "soliton.jet"}
