@@ -13,6 +13,7 @@ import functools
 import os
 import re
 import sys
+from pathlib import Path
 
 from . import mesh as mesh_mod
 from . import verify as verify_mod
@@ -230,10 +231,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     try:
         # before any work, the error that opening --out would raise at the end
-        parent = os.path.dirname(getattr(args, "out", None) or ".") or "."
+        out = getattr(args, "out", None)
+        if args.command == "generate":
+            out = os.fspath(Path(out))  # the path mesh.export opens
+        parent = os.path.dirname(out or ".") or "."
         if not os.path.isdir(parent):
             code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-            raise OSError(code, os.strerror(code), args.out)
+            raise OSError(code, os.strerror(code), out)
+        if out is not None and os.path.isdir(out):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         if args.command == "generate":
             return _cmd_generate(args, parser)
         if args.command == "verify":

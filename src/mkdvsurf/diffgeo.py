@@ -8,20 +8,21 @@ divergence operator in nested flux form, and the residuals of the
 Willmore-like and generalized shape equations, stacked with one leading
 axis per surface and per energy.
 
-:func:`_quotient` is the package's only difference-quotient arithmetic:
-:func:`derivative` and the divergence-form pass both read their stencil
-points through it.  Fields are pointwise.  A divergence-form operator
-runs two flux passes (x, then t), each on all six flux offsets of the
-stencil at once, with the flux points stacked on a new leading axis: it
+:func:`_quotient`, a central first difference, is the package's only
+difference-quotient arithmetic: :func:`derivative` and the divergence-form
+pass both read their stencil points through it, and a second derivative is
+a first difference of one.  Fields are pointwise.  A divergence-form
+operator runs two flux passes (x, then t), each on all six flux offsets of
+the stencil at once, with the flux points stacked on a new leading axis: it
 calls the field it differentiates once per stencil offset, 18 times, and
 the geometry of the flux (every surface's forms and the weights) once per
 pass, each call at 6 N points for the N points its caller passes.  So a
 direct caller bounds each call by the N it passes; the package's callers,
 the ``willmore`` and ``shape`` checks, pass tiles of ``soliton.tiled``
-sized for that.  The oracle's quotients, and ``lax``'s complex ones,
-divide by a real scalar through :func:`div_real`.  The module imports no
-other package module, so the oracle cannot reach the closed forms it
-checks; the geometry types it returns live here for that reason.
+sized for that.  The oracle's quotients, and ``lax``'s complex ones, divide
+by a real scalar through :func:`div_real`.  The module imports no other
+package module, so the oracle cannot reach the closed forms it checks; the
+geometry types it returns live here for that reason.
 """
 
 from __future__ import annotations
@@ -88,12 +89,6 @@ DERIVATIVE_STENCIL = Stencil(h=1e-4, order=4, richardson=False)
 # nested divergence-form operators: larger step plus one Richardson level
 OPERATOR_STENCIL = Stencil(h=1e-3, order=4, richardson=True)
 
-def _shift(f, x, t, d, axis):
-    if axis == 0:
-        return f(x + d, t)
-    return f(x, t + d)
-
-
 def div_real(a, d):
     """a / d for a real scalar d, where the caller owns the temporary ``a``.
 
@@ -119,42 +114,23 @@ def _d1_once(at, h, order):
     return div_real(8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h)), 12.0 * h)
 
 
-def _d2_once(at, h, order):
-    f0 = at(0.0)
-    fp = at(h)
-    fm = at(-h)
-    if order == 2:
-        return div_real(fp - 2.0 * f0 + fm, h * h)
-    fpp = at(2 * h)
-    fmm = at(-2 * h)
-    return div_real(-30.0 * f0 + 16.0 * (fp + fm) - (fpp + fmm), 12.0 * h * h)
-
-
 def _richardson(coarse, fine, order):
     fac = 2.0 ** order
     return div_real(fac * fine - coarse, fac - 1.0)
 
 
-def _quotient(read, s: Stencil, nth: int):
-    """The nth (1 or 2) central difference quotient of ``read(offset)``.
+def _quotient(read, s: Stencil):
+    """The central first-difference quotient of ``read(offset)``.
 
-    ``read`` is called once per distinct offset.  With ``s.richardson`` the
-    fine pass at h/2 reuses what the coarse pass at h read: the value at 0
-    for ``nth = 2`` and, at order 4, those at +-h, which are the fine
-    pass's outer pair at 2 (h/2).  A shared value is held only until its
-    second use, every other one is freed as soon as its quotient term is
-    formed, and the quotients are the textbook ones (Fornberg 1988), so the
-    result is bitwise that of reading every point afresh.
+    ``read`` is called once per distinct offset.  With ``s.richardson`` at
+    order 4 the fine pass at h/2 reuses the values at +-h that the coarse
+    pass read, which are its outer pair at 2 (h/2).  A shared value is held
+    only until its second use, every other one is freed as soon as its
+    quotient term is formed, and the quotients are the textbook ones
+    (Fornberg 1988), so the result is bitwise that of reading every point
+    afresh.
     """
-    if nth not in (1, 2):
-        raise ValueError("nth must be 1 or 2")
-    base = _d1_once if nth == 1 else _d2_once
-    shared = set()  # offsets both passes use
-    if s.richardson:
-        if s.order == 4:
-            shared |= {s.h, -s.h}
-        if nth == 2:
-            shared.add(0.0)
+    shared = {s.h, -s.h} if s.richardson and s.order == 4 else set()
     held = {}
 
     def at(d):
@@ -165,38 +141,31 @@ def _quotient(read, s: Stencil, nth: int):
             held[d] = value
         return value
 
-    d = base(at, s.h, s.order)
+    d = _d1_once(at, s.h, s.order)
     if not s.richardson:
         return d
-    return _richardson(d, base(at, s.h / 2.0, s.order), s.order)
+    return _richardson(d, _d1_once(at, s.h / 2.0, s.order), s.order)
 
 
-def _reads(s: Stencil, nth: int):
+def _reads(s: Stencil):
     """The distinct offsets :func:`_quotient` reads, in the order it reads
     them."""
     order = []
-    _quotient(lambda d: order.append(d) or 0.0, s, nth)
+    _quotient(lambda d: order.append(d) or 0.0, s)
     return order
 
 
-def derivative(f, x, t, s: Stencil, axis: int, nth: int = 1):
-    """nth (1 or 2) central derivative of f along axis (0 = x, 1 = t).
+def derivative(f, x, t, s: Stencil, axis: int):
+    """Central first derivative of f along axis (0 = x, 1 = t).
 
     The quotient is :func:`_quotient`'s, so each distinct stencil point is
-    evaluated once: order 4 with Richardson costs 6 calls of f for
-    ``nth = 1`` and 7 for ``nth = 2`` instead of 8 and 10; order 2 shares
-    no offset for ``nth = 1``.
+    evaluated once: order 4 with Richardson costs 6 calls of f instead of 8;
+    order 2 shares no offset.  Second derivatives nest it, as
+    :func:`fd_forms` does.
     """
-    return _quotient(lambda d: f(x, t) if d == 0.0 else _shift(f, x, t, d, axis), s, nth)
-
-
-def mixed_derivative(f, x, t, s: Stencil):
-    """d^2 f / dx dt by nesting the one-dimensional stencils."""
-
-    def ft(xx, tt):
-        return derivative(f, xx, tt, s, axis=1, nth=1)
-
-    return derivative(ft, x, t, s, axis=0, nth=1)
+    if axis == 0:
+        return _quotient(lambda d: f(x + d, t), s)
+    return _quotient(lambda d: f(x, t + d), s)
 
 
 DEGENERATE_CROSS_TOL = 1e-12
@@ -207,17 +176,21 @@ def fd_forms(immersion, x, t, s: Stencil | None = None) -> Forms:
 
     The unit normal is cross(y_t, y_x)/|cross(y_t, y_x)|, matching the
     orientation of the frame construction used throughout the package.
-    Scalar input at a degenerate point raises; array input yields NaN there.
+    y_xx, y_tt and y_xt nest :func:`derivative` in itself with the stencil
+    ``s``, so the immersion is called 4 + 4 + 3 x 16 times at order 4
+    (6 + 6 + 3 x 36 with Richardson).  Scalar input at a degenerate point
+    raises; array input yields NaN there.
     """
     if s is None:
         s = DERIVATIVE_STENCIL
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    yx = derivative(immersion, x, t, s, axis=0, nth=1)
-    yt = derivative(immersion, x, t, s, axis=1, nth=1)
-    yxx = derivative(immersion, x, t, s, axis=0, nth=2)
-    ytt = derivative(immersion, x, t, s, axis=1, nth=2)
-    yxt = mixed_derivative(immersion, x, t, s)
+    d_x = lambda a, b: derivative(immersion, a, b, s, axis=0)
+    d_t = lambda a, b: derivative(immersion, a, b, s, axis=1)
+    yx, yt = d_x(x, t), d_t(x, t)
+    yxx = derivative(d_x, x, t, s, axis=0)
+    ytt = derivative(d_t, x, t, s, axis=1)
+    yxt = derivative(d_t, x, t, s, axis=0)
     g11 = np.einsum("...k,...k->...", yx, yx)
     g12 = np.einsum("...k,...k->...", yx, yt)
     g22 = np.einsum("...k,...k->...", yt, yt)
@@ -310,7 +283,7 @@ def _divergence_form(f, geometry, x, t, forms_at, s, blocks=_WHOLE_FIELD):
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(x.shape, t.shape)
-    offsets = _reads(s, 1)
+    offsets = _reads(s)
     axis = -1 - len(shape)  # a value's offset axis, just before the point axes
     mixed = {}  # (a, b) -> f(x + a, t + b), from the x-pass to the t-pass
 
@@ -349,21 +322,21 @@ def _divergence_form(f, geometry, x, t, forms_at, s, blocks=_WHOLE_FIELD):
             mixed.update(((a, b), v) for a, v in zip(offsets, np.moveaxis(value, axis, 0)))
             return value
 
-        fx = _quotient(lambda c: f(xa + c, t0), s, 1)
-        ft = _quotient(on_mixed, s, 1)
+        fx = _quotient(lambda c: f(xa + c, t0), s)
+        ft = _quotient(on_mixed, s)
         return flux(xa, t0, fx, ft, 0)
 
     def t_flux():
         x0, tb = stacked(lambda b: (x, t + b))
-        fx = _quotient(lambda a: np.stack([mixed.pop((a, b)) for b in offsets], axis), s, 1)
-        ft = _quotient(lambda c: f(x0, tb + c), s, 1)
+        fx = _quotient(lambda a: np.stack([mixed.pop((a, b)) for b in offsets], axis), s)
+        ft = _quotient(lambda c: f(x0, tb + c), s)
         return flux(x0, tb, fx, ft, 1)
 
     def by_offset(fluxes):  # a reader of each offset's flux, once
         return dict(zip(offsets, np.moveaxis(fluxes, axis, 0))).pop
 
-    div = _quotient(by_offset(x_flux()), s, 1)
-    div = div + _quotient(by_offset(t_flux()), s, 1)
+    div = _quotient(by_offset(x_flux()), s)
+    div = div + _quotient(by_offset(t_flux()), s)
     for surface, fm in enumerate(forms_at):
         div[surface] /= _sqrt_det_g(fm, scalar_ok=True)
     return div

@@ -417,24 +417,16 @@ def frame_tangents(j: Jet, kind: DeformationKind) -> tuple[np.ndarray, np.ndarra
             su2.mul(su2.mul(finv, su2.vec_to_su2(b)), f))
 
 
-@dataclass(frozen=True)
-class WeingartenResiduals:
-    """Residuals of the curvature relations, with normalization scales."""
-
-    cubic: np.ndarray
-    cubic_scale: np.ndarray
-    quadratic: np.ndarray | None
-    quadratic_scale: np.ndarray | None
-
-
 def _half_k1(p: SolitonParams) -> bool:
     """Whether |lambda| = |k1|/2, where the Weingarten relation gains its
     quadratic and spectral3 solves the Willmore-like equation."""
     return abs(abs(p.k1) - 2.0 * abs(p.lam)) <= 1e-12 * max(1.0, abs(p.k1))
 
 
-def weingarten_residuals(K, H, p: SolitonParams) -> WeingartenResiduals:
-    """Evaluate the cubic (and, when |k1| = 2 |lam|, quadratic) K-H relations.
+def weingarten_residuals(K, H, p: SolitonParams) -> np.ndarray:
+    """|residual| / scale of the cubic (and, when |k1| = 2 |lam|, quadratic)
+    K-H relations, stacked on a last axis of length 1 (or 2); each scale is
+    the largest magnitude of its relation's terms.
 
     The cubic's constant term is 4 (k1^2 + 2 lam^2)^2; the paper prints
     (k1^2 + 2 lam^2)^2, which leaves the defect 3 (k1^2 + 2 lam^2)^2.
@@ -451,18 +443,13 @@ def weingarten_residuals(K, H, p: SolitonParams) -> WeingartenResiduals:
     cubic_scale = np.maximum.reduce(
         [np.abs(t1), np.abs(t2), np.abs(t3), np.full_like(t1, abs(t4))]
     )
-    quadratic = quadratic_scale = None
+    res = [np.abs(cubic) / cubic_scale]
     if _half_k1(p):
         q1 = 8.0 * m2 * H ** 2
         q2 = 9.0 * m2 * K
         q3 = 36.0 * p.lam ** 2
-        quadratic = q1 - q2 - q3
         quadratic_scale = np.maximum.reduce(
             [np.abs(q1), np.abs(q2), np.full_like(q1, abs(q3))]
         )
-    return WeingartenResiduals(
-        cubic=cubic,
-        cubic_scale=cubic_scale,
-        quadratic=quadratic,
-        quadratic_scale=quadratic_scale,
-    )
+        res.append(np.abs(q1 - q2 - q3) / quadratic_scale)
+    return np.stack(res, axis=-1)

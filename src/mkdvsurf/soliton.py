@@ -68,13 +68,16 @@ def xi_grid(p: SolitonParams, xi_half: float, nx: int, nt: int):
     return x, np.repeat(tv[:, None], nx, axis=1)
 
 
-# Peak memory per grid point, about twice the measured peak-RSS slopes
-# (scripts/scale_bench.py, 101^2 to 1001^2): 0.42 kB for `generate` with
-# JSON export when it held the whole text (exports now stream it block by
-# block), and 0.09 kB for `verify --checks all`, whose frame checks keep
-# one float64 per residual value they report (0.28 kB when they kept the
-# whole frame, 0.46 kB before tiling).
-GRID_BYTES_PER_POINT = 1024
+# Peak memory per grid point: twice the largest measured peak-RSS slope,
+# rounded up to a power of two.  The slopes, over every command of
+# scripts/scale_bench.py in fresh processes from 401^2 to 1001^2 (2-core
+# x86-64 VM, numpy 2.4.6), are 76-77 B per point for `generate` of ex4 and
+# ex7 in every format but ex4's CSV (71 B), 85 and 88 B for `generate` of
+# spectral3 k1 1.7, lambda 0.3137, mu -2.2 to CSV and JSON, 64-65 B for
+# `verify --checks all` on ex2 and `consistency` on ex2 and ex7, and
+# 20-32 B for each other check alone; `verify --checks all` on that
+# spectral3 surface reads 77 B.
+GRID_BYTES_PER_POINT = 256
 
 
 def check_grid(nx: int, nt: int) -> None:

@@ -354,6 +354,21 @@ def test_out_into_no_directory_exit_2_before_any_work(tmp_path, capsys, monkeypa
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "generate"])
+def test_out_naming_a_directory_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # open() would fail with EISDIR only after the whole mesh or every check
+    ran = []
+    monkeypatch.setattr(cli.mesh_mod, "generate", lambda *args, **kw: ran.append("generate"))
+    monkeypatch.setattr(cli.verify_mod, "run_checks", lambda *args, **kw: ran.append("verify"))
+    for out_dir in (str(tmp_path), str(tmp_path) + os.sep):
+        code, out, err = run(capsys, command, "--preset", "ex2", "--nx", "5", "--nt", "5",
+                             "--out", out_dir)
+        assert (code, out, ran) == (2, "", [])
+        # generate names the path as mesh.export opens it, verify as given
+        named = str(Path(out_dir)) if command == "generate" else out_dir
+        assert err == f"error: [Errno 21] Is a directory: {named!r}\n"
+
+
 def test_sphere_skips_the_unit_sphere_of_mu_0(capsys):
     # at mu = 0 the symmetry frame, mu times a fixed field, is degenerate
     # everywhere: --checks all skips sphere, naming it aborts with the reason

@@ -1,6 +1,7 @@
 """Finite-difference oracle: forms from positions, surface operators."""
 
 import ast
+import inspect
 
 import numpy as np
 import pytest
@@ -56,9 +57,10 @@ def test_stencil_validation():
 def test_derivative_on_polynomial():
     f = lambda x, t: x ** 3 + 2 * t ** 2 * x
     s = dg.Stencil(order=4)
-    got = dg.derivative(f, X1, T1, s, axis=0, nth=1)
+    got = dg.derivative(f, X1, T1, s, axis=0)
     assert np.allclose(got, 3 * X1 ** 2 + 2 * T1 ** 2, atol=1e-9)
-    got2 = dg.derivative(f, X1, T1, s, axis=1, nth=2)
+    f_t = lambda x, t: dg.derivative(f, x, t, s, axis=1)
+    got2 = dg.derivative(f_t, X1, T1, s, axis=1)
     assert np.allclose(got2, 4 * X1, atol=1e-5)
 
 
@@ -105,24 +107,31 @@ def test_richardson_reuses_shared_offsets():
         def d1_4(step):
             return (8.0 * (at(step) - at(-step)) - (at(2 * step) - at(-2 * step))) / (12.0 * step)
 
-        def d2_4(step):
-            return (-30.0 * f(X1, T1) + 16.0 * (at(step) + at(-step))
-                    - (at(2 * step) + at(-2 * step))) / (12.0 * step * step)
-
         def d1_2(step):
             return (at(step) - at(-step)) / (2.0 * step)
 
         cases = (
-            (dg.Stencil(h, 4, True), 1, 6, (16.0 * d1_4(h2) - d1_4(h)) / 15.0),
-            (dg.Stencil(h, 4, True), 2, 7, (16.0 * d2_4(h2) - d2_4(h)) / 15.0),
-            (dg.Stencil(h, 2, True), 1, 4, (4.0 * d1_2(h2) - d1_2(h)) / 3.0),
-            (dg.Stencil(h, 4, False), 1, 4, d1_4(h)),
+            (dg.Stencil(h, 4, True), 6, (16.0 * d1_4(h2) - d1_4(h)) / 15.0),
+            (dg.Stencil(h, 2, True), 4, (4.0 * d1_2(h2) - d1_2(h)) / 3.0),
+            (dg.Stencil(h, 4, False), 4, d1_4(h)),
         )
-        for s, nth, n_calls, textbook in cases:
+        for s, n_calls, textbook in cases:
             calls.clear()
-            got = dg.derivative(f, X1, T1, s, axis=axis, nth=nth)
-            assert len(calls) == n_calls, (s, nth)
-            assert np.array_equal(got, textbook), (s, nth)
+            got = dg.derivative(f, X1, T1, s, axis=axis)
+            assert len(calls) == n_calls, s
+            assert np.array_equal(got, textbook), s
+
+
+def test_the_oracle_has_one_difference_kernel_of_first_order():
+    # a second derivative nests ``derivative``: the one kernel, a function
+    # of a reader, a step and an order, is the first difference, and no
+    # signature takes the order of the derivative
+    kernels = {name for name, fn in vars(dg).items() if inspect.isfunction(fn)
+               and list(inspect.signature(fn).parameters) == ["at", "h", "order"]}
+    assert kernels == {"_d1_once"}
+    for fn, params in ((dg.derivative, ["f", "x", "t", "s", "axis"]),
+                       (dg._quotient, ["read", "s"]), (dg._reads, ["s"])):
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
 
 def test_oracle_imports_no_package_module():
@@ -207,7 +216,9 @@ def test_div_real_of_a_real_array_is_bitwise_numpy_division():
 
 def test_mixed_derivative():
     f = lambda x, t: np.sin(x) * np.cos(2 * t)
-    got = dg.mixed_derivative(f, X1, T1, dg.Stencil(order=4))
+    s = dg.Stencil(order=4)
+    f_t = lambda x, t: dg.derivative(f, x, t, s, axis=1)
+    got = dg.derivative(f_t, X1, T1, s, axis=0)
     assert np.allclose(got, -2 * np.cos(X1) * np.sin(2 * T1), atol=1e-8)
 
 
@@ -345,8 +356,8 @@ def _nested_divergence_form(f, forms, x, t, s, blocks):
     def flux(xx, tt, row):
         fm = forms(xx, tt)
         sq = dg._sqrt_det_g(fm, scalar_ok=False)
-        fx = np.asarray(dg.derivative(f, xx, tt, s, axis=0, nth=1))
-        ft = np.asarray(dg.derivative(f, xx, tt, s, axis=1, nth=1))
+        fx = np.asarray(dg.derivative(f, xx, tt, s, axis=0))
+        ft = np.asarray(dg.derivative(f, xx, tt, s, axis=1))
         out = None
         if len(blocks) > 1:
             out = np.empty(np.broadcast_shapes(fx.shape, np.shape(sq)))
@@ -366,8 +377,8 @@ def _nested_divergence_form(f, forms, x, t, s, blocks):
             out[rows] = value
         return out
 
-    div = dg.derivative(lambda a, b: flux(a, b, 0), x, t, s, axis=0, nth=1)
-    div = div + dg.derivative(lambda a, b: flux(a, b, 1), x, t, s, axis=1, nth=1)
+    div = dg.derivative(lambda a, b: flux(a, b, 0), x, t, s, axis=0)
+    div = div + dg.derivative(lambda a, b: flux(a, b, 1), x, t, s, axis=1)
     return div / dg._sqrt_det_g(forms(x, t), scalar_ok=True)
 
 

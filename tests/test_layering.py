@@ -82,7 +82,7 @@ def test_the_closed_form_modules_take_only_the_geometry_types_from_the_oracle():
 def test_the_quotient_arithmetic_is_reached_only_through_one_helper():
     # ``derivative`` and the divergence-form pass's shared reads both go
     # through ``diffgeo._quotient``, so it is the one difference quotient
-    arithmetic = {"_d1_once", "_d2_once", "_richardson"}
+    arithmetic = {"_d1_once", "_richardson"}
     users = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for unit in ast.parse(path.read_text()).body:

@@ -223,3 +223,13 @@ def test_repeats_gathers_each_entry_back_bit_for_bit(patterns, copies, seed):
     assert np.all(bits[1:] > bits[:-1]) and set(bits.tolist()) == set(patterns)
     assert _bit_list(distinct[index(values)]) == before == _bit_list(values)
     _assert_counts(values, distinct, counts, index)
+
+
+def test_check_grid_accepts_a_grid_that_fits_in_memory(monkeypatch):
+    # on 1 GiB of physical memory a 1500^2 grid fits (the measured peak-RSS
+    # slopes are at most 88 B per point); a 10^6 x 10^6 one does not
+    pages = {"SC_PHYS_PAGES": 2 ** 18, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(soliton.os, "sysconf", pages.__getitem__)
+    soliton.check_grid(1500, 1500)
+    with pytest.raises(ValueError, match="nx\\*nt = 1000000000000 points .* than the 1 GiB"):
+        soliton.check_grid(10 ** 6, 10 ** 6)
