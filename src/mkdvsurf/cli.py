@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(gen)
     gen.add_argument("--nx", type=int, default=101, help="grid points in x")
     gen.add_argument("--nt", type=int, default=101, help="grid points in t")
-    gen.add_argument("--format", choices=("obj", "csv", "json"), default="obj")
+    gen.add_argument("--format", choices=mesh_mod.FORMATS, default="obj")
     gen.add_argument("--out", required=True, help="output file path")
 
     ver = sub.add_parser("verify", help="run verification checks")

@@ -16,7 +16,6 @@ differences the position and reduces over grids.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -178,20 +177,15 @@ def four_param_curvatures_closed(j: Jet) -> CurvaturePair:
 
 
 def _finite_nonzero(shown: str, name: str, scale: Callable[[], float],
-                    may_vanish: bool = False, normal: bool = False) -> float:
-    """Return ``scale()``, an overflow counting as inf.  Unless it is finite
-    and nonzero (or exactly 0 where ``may_vanish``), and with ``normal`` a
-    normal double (|value| >= ``sys.float_info.min``: a subnormal keeps only
-    a few bits), raise a ValueError "<shown>: <name> = <value>, need it ..."."""
+                    may_vanish: bool = False) -> float:
+    """Return ``scale()``, an overflow counting as inf; unless it is finite and
+    nonzero (or exactly 0 where ``may_vanish``), raise ValueError "<shown>: <name> = ..."."""
     try:
         value = scale()
     except OverflowError:
         value = math.inf
     if not math.isfinite(value) or (value == 0.0 and not may_vanish):
         raise ValueError(f"{shown}: {name} = {value:g}, need it finite and nonzero")
-    if normal and abs(value) < sys.float_info.min:
-        raise ValueError(f"{shown}: {name} = {value:g} is subnormal, "
-                         f"need it at least {sys.float_info.min:g} in magnitude")
     return value
 
 
@@ -229,11 +223,7 @@ class Family:
         each must be finite and nonzero (not overflowed, not underflowed
         to 0).  A mu or nu of exactly 0 drops out and is left to the kind's
         rule; beside a nonzero mu, nu's powers only add to mu's terms and
-        may underflow.  So must Phi's weight |B1| = e^(-pi lambda/k1)/|k1|
-        (``lax``) and det Phi = 2 e^(-pi lambda/k1) (k1^2 + 4 lambda^2)/k1^2
-        of ``lax.det_phi_expected``, and each must be a normal double: with a
-        subnormal B1, Phi^H Phi is no multiple of the identity and the frame
-        checks overflow.  spectral3 does not depend on nu, so it takes only
+        may underflow.  spectral3 does not depend on nu, so it takes only
         nu = 0; its K is (k1/mu)^2 times a number in [-1, 1], so (k1/mu)^4
         must be finite.  The position's radii must be finite too.
         """
@@ -243,25 +233,18 @@ class Family:
                              "need nu = 0")
         mu_may_vanish = p.mu == 0.0
         nu_may_vanish = p.nu == 0.0 or p.mu != 0.0
-        damping = lambda: math.exp(-math.pi * p.lam / p.k1)
-        # (parameter shown, name, scale, may it be 0, must it be normal)
-        scales = (("k1", "k1^4", lambda: p.k1 ** 4, False, False),
-                  ("k1", "k1^2 + 4 lambda^2", lambda: p.k1 ** 2 + 4.0 * p.lam ** 2, False,
-                   False),
-                  ("mu", "mu^2", lambda: p.mu ** 2, mu_may_vanish, False),
-                  ("nu", "nu^2", lambda: p.nu ** 2, nu_may_vanish, False),
-                  ("mu", "mu^4", lambda: p.mu ** 4, mu_may_vanish, False),
-                  ("nu", "nu^4", lambda: p.nu ** 4, nu_may_vanish, False),
-                  ("k1", "|B1| = e^(-pi lambda/k1)/|k1|", lambda: damping() / abs(p.k1), False,
-                   True),
-                  ("k1", "det Phi", lambda: 2.0 * damping() * (p.k1 ** 2 + 4.0 * p.lam ** 2)
-                   / p.k1 ** 2, False, True))
+        k1, mu, nu = f"k1 = {p.k1:g}, lambda = {p.lam:g}", f"mu = {p.mu:g}", f"nu = {p.nu:g}"
+        # (parameter shown, name, scale, may it be 0)
+        scales = ((k1, "k1^4", lambda: p.k1 ** 4, False),
+                  (k1, "k1^2 + 4 lambda^2", lambda: p.k1 ** 2 + 4.0 * p.lam ** 2, False),
+                  (mu, "mu^2", lambda: p.mu ** 2, mu_may_vanish),
+                  (nu, "nu^2", lambda: p.nu ** 2, nu_may_vanish),
+                  (mu, "mu^4", lambda: p.mu ** 4, mu_may_vanish),
+                  (nu, "nu^4", lambda: p.nu ** 4, nu_may_vanish))
         if self.kind is DeformationKind.SPECTRAL:
-            scales += (("mu", "(k1/mu)^4", lambda: (p.k1 / p.mu) ** 4, True, False),)
-        for param, name, scale, may_vanish, normal in scales:
-            shown = (f"k1 = {p.k1:g}, lambda = {p.lam:g}" if param == "k1"
-                     else f"{param} = {getattr(p, param):g}")
-            _finite_nonzero(shown, name, scale, may_vanish, normal)
+            scales += ((mu, "(k1/mu)^4", lambda: (p.k1 / p.mu) ** 4, True),)
+        for row in scales:
+            _finite_nonzero(*row)
         radii = self.radii(p)
         if not all(math.isfinite(r) for r in radii):
             raise ValueError(

@@ -29,6 +29,7 @@ __all__ = [
     "FREE_INDICES",
     "from_flat",
     "constrained_family",
+    "coefficient_powers",
 ]
 
 
@@ -203,6 +204,15 @@ def _normalize_free(n_deg: int, free: Mapping | None) -> dict[int, float]:
     return out
 
 
+def coefficient_powers(k1: float, mu: float) -> tuple[float, ...]:
+    """lambda^2, lambda^4, lambda^6, mu^2, mu^4 and mu^6 with lambda = k1/2, the
+    powers that the constrained coefficients divide by and scale by.  Raises
+    ValueError, naming lambda or mu, when one is 0, overflows or underflows to 0.
+    """
+    return tuple(_finite_nonzero(f"{name} = {v:g}", f"{name}^{n}", lambda: v ** n)
+                 for name, v in (("lambda", k1 / 2.0), ("mu", mu)) for n in (2, 4, 6))
+
+
 def constrained_family(
     n_deg: int, free: Mapping | None, p: float, k1: float, mu: float
 ) -> PolyLagrangian:
@@ -212,17 +222,11 @@ def constrained_family(
     entries default to zero.  All remaining coefficients are fixed
     rational functions of (p, lam, mu) with lam = k1/2; lam enters
     through even powers only, so both signs of lam give the same energy.
-    Raises ValueError, naming lambda or mu, when a power of them that the
-    coefficients use (up to the sixth) is 0, overflows or underflows to 0.
+    Raises the ValueError of :func:`coefficient_powers`.
     """
     if n_deg not in FLAT_MONOMIALS:
         raise ValueError(f"N={n_deg} outside the supported range 3..6")
-    lam = k1 / 2.0
-    # the coefficients divide by and scale by these powers
-    l2, l4, l6 = (_finite_nonzero(f"lambda = {lam:g}", f"lambda^{n}", lambda: lam ** n)
-                  for n in (2, 4, 6))
-    m2, m4, m6 = (_finite_nonzero(f"mu = {mu:g}", f"mu^{n}", lambda: mu ** n)
-                  for n in (2, 4, 6))
+    l2, l4, l6, m2, m4, m6 = coefficient_powers(k1, mu)
 
     a = {i: 0.0 for i in range(1, len(FLAT_MONOMIALS[n_deg]) + 1)}
     a.update(_normalize_free(n_deg, free))

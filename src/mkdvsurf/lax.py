@@ -149,6 +149,21 @@ def det_phi_expected(p: SolitonParams) -> float:
     return (p.k1 ** 2 + 4.0 * p.lam ** 2) / p.k1 * (-2.0 * _weight_b(p))
 
 
+def phi_scale_problem(p: SolitonParams) -> str | None:
+    """Why Phi^-1 fails on p's soliton, |B1| or det Phi not a normal double; or None."""
+    shown, tiny = f"k1 = {p.k1:g}, lambda = {p.lam:g}", np.finfo(float).tiny
+    with np.errstate(over="ignore", under="ignore"):
+        for name, scale in (("|B1| = e^(-pi lambda/k1)/|k1|", lambda: abs(_weight_b(p))),
+                            ("det Phi", lambda: det_phi_expected(p))):
+            value = scale()
+            if not np.isfinite(value) or value == 0.0:
+                return f"{shown}: {name} = {value:g}, need it finite and nonzero"
+            if value < tiny:
+                return (f"{shown}: {name} = {value:g} is subnormal, "
+                        f"need it at least {tiny:g} in magnitude")
+    return None
+
+
 def phi_inverse(f, p: SolitonParams) -> np.ndarray:
     """Phi^-1 for Phi = ``phi`` on p's soliton: Phi is sqrt(c) times an SU(2)
     matrix, c = det Phi, so its inverse is Phi^H / c with the constant c of

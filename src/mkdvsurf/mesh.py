@@ -25,6 +25,7 @@ __all__ = [
     "SurfaceMesh",
     "generate",
     "export",
+    "FORMATS",
     "SINGULAR_RTOL",
 ]
 
@@ -494,6 +495,8 @@ def _json_chunks(mesh: SurfaceMesh):
 
 
 _WRITERS = {"obj": _obj_chunks, "csv": _csv_chunks, "json": _json_chunks}
+# The export formats, in the order the CLI lists them.
+FORMATS = tuple(_WRITERS)
 
 
 def export(mesh: SurfaceMesh, fmt: str, out: str | Path) -> Path:
@@ -507,7 +510,7 @@ def export(mesh: SurfaceMesh, fmt: str, out: str | Path) -> Path:
         writer = _WRITERS[fmt]
     except KeyError:
         raise ValueError(
-            f"unknown format {fmt!r}; valid formats: {', '.join(sorted(_WRITERS))}"
+            f"unknown format {fmt!r}; valid formats: {', '.join(FORMATS)}"
         ) from None
     path = Path(out)
     with path.open("w", encoding="utf-8", newline="\n") as f:

@@ -47,7 +47,7 @@ from . import diffgeo, immersion, lagrangian, soliton, su2
 from .deformation import (DeformationKind, ab_compatibility_residual, curvatures_from_forms,
                           forms_from_ab)
 from .immersion import SPECTRAL3, Surface, _half_k1
-from .lax import det_phi_expected, lax_residuals, zero_curvature_residual
+from .lax import det_phi_expected, lax_residuals, phi_scale_problem, zero_curvature_residual
 from .soliton import Jet, SolitonParams, check_grid, jet, repeats, tiled, xi, xi_grid, xi_jet
 
 __all__ = [
@@ -344,6 +344,14 @@ def _spectral3(surface: Surface) -> str | None:
 def _spectral3_half_k1(surface: Surface) -> str | None:
     return _spectral3(surface) or (
         None if _half_k1(surface.params) else "requires lambda = k1/2")
+
+
+def _spectral3_energies(surface: Surface) -> str | None:
+    try:
+        lagrangian.coefficient_powers(surface.params.k1, surface.params.mu)
+    except ValueError as exc:
+        return _spectral3(surface) or str(exc)
+    return _spectral3(surface)
 
 
 def _round_sphere(surface: Surface) -> str | None:
@@ -649,19 +657,21 @@ class _Check:
 # at 5^2, 21^2, 41^2 and 101^2; the willmore/shape floor keeps a factor 3
 # above the smallest passing step, 3e-5.
 _OPERATOR_STEPS = (1e-4, diffgeo.OPERATOR_STENCIL.h, 1e-2)
+_phi_scale = lambda surface: phi_scale_problem(surface.params)  # of the checks reading Phi
 _CHECKS: dict[str, _Check] = {
     "zerocurv": _Check(_check_zerocurv, 1e-10, _window),
-    "lax": _Check(_check_lax, 1e-6, _clipped_window, steps=(1e-8, 1e-6, 1e-2)),
+    "lax": _Check(_check_lax, 1e-6, _clipped_window, steps=(1e-8, 1e-6, 1e-2),
+                  requires=_phi_scale),
     "compat": _Check(_check_compat, 1e-9, _clipped_window),
     "forms": _Check(_check_forms, 1e-8, _xi_profile(2.95)),
     "weingarten": _Check(_check_weingarten, 1e-9, _xi_profile(2.95), requires=_spectral3),
     "willmore": _Check(_check_willmore, 1e-4, _xi_profile(2.0), steps=_OPERATOR_STEPS,
                        requires=_spectral3_half_k1),
     "shape": _Check(_check_shape, 1e-3, _xi_profile(2.0), steps=_OPERATOR_STEPS,
-                    requires=_spectral3),
+                    requires=_spectral3_energies),
     "sphere": _Check(_check_sphere, 1e-6, _clipped_window, requires=_round_sphere),
     "consistency": _Check(_check_consistency, 1e-6, _clipped_window,
-                          steps=(1e-8, 1e-3, 5e-3)),
+                          steps=(1e-8, 1e-3, 5e-3), requires=_phi_scale),
 }
 
 CHECK_NAMES = tuple(_CHECKS)

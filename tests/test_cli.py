@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, output formats."""
 
+import argparse
 import ctypes
 import dataclasses
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkdvsurf import cli, immersion, verify as verify_mod
+from mkdvsurf import cli, immersion, mesh, verify as verify_mod
 from mkdvsurf.cli import build_parser, main, presets_table
 
 
@@ -148,12 +149,6 @@ BAD_SURFACES = [
     # spectral3's (k1/mu)^4, the scale of the Weingarten relation's K^2,
     # overflows though mu^4 does not
     (("--family", "spectral3", "--k1", "2", "--mu", "1e-80"), "mu"),
-    # the constants of Phi overflow: e^(-pi lambda/k1) = e^942, and the det
-    # overflows where B1 does not
-    (("--family", "spectral3", "--k1", "0.01", "--lambda", "-3", "--mu", "1"),
-     "k1 = 0.01, lambda = -3"),
-    (("--family", "spectralgauge4", "--k1", "1", "--lambda", "-225", "--nu", "1"),
-     "det Phi"),
     # radii that overflow
     (("--family", "spectralgauge4", "--k1", "2", "--nu", "1e308"), "nu"),
     # spectral3 does not depend on nu: a nonzero nu would only be written
@@ -210,9 +205,9 @@ def test_generate_config_error_exit_2(tmp_path, capsys):
         # a mu whose sixth power, used by the shape check's constrained
         # energies, overflows or underflows to 0
         (("verify", "--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "1e60",
-          "--checks", "all", *grid), "mu^6"),
+          "--checks", "shape", *grid), "mu^6"),
         (("verify", "--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "1e-60",
-          "--checks", "all", *grid), "mu^6"),
+          "--checks", "shape", *grid), "mu^6"),
         # a grid too large for memory is rejected before anything is allocated
         (("generate", "--preset", "ex2", "--nx", "1000000", "--nt", "1000000",
           "--out", str(out_file)), "nx*nt"),
@@ -237,18 +232,78 @@ SUBNORMAL_PHI = ("--family", "spectral3", "--k1", "0.1288852974447968",
                  "--x-min", "-1.8463196141031273", "--x-max", "2.343150778041539",
                  "--nx", "5", "--nt", "5")
 
+# Surfaces whose scale one group of checks cannot take, that group and the
+# start of its skip note. Phi's constants, which only lax and consistency
+# evaluate: e^(-pi lambda/k1) = e^942 overflows B1, det Phi overflows where
+# B1 does not, and SUBNORMAL_PHI's B1 is subnormal. And a mu whose sixth
+# power, used by the shape check's constrained energies, overflows or
+# underflows to 0.
+UNSCALED_SURFACES = [
+    (("--family", "spectral3", "--k1", "0.01", "--lambda", "-3", "--mu", "1"),
+     ("lax", "consistency"),
+     "k1 = 0.01, lambda = -3: |B1| = e^(-pi lambda/k1)/|k1| = inf, need it finite"),
+    (("--family", "spectralgauge4", "--k1", "1", "--lambda", "-225", "--nu", "1"),
+     ("lax", "consistency"), "k1 = 1, lambda = -225: det Phi = inf, need it finite"),
+    (SUBNORMAL_PHI, ("lax", "consistency"),
+     "k1 = 0.128885, lambda = 30.5337: |B1| = e^(-pi lambda/k1)/|k1| = 3.95253e-323 "
+     "is subnormal"),
+    (("--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "1e60"), ("shape",),
+     "mu = 1e+60: mu^6 = inf, need it finite"),
+    (("--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "1e-60"), ("shape",),
+     "mu = 1e-60: mu^6 = 0, need it finite"),
+]
+
 
 @pytest.mark.parametrize("command", ["verify", "generate"])
-def test_subnormal_phi_constants_exit_2_naming_k1_and_lambda(tmp_path, capsys, command):
+def test_subnormal_phi_constants_stop_only_the_checks_of_phi(tmp_path, capsys, command):
+    # generate never reads Phi, so it writes the mesh; verify runs every
+    # other check and skips the two that evaluate Phi, naming k1 and lambda
     out_file = tmp_path / "x.obj"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(capsys, command, *SUBNORMAL_PHI, "--out", str(out_file))
-    assert (code, out) == (2, ""), err
-    (line,) = err.splitlines()
-    assert line.startswith("error: k1 = 0.128885, lambda = 30.5337: ")
-    assert "subnormal" in line
-    assert not out_file.exists()
+    assert (code, err) == (0, ""), err
+    if command == "generate":
+        assert out.startswith(f"wrote {out_file} (obj): 25 vertices")
+        assert out_file.read_text().count("v ") == 25
+        return
+    skipped = {ln.split()[0]: ln for ln in out_file.read_text().splitlines() if " skip " in ln}
+    assert sorted(skipped) == ["consistency", "lax", "willmore"]
+    for name in ("lax", "consistency"):
+        assert "(skipped: k1 = 0.128885, lambda = 30.5337: |B1|" in skipped[name]
+        assert "subnormal" in skipped[name]
+
+
+@pytest.mark.parametrize("surface, checks, note", UNSCALED_SURFACES,
+                         ids=["B1-inf", "det-inf", "B1-subnormal", "mu-1e60", "mu-1e-60"])
+def test_an_unusable_scale_skips_its_checks_or_exits_2_before_any_runs(
+        tmp_path, capsys, monkeypatch, surface, checks, note):
+    ran = []
+    for name, runner in verify_mod._RUNNERS.items():
+        def spy(*args, _run=runner):
+            ran.append(args[1])
+            return _run(*args)
+
+        monkeypatch.setitem(verify_mod._RUNNERS, name, spy)
+    grid = ("--nx", "5", "--nt", "5")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "generate", *surface, *grid, "--out",
+                             str(tmp_path / "x.obj"))
+        assert (code, err) == (0, ""), err
+        code, out, err = run(capsys, "verify", *surface, *grid, "--format", "json")
+        assert code in (0, 1) and err == "", err
+        report = {c["name"]: c for c in json.loads(out)["checks"]}
+        # the named checks skip with the note, and every check that does not skip ran
+        assert [n for n, c in report.items()
+                if c["note"].startswith(f"skipped: {note}")] == list(checks)
+        assert ran == [n for n, c in report.items() if c["status"] != "skip"]
+        for name in checks:
+            ran.clear()
+            code, out, err = run(capsys, "verify", *surface, *grid, "--checks",
+                                 f"zerocurv,{name}")
+            assert (code, out, ran) == (2, "", []), err
+            assert err.startswith(f"error: check {name!r} incompatible: {note}"), err
 
 
 def test_generate_and_verify_reject_a_surface_alike(tmp_path, capsys):
@@ -513,6 +568,13 @@ def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
         assert "error:" in capsys.readouterr().err
         assert run(capsys, *valid) == alone
     assert build_parser() is not build_parser()
+
+
+def test_generate_offers_the_export_formats():
+    # one owner: the --format choices are mesh.FORMATS, in --help's order
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (fmt,) = [a for a in sub.choices["generate"]._actions if a.dest == "format"]
+    assert fmt.choices == mesh.FORMATS == ("obj", "csv", "json")
 
 
 # glibc's malloc settings that _pin_malloc leaves to the user

@@ -1,6 +1,7 @@
 """Closed-form immersions: positions, forms, presets, curvature relations."""
 
 import ast
+import inspect
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -315,6 +316,15 @@ def test_a_zero_mu_or_nu_is_left_to_the_kind():
                          (1.0, 1e155, "nu")):
         with pytest.raises(ValueError, match=name):
             resolve(family="spectralgauge4", params=SolitonParams(2.0, 0.5, mu=mu, nu=nu))
+
+
+def test_the_family_leaves_phi_scale_to_lax():
+    # generate never reads Phi, so the family accepts constants of Phi that
+    # overflow; lax.phi_scale_problem decides for the checks that read Phi
+    resolve(family="spectral3", params=SolitonParams(0.01, -3.0, mu=1.0))
+    resolve(family="spectralgauge4", params=SolitonParams(1.0, -225.0, nu=1.0))
+    assert list(inspect.signature(immersion._finite_nonzero).parameters) == [
+        "shown", "name", "scale", "may_vanish"]
 
 
 def _count_jets(monkeypatch):

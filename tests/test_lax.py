@@ -1,5 +1,7 @@
 """Frame system: U, V matrices, closed-form solution, determinant invariant."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,37 @@ def _assert_phi_proportional_to_unitary(p, x, t):
     c = det_phi_expected(p)
     gram = np.conj(np.swapaxes(f, -1, -2)) @ f
     assert np.max(np.abs(gram - c * np.eye(2))) <= 1e-14 * c
+
+
+# Phi's weight |B1| = e^(-pi lambda/k1)/|k1| and det Phi where they are no
+# normal double: B1 overflows, underflows to 0 or is subnormal, and det Phi
+# overflows or is subnormal where B1 is a normal double
+PHI_SCALE_PROBLEMS = [
+    (SolitonParams(0.01, -3.0), "k1 = 0.01, lambda = -3: |B1| = e^(-pi lambda/k1)/|k1| = inf, "
+     "need it finite and nonzero"),
+    (SolitonParams(0.01, 3.0), "k1 = 0.01, lambda = 3: |B1| = e^(-pi lambda/k1)/|k1| = 0, "
+     "need it finite and nonzero"),
+    (SolitonParams(0.1288852974447968, 30.533654924811838),
+     "k1 = 0.128885, lambda = 30.5337: |B1| = e^(-pi lambda/k1)/|k1| = 3.95253e-323 is "
+     "subnormal, need it at least 2.22507e-308 in magnitude"),
+    (SolitonParams(1.0, -225.0), "k1 = 1, lambda = -225: det Phi = inf, "
+     "need it finite and nonzero"),
+    (SolitonParams(1e-8, 2.3e-6), "k1 = 1e-08, lambda = 2.3e-06: det Phi = 6.60673e-309 is "
+     "subnormal, need it at least 2.22507e-308 in magnitude"),
+]
+
+
+@pytest.mark.parametrize("p, problem", PHI_SCALE_PROBLEMS,
+                         ids=["B1-inf", "B1-zero", "B1-subnormal", "det-inf", "det-subnormal"])
+def test_phi_scale_problem_names_the_constant(p, problem):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert lax.phi_scale_problem(p) == problem
+
+
+@pytest.mark.parametrize("p", SAMPLE_PARAMS + [resolve(pid).params for pid in sorted(PRESETS)])
+def test_phi_scale_problem_passes_a_normal_phi(p):
+    assert lax.phi_scale_problem(p) is None
 
 
 @pytest.mark.parametrize("p", SAMPLE_PARAMS)
