@@ -10,11 +10,11 @@ one-soliton background:
 * symmetry (u_x):  A, B obtained by differentiating U, V along the symmetry
                    direction u -> u + eps*phi with phi = u_x, scaled by mu
 
-The spectral pair is the spectral-gauge pair at nu = 0, so two functions
-map the soliton jet (``soliton.Jet``) to a whole :class:`Frame`, (A, B) with
-their closed-form x and t derivatives.  ``_FRAMES``, the one map from a kind
-to its frame, gives the spectral kind the spectral-gauge frame at nu = 0,
-and :func:`frame` looks it up.  From (A, B) and the frame normal
+The spectral pair is the spectral-gauge pair at nu = 0, so two functions,
+:func:`spectral_gauge_frame` and :func:`symmetry_frame`, map the soliton jet
+(``soliton.Jet``) to a whole :class:`Frame`, (A, B) with their closed-form
+x and t derivatives; each surface family (``immersion.Family``) holds its
+frame as a function of the jet.  From a caller's frame and the frame normal
 C = [A, B]/||[A, B]|| the first and second fundamental forms follow, and
 from those the Gaussian and mean curvatures; the closed forms they are
 checked against live in ``immersion``.
@@ -28,28 +28,14 @@ family is (i mu/2) sigma3, and [., .] and <., .> are -2 x × y and x · y.
 """
 from __future__ import annotations
 
-from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import su2
 from .diffgeo import CurvaturePair, Forms, SingularPointError
 from .lax import lax_U, lax_V
-from .soliton import Jet, SolitonParams
-
-
-class DeformationKind(str, Enum):
-    SPECTRAL = "spectral"
-    SPECTRAL_GAUGE = "spectral-gauge"
-    SYMMETRY_UX = "symmetry-ux"
-
-
-def validate_kind(kind: DeformationKind, p: SolitonParams) -> None:
-    if kind is DeformationKind.SPECTRAL and p.mu == 0:
-        raise ValueError("spectral family requires mu != 0")
-    if kind is DeformationKind.SPECTRAL_GAUGE and p.mu == 0 and p.nu == 0:
-        raise ValueError("spectral-gauge family requires (mu, nu) != (0, 0)")
+from .soliton import Jet
 
 
 class Frame(NamedTuple):
@@ -63,7 +49,7 @@ class Frame(NamedTuple):
     b_t: np.ndarray
 
 
-def _spectral_gauge_frame(j: Jet, nu: float) -> Frame:
+def spectral_gauge_frame(j: Jet, nu: float) -> Frame:
     """The spectral pair mu d(U, V)/dlam plus the gauge pair ([M, U], [M, V])
     with M = i nu sigma2; at nu = 0, the spectral pair alone."""
     p, u = j.p, j.u
@@ -85,7 +71,7 @@ def _spectral_gauge_frame(j: Jet, nu: float) -> Frame:
     )
 
 
-def _symmetry_frame(j: Jet) -> Frame:
+def symmetry_frame(j: Jet) -> Frame:
     """A = mu dU[u_x], B = mu dV[u_x]: the linearization along phi = u_x."""
     p, u = j.p, j.u
     ux, ut, uxx, uxt = j.u_x, j.u_t, j.u_xx, j.u_xt
@@ -101,25 +87,11 @@ def _symmetry_frame(j: Jet) -> Frame:
     )
 
 
-# The one map from a deformation kind to its frame.
-_FRAMES: dict[DeformationKind, Callable[[Jet], Frame]] = {
-    DeformationKind.SPECTRAL: lambda j: _spectral_gauge_frame(j, 0.0),
-    DeformationKind.SPECTRAL_GAUGE: lambda j: _spectral_gauge_frame(j, j.p.nu),
-    DeformationKind.SYMMETRY_UX: _symmetry_frame,
-}
-
-
-def frame(j: Jet, kind: DeformationKind) -> Frame:
-    """The family's frame on the soliton jet j."""
-    validate_kind(kind, j.p)
-    return _FRAMES[kind](j)
-
-
-def ab_compatibility_residual(j: Jet, kind: DeformationKind):
+def ab_compatibility_residual(j: Jet, f: Frame):
     """A_t - B_x + [A, V] + [U, B] with closed-form derivatives."""
-    p, (a, b, _, a_t, b_x, _) = j.p, frame(j, kind)
-    U = lax_U(j.u, p.lam)
-    V = lax_V(j.u, j.u_x, p.lam, p.alpha)
+    a, b, _, a_t, b_x, _ = f
+    U = lax_U(j.u, j.p.lam)
+    V = lax_V(j.u, j.u_x, j.p.lam, j.p.alpha)
     return a_t - b_x + su2.commutator(a, V) + su2.commutator(U, b)
 
 
@@ -127,8 +99,8 @@ def ab_compatibility_residual(j: Jet, kind: DeformationKind):
 NORMAL_DEGENERACY_RTOL = 1e-12
 
 
-def forms_from_ab(j: Jet, kind: DeformationKind) -> Forms:
-    """Fundamental forms from the frame (A, B, U, V).
+def forms_from_ab(j: Jet, f: Frame) -> Forms:
+    """Fundamental forms from the frame f on the jet j, (A, B) with U, V.
 
     g = (<A,A>, <A,B>, <B,B>) and
     h = (<A_x+[A,U], C>, <A_t+[A,V], C>, <B_t+[B,V], C>)
@@ -137,9 +109,9 @@ def forms_from_ab(j: Jet, kind: DeformationKind) -> Forms:
     the h coefficients for array input and raise SingularPointError for
     scalar input.
     """
-    p, (a, b, a_x, a_t, _, b_t) = j.p, frame(j, kind)
-    U = lax_U(j.u, p.lam)
-    V = lax_V(j.u, j.u_x, p.lam, p.alpha)
+    a, b, a_x, a_t, _, b_t = f
+    U = lax_U(j.u, j.p.lam)
+    V = lax_V(j.u, j.u_x, j.p.lam, j.p.alpha)
 
     comm = su2.commutator(a, b)
     norm = su2.su2_norm(comm)

@@ -2,10 +2,11 @@
 
 Position vectors for the three-parameter (spectral) and four-parameter
 (spectral-gauge) families and their closed-form fundamental forms and
-curvatures, bundled per family in a :class:`Family` record; the example
-presets and :func:`resolve`, which turns a preset or a family with
-parameters into one validated :class:`Surface`; curvature-relation
-residuals; and the frame tangents Phi^-1 A Phi and Phi^-1 B Phi that the
+curvatures, bundled per family with its frame (``deformation``) and its own
+parameter rules in a :class:`Family` record; the example presets and
+:func:`resolve`, which turns a preset or a family with parameters into one
+validated :class:`Surface`; curvature-relation residuals; and the frame
+tangents Phi^-1 A Phi and Phi^-1 B Phi of a caller's frame that the
 position's derivatives are checked against.  Everything here is closed form
 and pointwise and is handed the caller's ``soliton.Jet``; nothing here
 evaluates one.  ``verify`` composes a closed form with ``soliton.jet`` into
@@ -22,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import su2
-from .deformation import DeformationKind, frame, validate_kind
+from . import deformation, su2
+from .deformation import Frame
 from .diffgeo import CurvaturePair, Forms
 from .lax import phi, phi_inverse
 from .soliton import XI_MAX, Jet, SolitonParams
@@ -191,46 +192,48 @@ def _finite_nonzero(shown: str, name: str, scale: Callable[[], float],
 
 @dataclass(frozen=True)
 class Family:
-    """One surface family: its public name, frame kind and closed forms.
+    """One surface family: its public name, frame, closed forms and rules.
 
-    ``position``, ``forms``, ``curvatures`` and ``denominator`` take the
-    soliton's jet at the points (``soliton.jet``), which carries p, x and
-    t.  ``denominator`` is the shared denominator of the closed-form K and
-    H, whose zeros are the family's singular points.  Its sign orients the
-    closed forms against the frame: the closed forms normalize the normal
-    by a signed rational factor and the frame by ||[A, B]|| > 0, so the
-    closed-form H is the frame's H times sign(denominator) (0 at a pole);
-    K, a ratio of determinants, needs no sign.  ``radii`` takes p and gives
-    the constant radii of the position (R1, or R2 .. R7).  ``FAMILIES``
-    holds one per family.
+    ``frame``, ``position``, ``forms``, ``curvatures`` and ``denominator``
+    take the soliton's jet at the points (``soliton.jet``), which carries p,
+    x and t.  ``denominator`` is the shared denominator of the closed-form K
+    and H, whose zeros are the family's singular points.  Its sign orients
+    the closed forms against the frame: the closed forms normalize the
+    normal by a signed rational factor and the frame by ||[A, B]|| > 0, so
+    the closed-form H is the frame's H times sign(denominator) (0 at a
+    pole); K, a ratio of determinants, needs no sign.  ``radii`` takes p and
+    gives the constant radii of the position (R1, or R2 .. R7).  ``rule``
+    gives the family's reason to reject p (a deformation that vanishes, a
+    parameter it does not take), or None, and ``scales`` its own rows of
+    :meth:`validate`.  ``FAMILIES`` holds one per family.
     """
 
     name: str
-    kind: DeformationKind
+    frame: Callable[[Jet], Frame]
     position: Callable[[Jet], np.ndarray]
     forms: Callable[[Jet], Forms]
     curvatures: Callable[[Jet], CurvaturePair]
     denominator: Callable[[Jet], np.ndarray]
     radii: Callable[[SolitonParams], tuple[float, ...]]
+    rule: Callable[[SolitonParams], str | None]
+    scales: Callable[[SolitonParams], tuple]
 
     def validate(self, p: SolitonParams) -> None:
         """Reject parameters the family's closed forms cannot evaluate.
 
-        Besides the deformation kind's own rule, the closed forms and the
-        frame scale by powers of k1 up to k1^4 (``soliton.Jet.u_xxx``) and by
-        mu^2, nu^2, mu^4 and nu^4 (the norm of [A, B] and the Weingarten
+        After the family's ``rule``, the closed forms and the frame scale
+        by powers of k1 up to k1^4 (``soliton.Jet.u_xxx``) and by mu^2,
+        nu^2, mu^4 and nu^4 (the norm of [A, B] and the Weingarten
         relation's K^2), and divide by k1^2 + 4 lambda^2 and by mu^2, so
         each must be finite and nonzero (not overflowed, not underflowed
-        to 0).  A mu or nu of exactly 0 drops out and is left to the kind's
-        rule; beside a nonzero mu, nu's powers only add to mu's terms and
-        may underflow.  spectral3 does not depend on nu, so it takes only
-        nu = 0; its K is (k1/mu)^2 times a number in [-1, 1], so (k1/mu)^4
-        must be finite.  The position's radii must be finite too.
+        to 0).  A mu or nu of exactly 0 drops out and is left to the
+        family's rule; beside a nonzero mu, nu's powers only add to mu's
+        terms and may underflow.  The family's own ``scales`` rows follow,
+        and the position's radii must be finite too.
         """
-        validate_kind(self.kind, p)
-        if self.kind is DeformationKind.SPECTRAL and p.nu != 0.0:
-            raise ValueError(f"nu = {p.nu:g}: the {self.name} family does not depend on nu, "
-                             "need nu = 0")
+        reason = self.rule(p)
+        if reason is not None:
+            raise ValueError(reason)
         mu_may_vanish = p.mu == 0.0
         nu_may_vanish = p.nu == 0.0 or p.mu != 0.0
         k1, mu, nu = f"k1 = {p.k1:g}, lambda = {p.lam:g}", f"mu = {p.mu:g}", f"nu = {p.nu:g}"
@@ -241,9 +244,7 @@ class Family:
                   (nu, "nu^2", lambda: p.nu ** 2, nu_may_vanish),
                   (mu, "mu^4", lambda: p.mu ** 4, mu_may_vanish),
                   (nu, "nu^4", lambda: p.nu ** 4, nu_may_vanish))
-        if self.kind is DeformationKind.SPECTRAL:
-            scales += ((mu, "(k1/mu)^4", lambda: (p.k1 / p.mu) ** 4, True),)
-        for row in scales:
+        for row in scales + self.scales(p):
             _finite_nonzero(*row)
         radii = self.radii(p)
         if not all(math.isfinite(r) for r in radii):
@@ -253,28 +254,42 @@ class Family:
             )
 
 
-# The closed forms are called through their module-level names, not stored
-# as function objects, so that replacing one of them in this module (to
+def _spectral3_rule(p: SolitonParams) -> str | None:
+    if p.mu == 0:
+        return "spectral family requires mu != 0"
+    return None if p.nu == 0.0 else (
+        f"nu = {p.nu:g}: the spectral3 family does not depend on nu, need nu = 0")
+
+
+# The frames and closed forms are called through their module-level names,
+# not stored as function objects, so that replacing one in its module (to
 # profile or instrument it) reaches every caller of the record as well.
 SPECTRAL3 = Family(
     name="spectral3",
-    kind=DeformationKind.SPECTRAL,
+    # the spectral pair: the spectral-gauge frame at nu = 0
+    frame=lambda j: deformation.spectral_gauge_frame(j, 0.0),
     position=lambda j: three_param_position(j),
     forms=lambda j: three_param_forms_closed(j),
     curvatures=lambda j: three_param_curvatures_closed(j),
     # the spectral-gauge denominator at nu = 0
     denominator=lambda j: j.p.mu ** 2 * j.u,
     radii=_three_param_radii,
+    rule=_spectral3_rule,
+    # K is (k1/mu)^2 times a number in [-1, 1]
+    scales=lambda p: ((f"mu = {p.mu:g}", "(k1/mu)^4", lambda: (p.k1 / p.mu) ** 4, True),),
 )
 
 SPECTRAL_GAUGE4 = Family(
     name="spectralgauge4",
-    kind=DeformationKind.SPECTRAL_GAUGE,
+    frame=lambda j: deformation.spectral_gauge_frame(j, j.p.nu),
     position=lambda j: four_param_position(j),
     forms=lambda j: four_param_forms_closed(j),
     curvatures=lambda j: four_param_curvatures_closed(j),
     denominator=lambda j: spectral_gauge_curvature_denominator(j),
     radii=_four_param_radii,
+    rule=lambda p: ("spectral-gauge family requires (mu, nu) != (0, 0)"
+                    if p.mu == 0 and p.nu == 0 else None),
+    scales=lambda p: (),
 )
 
 FAMILIES: dict[str, Family] = {f.name: f for f in (SPECTRAL3, SPECTRAL_GAUGE4)}
@@ -387,13 +402,14 @@ def resolve(
     return Surface(fam, params, xr, tr, pid)
 
 
-def frame_tangents(j: Jet, kind: DeformationKind) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent vectors (y_x, y_t) = (Phi^-1 A Phi, Phi^-1 B Phi), (A, B) and
-    Phi both on the jet j, as su(2) matrices (..., 2, 2);
-    ``su2.su2_components`` gives their vectors.
-
-    Phi^-1 = Phi^H / det Phi comes from ``lax.phi_inverse``."""
-    a, b = frame(j, kind)[:2]
+def frame_tangents(j: Jet, frame: Callable[[Jet], Frame]) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent vectors (y_x, y_t) = (Phi^-1 A Phi, Phi^-1 B Phi) of the
+    family frame ``frame`` and Phi on the jet j, as su(2) matrices
+    (..., 2, 2); ``su2.su2_components`` gives their vectors.  Phi^-1 =
+    Phi^H / det Phi comes from ``lax.phi_inverse``.  Only A and B are held
+    while Phi is evaluated: a whole Frame from the caller added 0.75 MiB to
+    the traced peak of ``consistency`` on ex2 at 201^2 (numpy 2.4.6)."""
+    a, b = frame(j)[:2]
     f = phi(j)
     finv = phi_inverse(f, j.p)
     return (su2.mul(su2.mul(finv, su2.vec_to_su2(a)), f),

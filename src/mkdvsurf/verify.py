@@ -43,10 +43,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import diffgeo, immersion, lagrangian, soliton, su2
-from .deformation import (DeformationKind, ab_compatibility_residual, curvatures_from_forms,
-                          forms_from_ab)
-from .immersion import SPECTRAL3, Surface, _half_k1
+from . import deformation, diffgeo, immersion, lagrangian, soliton, su2
+from .deformation import ab_compatibility_residual, curvatures_from_forms, forms_from_ab
+from .immersion import SPECTRAL3, SPECTRAL_GAUGE4, Surface, _half_k1
 from .lax import det_phi_expected, lax_residuals, phi_scale_problem, zero_curvature_residual
 from .soliton import Jet, SolitonParams, check_grid, jet, repeats, tiled, xi, xi_grid, xi_jet
 
@@ -155,9 +154,10 @@ def _jsonable(v: float):
     return float(v) if np.isfinite(v) else None
 
 
-# Samples: (surface, nx, nt) -> (x, t, label), the nx by nt grid a check
-# evaluates and its text in the report.  Each check names its sample in
-# _CHECKS, and only the samples build grids.
+# Samples: (surface, nx, nt) -> (label, grid), the text in the report of the
+# nx by nt grid a check evaluates and a function that builds (x, t), so that
+# a skipped check's row names its sample without building it.  Each check
+# names its sample in _CHECKS, and only the samples build grids.
 
 def _label(nx: int, nt: int, xr, tr) -> str:
     """The grid on the window's bounds, each as %g when that reads back as
@@ -168,7 +168,7 @@ def _label(nx: int, nt: int, xr, tr) -> str:
 
 def _window(surface: Surface, nx: int, nt: int):
     """The surface's own window."""
-    return *surface.grid(nx, nt), _label(nx, nt, surface.x_range, surface.t_range)
+    return _label(nx, nt, surface.x_range, surface.t_range), lambda: surface.grid(nx, nt)
 
 
 # Half-width of the square [-2,2]^2 that _clipped_window clips the window to.
@@ -190,10 +190,13 @@ def _overlap(surface: Surface) -> str | None:
 
 
 def _clipped_window(surface: Surface, nx: int, nt: int):
-    """The window clipped to [-2,2]^2, for the surfaces ``_overlap`` admits."""
+    """The window clipped to [-2,2]^2, for the surfaces ``_overlap`` admits;
+    for the others, whose clipped window is empty, the window's label."""
+    if _overlap(surface) is not None:
+        return _window(surface, nx, nt)
     xr, tr = _clip(surface)
-    x, t, label = _window(replace(surface, x_range=xr, t_range=tr), nx, nt)
-    return x, t, f"{nx}x{nt} on [-2,2]^2" if xr == tr == (-CLIP_HALF, CLIP_HALF) else label
+    label, grid = _window(replace(surface, x_range=xr, t_range=tr), nx, nt)
+    return f"{nx}x{nt} on [-2,2]^2" if xr == tr == (-CLIP_HALF, CLIP_HALF) else label, grid
 
 
 def _xi_profile(half: float):
@@ -206,26 +209,24 @@ def _xi_profile(half: float):
     inside the xi range of the window's corners, the label says so.
     """
     def sample(surface: Surface, nx: int, nt: int):
-        x, t = xi_grid(surface.params, half, nx, nt)
         label = f"{nx}x{nt} with |xi|<{half:g}"
         corners = xi(*np.meshgrid(surface.x_range, surface.t_range), surface.params)
         lo, hi = np.min(corners), np.max(corners)
         if lo > -half or hi < half:
             label += f", not inside the window's xi range [{lo:g},{hi:g}]"
-        return x, t, label
+        return label, lambda: xi_grid(surface.params, half, nx, nt)
     return sample
 
 
 @dataclass(frozen=True)
 class _Config:
     surface: Surface
-    nx: int
-    nt: int
-    sample: Callable
+    label: str
+    build: Callable  # () -> (x, t), the check's sample of the surface
 
     def grid(self):
         """(x, t, label) of the check's sample of the surface."""
-        return self.sample(self.surface, self.nx, self.nt)
+        return *self.build(), self.label
 
 
 def _stats(res: np.ndarray, counts: np.ndarray | None = None) -> tuple[float, float]:
@@ -407,15 +408,16 @@ def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
     # the spectral and symmetry frames are mu times a fixed frame,
     # identically zero at mu = 0, so they are tested at mu = 1; the jet
-    # depends on k1 alone, so one jet serves every kind's parameters
-    kind_params = {kind: SolitonParams(p.k1, p.lam, mu=1.0, nu=p.nu)
-             if kind is not DeformationKind.SPECTRAL_GAUGE and p.mu == 0.0 else p
-             for kind in DeformationKind}
+    # depends on k1 alone, so one jet serves every frame's parameters
+    unit = SolitonParams(p.k1, p.lam, mu=1.0, nu=p.nu) if p.mu == 0.0 else p
+    pairs = ((SPECTRAL3.frame, unit), (SPECTRAL_GAUGE4.frame, p),
+             (deformation.symmetry_frame, unit))
 
     def pointwise(j):
-        res = np.empty((j.xi.size, len(kind_params), 3))
-        for i, (kind, kp) in enumerate(kind_params.items()):
-            np.abs(ab_compatibility_residual(replace(j, p=kp), kind), out=res[:, i])
+        res = np.empty((j.xi.size, len(pairs), 3))
+        for i, (frame, fp) in enumerate(pairs):
+            jp = replace(j, p=fp)
+            np.abs(ab_compatibility_residual(jp, frame(jp)), out=res[:, i])
         return res
 
     res, counts, label = _by_xi(pointwise, cfg)
@@ -431,7 +433,7 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     fam = cfg.surface.family
 
     def pointwise(j):
-        cur = curvatures_from_forms(forms_from_ab(j, fam.kind))
+        cur = curvatures_from_forms(forms_from_ab(j, fam.frame(j)))
         closed = fam.curvatures(j)
         den = fam.denominator(j)
         return (np.abs(cur.K - closed.K), np.abs(cur.H - np.sign(den) * closed.H),
@@ -589,7 +591,7 @@ def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     p = cfg.surface.params
 
     def pointwise(j):
-        cur = curvatures_from_forms(forms_from_ab(j, DeformationKind.SYMMETRY_UX))
+        cur = curvatures_from_forms(forms_from_ab(j, deformation.symmetry_frame(j)))
         return cur.K, cur.H
 
     (cur_k, cur_h), _, label = _by_xi(pointwise, cfg, per_point=True)
@@ -619,7 +621,7 @@ def _check_consistency(cfg: _Config, name: str, tol: float, h: float) -> CheckRe
 
     def pointwise(xx, tt):
         res = np.empty((xx.size, 2, 3))
-        for axis, frame in enumerate(immersion.frame_tangents(jet(xx, tt, p), fam.kind)):
+        for axis, frame in enumerate(immersion.frame_tangents(jet(xx, tt, p), fam.frame)):
             fd = diffgeo.derivative(position, xx, tt, s, axis=axis)
             np.abs(fd - su2.su2_components(frame), out=res[:, axis])
             defects.append(su2.su2_defects(frame))
@@ -765,11 +767,11 @@ def run_checks(
     window = _label(nx, nt, surface.x_range, surface.t_range)
     results = []
     for name, reason, h in plan:
+        label, build = _CHECKS[name].sample(surface, nx, nt)
         if reason is None:
-            cfg = _Config(surface, nx, nt, _CHECKS[name].sample)
-            results.append(_RUNNERS[name](cfg, name, tols[name], h))
+            results.append(_RUNNERS[name](_Config(surface, label, build), name, tols[name], h))
         else:
             results.append(CheckResult(name=name, passed=None, max_residual=math.nan,
                                        median_residual=math.nan, tolerance=tols[name],
-                                       grid=window, note=f"skipped: {reason}"))
+                                       grid=label, note=f"skipped: {reason}"))
     return VerificationReport(surface=surface, grid=window, checks=tuple(results))

@@ -8,10 +8,16 @@ import numpy as np
 import sympy as sp
 
 from mkdvsurf import su2
-from mkdvsurf.deformation import Frame
+from mkdvsurf.deformation import Frame, symmetry_frame
 from mkdvsurf.diffgeo import shape_equation_residual
+from mkdvsurf.immersion import SPECTRAL3, SPECTRAL_GAUGE4
 from mkdvsurf.lagrangian import FLAT_MONOMIALS
 from mkdvsurf.soliton import Jet, jet
+
+# The frames of the three deformation families by name: spectral3's (the
+# spectral pair), spectralgauge4's (spectral plus gauge) and the u_x symmetry's.
+FRAMES = {"spectral": SPECTRAL3.frame, "spectral-gauge": SPECTRAL_GAUGE4.frame,
+          "symmetry-ux": symmetry_frame}
 
 
 def far_field_distance(family, j, y=None):

@@ -9,12 +9,7 @@ import time
 import numpy as np
 
 from mkdvsurf import diffgeo, lagrangian, mesh
-from mkdvsurf.deformation import (
-    DeformationKind,
-    ab_compatibility_residual,
-    curvatures_from_forms,
-    forms_from_ab,
-)
+from mkdvsurf.deformation import ab_compatibility_residual, curvatures_from_forms, forms_from_ab
 from mkdvsurf.immersion import (
     SPECTRAL3,
     SPECTRAL_GAUGE4,
@@ -28,7 +23,8 @@ from mkdvsurf.lax import det_phi_expected, lax_residuals, phi, zero_curvature_re
 from mkdvsurf.soliton import SolitonParams, jet, xi_grid
 from mkdvsurf.verify import run_checks
 
-from helpers import far_field_distance, fields, flat_coefficients, printed_cubic, shape_residuals
+from helpers import (FRAMES, far_field_distance, fields, flat_coefficients, printed_cubic,
+                     shape_residuals)
 
 ALL_PRESETS = list(PRESETS)
 
@@ -78,8 +74,8 @@ def test_criterion_03_deformation_compatibility():
                             (3.0, -0.5, 2.0, -1.0)]:
         p = SolitonParams(k1, lam, mu, nu)
         j = jet(x, t, p)
-        for kind in DeformationKind:
-            res = ab_compatibility_residual(j, kind)
+        for frame in FRAMES.values():
+            res = ab_compatibility_residual(j, frame(j))
             worst = max(worst, float(np.max(np.abs(res))))
     ok = worst < 1e-9
     assert _line(3, ok, f"max residual {worst:.2e} over three families (tol 1e-9)")
@@ -95,7 +91,7 @@ def test_criterion_04_forms_curvature_equivalence():
         family = SPECTRAL3 if nu == 0.0 else SPECTRAL_GAUGE4
         x, t = xi_grid(p, 2.95, N_XI, N_T)
         j = jet(x, t, p)
-        cur = curvatures_from_forms(forms_from_ab(j, family.kind))
+        cur = curvatures_from_forms(forms_from_ab(j, family.frame(j)))
         closed = family.curvatures(j)
         sign = np.sign(family.denominator(j))
         if family is SPECTRAL3:

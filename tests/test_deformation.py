@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from mkdvsurf import su2
 from mkdvsurf.deformation import (
-    DeformationKind,
     ab_compatibility_residual,
     curvatures_from_forms,
     forms_from_ab,
-    frame,
-    validate_kind,
+    symmetry_frame,
 )
 from mkdvsurf.immersion import PRESETS, SPECTRAL3, SPECTRAL_GAUGE4, resolve
 from mkdvsurf.diffgeo import Stencil, derivative
@@ -19,7 +17,7 @@ from mkdvsurf.lax import lax_U, lax_V, zero_curvature_residual
 from mkdvsurf.soliton import SolitonParams, jet
 from mkdvsurf.verify import CheckConfigError, run_checks
 
-from helpers import su2_to_vec, typed_spectral_frame
+from helpers import FRAMES, su2_to_vec, typed_spectral_frame
 
 GRID = np.meshgrid(np.linspace(-2, 2, 15), np.linspace(-2, 2, 15))
 
@@ -38,10 +36,10 @@ gauge_params = st.builds(
 )
 
 
-@pytest.mark.parametrize("kind", list(DeformationKind))
-def test_ab_are_su2_valued(kind):
+@pytest.mark.parametrize("frame", FRAMES.values(), ids=FRAMES)
+def test_ab_are_su2_valued(frame):
     p = SolitonParams(2.0, 0.5, mu=1.5, nu=-0.7)
-    f = frame(jet(*GRID, p), kind)
+    f = frame(jet(*GRID, p))
     a, b = f.a, f.b
     # su2_to_vec raises on a matrix that is not su(2); a real component
     # vector is su(2) exactly, so the round trip is bitwise
@@ -50,15 +48,15 @@ def test_ab_are_su2_valued(kind):
         assert np.array_equal(su2_to_vec(su2.vec_to_su2(v)), v)
 
 
-@pytest.mark.parametrize("kind", list(DeformationKind))
-def test_algebra_returns_real_component_vectors(kind):
+@pytest.mark.parametrize("frame", FRAMES.values(), ids=FRAMES)
+def test_algebra_returns_real_component_vectors(frame):
     # the deformation and Lax algebra runs on Pauli components, not matrices
     p = SolitonParams(2.0, 0.5, mu=1.5, nu=-0.7)
     x, t = GRID
     j = jet(x, t, p)
     outputs = (
-        *frame(j, kind),
-        ab_compatibility_residual(j, kind),
+        *frame(j),
+        ab_compatibility_residual(j, frame(j)),
         zero_curvature_residual(j),
         lax_U(j.u, p.lam),
         lax_V(j.u, j.u_x, p.lam, p.alpha),
@@ -69,17 +67,17 @@ def test_algebra_returns_real_component_vectors(kind):
         assert out.shape == x.shape + (3,)
 
 
-@pytest.mark.parametrize("kind", list(DeformationKind))
-def test_frame_derivatives_match_fd(kind):
+@pytest.mark.parametrize("frame", FRAMES.values(), ids=FRAMES)
+def test_frame_derivatives_match_fd(frame):
     # each closed-form derivative against a difference quotient of (A, B);
     # k1 != 2 keeps alpha != 1, so a swapped x and t derivative shows
     p = SolitonParams(3.0, 0.5, mu=1.5, nu=-0.7)
     x, t = GRID
-    f = frame(jet(x, t, p), kind)
+    f = frame(jet(x, t, p))
     stencil = Stencil(1e-3, order=4, richardson=True)
     for field, axis, exact in (("a", 0, f.a_x), ("a", 1, f.a_t),
                                ("b", 0, f.b_x), ("b", 1, f.b_t)):
-        fd = derivative(lambda xx, tt: getattr(frame(jet(xx, tt, p), kind), field),
+        fd = derivative(lambda xx, tt: getattr(frame(jet(xx, tt, p)), field),
                         x, t, stencil, axis=axis)
         scale = max(1.0, np.max(np.abs(exact)))
         assert np.max(np.abs(fd - exact)) <= 1e-9 * scale, (field, "xt"[axis])
@@ -87,7 +85,7 @@ def test_frame_derivatives_match_fd(kind):
 
 def _spectral_frame_and_reference(surface):
     j = jet(*surface.grid(41, 41), surface.params)
-    return frame(j, DeformationKind.SPECTRAL), typed_spectral_frame(j)
+    return SPECTRAL3.frame(j), typed_spectral_frame(j)
 
 
 @pytest.mark.parametrize("surface", [
@@ -117,11 +115,11 @@ def test_spectral_frame_equals_the_typed_one_where_a_zero_changes_sign():
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("kind", list(DeformationKind))
-def test_compatibility_residual_vanishes(kind):
+@pytest.mark.parametrize("frame", FRAMES.values(), ids=FRAMES)
+def test_compatibility_residual_vanishes(frame):
     p = SolitonParams(2.0, 1.0, mu=-8.0, nu=0.3)
-    x, t = GRID
-    assert np.max(np.abs(ab_compatibility_residual(jet(x, t, p), kind))) < 1e-9
+    j = jet(*GRID, p)
+    assert np.max(np.abs(ab_compatibility_residual(j, frame(j)))) < 1e-9
 
 
 @settings(max_examples=20, deadline=None)
@@ -129,17 +127,17 @@ def test_compatibility_residual_vanishes(kind):
 def test_compatibility_random_params(p):
     x, t = np.meshgrid(np.linspace(-1.5, 1.5, 7), np.linspace(-1.5, 1.5, 7))
     j = jet(x, t, p)
-    for kind in DeformationKind:
-        assert np.max(np.abs(ab_compatibility_residual(j, kind))) < 1e-9
+    for frame in FRAMES.values():
+        assert np.max(np.abs(ab_compatibility_residual(j, frame(j)))) < 1e-9
 
 
-def test_validate_kind_rejects_degenerate_weights():
-    with pytest.raises(ValueError):
-        validate_kind(DeformationKind.SPECTRAL, SolitonParams(2.0, 0.0, mu=0.0))
-    with pytest.raises(ValueError):
-        validate_kind(
-            DeformationKind.SPECTRAL_GAUGE, SolitonParams(2.0, 0.0, mu=0.0, nu=0.0)
-        )
+def test_families_reject_degenerate_weights():
+    # a family whose deformation vanishes identically has no surface
+    with pytest.raises(ValueError, match=r"^spectral family requires mu != 0$"):
+        resolve(family="spectral3", params=SolitonParams(2.0, 0.0, mu=0.0))
+    with pytest.raises(ValueError,
+                       match=r"^spectral-gauge family requires \(mu, nu\) != \(0, 0\)$"):
+        resolve(family="spectralgauge4", params=SolitonParams(2.0, 0.0, mu=0.0, nu=0.0))
 
 
 @settings(max_examples=20, deadline=None)
@@ -147,7 +145,7 @@ def test_validate_kind_rejects_degenerate_weights():
 def test_spectral_curvatures_match_closed_form(p):
     x, t = np.meshgrid(np.linspace(-1.5, 1.5, 9), np.linspace(-1.5, 1.5, 9))
     j = jet(x, t, p)
-    f = forms_from_ab(j, DeformationKind.SPECTRAL)
+    f = forms_from_ab(j, SPECTRAL3.frame(j))
     cur = curvatures_from_forms(f)
     closed = SPECTRAL3.curvatures(j)
     sign = np.sign(SPECTRAL3.denominator(j))
@@ -162,7 +160,7 @@ def test_gauge_curvatures_match_closed_form(p):
     j = jet(x, t, p)
     den = SPECTRAL_GAUGE4.denominator(j)
     keep = np.abs(den) > 0.1 * np.max(np.abs(den))
-    f = forms_from_ab(j, DeformationKind.SPECTRAL_GAUGE)
+    f = forms_from_ab(j, SPECTRAL_GAUGE4.frame(j))
     cur = curvatures_from_forms(f)
     closed = SPECTRAL_GAUGE4.curvatures(j)
     sign = np.sign(den)
@@ -190,8 +188,8 @@ def test_spectral_closed_forms_values():
 
 def test_metric_of_spectral_family_is_constant_g11():
     p = SolitonParams(2.0, 1.0, mu=-8.0)
-    x, t = GRID
-    f = forms_from_ab(jet(x, t, p), DeformationKind.SPECTRAL)
+    j = jet(*GRID, p)
+    f = forms_from_ab(j, SPECTRAL3.frame(j))
     assert np.allclose(f.g11, p.mu ** 2 / 4.0, rtol=1e-12)
     assert np.allclose(f.g12, (p.mu ** 2 / 4.0) * (p.alpha + 2 * p.lam), rtol=1e-12)
 
@@ -203,7 +201,7 @@ def test_orientation_sign_is_denominator_sign():
     x = np.linspace(0.0, 4.4, 101)
     j = jet(x, 0.0, SolitonParams(2.0, 0.5, mu=1.0, nu=2.0))
     sign = np.sign(SPECTRAL_GAUGE4.denominator(j))
-    frame_h = curvatures_from_forms(forms_from_ab(j, SPECTRAL_GAUGE4.kind)).H
+    frame_h = curvatures_from_forms(forms_from_ab(j, SPECTRAL_GAUGE4.frame(j))).H
     assert set(sign) == {-1.0, 1.0}
     assert np.array_equal(np.sign(frame_h * SPECTRAL_GAUGE4.curvatures(j).H), sign)
     j3 = jet(x, 0.0, SolitonParams(2.0, 0.5, mu=-3.0))
@@ -222,7 +220,8 @@ def _radius_estimate(p, half, n):
     """1/sqrt|mean K| of the symmetry frame on the same grid, from the
     pointwise kernels: the number the check compares, to full precision."""
     x, t = np.meshgrid(np.linspace(-half, half, n), np.linspace(-half, half, n))
-    cur = curvatures_from_forms(forms_from_ab(jet(x, t, p), DeformationKind.SYMMETRY_UX))
+    j = jet(x, t, p)
+    cur = curvatures_from_forms(forms_from_ab(j, symmetry_frame(j)))
     good = np.isfinite(cur.K) & np.isfinite(cur.H)
     return 1.0 / np.sqrt(abs(np.mean(cur.K[good])))
 

@@ -7,6 +7,7 @@ closed forms, singular flagging or serialization shows up here.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from mkdvsurf.cli import main
@@ -67,6 +68,22 @@ MULTI_BLOCK_SHA256 = {
     },
 }
 
+
+
+def _pins_recorded_on() -> str:
+    """What the export pins were recorded on, beside this host's numpy: the
+    last digits of the exported floats follow numpy's SIMD dispatch."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    avx512f = "show" if __cpu_features__.get("AVX512F") else "do not show"
+    return (f"the sha256 pins were recorded with numpy 2.4.6 on AVX-512; this host has "
+            f"numpy {np.__version__}, whose runtime CPU features {avx512f} AVX512F, "
+            f"dispatch targets found: {found}")
+
+
 # checks `verify --checks all` skips per preset; every other check passes
 SKIPPED = {
     "ex2": (),
@@ -90,7 +107,8 @@ def test_export_bytes(pid, fmt, tmp_path, capsys):
                  "--format", fmt, "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256[pid][fmt]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256[pid][fmt], (
+        _pins_recorded_on())
 
 
 @pytest.mark.parametrize("fmt", ["obj", "csv", "json"])
@@ -102,7 +120,8 @@ def test_export_bytes_multi_block(pid, fmt, tmp_path, capsys):
                  "--format", fmt, "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == MULTI_BLOCK_SHA256[pid][fmt]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MULTI_BLOCK_SHA256[pid][fmt], (
+        _pins_recorded_on())
 
 
 @pytest.mark.parametrize("pid", sorted(SKIPPED))

@@ -166,3 +166,19 @@ def test_reachability_holds_with_its_allowlist_as_it_is():
     spec.loader.exec_module(reachability)
     assert reachability.ALLOWED == {("diffgeo", "fd_forms")}
     reachability.test_every_top_level_definition_is_reached_from_the_program()
+
+
+def test_no_enum_and_no_kind_parameter():
+    # a surface family is one record (``immersion.Family``) that holds its
+    # frame, not a key that functions look up and branch on
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "enum" not in {a.name for a in node.names}, path.stem
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "enum", path.stem
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                             a.vararg, a.kwarg) if arg is not None}
+                assert "kind" not in names, (path.stem, node.lineno)

@@ -100,7 +100,7 @@ def _consistency_frame(monkeypatch, surface, yx_entry, yt_entry, yx_defect, yt_d
     x, t = surface.grid(8, 8)
     first, last = t.min(), t.max()
 
-    def frame_tangents(j, kind):
+    def frame_tangents(j, frame):
         in_first = (j.t == first)[:, None]
         yx, yt = (su2.vec_to_su2(np.where(in_first, entry, 0.5) * np.ones(j.t.shape + (3,)))
                   for entry in (yx_entry, yt_entry))

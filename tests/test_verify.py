@@ -274,6 +274,22 @@ def test_clipped_checks_label_the_window_sampled():
         ("5x5 on [-3,3]x[2,4]", "skipped: requires the t window to overlap (-2,2)")}
 
 
+@pytest.mark.parametrize("argv, skipped", [
+    # mu^6 overflows the shape energies: shape would sample the xi profile
+    (["--k1", "2", "--lambda", "1", "--mu", "1e60"], {"shape": "5x5 with |xi|<2"}),
+    # Phi's constants overflow: lax and consistency would sample the square
+    (["--k1", "0.01", "--lambda", "-3", "--mu", "1"],
+     {"lax": "5x5 on [-2,2]^2", "consistency": "5x5 on [-2,2]^2"}),
+])
+def test_a_check_skipped_by_the_surface_labels_its_own_sample(capsys, argv, skipped):
+    code = main(["verify", "--family", "spectral3", *argv, "--nx", "5", "--nt", "5",
+                 "--checks", "all", "--format", "json"])
+    assert code == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"]: c["grid"] for c in checks if c["status"] == "skip"
+            and c["name"] in skipped} == skipped
+
+
 def test_every_check_labels_its_sample():
     rep = vf.run_checks(vf.CHECK_NAMES, resolve("ex2"), nx=41, nt=41)
     window, clipped = "41x41 on [-3,3]x[-3,3]", "41x41 on [-2,2]^2"
@@ -375,18 +391,17 @@ def test_compat_tests_the_symmetry_frame_at_mu_zero(monkeypatch):
     # mu = 0 both are tested at mu = 1: a symmetry frame with a 1% wrong
     # b_x fails the check there, not only at mu != 0
     from mkdvsurf import deformation
-    from mkdvsurf.deformation import DeformationKind
 
     surface = resolve(family="spectralgauge4", params=SolitonParams(2.0, 1.0, 0.0, nu=1.0))
     (check,) = vf.run_checks(["compat"], surface).checks
     assert check.passed and check.max_residual < 1e-12
-    symmetry = deformation._FRAMES[DeformationKind.SYMMETRY_UX]
+    symmetry = deformation.symmetry_frame
 
     def wrong(j):
         frame = symmetry(j)
         return frame._replace(b_x=1.01 * frame.b_x)
 
-    monkeypatch.setitem(deformation._FRAMES, DeformationKind.SYMMETRY_UX, wrong)
+    monkeypatch.setattr(deformation, "symmetry_frame", wrong)
     (check,) = vf.run_checks(["compat"], surface).checks
     assert check.passed is False
 
