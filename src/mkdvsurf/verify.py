@@ -25,13 +25,14 @@ values, each taken as many times as its xi occurs in the sample
 point; ``sphere`` gathers its values back per point through each point's
 xi, because the summation order of its mean K is that of the grid.  So
 each reports what an evaluation at every (x, t) reports, bit for bit.  The
-other four take their grid from ``cfg.grid()`` and build jets at (x, t):
+other four take (x, t) from the sample's ``grid()`` and build jets there:
 ``lax`` and ``consistency`` read t through Phi's e^{i omega t} and (x, t)
 through the position's phase, and the stencils of ``willmore`` and
 ``shape`` shift x and t apart, so two points of equal xi have stencils of
 unequal xi.  A check is compatible with a (family, parameter) combination
 or it is reported as skipped with the reason; requesting an incompatible
-check explicitly is a configuration error.
+check explicitly is a configuration error.  A runner returns only what it
+measured (``_Outcome``); ``run_checks`` builds every row of the report.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,10 +155,11 @@ def _jsonable(v: float):
     return float(v) if np.isfinite(v) else None
 
 
-# Samples: (surface, nx, nt) -> (label, grid), the text in the report of the
-# nx by nt grid a check evaluates and a function that builds (x, t), so that
-# a skipped check's row names its sample without building it.  Each check
-# names its sample in _CHECKS, and only the samples build grids.
+# Samples: (surface, nx, nt) -> (label, grid, empty), the text in the report
+# of the nx by nt grid a check evaluates, a function that builds (x, t), so
+# that a skipped check's row names its sample without building it, and the
+# reason the sample is empty on this surface, or None.  Each check names its
+# sample in _CHECKS, and only the samples build grids.
 
 def _label(nx: int, nt: int, xr, tr) -> str:
     """The grid on the window's bounds, each as %g when that reads back as
@@ -168,35 +170,24 @@ def _label(nx: int, nt: int, xr, tr) -> str:
 
 def _window(surface: Surface, nx: int, nt: int):
     """The surface's own window."""
-    return _label(nx, nt, surface.x_range, surface.t_range), lambda: surface.grid(nx, nt)
+    return _label(nx, nt, surface.x_range, surface.t_range), lambda: surface.grid(nx, nt), None
 
 
 # Half-width of the square [-2,2]^2 that _clipped_window clips the window to.
 CLIP_HALF = 2.0
 
 
-def _clip(surface: Surface):
-    """The window's x and t bounds clipped to [-2,2]^2."""
-    return tuple((max(lo, -CLIP_HALF), min(hi, CLIP_HALF))
-                 for lo, hi in (surface.x_range, surface.t_range))
-
-
-def _overlap(surface: Surface) -> str | None:
-    """``_clipped_window``'s rule: the clipped window has positive width on both axes."""
-    for axis, (lo, hi) in zip("xt", _clip(surface)):
-        if not lo < hi:
-            return f"requires the {axis} window to overlap (-2,2)"
-    return None
-
-
 def _clipped_window(surface: Surface, nx: int, nt: int):
-    """The window clipped to [-2,2]^2, for the surfaces ``_overlap`` admits;
-    for the others, whose clipped window is empty, the window's label."""
-    if _overlap(surface) is not None:
-        return _window(surface, nx, nt)
-    xr, tr = _clip(surface)
-    label, grid = _window(replace(surface, x_range=xr, t_range=tr), nx, nt)
-    return f"{nx}x{nt} on [-2,2]^2" if xr == tr == (-CLIP_HALF, CLIP_HALF) else label, grid
+    """The window clipped to [-2,2]^2; empty where the clip leaves an axis no
+    width, and then labelled as the window."""
+    xr, tr = ((max(lo, -CLIP_HALF), min(hi, CLIP_HALF))
+              for lo, hi in (surface.x_range, surface.t_range))
+    for axis, (lo, hi) in zip("xt", (xr, tr)):
+        if not lo < hi:
+            label, grid, _ = _window(surface, nx, nt)
+            return label, grid, f"requires the {axis} window to overlap (-2,2)"
+    label, grid, _ = _window(replace(surface, x_range=xr, t_range=tr), nx, nt)
+    return f"{nx}x{nt} on [-2,2]^2" if xr == tr == (-CLIP_HALF, CLIP_HALF) else label, grid, None
 
 
 def _xi_profile(half: float):
@@ -214,19 +205,20 @@ def _xi_profile(half: float):
         lo, hi = np.min(corners), np.max(corners)
         if lo > -half or hi < half:
             label += f", not inside the window's xi range [{lo:g},{hi:g}]"
-        return label, lambda: xi_grid(surface.params, half, nx, nt)
+        return label, lambda: xi_grid(surface.params, half, nx, nt), None
     return sample
 
 
-@dataclass(frozen=True)
-class _Config:
-    surface: Surface
-    label: str
-    build: Callable  # () -> (x, t), the check's sample of the surface
+class _Outcome(NamedTuple):
+    """What a runner measured: the max and median of its residual, the
+    sample points it left out, a note for the report, and whether its own
+    sub-checks hold (only ``lax`` has one)."""
 
-    def grid(self):
-        """(x, t, label) of the check's sample of the surface."""
-        return *self.build(), self.label
+    max: float
+    median: float
+    excluded: int = 0
+    note: str = ""
+    holds: bool = True
 
 
 def _stats(res: np.ndarray, counts: np.ndarray | None = None) -> tuple[float, float]:
@@ -282,31 +274,31 @@ def _median(values: np.ndarray) -> float:
     return float(np.mean(values[lower:k + 1]))
 
 
-def _by_xi(f, cfg: _Config, per_point: bool = False):
+def _by_xi(f, surface: Surface, grid, per_point: bool = False):
     """``f`` of the soliton's jet on the check's sample, for an ``f`` that
     reads the jet only through xi, as the frames and closed forms do.
 
-    Takes the sample's xi in tiles and drops x and t, then evaluates ``f``
-    on jets of xi alone (``soliton.xi_jet``).  Returns ``(values, counts,
-    label)``: where the xi repeat (``soliton.repeats``), ``f`` at the
+    Takes the xi of the sample's ``grid()`` in tiles and drops x and t,
+    then evaluates ``f`` on jets of xi alone (``soliton.xi_jet``).  Returns
+    ``(values, counts)``: where the xi repeat (``soliton.repeats``), ``f`` at the
     distinct xi and the number of sample points of each, for a runner to
     reduce with (``_stats``); else ``f`` at every point's xi and None.  With
     ``per_point``, for an ``f`` that returns a tuple, the values at every
     point in any case, gathered from the distinct values through each
     point's xi.
     """
-    x, t, label = cfg.grid()
-    p = cfg.surface.params
+    x, t = grid()
+    p = surface.params
     z = tiled(lambda xx, tt: xi(xx, tt, p), x, t)
     del x, t
     found = repeats(z.reshape(-1))
     if found is None:
-        return tiled(lambda zz: f(xi_jet(zz, p)), z), None, label
+        return tiled(lambda zz: f(xi_jet(zz, p)), z), None
     distinct, counts, index_of = found
     z = z if per_point else None   # only the gather reads it: not held through f
     values = tiled(lambda zz: f(xi_jet(zz, p)), distinct)
     if not per_point:
-        return values, counts, label
+        return values, counts
     outs = tuple(np.empty(z.shape + a.shape[1:], a.dtype) for a in values)
     for i in range(0, z.size, soliton.TILE_POINTS):
         # a tile's index, the only one widened to intp; "clip" writes to
@@ -315,21 +307,7 @@ def _by_xi(f, cfg: _Config, per_point: bool = False):
         for a, out in zip(values, outs):
             np.take(a, at, axis=0, mode="clip",
                     out=out.reshape((-1,) + a.shape[1:])[i:i + soliton.TILE_POINTS])
-    return outs, None, label
-
-
-def _result(name, label, tol, res, counts=None, excluded=0, note="") -> CheckResult:
-    mx, med = _stats(res, counts)
-    return CheckResult(
-        name=name,
-        passed=bool(mx <= tol),
-        max_residual=mx,
-        median_residual=med,
-        tolerance=tol,
-        grid=label,
-        excluded=excluded,
-        note=note,
-    )
+    return outs, None
 
 
 # Requirements: a Surface's reason to skip a check, or None if it applies.
@@ -362,12 +340,12 @@ def _round_sphere(surface: Surface) -> str | None:
     return "requires mu != 0" if p.mu == 0.0 else None
 
 
-# Runners: (cfg, name, tol, h) -> CheckResult, with h the check's resolved
-# finite-difference step, None for a check that does not difference.
+# Runners: (surface, grid, h) -> _Outcome, with grid the check's sample's
+# () -> (x, t) and h its resolved finite-difference step, None for a check
+# that does not difference.
 
-def _check_zerocurv(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
-    res, counts, label = _by_xi(lambda j: np.abs(zero_curvature_residual(j)), cfg)
-    return _result(name, label, tol, res, counts)
+def _check_zerocurv(surface: Surface, grid, h: None) -> _Outcome:
+    return _Outcome(*_stats(*_by_xi(lambda j: np.abs(zero_curvature_residual(j)), surface, grid)))
 
 
 def _entry_max(m: np.ndarray) -> np.ndarray:
@@ -378,9 +356,9 @@ def _entry_max(m: np.ndarray) -> np.ndarray:
                       np.maximum(m[..., 1, 0], m[..., 1, 1]))
 
 
-def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
-    p = cfg.surface.params
-    x, t, label = cfg.grid()
+def _check_lax(surface: Surface, grid, h: float) -> _Outcome:
+    p = surface.params
+    x, t = grid()
     expected = det_phi_expected(p)
     # per tile, the largest |det Phi - expected|: only the grid's is reported
     det_dev = []
@@ -392,20 +370,12 @@ def _check_lax(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
 
     res = tiled(pointwise, x, t)
     det_rel = float(np.max(det_dev) / abs(expected))
-    mx, med = _stats(res)
-    return CheckResult(
-        name=name,
-        passed=bool(mx <= tol and det_rel <= DET_DRIFT_RTOL),
-        max_residual=mx,
-        median_residual=med,
-        tolerance=tol,
-        grid=label,
-        note=f"det drift rel {det_rel:.2e} (<= {DET_DRIFT_RTOL:.0e})",
-    )
+    return _Outcome(*_stats(res), note=f"det drift rel {det_rel:.2e} (<= {DET_DRIFT_RTOL:.0e})",
+                    holds=det_rel <= DET_DRIFT_RTOL)
 
 
-def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
-    p = cfg.surface.params
+def _check_compat(surface: Surface, grid, h: None) -> _Outcome:
+    p = surface.params
     # the spectral and symmetry frames are mu times a fixed frame,
     # identically zero at mu = 0, so they are tested at mu = 1; the jet
     # depends on k1 alone, so one jet serves every frame's parameters
@@ -420,8 +390,8 @@ def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
             np.abs(ab_compatibility_residual(jp, frame(jp)), out=res[:, i])
         return res
 
-    res, counts, label = _by_xi(pointwise, cfg)
-    return _result(name, label, tol, res, counts, note="all three deformation families")
+    return _Outcome(*_stats(*_by_xi(pointwise, surface, grid)),
+                    note="all three deformation families")
 
 
 # Points of the forms check whose closed-form denominator is at most this
@@ -429,8 +399,8 @@ def _check_compat(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
 POLE_MARGIN = 0.05
 
 
-def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
-    fam = cfg.surface.family
+def _check_forms(surface: Surface, grid, h: None) -> _Outcome:
+    fam = surface.family
 
     def pointwise(j):
         cur = curvatures_from_forms(forms_from_ab(j, fam.frame(j)))
@@ -439,13 +409,13 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
         return (np.abs(cur.K - closed.K), np.abs(cur.H - np.sign(den) * closed.H),
                 np.abs(closed.K), np.abs(closed.H), np.abs(den))
 
-    (diff_k, diff_h, closed_k, closed_h, den), counts, label = _by_xi(pointwise, cfg)
+    (diff_k, diff_h, closed_k, closed_h, den), counts = _by_xi(pointwise, surface, grid)
     # The values at the distinct xi are the grid's set of values, so the pole
     # threshold and the largest kept closed forms are the grid's, bit for bit.
     keep = den > POLE_MARGIN * np.max(den)
     if not keep.any():
         raise diffgeo.SingularPointError(
-            f"{name}: no grid point clears the closed forms' poles "
+            "forms: no grid point clears the closed forms' poles "
             f"(|denominator| <= {POLE_MARGIN:g} max |denominator| everywhere)"
         )
     norms = [np.max(closed, where=keep, initial=0.0) for closed in (closed_k, closed_h)]
@@ -456,22 +426,21 @@ def _check_forms(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     else:
         excluded = int(np.sum(counts[~keep]))
         counts = np.tile(counts[keep], 2)
-    return _result(name, label, tol, rel, counts, excluded=excluded,
-                   note="frame curvatures vs closed forms")
+    return _Outcome(*_stats(rel, counts), excluded, "frame curvatures vs closed forms")
 
 
-def _check_weingarten(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
-    p = cfg.surface.params
+def _check_weingarten(surface: Surface, grid, h: None) -> _Outcome:
+    p = surface.params
 
     def pointwise(j):
-        cur = cfg.surface.family.curvatures(j)
+        cur = surface.family.curvatures(j)
         return immersion.weingarten_residuals(cur.K, cur.H, p)
 
-    res, counts, label = _by_xi(pointwise, cfg)
+    res, counts = _by_xi(pointwise, surface, grid)
     note = "cubic K-H relation"
     if res.shape[-1] == 2:
         note += f" and quadratic at k1 = {'' if p.k1 * p.lam > 0 else '-'}2 lambda"
-    return _result(name, label, tol, res, counts, note=note)
+    return _Outcome(*_stats(res, counts), note=note)
 
 
 # The divergence-form pass of `willmore` and `shape` makes each field and
@@ -486,9 +455,9 @@ def _check_weingarten(cfg: _Config, name: str, tol: float, h: None) -> CheckResu
 # 2-core x86-64 VM, numpy 2.4.6).  On tiles of a third, the traced peak of
 # `shape` on ex2 at 401^2 is 10.6 MiB, against 15.0 for the same calls in
 # stacks of two offsets on whole tiles.
-def _check_willmore(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
-    p, fam = cfg.surface.params, cfg.surface.family
-    x, t, label = cfg.grid()
+def _check_willmore(surface: Surface, grid, h: float) -> _Outcome:
+    p, fam = surface.params, surface.family
+    x, t = grid()
     s = replace(diffgeo.OPERATOR_STENCIL, h=h)
     curvatures = lambda xx, tt: fam.curvatures(jet(xx, tt, p))
     forms = lambda xx, tt: fam.forms(jet(xx, tt, p))
@@ -499,11 +468,11 @@ def _check_willmore(cfg: _Config, name: str, tol: float, h: float) -> CheckResul
             curvatures, forms, 4.0 / 9.0, 1.0, xx, tt, (fam.forms(j), fam.curvatures(j)), s)
         return np.abs(res) / scale
 
-    return _result(name, label, tol, tiled(pointwise, x, t, points=soliton.TILE_POINTS // 3),
-                   note="a=4/9, b=1")
+    return _Outcome(*_stats(tiled(pointwise, x, t, points=soliton.TILE_POINTS // 3)),
+                    note="a=4/9, b=1")
 
 
-def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
+def _check_shape(surface: Surface, grid, h: float) -> _Outcome:
     """The constrained families N = 3..6 (p = 1, free zero) on the spectral3
     surfaces at lam = +k1/2 and lam = -k1/2, on one xi grid of |xi| < 2.
 
@@ -525,7 +494,7 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     others, and its median, like the median over degrees, is
     :func:`_median`'s.
     """
-    p = cfg.surface.params
+    p = surface.params
     s = replace(diffgeo.OPERATOR_STENCIL, h=h)
     energies = [lagrangian.constrained_family(n, None, 1.0, p.k1, p.mu) for n in (3, 4, 5, 6)]
     # Degrees whose energies have equal terms are one energy and share one
@@ -549,7 +518,7 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
         return ((SPECTRAL3.forms(j), SPECTRAL3.forms(Jet(minus, j.x, j.t, j.xi, j.s))),
                 SPECTRAL3.curvatures(j))
 
-    x, t, label = cfg.grid()
+    x, t = grid()
 
     def pointwise(xx, tt):
         at = geometry(xx, tt)
@@ -574,27 +543,18 @@ def _check_shape(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
     # of each degree's larger median, and every degree's excluded points
     columns = [list(distinct).index(e.terms) for e in energies]
     mx, med, excluded = np.moveaxis(stats[:, columns], -1, 0)
-    worst = float(np.max(mx))
-    return CheckResult(
-        name=name,
-        passed=bool(worst <= tol),
-        max_residual=worst,
-        median_residual=_median(np.max(med, axis=0)),
-        tolerance=tol,
-        grid=label,
-        excluded=int(np.sum(excluded)),
-        note="constrained families N=3..6, p=1, free params zero",
-    )
+    return _Outcome(float(np.max(mx)), _median(np.max(med, axis=0)), int(np.sum(excluded)),
+                    "constrained families N=3..6, p=1, free params zero")
 
 
-def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
-    p = cfg.surface.params
+def _check_sphere(surface: Surface, grid, h: None) -> _Outcome:
+    p = surface.params
 
     def pointwise(j):
         cur = curvatures_from_forms(forms_from_ab(j, deformation.symmetry_frame(j)))
         return cur.K, cur.H
 
-    (cur_k, cur_h), _, label = _by_xi(pointwise, cfg, per_point=True)
+    (cur_k, cur_h), _ = _by_xi(pointwise, surface, grid, per_point=True)
     # K and H are NaN where the normal degenerates (the crest u_x = 0)
     good = np.isfinite(cur_k) & np.isfinite(cur_h)
     kg, hg = cur_k[good], cur_h[good]
@@ -606,13 +566,13 @@ def _check_sphere(cfg: _Config, name: str, tol: float, h: None) -> CheckResult:
     res = np.array([float(np.max(np.abs(kg - k_mean)) / abs(k_mean)),
                     float(np.max(np.abs(hg ** 2 - kg)) / abs(k_mean)),
                     abs(radius - expected) / expected])
-    return _result(name, label, tol, res, excluded=int(cur_k.size - np.count_nonzero(good)),
-                   note=f"radius {radius:.6g} vs |alpha mu/(2 lambda)| = {expected:.6g}")
+    return _Outcome(*_stats(res), int(cur_k.size - np.count_nonzero(good)),
+                    f"radius {radius:.6g} vs |alpha mu/(2 lambda)| = {expected:.6g}")
 
 
-def _check_consistency(cfg: _Config, name: str, tol: float, h: float) -> CheckResult:
-    p, fam = cfg.surface.params, cfg.surface.family
-    x, t, label = cfg.grid()
+def _check_consistency(surface: Surface, grid, h: float) -> _Outcome:
+    p, fam = surface.params, surface.family
+    x, t = grid()
     position = lambda xx, tt: fam.position(jet(xx, tt, p))
     s = diffgeo.Stencil(h, order=4)
 
@@ -632,7 +592,7 @@ def _check_consistency(cfg: _Config, name: str, tol: float, h: float) -> CheckRe
     # scales with that tangent's largest entry on the grid
     for grid_max in np.max(np.reshape(defects, (-1, 2, 3)), axis=0):
         su2.check_su2(*grid_max)
-    return _result(name, label, tol, res, note="frame tangents vs position derivatives")
+    return _Outcome(*_stats(res), note="frame tangents vs position derivatives")
 
 
 @dataclass(frozen=True)
@@ -645,7 +605,7 @@ class _Check:
     reason the check cannot run on it, or None.
     """
 
-    run: Callable[[_Config, str, float, float | None], CheckResult]
+    run: Callable[[Surface, Callable, float | None], _Outcome]
     tol: float
     sample: Callable
     steps: tuple[float, float, float] | None = None
@@ -696,8 +656,9 @@ def run_checks(
 
     ``checks`` is "all" (every check; incompatible ones appear as skipped
     with the reason) or an explicit list of at least one check, each named
-    once, which raises ``CheckConfigError`` when a listed check cannot run
-    for this configuration.  A tolerance must be finite and >= 0.  ``fd_step``, when
+    once and not with "all", which raises ``CheckConfigError`` when a listed
+    check cannot run for this configuration.  A string is a comma-separated
+    list, its names stripped.  A tolerance must be finite and >= 0.  ``fd_step``, when
     given, is the one finite-difference step of the lax, consistency,
     willmore and shape checks; it must lie in
     [diffgeo.STEP_MIN, diffgeo.STEP_MAX] and in the step range of each of
@@ -713,12 +674,14 @@ def run_checks(
             f"fd_step = {fd_step} outside [{diffgeo.STEP_MIN}, {diffgeo.STEP_MAX}]"
         )
 
-    explicit = checks != "all"
+    if isinstance(checks, str):
+        names = [c.strip() for c in checks.split(",") if c.strip()]
+    else:
+        names = list(checks)
+    if "all" in names and names != ["all"]:
+        raise CheckConfigError("'all' cannot be combined with check names")
+    explicit = names != ["all"]
     if explicit:
-        if isinstance(checks, str):
-            names = [c.strip() for c in checks.split(",") if c.strip()]
-        else:
-            names = list(checks)
         if not names:
             raise CheckConfigError("no checks named; name one or more, or use 'all'")
         repeated = sorted({n for n in names if names.count(n) > 1})
@@ -744,12 +707,12 @@ def run_checks(
                 )
 
     # one pass decides each check: skipped with a reason, or run at a step
+    nx, nt = int(nx), int(nt)
     plan = []
     for name in names:
         check = _CHECKS[name]
-        reason, h = check.requires(surface), None
-        if reason is None and check.sample is _clipped_window:
-            reason = _overlap(surface)
+        label, grid, empty = check.sample(surface, nx, nt)
+        reason, h = check.requires(surface) or empty, None
         if reason is not None and explicit:
             raise CheckConfigError(f"check {name!r} incompatible: {reason}")
         if reason is None and check.steps is not None:
@@ -761,17 +724,15 @@ def run_checks(
                         f"the admissible steps of check {name!r}"
                     )
                 h = fd_step
-        plan.append((name, reason, h))
+        plan.append((name, label, grid, reason, h))
 
-    nx, nt = int(nx), int(nt)
-    window = _label(nx, nt, surface.x_range, surface.t_range)
     results = []
-    for name, reason, h in plan:
-        label, build = _CHECKS[name].sample(surface, nx, nt)
-        if reason is None:
-            results.append(_RUNNERS[name](_Config(surface, label, build), name, tols[name], h))
-        else:
-            results.append(CheckResult(name=name, passed=None, max_residual=math.nan,
-                                       median_residual=math.nan, tolerance=tols[name],
-                                       grid=label, note=f"skipped: {reason}"))
+    for name, label, grid, reason, h in plan:
+        out = (_RUNNERS[name](surface, grid, h) if reason is None
+               else _Outcome(math.nan, math.nan, note=f"skipped: {reason}"))
+        results.append(CheckResult(
+            name=name, passed=None if reason else bool(out.max <= tols[name] and out.holds),
+            max_residual=out.max, median_residual=out.median, tolerance=tols[name],
+            grid=label, excluded=out.excluded, note=out.note))
+    window = _label(nx, nt, surface.x_range, surface.t_range)
     return VerificationReport(surface=surface, grid=window, checks=tuple(results))

@@ -280,8 +280,8 @@ def test_an_unusable_scale_skips_its_checks_or_exits_2_before_any_runs(
         tmp_path, capsys, monkeypatch, surface, checks, note):
     ran = []
     for name, runner in verify_mod._RUNNERS.items():
-        def spy(*args, _run=runner):
-            ran.append(args[1])
+        def spy(*args, _run=runner, _name=name):
+            ran.append(_name)
             return _run(*args)
 
         monkeypatch.setitem(verify_mod._RUNNERS, name, spy)
@@ -362,6 +362,25 @@ def test_verify_incompatible_exit_2(capsys):
     assert "incompatible" in err
 
 
+@pytest.mark.parametrize("checks", [" all", "all ", " all ,"])
+def test_verify_all_is_read_stripped_like_any_check_name(capsys, checks):
+    # every name in --checks is stripped, "all" too
+    grid = ("--preset", "ex2", "--nx", "5", "--nt", "5", "--format", "json")
+    want = run(capsys, "verify", *grid, "--checks", "all")
+    assert want[0] == 0, want[2]
+    assert run(capsys, "verify", *grid, "--checks", checks) == want
+
+
+@pytest.mark.parametrize("checks", ["all,forms", "zerocurv, all", "all,all"])
+def test_verify_rejects_all_among_check_names_before_running_any(capsys, monkeypatch, checks):
+    ran = []
+    for name in verify_mod._RUNNERS:
+        monkeypatch.setitem(verify_mod._RUNNERS, name, lambda *args, _name=name: ran.append(_name))
+    code, out, err = run(capsys, "verify", "--preset", "ex2", "--checks", checks)
+    assert (code, out, ran) == (2, "", [])
+    assert err == "error: 'all' cannot be combined with check names\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("checks", [",", "", " , "])
 def test_verify_with_no_checks_named_exit_2(capsys, checks, fmt):
@@ -376,8 +395,8 @@ def test_verify_with_no_checks_named_exit_2(capsys, checks, fmt):
 def test_verify_rejects_a_check_named_twice_before_running_any(capsys, monkeypatch, fmt):
     ran = []
     for name, runner in verify_mod._RUNNERS.items():
-        def spy(*args, _run=runner):
-            ran.append(args[1])
+        def spy(*args, _run=runner, _name=name):
+            ran.append(_name)
             return _run(*args)
 
         monkeypatch.setitem(verify_mod._RUNNERS, name, spy)
@@ -400,7 +419,7 @@ def test_out_into_no_directory_exit_2_before_any_work(tmp_path, capsys, monkeypa
     out_file = tmp_path / parent / "r.json"
     ran = []
     for name in verify_mod._RUNNERS:
-        monkeypatch.setitem(verify_mod._RUNNERS, name, lambda *args: ran.append(args[1]))
+        monkeypatch.setitem(verify_mod._RUNNERS, name, lambda *args, _name=name: ran.append(_name))
     monkeypatch.setattr(cli.mesh_mod, "generate", lambda *args, **kw: ran.append("generate"))
     code, out, err = run(capsys, command, "--preset", "ex2", "--nx", "5", "--nt", "5",
                          "--out", str(out_file))

@@ -317,8 +317,8 @@ def test_xi_profile_label_says_when_the_window_does_not_contain_it():
 
 def test_only_the_samples_build_grids():
     # each _CHECKS entry names its sample, and only the sample functions
-    # call Surface.grid, xi_grid or np.meshgrid; the runners take their
-    # grid and its label from cfg.grid()
+    # call Surface.grid, xi_grid or np.meshgrid; a runner takes its (x, t)
+    # from the sample's grid()
     samples = {"_window", "_clipped_window", "_xi_profile"}
     tree = ast.parse(open(vf.__file__).read())
     builders = []
@@ -330,7 +330,7 @@ def test_only_the_samples_build_grids():
                 continue
             f = n.func
             name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            # cfg.grid() is the runner's sample, Surface.grid(nx, nt) a grid
+            # grid() is the runner's sample, Surface.grid(nx, nt) a grid
             if name in ("xi_grid", "meshgrid", "clipped_grid") or (name == "grid" and n.args):
                 builders.append((name, n.lineno))
     assert not builders, f"grids built outside the samples: {builders}"
@@ -361,14 +361,35 @@ def test_every_check_has_a_runner_looked_up_at_call_time(monkeypatch):
     for name in ("zerocurv", "weingarten"):
         runner = vf._RUNNERS[name]
 
-        def counted(*args, _runner=runner):
-            calls.append(args[1])
+        def counted(*args, _runner=runner, _name=name):
+            calls.append(_name)
             return _runner(*args)
 
         monkeypatch.setitem(vf._RUNNERS, name, counted)
     rep = vf.run_checks(["zerocurv", "weingarten"], resolve("ex2"), nx=5, nt=5)
     assert calls == ["zerocurv", "weingarten"]
     assert [c.name for c in rep.checks] == calls
+
+
+def test_only_run_checks_builds_a_report_row():
+    # a runner returns what it measured; run_checks alone turns a run or a
+    # skip into a CheckResult, and a sample says itself when it is empty
+    tree = ast.parse(open(vf.__file__).read())
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    builders = [fn.name for fn in functions.values() for n in ast.walk(fn)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "CheckResult"]
+    assert builders == ["run_checks"]
+    runners = [fn for name, fn in functions.items() if name.startswith("_check_")]
+    assert len(runners) == len(vf.CHECK_NAMES)
+    for fn in runners:
+        params = [a.arg for a in fn.args.args]
+        assert not {"cfg", "name", "tol"} & set(params), (fn.name, params)
+    samples = {"_window", "_clipped_window", "_xi_profile", "sample"}
+    compared = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Compare)
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in n.ops)
+                and any(getattr(v, "id", getattr(v, "attr", None)) in samples
+                        for v in (n.left, *n.comparators))]
+    assert not compared, f"samples compared by identity at lines {compared}"
 
 
 def test_check_names_are_written_only_in_the_table():
@@ -487,9 +508,8 @@ def test_checks_run_once_per_distinct_xi_report_what_every_point_reports(
 
     once = reports()
     # every point of the sample evaluated at (x, t), and gathered as it is
-    def every_point(f, cfg, per_point=False):
-        x, t, label = cfg.grid()
-        return tiled(lambda xx, tt: f(jet(xx, tt, cfg.surface.params)), x, t), None, label
+    def every_point(f, surface, grid, per_point=False):
+        return tiled(lambda xx, tt: f(jet(xx, tt, surface.params)), *grid()), None
 
     monkeypatch.setattr(vf, "_by_xi", every_point)
     for got, want in zip(reports(), once):
