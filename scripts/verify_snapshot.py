@@ -1,4 +1,5 @@
-"""Every `mkdvsurf verify` output on a fixed list of inputs, one run a line.
+"""Every `mkdvsurf verify` and `generate` output on a fixed list of inputs,
+one run a line.
 
 Runs ``mkdvsurf.cli.main`` in this process, with RuntimeWarnings raised as
 errors, on
@@ -9,10 +10,17 @@ errors, on
   [-2,2]^2, and scales that some checks cannot take or that no surface
   admits) with each check list of ``CHECK_LISTS``, at the default 41^2;
 - the configuration errors of ``ERRORS``;
+- ``generate`` on every preset at 21^2 in obj, csv and json, on each
+  parametric surface of ``SURFACES`` at 21^2 in json, and on the surfaces of
+  ``OVERFLOWS``, whose position overflows;
 
-and prints for each run one JSON line ``[argv, exit code, stdout, stderr]``.
-``mkdvsurf`` is imported from ``PYTHONPATH``, so two checkouts are compared
-by running the script under each one's ``src`` and comparing the outputs:
+and prints for each run one JSON line ``[argv, exit code, stdout, stderr]``,
+to which a ``generate`` run adds the sha256 of the file it wrote, or null.
+``generate`` writes ``mesh.<format>`` in a temporary working directory.  A
+run that raises is printed with ``"raised <Type>: <message>"`` in place of
+its exit code.  ``mkdvsurf`` is imported from ``PYTHONPATH``, so two
+checkouts are compared by running the script under each one's ``src`` and
+comparing the outputs:
 
     PYTHONPATH=src python3 scripts/verify_snapshot.py > new.jsonl
     PYTHONPATH=../parent/src python3 scripts/verify_snapshot.py > old.jsonl
@@ -22,10 +30,14 @@ by running the script under each one's ``src`` and comparing the outputs:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+import os
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 from mkdvsurf import cli
 from mkdvsurf.immersion import PRESETS
@@ -49,6 +61,8 @@ SURFACES = [
     ("--family", "spectralgauge4", "--k1", "2", "--lambda", "1", "--mu", "0", "--nu", "0"),
     ("--family", "spectralgauge4", "--k1", "2", "--lambda", "1", "--mu", "0", "--nu", "1"),
     ("--family", "spectral3", "--k1", "2", "--lambda", "1", "--mu", "1", "--nu", "1"),
+    ("--family", "spectral3", "--k1", "1", "--lambda", "1e77", "--mu", "1"),
+    ("--family", "spectral3", "--k1", "1", "--lambda", "1e100", "--mu", "1"),
 ]
 CHECK_LISTS = ("all", "zerocurv,lax,compat", "forms,weingarten,sphere", "willmore,shape",
                "consistency")
@@ -64,6 +78,15 @@ ERRORS = [
     ("--family", "spectral3", "--k1", "2", "--lambda", "1"),
 ]
 
+OVERFLOWS = [
+    ("--family", "spectral3", "--k1", "1", "--lambda", "6e153", "--mu", "1", "--nx", "5",
+     "--nt", "5"),
+    ("--family", "spectral3", "--k1", "1", "--lambda", "1e140", "--mu", "1", "--nx", "5",
+     "--nt", "5"),
+    ("--family", "spectralgauge4", "--k1", "1", "--lambda", "1e153", "--mu", "1", "--nu", "1",
+     "--t-min", "1", "--t-max", "300", "--nx", "5", "--nt", "5"),
+]
+
 
 def runs():
     for pid in PRESETS:
@@ -77,6 +100,16 @@ def runs():
             yield ["verify", *surface, "--checks", checks]
     for argv in ERRORS:
         yield ["verify", *argv]
+    for pid in PRESETS:
+        for fmt in ("obj", "csv", "json"):
+            yield ["generate", "--preset", pid, "--nx", "21", "--nt", "21", "--format", fmt,
+                   "--out", f"mesh.{fmt}"]
+    for surface in SURFACES:
+        if surface[0] == "--family":
+            yield ["generate", *surface, "--nx", "21", "--nt", "21", "--format", "json",
+                   "--out", "mesh.json"]
+    for surface in OVERFLOWS:
+        yield ["generate", *surface, "--out", "mesh.obj"]
 
 
 def run(argv):
@@ -86,13 +119,26 @@ def run(argv):
             code = cli.main(argv)
         except SystemExit as exc:   # argparse's usage errors
             code = exc.code
-    return [argv, code, out.getvalue(), err.getvalue()]
+        except Exception as exc:    # recorded, and the runs after it still run
+            code = f"raised {type(exc).__name__}: {exc}"
+    line = [argv, code, out.getvalue(), err.getvalue()]
+    if argv[0] == "generate":
+        path = Path(argv[-1])
+        line.append(hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None)
+        path.unlink(missing_ok=True)
+    return line
 
 
 def main() -> int:
     warnings.simplefilter("error", RuntimeWarning)
-    for argv in runs():
-        sys.stdout.write(json.dumps(run(argv)) + "\n")
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for argv in runs():
+                sys.stdout.write(json.dumps(run(argv)) + "\n")
+        finally:
+            os.chdir(home)
     return 0
 
 

@@ -422,13 +422,19 @@ def _half_k1(p: SolitonParams) -> bool:
     return abs(abs(p.k1) - 2.0 * abs(p.lam)) <= 1e-12 * max(1.0, abs(p.k1))
 
 
+def weingarten_constant(p: SolitonParams) -> float:
+    """The cubic K-H relation's constant term 4 (k1^2 + 2 lam^2)^2; the paper
+    prints (k1^2 + 2 lam^2)^2, which leaves the defect 3 (k1^2 + 2 lam^2)^2.
+    Raises ValueError, naming k1 and lambda, when it overflows."""
+    return _finite_nonzero(f"k1 = {p.k1:g}, lambda = {p.lam:g}", "4 (k1^2 + 2 lambda^2)^2",
+                           lambda: 4.0 * (p.k1 ** 2 + 2.0 * p.lam ** 2) ** 2)
+
+
 def weingarten_residuals(K, H, p: SolitonParams) -> np.ndarray:
     """|residual| / scale of the cubic (and, when |k1| = 2 |lam|, quadratic)
     K-H relations, stacked on a last axis of length 1 (or 2); each scale is
-    the largest magnitude of its relation's terms.
-
-    The cubic's constant term is 4 (k1^2 + 2 lam^2)^2; the paper prints
-    (k1^2 + 2 lam^2)^2, which leaves the defect 3 (k1^2 + 2 lam^2)^2.
+    the largest magnitude of its relation's terms.  The cubic's constant
+    term is :func:`weingarten_constant`, whose ValueError this raises.
     """
     K = np.asarray(K, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -437,7 +443,7 @@ def weingarten_residuals(K, H, p: SolitonParams) -> np.ndarray:
     t1 = 8.0 * m2 * H ** 2 * (m2 * K + p.k1 ** 2)
     t2 = 9.0 * m2 ** 2 * K ** 2
     t3 = 12.0 * m2 * c * K
-    t4 = 4.0 * c ** 2
+    t4 = weingarten_constant(p)
     cubic = t1 - t2 - t3 - t4
     cubic_scale = np.maximum.reduce(
         [np.abs(t1), np.abs(t2), np.abs(t3), np.full_like(t1, abs(t4))]

@@ -1,12 +1,12 @@
 """Grid meshes of the soliton surfaces and deterministic file export.
 
 A mesh samples one immersion family on a rectangular (x, t) window, stores
-positions with closed-form K and H per vertex, and flags vertices where the
-curvature formulas genuinely blow up.  Exports are byte-deterministic: the
-same mesh always serializes to the same OBJ, CSV, or JSON file.  Their
-float text comes from ``_float_text``, an exact numpy formatter for
-1e-11 <= |v| < 1e16 that leaves every other value to Python: %.17g for OBJ
-and CSV, and Python's shortest repr for JSON.
+finite positions with closed-form K and H per vertex, and flags vertices
+where the curvature formulas genuinely blow up.  Exports are
+byte-deterministic: the same mesh always serializes to the same OBJ, CSV,
+or JSON file.  Their float text comes from ``_float_text``, an exact numpy
+formatter for 1e-11 <= |v| < 1e16 that leaves every other value to Python:
+%.17g for OBJ and CSV, and Python's shortest repr for JSON.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = [
 
 # Vertices whose curvature denominator is below this fraction of its grid
 # maximum are flagged singular (poles of H for spectral3, of K and H for
-# spectralgauge4), as are any non-finite values.
+# spectralgauge4), as are vertices whose K or H is not finite.
 SINGULAR_RTOL = 1e-10
 
 
@@ -41,6 +41,7 @@ class SurfaceMesh:
     """Sampled surface with per-vertex geometry, row-major in t then x.
 
     Vertex index v = it * nx + ix; all arrays share that flat ordering.
+    ``generate``'s vertices are finite.
     """
 
     surface: Surface
@@ -80,6 +81,7 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
 
     Position, curvatures and denominator are evaluated in tiles
     (``soliton.tiled``); the singular threshold is taken over the whole grid.
+    A position that is not finite raises ValueError.
     """
     check_grid(nx, nt)
     fam, params = surface.family, surface.params
@@ -90,11 +92,18 @@ def generate(surface: Surface, nx: int = 101, nt: int = 101) -> SurfaceMesh:
         cur = fam.curvatures(j)
         return fam.position(j), cur.K, cur.H, np.abs(fam.denominator(j)), j.xi
 
-    y, k, h, den, xi = tiled(pointwise, x, t)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, k, h, den, xi = tiled(pointwise, x, t)
         bad = den <= SINGULAR_RTOL * np.max(den)
         bad |= ~np.isfinite(k) | ~np.isfinite(h)
-        bad |= ~np.all(np.isfinite(y), axis=-1)
+    # the closed-form position has no poles, so a position that is not
+    # finite has overflowed, and no vertex of it could be written
+    lost = np.count_nonzero(~np.isfinite(y).all(axis=-1))
+    if lost:
+        p, (x0, x1), (t0, t1) = params, surface.x_range, surface.t_range
+        raise ValueError(f"{fam.name} k1 = {p.k1:g}, lambda = {p.lam:g}, mu = {p.mu:g}, "
+                         f"nu = {p.nu:g} on [{x0:g},{x1:g}]x[{t0:g},{t1:g}]: the position "
+                         f"overflows at {lost} of {nx * nt} vertices")
 
     flat = lambda a: np.asarray(a, dtype=float).reshape(-1)
     return SurfaceMesh(
@@ -412,25 +421,13 @@ def _positions(blocks, shortest: bool = False):
 
 
 def _obj_chunks(mesh: SurfaceMesh):
-    ok = np.isfinite(mesh.vertices).all(axis=1)
-    finite = ok.all()
-    vertices = _blocks(mesh.vertices)
-    if not finite:
-        # a non-finite vertex is written as the placeholder "v 0 0 0", which
-        # keeps indices stable; faces touching it are left out
-        vertices = (np.where(np.isfinite(b).all(axis=1)[:, None], b, 0.0)
-                    for b in vertices)
-    for y in _positions(vertices):
+    for y in _positions(_blocks(mesh.vertices)):
         yield _text_rows([b"v ", y[:, 0], b" ", y[:, 1], b" ", y[:, 2], b"\n"])
     # each block's faces from its cell indices, so no face table is held
     cells = (mesh.nx - 1) * (mesh.nt - 1)
-    faces = (mesh.quads(np.arange(i, min(i + _BLOCK_ROWS, cells)))
-             for i in range(0, cells, _BLOCK_ROWS))
-    if not finite:
-        faces = (b[ok[b - 1].all(axis=1)] for b in faces)
     width = len(str(mesh.n_vertices))
-    for b in faces:
-        f = _int_text(b, width)
+    for i in range(0, cells, _BLOCK_ROWS):
+        f = _int_text(mesh.quads(np.arange(i, min(i + _BLOCK_ROWS, cells))), width)
         yield _text_rows([b"f ", f[:, 0], b" ", f[:, 1], b" ", f[:, 2], b" ", f[:, 3], b"\n"])
 
 

@@ -333,6 +333,14 @@ def _spectral3_energies(surface: Surface) -> str | None:
     return _spectral3(surface)
 
 
+def _spectral3_weingarten(surface: Surface) -> str | None:
+    try:
+        immersion.weingarten_constant(surface.params)
+    except ValueError as exc:
+        return _spectral3(surface) or str(exc)
+    return _spectral3(surface)
+
+
 def _round_sphere(surface: Surface) -> str | None:
     p = surface.params
     if p.lam == 0.0:
@@ -626,7 +634,8 @@ _CHECKS: dict[str, _Check] = {
                   requires=_phi_scale),
     "compat": _Check(_check_compat, 1e-9, _clipped_window),
     "forms": _Check(_check_forms, 1e-8, _xi_profile(2.95)),
-    "weingarten": _Check(_check_weingarten, 1e-9, _xi_profile(2.95), requires=_spectral3),
+    "weingarten": _Check(_check_weingarten, 1e-9, _xi_profile(2.95),
+                         requires=_spectral3_weingarten),
     "willmore": _Check(_check_willmore, 1e-4, _xi_profile(2.0), steps=_OPERATOR_STEPS,
                        requires=_spectral3_half_k1),
     "shape": _Check(_check_shape, 1e-3, _xi_profile(2.0), steps=_OPERATOR_STEPS,

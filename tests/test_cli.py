@@ -1,17 +1,21 @@
 """Command-line interface: flags, exit codes, output formats."""
 
 import argparse
+import contextlib
 import ctypes
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mkdvsurf import cli, immersion, mesh, verify as verify_mod
 from mkdvsurf.cli import build_parser, main, presets_table
@@ -90,6 +94,80 @@ def test_generate_flags_an_overflowed_h_without_a_warning(tmp_path, capsys):
         flagged = [r for r in rows if r[7] == "1"]
         assert len(flagged) == 11 and f"{len(flagged)} flagged singular" in out, family
         assert [r for r in rows if r[6] == "inf"] == flagged, family
+
+
+# surfaces whose position overflows on their window at 5 x 5: at the largest
+# |lambda|, and where spectralgauge4's phase overflows and cos and sin give NaN
+OVERFLOWED_POSITIONS = [
+    ("--family", "spectral3", "--k1", "1", "--lambda", "6e153", "--mu", "1"),
+    ("--family", "spectral3", "--k1", "1", "--lambda", "1e140", "--mu", "1"),
+    ("--family", "spectralgauge4", "--k1", "1", "--lambda", "1e153", "--mu", "1", "--nu", "1",
+     "--t-min", "1", "--t-max", "300"),
+]
+
+
+@pytest.mark.parametrize("surface", OVERFLOWED_POSITIONS)
+def test_generate_refuses_an_overflowed_position_without_a_warning(tmp_path, capsys, surface):
+    out_file = tmp_path / "x.obj"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "generate", *surface, "--nx", "5", "--nt", "5",
+                             "--out", str(out_file))
+    assert (code, out) == (2, "") and not out_file.exists(), err
+    window = "[-3,3]x[1,300]" if "--t-min" in surface else "[-3,3]x[-3,3]"
+    lam = float(surface[surface.index("--lambda") + 1])
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"lambda = {lam:g}" in err and f" on {window}: the position overflows" in err, err
+
+
+def _signed_power(lo, hi):
+    """+-10^U(lo, hi)."""
+    return st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from((-1.0, 1.0)),
+                     st.floats(lo, hi))
+
+
+# t windows t-min = -U(0, 5) 10^U(0, 6), of width U(0.5, 5) 10^U(0, 6)
+_T_WINDOWS = st.builds(
+    lambda a, b, c, d: (-a * 10.0 ** b, -a * 10.0 ** b + c * 10.0 ** d),
+    st.floats(0, 5), st.floats(0, 6), st.floats(0.5, 5), st.floats(0, 6))
+
+
+@settings(max_examples=1200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["spectral3", "spectralgauge4"]),
+    _signed_power(-4, 4),
+    st.just(0.0) | _signed_power(-4, 155),
+    st.just(0.0) | _signed_power(-60, 60),
+    st.just(0.0) | _signed_power(-60, 60),
+    st.none() | _T_WINDOWS,
+)
+@example("spectral3", 1.0, 6e153, 1.0, 0.0, None)
+@example("spectral3", 1.0, 1e140, 1.0, 0.0, None)
+@example("spectralgauge4", 1.0, 1e153, 1.0, 1.0, (1.0, 300.0))
+def test_generate_writes_finite_vertices_or_exits_2(family, k1, lam, mu, nu, window):
+    # a mesh whose every vertex is a number, or one error line and no file;
+    # never a placeholder, a traceback or a leaked RuntimeWarning
+    argv = ["generate", "--family", family, f"--k1={k1!r}", f"--lambda={lam!r}",
+            f"--mu={mu!r}", "--nx", "5", "--nt", "5", "--format", "json"]
+    if family == "spectralgauge4":
+        argv.append(f"--nu={nu!r}")
+    if window is not None:
+        argv += [f"--t-min={window[0]!r}", f"--t-max={window[1]!r}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.json"
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv + ["--out", str(path)])
+        err = err.getvalue()
+        if code == 0:
+            vertices = json.loads(path.read_text())["vertices"]
+            assert len(vertices) == 25 and err == "", err
+            assert all(isinstance(v, float) for row in vertices for v in row), argv
+        else:
+            assert code == 2 and not path.exists(), (argv, code)
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_negative_exponent_values_parse(tmp_path, capsys):
@@ -547,6 +625,27 @@ def test_the_uncorrected_weingarten_tolerance_is_rejected(capsys):
         main(["verify", "--preset", "ex2", "--tol-weingarten-paper-literal", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol-weingarten-paper-literal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["1e77", "1e100"])
+def test_weingarten_constant_that_overflows_exits_2_before_any_check_runs(capsys, lam):
+    # 4 (k1^2 + 2 lambda^2)^2 overflows, though k1^2 + 4 lambda^2 does not
+    code, out, err = run(capsys, "verify", "--family", "spectral3", "--k1", "1",
+                         "--lambda", lam, "--mu", "1", "--nx", "5", "--nt", "5",
+                         "--checks", "weingarten")
+    assert (code, out) == (2, ""), err
+    assert err == (f"error: check 'weingarten' incompatible: k1 = 1, lambda = {float(lam):g}: "
+                   "4 (k1^2 + 2 lambda^2)^2 = inf, need it finite and nonzero\n")
+
+
+@pytest.mark.parametrize("lam", ["1e77", "1e100"])
+def test_checks_all_at_an_overflowed_weingarten_constant_raises_nothing(capsys, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "verify", "--family", "spectral3", "--k1", "1",
+                             "--lambda", lam, "--mu", "1", "--nx", "5", "--nt", "5")
+    # under all, weingarten skips with the reason and the run goes on
+    assert code in (0, 1, 2) and err.count("\n") <= 1 and "weingarten" not in err, err
 
 
 def test_weingarten_note_names_the_sign_of_k1_over_lambda(capsys):

@@ -126,11 +126,14 @@ def _center_nan_mesh():
     return dataclasses.replace(m, vertices=vertices)
 
 
-def test_obj_skips_faces_touching_nonfinite_vertices():
-    obj = _exported(_center_nan_mesh(), "obj")
-    assert "nan" not in obj.lower()
-    assert obj.count("\nf ") == 0  # every quad touches the center vertex
-    assert "v 0 0 0" in obj
+def test_obj_writes_every_vertex_and_face_as_given():
+    # generate refuses a position that is not finite; export writes what it
+    # is handed, a vertex as its text and every face
+    lines = _exported(_center_nan_mesh(), "obj").splitlines()
+    vertices = [line for line in lines if line.startswith("v ")]
+    assert len(vertices) == 9 and vertices[4] == "v nan nan nan"
+    assert [line for line in lines if line.startswith("f ")] == [
+        "f 1 2 5 4", "f 2 3 6 5", "f 4 5 8 7", "f 5 6 9 8"]
 
 
 def test_export_unknown_format(tmp_path):
@@ -168,9 +171,8 @@ def test_export_memory_does_not_grow_with_the_text(tmp_path):
     # copy of one column's bits that finds its distinct values, not by the
     # 88-146 B per vertex of the text; one whole-document copy would add at
     # least that much, and np.unique's int64 inverse indices some 33 B per
-    # vertex while they are made.  The OBJ writer computes each
-    # block's faces from its cell indices and keeps one finiteness flag per
-    # vertex: a whole face table would add 32 B.
+    # vertex while they are made.  The OBJ writer computes each block's
+    # faces from its cell indices: a whole face table would add 32 B.
     for pid in ("ex4", "ex7"):
         meshes = {n: ms.generate(resolve(pid), nx=n, nt=n) for n in (101, 201)}
         for fmt in ("obj", "csv", "json"):
@@ -236,22 +238,12 @@ def _ref_fmt(v) -> str:
 
 
 def _ref_obj(mesh) -> str:
-    lines = []
-    ok = np.ones(mesh.n_vertices, dtype=bool)
-    for i in range(mesh.n_vertices):
-        vx, vy, vz = mesh.vertices[i]
-        if not (np.isfinite(vx) and np.isfinite(vy) and np.isfinite(vz)):
-            lines.append("v 0 0 0")
-            ok[i] = False
-        else:
-            lines.append(f"v {_ref_fmt(vx)} {_ref_fmt(vy)} {_ref_fmt(vz)}")
+    lines = [f"v {_ref_fmt(vx)} {_ref_fmt(vy)} {_ref_fmt(vz)}" for vx, vy, vz in mesh.vertices]
     nx = mesh.nx
     for it in range(mesh.nt - 1):
         for ix in range(nx - 1):
             a = it * nx + ix + 1
-            b, d, c = a + 1, a + nx + 1, a + nx
-            if ok[a - 1] and ok[b - 1] and ok[c - 1] and ok[d - 1]:
-                lines.append(f"f {a} {b} {d} {c}")
+            lines.append(f"f {a} {a + 1} {a + nx + 1} {a + nx}")
     return "\n".join(lines) + "\n"
 
 
