@@ -628,23 +628,20 @@ def test_the_uncorrected_weingarten_tolerance_is_rejected(capsys):
 
 
 @pytest.mark.parametrize("lam", ["1e77", "1e100"])
-def test_weingarten_constant_that_overflows_exits_2_before_any_check_runs(capsys, lam):
-    # 4 (k1^2 + 2 lambda^2)^2 overflows, though k1^2 + 4 lambda^2 does not
-    code, out, err = run(capsys, "verify", "--family", "spectral3", "--k1", "1",
-                         "--lambda", lam, "--mu", "1", "--nx", "5", "--nt", "5",
-                         "--checks", "weingarten")
-    assert (code, out) == (2, ""), err
-    assert err == (f"error: check 'weingarten' incompatible: k1 = 1, lambda = {float(lam):g}: "
-                   "4 (k1^2 + 2 lambda^2)^2 = inf, need it finite and nonzero\n")
-
-
-@pytest.mark.parametrize("lam", ["1e77", "1e100"])
-def test_checks_all_at_an_overflowed_weingarten_constant_raises_nothing(capsys, lam):
+def test_an_overflowed_weingarten_constant_skips_the_check_or_exits_2(capsys, lam):
+    # 4 (k1^2 + 2 lambda^2)^2 overflows, though k1^2 + 4 lambda^2 does not:
+    # named, weingarten exits 2 before any check runs; under all it skips,
+    # and the run raises nothing
+    surface = ("--family", "spectral3", "--k1", "1", "--lambda", lam, "--mu", "1",
+               "--nx", "5", "--nt", "5")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run(capsys, "verify", "--family", "spectral3", "--k1", "1",
-                             "--lambda", lam, "--mu", "1", "--nx", "5", "--nt", "5")
-    # under all, weingarten skips with the reason and the run goes on
+        code, out, err = run(capsys, "verify", *surface, "--checks", "weingarten")
+        assert (code, out) == (2, ""), err
+        assert err == (f"error: check 'weingarten' incompatible: k1 = 1, lambda = "
+                       f"{float(lam):g}: 4 (k1^2 + 2 lambda^2)^2 = inf, need it finite "
+                       "and nonzero\n")
+        code, out, err = run(capsys, "verify", *surface)
     assert code in (0, 1, 2) and err.count("\n") <= 1 and "weingarten" not in err, err
 
 
