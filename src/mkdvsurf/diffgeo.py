@@ -108,15 +108,23 @@ def div_real(a, d):
     return a / d
 
 
+# The quotients are formed in the difference array each owns, never in a
+# value ``at`` returned.  The factors 8 and 2^order are powers of two, so each
+# product is exact and d *= 8.0 is 8.0 * d bitwise, for complex d too.
 def _d1_once(at, h, order):
+    d = at(h) - at(-h)
     if order == 2:
-        return div_real(at(h) - at(-h), 2.0 * h)
-    return div_real(8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h)), 12.0 * h)
+        return div_real(d, 2.0 * h)
+    d *= 8.0
+    d -= at(2 * h) - at(-2 * h)
+    return div_real(d, 12.0 * h)
 
 
 def _richardson(coarse, fine, order):
     fac = 2.0 ** order
-    return div_real(fac * fine - coarse, fac - 1.0)
+    fine *= fac
+    fine -= coarse
+    return div_real(fine, fac - 1.0)
 
 
 def _quotient(read, s: Stencil):

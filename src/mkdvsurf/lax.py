@@ -21,8 +21,10 @@ solutions through the complex power
        = exp(i lam xi / k1 - pi lam / (2 k1)),
 
 evaluated on the principal branch log(-e^{2 xi}) = 2 xi + i pi, and its
-reciprocal P-.  Phi's columns weight the two solutions by (A, B) and
-(A, -B), with the one choice A = 1, B = -e^{-pi lam/k1}/k1 (``_weight_b``):
+reciprocal P-.  Their phase e^{i lam xi/k1} is cos and sin of the
+argument's imaginary part (``_phase``), bitwise the complex exponential.
+Phi's columns weight the two solutions by (A, B) and (A, -B), with the one
+choice A = 1, B = -e^{-pi lam/k1}/k1 (``_weight_b``):
 under this branch that exponent makes Phi proportional to a unitary matrix,
 Phi^H Phi = det(Phi) I, so that Phi^{-1} X Phi is su(2)-valued for X in
 su(2) and the position vector is real.  The sign of B selects the
@@ -70,11 +72,30 @@ def zero_curvature_residual(j: Jet) -> np.ndarray:
     return U_t - V_x + su2.commutator(U, V)
 
 
+def _phase(z, p: SolitonParams) -> np.ndarray:
+    """e^{i lam xi/k1}, the unit phase of the power factors.
+
+    The argument i lam xi/k1 has real part +-0, and exp(+-0 + i theta) is
+    (cos theta, sin theta), so the phase is cos and sin of the argument's
+    imaginary part, bitwise ``np.exp`` of the argument at a fifth less time:
+    numpy's complex exp is the C library's scalar cexp.  theta is read from
+    the complex argument, not rebuilt in reals, whose rounding differs from
+    it in the sign of a zero.
+    """
+    theta = div_real(1j * p.lam * z, p.k1).imag
+    phase = np.empty(theta.shape, complex)
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    return phase
+
+
 def _power_factors(z, p: SolitonParams):
     """P+ = e^{i lam xi/k1 - pi lam/(2 k1)} and its reciprocal P-."""
-    phase = np.exp(div_real(1j * p.lam * z, p.k1))
+    phase = _phase(z, p)
     damp = np.exp(-np.pi * p.lam / (2.0 * p.k1))
-    return phase * damp, div_real(np.conj(phase), damp)
+    p_minus = div_real(np.conj(phase), damp)
+    phase *= damp
+    return phase, p_minus
 
 
 def _time_factor(t, p: SolitonParams) -> np.ndarray:
@@ -122,18 +143,25 @@ def phi(j: Jet, time_terms=None) -> np.ndarray:
     for a caller that already holds it for this t, as a stencil along x
     does.  The second column is the first column's A-term minus its B-term;
     IEEE products and negation are sign-symmetric, so that is bitwise the
-    sum with -B.
+    sum with -B.  Each chain is formed in an array of its own, its factors
+    in the chain's order: a complex product computed with fused
+    multiply-adds need not commute bit for bit, a sum does.
     """
     p, z, s, tau = j.p, j.xi, j.s, j.tau
     p_plus, p_minus = _power_factors(z, p)
     ta0, tb0, ta1, tb1 = _time_terms(j.t, p) if time_terms is None else time_terms
 
-    top = (2.0 * p.lam + 1j * p.k1 * tau) * p_plus
-    bot = (p.k1 * tau + 2.0j * p.lam) * p_minus
-    a0 = ta0 * top
-    b0 = tb0 * p_minus * s
-    a1 = ta1 * p_plus * s
-    b1 = tb1 * bot
+    top = 1j * p.k1 * tau
+    top += 2.0 * p.lam
+    top *= p_plus
+    bot = p.k1 * tau + 2.0j * p.lam
+    bot *= p_minus
+    a0 = np.multiply(ta0, top, out=top)
+    b0 = tb0 * p_minus
+    b0 *= s
+    a1 = ta1 * p_plus
+    a1 *= s
+    b1 = np.multiply(tb1, bot, out=bot)
 
     out = su2.empty_2x2(z.shape)
     np.add(a0, b0, out=out[..., 0, 0])

@@ -31,8 +31,11 @@ through the position's phase, and the stencils of ``willmore`` and
 ``shape`` shift x and t apart, so two points of equal xi have stencils of
 unequal xi.  A check is compatible with a (family, parameter) combination
 or it is reported as skipped with the reason; requesting an incompatible
-check explicitly is a configuration error.  A runner returns only what it
-measured (``_Outcome``); ``run_checks`` builds every row of the report.
+check explicitly is a configuration error.  A runner whose sample holds no
+regular point raises ``diffgeo.SingularPointError``: a named check aborts
+with it, and under "all" its row is skipped with the message.  A runner
+returns only what it measured (``_Outcome``); ``run_checks`` builds every
+row of the report.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ class CheckConfigError(ValueError):
 class CheckResult:
     """Outcome of one named check.
 
-    ``passed`` is None when the check was skipped as incompatible;
+    ``passed`` is None when the check was skipped as incompatible, or
+    under "all" because its sample held no regular point;
     ``excluded`` counts grid points left out of the statistics.
     """
 
@@ -402,6 +406,14 @@ def _check_compat(surface: Surface, grid, h: None) -> _Outcome:
                     note="all three deformation families")
 
 
+def _excluded(keep: np.ndarray, counts: np.ndarray | None) -> int:
+    """The sample points left out where ``keep`` is False, for values
+    ``_by_xi`` returned with these ``counts``."""
+    if counts is None:
+        return int(keep.size - np.count_nonzero(keep))
+    return int(np.sum(counts[~keep]))
+
+
 # Points of the forms check whose closed-form denominator is at most this
 # share of its largest magnitude on the grid sit at or beside a pole.
 POLE_MARGIN = 0.05
@@ -429,11 +441,8 @@ def _check_forms(surface: Surface, grid, h: None) -> _Outcome:
     norms = [np.max(closed, where=keep, initial=0.0) for closed in (closed_k, closed_h)]
     # each kept difference relative to the largest kept closed form
     rel = np.concatenate([diff[keep] / norm for diff, norm in zip((diff_k, diff_h), norms)])
-    if counts is None:
-        excluded = int(keep.size - np.count_nonzero(keep))
-    else:
-        excluded = int(np.sum(counts[~keep]))
-        counts = np.tile(counts[keep], 2)
+    excluded = _excluded(keep, counts)
+    counts = None if counts is None else np.tile(counts[keep], 2)
     return _Outcome(*_stats(rel, counts), excluded, "frame curvatures vs closed forms")
 
 
@@ -442,13 +451,24 @@ def _check_weingarten(surface: Surface, grid, h: None) -> _Outcome:
 
     def pointwise(j):
         cur = surface.family.curvatures(j)
-        return immersion.weingarten_residuals(cur.K, cur.H, p)
+        # a term that overflows, as H^2 does where |H| > 1.3e154, leaves the
+        # relation's residual not finite: such points are left out below
+        with np.errstate(over="ignore", invalid="ignore"):
+            return immersion.weingarten_residuals(cur.K, cur.H, p)
 
     res, counts = _by_xi(pointwise, surface, grid)
+    keep = np.isfinite(res).all(axis=-1)
+    if not keep.any():
+        raise diffgeo.SingularPointError(
+            f"weingarten: k1 = {p.k1:g}, lambda = {p.lam:g}, mu = {p.mu:g}: the terms "
+            "of the K-H relations overflow at every grid point")
+    excluded = _excluded(keep, counts)
+    if excluded:
+        res, counts = res[keep], None if counts is None else counts[keep]
     note = "cubic K-H relation"
     if res.shape[-1] == 2:
         note += f" and quadratic at k1 = {'' if p.k1 * p.lam > 0 else '-'}2 lambda"
-    return _Outcome(*_stats(res, counts), note=note)
+    return _Outcome(*_stats(res, counts), excluded, note)
 
 
 # The divergence-form pass of `willmore` and `shape` makes each field and
@@ -567,7 +587,10 @@ def _check_sphere(surface: Surface, grid, h: None) -> _Outcome:
     good = np.isfinite(cur_k) & np.isfinite(cur_h)
     kg, hg = cur_k[good], cur_h[good]
     if kg.size == 0:
-        raise diffgeo.SingularPointError("all grid points degenerate; enlarge the grid")
+        raise diffgeo.SingularPointError(
+            "sphere: the symmetry frame's normal is degenerate at every grid point, "
+            f"|[A, B]| <= {deformation.NORMAL_DEGENERACY_RTOL:g} |A| |B|; the ratio falls "
+            f"as |k1/lambda|, and |lambda/k1| = {abs(p.lam / p.k1):.3g}")
     k_mean = float(np.mean(kg))
     radius = float(1.0 / np.sqrt(abs(k_mean)))
     expected = abs(p.alpha * p.mu / (2.0 * p.lam))
@@ -663,8 +686,9 @@ def run_checks(
     """Run named checks on a surface (see :func:`immersion.resolve`) and
     aggregate a report.
 
-    ``checks`` is "all" (every check; incompatible ones appear as skipped
-    with the reason) or an explicit list of at least one check, each named
+    ``checks`` is "all" (every check; incompatible ones, and those whose
+    runner raises ``diffgeo.SingularPointError``, appear as skipped with the
+    reason) or an explicit list of at least one check, each named
     once and not with "all", which raises ``CheckConfigError`` when a listed
     check cannot run for this configuration.  A string is a comma-separated
     list, its names stripped.  A tolerance must be finite and >= 0.  ``fd_step``, when
@@ -737,8 +761,16 @@ def run_checks(
 
     results = []
     for name, label, grid, reason, h in plan:
-        out = (_RUNNERS[name](surface, grid, h) if reason is None
-               else _Outcome(math.nan, math.nan, note=f"skipped: {reason}"))
+        if reason is None:
+            try:
+                out = _RUNNERS[name](surface, grid, h)
+            except diffgeo.SingularPointError as exc:
+                # a named check aborts; under "all" the others still report
+                if explicit:
+                    raise
+                reason = str(exc)
+        if reason is not None:
+            out = _Outcome(math.nan, math.nan, note=f"skipped: {reason}")
         results.append(CheckResult(
             name=name, passed=None if reason else bool(out.max <= tols[name] and out.holds),
             max_residual=out.max, median_residual=out.median, tolerance=tols[name],

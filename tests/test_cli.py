@@ -537,6 +537,41 @@ def test_sphere_skips_the_unit_sphere_of_mu_0(capsys):
     assert err == "error: check 'sphere' incompatible: requires mu != 0\n"
 
 
+def test_all_skips_a_sphere_whose_normal_is_degenerate_everywhere(capsys):
+    # at |lambda/k1| = 1e30 the symmetry frame's |[A, B]|/(|A| |B|), of order
+    # |k1/lambda|, is below the degeneracy bound at every point, whatever the
+    # grid: under all the sphere row is skipped with the reason and every
+    # other row prints; named, sphere exits 2 with it
+    surface = ("--family", "spectral3", "--k1", "1", "--lambda", "1e30", "--mu", "1",
+               "--nx", "5", "--nt", "5")
+    reason = ("sphere: the symmetry frame's normal is degenerate at every grid point, "
+              "|[A, B]| <= 1e-12 |A| |B|; the ratio falls as |k1/lambda|, and "
+              "|lambda/k1| = 1e+30")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "verify", *surface, "--checks", "all")
+        assert code in (0, 1) and err == ""
+        lines = {line.split()[0]: line for line in out.splitlines()}
+        assert list(lines) == [*verify_mod.CHECK_NAMES, "overall:"]
+        assert "  skip  " in lines["sphere"] and lines["sphere"].endswith(f"(skipped: {reason})")
+        code, out, err = run(capsys, "verify", *surface, "--checks", "sphere")
+    assert (code, out) == (2, "")
+    assert err == f"error: {reason}\n"
+
+
+def test_all_skips_forms_without_a_point_off_the_poles(capsys, monkeypatch):
+    # the runner's SingularPointError, which exits 2 for the named check,
+    # is a skipped row under all
+    at_poles = dataclasses.replace(
+        immersion.SPECTRAL3, denominator=lambda j: np.zeros_like(j.u))
+    monkeypatch.setitem(immersion.FAMILIES, "spectral3", at_poles)
+    code, out, err = run(capsys, "verify", "--family", "spectral3", "--k1", "2",
+                         "--mu", "1", "--nx", "5", "--nt", "5", "--checks", "all")
+    assert code in (0, 1) and err == ""
+    [forms] = [line for line in out.splitlines() if line.startswith("forms")]
+    assert "  skip  " in forms and "(skipped: forms: no grid point clears" in forms
+
+
 @pytest.mark.parametrize("window, axis", [
     # clipped to [-2,2], x would run over [2,5], outside the window
     (("--x-min", "5", "--x-max", "10"), "x"),
@@ -643,6 +678,28 @@ def test_an_overflowed_weingarten_constant_skips_the_check_or_exits_2(capsys, la
                        "and nonzero\n")
         code, out, err = run(capsys, "verify", *surface)
     assert code in (0, 1, 2) and err.count("\n") <= 1 and "weingarten" not in err, err
+
+
+def test_weingarten_leaves_out_the_points_whose_terms_overflow(capsys):
+    # at lambda 1e76 the closed-form |H|, about lambda^2/(|mu| sech xi), passes
+    # 1.3e154, where H^2 overflows though 4 (k1^2 + 2 lambda^2)^2 does not:
+    # at mu = 1e-3 on every point of the profile, so the named check exits 2
+    # and names the overflow; at mu = 0.02 beyond |xi| of about 1.95, where
+    # the points are left out and counted.  The runs raise nothing
+    surface = ("--family", "spectral3", "--k1", "1", "--lambda", "1e76", "--checks",
+               "weingarten")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "verify", *surface, "--mu", "1e-3", "--nx", "5",
+                             "--nt", "5")
+        assert (code, out) == (2, "")
+        assert err == ("error: weingarten: k1 = 1, lambda = 1e+76, mu = 0.001: the terms "
+                       "of the K-H relations overflow at every grid point\n")
+        code, out, err = run(capsys, "verify", *surface, "--mu", "0.02", "--nx", "9",
+                             "--nt", "9", "--format", "json")
+    assert code == 0 and err == ""
+    [check] = json.loads(out)["checks"]
+    assert (check["status"], check["excluded"]) == ("pass", 36)
 
 
 def test_weingarten_note_names_the_sign_of_k1_over_lambda(capsys):

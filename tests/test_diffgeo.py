@@ -122,6 +122,27 @@ def test_richardson_reuses_shared_offsets():
             assert np.array_equal(got, textbook), s
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("s", [dg.Stencil(1e-3, 4, True), dg.Stencil(1e-3, 4, False),
+                               dg.Stencil(1e-3, 2, True), dg.Stencil(1e-3, 2, False)],
+                         ids=["o4-rich", "o4", "o2-rich", "o2"])
+def test_quotient_never_writes_into_a_value_read_returned(s, dtype):
+    # the quotients are formed in arrays of their own: read hands out views
+    # of one stacked array, as the divergence-form pass's by_offset does, and
+    # the stack is left as it was
+    offsets = dg._reads(s)
+    rng = np.random.default_rng(54)
+    stack = rng.standard_normal((3, len(offsets), 4, 5)).astype(dtype)
+    if dtype is complex:
+        stack.imag = rng.standard_normal(stack.shape)
+    before = stack.copy()
+    got = dg._quotient(dict(zip(offsets, np.moveaxis(stack, 1, 0))).pop, s)
+    assert np.array_equal(stack.view(np.int64), before.view(np.int64))
+    assert not np.shares_memory(got, stack)
+    fresh = dg._quotient(lambda d: before[:, offsets.index(d)].copy(), s)
+    assert np.array_equal(got.view(np.int64), fresh.view(np.int64))
+
+
 def test_the_oracle_has_one_difference_kernel_of_first_order():
     # a second derivative nests ``derivative``: the one kernel, a function
     # of a reader, a step and an order, is the first difference, and no

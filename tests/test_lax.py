@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mkdvsurf import lax, su2
+from mkdvsurf.diffgeo import div_real
 from mkdvsurf.immersion import PRESETS, resolve
 from mkdvsurf.lax import (
     det_phi_expected,
@@ -152,7 +153,10 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("preset", sorted(PRESETS) + [
+    # beside the presets, a surface whose phase argument i lam xi/k1 is a
+    # signed zero everywhere
+    pytest.param(SolitonParams(k1=-1.5, lam=0.0, mu=1.0), id="spectral3-lam0-k1neg")])
 def test_phi_is_bitwise_the_eight_chain_formula(preset):
     # on every preset's lax grid and at every offset of the lax stencil;
     # along x also with the grid's t factors passed in, as the stencil does.
@@ -160,7 +164,11 @@ def test_phi_is_bitwise_the_eight_chain_formula(preset):
     # A = 1, B = -e^(-pi lam/k1)/k1, so it pins the shared-term arithmetic
     # of ``phi``: the second column as the first column's terms with -B,
     # and the t factors formed once per row
-    surface = resolve(preset, x_range=(-2.0, 2.0), t_range=(-2.0, 2.0))
+    window = {"x_range": (-2.0, 2.0), "t_range": (-2.0, 2.0)}
+    if isinstance(preset, SolitonParams):
+        surface = resolve(family="spectral3", params=preset, **window)
+    else:
+        surface = resolve(preset, **window)
     p = surface.params
     x, t = surface.grid(23, 19)
     h = 1e-6
@@ -170,6 +178,34 @@ def test_phi_is_bitwise_the_eight_chain_formula(preset):
             want = _phi_eight_chains(xx, tt, p)
             got = phi(jet(xx, tt, p), terms)
             assert np.array_equal(_bits(got), _bits(want))
+
+
+# xi = +-0, subnormal and normal up to soliton.XI_MAX, so i lam xi/k1 has
+# imaginary parts of every sign, zeros and subnormals among them
+_PHASE_XI = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308],
+    np.random.default_rng(54).uniform(-710.0, 710.0, 4000)])
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.0, 1e-300, -1e-300, 1e-20, 0.3, -2.5, 1e10])
+@pytest.mark.parametrize("k1", [-3.0, -1.0, -1e-3, 0.5, 2.0])
+def test_phase_is_bitwise_the_complex_exponential(lam, k1):
+    # the phase is cos and sin of the argument's imaginary part; the
+    # argument's real part is +-0, so it is np.exp of the argument bit for
+    # bit, the sign of a zero imaginary part included, and so are the power
+    # factors formed from it
+    p = SolitonParams(k1=k1, lam=lam)
+    arg = div_real(1j * p.lam * _PHASE_XI, p.k1)
+    assert not np.any(arg.real)
+    phase = np.exp(arg)
+    assert np.array_equal(lax._phase(_PHASE_XI, p).view(np.int64), phase.view(np.int64))
+    # where e^(-pi lam/(2 k1)) is 0 or inf, P- or P+ is too
+    with np.errstate(all="ignore"):
+        damp = np.exp(-np.pi * p.lam / (2.0 * p.k1))
+        want = (phase * damp, div_real(np.conj(phase), damp))
+        got = lax._power_factors(_PHASE_XI, p)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def _time_term_chains(t, p):
